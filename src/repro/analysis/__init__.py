@@ -48,7 +48,6 @@ from repro.analysis.rules import (
     DEFAULT_RULES,
     RULE_INDEX,
     AsyncBlockingCallRule,
-    LegacyBackendStringRule,
     MutableDefaultRule,
     ObsLiteralNameRule,
     PackedDtypeRule,
@@ -87,7 +86,6 @@ __all__ = [
     "MutableDefaultRule",
     "SilentBroadExceptRule",
     "UnvalidatedArrayApiRule",
-    "LegacyBackendStringRule",
     "AwaitBoundaryRaceRule",
     "SharedMemoryWriteRule",
     "RngTagCollisionRule",

@@ -16,8 +16,6 @@ REPRO105   obs-literal-names        metric/span names stay greppable
 REPRO106   mutable-default-arg      no shared mutable state across calls
 REPRO107   silent-broad-except      hot paths never swallow errors silently
 REPRO108   unvalidated-array-api    public array APIs validate their input
-REPRO109   legacy-backend-string    associative search is configured through
-                                    ``SearchSpec``, not bare ``backend=`` strings
 REPRO110   process-boundary         ``multiprocessing`` process / shared-memory
                                     primitives stay inside the serving cluster
 =========  =======================  ==========================================
@@ -50,7 +48,6 @@ __all__ = [
     "MutableDefaultRule",
     "SilentBroadExceptRule",
     "UnvalidatedArrayApiRule",
-    "LegacyBackendStringRule",
     "ProcessBoundaryRule",
     "DEFAULT_RULES",
     "RULE_INDEX",
@@ -547,53 +544,6 @@ class UnvalidatedArrayApiRule(Rule):
             )
 
 
-class LegacyBackendStringRule(Rule):
-    """Associative search is configured through ``SearchSpec``.
-
-    The PR that introduced prefix-pruned search replaced the scattered
-    ``backend="dense"|"packed"`` strings with one frozen
-    :class:`repro.core.search.SearchSpec`; the string keyword survives
-    only as a warn-once deprecation shim. A literal ``backend="..."``
-    argument in repo code re-grows the old API surface (and silently
-    bypasses the prune knobs), so it is flagged everywhere except the
-    shim module itself. Constructing the new spec is of course exempt:
-    ``SearchSpec(backend=...)`` / ``spec.with_backend(...)`` /
-    ``dataclasses.replace(spec, backend=...)`` are the replacement.
-    """
-
-    rule_id = "REPRO109"
-    severity = "error"
-    description = (
-        "legacy backend=\"...\" string argument; configure search via "
-        "SearchSpec"
-    )
-    autofix_hint = "pass search=SearchSpec(backend=...) instead"
-    node_types = (ast.Call,)
-
-    #: callees for which a ``backend=`` keyword IS the new API.
-    _NEW_API_CALLEES = {"SearchSpec", "with_backend", "replace"}
-
-    def on_node(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        if _in_module(ctx, "repro", "core", "search.py"):
-            return
-        if ctx.terminal_name(node.func) in self._NEW_API_CALLEES:
-            return
-        for kw in node.keywords:
-            if (
-                kw.arg == "backend"
-                and isinstance(kw.value, ast.Constant)
-                and isinstance(kw.value.value, str)
-            ):
-                yield self.finding(
-                    ctx,
-                    kw.value,
-                    f"backend={kw.value.value!r} goes through the "
-                    "deprecated string shim; pass "
-                    "search=SearchSpec(backend=...)",
-                )
-
-
 class ProcessBoundaryRule(Rule):
     """Process management stays inside the serving-cluster subsystem.
 
@@ -669,7 +619,6 @@ def default_rules() -> List[Rule]:
         MutableDefaultRule(),
         SilentBroadExceptRule(),
         UnvalidatedArrayApiRule(),
-        LegacyBackendStringRule(),
         ProcessBoundaryRule(),
     ]
 

@@ -142,12 +142,7 @@ class AdaBoostClassifier:
         return votes
 
     def predict(self, features: np.ndarray) -> PredictionResult:
-        """Full inference output (:class:`~repro.core.predictor.Predictor`).
-
-        Previously returned a bare label array; that shape survives via
-        the deprecation shims on
-        :class:`~repro.core.classifier.PredictionResult`.
-        """
+        """Full inference output (:class:`~repro.core.predictor.Predictor`)."""
         return result_from_scores(self.decision_function(features))
 
     def predict_labels(self, features: np.ndarray) -> np.ndarray:

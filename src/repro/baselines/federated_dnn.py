@@ -257,12 +257,7 @@ class VerticalFedMLP:
         return True if self._fitted else None
 
     def predict(self, features: np.ndarray) -> PredictionResult:
-        """Full inference output (:class:`~repro.core.predictor.Predictor`).
-
-        Previously returned a bare label array; that shape survives via
-        the deprecation shims on
-        :class:`~repro.core.classifier.PredictionResult`.
-        """
+        """Full inference output (:class:`~repro.core.predictor.Predictor`)."""
         return result_from_proba(self.predict_proba(features))
 
     def predict_labels(self, features: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ class LinearHDClassifier(EdgeHDModel):
         n_classes: int,
         dimension: int = 4000,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> None:
         super().__init__(
@@ -42,6 +41,5 @@ class LinearHDClassifier(EdgeHDModel):
             dimension=dimension,
             encoder="linear",
             seed=seed,
-            backend=backend,
             search=search,
         )

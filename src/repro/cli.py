@@ -303,7 +303,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         inference = HierarchicalInference(
             federation,
             confidence_threshold=args.threshold,
-            backend=args.backend,
             search=search,
         )
     except ValueError as exc:
@@ -804,10 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--medium", default="wifi-802.11ac",
         choices=("wired-1gbps", "wired-500mbps", "wifi-802.11ac",
                  "wifi-802.11n", "bluetooth-4.0"),
-    )
-    serve_bench.add_argument(
-        "--backend", default=None, choices=BACKENDS,
-        help="deprecated alias for --search-backend",
     )
     _add_search_args(serve_bench)
     serve_bench.add_argument(

@@ -19,9 +19,8 @@ Implements Section III-B of the paper:
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -49,22 +48,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_legacy_result_warned: set[str] = set()
-
-
-def _warn_legacy_result(behavior: str) -> None:
-    """One-time deprecation warning for array-style PredictionResult use."""
-    if behavior not in _legacy_result_warned:
-        _legacy_result_warned.add(behavior)
-        warnings.warn(
-            "treating a PredictionResult as a bare label array "
-            f"(via {behavior}) is deprecated; use .labels or call "
-            "predict_labels() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax over (rows of) similarity scores.
 
@@ -88,9 +71,6 @@ class PredictionResult:
 
     Every :class:`~repro.core.predictor.Predictor` in the library —
     core HD models and every baseline — returns this from ``predict``.
-    Callers written against the pre-protocol baseline API (which
-    returned a bare label array) keep working through the array-style
-    dunders below, at the cost of a one-time ``DeprecationWarning``.
     """
 
     labels: np.ndarray
@@ -102,38 +82,17 @@ class PredictionResult:
         """Confidence of the predicted class for each query."""
         return self.confidences[np.arange(len(self.labels)), self.labels]
 
-    # -- deprecation shims: behave like the old bare label array ------
-    def __array__(
-        self, dtype: Any = None, copy: Optional[bool] = None
-    ) -> np.ndarray:
-        _warn_legacy_result("np.asarray()")
-        labels = np.asarray(self.labels)
-        if dtype is not None:
-            labels = labels.astype(dtype, copy=False)
-        if copy:
-            labels = labels.copy()
-        return labels
-
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self) -> Iterator[Any]:
-        _warn_legacy_result("iteration")
-        return iter(self.labels)
-
-    def __getitem__(self, index: Any) -> Any:
-        _warn_legacy_result("indexing")
-        return self.labels[index]
-
     def __eq__(self, other: object) -> Any:
-        if isinstance(other, PredictionResult):
-            return (
-                np.array_equal(self.labels, other.labels)
-                and np.array_equal(self.similarities, other.similarities)
-                and np.array_equal(self.confidences, other.confidences)
-            )
-        _warn_legacy_result("== comparison")
-        return self.labels == np.asarray(other)
+        if not isinstance(other, PredictionResult):
+            return NotImplemented
+        return (
+            np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.similarities, other.similarities)
+            and np.array_equal(self.confidences, other.confidences)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -169,9 +128,6 @@ class HDClassifier:
         differently); on real-valued models the packed path is the
         SHEARer-style sign-quantized approximation. Unset, the process
         default (:func:`repro.core.search.get_default_search`) applies.
-    backend:
-        Deprecated string form of ``search`` (warns once; see
-        :data:`repro.core.search.BACKEND_DEPRECATION`).
     """
 
     def __init__(
@@ -179,7 +135,6 @@ class HDClassifier:
         n_classes: int,
         dimension: int,
         confidence_temperature: Optional[float] = None,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> None:
         if n_classes < 2:
@@ -196,7 +151,7 @@ class HDClassifier:
         self.n_classes = int(n_classes)
         self.dimension = int(dimension)
         self.confidence_temperature = float(confidence_temperature)
-        self.search = resolve_search(search, backend, owner="HDClassifier")
+        self.search = resolve_search(search, owner="HDClassifier")
         self.class_hypervectors: Optional[np.ndarray] = None
         #: per-stage stats of the most recent pruned search (None until
         #: a prune-enabled packed search has run).
@@ -205,19 +160,6 @@ class HDClassifier:
         #: lazily-built bit-packed sign model, invalidated on every
         #: model update alongside the pre-normalized dense model.
         self._packed_model: Optional[PackedBits] = None
-
-    @property
-    def backend(self) -> str:
-        """Backend field of :attr:`search` (legacy accessor)."""
-        return self.search.backend
-
-    @backend.setter
-    def backend(self, value: str) -> None:
-        # Kept assignable for pre-SearchSpec code; pruning knobs carry
-        # over whenever they stay expressible.
-        self.search = resolve_search(
-            None, value, default=self.search, owner="HDClassifier.backend"
-        )
 
     # ------------------------------------------------------------------
     # training
@@ -397,7 +339,6 @@ class HDClassifier:
     def similarities(
         self,
         encoded: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
         """Similarity of each query row to each class hypervector.
@@ -416,8 +357,7 @@ class HDClassifier:
         """
         check_fitted(self, "class_hypervectors")
         spec = resolve_search(
-            search, backend, default=self.search,
-            owner="HDClassifier.similarities",
+            search, default=self.search, owner="HDClassifier.similarities"
         )
         if spec.backend == "packed":
             enc = np.asarray(encoded)
@@ -460,11 +400,10 @@ class HDClassifier:
     def predict(
         self,
         encoded: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> PredictionResult:
         """Associative search + confidence for a batch of queries."""
-        sims = self.similarities(encoded, backend=backend, search=search)
+        sims = self.similarities(encoded, search=search)
         labels = np.argmax(sims, axis=1)
         conf = softmax_confidence(sims, temperature=self.confidence_temperature)
         return PredictionResult(labels=labels, similarities=sims, confidences=conf)
@@ -472,31 +411,28 @@ class HDClassifier:
     def predict_labels(
         self,
         encoded: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
         """Convenience: just the argmax labels."""
-        return self.predict(encoded, backend=backend, search=search).labels
+        return self.predict(encoded, search=search).labels
 
     def predict_proba(
         self,
         encoded: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
         """Per-class confidence matrix (softmax over similarities)."""
-        return self.predict(encoded, backend=backend, search=search).confidences
+        return self.predict(encoded, search=search).confidences
 
     def accuracy(
         self,
         encoded: np.ndarray,
         labels: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> float:
         """Fraction of queries classified correctly."""
         y = check_labels("labels", labels, n_classes=self.n_classes)
-        pred = self.predict_labels(encoded, backend=backend, search=search)
+        pred = self.predict_labels(encoded, search=search)
         if pred.shape[0] != y.shape[0]:
             raise ValueError(f"{pred.shape[0]} samples but {y.shape[0]} labels")
         if y.size == 0:

@@ -117,7 +117,6 @@ class EdgeHDModel:
         sparsity: float = 0.0,
         binarize: bool = True,
         seed: SeedLike = None,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> None:
         if isinstance(encoder, Encoder):
@@ -131,9 +130,7 @@ class EdgeHDModel:
                 encoder, n_features, dimension,
                 sparsity=sparsity, binarize=binarize, seed=seed,
             )
-        self.classifier = HDClassifier(
-            n_classes, dimension, backend=backend, search=search
-        )
+        self.classifier = HDClassifier(n_classes, dimension, search=search)
         self.n_features = int(n_features)
         self.n_classes = int(n_classes)
         self.dimension = int(dimension)
@@ -168,7 +165,6 @@ class EdgeHDModel:
     def predict(
         self,
         features: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> PredictionResult:
         """End-to-end inference from raw features.
@@ -178,41 +174,33 @@ class EdgeHDModel:
         packed XOR+popcount, or prefix-pruned packed search); by
         default the classifier's configured spec applies. See
         :class:`repro.core.classifier.HDClassifier` for the
-        dense/packed equivalence guarantee. ``backend`` is the
-        deprecated string form.
+        dense/packed equivalence guarantee.
         """
-        return self.classifier.predict(
-            self.encode(features), backend=backend, search=search
-        )
+        return self.classifier.predict(self.encode(features), search=search)
 
     def predict_labels(
         self,
         features: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
-        return self.predict(features, backend=backend, search=search).labels
+        return self.predict(features, search=search).labels
 
     def predict_proba(
         self,
         features: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
         """Per-class confidence matrix for raw feature rows."""
-        return self.predict(
-            features, backend=backend, search=search
-        ).confidences
+        return self.predict(features, search=search).confidences
 
     def accuracy(
         self,
         features: np.ndarray,
         labels: np.ndarray,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> float:
         return self.classifier.accuracy(
-            self.encode(features), labels, backend=backend, search=search
+            self.encode(features), labels, search=search
         )
 
     # ------------------------------------------------------------------

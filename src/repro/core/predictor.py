@@ -13,10 +13,7 @@ protocol fixes the contract once:
   (softmax confidences for margin-based models).
 
 ``HDClassifier``, ``EdgeHDModel`` and every class in
-:mod:`repro.baselines` conform; ``PredictionResult`` keeps thin
-array-style deprecation shims so pre-protocol callers that treated a
-baseline's ``predict`` output as a label array continue to work with a
-one-time warning.
+:mod:`repro.baselines` conform.
 
 The helpers below build a ``PredictionResult`` from the two raw
 quantities baselines naturally produce — decision scores (SVM margins,

@@ -1,11 +1,10 @@
 """Unified associative-search configuration: :class:`SearchSpec`.
 
-Historically every inference entry point — ``HDClassifier``,
-``EdgeHDModel``, ``HierarchicalInference``, the serving runtime and
-the CLIs — took a bare ``backend="dense"|"packed"`` string. That
-surface cannot express the prefix-pruned search knobs introduced with
-the branch-and-bound kernel (:func:`repro.core.kernels.packed_search`),
-so the whole configuration now travels as one frozen dataclass:
+Every inference entry point — ``HDClassifier``, ``EdgeHDModel``,
+``HierarchicalInference``, the serving runtime and the CLIs — takes
+its whole search configuration, backend and the prefix-pruning knobs
+of the branch-and-bound kernel
+(:func:`repro.core.kernels.packed_search`), as one frozen dataclass:
 
 * ``backend`` — ``"dense"`` (float cosine) or ``"packed"``
   (XOR+popcount over uint64 bitplanes);
@@ -24,27 +23,20 @@ Resolution order everywhere is *per-call > per-object > process
 default* (:func:`get_default_search` / :func:`set_default_search`, the
 hook the ``repro reproduce`` CLI uses to apply ``--search-*`` flags to
 experiment code it does not construct itself).
-
-The old ``backend=`` string keyword keeps working through
-:func:`resolve_search` — a warn-once deprecation shim whose warning
-text is pinned by ``tests/test_search_spec.py``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Set, Union
+from typing import Optional
 
 __all__ = [
     "BACKENDS",
     "PRUNE_MODES",
     "SearchSpec",
-    "BACKEND_DEPRECATION",
     "resolve_search",
     "get_default_search",
     "set_default_search",
-    "reset_backend_warnings",
 ]
 
 #: Supported associative-search backends: ``"dense"`` is the float
@@ -55,23 +47,12 @@ BACKENDS = ("dense", "packed")
 #: Prefix-pruning modes of the packed kernel (``"off"`` everywhere else).
 PRUNE_MODES = ("off", "exact", "approx")
 
-#: Pinned deprecation text for the legacy ``backend=`` string keyword.
-#: ``tests/test_search_spec.py`` asserts this exact wording so the shim
-#: cannot silently drift or disappear.
-BACKEND_DEPRECATION = (
-    "passing backend=... as a bare string is deprecated; pass "
-    "search=SearchSpec(backend=...) instead (repro.core.search)"
-)
-
-_backend_warned: Set[str] = set()
-
 
 @dataclass(frozen=True)
 class SearchSpec:
     """Frozen bundle of every associative-search tunable.
 
-    The default spec (dense backend, pruning off) reproduces the
-    pre-``SearchSpec`` behaviour bit for bit.
+    The default spec is the dense backend with pruning off.
     """
 
     backend: str = "dense"
@@ -161,65 +142,18 @@ def set_default_search(spec: SearchSpec) -> SearchSpec:
     return previous
 
 
-def reset_backend_warnings() -> None:
-    """Forget which owners already warned (test isolation hook)."""
-    _backend_warned.clear()
-
-
-def _warn_backend_string(owner: str) -> None:
-    if owner not in _backend_warned:
-        _backend_warned.add(owner)
-        warnings.warn(
-            f"{owner}: {BACKEND_DEPRECATION}",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-
-
 def resolve_search(
-    search: Optional[Union[SearchSpec, str]] = None,
-    backend: Optional[str] = None,
+    search: Optional[SearchSpec] = None,
     *,
     default: Optional[SearchSpec] = None,
     owner: str = "search",
 ) -> SearchSpec:
-    """Resolve the (search, backend) argument pair to one spec.
-
-    ``search`` wins outright; a legacy ``backend=`` string is accepted
-    through the warn-once deprecation shim and overrides only the
-    backend field of ``default``; with neither, ``default`` (or the
-    process default) applies. Passing both is ambiguous and raises.
-    A bare string passed as ``search`` is treated as the legacy
-    backend keyword too — callers migrating mechanically sometimes
-    rename the keyword without building the dataclass.
-    """
-    if isinstance(search, str):
-        search, backend = None, search
-    if search is not None:
-        if backend is not None:
-            raise ValueError(
-                f"{owner}: pass either search= or the deprecated "
-                f"backend=, not both"
-            )
-        if not isinstance(search, SearchSpec):
-            raise TypeError(
-                f"{owner}: search must be a SearchSpec, got "
-                f"{type(search).__name__}"
-            )
-        return search
-    base = default if default is not None else get_default_search()
-    if backend is None:
-        return base
-    _warn_backend_string(owner)
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
+    """``search`` when given, else ``default``, else the process default."""
+    if search is None:
+        return default if default is not None else get_default_search()
+    if not isinstance(search, SearchSpec):
+        raise TypeError(
+            f"{owner}: search must be a SearchSpec, got "
+            f"{type(search).__name__}"
         )
-    if base.backend == backend:
-        return base
-    if base.is_pruned and backend != "packed":
-        # The legacy keyword cannot express prune knobs; falling from a
-        # pruned packed default to dense drops pruning rather than
-        # erroring under the old API's semantics.
-        return SearchSpec(backend=backend)
-    return base.with_backend(backend)
+    return search

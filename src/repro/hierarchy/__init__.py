@@ -3,9 +3,7 @@
 from repro.hierarchy.checkpoint import (
     CheckpointError,
     TopologyCheckpoint,
-    load_federation,
     load_topology_state,
-    save_federation,
     save_topology_state,
 )
 from repro.hierarchy.control import (
@@ -40,9 +38,7 @@ from repro.hierarchy.topology import (
 __all__ = [
     "CheckpointError",
     "TopologyCheckpoint",
-    "load_federation",
     "load_topology_state",
-    "save_federation",
     "save_topology_state",
     "DrainResult",
     "FeedbackEvent",

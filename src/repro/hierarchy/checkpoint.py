@@ -1,25 +1,20 @@
 """Checkpointing a trained federation.
 
-Two formats live here:
+:func:`save_topology_state` / :func:`load_topology_state` persist the
+*entire* control-plane state: hierarchy structure (with id gaps from
+drained nodes), feature partition, configuration, per-node lifecycle
+states, class hypervectors, and — when an online learner is passed —
+its residual stacks with their true per-class counts plus the
+propagation counter. The file is self-describing:
+:func:`load_topology_state` rebuilds the federation from the file
+alone, which is what lets a crashed node respawn and a whole deployment
+restore bit-exactly (the ``1/(1 + decay·t)`` learning-rate schedule
+depends on the propagation count, so residual replay only reproduces
+the uninterrupted run if that counter rides along). Saving without a
+learner is the models-only checkpoint; :func:`validate_topology_meta`
+checks a loaded file against a live federation.
 
-* **v1 (model checkpoint)** — :func:`save_federation` /
-  :func:`load_federation` persist the per-node class hypervectors only;
-  the caller reconstructs the federation (encoders and projections
-  regenerate from their seeds) and the loader validates compatibility.
-* **v2 (topology checkpoint)** — :func:`save_topology_state` /
-  :func:`load_topology_state` persist the *entire* control-plane state:
-  hierarchy structure (with id gaps from drained nodes), feature
-  partition, configuration, per-node lifecycle states, class
-  hypervectors, and the online-learning residual stacks with their
-  true per-class counts plus the propagation counter. A v2 file is
-  self-describing — :func:`load_topology_state` rebuilds the federation
-  from the file alone, which is what lets a crashed node respawn and a
-  whole deployment restore bit-exactly (the ``1/(1 + decay·t)``
-  learning-rate schedule depends on the propagation count, so residual
-  replay only reproduces the uninterrupted run if that counter rides
-  along).
-
-Both loaders raise :class:`CheckpointError` with the offending file
+The loader raises :class:`CheckpointError` with the offending file
 path and expected-vs-found context on every failure path — a corrupted,
 truncated or version-mismatched checkpoint must never load silently.
 """
@@ -40,8 +35,6 @@ from repro.hierarchy.online import OnlineLearner
 from repro.hierarchy.topology import Hierarchy
 
 __all__ = [
-    "save_federation",
-    "load_federation",
     "save_topology_state",
     "load_topology_state",
     "validate_topology_meta",
@@ -50,7 +43,6 @@ __all__ = [
     "CheckpointError",
 ]
 
-_FORMAT_VERSION = 1
 TOPOLOGY_FORMAT_VERSION = 2
 
 
@@ -59,7 +51,7 @@ class CheckpointError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# shared low-level readers: every failure names the file and the reason
+# low-level readers: every failure names the file and the reason
 # ----------------------------------------------------------------------
 def _open_archive(path: Path):
     try:
@@ -104,97 +96,7 @@ def _read_meta(data, path: Path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# v1: per-node class hypervectors
-# ----------------------------------------------------------------------
-def _metadata(federation: EdgeHDFederation) -> dict:
-    hierarchy = federation.hierarchy
-    return {
-        "format_version": _FORMAT_VERSION,
-        "n_classes": federation.n_classes,
-        "dimension": federation.config.dimension,
-        "encoder": federation.config.encoder,
-        "seed": federation.config.seed,
-        "holographic": federation.holographic,
-        "n_nodes": len(hierarchy.nodes),
-        "depth": hierarchy.depth,
-        "node_dimensions": {
-            str(nid): node.dimension for nid, node in hierarchy.nodes.items()
-        },
-        "feature_counts": federation.partition.feature_counts(),
-    }
-
-
-def save_federation(federation: EdgeHDFederation, path: Union[str, Path]) -> None:
-    """Persist every node's class hypervectors plus validation metadata.
-
-    Raises ``RuntimeError`` if any node is untrained — a partially
-    trained federation is not a meaningful deployment artifact.
-    """
-    arrays = {}
-    for node_id, classifier in federation.classifiers.items():
-        if classifier.class_hypervectors is None:
-            raise RuntimeError(
-                f"node {node_id} is untrained; run fit_offline() first"
-            )
-        arrays[f"node_{node_id}"] = classifier.class_hypervectors
-    arrays["meta"] = np.frombuffer(
-        json.dumps(_metadata(federation)).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(str(path), **arrays)
-
-
-def load_federation(
-    federation: EdgeHDFederation, path: Union[str, Path]
-) -> EdgeHDFederation:
-    """Install checkpointed models into a structurally identical federation.
-
-    The caller constructs the federation (same topology, partition and
-    config — the encoders/projections regenerate from the seed); this
-    function restores the learned state and verifies compatibility.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no checkpoint at {path}")
-    with _open_archive(path) as data:
-        meta = _read_meta(data, path)
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version: expected "
-                f"{_FORMAT_VERSION}, found {meta.get('format_version')!r}"
-            )
-        expected = _metadata(federation)
-        for key in (
-            "n_classes", "dimension", "encoder", "seed",
-            "holographic", "n_nodes", "depth",
-            "node_dimensions", "feature_counts",
-        ):
-            if meta.get(key) != expected[key]:
-                raise CheckpointError(
-                    f"{path}: checkpoint mismatch on {key!r}: "
-                    f"saved {meta.get(key)!r} vs federation {expected[key]!r}"
-                )
-        for node_id, classifier in federation.classifiers.items():
-            key = f"node_{node_id}"
-            if key not in data:
-                raise CheckpointError(
-                    f"{path}: checkpoint missing model for node {node_id} — "
-                    f"expected arrays for nodes "
-                    f"{sorted(federation.classifiers)}, found entries "
-                    f"{sorted(data.files)}"
-                )
-            model = _read_array(data, key, path)
-            if model.shape != (federation.n_classes, classifier.dimension):
-                raise CheckpointError(
-                    f"{path}: model for node {node_id} has shape "
-                    f"{model.shape}, expected "
-                    f"{(federation.n_classes, classifier.dimension)}"
-                )
-            classifier.set_model(model)
-    return federation
-
-
-# ----------------------------------------------------------------------
-# v2: full topology state
+# full topology state
 # ----------------------------------------------------------------------
 @dataclass
 class ResidualSnapshot:

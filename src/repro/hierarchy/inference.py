@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +30,35 @@ from repro.network.message import Message, MessageKind
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_labels, check_matrix
 
-__all__ = ["HierarchicalInference", "InferenceOutcome"]
+__all__ = ["HierarchicalInference", "InferenceOutcome", "PREDICTION_BYTES", "Step"]
 
 logger = logging.getLogger(__name__)
+
+#: bytes of one downstream prediction (a class index).
+PREDICTION_BYTES = 4
+
+
+class Step(NamedTuple):
+    """What one node does with one cohort (:meth:`HierarchicalInference.step`)."""
+
+    #: mask over the cohort: rows whose decision this node recorded.
+    decided: np.ndarray
+    #: label / top-class confidence of each ``decided`` row, in order.
+    labels: np.ndarray
+    confidence: np.ndarray
+    #: mask over the cohort: rows that answer here, with the last
+    #: decision recorded for them (this node's, or an earlier one).
+    answer: np.ndarray
+    #: where the remaining rows go: the parent, or the root for an
+    #: above-cap fall-through.
+    destination: Optional[int]
+    #: True when that hop ships a compressed bundle (an escalation
+    #: edge, costed by :meth:`HierarchicalInference.uplink_bytes`).
+    charged: bool
+
+
+_NO_LABELS = np.empty(0, dtype=np.int64)
+_NO_CONFIDENCE = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -100,7 +127,6 @@ class HierarchicalInference:
         confidence_threshold: Optional[float] = None,
         compression_count: Optional[int] = None,
         min_level: int = 1,
-        backend: Optional[str] = None,
         search: Optional[SearchSpec] = None,
     ) -> None:
         self.federation = federation
@@ -124,21 +150,80 @@ class HierarchicalInference:
         #: (see :class:`repro.core.classifier.HDClassifier`); the
         #: serving runtime reads the same spec, so served answers stay
         #: bit-identical to this offline walk.
-        self.search = resolve_search(
-            search, backend, owner="HierarchicalInference"
-        )
+        self.search = resolve_search(search, owner="HierarchicalInference")
 
-    @property
-    def backend(self) -> str:
-        """Backend field of :attr:`search` (legacy accessor)."""
-        return self.search.backend
+    # ------------------------------------------------------------------
+    # the escalation policy: every runner is a driver over these two
+    # ------------------------------------------------------------------
+    def step(
+        self,
+        node_id: int,
+        cap: int,
+        seen: np.ndarray,
+        predict: Callable[[Optional[np.ndarray]], Tuple[np.ndarray, np.ndarray]],
+    ) -> Step:
+        """Route one cohort at one node — the whole policy of Sec. IV-C.
 
-    @backend.setter
-    def backend(self, value: str) -> None:
-        self.search = resolve_search(
-            None, value, default=self.search,
-            owner="HierarchicalInference.backend",
-        )
+        ``seen`` masks the cohort rows that already carry a decision
+        from a decision-capable node below; ``predict(where)`` returns
+        this node's ``(labels, top-class confidence)`` for the rows
+        under the mask ``where`` (``None`` = the whole cohort). Three
+        tiers, by the node's level:
+
+        * below ``min_level`` — sense only: nothing is decided, every
+          row pays the hop to the parent;
+        * within ``[min_level, cap]`` — every row's decision is
+          recorded; a row answers when confident, at the cap, or at the
+          root, and otherwise escalates to the parent;
+        * above ``cap`` (ragged hierarchies, where a parent sits more
+          than one level above its child) — ``seen`` rows answer with
+          the decision they carry; the rest fall through to the root,
+          uncharged, whose model answers them unconditionally.
+
+        Pure: no clock, queue or socket — transport, batching, timing
+        and fault handling belong to the driver.
+        """
+        hierarchy = self.federation.hierarchy
+        node = hierarchy.nodes[node_id]
+        nobody = np.zeros(seen.size, dtype=bool)
+        if node.level < self.min_level:
+            return Step(
+                nobody, _NO_LABELS, _NO_CONFIDENCE, nobody, node.parent, True
+            )
+        everybody = np.ones(seen.size, dtype=bool)
+        if node.level > cap:
+            if node_id != hierarchy.root_id:
+                return Step(
+                    nobody, _NO_LABELS, _NO_CONFIDENCE, seen,
+                    hierarchy.root_id, False,
+                )
+            unseen = ~seen
+            labels, confidence = (
+                predict(unseen) if unseen.any()
+                else (_NO_LABELS, _NO_CONFIDENCE)
+            )
+            return Step(unseen, labels, confidence, everybody, None, False)
+        labels, confidence = predict(None)
+        if node.level == cap or node.parent is None:
+            answer = everybody
+        else:
+            answer = confidence >= self.confidence_threshold
+        return Step(everybody, labels, confidence, answer, node.parent, True)
+
+    def uplink_bytes(self, parent: int, count: int) -> int:
+        """Wire bytes of ``count`` queries escalated to ``parent``.
+
+        The parent needs the hierarchically-encoded query of the whole
+        subtree it covers, i.e. its children ship their encodings
+        upward: the parent's input dimensionality per query, in
+        compressed bundles of ``m`` queries with narrow packed elements
+        (Eq. 3, :func:`~repro.core.compression.compressed_bundle_bytes`).
+        The answer comes back down as :data:`PREDICTION_BYTES` per query.
+        """
+        nodes = self.federation.hierarchy.nodes
+        m = self.compression_count
+        parent_in_dim = sum(nodes[c].dimension for c in nodes[parent].children)
+        return -(-count // m) * compressed_bundle_bytes(parent_in_dim, m)
 
     # ------------------------------------------------------------------
     def run(
@@ -205,14 +290,18 @@ class HierarchicalInference:
                     predictions[node_id] = cached
                 return cached
 
-            def cohort(node_id: int, rows: np.ndarray):
-                """(labels, confidence) for ``rows`` at ``node_id``.
+            def cohort(
+                node_id: int, rows: np.ndarray, where: Optional[np.ndarray]
+            ):
+                """(labels, confidence) for ``rows[where]`` at ``node_id``.
 
                 Uses the whole-batch prediction when the node's encoding
                 is already in hand (prefilled leaves, repeat visits);
                 otherwise encodes just the cohort's rows, so an internal
                 node only pays for the queries that escalated to it.
                 """
+                if where is not None:
+                    rows = rows[where]
                 if (
                     rows.size == n
                     or node_id in predictions
@@ -238,50 +327,25 @@ class HierarchicalInference:
             pending = np.arange(n, dtype=np.int64)
             while pending.size:
                 advancing: list[np.ndarray] = []
-                for node_id in np.unique(current[pending]):
+                for node_id in np.unique(current[pending]).tolist():
                     rows = pending[current[pending] == node_id]
-                    node = hierarchy.nodes[node_id]
-                    parent = node.parent
-                    if node.level < self.min_level:
-                        # Below the first decision-capable level:
-                        # always escalate (costs a hop, no decision).
-                        if parent is not None:
-                            edge = (node_id, parent)
+                    step = self.step(
+                        node_id, cap, chosen[rows] >= 0,
+                        partial(cohort, node_id, rows),
+                    )
+                    here = rows[step.decided]
+                    chosen[here] = node_id
+                    best_label[here] = step.labels
+                    best_conf[here] = step.confidence
+                    moving = rows[~step.answer]
+                    if moving.size:
+                        if step.charged:
+                            edge = (node_id, step.destination)
                             escalations[edge] = (
-                                escalations.get(edge, 0) + rows.size
+                                escalations.get(edge, 0) + moving.size
                             )
-                            current[rows] = parent
-                            advancing.append(rows)
-                        continue
-                    if node.level > cap:
-                        # Ragged hierarchy: the parent jumped past the
-                        # cap before any decision-capable node answered
-                        # confidently; queries that never saw one fall
-                        # back to the root's model, exactly as the
-                        # per-sample walk did.
-                        unseen = rows[chosen[rows] < 0]
-                        if unseen.size:
-                            root = hierarchy.root_id
-                            lab, conf = cohort(root, unseen)
-                            chosen[unseen] = root
-                            best_label[unseen] = lab
-                            best_conf[unseen] = conf
-                        continue
-                    lab, conf = cohort(int(node_id), rows)
-                    chosen[rows] = node_id
-                    best_label[rows] = lab
-                    best_conf[rows] = conf
-                    done = conf >= self.confidence_threshold
-                    if node.level == cap or parent is None:
-                        continue
-                    escalate = rows[~done]
-                    if escalate.size:
-                        edge = (node_id, parent)
-                        escalations[edge] = (
-                            escalations.get(edge, 0) + escalate.size
-                        )
-                        current[escalate] = parent
-                        advancing.append(escalate)
+                        current[moving] = step.destination
+                        advancing.append(moving)
                 pending = (
                     np.concatenate(advancing)
                     if advancing
@@ -362,36 +426,24 @@ class HierarchicalInference:
     def escalation_messages(
         self, escalations: Dict[tuple[int, int], int]
     ) -> List[Message]:
-        """Charge compressed query bundles for the escalated queries.
+        """The message list of a walk, from its per-edge escalation counts.
 
-        When a node hands a query to its parent, the parent needs the
-        hierarchically-encoded query of the *whole subtree it covers*,
-        i.e. the children ship their encodings upward. We charge the
-        parent's input dimensionality per query, divided across
-        compressed bundles of ``m`` queries with narrow packed
-        elements (see compressed_bundle_bytes). Also used by the
-        serving runtime (:mod:`repro.serve`) to rebuild an
-        offline-comparable message list from its escalation counts.
+        One compressed-bundle uplink (:meth:`uplink_bytes`) and one
+        prediction downlink per escalation edge. Counts are additive
+        across cohorts, so every runner — this offline walk, the
+        serving runtime, the cluster router merging its workers'
+        counts — reports the same list for the same queries.
         """
         messages: List[Message] = []
-        hierarchy = self.federation.hierarchy
-        m = self.compression_count
         for (child, parent), count in sorted(escalations.items()):
-            parent_in_dim = sum(
-                hierarchy.nodes[c].dimension
-                for c in hierarchy.nodes[parent].children
-            )
-            n_bundles = (count + m - 1) // m
-            bundle_bytes = compressed_bundle_bytes(parent_in_dim, m)
-            obs.incr(
-                "hierarchy.escalation.compressed_bytes", n_bundles * bundle_bytes
-            )
+            payload = self.uplink_bytes(parent, count)
+            obs.incr("hierarchy.escalation.compressed_bytes", payload)
             messages.append(
                 Message(
                     source=child,
                     destination=parent,
                     kind=MessageKind.COMPRESSED_QUERY,
-                    payload_bytes=n_bundles * bundle_bytes,
+                    payload_bytes=payload,
                 )
             )
             # The answer travels back down (a class index — negligible
@@ -401,7 +453,7 @@ class HierarchicalInference:
                     source=parent,
                     destination=child,
                     kind=MessageKind.PREDICTION,
-                    payload_bytes=4 * count,
+                    payload_bytes=PREDICTION_BYTES * count,
                 )
             )
         return messages

@@ -10,9 +10,12 @@ at 46.5 / 23.5 Mbps, Bluetooth 4.0 at 1 Mbps) are used directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Mapping
 
-__all__ = ["Medium", "MEDIA", "get_medium"]
+if TYPE_CHECKING:  # type-only: repro.hierarchy already imports repro.network
+    from repro.hierarchy.topology import Hierarchy
+
+__all__ = ["Medium", "MEDIA", "get_medium", "edge_medium"]
 
 
 @dataclass(frozen=True)
@@ -79,3 +82,22 @@ def get_medium(name: str) -> Medium:
         raise KeyError(
             f"unknown medium {name!r}; available: {', '.join(MEDIA)}"
         ) from None
+
+
+def edge_medium(
+    hierarchy: "Hierarchy",
+    source: int,
+    destination: int,
+    medium: Medium,
+    media_by_level: Mapping[int, Medium],
+) -> Medium:
+    """Medium of the (source, destination) link.
+
+    ``media_by_level`` assigns a medium per *child level* (e.g.
+    Bluetooth at the appliance level, WiFi between gateways); links it
+    does not name use ``medium``.
+    """
+    lower = min(
+        hierarchy.nodes[source].level, hierarchy.nodes[destination].level
+    )
+    return media_by_level.get(lower, medium)

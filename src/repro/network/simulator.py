@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import repro.obs as obs
 from repro.hierarchy.topology import Hierarchy
 from repro.network.failure import FailureModel
-from repro.network.medium import Medium
+from repro.network.medium import Medium, edge_medium
 from repro.network.message import Message, MessageKind
 
 __all__ = ["NetworkSimulator", "SimulationResult"]
@@ -128,14 +128,6 @@ class NetworkSimulator:
         self.shared_medium = bool(shared_medium)
 
     # ------------------------------------------------------------------
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        """Medium of the (source, destination) link."""
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
-
     def _validate(self, message: Message) -> None:
         nodes = self.hierarchy.nodes
         if message.source not in nodes or message.destination not in nodes:
@@ -235,7 +227,10 @@ class NetworkSimulator:
         total: "_Totals",
     ) -> Optional[float]:
         """Send one message; returns delivery time or None if dropped."""
-        medium = self._edge_medium(message.source, message.destination)
+        medium = edge_medium(
+            self.hierarchy, message.source, message.destination,
+            self.medium, self.media_by_level,
+        )
         attempts, delivered = self._attempts(message)
         if self.shared_medium:
             key = _SHARED_CHANNEL

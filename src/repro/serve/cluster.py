@@ -31,11 +31,12 @@ counts are additive across cohorts, a ``workers=1`` cluster answers
 bit-identically to the offline walk — same labels, deciding nodes,
 levels and wire bytes.
 
-Wire/energy accounting is simulated exactly as the offline walk
-charges it (escalations climb *inside* a worker, not between
-processes): per-request escalation round-trips are added to reported
-latency without sleeping, and run totals come from the aggregated
-escalation counts via :meth:`HierarchicalInference.escalation_messages`.
+Wire/energy accounting is the offline walk's own (escalations climb
+*inside* a worker, not between processes): per-request escalation
+round-trips, costed by :meth:`HierarchicalInference.uplink_bytes`, are
+added to reported latency without sleeping, and run totals come from
+the aggregated escalation counts via
+:meth:`HierarchicalInference.escalation_messages`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import logging
 import queue as queue_mod
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
 
@@ -57,9 +58,9 @@ from repro.config import EdgeHDConfig
 from repro.core.search import SearchSpec
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.federation import EdgeHDFederation
-from repro.hierarchy.inference import HierarchicalInference
+from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.hierarchy.topology import Hierarchy
-from repro.network.medium import Medium
+from repro.network.medium import Medium, edge_medium
 from repro.obs.registry import MetricsRegistry
 from repro.serve.faults import FaultPlan
 from repro.serve.registry import ReplicaRegistry
@@ -68,9 +69,9 @@ from repro.serve.request import (
     ServeResult,
     StageTimings,
 )
-from repro.serve.runtime import _PREDICTION_BYTES, ServeConfig
+from repro.serve.runtime import ServeConfig
 from repro.serve.shard import SharedModelStore
-from repro.serve.workload import ServeWorkload, poisson_arrivals
+from repro.serve.workload import ServeWorkload, open_loop_arrivals
 
 __all__ = ["ClusterConfig", "ClusterRuntime", "ConsistentHashRing", "WorkerSpec"]
 
@@ -386,11 +387,7 @@ class ClusterRuntime:
         self.config = config or ServeConfig()
         self.cluster = cluster or ClusterConfig()
         self.cap = inference.effective_cap(self.config.max_level)
-        self.search: SearchSpec = (
-            self.config.search
-            if self.config.search is not None
-            else inference.search
-        )
+        self.search: SearchSpec = self.config.search or inference.search
         if fault_plan is not None:
             fault_plan.validate_for_cluster(self.cluster.workers)
         #: crash-only plan (or None); inert plans normalize to None.
@@ -597,38 +594,25 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # simulated escalation accounting
     # ------------------------------------------------------------------
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
-
     def _precompute_edge_rtt(self) -> Dict[Tuple[int, int], float]:
         """Per-(child, parent) simulated escalation round-trip seconds.
 
-        The uplink ships one compressed bundle sized for the parent's
-        input dimensionality; the downlink returns a prediction. The
-        walk itself runs inside one worker, so this cost is added to
-        reported latency without sleeping — the same modeling the
-        offline byte accounting uses.
+        One compressed bundle up, one prediction down. The walk itself
+        runs inside one worker, so this cost is added to reported
+        latency without sleeping.
         """
-        from repro.core.compression import compressed_bundle_bytes
-
-        m = self.inference.compression_count
         rtt: Dict[Tuple[int, int], float] = {}
         for node_id, node in self.hierarchy.nodes.items():
             parent = node.parent
             if parent is None:
                 continue
-            parent_in_dim = sum(
-                self.hierarchy.nodes[c].dimension
-                for c in self.hierarchy.nodes[parent].children
+            medium = edge_medium(
+                self.hierarchy, node_id, parent,
+                self.medium, self.media_by_level,
             )
-            medium = self._edge_medium(node_id, parent)
             rtt[(node_id, parent)] = medium.transfer_time(
-                compressed_bundle_bytes(parent_in_dim, m)
-            ) + medium.transfer_time(_PREDICTION_BYTES)
+                self.inference.uplink_bytes(parent, 1)
+            ) + medium.transfer_time(PREDICTION_BYTES)
         return rtt
 
     def _escalation_rtt_ms(self, start_leaf: int, deciding_node: int) -> float:
@@ -663,14 +647,7 @@ class ClusterRuntime:
         if not self._started:
             self.start()
         n = len(workload)
-        if arrivals is None:
-            arrivals = poisson_arrivals(n, rate_rps, seed)
-        else:
-            arrivals = np.asarray(arrivals, dtype=np.float64)
-            if arrivals.shape != (n,):
-                raise ValueError(
-                    f"arrivals must have shape ({n},), got {arrivals.shape}"
-                )
+        arrivals = open_loop_arrivals(n, rate_rps, seed, arrivals)
         order = np.argsort(arrivals, kind="stable")
         cfg = self.config
         max_wait_s = cfg.max_wait_ms / 1e3
@@ -842,38 +819,14 @@ class ClusterRuntime:
                             escalations[edge] = (
                                 escalations.get(edge, 0) + int(count)
                             )
-                        for pos, idx in enumerate(indices):
-                            arrival_wall = t0 + float(arrivals[idx])
-                            dispatch_wall = (
-                                d.dispatched_wall if d else done_wall
-                            )
-                            leaf = int(workload.start_leaves[idx])
-                            rtt_ms = self._escalation_rtt_ms(
-                                leaf, int(nodes[pos])
-                            )
-                            queue_wait_ms = max(
-                                (dispatch_wall - arrival_wall) * 1e3, 0.0
-                            )
-                            total_ms = (
-                                max((done_wall - arrival_wall) * 1e3, 0.0)
-                                + rtt_ms
-                            )
-                            responses[idx] = ServeResponse(
-                                index=idx,
-                                start_leaf=leaf,
-                                label=int(labels[pos]),
-                                confidence=float(confs[pos]),
-                                deciding_node=int(nodes[pos]),
-                                deciding_level=int(levels[pos]),
-                                shed=False,
-                                timings=StageTimings(
-                                    queue_wait_ms=queue_wait_ms,
-                                    encode_ms=float(encode_ms),
-                                    search_ms=float(search_ms),
-                                    escalation_rtt_ms=rtt_ms,
-                                    total_ms=total_ms,
-                                ),
-                            )
+                        self._respond(
+                            responses, workload, indices, t0, arrivals,
+                            zip(labels, confs, nodes, levels),
+                            started_wall=d.dispatched_wall,
+                            done_wall=done_wall,
+                            encode_ms=float(encode_ms),
+                            search_ms=float(search_ms),
+                        )
                         last_completion_wall = done_wall
                 elif kind == "ready":
                     # A replacement worker came up mid-run: register it
@@ -898,9 +851,10 @@ class ClusterRuntime:
         messages = self.inference.escalation_messages(escalations)
         wire_bytes = sum(m.payload_bytes for m in messages)
         energy_j = sum(
-            self._edge_medium(m.source, m.destination).transfer_energy(
-                m.payload_bytes
-            )
+            edge_medium(
+                self.hierarchy, m.source, m.destination,
+                self.medium, self.media_by_level,
+            ).transfer_energy(m.payload_bytes)
             for m in messages
         )
         result = ServeResult(
@@ -909,6 +863,7 @@ class ClusterRuntime:
             energy_j=energy_j,
             wire_bytes=wire_bytes,
             escalations=escalations,
+            messages=messages,
             n_shed_admission=n_shed_admission,
             n_shed_escalation=0,
             queue_high_water=high_water,
@@ -916,7 +871,6 @@ class ClusterRuntime:
             n_timeouts=n_timeouts,
             topology=self.topology(),
         )
-        result._offline_messages = messages
         logger.info(
             "cluster serve: %d requests, %d answered, %d shed, "
             "%d evictions, %.0f req/s",
@@ -968,36 +922,70 @@ class ClusterRuntime:
         leaves = np.asarray(
             [int(workload.start_leaves[i]) for i in indices], dtype=np.int64
         )
-        t_enc = time.perf_counter()
+        started_wall = time.monotonic()
         outcome = self.inference.run(
             rows, start_leaves=leaves, max_level=self.config.max_level
         )
-        elapsed_ms = (time.perf_counter() - t_enc) * 1e3
         done_wall = time.monotonic()
         for edge, count in outcome.escalations.items():
             escalations[edge] = escalations.get(edge, 0) + count
         if obs.enabled():
             obs.incr("cluster.local_fallback", len(indices))
-        for pos, idx in enumerate(indices):
-            leaf = int(leaves[pos])
-            rtt_ms = self._escalation_rtt_ms(
-                leaf, int(outcome.deciding_node[pos])
-            )
+        self._respond(
+            responses, workload, indices, t0, arrivals,
+            zip(
+                outcome.labels, outcome.confidence,
+                outcome.deciding_node, outcome.deciding_level,
+            ),
+            started_wall=started_wall,
+            done_wall=done_wall,
+            encode_ms=0.0,
+            search_ms=(done_wall - started_wall) * 1e3,
+            degraded=True,
+        )
+
+    def _respond(
+        self,
+        responses: Dict[int, ServeResponse],
+        workload: ServeWorkload,
+        indices: List[int],
+        t0: float,
+        arrivals: np.ndarray,
+        walk: Iterable[Tuple[int, float, int, int]],
+        *,
+        started_wall: float,
+        done_wall: float,
+        encode_ms: float,
+        search_ms: float,
+        degraded: bool = False,
+    ) -> None:
+        """Record one batch's responses from the rows of its walk outcome.
+
+        ``walk`` yields ``(label, confidence, deciding node, deciding
+        level)`` per request of ``indices``; the batch waited in the
+        router until ``started_wall`` and its walk ended at
+        ``done_wall``. The simulated climb to the deciding node is
+        added on top of the measured wall time.
+        """
+        for idx, (label, confidence, node, level) in zip(indices, walk):
+            leaf = int(workload.start_leaves[idx])
             arrival_wall = t0 + float(arrivals[idx])
+            rtt_ms = self._escalation_rtt_ms(leaf, int(node))
             responses[idx] = ServeResponse(
                 index=idx,
                 start_leaf=leaf,
-                label=int(outcome.labels[pos]),
-                confidence=float(outcome.confidence[pos]),
-                deciding_node=int(outcome.deciding_node[pos]),
-                deciding_level=int(outcome.deciding_level[pos]),
+                label=int(label),
+                confidence=float(confidence),
+                deciding_node=int(node),
+                deciding_level=int(level),
                 shed=False,
-                degraded=True,
+                degraded=degraded,
                 timings=StageTimings(
                     queue_wait_ms=max(
-                        (done_wall - arrival_wall) * 1e3 - elapsed_ms, 0.0
+                        (started_wall - arrival_wall) * 1e3, 0.0
                     ),
-                    search_ms=elapsed_ms,
+                    encode_ms=encode_ms,
+                    search_ms=search_ms,
                     escalation_rtt_ms=rtt_ms,
                     total_ms=max((done_wall - arrival_wall) * 1e3, 0.0)
                     + rtt_ms,

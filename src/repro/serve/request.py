@@ -23,6 +23,7 @@ from repro.serve.tracing import TraceContext
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.hierarchy.inference import InferenceOutcome
+    from repro.network.message import Message
     from repro.obs.telemetry import FlightEvent, TelemetryLog
     from repro.serve.tracing import RequestTraceLog
 
@@ -118,6 +119,7 @@ class ServeResult:
         energy_j: float,
         wire_bytes: int,
         escalations: Dict[Tuple[int, int], int],
+        messages: Sequence["Message"],
         n_shed_admission: int,
         n_shed_escalation: int,
         queue_high_water: Dict[int, int],
@@ -138,6 +140,9 @@ class ServeResult:
         #: queries escalated over each (child -> parent) edge (each
         #: request counted once per edge, retransmissions excluded).
         self.escalations = dict(escalations)
+        #: ``HierarchicalInference.escalation_messages(escalations)`` —
+        #: the message list the offline walk reports for these queries.
+        self.messages: List["Message"] = list(messages)
         self.n_shed_admission = int(n_shed_admission)
         self.n_shed_escalation = int(n_shed_escalation)
         #: max depth each node's inbox reached (memory bound witness).
@@ -250,9 +255,9 @@ class ServeResult:
     def to_outcome(self) -> "InferenceOutcome":
         """Convert to an offline-comparable ``InferenceOutcome``.
 
-        The message list is rebuilt from the *aggregated* escalation
-        counts with the same compressed-bundle arithmetic the offline
-        walk uses, so ``total_bytes`` is directly comparable to
+        :attr:`messages` comes from the *aggregated* escalation counts
+        through the offline walk's own ``escalation_messages``, so
+        ``total_bytes`` is directly comparable to
         ``HierarchicalInference.run`` on the same queries. Raises if
         any request was shed or answered in degraded mode (neither has
         an offline equivalent).
@@ -280,7 +285,7 @@ class ServeResult:
             ),
             confidence=np.asarray([r.confidence for r in rs], dtype=np.float64),
             start_leaf=np.asarray([r.start_leaf for r in rs], dtype=np.int64),
-            messages=list(getattr(self, "_offline_messages", [])),
+            messages=list(self.messages),
         )
 
     def summary(self) -> str:

@@ -4,22 +4,17 @@ Every hierarchy node becomes a :class:`_NodeServer`: a bounded inbox
 (:class:`~repro.serve.queueing.BoundedQueue`), a
 :class:`~repro.serve.batcher.MicroBatcher`, and a processing loop that
 encodes + classifies each micro-batch in one vectorized call and routes
-every cohort member with *exactly* the decision rule of the offline
-walk in :meth:`HierarchicalInference.run`:
-
-* below ``min_level`` — escalate unconditionally (costs a hop);
-* within ``[min_level, cap]`` — record the decision; answer when
-  confident, at the cap, or at the root; otherwise escalate;
-* above ``cap`` (ragged hierarchies) — answer with the last recorded
-  decision, or fall through to the root's model when none exists.
+the cohort as :meth:`HierarchicalInference.step` says — the same call
+the offline walk in :meth:`HierarchicalInference.run` makes per cohort,
+so the two cannot disagree on who answers, who escalates and who falls
+through to the root.
 
 Escalated cohorts travel as compressed ``m``-query bundles (Eq. 3):
-the uplink is charged ``ceil(count / m) * compressed_bundle_bytes``
+the uplink is charged :meth:`HierarchicalInference.uplink_bytes`
 through the edge's :class:`~repro.network.medium.Medium` — transfer
 time is simulated with ``asyncio.sleep``, energy and bytes accumulate
-in the result. Answers descend the escalation path as 4-byte
-predictions, exactly the byte accounting of
-:meth:`HierarchicalInference.escalation_messages`.
+in the result. Answers descend the escalation path as
+:data:`~repro.hierarchy.inference.PREDICTION_BYTES` each.
 
 The runtime computes node encodings from the raw feature rows
 (:meth:`EdgeHDFederation.encode_at` — deterministic, so micro-batch
@@ -50,10 +45,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec
-from repro.hierarchy.inference import HierarchicalInference
-from repro.network.medium import Medium
+from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
+from repro.network.medium import Medium, edge_medium
 from repro.obs.telemetry import FlightRecorder, TelemetryLog, TelemetrySampler
 import repro.serve.sanitizer as sanitizer
 from repro.serve.batcher import MicroBatcher
@@ -61,15 +55,11 @@ from repro.serve.faults import FaultPlan
 from repro.serve.queueing import POLICIES, BoundedQueue, QueueTimeout, ShedError
 from repro.serve.request import ServeRequest, ServeResponse, ServeResult
 from repro.serve.tracing import RequestTraceLog, TraceContext
-from repro.serve.workload import ServeWorkload, poisson_arrivals
+from repro.serve.workload import ServeWorkload, open_loop_arrivals
 
 __all__ = ["ServeConfig", "ServingRuntime"]
 
 logger = logging.getLogger(__name__)
-
-#: bytes of one downstream prediction (a class index), as charged by
-#: the offline walk.
-_PREDICTION_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,6 @@ class _NodeServer:
     # ------------------------------------------------------------------
     async def _process(self, batch: List[ServeRequest]) -> None:
         rt = self.runtime
-        inf = rt.inference
         loop = asyncio.get_running_loop()
         now = loop.time()
         now_ms = (now - rt._t0) * 1e3
@@ -176,75 +165,49 @@ class _NodeServer:
         if service > 0:
             await asyncio.sleep(service)
 
-        level = self.node.level
-        if level < inf.min_level:
-            # Sensing-only tier: never decides, always forwards.
-            await self._escalate(batch)
-            return
-        if level > rt.cap:
-            await self._above_cap(batch)
-            return
-
-        labels, conf = self._predict(batch)
-        answer: List[ServeRequest] = []
-        escalate: List[ServeRequest] = []
-        for i, req in enumerate(batch):
-            req.decided = (int(labels[i]), float(conf[i]), self.node_id, level)
-            answers_here = (
-                conf[i] >= inf.confidence_threshold
-                or level == rt.cap
-                or self.node.parent is None
+        def predict(where: Optional[np.ndarray]):
+            if where is None:
+                return self._predict(batch)
+            return self._predict(
+                [req for req, w in zip(batch, where.tolist()) if w]
             )
-            if answers_here:
-                answer.append(req)
-            else:
-                escalate.append(req)
-            if req.trace is not None:
+
+        seen = np.fromiter(
+            (req.decided is not None for req in batch), bool, len(batch)
+        )
+        step = rt.inference.step(self.node_id, rt.cap, seen, predict)
+        level = self.node.level
+        decisions = iter(
+            zip(step.labels.tolist(), step.confidence.tolist())
+        )
+        answer: List[ServeRequest] = []
+        move: List[ServeRequest] = []
+        for req, decided_here, answers_here in zip(
+            batch, step.decided.tolist(), step.answer.tolist()
+        ):
+            (answer if answers_here else move).append(req)
+            if decided_here:
+                label, confidence = next(decisions)
+                req.decided = (label, confidence, self.node_id, level)
+                if req.trace is not None:
+                    req.trace.emit(
+                        "decide", rt._now_ms(), node=self.node_id, level=level,
+                        label=label, confidence=confidence,
+                        action="answer" if answers_here else "escalate",
+                    )
+            elif answers_here and req.trace is not None:
                 req.trace.emit(
                     "decide", rt._now_ms(), node=self.node_id, level=level,
-                    label=int(labels[i]), confidence=float(conf[i]),
-                    action="answer" if answers_here else "escalate",
+                    action="answer_cached",
                 )
         for req in answer:
             rt._answer(req)
-        if escalate:
-            await self._escalate(escalate)
-
-    async def _above_cap(self, batch: List[ServeRequest]) -> None:
-        """Ragged hierarchy: this node sits past the escalation cap.
-
-        Queries that already saw a decision-capable node answer with
-        that decision; the rest fall through to the root's model — the
-        root predicts and answers unconditionally, charging no extra
-        wire bytes, exactly as the offline walk's fallback.
-        """
-        rt = self.runtime
-        undecided = [req for req in batch if req.decided is None]
-        for req in batch:
-            if req.decided is not None:
-                if req.trace is not None:
-                    req.trace.emit(
-                        "decide", rt._now_ms(), node=self.node_id,
-                        level=self.node.level, action="answer_cached",
-                    )
-                rt._answer(req)
-        if not undecided:
+        if not move:
             return
-        if self.node_id != rt.root_id:
-            await rt._forward(undecided, rt.root_id, origin=self)
-            return
-        labels, conf = self._predict(undecided)
-        for i, req in enumerate(undecided):
-            req.decided = (
-                int(labels[i]), float(conf[i]), self.node_id, self.node.level
-            )
-            if req.trace is not None:
-                req.trace.emit(
-                    "decide", rt._now_ms(), node=self.node_id,
-                    level=self.node.level, label=int(labels[i]),
-                    confidence=float(conf[i]), action="answer",
-                )
-            rt._answer(req)
+        if step.charged:
+            await self._escalate(move)
+        else:
+            await rt._forward(move, step.destination, origin=self)
 
     # ------------------------------------------------------------------
     def _predict(
@@ -303,17 +266,6 @@ class _NodeServer:
             obs.observe("serve.latency.search_ms", search_ms)
         return result.labels, result.top_confidence
 
-    def _bundle_payload(self, count: int, parent: int) -> int:
-        """Wire bytes of ``count`` queries bundled toward ``parent``."""
-        rt = self.runtime
-        m = rt.inference.compression_count
-        parent_in_dim = sum(
-            rt.hierarchy.nodes[c].dimension
-            for c in rt.hierarchy.nodes[parent].children
-        )
-        n_bundles = (count + m - 1) // m
-        return n_bundles * compressed_bundle_bytes(parent_in_dim, m)
-
     async def _transmit(
         self,
         cohort: List[ServeRequest],
@@ -330,7 +282,9 @@ class _NodeServer:
         aggregated escalation map stays comparable across runs.
         """
         rt = self.runtime
-        medium = rt._edge_medium(self.node_id, parent)
+        medium = edge_medium(
+            rt.hierarchy, self.node_id, parent, rt.medium, rt.media_by_level
+        )
         delay = medium.transfer_time(payload, jitter_s=jitter_s)
         rt.energy_j += medium.transfer_energy(payload)
         rt.wire_bytes += payload
@@ -377,7 +331,7 @@ class _NodeServer:
                         "escalate", rt._now_ms(), node=self.node_id,
                         edge=edge_tag, attempt=1,
                     )
-            payload = self._bundle_payload(len(cohort), parent)
+            payload = rt.inference.uplink_bytes(parent, len(cohort))
             await self._transmit(cohort, parent, payload)
             await rt._forward(cohort, parent, via_edge=edge, origin=self)
             return
@@ -401,7 +355,7 @@ class _NodeServer:
                 # the radio on the other side, so no bytes are charged.
                 dropped = pending
             else:
-                payload = self._bundle_payload(len(pending), parent)
+                payload = rt.inference.uplink_bytes(parent, len(pending))
                 for req in pending:
                     failed = plan.message_dropped(
                         edge, req.index, attempt, payload
@@ -525,14 +479,7 @@ class ServingRuntime:
         self.config = config or ServeConfig()
         self.cap = inference.effective_cap(self.config.max_level)
         #: resolved associative-search spec every node serves with.
-        self.search: SearchSpec = (
-            self.config.search
-            if self.config.search is not None
-            else inference.search
-        )
-        root = self.hierarchy.root_id
-        assert root is not None
-        self.root_id: int = root
+        self.search: SearchSpec = self.config.search or inference.search
         self.fault_plan = fault_plan
         if fault_plan is not None:
             unknown = set(fault_plan.crash_windows) - set(self.hierarchy.nodes)
@@ -540,7 +487,7 @@ class ServingRuntime:
                 raise ValueError(
                     f"crash_windows names unknown nodes {sorted(unknown)}"
                 )
-            if self.root_id in fault_plan.crash_windows:
+            if self.hierarchy.root_id in fault_plan.crash_windows:
                 raise ValueError(
                     "the root node cannot crash: it is the escalation "
                     "fallback of last resort"
@@ -592,13 +539,6 @@ class ServingRuntime:
         /flight-recorder clock."""
         return self._elapsed() * 1e3
 
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
-
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
@@ -616,15 +556,7 @@ class ServingRuntime:
         honored regardless of system state — under overload the
         bounded queues shed or block per the configured policy.
         """
-        if arrivals is None:
-            arrivals = poisson_arrivals(len(workload), rate_rps, seed)
-        else:
-            arrivals = np.asarray(arrivals, dtype=np.float64)
-            if arrivals.shape != (len(workload),):
-                raise ValueError(
-                    f"arrivals must have shape ({len(workload)},), got "
-                    f"{arrivals.shape}"
-                )
+        arrivals = open_loop_arrivals(len(workload), rate_rps, seed, arrivals)
         return asyncio.run(self._serve(workload, arrivals=arrivals))
 
     def serve_closed_loop(
@@ -729,6 +661,7 @@ class ServingRuntime:
             energy_j=self.energy_j,
             wire_bytes=self.wire_bytes,
             escalations=self.escalations,
+            messages=self.inference.escalation_messages(self.escalations),
             n_shed_admission=self.n_shed_admission,
             n_shed_escalation=self.n_shed_escalation,
             queue_high_water={
@@ -746,10 +679,6 @@ class ServingRuntime:
                 "n_shards": 1,
                 "shared_memory_bytes": 0,
             },
-        )
-        # Offline-comparable message list (aggregated bundle math).
-        result._offline_messages = self.inference.escalation_messages(
-            self.escalations
         )
         logger.info(
             "serve: %d requests, %d answered, %d shed, %.0f req/s",
@@ -970,10 +899,12 @@ class ServingRuntime:
         label, confidence, node, level = req.decided
         delay = 0.0
         for child, parent in reversed(req.charged_path):
-            medium = self._edge_medium(parent, child)
-            delay += medium.transfer_time(_PREDICTION_BYTES)
-            self.energy_j += medium.transfer_energy(_PREDICTION_BYTES)
-            self.wire_bytes += _PREDICTION_BYTES
+            medium = edge_medium(
+                self.hierarchy, parent, child, self.medium, self.media_by_level
+            )
+            delay += medium.transfer_time(PREDICTION_BYTES)
+            self.energy_j += medium.transfer_energy(PREDICTION_BYTES)
+            self.wire_bytes += PREDICTION_BYTES
         if req.trace is not None and req.charged_path:
             req.trace.emit(
                 "descend", self._now_ms(), node=node,

@@ -135,7 +135,7 @@ class SharedModelStore:
         hypervectors, their normalized rows and the packed sign model
         into the segment; every subsequent :meth:`attach` is a view.
         Raises ``RuntimeError`` on untrained nodes, mirroring
-        :func:`repro.hierarchy.checkpoint.save_federation`.
+        :func:`repro.hierarchy.checkpoint.save_topology_state`.
         """
         node_dimensions: Dict[int, int] = {}
         for node_id, clf in federation.classifiers.items():

@@ -36,6 +36,7 @@ __all__ = [
     "make_workload",
     "poisson_arrivals",
     "uniform_arrivals",
+    "open_loop_arrivals",
 ]
 
 
@@ -135,3 +136,24 @@ def uniform_arrivals(n: int, rate_rps: float) -> np.ndarray:
     if rate_rps <= 0:
         raise ValueError(f"rate_rps must be positive, got {rate_rps}")
     return (np.arange(n, dtype=np.float64) + 1.0) / rate_rps
+
+
+def open_loop_arrivals(
+    n: int,
+    rate_rps: float,
+    seed: SeedLike = 0,
+    arrivals: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The schedule an open-loop run submits on (absolute seconds).
+
+    ``arrivals`` wins when given (validated: one time per request);
+    otherwise a Poisson stream at ``rate_rps`` is drawn from ``seed``.
+    """
+    if arrivals is None:
+        return poisson_arrivals(n, rate_rps, seed)
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if arrivals.shape != (n,):
+        raise ValueError(
+            f"arrivals must have shape ({n},), got {arrivals.shape}"
+        )
+    return arrivals

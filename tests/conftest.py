@@ -12,7 +12,12 @@ import pytest
 
 from repro.config import EdgeHDConfig
 from repro.data import load_dataset, make_classification, partition_features
-from repro.hierarchy import EdgeHDFederation, build_tree
+from repro.hierarchy import (
+    EdgeHDFederation,
+    Hierarchy,
+    HierarchicalInference,
+    build_tree,
+)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +58,71 @@ def trained_federation(apri_small, small_config):
     )
     report = federation.fit_offline(apri_small.train_x, apri_small.train_y)
     return federation, report, apri_small
+
+
+@pytest.fixture(scope="session")
+def ragged_cells(apri_small, small_config):
+    """Offline walks over a ragged tree, one per escalation-policy cell.
+
+    Depth 4 with a leaf under the root and a leaf under the level-3
+    gateway, so some parents sit more than one level above a child and
+    ``max_level`` can fall *between* them — the only way a query meets
+    a node above the cap. Cells are threshold x ``min_level`` x
+    ``max_level`` minus the combinations ``effective_cap`` rejects;
+    each is ``(name, inference, max_level, workload, offline outcome)``.
+    The serving equivalence tests feed every cell to each runner.
+    """
+    from repro.serve import make_workload
+
+    hierarchy = Hierarchy()
+    root = hierarchy.add_node()
+    level3 = hierarchy.add_node(root)
+    hierarchy.add_node(root, leaf_index=0)
+    level2 = hierarchy.add_node(level3)
+    hierarchy.add_node(level3, leaf_index=1)
+    hierarchy.add_node(level2, leaf_index=2)
+    hierarchy.add_node(level2, leaf_index=3)
+    hierarchy.finalize()
+    assert hierarchy.depth == 4
+    federation = EdgeHDFederation(
+        hierarchy,
+        partition_features(apri_small.n_features, 4),
+        apri_small.n_classes,
+        small_config,
+    )
+    federation.fit_offline(apri_small.train_x, apri_small.train_y)
+    features = apri_small.test_x[:48]
+    cells = []
+    for threshold in (0.3, 0.9, 1.0):
+        for min_level in (1, 2, 3):
+            inference = HierarchicalInference(
+                federation, confidence_threshold=threshold,
+                min_level=min_level,
+            )
+            workload = make_workload(features, inference, seed=9)
+            for max_level in (None, 1, 2, 3, 4):
+                if max_level is not None and max_level < min_level:
+                    continue
+                offline = inference.run(
+                    features, start_leaves=workload.start_leaves,
+                    max_level=max_level,
+                )
+                cells.append((
+                    f"{threshold}/{min_level}/{max_level}",
+                    inference, max_level, workload, offline,
+                ))
+    assert len(cells) == 36
+    # The fall-through must run: somewhere the root decides although it
+    # sits above the cap (e.g. 0.3/2/2: the root's own leaf only senses).
+    assert any(
+        max_level is not None
+        and np.any(
+            (offline.deciding_node == root)
+            & (offline.deciding_level > max_level)
+        )
+        for _, _, max_level, _, offline in cells
+    )
+    return cells
 
 
 @pytest.fixture()

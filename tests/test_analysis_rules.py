@@ -496,58 +496,6 @@ class TestUnvalidatedArrayApi:
         assert findings == []
 
 
-class TestLegacyBackendString:
-    def test_fires_on_string_backend_kwarg(self):
-        findings = findings_for(
-            """
-            from repro.core.classifier import HDClassifier
-            clf = HDClassifier(3, 1024, backend="packed")
-            """
-        )
-        assert rule_ids(findings) == ["REPRO109"]
-        assert "deprecated string shim" in findings[0].message
-        assert "SearchSpec" in findings[0].autofix_hint
-
-    def test_fires_on_method_calls_too(self):
-        findings = findings_for(
-            """
-            labels = model.predict_labels(features, backend="dense")
-            """
-        )
-        assert rule_ids(findings) == ["REPRO109"]
-
-    def test_spec_construction_is_the_new_api(self):
-        findings = findings_for(
-            """
-            from dataclasses import replace
-            from repro.core.search import SearchSpec
-
-            spec = SearchSpec(backend="packed", prune="exact")
-            dense = spec.with_backend("dense")
-            swapped = replace(spec, backend="dense")
-            """
-        )
-        assert findings == []
-
-    def test_non_constant_backend_does_not_fire(self):
-        findings = findings_for(
-            """
-            clf = HDClassifier(3, 1024, backend=args.backend)
-            other = HDClassifier(3, 1024, backend=None)
-            """
-        )
-        assert findings == []
-
-    def test_shim_module_is_exempt(self):
-        findings = findings_for(
-            """
-            spec = base.some_helper(backend="dense")
-            """,
-            path="src/repro/core/search.py",
-        )
-        assert findings == []
-
-
 class TestProcessBoundary:
     def test_fires_on_plain_import(self):
         findings = findings_for(
@@ -610,9 +558,9 @@ class TestProcessBoundary:
 
 
 class TestRuleRegistry:
-    def test_ten_rules_with_unique_ids(self):
+    def test_nine_rules_with_unique_ids(self):
         ids = [rule.rule_id for rule in DEFAULT_RULES]
-        assert len(ids) == len(set(ids)) == 10
+        assert len(ids) == len(set(ids)) == 9
         # the index additionally knows the dataflow rules (--flow)
         from repro.analysis import FLOW_RULE_IDS
 

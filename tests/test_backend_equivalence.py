@@ -14,12 +14,17 @@ from repro.core.classifier import HDClassifier
 from repro.core.encoding import RBFEncoder
 from repro.core.hypervector import random_bipolar
 from repro.core.kernels import pack_bits, packed_dot
+from repro.core.search import SearchSpec
 from repro.data import make_classification, partition_features
 from repro.hierarchy import (
     EdgeHDFederation,
     HierarchicalInference,
     build_tree,
 )
+
+
+DENSE = SearchSpec(backend="dense")
+PACKED = SearchSpec(backend="packed")
 
 
 def _binarize(encoded: np.ndarray) -> np.ndarray:
@@ -41,8 +46,8 @@ def _untied(clf: HDClassifier, queries: np.ndarray) -> np.ndarray:
 
 
 def _assert_equivalent_labels(clf, queries):
-    dense = clf.predict_labels(queries, backend="dense")
-    packed = clf.predict_labels(queries, backend="packed")
+    dense = clf.predict_labels(queries, search=DENSE)
+    packed = clf.predict_labels(queries, search=PACKED)
     mask = _untied(clf, queries)
     # The overwhelming majority of real queries are untied; guard the
     # test's own strength.
@@ -73,8 +78,8 @@ def trained_binary_classifier():
 class TestClassifierEquivalence:
     def test_similarities_match(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
-        dense = clf.similarities(enc, backend="dense")
-        packed = clf.similarities(enc, backend="packed")
+        dense = clf.similarities(enc, search=DENSE)
+        packed = clf.similarities(enc, search=PACKED)
         assert np.allclose(dense, packed, atol=1e-12)
 
     def test_labels_identical(self, trained_binary_classifier):
@@ -84,8 +89,8 @@ class TestClassifierEquivalence:
     def test_confidences_match(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
         assert np.allclose(
-            clf.predict_proba(enc, backend="dense"),
-            clf.predict_proba(enc, backend="packed"),
+            clf.predict_proba(enc, search=DENSE),
+            clf.predict_proba(enc, search=PACKED),
             atol=1e-9,
         )
 
@@ -100,18 +105,18 @@ class TestClassifierEquivalence:
     def test_default_backend_constructor(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
         packed_clf = clf.copy()
-        packed_clf.backend = "packed"
+        packed_clf.search = PACKED
         assert np.array_equal(
             packed_clf.predict_labels(enc),
-            clf.predict_labels(enc, backend="packed"),
+            clf.predict_labels(enc, search=PACKED),
         )
 
     def test_unknown_backend_rejected(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
         with pytest.raises(ValueError):
-            clf.predict(enc, backend="sparse")
+            clf.predict(enc, search=SearchSpec(backend="sparse"))
         with pytest.raises(ValueError):
-            HDClassifier(2, 64, backend="sparse")
+            HDClassifier(2, 64, search=SearchSpec(backend="sparse"))
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +150,11 @@ class TestHierarchicalEquivalence:
             for node_id, enc in federation.encode_all(data.test_x).items()
         }
         outcomes = {}
-        for backend in ("dense", "packed"):
+        for spec in (DENSE, PACKED):
             inference = HierarchicalInference(
-                federation, confidence_threshold=0.6, backend=backend
+                federation, confidence_threshold=0.6, search=spec
             )
-            outcomes[backend] = inference.run(
+            outcomes[spec.backend] = inference.run(
                 data.test_x, seed=seed, encodings=encodings
             )
         dense, packed = outcomes["dense"], outcomes["packed"]
@@ -163,14 +168,16 @@ class TestHierarchicalEquivalence:
     def test_invalid_backend_rejected(self, binarized_federation):
         federation, _ = binarized_federation
         with pytest.raises(ValueError):
-            HierarchicalInference(federation, backend="dense2")
+            HierarchicalInference(
+                federation, search=SearchSpec(backend="dense2")
+            )
 
 
 class TestPackedObservability:
     def test_packed_path_increments_counters(self, binarized_federation):
         federation, data = binarized_federation
         inference = HierarchicalInference(
-            federation, confidence_threshold=0.95, backend="packed"
+            federation, confidence_threshold=0.95, search=PACKED
         )
         was_enabled = obs.enabled()
         obs.enable()

@@ -192,15 +192,15 @@ class TestServeBench:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
         assert args.policy == "block"
-        # --backend is now a deprecated alias for --search-backend;
         # unset means "use the resolved SearchSpec default".
-        assert args.backend is None
         assert args.search_backend is None
         assert args.search_prune is None
         assert args.max_batch == 32
         assert args.rate == 500.0
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--policy", "drop"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-bench", "--backend", "packed"])
 
     def test_open_loop_run(self, capsys):
         code = main(

@@ -7,8 +7,9 @@ from repro.config import EdgeHDConfig
 from repro.data import load_dataset, partition_features
 from repro.hierarchy.checkpoint import (
     CheckpointError,
-    load_federation,
-    save_federation,
+    load_topology_state,
+    save_topology_state,
+    validate_topology_meta,
 )
 from repro.hierarchy.federation import EdgeHDFederation
 from repro.hierarchy.topology import build_star, build_tree
@@ -30,12 +31,20 @@ def fresh(data, partition, config, topology=None):
     )
 
 
+def load_checked(federation, path):
+    """Load-and-check: decode ``path`` and verify it describes the
+    deployment ``federation`` belongs to; returns the restored one."""
+    checkpoint = load_topology_state(path)
+    validate_topology_meta(checkpoint.meta, federation, path)
+    return checkpoint.federation
+
+
 class TestRoundtrip:
     def test_restores_exact_models(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
-        save_federation(federation, path)
-        restored = load_federation(fresh(data, partition, config), path)
+        save_topology_state(federation, path)
+        restored = load_checked(fresh(data, partition, config), path)
         for nid in federation.hierarchy.nodes:
             assert np.array_equal(
                 restored.classifiers[nid].class_hypervectors,
@@ -45,8 +54,8 @@ class TestRoundtrip:
     def test_restored_accuracy_identical(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
-        save_federation(federation, path)
-        restored = load_federation(fresh(data, partition, config), path)
+        save_topology_state(federation, path)
+        restored = load_checked(fresh(data, partition, config), path)
         original = federation.accuracy_by_level(data.test_x, data.test_y)
         reloaded = restored.accuracy_by_level(data.test_x, data.test_y)
         assert original == reloaded
@@ -54,47 +63,46 @@ class TestRoundtrip:
     def test_untrained_save_rejected(self, trained, tmp_path):
         data, partition, config, _ = trained
         with pytest.raises(RuntimeError):
-            save_federation(fresh(data, partition, config), tmp_path / "x.npz")
+            save_topology_state(fresh(data, partition, config), tmp_path / "x.npz")
 
 
 class TestValidation:
     def test_missing_file(self, trained, tmp_path):
         data, partition, config, _ = trained
         with pytest.raises(FileNotFoundError):
-            load_federation(fresh(data, partition, config), tmp_path / "nope.npz")
+            load_checked(fresh(data, partition, config), tmp_path / "nope.npz")
 
     def test_topology_mismatch_rejected(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
-        save_federation(federation, path)
+        save_topology_state(federation, path)
         other = fresh(data, partition, config, topology=build_star(5))
-        # STAR differs in node count (and depth); either is caught.
-        with pytest.raises(CheckpointError, match="n_nodes|depth"):
-            load_federation(other, path)
+        with pytest.raises(CheckpointError, match="'hierarchy'"):
+            load_checked(other, path)
 
     def test_config_mismatch_rejected(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
-        save_federation(federation, path)
+        save_topology_state(federation, path)
         other_config = config.with_overrides(seed=99)
-        with pytest.raises(CheckpointError, match="seed"):
-            load_federation(fresh(data, partition, other_config), path)
+        with pytest.raises(CheckpointError, match="'config'.*'seed': 99"):
+            load_checked(fresh(data, partition, other_config), path)
 
     def test_dimension_mismatch_rejected(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
-        save_federation(federation, path)
+        save_topology_state(federation, path)
         small = config.with_overrides(dimension=512)
         with pytest.raises(CheckpointError):
-            load_federation(fresh(data, partition, small), path)
+            load_checked(fresh(data, partition, small), path)
 
     def test_corrupt_metadata_rejected(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
         # Write an npz without the meta block.
-        np.savez_compressed(str(path), node_0=np.ones((2, 4)))
+        np.savez_compressed(str(path), model_0=np.ones((2, 4)))
         with pytest.raises(CheckpointError, match="metadata"):
-            load_federation(fresh(data, partition, config), path)
+            load_checked(fresh(data, partition, config), path)
 
 
 class TestPackedRoundtrip:
@@ -109,8 +117,8 @@ class TestPackedRoundtrip:
     def _binarized(self, trained, tmp_path, tag):
         data, partition, config, federation = trained
         path = tmp_path / f"{tag}.npz"
-        save_federation(federation, path)
-        restored = load_federation(fresh(data, partition, config), path)
+        save_topology_state(federation, path)
+        restored = load_checked(fresh(data, partition, config), path)
         for clf in restored.classifiers.values():
             clf.binarize_model()
         return data, partition, config, restored
@@ -120,8 +128,8 @@ class TestPackedRoundtrip:
             trained, tmp_path, "base"
         )
         path = tmp_path / "binarized.npz"
-        save_federation(binarized, path)
-        reloaded = load_federation(fresh(data, partition, config), path)
+        save_topology_state(binarized, path)
+        reloaded = load_checked(fresh(data, partition, config), path)
         for nid in binarized.hierarchy.nodes:
             original = binarized.classifiers[nid].class_hypervectors
             loaded = reloaded.classifiers[nid].class_hypervectors
@@ -136,8 +144,8 @@ class TestPackedRoundtrip:
             trained, tmp_path, "base"
         )
         path = tmp_path / "binarized.npz"
-        save_federation(binarized, path)
-        reloaded = load_federation(fresh(data, partition, config), path)
+        save_topology_state(binarized, path)
+        reloaded = load_checked(fresh(data, partition, config), path)
         for nid in binarized.hierarchy.nodes:
             before = pack_bits(binarized.classifiers[nid].class_hypervectors)
             after = pack_bits(reloaded.classifiers[nid].class_hypervectors)
@@ -151,8 +159,8 @@ class TestPackedRoundtrip:
             trained, tmp_path, "base"
         )
         path = tmp_path / "binarized.npz"
-        save_federation(binarized, path)
-        reloaded = load_federation(fresh(data, partition, config), path)
+        save_topology_state(binarized, path)
+        reloaded = load_checked(fresh(data, partition, config), path)
         spec = SearchSpec(backend="packed")
         encodings = binarized.encode_all(data.test_x[:64])
         for nid, enc in encodings.items():
@@ -169,32 +177,34 @@ class TestErrorContext:
     Operators diagnose restore failures from the message alone (the
     CLI prints it and exits), so each error must carry the checkpoint
     path plus the expected-vs-found detail — regression tests for the
-    error-context contract of ``load_federation``.
+    error-context contract of ``load_topology_state`` and
+    ``validate_topology_meta``.
     """
 
     def _saved(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "ctx.npz"
-        save_federation(federation, path)
+        save_topology_state(federation, path)
         return data, partition, config, path
 
     def test_mismatch_names_path_and_both_values(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)
         other = config.with_overrides(seed=99)
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, other), path)
+            load_checked(fresh(data, partition, other), path)
         msg = str(err.value)
         assert str(path) in msg
-        assert "'seed'" in msg
-        assert f"saved {config.seed!r}" in msg
-        assert "vs federation 99" in msg
+        assert "'config'" in msg
+        saved, _, found = msg.partition(" vs federation ")
+        assert f"'seed': {config.seed!r}" in saved
+        assert "'seed': 99" in found
 
     def test_garbage_file_names_path(self, trained, tmp_path):
         data, partition, config, _ = trained
         path = tmp_path / "garbage.npz"
         path.write_bytes(b"definitely not a zip archive")
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), path)
+            load_checked(fresh(data, partition, config), path)
         msg = str(err.value)
         assert str(path) in msg
         assert "not a readable checkpoint archive" in msg
@@ -205,7 +215,7 @@ class TestErrorContext:
         target = tmp_path / "trunc.npz"
         target.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), target)
+            load_checked(fresh(data, partition, config), target)
         assert str(target) in str(err.value)
 
     def test_version_mismatch_names_expected_and_found(
@@ -223,36 +233,36 @@ class TestErrorContext:
         target = tmp_path / "vers.npz"
         np.savez_compressed(str(target), **arrays)
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), target)
+            load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
-        assert "expected 1" in msg
+        assert "expected 2" in msg
         assert "found 99" in msg
 
     def test_missing_model_lists_expected_and_found(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)
         arrays = dict(np.load(path, allow_pickle=False))
-        del arrays["node_0"]
+        del arrays["model_0"]
         target = tmp_path / "missing.npz"
         np.savez_compressed(str(target), **arrays)
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), target)
+            load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
         assert "missing model for node 0" in msg
         # both sides of the diff: what was wanted, what the file holds
         assert "expected arrays for nodes" in msg
         assert "found entries" in msg
-        assert "node_1" in msg
+        assert "model_1" in msg
 
     def test_wrong_shape_names_both_shapes(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)
         arrays = dict(np.load(path, allow_pickle=False))
-        arrays["node_0"] = np.ones((2, 3))
+        arrays["model_0"] = np.ones((2, 3))
         target = tmp_path / "shape.npz"
         np.savez_compressed(str(target), **arrays)
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), target)
+            load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
         assert "(2, 3)" in msg
@@ -265,8 +275,8 @@ class TestErrorContext:
         target = tmp_path / "nometa.npz"
         np.savez_compressed(str(target), **arrays)
         with pytest.raises(CheckpointError) as err:
-            load_federation(fresh(data, partition, config), target)
+            load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
         assert "missing metadata block" in msg
-        assert "node_0" in msg
+        assert "model_0" in msg

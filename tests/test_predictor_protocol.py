@@ -1,11 +1,8 @@
 """One unified predict API: every model satisfies the Predictor protocol."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-import repro.core.classifier as classifier_mod
 from repro.baselines import (
     AdaBoostClassifier,
     KernelSVM,
@@ -125,58 +122,13 @@ class TestResultHelpers:
         result = result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]]))
         assert np.allclose(result.top_confidence, [0.8, 0.7])
 
+    def test_eq_between_results_is_exact(self):
+        probs = np.array([[0.2, 0.8], [0.7, 0.3]])
+        result = result_from_proba(probs)
+        assert result == result_from_proba(probs)
+        assert result != result_from_proba(probs[::-1])
+        assert len(result) == 2
 
-class TestDeprecationShims:
-    """Old bare-array call sites keep working, with a one-time warning."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        saved = set(classifier_mod._legacy_result_warned)
-        classifier_mod._legacy_result_warned.clear()
-        yield
-        classifier_mod._legacy_result_warned.clear()
-        classifier_mod._legacy_result_warned.update(saved)
-
-    @pytest.fixture()
-    def result(self):
-        return result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]]))
-
-    def test_asarray_warns_and_returns_labels(self, result):
-        with pytest.warns(DeprecationWarning, match="np.asarray"):
-            labels = np.asarray(result)
-        assert np.array_equal(labels, [1, 0])
-
-    def test_iteration_warns(self, result):
-        with pytest.warns(DeprecationWarning, match="iteration"):
-            assert list(result) == [1, 0]
-
-    def test_indexing_warns(self, result):
-        with pytest.warns(DeprecationWarning, match="indexing"):
-            assert result[0] == 1
-
-    def test_eq_against_array_warns_and_compares_labels(self, result):
-        with pytest.warns(DeprecationWarning, match="comparison"):
-            mask = result == np.array([1, 1])
-        assert np.array_equal(mask, [True, False])
-        # The classic accuracy idiom still computes correctly.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert np.mean(result == np.array([1, 0])) == 1.0
-
-    def test_eq_between_results_is_exact_and_silent(self, result):
-        other = result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert result == other
-            assert len(result) == 2  # len() is not deprecated
-
-    def test_warning_fires_once_per_behavior(self, result):
-        with pytest.warns(DeprecationWarning):
-            result[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result[1]  # second use of the same behavior: silent
-
-    def test_unhashable(self, result):
+    def test_unhashable(self):
         with pytest.raises(TypeError):
-            hash(result)
+            hash(result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]])))

@@ -1,10 +1,4 @@
-"""SearchSpec API contract: validation, resolution order, and the
-warn-once ``backend=`` deprecation shim.
-
-The shim's warning text is pinned verbatim here (see
-``BACKEND_DEPRECATION`` in :mod:`repro.core.search`) so it cannot
-silently drift or disappear while call sites still depend on it.
-"""
+"""SearchSpec API contract: validation and resolution order."""
 
 import dataclasses
 
@@ -16,12 +10,10 @@ from repro.core.hypervector import random_bipolar
 from repro.core.model import EdgeHDModel
 from repro.core.predictor import SearchAwarePredictor
 from repro.core.search import (
-    BACKEND_DEPRECATION,
     BACKENDS,
     PRUNE_MODES,
     SearchSpec,
     get_default_search,
-    reset_backend_warnings,
     resolve_search,
     set_default_search,
 )
@@ -29,12 +21,10 @@ from repro.core.search import (
 
 @pytest.fixture(autouse=True)
 def _isolate_search_state():
-    """Each test sees a fresh warn-once set and the stock default."""
-    reset_backend_warnings()
+    """Each test sees the stock process default."""
     previous = set_default_search(SearchSpec())
     yield
     set_default_search(previous)
-    reset_backend_warnings()
 
 
 class TestSearchSpecValidation:
@@ -107,7 +97,7 @@ class TestResolveSearch:
 
     def test_falls_back_to_default_argument(self):
         default = SearchSpec(backend="packed")
-        assert resolve_search(None, None, default=default) is default
+        assert resolve_search(None, default=default) is default
 
     def test_falls_back_to_process_default(self):
         assert resolve_search() is get_default_search()
@@ -115,62 +105,10 @@ class TestResolveSearch:
         set_default_search(installed)
         assert resolve_search() is installed
 
-    def test_both_given_is_ambiguous(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_search(SearchSpec(), "packed", owner="X")
-
     def test_rejects_non_spec_search(self):
-        with pytest.raises(TypeError, match="must be a SearchSpec"):
-            resolve_search(42)  # type: ignore[arg-type]
-
-    def test_legacy_backend_warns_with_pinned_text(self):
-        with pytest.warns(DeprecationWarning) as record:
-            spec = resolve_search(None, "packed", owner="X")
-        assert spec.backend == "packed"
-        assert str(record[0].message) == f"X: {BACKEND_DEPRECATION}"
-
-    def test_string_search_treated_as_legacy_backend(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            spec = resolve_search("packed", owner="X")
-        assert spec == SearchSpec(backend="packed")
-
-    def test_warns_once_per_owner(self, recwarn):
-        resolve_search(None, "packed", owner="A")
-        resolve_search(None, "packed", owner="A")
-        resolve_search(None, "dense", owner="B")
-        messages = [str(w.message) for w in recwarn.list]
-        assert messages == [
-            f"A: {BACKEND_DEPRECATION}",
-            f"B: {BACKEND_DEPRECATION}",
-        ]
-
-    def test_reset_backend_warnings_rearms(self):
-        with pytest.warns(DeprecationWarning):
-            resolve_search(None, "packed", owner="A")
-        reset_backend_warnings()
-        with pytest.warns(DeprecationWarning):
-            resolve_search(None, "packed", owner="A")
-
-    def test_legacy_backend_rejects_unknown_string(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="backend must be one of"):
-                resolve_search(None, "gpu")
-
-    def test_legacy_backend_keeps_default_knobs(self):
-        default = SearchSpec(
-            backend="dense", prefix_fraction=0.5, margin_threshold=0.2
-        )
-        with pytest.warns(DeprecationWarning):
-            spec = resolve_search(None, "packed", default=default)
-        assert spec.backend == "packed"
-        assert spec.prefix_fraction == 0.5
-        assert spec.margin_threshold == 0.2
-
-    def test_legacy_dense_drops_pruning_from_packed_default(self):
-        default = SearchSpec(backend="packed", prune="approx")
-        with pytest.warns(DeprecationWarning):
-            spec = resolve_search(None, "dense", default=default)
-        assert spec == SearchSpec(backend="dense")
+        for bad in (42, "packed"):
+            with pytest.raises(TypeError, match="must be a SearchSpec"):
+                resolve_search(bad)  # type: ignore[arg-type]
 
 
 class TestProcessDefault:
@@ -194,20 +132,6 @@ class TestObjectIntegration:
             ).astype(float)
         )
         return clf
-
-    def test_classifier_backend_kwarg_warns_once(self, recwarn):
-        clf = self._fitted(backend="packed")
-        assert clf.search == SearchSpec(backend="packed")
-        self._fitted(backend="packed")
-        owners = [str(w.message).split(":")[0] for w in recwarn.list]
-        assert owners == ["HDClassifier"]
-
-    def test_classifier_backend_property_round_trip(self):
-        clf = self._fitted()
-        assert clf.backend == "dense"
-        with pytest.warns(DeprecationWarning, match="HDClassifier.backend"):
-            clf.backend = "packed"
-        assert clf.search.backend == "packed"
 
     def test_classifier_resolution_order_per_call_wins(self):
         clf = self._fitted(search=SearchSpec(backend="dense"))

@@ -51,17 +51,17 @@ def cluster_setup(trained_federation):
     return inference, workload, offline, data
 
 
-def assert_matches_offline(result, offline):
+def assert_matches_offline(result, offline, cell="tree"):
     out = result.to_outcome()
-    assert np.array_equal(out.labels, offline.labels)
-    assert np.array_equal(out.deciding_node, offline.deciding_node)
-    assert np.array_equal(out.deciding_level, offline.deciding_level)
-    assert np.array_equal(out.start_leaf, offline.start_leaf)
-    assert np.allclose(out.confidence, offline.confidence)
+    assert np.array_equal(out.labels, offline.labels), cell
+    assert np.array_equal(out.deciding_node, offline.deciding_node), cell
+    assert np.array_equal(out.deciding_level, offline.deciding_level), cell
+    assert np.array_equal(out.start_leaf, offline.start_leaf), cell
+    assert np.allclose(out.confidence, offline.confidence), cell
     assert sorted(map(_msg_key, out.messages)) == sorted(
         map(_msg_key, offline.messages)
-    )
-    assert out.total_bytes == offline.total_bytes
+    ), cell
+    assert out.total_bytes == offline.total_bytes, cell
 
 
 # ----------------------------------------------------------------------
@@ -371,19 +371,26 @@ class TestSharedModelStore:
 # end-to-end worker fleets
 # ----------------------------------------------------------------------
 class TestClusterServing:
-    def test_single_worker_matches_offline(self, cluster_setup):
+    def test_single_worker_matches_offline(self, cluster_setup, ragged_cells):
         inference, workload, offline, _ = cluster_setup
-        with ClusterRuntime(
-            inference,
-            get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
-            cluster=ClusterConfig(workers=1),
-        ) as runtime:
-            assert runtime.zero_copy
-            result = runtime.serve_open_loop(workload, rate_rps=2000.0, seed=1)
-        assert_matches_offline(result, offline)
-        assert result.topology["workers"] == 1
-        assert result.degraded_rate == 0.0
+        cells = [("tree", inference, None, workload, offline), *ragged_cells]
+        for name, inference, max_level, workload, offline in cells:
+            with ClusterRuntime(
+                inference,
+                get_medium("wired-1gbps"),
+                ServeConfig(
+                    max_batch=16, max_wait_ms=1.0, queue_depth=512,
+                    max_level=max_level,
+                ),
+                cluster=ClusterConfig(workers=1),
+            ) as runtime:
+                assert runtime.zero_copy, name
+                result = runtime.serve_open_loop(
+                    workload, rate_rps=2000.0, seed=1
+                )
+            assert_matches_offline(result, offline, cell=name)
+            assert result.topology["workers"] == 1, name
+            assert result.degraded_rate == 0.0, name
 
     def test_two_worker_fleet_matches_offline(self, cluster_setup):
         inference, workload, offline, _ = cluster_setup

@@ -279,6 +279,7 @@ class TestConfigAndResult:
             energy_j=0.5,
             wire_bytes=1000,
             escalations={(0, 3): 10},
+            messages=[],
             n_shed_admission=1,
             n_shed_escalation=0,
             queue_high_water={0: 4},
@@ -308,6 +309,7 @@ class TestConfigAndResult:
             energy_j=0.0,
             wire_bytes=0,
             escalations={},
+            messages=[],
             n_shed_admission=0,
             n_shed_escalation=0,
             queue_high_water={},
@@ -322,6 +324,7 @@ class TestConfigAndResult:
             energy_j=0.0,
             wire_bytes=0,
             escalations={},
+            messages=[],
             n_shed_admission=1,
             n_shed_escalation=0,
             queue_high_water={},

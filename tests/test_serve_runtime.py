@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core.search import SearchSpec
 from repro.hierarchy import HierarchicalInference
 from repro.network.medium import get_medium
 from repro.serve import ServeConfig, ServingRuntime, make_workload
@@ -36,32 +37,43 @@ def serve_setup(trained_federation):
 
 
 class TestEquivalence:
-    def _assert_equivalent(self, result, offline, exact_confidence=False):
+    def _assert_equivalent(
+        self, result, offline, exact_confidence=False, cell="tree"
+    ):
         out = result.to_outcome()
-        assert np.array_equal(out.labels, offline.labels)
-        assert np.array_equal(out.deciding_node, offline.deciding_node)
-        assert np.array_equal(out.deciding_level, offline.deciding_level)
-        assert np.array_equal(out.start_leaf, offline.start_leaf)
+        assert np.array_equal(out.labels, offline.labels), cell
+        assert np.array_equal(out.deciding_node, offline.deciding_node), cell
+        assert np.array_equal(
+            out.deciding_level, offline.deciding_level
+        ), cell
+        assert np.array_equal(out.start_leaf, offline.start_leaf), cell
         if exact_confidence:
-            assert np.array_equal(out.confidence, offline.confidence)
+            assert np.array_equal(out.confidence, offline.confidence), cell
         else:
-            assert np.allclose(out.confidence, offline.confidence)
+            assert np.allclose(out.confidence, offline.confidence), cell
         assert sorted(map(_msg_key, out.messages)) == sorted(
             map(_msg_key, offline.messages)
-        )
-        assert out.total_bytes == offline.total_bytes
+        ), cell
+        assert out.total_bytes == offline.total_bytes, cell
 
-    def test_open_loop_matches_offline(self, serve_setup):
+    def test_open_loop_matches_offline(self, serve_setup, ragged_cells):
         inference, workload, offline, _ = serve_setup
-        runtime = ServingRuntime(
-            inference,
-            get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
-        )
-        result = runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
-        assert result.n_shed == 0
-        assert result.n_answered == len(workload)
-        self._assert_equivalent(result, offline)
+        cells = [("tree", inference, None, workload, offline), *ragged_cells]
+        for name, inference, max_level, workload, offline in cells:
+            runtime = ServingRuntime(
+                inference,
+                get_medium("wired-1gbps"),
+                ServeConfig(
+                    max_batch=16, max_wait_ms=1.0, queue_depth=512,
+                    max_level=max_level,
+                ),
+            )
+            result = runtime.serve_open_loop(
+                workload, rate_rps=3000.0, seed=1
+            )
+            assert result.n_shed == 0, name
+            assert result.n_answered == len(workload), name
+            self._assert_equivalent(result, offline, cell=name)
 
     def test_batch_window_does_not_change_answers(self, serve_setup):
         """Different micro-batch composition, same decisions — encoding
@@ -86,7 +98,8 @@ class TestEquivalence:
     def test_packed_backend_bitwise_equal(self, trained_federation):
         federation, _, data = trained_federation
         inference = HierarchicalInference(
-            federation, confidence_threshold=0.7, backend="packed"
+            federation, confidence_threshold=0.7,
+            search=SearchSpec(backend="packed"),
         )
         workload = make_workload(data.test_x, inference, seed=3)
         offline = inference.run(data.test_x, seed=3)
@@ -135,16 +148,21 @@ class TestEquivalence:
         assert result.wire_bytes >= offline.total_bytes
         assert result.energy_j > 0
 
-    def test_closed_loop_matches_offline(self, serve_setup):
+    def test_closed_loop_matches_offline(self, serve_setup, ragged_cells):
         inference, workload, offline, _ = serve_setup
-        runtime = ServingRuntime(
-            inference,
-            get_medium("wired-1gbps"),
-            ServeConfig(max_batch=8, max_wait_ms=1.0, queue_depth=256),
-        )
-        result = runtime.serve_closed_loop(workload, n_clients=8)
-        assert result.n_answered == len(workload)
-        self._assert_equivalent(result, offline)
+        cells = [("tree", inference, None, workload, offline), *ragged_cells]
+        for name, inference, max_level, workload, offline in cells:
+            runtime = ServingRuntime(
+                inference,
+                get_medium("wired-1gbps"),
+                ServeConfig(
+                    max_batch=8, max_wait_ms=1.0, queue_depth=256,
+                    max_level=max_level,
+                ),
+            )
+            result = runtime.serve_closed_loop(workload, n_clients=8)
+            assert result.n_answered == len(workload), name
+            self._assert_equivalent(result, offline, cell=name)
 
     def test_accuracy_matches_offline(self, serve_setup):
         inference, workload, offline, data = serve_setup
