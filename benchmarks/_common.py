@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
+import time
 from pathlib import Path
+
+import numpy as np
 
 import repro.obs as obs
 from repro.experiments.harness import ExperimentScale
@@ -61,14 +66,37 @@ def save_report(name: str, text: str) -> None:
               f"metrics -> {name}.stats.json]")
 
 
+def provenance() -> dict:
+    """Where and when a result was measured (same keys as benchmarks/e2e)."""
+    root = Path(__file__).resolve().parent.parent
+    commit = "unknown"
+    if (root / ".git").exists():  # else git would search the directories above
+        try:
+            commit = subprocess.run(
+                ["git", "-C", str(root), "describe", "--always", "--dirty"],
+                capture_output=True, text=True, timeout=10, check=True,
+            ).stdout.strip() or "unknown"
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return {
+        "commit": commit,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
 def save_json(name: str, payload: dict) -> Path:
     """Persist a machine-readable report under benchmarks/results/.
 
     Companion to :func:`save_report` for benchmarks whose output is a
-    structured measurement grid rather than a formatted table.
+    structured measurement grid rather than a formatted table. Every
+    file carries a ``provenance`` block (:func:`provenance`).
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
+    payload = {**payload, "provenance": provenance()}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[saved to benchmarks/results/{name}.json]")
     return path

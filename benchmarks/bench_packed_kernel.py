@@ -1,25 +1,20 @@
-"""Dense vs bit-packed vs prefix-pruned associative search (Sec. V).
+"""Dense vs bit-packed associative search (paper Sec. V).
 
-Times :meth:`HDClassifier.predict` across the four search modes the
-unified :class:`~repro.core.search.SearchSpec` can express — dense
-float cosine, full packed XOR+popcount, exact prefix-pruned branch
-and bound, and the margin-gated approximate mode — on a grid of
-dimensionalities and batch sizes. Queries are noisy class members
-(a flip-noise fraction of each class hypervector), the regime the
-prefix bound exploits; pure random queries carry no margin to prune
-against. Packed timings include query packing — the end-to-end cost
-a deployment would pay.
+Times :meth:`HDClassifier.predict` under the two backends
+:class:`~repro.core.search.SearchSpec` selects between — dense float
+cosine and packed XOR+popcount — on a grid of dimensionalities and
+batch sizes. Queries are noisy class members (a flip-noise fraction of
+each class hypervector). Packed timings include query packing — the
+end-to-end cost a deployment would pay.
 
-Emits ``benchmarks/results/BENCH_packed.json`` with per-cell timings,
-speedups, per-stage prefix/bound/refine breakdowns (from
-:class:`~repro.core.kernels.SearchStats`) and each mode's
-``SearchSpec.to_metadata()``, plus a human-readable table. Run
-standalone with ``python benchmarks/bench_packed_kernel.py
-[--smoke]``; ``--smoke`` skips the timing grid and only checks label
-equivalence across backends and prune modes plus the packed-path
-observability counters (timing-independent, safe for CI), which is
-also what ``tests/test_bench_packed_smoke.py`` exercises so neither
-the packed path nor the pruned search can silently regress.
+Emits ``benchmarks/results/BENCH_packed.json`` with per-cell timings
+and speedups, plus a human-readable table. Run standalone with
+``python benchmarks/bench_packed_kernel.py [--smoke]``; ``--smoke``
+skips the timing grid and only checks dense/packed label equivalence
+and the packed-path observability counter (timing-independent, safe
+for CI), which is also what ``tests/test_bench_packed_smoke.py``
+exercises so the packed path cannot silently fall back to the dense
+one.
 """
 
 import time
@@ -30,12 +25,7 @@ from _common import save_json, save_report
 import repro.obs as obs
 from repro.core.classifier import HDClassifier
 from repro.core.hypervector import random_bipolar
-from repro.core.kernels import (
-    calibrate_margin_threshold,
-    pack_bits,
-    packed_dot,
-    packed_search,
-)
+from repro.core.kernels import pack_bits, packed_dot
 from repro.core.search import SearchSpec
 
 #: Timing grid: hypervector dimensionality x query batch size.
@@ -47,9 +37,7 @@ REPEATS = 5
 #: query — the classification noise level of the timing grid.
 QUERY_NOISE = 0.05
 
-#: The packed search modes timed against the plain packed kernel.
 PACKED_SPEC = SearchSpec(backend="packed")
-EXACT_SPEC = SearchSpec(backend="packed", prune="exact")
 
 
 def make_classifier(dimension: int, seed: int) -> HDClassifier:
@@ -95,59 +83,20 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def approx_spec(clf: HDClassifier, calibration: np.ndarray) -> SearchSpec:
-    """Approximate-mode spec with a margin calibrated on held-out data."""
-    threshold = calibrate_margin_threshold(
-        pack_bits(calibration),
-        pack_bits(clf.class_hypervectors),
-        target_agreement=0.995,
-    )
-    return SearchSpec(
-        backend="packed", prune="approx", margin_threshold=threshold
-    )
-
-
-def _stage_fields(stats) -> dict:
-    """Per-stage breakdown of one pruned search (JSON cell fragment)."""
-    return {
-        "prefix_ms": stats.prefix_ms,
-        "bound_ms": stats.bound_ms,
-        "refine_ms": stats.refine_ms,
-        "n_pruned": stats.n_pruned,
-        "n_refined": stats.n_refined,
-        "n_prefix_accepted": stats.n_prefix_accepted,
-    }
-
-
 def run_grid() -> dict:
-    """Measure the full mode grid; returns the JSON payload.
+    """Measure the dense-vs-packed grid; returns the JSON payload.
 
-    Dense vs packed is timed end to end through ``predict`` (query
-    packing included — the cost a deployment pays). The prune modes
-    are timed at the kernel level on pre-packed queries against the
-    full :func:`packed_dot` search, isolating the search work the
-    prefix bound actually saves from the packing cost every packed
-    mode shares.
+    Both backends are timed end to end through ``predict`` (query
+    packing included — the cost a deployment pays).
     """
     cells = []
     for dimension in DIMENSIONS:
         clf = make_classifier(dimension, seed=dimension)
-        calibration = make_queries(clf, 512, seed=dimension * 7 + 1)
-        approx = approx_spec(clf, calibration)
-        packed_model = pack_bits(clf.class_hypervectors)
         for batch in BATCH_SIZES:
             queries = make_queries(clf, batch, seed=dimension + batch)
-            packed_queries = pack_bits(queries)
-            # Warm up every path (lazy model packing, allocator).
+            # Warm up both paths (lazy model packing, allocator).
             dense = clf.predict(queries, search=SearchSpec())
             packed = clf.predict(queries, search=PACKED_SPEC)
-            exact = packed_search(
-                packed_queries, packed_model, prune="exact"
-            )
-            approxed = packed_search(
-                packed_queries, packed_model, prune="approx",
-                margin_threshold=approx.margin_threshold,
-            )
             untied = _untied_rows(clf, queries)
             t_dense = _best_of(
                 lambda: clf.predict(queries, search=SearchSpec())
@@ -155,62 +104,27 @@ def run_grid() -> dict:
             t_packed = _best_of(
                 lambda: clf.predict(queries, search=PACKED_SPEC)
             )
-            t_full_kernel = _best_of(
-                lambda: np.argmax(
-                    packed_dot(packed_queries, packed_model), axis=1
-                )
-            )
-            t_exact = _best_of(
-                lambda: packed_search(
-                    packed_queries, packed_model, prune="exact"
-                )
-            )
-            t_approx = _best_of(
-                lambda: packed_search(
-                    packed_queries, packed_model, prune="approx",
-                    margin_threshold=approx.margin_threshold,
-                )
-            )
             cells.append({
                 "dimension": dimension,
                 "batch": batch,
                 "dense_ms": t_dense * 1e3,
                 "packed_ms": t_packed * 1e3,
-                "kernel_full_ms": t_full_kernel * 1e3,
-                "kernel_exact_ms": t_exact * 1e3,
-                "kernel_approx_ms": t_approx * 1e3,
                 "speedup_packed": t_dense / t_packed,
-                "speedup_exact": t_full_kernel / t_exact,
-                "speedup_approx": t_full_kernel / t_approx,
-                "exact_stage_ms": _stage_fields(exact.stats),
-                "approx_stage_ms": _stage_fields(approxed.stats),
                 "label_agreement_dense": float(
                     np.mean(dense.labels[untied] == packed.labels[untied])
                 ),
-                # Exact prune is bit-identical to the full packed
-                # search by contract — ties included.
-                "exact_labels_identical": bool(
-                    np.array_equal(exact.labels, packed.labels)
-                ),
-                "approx_agreement": float(
-                    np.mean(approxed.labels == packed.labels)
-                ),
-                "approx_search": approx.to_metadata(),
             })
     return {
         "n_classes": N_CLASSES,
         "repeats": REPEATS,
         "query_noise": QUERY_NOISE,
         "search_specs": {
+            "dense": SearchSpec().to_metadata(),
             "packed": PACKED_SPEC.to_metadata(),
-            "exact": EXACT_SPEC.to_metadata(),
         },
         "note": (
-            "best-of-N wall clock; dense/packed cells time "
-            "HDClassifier.predict end to end (query packing "
-            "included), kernel_* cells time the search kernel on "
-            "pre-packed queries; speedup_exact/approx are measured "
-            "against the full packed_dot kernel"
+            "best-of-N wall clock; every cell times "
+            "HDClassifier.predict end to end (query packing included)"
         ),
         "cells": cells,
     }
@@ -218,39 +132,32 @@ def run_grid() -> dict:
 
 def format_grid(payload: dict) -> str:
     lines = [
-        "Associative search modes (binarized model, noisy class members)",
-        "speedups: packed = dense/packed end-to-end; exact & approx = "
-        "full packed kernel / pruned kernel (pre-packed queries)",
+        "Associative search backends (binarized model, noisy class members)",
+        "speedup = dense/packed, HDClassifier.predict end to end",
         f"{'D':>6} {'batch':>6} {'dense ms':>9} {'packed ms':>9} "
-        f"{'full ms':>9} {'exact ms':>9} {'approx ms':>9} {'pack x':>7} "
-        f"{'exact x':>7} {'apprx x':>7} {'agree':>6}",
+        f"{'pack x':>7} {'agree':>6}",
     ]
     for c in payload["cells"]:
         lines.append(
             f"{c['dimension']:>6} {c['batch']:>6} {c['dense_ms']:>9.3f} "
-            f"{c['packed_ms']:>9.3f} {c['kernel_full_ms']:>9.3f} "
-            f"{c['kernel_exact_ms']:>9.3f} {c['kernel_approx_ms']:>9.3f} "
-            f"{c['speedup_packed']:>6.1f}x "
-            f"{c['speedup_exact']:>6.1f}x {c['speedup_approx']:>6.1f}x "
-            f"{c['approx_agreement']:>6.3f}"
+            f"{c['packed_ms']:>9.3f} {c['speedup_packed']:>6.1f}x "
+            f"{c['label_agreement_dense']:>6.3f}"
         )
     lines.append(
-        "('agree' = approx-vs-packed label agreement; exact mode is "
-        "asserted bit-identical per cell)"
+        "('agree' = dense-vs-packed label agreement outside exact "
+        "similarity ties)"
     )
     return "\n".join(lines)
 
 
 def check_equivalence(dimension: int = 1024, batch: int = 128) -> dict:
-    """Timing-independent smoke checks for the packed + pruned paths.
+    """Timing-independent smoke checks for the packed path.
 
     Asserts (a) dense and packed backends return identical labels on a
-    binarized model, (b) exact-prune labels are bit-identical to the
-    full packed search and approx with an infinite margin degenerates
-    to it, and (c) the packed and pruned paths actually run their
-    kernels, witnessed by the ``core.similarity.packed_queries`` and
-    ``core.similarity.pruned_queries`` counters. Returns the evidence
-    so callers can report it.
+    binarized model outside exact ties and a maximal class on ties, and
+    (b) the packed path actually runs its kernel, witnessed by the
+    ``core.similarity.packed_queries`` counter. Returns the evidence so
+    callers can report it.
     """
     clf = make_classifier(dimension, seed=99)
     queries = make_queries(clf, batch, seed=7)
@@ -262,17 +169,9 @@ def check_equivalence(dimension: int = 1024, batch: int = 128) -> dict:
     obs.enable()
     try:
         packed_before = counter("core.similarity.packed_queries")
-        pruned_before = counter("core.similarity.pruned_queries")
         dense = clf.predict(queries, search=SearchSpec())
         packed = clf.predict(queries, search=PACKED_SPEC)
-        exact = clf.predict(queries, search=EXACT_SPEC)
-        never = SearchSpec(
-            backend="packed", prune="approx",
-            margin_threshold=float("inf"),
-        )
-        approxed = clf.predict(queries, search=never)
         packed_after = counter("core.similarity.packed_queries")
-        pruned_after = counter("core.similarity.pruned_queries")
     finally:
         if not was_enabled:
             obs.disable()
@@ -290,38 +189,19 @@ def check_equivalence(dimension: int = 1024, batch: int = 128) -> dict:
         raise AssertionError("dense argmax picked a non-maximal class")
     if not (dots[rows, packed.labels] == top).all():
         raise AssertionError("packed argmax picked a non-maximal class")
-    if not np.array_equal(exact.labels, packed.labels):
+    if packed_after - packed_before != batch:
         raise AssertionError(
-            "exact prefix-pruned search is not bit-identical to the "
-            "full packed search"
-        )
-    if not np.array_equal(approxed.labels, packed.labels):
-        raise AssertionError(
-            "approx mode with an infinite margin must degenerate to "
-            "the exact branch and bound"
-        )
-    if packed_after - packed_before != 3 * batch:
-        raise AssertionError(
-            "packed paths did not increment core.similarity."
-            f"packed_queries by {3 * batch} (got "
-            f"{packed_after - packed_before}) — did a mode silently "
+            "packed path did not increment core.similarity."
+            f"packed_queries by {batch} (got "
+            f"{packed_after - packed_before}) — did it silently "
             "fall back to the dense path?"
-        )
-    if pruned_after - pruned_before != 2 * batch:
-        raise AssertionError(
-            "pruned searches did not increment core.similarity."
-            f"pruned_queries by {2 * batch} (got "
-            f"{pruned_after - pruned_before}) — did prune modes run "
-            "the full kernel instead?"
         )
     return {
         "dimension": dimension,
         "batch": batch,
         "labels_equal_excl_ties": True,
-        "exact_prune_identical": True,
         "n_exact_ties": int((~untied).sum()),
         "packed_queries_counted": packed_after - packed_before,
-        "pruned_queries_counted": pruned_after - pruned_before,
     }
 
 
@@ -337,11 +217,6 @@ def bench_packed_kernel(benchmark):
     assert max(c["speedup_packed"] for c in top) >= 3.0, (
         "packed kernel must be >=3x dense at D=10000"
     )
-    assert max(c["speedup_approx"] for c in top) >= 3.0, (
-        "approximate prefix search must add >=3x over the plain "
-        "packed kernel at D=10000"
-    )
-    assert all(c["exact_labels_identical"] for c in payload["cells"])
 
 
 def main(argv=None) -> None:
@@ -352,8 +227,7 @@ def main(argv=None) -> None:
         "--smoke",
         action="store_true",
         help="skip the timing grid; only run the timing-independent "
-        "equivalence (dense/packed + prune modes) and obs-counter "
-        "checks",
+        "dense/packed equivalence and obs-counter checks",
     )
     args = parser.parse_args(argv)
     if args.smoke:

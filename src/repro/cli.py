@@ -79,7 +79,7 @@ from typing import Callable, Dict, Optional, Sequence
 import repro.obs as obs
 from repro.config import EdgeHDConfig
 from repro.core.model import EdgeHDModel
-from repro.core.search import PRUNE_MODES, BACKENDS, SearchSpec, set_default_search
+from repro.core.search import BACKENDS, SearchSpec, set_default_search
 from repro.data import DATASETS, dataset_names, load_dataset, partition_features
 from repro.hierarchy import (
     EdgeHDFederation,
@@ -110,51 +110,18 @@ def _configure_logging(verbosity: int) -> None:
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
-    """The unified associative-search flags (train/reproduce/serve-bench)."""
+    """The associative-search flag (train/reproduce/serve-bench)."""
     p.add_argument(
         "--search-backend", default=None, choices=BACKENDS,
-        help="associative-search backend (default: dense, or packed "
-             "when --search-prune is set)",
-    )
-    p.add_argument(
-        "--search-prune", default=None, choices=PRUNE_MODES,
-        help="prefix pruning mode of the packed kernel (default: off)",
-    )
-    p.add_argument(
-        "--search-prefix", type=float, default=None, metavar="FRACTION",
-        help="fraction of packed words scored in the prefix pass "
-             "(default: 0.125)",
-    )
-    p.add_argument(
-        "--search-margin", type=float, default=None, metavar="MARGIN",
-        help="prefix similarity margin for the approximate early accept "
-             "(default: 0.05)",
+        help="associative-search backend (default: dense)",
     )
 
 
 def _search_spec_from_args(args: argparse.Namespace) -> Optional[SearchSpec]:
-    """Build a SearchSpec from --search-* flags; None when none given."""
-    backend = args.search_backend
-    prune = args.search_prune
-    prefix = args.search_prefix
-    margin = args.search_margin
-    if backend is None and prune is None and prefix is None and margin is None:
+    """SearchSpec for --search-backend; None when the flag is absent."""
+    if args.search_backend is None:
         return None
-    if backend is None:
-        # Pruning only exists on the packed path, so asking for it
-        # implies the backend.
-        backend = "packed" if prune not in (None, "off") else "dense"
-    defaults = SearchSpec()
-    return SearchSpec(
-        backend=backend,
-        prune=prune if prune is not None else defaults.prune,
-        prefix_fraction=(
-            prefix if prefix is not None else defaults.prefix_fraction
-        ),
-        margin_threshold=(
-            margin if margin is not None else defaults.margin_threshold
-        ),
-    )
+    return SearchSpec(backend=args.search_backend)
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -176,11 +143,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         args.dataset, scale=args.scale,
         max_train=args.max_train, max_test=args.max_test, seed=args.seed,
     )
-    try:
-        search = _search_spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    search = _search_spec_from_args(args)
     model = EdgeHDModel(
         data.n_features, data.n_classes,
         dimension=args.dimension, encoder=args.encoder,
@@ -432,11 +395,14 @@ def _cmd_serve_report(args: argparse.Namespace) -> int:
     if not source.exists():
         print(f"error: trace file {source} not found", file=sys.stderr)
         return 2
-    print(
-        serve_report(
+    try:
+        report = serve_report(
             source, slo_ms=args.slo_ms, request_id=args.request
         )
-    )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 
@@ -467,11 +433,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         dimension=1024, retrain_epochs=5, batch_size=10,
     )
     scale = quick if args.quick else STANDARD
-    try:
-        search = _search_spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    search = _search_spec_from_args(args)
     registry: Dict[str, Callable[[], str]] = {
         "fig7": lambda: format_figure7(run_figure7(scale=scale)),
         "table2": lambda: format_table2(run_table2(scale=scale)),
@@ -484,7 +446,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     }
     targets = registry if args.figure == "all" else {args.figure: registry[args.figure]}
     # Experiment runners build their own models; the process-default
-    # spec is the hook that applies --search-* to all of them.
+    # spec is the hook that applies --search-backend to all of them.
     previous = set_default_search(search) if search is not None else None
     try:
         if search is not None:

@@ -14,16 +14,11 @@ from repro.core.classifier import (
 )
 from repro.core.kernels import (
     PackedBits,
-    PackedSearchResult,
-    SearchStats,
-    calibrate_margin_threshold,
     pack_bits,
     packed_dot,
     packed_hamming,
-    packed_search,
     packed_similarities,
     popcount_u64,
-    prefix_word_count,
     unpack_bits,
     words_per_row,
 )
@@ -34,7 +29,6 @@ from repro.core.predictor import (
     result_from_scores,
 )
 from repro.core.search import (
-    PRUNE_MODES,
     SearchSpec,
     get_default_search,
     resolve_search,
@@ -93,17 +87,11 @@ from repro.core.projection import TernaryProjection, concatenate_hypervectors
 __all__ = [
     "AdaptiveOnlineUpdater",
     "BACKENDS",
-    "PRUNE_MODES",
     "SearchSpec",
-    "SearchStats",
     "SearchAwarePredictor",
-    "PackedSearchResult",
-    "calibrate_margin_threshold",
     "get_default_search",
     "resolve_search",
     "set_default_search",
-    "packed_search",
-    "prefix_word_count",
     "PackedBits",
     "pack_bits",
     "packed_dot",

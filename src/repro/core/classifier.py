@@ -26,14 +26,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.hypervector import cosine_many, normalize_rows
-from repro.core.kernels import (
-    PackedBits,
-    SearchStats,
-    calibrate_margin_threshold,
-    pack_bits,
-    packed_search,
-    packed_similarities,
-)
+from repro.core.kernels import PackedBits, pack_bits, packed_similarities
 from repro.core.search import BACKENDS, SearchSpec, resolve_search
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_fitted, check_labels, check_matrix
@@ -119,8 +112,7 @@ class HDClassifier:
         inference entry point (all of which also take a per-call
         ``search=`` override). ``backend="dense"`` is the float cosine
         path; ``backend="packed"`` XOR+popcounts bit-packed
-        hypervectors (:mod:`repro.core.kernels`), optionally with
-        prefix pruning (``prune="exact"|"approx"``). On a binarized
+        hypervectors (:mod:`repro.core.kernels`). On a binarized
         model with bipolar queries the two backends compute the same
         cosine similarities and agree on the argmax whenever the top
         class is unique (the packed path is exact integer arithmetic;
@@ -153,9 +145,6 @@ class HDClassifier:
         self.confidence_temperature = float(confidence_temperature)
         self.search = resolve_search(search, owner="HDClassifier")
         self.class_hypervectors: Optional[np.ndarray] = None
-        #: per-stage stats of the most recent pruned search (None until
-        #: a prune-enabled packed search has run).
-        self.last_search_stats: Optional[SearchStats] = None
         self._normalized: Optional[np.ndarray] = None
         #: lazily-built bit-packed sign model, invalidated on every
         #: model update alongside the pre-normalized dense model.
@@ -347,13 +336,7 @@ class HDClassifier:
         pre-normalized model. The packed backend sign-quantizes queries
         and model (bit = element > 0), XORs the uint64 bitplanes and
         popcounts, returning ``dot / D`` — equal to the cosine when
-        both sides are bipolar, and ~64x less data movement. With
-        ``search.prune`` enabled the packed path runs the prefix-pruned
-        branch and bound (:func:`repro.core.kernels.packed_search`);
-        skipped entries carry proxy similarities that preserve the
-        argmax and only deflate (never inflate) the winner's
-        confidence. Per-stage timings land in
-        :attr:`last_search_stats`.
+        both sides are bipolar, and ~64x less data movement.
         """
         check_fitted(self, "class_hypervectors")
         spec = resolve_search(
@@ -374,20 +357,6 @@ class HDClassifier:
             if self._packed_model is None:
                 self._packed_model = pack_bits(self.class_hypervectors)
             queries = pack_bits(enc)
-            if spec.is_pruned:
-                result = packed_search(
-                    queries,
-                    self._packed_model,
-                    prune=spec.prune,
-                    prefix_fraction=spec.prefix_fraction,
-                    margin_threshold=spec.margin_threshold,
-                )
-                self.last_search_stats = result.stats
-                obs.incr("core.similarity.pruned_queries", enc.shape[0])
-                obs.incr(
-                    "core.similarity.pruned_pairs", result.stats.n_pruned
-                )
-                return result.similarities
             return packed_similarities(queries, self._packed_model)
         enc = check_matrix("encoded", encoded, cols=self.dimension)
         obs.incr("core.similarity.calls")
@@ -438,45 +407,6 @@ class HDClassifier:
         if y.size == 0:
             raise ValueError("empty evaluation set")
         return float(np.mean(pred == y))
-
-    def calibrate_search(
-        self,
-        encoded: np.ndarray,
-        target_agreement: float = 0.995,
-        prefix_fraction: Optional[float] = None,
-    ) -> SearchSpec:
-        """Calibrate an approximate-search spec on held-out queries.
-
-        Finds the smallest margin threshold at which the prefix argmax
-        agrees with the exact packed argmax at least
-        ``target_agreement`` of the time on ``encoded`` (the paper's
-        confidence-gated escalation, applied within this node's
-        search), installs the resulting
-        ``SearchSpec(backend="packed", prune="approx", ...)`` as this
-        classifier's default, and returns it.
-        """
-        check_fitted(self, "class_hypervectors")
-        enc = check_matrix("encoded", encoded, cols=self.dimension)
-        fraction = (
-            self.search.prefix_fraction
-            if prefix_fraction is None
-            else float(prefix_fraction)
-        )
-        if self._packed_model is None:
-            self._packed_model = pack_bits(self.class_hypervectors)
-        threshold = calibrate_margin_threshold(
-            pack_bits(enc),
-            self._packed_model,
-            prefix_fraction=fraction,
-            target_agreement=target_agreement,
-        )
-        self.search = SearchSpec(
-            backend="packed",
-            prune="approx",
-            prefix_fraction=fraction,
-            margin_threshold=threshold,
-        )
-        return self.search
 
     def binarize_model(self) -> "HDClassifier":
         """Snap class hypervectors to {-1, +1} in place.

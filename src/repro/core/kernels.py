@@ -17,35 +17,18 @@ invertible for bipolar input.
 Rows are padded with zero bits up to a whole number of words. Padding
 bits XOR to zero between any two packed rows, so they never contribute
 mismatches and no masking is needed in the hot loop.
-
-Beyond the full-matrix kernels, :func:`packed_search` implements the
-prefix-pruned associative search behind ``SearchSpec(prune=...)``:
-score every class on the first ``k`` words only, refine the prefix
-leader exactly to obtain a per-query bound, prune classes whose
-partial mismatch count already exceeds it (their best case — zero
-mismatches over the remaining words — still loses), and refine only
-the survivors. The exact mode's argmax is bit-identical to the full
-packed search; the approximate mode short-circuits to the prefix
-argmax when the prefix similarity margin clears a calibrated
-threshold, the paper's confidence-gated escalation applied *within* a
-node's search.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "WORD_BITS",
     "PackedBits",
-    "PackedSearchResult",
-    "SearchStats",
     "attach_packed",
-    "calibrate_margin_threshold",
     "pack_bits",
     "pack_bits_into",
     "packed_nbytes",
@@ -53,9 +36,7 @@ __all__ = [
     "popcount_u64",
     "packed_hamming",
     "packed_dot",
-    "packed_search",
     "packed_similarities",
-    "prefix_word_count",
     "words_per_row",
 ]
 
@@ -244,355 +225,3 @@ def packed_similarities(
     division).
     """
     return packed_dot(queries, references) / float(queries.dimension)
-
-
-# ----------------------------------------------------------------------
-# prefix-pruned associative search (SearchSpec prune modes)
-# ----------------------------------------------------------------------
-
-def prefix_word_count(dimension: int, prefix_fraction: float) -> int:
-    """Words in the prefix pass: ``ceil(fraction * n_words)``, >= 1."""
-    if not 0.0 < prefix_fraction <= 1.0:
-        raise ValueError(
-            f"prefix_fraction must be in (0, 1], got {prefix_fraction}"
-        )
-    n_words = words_per_row(dimension)
-    return min(n_words, max(1, int(np.ceil(n_words * prefix_fraction))))
-
-
-@dataclass
-class SearchStats:
-    """Per-stage accounting of one :func:`packed_search` call.
-
-    ``n_pruned`` counts (query, class) pairs eliminated by the bound
-    before any tail work; ``n_refined`` counts pairs that did pay for
-    the remaining words (the prefix leader included); in approximate
-    mode ``n_prefix_accepted`` counts queries answered from the prefix
-    alone. ``n_queries * n_classes`` pairs always pay the prefix pass.
-    """
-
-    mode: str = "off"
-    n_queries: int = 0
-    n_classes: int = 0
-    n_words: int = 0
-    prefix_words: int = 0
-    prefix_ms: float = 0.0
-    bound_ms: float = 0.0
-    refine_ms: float = 0.0
-    n_pruned: int = 0
-    n_refined: int = 0
-    n_prefix_accepted: int = 0
-
-    @property
-    def total_ms(self) -> float:
-        return self.prefix_ms + self.bound_ms + self.refine_ms
-
-    def to_dict(self) -> dict:
-        """JSON-safe form for benchmark artifacts."""
-        return {
-            "mode": self.mode,
-            "n_queries": self.n_queries,
-            "n_classes": self.n_classes,
-            "n_words": self.n_words,
-            "prefix_words": self.prefix_words,
-            "prefix_ms": self.prefix_ms,
-            "bound_ms": self.bound_ms,
-            "refine_ms": self.refine_ms,
-            "n_pruned": self.n_pruned,
-            "n_refined": self.n_refined,
-            "n_prefix_accepted": self.n_prefix_accepted,
-        }
-
-
-@dataclass(frozen=True)
-class PackedSearchResult:
-    """Labels plus a confidence-ready similarity matrix.
-
-    ``similarities`` is ``dot / D`` where it was computed exactly
-    (survivors, and every entry in exact mode's refined set). Entries
-    skipped by the search carry a *proxy* instead:
-
-    * pruned classes hold their prefix-only similarity — an
-      overestimate that provably stays strictly below the winner's
-      exact value, so ``argmax(similarities)`` equals ``labels`` and
-      softmax confidences err toward *more* escalation, never less;
-    * prefix-accepted queries (approx mode) hold prefix similarities
-      for every class, an unbiased estimate on the same scale.
-    """
-
-    labels: np.ndarray
-    similarities: np.ndarray
-    stats: SearchStats = field(compare=False)
-
-
-def _tail_mismatches(
-    q_tail: np.ndarray, r_tail: np.ndarray
-) -> np.ndarray:
-    """Row-wise mismatch counts of the remaining (post-prefix) words."""
-    if q_tail.shape[1] == 0:
-        return np.zeros(q_tail.shape[0], dtype=np.int64)
-    return popcount_u64(q_tail ^ r_tail).sum(axis=1, dtype=np.int64)
-
-
-def _prefix_mismatches(
-    queries: PackedBits, references: PackedBits, k: int
-) -> np.ndarray:
-    """(n_queries, n_references) mismatch counts over the first k words."""
-    q_prefix = queries.words[:, :k]
-    r_prefix = references.words[:, :k]
-    partial = np.empty(
-        (queries.n_rows, references.n_rows), dtype=np.int64
-    )
-    for j in range(references.n_rows):
-        partial[:, j] = popcount_u64(q_prefix ^ r_prefix[j]).sum(
-            axis=1, dtype=np.int64
-        )
-    return partial
-
-
-def packed_search(
-    queries: PackedBits,
-    references: PackedBits,
-    prune: str = "exact",
-    prefix_fraction: float = 0.125,
-    margin_threshold: float = 0.05,
-    prefix_words: Optional[int] = None,
-) -> PackedSearchResult:
-    """Prefix-pruned associative search over packed hypervectors.
-
-    Exact mode is a two-phase branch and bound:
-
-    1. *prefix* — mismatch counts over the first ``k`` words for every
-       (query, class) pair;
-    2. *bound* — refine the prefix leader over the remaining words,
-       giving its exact total ``best``. Any class whose prefix
-       mismatches alone exceed ``best`` cannot win even if all its
-       remaining bits agree (``remaining_dot <= 64 * (n_words - k)``
-       caps the recoverable ground), so it is pruned;
-    3. *refine* — surviving classes pay for their remaining words.
-
-    The returned argmax is bit-identical to
-    ``argmax(packed_dot(queries, references))`` including numpy's
-    first-of-ties convention: a pruned class's true mismatch count is
-    strictly above the winner's, so dropping it cannot change the
-    leader or any tie-break among maximal classes.
-
-    ``prune="approx"`` first accepts the prefix argmax outright for
-    queries whose prefix similarity margin (top1 - top2, on the
-    ``dot / prefix_bits`` scale) reaches ``margin_threshold``; the
-    rest fall back to the exact branch and bound above.
-    """
-    if queries.dimension != references.dimension:
-        raise ValueError(
-            f"dimension mismatch: {queries.dimension} vs "
-            f"{references.dimension}"
-        )
-    if prune not in ("off", "exact", "approx"):
-        raise ValueError(
-            f"prune must be 'off', 'exact' or 'approx', got {prune!r}"
-        )
-    if references.n_rows == 0:
-        raise ValueError("references must contain at least one row")
-    dimension = queries.dimension
-    n_queries, n_words = queries.words.shape
-    n_classes = references.n_rows
-    k = (
-        prefix_word_count(dimension, prefix_fraction)
-        if prefix_words is None
-        else int(prefix_words)
-    )
-    if not 1 <= k <= n_words:
-        raise ValueError(
-            f"prefix_words must be in [1, {n_words}], got {k}"
-        )
-    stats = SearchStats(
-        mode=prune, n_queries=n_queries, n_classes=n_classes,
-        n_words=n_words, prefix_words=k,
-    )
-    if prune == "off" or k == n_words:
-        # Degenerate prefix: the "prefix" already covers every word,
-        # so the full-matrix kernel is the whole search.
-        start = time.perf_counter()
-        dots = packed_dot(queries, references)
-        stats.prefix_ms = (time.perf_counter() - start) * 1e3
-        stats.prefix_words = n_words
-        stats.n_refined = n_queries * n_classes
-        return PackedSearchResult(
-            labels=np.argmax(dots, axis=1),
-            similarities=dots / float(dimension),
-            stats=stats,
-        )
-
-    #: data bits the prefix actually covers (the last prefix word may
-    #: be the padded one when k == n_words, excluded above).
-    prefix_bits = min(k * WORD_BITS, dimension)
-    start = time.perf_counter()
-    partial = _prefix_mismatches(queries, references, k)
-    stats.prefix_ms = (time.perf_counter() - start) * 1e3
-
-    similarities = np.empty((n_queries, n_classes), dtype=np.float64)
-    labels = np.empty(n_queries, dtype=np.int64)
-
-    if prune == "approx" and n_classes > 1:
-        two_best = np.partition(partial, 1, axis=1)
-        # dot = bits - 2*mismatches, so a mismatch gap of g is a
-        # similarity margin of 2g / prefix_bits.
-        margins = (two_best[:, 1] - two_best[:, 0]) * 2.0 / prefix_bits
-        accepted = margins >= margin_threshold
-        exact_rows = np.flatnonzero(~accepted)
-        stats.n_prefix_accepted = int(accepted.sum())
-        if stats.n_prefix_accepted:
-            rows = np.flatnonzero(accepted)
-            similarities[rows] = (
-                prefix_bits - 2.0 * partial[rows]
-            ) / prefix_bits
-            labels[rows] = np.argmin(partial[rows], axis=1)
-    elif prune == "approx":
-        # A single reference class always clears any margin.
-        stats.n_prefix_accepted = n_queries
-        similarities[:] = (prefix_bits - 2.0 * partial) / prefix_bits
-        labels[:] = 0
-        exact_rows = np.empty(0, dtype=np.int64)
-    else:
-        exact_rows = np.arange(n_queries, dtype=np.int64)
-
-    if exact_rows.size:
-        _exact_tail(
-            queries, references, k, partial, exact_rows,
-            similarities, labels, stats,
-        )
-    return PackedSearchResult(
-        labels=labels, similarities=similarities, stats=stats
-    )
-
-
-def _exact_tail(
-    queries: PackedBits,
-    references: PackedBits,
-    k: int,
-    partial: np.ndarray,
-    rows: np.ndarray,
-    similarities: np.ndarray,
-    labels: np.ndarray,
-    stats: SearchStats,
-) -> None:
-    """Bound + progressive refine for ``rows``; writes results in place.
-
-    The bound stage refines the prefix leader over all remaining words
-    — its exact total is the mismatch budget no rival may exceed. The
-    refine stage then advances the rivals one prefix-sized chunk of
-    words at a time, dropping a (query, class) pair the moment its
-    accumulated count crosses the budget: a rival's running count only
-    grows, so crossing is final and the best case (zero mismatches in
-    every remaining word, ``remaining_dot = 64 * words_left``) is
-    already priced in. Pairs alive after the last chunk hold exact
-    totals.
-    """
-    dimension = float(queries.dimension)
-    n_words = queries.words.shape[1]
-    n_classes = references.n_rows
-    q_words = queries.words[rows]
-    r_words = references.words
-    sub = partial[rows].copy()
-    idx = np.arange(rows.size)
-
-    # Bound stage: refine the prefix leader exactly (one gather of the
-    # per-query leader rows, then a single vectorized tail pass).
-    start = time.perf_counter()
-    leaders = np.argmin(sub, axis=1)
-    tail_lead = _tail_mismatches(
-        q_words[:, k:], r_words[leaders, k:]
-    )
-    best_total = sub[idx, leaders] + tail_lead
-    # <= keeps classes that could still *tie* the leader: numpy's
-    # argmax takes the first maximal index, so a lower-index class
-    # tying at zero remaining mismatches must stay refinable.
-    alive = sub <= best_total[:, None]
-    alive[idx, leaders] = False
-    stats.bound_ms += (time.perf_counter() - start) * 1e3
-
-    # Refine stage: chunked branch and bound over the rivals. Chunks
-    # grow geometrically (k, 2k, 4k, ...) so easy rivals die after one
-    # cheap chunk while stubborn ones converge to the full-scan cost in
-    # O(log) passes instead of paying per-chunk indexing overhead
-    # n_words/k times.
-    start = time.perf_counter()
-    pos, chunk = k, k
-    while pos < n_words and alive.any():
-        end = min(pos + chunk, n_words)
-        for j in range(n_classes):
-            sel = np.flatnonzero(alive[:, j])
-            if sel.size:
-                sub[sel, j] += _tail_mismatches(
-                    q_words[sel, pos:end], r_words[j, pos:end]
-                )
-        alive &= sub <= best_total[:, None]
-        pos = end
-        chunk *= 2
-    n_survived = int(alive.sum())
-    total = sub.astype(np.float64)
-    total[idx, leaders] = best_total
-    # Pruned entries keep their running (partial) mismatch count — an
-    # undercount, so their proxy similarity overestimates the truth
-    # yet stays strictly below the winner (pruning required the
-    # running count to exceed best_total >= the winner's total).
-    stats.refine_ms += (time.perf_counter() - start) * 1e3
-    stats.n_refined += n_survived + rows.size
-    stats.n_pruned += rows.size * (n_classes - 1) - n_survived
-
-    similarities[rows] = (dimension - 2.0 * total) / dimension
-    labels[rows] = np.argmin(total, axis=1)
-
-
-def calibrate_margin_threshold(
-    queries: PackedBits,
-    references: PackedBits,
-    prefix_fraction: float = 0.125,
-    target_agreement: float = 0.995,
-    prefix_words: Optional[int] = None,
-) -> float:
-    """Smallest margin threshold meeting ``target_agreement``.
-
-    Runs the prefix pass on a calibration batch, compares the prefix
-    argmax against the exact full-width argmax, and returns the lowest
-    threshold ``t`` such that among queries with margin ``>= t`` the
-    prefix answer agrees with the exact one at least
-    ``target_agreement`` of the time. Returns ``inf`` when no
-    threshold achieves the target (approx mode then never
-    short-circuits — it degenerates to the exact branch and bound).
-    """
-    if not 0.0 < target_agreement <= 1.0:
-        raise ValueError(
-            f"target_agreement must be in (0, 1], got {target_agreement}"
-        )
-    if queries.n_rows == 0:
-        raise ValueError("calibration requires at least one query")
-    dimension = queries.dimension
-    n_words = queries.words.shape[1]
-    k = (
-        prefix_word_count(dimension, prefix_fraction)
-        if prefix_words is None
-        else int(prefix_words)
-    )
-    if not 1 <= k <= n_words:
-        raise ValueError(f"prefix_words must be in [1, {n_words}], got {k}")
-    if references.n_rows < 2 or k == n_words:
-        return 0.0
-    prefix_bits = min(k * WORD_BITS, dimension)
-    partial = _prefix_mismatches(queries, references, k)
-    two_best = np.partition(partial, 1, axis=1)
-    margins = (two_best[:, 1] - two_best[:, 0]) * 2.0 / prefix_bits
-    prefix_labels = np.argmin(partial, axis=1)
-    exact_labels = np.argmax(packed_dot(queries, references), axis=1)
-    agree = prefix_labels == exact_labels
-    # Sweep thresholds from the most permissive accept set down: the
-    # precision of {margin >= t} is monotone in nothing, so scan all
-    # candidate cuts and keep the smallest passing one.
-    order = np.argsort(-margins, kind="stable")
-    agree_sorted = agree[order]
-    margins_sorted = margins[order]
-    precision = np.cumsum(agree_sorted) / np.arange(1, len(order) + 1)
-    passing = np.flatnonzero(precision >= target_agreement)
-    if passing.size == 0:
-        return float("inf")
-    return float(margins_sorted[passing[-1]])

@@ -170,9 +170,9 @@ class EdgeHDModel:
         """End-to-end inference from raw features.
 
         ``search`` selects the associative-search configuration per
-        call (:class:`repro.core.search.SearchSpec`: dense cosine,
-        packed XOR+popcount, or prefix-pruned packed search); by
-        default the classifier's configured spec applies. See
+        call (:class:`repro.core.search.SearchSpec`: dense cosine or
+        packed XOR+popcount); by default the classifier's configured
+        spec applies. See
         :class:`repro.core.classifier.HDClassifier` for the
         dense/packed equivalence guarantee.
         """

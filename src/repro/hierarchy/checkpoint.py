@@ -22,6 +22,7 @@ truncated or version-mismatched checkpoint must never load silently.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
@@ -220,6 +221,10 @@ def save_topology_state(
     to ``"active"`` for every node); ``journal_seq`` records how much of
     the control plane's feedback journal the checkpoint covers, so a
     respawned node knows where residual replay must start.
+
+    The archive lands at exactly ``path`` (no suffix is appended) by
+    rename from a sibling ``<name>.tmp``: a save that fails part-way
+    leaves whatever was at ``path`` before untouched.
     """
     states = dict(node_states or {})
     for nid in federation.hierarchy.nodes:
@@ -246,7 +251,16 @@ def save_topology_state(
     arrays["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(str(path), **arrays)
+    # savez appends ".npz" to a file name but not to an open handle.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def validate_topology_meta(

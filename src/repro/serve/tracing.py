@@ -202,17 +202,26 @@ def load_request_trace(path: Union[str, Path]) -> Dict[int, List[TraceEvent]]:
     Tolerates (and skips) non-event lines — e.g. span records from
     :meth:`repro.obs.TraceBuffer.export_jsonl` sharing the file — so a
     mixed trace file still yields every request timeline it contains.
+    A line that is not JSON (a trace cut mid-line when the run was
+    killed) or an event record without its required fields raises
+    ``ValueError`` naming the file and line.
     """
     grouped: Dict[int, List[TraceEvent]] = {}
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            if not isinstance(data, dict) or "event" not in data:
-                continue
-            event = TraceEvent.from_dict(data)
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict) or "event" not in data:
+                    continue
+                event = TraceEvent.from_dict(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: unreadable trace record "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
             grouped.setdefault(event.request_id, []).append(event)
     for events in grouped.values():
         events.sort(key=lambda e: e.seq)

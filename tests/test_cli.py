@@ -3,7 +3,8 @@
 import pytest
 
 import repro.obs as obs
-from repro.cli import build_parser, main
+from repro.cli import _search_spec_from_args, build_parser, main
+from repro.core.search import SearchSpec
 
 
 class TestParser:
@@ -32,6 +33,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "--figure", "fig99"])
 
+    @pytest.mark.parametrize("command", ["train", "serve-bench", "reproduce"])
+    def test_search_backend_is_the_only_search_flag(self, command, capsys):
+        parser = build_parser()
+        assert _search_spec_from_args(parser.parse_args([command])) is None
+        args = parser.parse_args([command, "--search-backend", "packed"])
+        assert _search_spec_from_args(args) == SearchSpec(backend="packed")
+        for knob, value in (
+            ("prune", "exact"), ("prefix", "0.25"), ("margin", "0.1")
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([command, f"--search-{knob}", value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):
@@ -45,11 +60,13 @@ class TestCommands:
             [
                 "train", "--dataset", "PDP", "--dimension", "256",
                 "--scale", "0.02", "--epochs", "2", "--save", checkpoint,
+                "--search-backend", "packed",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "test accuracy" in out
+        assert "[search: packed]" in out
         assert (tmp_path / "model.npz").exists()
 
     def test_federate_small(self, capsys):
@@ -62,6 +79,17 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "level 1" in out and "training traffic" in out
+
+    def test_serve_report_on_torn_trace_exits_2(self, capsys, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(
+            '{"event": "admitted", "request": 0, "seq": 0, "t_ms": 0.0}\n'
+            '{"event": "done", "request": 0, "se'
+        )
+        assert main(["serve-report", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {trace}:2: ")
+        assert "Traceback" not in captured.err
 
     def test_federate_rejects_flat_dataset(self, capsys):
         code = main(
@@ -194,7 +222,6 @@ class TestServeBench:
         assert args.policy == "block"
         # unset means "use the resolved SearchSpec default".
         assert args.search_backend is None
-        assert args.search_prune is None
         assert args.max_batch == 32
         assert args.rate == 500.0
         with pytest.raises(SystemExit):

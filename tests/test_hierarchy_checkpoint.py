@@ -39,17 +39,21 @@ def load_checked(federation, path):
     return checkpoint.federation
 
 
+def assert_same_models(restored, federation):
+    for nid in federation.hierarchy.nodes:
+        assert np.array_equal(
+            restored.classifiers[nid].class_hypervectors,
+            federation.classifiers[nid].class_hypervectors,
+        )
+
+
 class TestRoundtrip:
     def test_restores_exact_models(self, trained, tmp_path):
         data, partition, config, federation = trained
         path = tmp_path / "fed.npz"
         save_topology_state(federation, path)
         restored = load_checked(fresh(data, partition, config), path)
-        for nid in federation.hierarchy.nodes:
-            assert np.array_equal(
-                restored.classifiers[nid].class_hypervectors,
-                federation.classifiers[nid].class_hypervectors,
-            )
+        assert_same_models(restored, federation)
 
     def test_restored_accuracy_identical(self, trained, tmp_path):
         data, partition, config, federation = trained
@@ -64,6 +68,37 @@ class TestRoundtrip:
         data, partition, config, _ = trained
         with pytest.raises(RuntimeError):
             save_topology_state(fresh(data, partition, config), tmp_path / "x.npz")
+
+    def test_suffixless_path_round_trips(self, trained, tmp_path):
+        """The file lands at the path given, not at ``path + ".npz"``."""
+        data, partition, config, federation = trained
+        path = tmp_path / "ckpt"
+        save_topology_state(federation, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        restored = load_checked(fresh(data, partition, config), path)
+        assert_same_models(restored, federation)
+
+    def test_interrupted_save_keeps_previous_checkpoint(
+        self, trained, tmp_path, monkeypatch
+    ):
+        data, partition, config, federation = trained
+        path = tmp_path / "fed.npz"
+        save_topology_state(federation, path)
+        before = path.read_bytes()
+
+        write = np.savez_compressed
+
+        def torn_write(file, **arrays):
+            first = next(iter(arrays))
+            write(file, **{first: arrays[first]})
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_topology_state(federation, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fed.npz"]
+        load_checked(fresh(data, partition, config), path)
 
 
 class TestValidation:

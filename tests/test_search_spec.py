@@ -7,11 +7,11 @@ import pytest
 
 from repro.core.classifier import HDClassifier
 from repro.core.hypervector import random_bipolar
+from repro.core.kernels import pack_bits, packed_similarities
 from repro.core.model import EdgeHDModel
 from repro.core.predictor import SearchAwarePredictor
 from repro.core.search import (
     BACKENDS,
-    PRUNE_MODES,
     SearchSpec,
     get_default_search,
     resolve_search,
@@ -31,12 +31,10 @@ class TestSearchSpecValidation:
     def test_default_is_dense_unpruned(self):
         spec = SearchSpec()
         assert spec.backend == "dense"
-        assert spec.prune == "off"
-        assert not spec.is_pruned
+        assert [f.name for f in dataclasses.fields(spec)] == ["backend"]
 
     def test_constants(self):
         assert BACKENDS == ("dense", "packed")
-        assert PRUNE_MODES == ("off", "exact", "approx")
 
     @pytest.mark.parametrize("backend", ["gpu", "", "DENSE"])
     def test_rejects_unknown_backend(self, backend):
@@ -44,55 +42,29 @@ class TestSearchSpecValidation:
             SearchSpec(backend=backend)
 
     def test_rejects_unknown_prune(self):
-        with pytest.raises(ValueError, match="prune must be one of"):
-            SearchSpec(backend="packed", prune="fast")
-
-    @pytest.mark.parametrize("prune", ["exact", "approx"])
-    def test_prune_requires_packed_backend(self, prune):
-        with pytest.raises(ValueError, match="requires the packed backend"):
-            SearchSpec(backend="dense", prune=prune)
-
-    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
-    def test_rejects_bad_prefix_fraction(self, fraction):
-        with pytest.raises(ValueError, match="prefix_fraction"):
-            SearchSpec(backend="packed", prefix_fraction=fraction)
-
-    def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError, match="margin_threshold"):
-            SearchSpec(backend="packed", margin_threshold=-0.01)
+        # PR 19 removed the prune modes: the keyword itself is unknown.
+        with pytest.raises(TypeError, match="prune"):
+            SearchSpec(backend="packed", prune="exact")  # type: ignore[call-arg]
 
     def test_frozen(self):
         spec = SearchSpec()
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.backend = "packed"
 
-    def test_with_backend_revalidates(self):
-        pruned = SearchSpec(backend="packed", prune="exact")
-        with pytest.raises(ValueError, match="requires the packed backend"):
-            pruned.with_backend("dense")
-        assert pruned.with_backend("packed") == pruned
-
     def test_describe_forms(self):
         assert SearchSpec().describe() == "dense"
         assert SearchSpec(backend="packed").describe() == "packed"
-        pruned = SearchSpec(
-            backend="packed", prune="approx",
-            prefix_fraction=0.25, margin_threshold=0.1,
-        )
-        assert pruned.describe() == "packed/approx(prefix=0.25, margin=0.1)"
 
     def test_to_metadata_roundtrips(self):
-        spec = SearchSpec(backend="packed", prune="exact")
+        spec = SearchSpec(backend="packed")
         meta = spec.to_metadata()
         assert SearchSpec(**meta) == spec
-        assert set(meta) == {
-            "backend", "prune", "prefix_fraction", "margin_threshold"
-        }
+        assert set(meta) == {"backend"}
 
 
 class TestResolveSearch:
     def test_spec_wins_outright(self):
-        spec = SearchSpec(backend="packed", prune="exact")
+        spec = SearchSpec(backend="packed")
         assert resolve_search(spec) is spec
 
     def test_falls_back_to_default_argument(self):
@@ -101,7 +73,7 @@ class TestResolveSearch:
 
     def test_falls_back_to_process_default(self):
         assert resolve_search() is get_default_search()
-        installed = SearchSpec(backend="packed", prune="approx")
+        installed = SearchSpec(backend="packed")
         set_default_search(installed)
         assert resolve_search() is installed
 
@@ -135,20 +107,22 @@ class TestObjectIntegration:
 
     def test_classifier_resolution_order_per_call_wins(self):
         clf = self._fitted(search=SearchSpec(backend="dense"))
-        queries = random_bipolar(256, count=8, seed=9).astype(float)
-        per_call = SearchSpec(backend="packed", prune="exact")
-        sims = clf.similarities(queries, search=per_call)
-        assert clf.last_search_stats is not None
-        assert clf.last_search_stats.mode == "exact"
-        packed = clf.similarities(queries, search=SearchSpec(backend="packed"))
+        # Real-valued queries: the packed path sign-quantizes them, so
+        # its similarities are not the dense cosines.
+        queries = np.random.default_rng(9).normal(size=(8, 256))
+        sims = clf.similarities(queries, search=SearchSpec(backend="packed"))
         np.testing.assert_array_equal(
-            np.argmax(sims, axis=1), np.argmax(packed, axis=1)
+            sims,
+            packed_similarities(
+                pack_bits(queries), pack_bits(clf.class_hypervectors)
+            ),
         )
+        assert not np.array_equal(sims, clf.similarities(queries))
 
     def test_classifier_built_from_process_default(self):
-        set_default_search(SearchSpec(backend="packed", prune="exact"))
+        set_default_search(SearchSpec(backend="packed"))
         clf = self._fitted()
-        assert clf.search == SearchSpec(backend="packed", prune="exact")
+        assert clf.search == SearchSpec(backend="packed")
 
     def test_model_conforms_to_search_aware_protocol(self):
         model = EdgeHDModel(n_features=8, n_classes=3, dimension=128, seed=1)
@@ -160,5 +134,5 @@ class TestObjectIntegration:
         assert model.classifier.search.backend == "packed"
 
     def test_copy_preserves_search(self):
-        clf = self._fitted(search=SearchSpec(backend="packed", prune="exact"))
+        clf = self._fitted(search=SearchSpec(backend="packed"))
         assert clf.copy().search == clf.search

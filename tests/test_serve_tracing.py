@@ -245,6 +245,30 @@ class TestRequestTraceLog:
         assert sorted(loaded) == [4]
         assert [e.event for e in loaded[4]] == ["admitted", "done"]
 
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            ('{"request": 4, "seq": 2, "t_ms": 1.5, "eve', "JSONDecodeError"),
+            ('{"event": "done", "seq": 2, "t_ms": 1.5}', "'request'"),
+            ('{"event": "done", "request": 4, "t_ms": 1.5}', "'seq'"),
+            ('{"event": "done", "request": 4, "seq": 2}', "'t_ms'"),
+        ],
+        ids=["torn-line", "no-request", "no-seq", "no-t_ms"],
+    )
+    def test_load_names_file_and_line_of_a_bad_record(
+        self, tmp_path, bad_line, reason
+    ):
+        log = RequestTraceLog()
+        log.extend([self._event(4, 0, "admitted"), self._event(4, 1, "done")])
+        path = tmp_path / "trace.jsonl"
+        log.export_jsonl(path)
+        with path.open("a") as fh:
+            fh.write(bad_line)
+        with pytest.raises(ValueError) as excinfo:
+            load_request_trace(path)
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+        assert reason in str(excinfo.value)
+
 
 class TestTraceContext:
     def test_emit_assigns_sequential_seq(self):
