@@ -152,11 +152,11 @@ def run_grid(scale=None) -> dict:
 def run_traced_example(federation, data) -> dict:
     """One fully traced chaos run: the observability artifact set.
 
-    Serves one representative faulted cell with tracing, the telemetry
-    sampler and the flight recorder on, then drops the request trace,
-    telemetry series, flight-recorder dump and rendered ``serve-report``
-    under ``benchmarks/results/`` — the end-to-end evidence that a
-    degraded request's causal timeline is reconstructable offline.
+    Serves one representative faulted cell with tracing and the
+    telemetry sampler on, then drops the request trace (fault events
+    included), telemetry series and rendered ``serve-report`` under
+    ``benchmarks/results/`` — the end-to-end evidence that a degraded
+    request's causal timeline is reconstructable offline.
     """
     inference = HierarchicalInference(
         federation, confidence_threshold=THRESHOLD
@@ -190,16 +190,15 @@ def run_traced_example(federation, data) -> dict:
     trace_path = RESULTS_DIR / "BENCH_chaos_requests.trace.jsonl"
     n_events = result.traces.export_jsonl(trace_path)
     result.telemetry.export_jsonl(RESULTS_DIR / "BENCH_chaos_telemetry.jsonl")
-    runtime.flight.export_jsonl(RESULTS_DIR / "BENCH_chaos_flight.jsonl")
     report = render_report(result.traces.by_request(), slo_ms=50.0)
     (RESULTS_DIR / "BENCH_chaos_serve_report.txt").write_text(report + "\n")
-    print(f"[saved request trace ({n_events} events), telemetry, flight "
-          f"recorder and serve-report to benchmarks/results/]")
+    print(f"[saved request trace ({n_events} events), telemetry and "
+          f"serve-report to benchmarks/results/]")
     return {
         "trace_events": n_events,
         "traced_requests": result.traces.n_requests,
         "telemetry_samples": len(result.telemetry),
-        "flight_events": len(result.flight_events),
+        "fault_events": len(result.traces.faults()),
         "degraded": result.n_degraded,
     }
 

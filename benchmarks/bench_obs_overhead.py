@@ -148,9 +148,9 @@ def measure_serving_overhead(n_serves: int = 3, max_test: int = 120) -> dict:
 
     Returns ``guard_overhead`` (the fraction of a disabled-mode run's
     per-request cost spent on trace guards — the quantity the <5%
-    budget binds) and ``enabled_overhead`` (full tracing + telemetry +
-    flight recorder, reported for visibility, asserted only loosely:
-    chaos-free tracing should not multiply serving cost).
+    budget binds) and ``enabled_overhead`` (full tracing + telemetry,
+    reported for visibility, asserted only loosely: chaos-free tracing
+    should not multiply serving cost).
     """
     inference, workload = _serving_setup(max_test=max_test)
     obs.disable()

@@ -13,9 +13,9 @@ Subcommands
     runtime (:mod:`repro.serve`): micro-batching, bounded queues, and a
     per-stage latency breakdown with p50/p95/p99. With observability
     on, ``--trace`` writes the *request-level* trace (one event per
-    line, not spans), and ``--telemetry`` / ``--flight`` /
-    ``--openmetrics`` export the sampled time-series, the flight
-    recorder and a Prometheus-scrapable exposition.
+    line, not spans — fault events included), and ``--telemetry`` /
+    ``--openmetrics`` export the sampled time-series and a
+    Prometheus-scrapable exposition.
 ``serve-report``
     Offline analysis of a ``serve-bench --trace`` file: per-stage
     latency breakdown, critical-path attribution per percentile band,
@@ -240,6 +240,16 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             f"PECAN/PAMAP2/APRI/PDP", file=sys.stderr,
         )
         return 2
+    if args.workers > 1 and args.closed_loop:
+        print("error: cluster serving is open-loop only", file=sys.stderr)
+        return 2
+    if args.workers > 1 and (args.trace or args.telemetry):
+        print(
+            "error: request tracing stops at the cluster router "
+            "(single-process feature); drop --trace/--telemetry or "
+            "--workers", file=sys.stderr,
+        )
+        return 2
     data = load_dataset(
         args.dataset, scale=args.scale,
         max_train=args.max_train, max_test=args.max_test, seed=args.seed,
@@ -312,12 +322,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.workers > 1:
         from repro.serve import ClusterConfig, ClusterRuntime
 
-        if args.closed_loop:
-            print(
-                "error: cluster serving is open-loop only",
-                file=sys.stderr,
-            )
-            return 2
         try:
             cluster = ClusterConfig(
                 workers=args.workers,
@@ -362,8 +366,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         accuracy = float(np.mean(np.asarray(served_labels) == truth))
         print(f"accuracy (answered): {accuracy:.3f}")
     if obs.enabled():
-        if isinstance(runtime, ServingRuntime):
-            print(runtime.flight.summary())
         if args.trace and result.traces is not None:
             written = result.traces.export_jsonl(args.trace)
             print(
@@ -376,9 +378,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             written = result.telemetry.export_jsonl(args.telemetry)
             print(f"[obs] {written} telemetry samples written to "
                   f"{args.telemetry}")
-        if args.flight:
-            written = runtime.flight.export_jsonl(args.flight)
-            print(f"[obs] {written} flight events written to {args.flight}")
         if args.openmetrics:
             out = Path(args.openmetrics)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -828,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the sampled time-series as JSONL (implies --trace obs)",
     )
     serve_bench.add_argument(
-        "--flight", default=None, metavar="PATH",
-        help="dump the flight recorder (fault events) as JSONL",
-    )
-    serve_bench.add_argument(
         "--openmetrics", default=None, metavar="PATH",
         help="write an OpenMetrics text exposition of the run's metrics",
     )
@@ -994,7 +989,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     trace_path = getattr(args, "trace", None)
     wants_obs = trace_path or any(
         getattr(args, flag, None)
-        for flag in ("telemetry", "flight", "openmetrics")
+        for flag in ("telemetry", "openmetrics")
     )
     if wants_obs:
         obs.enable()

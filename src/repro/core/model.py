@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.classifier import HDClassifier, PredictionResult
 from repro.core.encoding import Encoder, make_encoder
 from repro.core.search import SearchSpec
+from repro.utils.files import savez_atomic
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_labels, check_matrix
 
@@ -232,8 +233,12 @@ class EdgeHDModel:
     # regenerated from its seed on the receiving side, as in the paper)
     # ------------------------------------------------------------------
     def save_model(self, path: str) -> None:
-        """Persist the trained class hypervectors to an ``.npz`` file."""
-        np.savez_compressed(
+        """Persist the trained class hypervectors as an ``.npz`` archive.
+
+        The archive lands at exactly ``path`` (no suffix is appended)
+        and replaces a previous file there only once fully written.
+        """
+        savez_atomic(
             path,
             class_hypervectors=self.class_hypervectors,
             meta=json.dumps(

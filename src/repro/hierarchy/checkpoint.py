@@ -22,7 +22,6 @@ truncated or version-mismatched checkpoint must never load silently.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
@@ -34,6 +33,7 @@ from repro.data.partition import FeaturePartition
 from repro.hierarchy.federation import EdgeHDFederation
 from repro.hierarchy.online import OnlineLearner
 from repro.hierarchy.topology import Hierarchy
+from repro.utils.files import savez_atomic
 
 __all__ = [
     "save_topology_state",
@@ -251,16 +251,7 @@ def save_topology_state(
     arrays["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    # savez appends ".npz" to a file name but not to an open handle.
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    savez_atomic(path, **arrays)
 
 
 def validate_topology_meta(

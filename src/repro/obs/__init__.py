@@ -25,7 +25,8 @@ Inspection
 :func:`snapshot` / :func:`render_stats` read the registry;
 :func:`dump_stats` / :func:`load_stats` persist it across processes
 (how ``repro federate`` hands metrics to ``repro stats``);
-:func:`export_trace` writes the span buffer as JSON lines.
+:func:`export_trace` writes the span buffer as JSON lines
+(:func:`repro.obs.ring.read_jsonl` reads it back).
 """
 
 from __future__ import annotations
@@ -57,13 +58,7 @@ from repro.obs.stats import (
     load_stats,
     render_stats,
 )
-from repro.obs.telemetry import (
-    FlightEvent,
-    FlightRecorder,
-    TelemetryLog,
-    TelemetrySample,
-    TelemetrySampler,
-)
+from repro.obs.telemetry import TelemetryLog, TelemetrySample, TelemetrySampler
 
 __all__ = [
     "enable",
@@ -97,8 +92,6 @@ __all__ = [
     "TelemetryLog",
     "TelemetrySample",
     "TelemetrySampler",
-    "FlightEvent",
-    "FlightRecorder",
     "DEFAULT_TIME_BUCKETS_MS",
     "UNIT_BUCKETS",
 ]

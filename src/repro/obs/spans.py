@@ -3,7 +3,8 @@
 A *span* is one timed region — ``with span("encode", n=512): ...`` —
 recorded with nanosecond wall time (``time.perf_counter_ns``), its
 nesting depth, its parent span, and arbitrary scalar attributes. Closed
-spans land in an in-memory ring buffer exportable as JSON lines, and
+spans land in an in-memory :class:`~repro.obs.ring.Ring` (exportable as
+JSON lines, read back with :func:`~repro.obs.ring.read_jsonl`), and
 every span also feeds a ``span.<name>.ms`` histogram in the metrics
 registry so ``repro stats`` can summarise timings without the trace.
 
@@ -20,16 +21,14 @@ hundred nanoseconds per span.
 from __future__ import annotations
 
 import functools
-import json
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import TracebackType
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.obs import runtime
 from repro.obs.registry import get_registry
+from repro.obs.ring import Ring
 
 __all__ = [
     "SpanRecord",
@@ -77,59 +76,11 @@ class SpanRecord:
         )
 
 
-class TraceBuffer:
-    """Bounded ring buffer of closed spans (oldest dropped first).
+class TraceBuffer(Ring[SpanRecord]):
+    """Bounded ring of closed spans (oldest dropped first)."""
 
-    Backed by a ``deque(maxlen=...)`` so eviction is O(1) — a long
-    serving run cycling millions of spans pays constant time and
-    constant memory, not the O(n) front-of-list delete a plain list
-    would. Evictions are counted in :attr:`dropped` so truncated
-    exports are visible rather than silently shorter.
-    """
-
-    def __init__(self, max_spans: int = 100_000) -> None:
-        if max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.max_spans = int(max_spans)
-        self._records: Deque[SpanRecord] = deque(maxlen=self.max_spans)
-        #: closed spans evicted because the ring was full.
-        self.dropped = 0
-
-    def add(self, record: SpanRecord) -> None:
-        if len(self._records) == self.max_spans:
-            self.dropped += 1
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[SpanRecord]:
-        return iter(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
-
-    # -- JSONL ---------------------------------------------------------
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """Write one JSON object per line; returns spans written."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w") as fh:
-            for record in self._records:
-                fh.write(json.dumps(record.to_dict()) + "\n")
-        return len(self._records)
-
-    @staticmethod
-    def load_jsonl(path: Union[str, Path]) -> List[SpanRecord]:
-        """Parse a trace file back into records (inverse of export)."""
-        records = []
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(SpanRecord.from_dict(json.loads(line)))
-        return records
+    def __init__(self, capacity: int = 100_000) -> None:
+        super().__init__(capacity)
 
 
 _TRACE = TraceBuffer()
@@ -178,7 +129,7 @@ class _Span:
             parent=self.parent,
             attrs=self.attrs,
         )
-        _TRACE.add(record)
+        _TRACE.append(record)
         get_registry().histogram(f"span.{self.name}.ms").observe(duration / 1e6)
 
     def set(self, **attrs: Any) -> None:

@@ -1,57 +1,34 @@
-"""Runtime telemetry: labeled time-series sampling and a flight recorder.
+"""Runtime telemetry: labeled time-series sampling.
 
-Two complementary evidence streams for the serving stack:
+:class:`TelemetryLog` + :class:`TelemetrySampler` — a periodic sampler
+(an asyncio task inside ``ServingRuntime``) records *labeled*
+time-series: queue depth, in-flight count, batch size and
+retry/timeout/degraded counters per node, each sample stamped with
+seconds-since-run-start. Samples land both in the log (exportable as
+JSONL for plotting) and in labeled gauges of the
+:class:`~repro.obs.registry.MetricsRegistry`, so ``repro stats`` can
+answer "what was queue depth at node 3?" after the run.
 
-* :class:`TelemetryLog` + :class:`TelemetrySampler` — a periodic
-  sampler (an asyncio task inside ``ServingRuntime``) records *labeled*
-  time-series: queue depth, in-flight count, batch size and
-  retry/timeout/degraded counters per node, each sample stamped with
-  seconds-since-run-start. Samples land both in the log (exportable as
-  JSONL for plotting) and in labeled gauges of the
-  :class:`~repro.obs.registry.MetricsRegistry`, so ``repro stats`` can
-  answer "what was queue depth at node 3?" after the run.
-
-* :class:`FlightRecorder` — a bounded ring buffer of *fault events*
-  (drops, dimension loss, crashes, timeouts, shed and degraded
-  answers), each tagged with its causal request id. Dumpable on run
-  end for post-mortems: the record of *why* a request degraded, not
-  just that it did.
-
-Both buffers are rings with dropped-event counters — long serving runs
-stay bounded in memory and truncation is visible, never silent.
+The log is a :class:`~repro.obs.ring.Ring` — long serving runs stay
+bounded in memory and truncation is counted, never silent. *Why* a
+request degraded is in its request trace
+(:meth:`repro.serve.tracing.RequestTraceLog.faults`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-from collections import Counter as TallyCounter
-from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.registry import Labels, MetricsRegistry, get_registry
+from repro.obs.ring import Ring
 
 __all__ = [
     "TelemetrySample",
     "TelemetryLog",
     "TelemetrySampler",
-    "FlightEvent",
-    "FlightRecorder",
     "Probe",
 ]
 
@@ -93,16 +70,11 @@ class TelemetrySample:
         )
 
 
-class TelemetryLog:
+class TelemetryLog(Ring[TelemetrySample]):
     """Bounded ring of :class:`TelemetrySample` (oldest dropped first)."""
 
-    def __init__(self, max_samples: int = 200_000) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.max_samples = int(max_samples)
-        self._samples: Deque[TelemetrySample] = deque(maxlen=self.max_samples)
-        #: samples evicted because the ring was full.
-        self.dropped = 0
+    def __init__(self, capacity: int = 200_000) -> None:
+        super().__init__(capacity)
 
     def record(
         self,
@@ -117,19 +89,11 @@ class TelemetryLog:
             value=float(value),
             labels=_freeze(labels or {}),
         )
-        if len(self._samples) == self.max_samples:
-            self.dropped += 1
-        self._samples.append(sample)
+        self.append(sample)
         return sample
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __iter__(self) -> Iterator[TelemetrySample]:
-        return iter(self._samples)
-
     def names(self) -> List[str]:
-        return sorted({s.name for s in self._samples})
+        return sorted({s.name for s in self})
 
     def series(
         self, name: str, **labels: Any
@@ -138,38 +102,9 @@ class TelemetryLog:
         want = _freeze(labels)
         return [
             (s.t_s, s.value)
-            for s in self._samples
+            for s in self
             if s.name == name and all(item in s.labels for item in want)
         ]
-
-    def clear(self) -> None:
-        self._samples.clear()
-        self.dropped = 0
-
-    # -- JSONL ---------------------------------------------------------
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """One JSON object per sample; returns samples written."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w") as fh:
-            for sample in self._samples:
-                fh.write(json.dumps(sample.to_dict()) + "\n")
-        return len(self._samples)
-
-    @staticmethod
-    def load_jsonl(path: Union[str, Path]) -> "TelemetryLog":
-        """Parse an exported file back into a log (inverse of export)."""
-        log = TelemetryLog()
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    sample = TelemetrySample.from_dict(json.loads(line))
-                    log.record(
-                        sample.name, sample.value, sample.t_s,
-                        dict(sample.labels),
-                    )
-        return log
 
 
 class TelemetrySampler:
@@ -222,128 +157,3 @@ class TelemetrySampler:
         while True:
             self.sample_once()
             await asyncio.sleep(self.interval_s)
-
-
-# ----------------------------------------------------------------------
-# flight recorder
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FlightEvent:
-    """One fault event with its causal request id (-1 = no request)."""
-
-    t_s: float
-    kind: str
-    node: int = -1
-    request_id: int = -1
-    attrs: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_s": self.t_s,
-            "kind": self.kind,
-            "node": self.node,
-            "request": self.request_id,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlightEvent":
-        return cls(
-            t_s=float(data["t_s"]),
-            kind=str(data["kind"]),
-            node=int(data.get("node", -1)),
-            request_id=int(data.get("request", -1)),
-            attrs=dict(data.get("attrs") or {}),
-        )
-
-
-class FlightRecorder:
-    """Bounded ring of fault events, dumpable on run end.
-
-    The serving runtime records every drop, payload corruption, crash
-    refusal, timeout, shed and degraded answer here with the request id
-    that suffered it — the post-mortem evidence for "why did request
-    4012 degrade?". Ring semantics keep a chaos soak bounded; evicted
-    events are counted, not silently lost.
-    """
-
-    def __init__(self, max_events: int = 8192) -> None:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = int(max_events)
-        self._events: Deque[FlightEvent] = deque(maxlen=self.max_events)
-        #: events evicted because the ring was full.
-        self.dropped = 0
-
-    def record(
-        self,
-        kind: str,
-        t_s: float,
-        node: int = -1,
-        request_id: int = -1,
-        **attrs: Any,
-    ) -> FlightEvent:
-        event = FlightEvent(
-            t_s=float(t_s), kind=kind, node=int(node),
-            request_id=int(request_id), attrs=attrs,
-        )
-        if len(self._events) == self.max_events:
-            self.dropped += 1
-        self._events.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[FlightEvent]:
-        return iter(self._events)
-
-    def events(self) -> List[FlightEvent]:
-        return list(self._events)
-
-    def for_request(self, request_id: int) -> List[FlightEvent]:
-        """All fault events attributed to one request, in order."""
-        return [e for e in self._events if e.request_id == request_id]
-
-    def by_kind(self) -> Dict[str, int]:
-        """Event counts per kind (the post-mortem headline)."""
-        return dict(TallyCounter(e.kind for e in self._events))
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
-    # -- dumping -------------------------------------------------------
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """One JSON object per event; returns events written."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w") as fh:
-            for event in self._events:
-                fh.write(json.dumps(event.to_dict()) + "\n")
-        return len(self._events)
-
-    @staticmethod
-    def load_jsonl(path: Union[str, Path]) -> List[FlightEvent]:
-        events = []
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(FlightEvent.from_dict(json.loads(line)))
-        return events
-
-    def summary(self) -> str:
-        """Human-readable post-mortem headline."""
-        if not self._events:
-            return "flight recorder: no fault events"
-        counts = self.by_kind()
-        parts = [f"{kind} x{n}" for kind, n in sorted(counts.items())]
-        requests = {e.request_id for e in self._events if e.request_id >= 0}
-        lines = [
-            f"flight recorder: {len(self._events)} fault events "
-            f"({self.dropped} dropped from ring) across "
-            f"{len(requests)} requests",
-            "  " + ", ".join(parts),
-        ]
-        return "\n".join(lines)

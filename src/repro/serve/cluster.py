@@ -77,6 +77,12 @@ __all__ = ["ClusterConfig", "ClusterRuntime", "ConsistentHashRing", "WorkerSpec"
 
 logger = logging.getLogger(__name__)
 
+#: max seconds close() waits for workers to say goodbye and exit.
+_CLOSE_TIMEOUT_S = 10.0
+#: replacement workers per runtime (runaway guard for hosts where
+#: contention evicts replicas repeatedly).
+_MAX_RESPAWNS = 8
+
 
 # ----------------------------------------------------------------------
 # configuration
@@ -98,29 +104,17 @@ class ClusterConfig:
     heartbeat_timeout_s: float = 3.0
     #: virtual points per shard on the consistent-hash ring.
     hash_points: int = 64
-    #: multiprocessing start method (``None`` = fork when available,
-    #: else the platform default).
-    start_method: Optional[str] = None
     #: max seconds to wait for every worker to attach and report ready.
     ready_timeout_s: float = 60.0
-    #: max seconds to wait for workers to exit on close().
-    drain_timeout_s: float = 10.0
     #: spawn a replacement worker (fresh replica id, same shard) when a
     #: replica is evicted — the elastic control plane's replacement
     #: loop applied to the process fleet. The replacement attaches the
     #: same shared model store, so catch-up is a zero-copy attach.
     respawn: bool = False
-    #: upper bound on replacement workers per run (runaway guard for
-    #: hosts where contention evicts replicas repeatedly).
-    max_respawns: int = 8
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_respawns < 0:
-            raise ValueError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
         if self.replicas_per_shard < 1:
             raise ValueError(
                 f"replicas_per_shard must be >= 1, got "
@@ -134,8 +128,8 @@ class ClusterConfig:
             )
         if self.hash_points < 1:
             raise ValueError(f"hash_points must be >= 1, got {self.hash_points}")
-        if self.ready_timeout_s <= 0 or self.drain_timeout_s <= 0:
-            raise ValueError("timeouts must be > 0")
+        if self.ready_timeout_s <= 0:
+            raise ValueError("ready_timeout_s must be > 0")
 
     @property
     def n_shards(self) -> int:
@@ -360,8 +354,8 @@ class ClusterRuntime:
     queue_depth / policy / max_level / search), same
     :class:`~repro.serve.request.ServeResult` output, same offline
     message accounting — but executes requests on ``cluster.workers``
-    OS processes. Request tracing / flight recording stay a
-    single-process feature; per-worker metrics arrive as labeled
+    OS processes. Request tracing stays a single-process feature;
+    per-worker metrics arrive as labeled
     ``cluster.worker.*`` series merged into the global registry.
 
     Use as a context manager (or call :meth:`start` / :meth:`close`):
@@ -463,12 +457,10 @@ class ClusterRuntime:
         """Publish the shared store and spawn the worker fleet."""
         if self._started:
             return
-        method = self.cluster.start_method
-        if method is None:
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        ctx = mp.get_context(method)
+        try:  # fork where the platform has it, else its default
+            ctx = mp.get_context("fork")
+        except ValueError:
+            ctx = mp.get_context()
         self._ctx = ctx
         self._store = SharedModelStore.publish(self.federation)
         self._manifest = self._store.manifest()
@@ -518,7 +510,7 @@ class ClusterRuntime:
                 task_q.put(("stop",))
             except (OSError, ValueError):  # pragma: no cover - queue broken
                 pass
-        deadline = time.monotonic() + self.cluster.drain_timeout_s
+        deadline = time.monotonic() + _CLOSE_TIMEOUT_S
         expect_bye = {
             info.replica_id
             for info in self.registry.replicas()
@@ -777,7 +769,7 @@ class ClusterRuntime:
                     dispatch(d.shard_id, d.indices)
                 if (
                     self.cluster.respawn
-                    and self.n_respawned < self.cluster.max_respawns
+                    and self.n_respawned < _MAX_RESPAWNS
                 ):
                     new_id = len(self._task_qs)
                     self.n_respawned += 1

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.serve.request import STAGES
 from repro.serve.tracing import TraceEvent, load_request_trace
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
     "render_timeline",
     "serve_report",
 ]
-
-#: stage keys as recorded on ``done`` events, in pipeline order.
-_STAGES = ("queue_wait_ms", "encode_ms", "search_ms", "escalation_rtt_ms")
 
 #: percentile bands of the critical-path table: (label, lo_q, hi_q).
 _BANDS: Tuple[Tuple[str, float, float], ...] = (
@@ -102,7 +100,7 @@ def summarize_request(events: List[TraceEvent]) -> Optional[RequestSummary]:
     if done is None:
         return None
     stage_ms = {
-        stage: float(done.attrs.get(stage, 0.0)) for stage in _STAGES
+        stage: float(done.attrs.get(stage, 0.0)) for stage in STAGES
     }
     dominant_stage = max(stage_ms, key=lambda s: stage_ms[s])
     charged = _node_time(events)
@@ -192,7 +190,7 @@ def build_report(
         stage: _percentiles(np.asarray(
             [s.stage_ms[stage] for s in summaries], dtype=np.float64
         ))
-        for stage in _STAGES
+        for stage in STAGES
     }
     stage_breakdown["total_ms"] = _percentiles(totals)
     outcomes: Dict[str, int] = {}

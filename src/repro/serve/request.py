@@ -24,7 +24,7 @@ from repro.serve.tracing import TraceContext
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.hierarchy.inference import InferenceOutcome
     from repro.network.message import Message
-    from repro.obs.telemetry import FlightEvent, TelemetryLog
+    from repro.obs.telemetry import TelemetryLog
     from repro.serve.tracing import RequestTraceLog
 
 __all__ = ["StageTimings", "ServeRequest", "ServeResponse", "ServeResult"]
@@ -125,7 +125,6 @@ class ServeResult:
         queue_high_water: Dict[int, int],
         n_retries: int = 0,
         n_timeouts: int = 0,
-        flight_events: Optional[List["FlightEvent"]] = None,
         telemetry: Optional["TelemetryLog"] = None,
         traces: Optional["RequestTraceLog"] = None,
         topology: Optional[Dict[str, object]] = None,
@@ -151,13 +150,11 @@ class ServeResult:
         self.n_retries = int(n_retries)
         #: fault injection: loss-detection / per-hop timeouts that fired.
         self.n_timeouts = int(n_timeouts)
-        #: flight-recorder dump: fault events with causal request ids
-        #: (empty when the run saw no faults / sheds).
-        self.flight_events: List["FlightEvent"] = list(flight_events or [])
         #: labeled time-series sampled during the run (None when
         #: observability was disabled).
         self.telemetry = telemetry
-        #: per-request trace-event log (None when tracing was disabled).
+        #: per-request trace-event log (None when tracing was disabled);
+        #: ``traces.faults()`` is the run's fault evidence.
         self.traces = traces
         #: runtime topology metadata: workers / replicas_per_shard /
         #: n_shards / shared_memory_bytes (plus eviction counts for

@@ -48,7 +48,7 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.network.medium import Medium, edge_medium
-from repro.obs.telemetry import FlightRecorder, TelemetryLog, TelemetrySampler
+from repro.obs.telemetry import TelemetryLog, TelemetrySampler
 import repro.serve.sanitizer as sanitizer
 from repro.serve.batcher import MicroBatcher
 from repro.serve.faults import FaultPlan
@@ -77,14 +77,10 @@ class ServeConfig:
     #: escalation ceiling (``None`` = hierarchy depth), as in
     #: ``HierarchicalInference.run(max_level=...)``.
     max_level: Optional[int] = None
-    #: simulated per-flush compute time: ``base + per_query * batch``
-    #: seconds (0 = as fast as the hardware allows; used to model slow
-    #: nodes and to force overload in tests).
+    #: simulated per-flush compute time in seconds (0 = as fast as the
+    #: hardware allows; used to model slow nodes and to force overload
+    #: in tests).
     service_time_base_s: float = 0.0
-    service_time_per_query_s: float = 0.0
-    #: telemetry sampler tick (queue depth / in-flight / per-node fault
-    #: counters); only runs when observability is enabled.
-    telemetry_interval_ms: float = 25.0
     #: associative-search override for every node's classify call
     #: (:class:`repro.core.search.SearchSpec`); ``None`` serves with
     #: the inference object's own spec, which is what keeps served
@@ -106,13 +102,8 @@ class ServeConfig:
             raise ValueError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        if self.service_time_base_s < 0 or self.service_time_per_query_s < 0:
-            raise ValueError("service times must be >= 0")
-        if self.telemetry_interval_ms <= 0:
-            raise ValueError(
-                f"telemetry_interval_ms must be > 0, got "
-                f"{self.telemetry_interval_ms}"
-            )
+        if self.service_time_base_s < 0:
+            raise ValueError("service_time_base_s must be >= 0")
         if self.search is not None and not isinstance(self.search, SearchSpec):
             raise TypeError(
                 f"search must be a SearchSpec or None, got "
@@ -157,13 +148,8 @@ class _NodeServer:
                     "hop", now_ms, node=self.node_id,
                     queue_wait_ms=wait_ms, batch=len(batch),
                 )
-        cfg = rt.config
-        service = (
-            cfg.service_time_base_s
-            + cfg.service_time_per_query_s * len(batch)
-        )
-        if service > 0:
-            await asyncio.sleep(service)
+        if rt.config.service_time_base_s > 0:
+            await asyncio.sleep(rt.config.service_time_base_s)
 
         def predict(where: Optional[np.ndarray]):
             if where is None:
@@ -235,10 +221,6 @@ class _NodeServer:
                         )
                     if obs.enabled():
                         obs.incr("serve.faults.corrupted")
-                        rt.flight.record(
-                            "corrupt", rt._elapsed(), node=self.node_id,
-                            request_id=req.index,
-                        )
         t1 = time.perf_counter()
         result = rt.federation.classifiers[self.node_id].predict(
             encoded, search=rt.search
@@ -380,12 +362,6 @@ class _NodeServer:
                         "drop", rt._now_ms(), node=self.node_id,
                         edge=edge_tag, attempt=attempt, reason=drop_reason,
                     )
-                if obs.enabled():
-                    rt.flight.record(
-                        "drop", rt._elapsed(), node=self.node_id,
-                        request_id=req.index, edge=edge_tag,
-                        attempt=attempt, reason=drop_reason,
-                    )
             # Loss detection: the sender waits out the ack timeout (and
             # the backoff when a retry is still allowed).
             rt.n_timeouts += 1
@@ -394,10 +370,6 @@ class _NodeServer:
             )
             if obs.enabled():
                 obs.incr("serve.timeouts")
-                rt.flight.record(
-                    "timeout", rt._elapsed(), node=self.node_id,
-                    edge=edge_tag, attempt=attempt, n=len(dropped),
-                )
             exhausted = attempt >= plan.max_attempts
             delay = plan.timeout_s + (
                 0.0 if exhausted else plan.backoff_s(attempt - 1)
@@ -518,9 +490,6 @@ class ServingRuntime:
         self.retries_by_node: Dict[int, int] = {}
         self.timeouts_by_node: Dict[int, int] = {}
         self.degraded_by_node: Dict[int, int] = {}
-        #: fault events with causal request ids (recorded only while
-        #: observability is enabled).
-        self.flight = FlightRecorder()
         #: finished requests flush their trace events here.
         self.trace_log = RequestTraceLog()
         #: time-series the sampler recorded (None when obs disabled).
@@ -536,7 +505,7 @@ class ServingRuntime:
 
     def _now_ms(self) -> float:
         """Milliseconds since run start — the shared trace/telemetry
-        /flight-recorder clock."""
+        clock."""
         return self._elapsed() * 1e3
 
     # ------------------------------------------------------------------
@@ -618,7 +587,6 @@ class ServingRuntime:
             self.telemetry = TelemetryLog()
             sampler = TelemetrySampler(
                 self._telemetry_readings,
-                interval_s=self.config.telemetry_interval_ms / 1e3,
                 log=self.telemetry,
                 registry=obs.get_registry(),
                 clock=self._elapsed,
@@ -670,7 +638,6 @@ class ServingRuntime:
             },
             n_retries=self.n_retries,
             n_timeouts=self.n_timeouts,
-            flight_events=self.flight.events() if tracing else None,
             telemetry=self.telemetry,
             traces=self.trace_log if tracing else None,
             topology={
@@ -732,10 +699,6 @@ class ServingRuntime:
                 )
             if obs.enabled():
                 obs.incr("serve.faults.crashed_admission")
-                self.flight.record(
-                    "crash_admission", self._elapsed(), node=req.start_leaf,
-                    request_id=req.index,
-                )
             self._finish(req, label=-1, confidence=0.0, node=-1, level=-1,
                          shed=False, degraded=True)
             return
@@ -750,10 +713,6 @@ class ServingRuntime:
                 )
             if obs.enabled():
                 obs.incr("serve.shed.admission")
-                self.flight.record(
-                    "shed", self._elapsed(), node=req.start_leaf,
-                    request_id=req.index, reason="admission",
-                )
             self._finish(req, label=-1, confidence=0.0, node=-1, level=-1,
                          shed=True)
 
@@ -800,10 +759,6 @@ class ServingRuntime:
                     )
                 if obs.enabled():
                     obs.incr("serve.shed.escalation")
-                    self.flight.record(
-                        "shed", self._elapsed(), node=destination,
-                        request_id=req.index, reason="escalation",
-                    )
                 if req.decided is not None:
                     self._answer(req, shed=True)
                 else:
@@ -824,10 +779,6 @@ class ServingRuntime:
                     )
                 if obs.enabled():
                     obs.incr("serve.timeouts")
-                    self.flight.record(
-                        "timeout", self._elapsed(), node=destination,
-                        request_id=req.index, reason="hop_timeout",
-                    )
                 if origin is not None:
                     self._degrade_cohort(origin, [req], reason="hop_timeout")
                     continue
@@ -835,11 +786,6 @@ class ServingRuntime:
                     req.trace.emit(
                         "degraded", self._now_ms(), node=destination,
                         reason="hop_timeout",
-                    )
-                if obs.enabled():
-                    self.flight.record(
-                        "degraded", self._elapsed(), node=destination,
-                        request_id=req.index, reason="hop_timeout",
                     )
                 if req.decided is not None:
                     self._answer(req, degraded=True)
@@ -876,11 +822,6 @@ class ServingRuntime:
                 req.trace.emit(
                     "degraded", self._now_ms(), node=server.node_id,
                     reason=reason,
-                )
-            if obs.enabled():
-                self.flight.record(
-                    "degraded", self._elapsed(), node=server.node_id,
-                    request_id=req.index, reason=reason,
                 )
             self._answer(req, degraded=True)
 

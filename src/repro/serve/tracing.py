@@ -33,21 +33,26 @@ Event kinds and the stage they witness:
 ``done``            terminal response (outcome + stage timing totals)
 ==================  ====================================================
 
-Timestamps are milliseconds since the serving run started, so a trace,
-the telemetry time-series and the flight recorder all share one clock.
+Timestamps are milliseconds since the serving run started, so a trace
+and the telemetry time-series share one clock.
 Event *sequences* are seed-deterministic under a
 :class:`~repro.serve.faults.FaultPlan` (fault decisions derive from
 structural tags); timestamps and batch sizes are not — comparisons must
 use :func:`semantic_timeline`.
+
+The fault kinds (:data:`FAULT_EVENTS`) are the run's post-mortem
+evidence — *why* a request degraded, not just that it did — and are
+recorded nowhere else; :meth:`RequestTraceLog.faults` is the view over
+them.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+
+from repro.obs.ring import Ring, read_jsonl
 
 __all__ = [
     "TraceEvent",
@@ -69,6 +74,10 @@ SEMANTIC_EVENTS = (
     "degraded",
     "done",
 )
+
+#: event kinds that witness a fault — the live counterparts of the
+#: paper's Fig. 12 failure mechanisms (DESIGN §4g).
+FAULT_EVENTS = ("drop", "timeout", "shed", "corrupt", "degraded")
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,17 @@ class TraceContext:
             self.hop_path.append(int(node))
 
 
-class RequestTraceLog:
+def _by_request(events: Iterable[TraceEvent]) -> Dict[int, List[TraceEvent]]:
+    """Events grouped by request id, each list in seq order."""
+    grouped: Dict[int, List[TraceEvent]] = {}
+    for event in events:
+        grouped.setdefault(event.request_id, []).append(event)
+    for timeline in grouped.values():
+        timeline.sort(key=lambda e: e.seq)
+    return grouped
+
+
+class RequestTraceLog(Ring[TraceEvent]):
     """Bounded ring of completed-request trace events.
 
     Finished requests flush their whole event list here; ring semantics
@@ -153,47 +172,34 @@ class RequestTraceLog:
     counted in :attr:`dropped`.
     """
 
-    def __init__(self, max_events: int = 500_000) -> None:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = int(max_events)
-        self._events: Deque[TraceEvent] = deque(maxlen=self.max_events)
-        #: events evicted because the ring was full.
-        self.dropped = 0
+    def __init__(self, capacity: int = 500_000) -> None:
+        super().__init__(capacity)
         #: requests whose timelines were flushed into the log.
         self.n_requests = 0
 
     def extend(self, events: List[TraceEvent]) -> None:
         for event in events:
-            if len(self._events) == self.max_events:
-                self.dropped += 1
-            self._events.append(event)
+            self.append(event)
         if events:
             self.n_requests += 1
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+    def clear(self) -> None:
+        super().clear()
+        self.n_requests = 0
 
     def by_request(self) -> Dict[int, List[TraceEvent]]:
         """Events grouped by request id, each list in seq order."""
-        grouped: Dict[int, List[TraceEvent]] = {}
-        for event in self._events:
-            grouped.setdefault(event.request_id, []).append(event)
-        for events in grouped.values():
-            events.sort(key=lambda e: e.seq)
-        return grouped
+        return _by_request(self)
 
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """One JSON object per event; returns events written."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w") as fh:
-            for event in self._events:
-                fh.write(json.dumps(event.to_dict()) + "\n")
-        return len(self._events)
+    def faults(self) -> List[TraceEvent]:
+        """Every :data:`FAULT_EVENTS` record of the run, in ring order."""
+        return [event for event in self if event.event in FAULT_EVENTS]
+
+
+def _event_or_none(data: Any) -> Optional[TraceEvent]:
+    if not isinstance(data, dict) or "event" not in data:
+        return None
+    return TraceEvent.from_dict(data)
 
 
 def load_request_trace(path: Union[str, Path]) -> Dict[int, List[TraceEvent]]:
@@ -202,30 +208,10 @@ def load_request_trace(path: Union[str, Path]) -> Dict[int, List[TraceEvent]]:
     Tolerates (and skips) non-event lines — e.g. span records from
     :meth:`repro.obs.TraceBuffer.export_jsonl` sharing the file — so a
     mixed trace file still yields every request timeline it contains.
-    A line that is not JSON (a trace cut mid-line when the run was
-    killed) or an event record without its required fields raises
-    ``ValueError`` naming the file and line.
+    A torn line or an event record without its required fields is
+    :func:`~repro.obs.ring.read_jsonl`'s ``path:line`` ``ValueError``.
     """
-    grouped: Dict[int, List[TraceEvent]] = {}
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict) or "event" not in data:
-                    continue
-                event = TraceEvent.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: unreadable trace record "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-            grouped.setdefault(event.request_id, []).append(event)
-    for events in grouped.values():
-        events.sort(key=lambda e: e.seq)
-    return grouped
+    return _by_request(read_jsonl(path, _event_or_none))
 
 
 def semantic_timeline(events: List[TraceEvent]) -> List[str]:

@@ -284,7 +284,6 @@ class TestServeBench:
         obs.reset()
         trace = tmp_path / "t.jsonl"
         exposition = tmp_path / "om.txt"
-        flight = tmp_path / "flight.jsonl"
         telemetry = tmp_path / "telemetry.jsonl"
         try:
             code = main(
@@ -295,7 +294,7 @@ class TestServeBench:
                     "--faults", "--fault-drop", "0.3", "--fault-crash", "1",
                     "--fault-seed", "42", "--trace", str(trace),
                     "--openmetrics", str(exposition),
-                    "--flight", str(flight), "--telemetry", str(telemetry),
+                    "--telemetry", str(telemetry),
                 ]
             )
         finally:
@@ -303,14 +302,40 @@ class TestServeBench:
             obs.reset()
         assert code == 0
         out = capsys.readouterr().out
-        assert "flight recorder" in out
-        assert trace.exists() and flight.exists() and telemetry.exists()
+        assert "faults: degraded" in out
+        assert trace.exists() and telemetry.exists()
         assert obs.parse_openmetrics(exposition.read_text())
         assert main(["serve-report", str(trace), "--slo-ms", "50"]) == 0
         report = capsys.readouterr().out
         assert "serve-report:" in report
         assert "critical-path attribution" in report
         assert "timeline" in report
+
+    @pytest.mark.parametrize("flag", ["--trace", "--telemetry"])
+    def test_cluster_rejects_tracing_flags_before_training(
+        self, flag, capsys, tmp_path, monkeypatch
+    ):
+        """Tracing stops at the router: say so up front, not after the run."""
+        monkeypatch.setenv("REPRO_OBS_STATS", str(tmp_path / "stats.json"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("rejected runs must not load or train")
+
+        monkeypatch.setattr("repro.cli.load_dataset", no_training)
+        out = tmp_path / "out.jsonl"
+        try:
+            code = main(
+                ["serve-bench", "--dataset", "APRI", "--workers", "2",
+                 flag, str(out)]
+            )
+        finally:
+            obs.disable()
+            obs.reset()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "request tracing stops at the cluster router" in err
+        assert "drop --trace/--telemetry or --workers" in err
+        assert not out.exists()
 
     def test_faults_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench", "--faults"])

@@ -90,6 +90,37 @@ class TestEdgeHDModel:
         )
         assert fresh.accuracy(x, y) == model.accuracy(x, y)
 
+    def test_save_lands_at_the_suffixless_path_given(self, fitted, tmp_path):
+        model, _, _, _ = fitted
+        path = tmp_path / "ckpt"
+        model.save_model(str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        fresh = EdgeHDModel(8, 2, dimension=400, seed=2).load_model(str(path))
+        assert np.array_equal(
+            fresh.class_hypervectors, model.class_hypervectors
+        )
+
+    def test_failed_save_keeps_the_previous_file(
+        self, fitted, tmp_path, monkeypatch
+    ):
+        model, _, _, _ = fitted
+        path = tmp_path / "model.npz"
+        model.save_model(str(path))
+        before = path.read_bytes()
+
+        write = np.savez_compressed
+
+        def torn_write(file, **arrays):
+            write(file, class_hypervectors=arrays["class_hypervectors"])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            model.save_model(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        EdgeHDModel(8, 2, dimension=400, seed=2).load_model(str(path))
+
     def test_load_shape_mismatch(self, fitted, tmp_path):
         model, _, _, _ = fitted
         path = str(tmp_path / "model.npz")

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.obs import TelemetryLog, TelemetrySample
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.ring import read_jsonl
 from repro.obs.spans import SpanRecord, TraceBuffer
+from repro.serve.tracing import RequestTraceLog, TraceEvent
 
 
 @pytest.fixture(autouse=True)
@@ -185,12 +188,99 @@ class TestSpans:
         assert compute() == 1
         assert len(obs.get_trace()) == 0
 
-    def test_buffer_bound_drops_oldest(self):
-        buf = TraceBuffer(max_spans=2)
+
+def _span(i):
+    return SpanRecord(name=f"s{i}", start_ns=i, duration_ns=1, depth=0)
+
+
+def _sample(i):
+    return TelemetrySample(
+        t_s=float(i), name="q.depth", value=float(i), labels=(("node", "2"),)
+    )
+
+
+def _event(i):
+    return TraceEvent(
+        request_id=0, seq=i, t_ms=float(i), event="hop", attrs={"batch": i}
+    )
+
+
+class _RingKind:
+    """One user of the ring: its class, a record factory, the record's
+    ``from_dict`` and a record line with a required key missing."""
+
+    def __init__(self, cls, make, parse, keyless, missing):
+        self.cls, self.make, self.parse = cls, make, parse
+        self.keyless, self.missing = keyless, missing
+
+
+@pytest.fixture(
+    params=[
+        _RingKind(
+            TraceBuffer, _span, SpanRecord.from_dict,
+            '{"name": "s", "duration_ns": 1, "depth": 0}', "'start_ns'",
+        ),
+        _RingKind(
+            TelemetryLog, _sample, TelemetrySample.from_dict,
+            '{"t_s": 0.5, "value": 3.0}', "'name'",
+        ),
+        _RingKind(
+            RequestTraceLog, _event, TraceEvent.from_dict,
+            '{"event": "done", "request": 4, "t_ms": 1.5}', "'seq'",
+        ),
+    ],
+    ids=lambda kind: kind.cls.__name__,
+)
+def kind(request):
+    return request.param
+
+
+class TestRing:
+    """The one ring (``repro.obs.ring``) under each of its three users."""
+
+    def test_drops_oldest_and_counts(self, kind):
+        ring = kind.cls(capacity=2)
+        records = [kind.make(i) for i in range(5)]
+        for record in records:
+            ring.append(record)
+        assert len(ring) == 2
+        assert ring.dropped == 3
+        assert list(ring) == records[3:]
+        ring.clear()
+        assert len(ring) == 0 and ring.dropped == 0
+
+    def test_invalid_capacity_rejected(self, kind):
+        with pytest.raises(ValueError, match="capacity"):
+            kind.cls(capacity=0)
+
+    def test_jsonl_round_trip(self, kind, tmp_path):
+        ring = kind.cls()
         for i in range(3):
-            buf.add(SpanRecord(name=f"s{i}", start_ns=i, duration_ns=1, depth=0))
-        assert [r.name for r in buf] == ["s1", "s2"]
-        assert buf.dropped == 1
+            ring.append(kind.make(i))
+        path = tmp_path / "deep" / "stream.jsonl"
+        assert ring.export_jsonl(path) == 3
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            r.to_dict() for r in ring
+        ]
+        assert read_jsonl(path, kind.parse) == list(ring)
+
+    @pytest.mark.parametrize("torn", [True, False], ids=["torn-line", "no-key"])
+    def test_load_names_file_and_line_of_a_bad_record(
+        self, kind, torn, tmp_path
+    ):
+        ring = kind.cls()
+        ring.append(kind.make(0))
+        ring.append(kind.make(1))
+        path = tmp_path / "stream.jsonl"
+        ring.export_jsonl(path)
+        with path.open("a") as fh:
+            fh.write("\n" + (kind.keyless[:-7] if torn else kind.keyless))
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(path, kind.parse)
+        assert str(excinfo.value).startswith(f"{path}:4: ")
+        expected = "JSONDecodeError" if torn else kind.missing
+        assert expected in str(excinfo.value)
 
 
 class TestJsonl:
@@ -204,7 +294,7 @@ class TestJsonl:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert all(isinstance(json.loads(l), dict) for l in lines)
-        restored = TraceBuffer.load_jsonl(path)
+        restored = read_jsonl(path, SpanRecord.from_dict)
         assert [r.to_dict() for r in restored] == [
             r.to_dict() for r in obs.get_trace()
         ]

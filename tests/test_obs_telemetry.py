@@ -1,24 +1,23 @@
-"""Labeled metrics, registry merge, OpenMetrics, telemetry, flight recorder.
+"""Labeled metrics, registry merge, OpenMetrics, telemetry.
 
 The observability surfaces added for the serving stack: series-key
 labeled instruments and :meth:`MetricsRegistry.merge` (what ``repro
 stats --merge`` folds per-worker dumps with), the OpenMetrics text
-round trip, the :class:`TelemetrySampler` time-series path and the
-:class:`FlightRecorder` fault ring. Trace-context propagation through
-the serving runtime itself lives in ``test_serve_tracing``.
+round trip and the :class:`TelemetrySampler` time-series path. The
+ring under :class:`TelemetryLog` is tested in ``test_obs`` (``TestRing``);
+trace-context propagation through the serving runtime itself lives in
+``test_serve_tracing``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 
 import pytest
 
 import repro.obs as obs
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
     TelemetryLog,
     TelemetrySampler,
@@ -27,7 +26,6 @@ from repro.obs import (
     parse_series_key,
     render_openmetrics,
 )
-from repro.obs.telemetry import FlightEvent
 
 
 @pytest.fixture(autouse=True)
@@ -238,26 +236,6 @@ class TestTelemetryLog:
         assert log.series("q.depth", node=0) == [(0.1, 3.0), (0.3, 4.0)]
         assert log.series("q.depth") == [(0.1, 3.0), (0.2, 5.0), (0.3, 4.0)]
 
-    def test_ring_drops_oldest_and_counts(self):
-        log = TelemetryLog(max_samples=2)
-        for i in range(5):
-            log.record("m", float(i), t_s=float(i))
-        assert len(log) == 2
-        assert log.dropped == 3
-        assert [s.value for s in log] == [3.0, 4.0]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = TelemetryLog()
-        log.record("q.depth", 3.0, t_s=0.5, labels={"node": 2})
-        path = tmp_path / "telemetry.jsonl"
-        assert log.export_jsonl(path) == 1
-        restored = TelemetryLog.load_jsonl(path)
-        assert [s.to_dict() for s in restored] == [s.to_dict() for s in log]
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="max_samples"):
-            TelemetryLog(max_samples=0)
-
 
 class TestTelemetrySampler:
     def _probe(self):
@@ -302,46 +280,3 @@ class TestTelemetrySampler:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="interval_s"):
             TelemetrySampler(self._probe, interval_s=0.0)
-
-
-class TestFlightRecorder:
-    def test_records_carry_causal_request_ids(self):
-        rec = FlightRecorder()
-        rec.record("drop", t_s=0.1, node=2, request_id=7, edge="2->0")
-        rec.record("timeout", t_s=0.2, node=2, request_id=7)
-        rec.record("degraded", t_s=0.3, node=1, request_id=9)
-        assert [e.kind for e in rec.for_request(7)] == ["drop", "timeout"]
-        assert rec.by_kind() == {"drop": 1, "timeout": 1, "degraded": 1}
-
-    def test_ring_drops_oldest_and_counts(self):
-        rec = FlightRecorder(max_events=2)
-        for i in range(4):
-            rec.record("drop", t_s=float(i), request_id=i)
-        assert len(rec) == 2
-        assert rec.dropped == 2
-        assert [e.request_id for e in rec] == [2, 3]
-
-    def test_summary_names_kinds_and_requests(self):
-        rec = FlightRecorder()
-        assert "no fault events" in rec.summary()
-        rec.record("drop", t_s=0.1, request_id=3)
-        rec.record("drop", t_s=0.2, request_id=4)
-        text = rec.summary()
-        assert "drop x2" in text
-        assert "2 requests" in text
-
-    def test_jsonl_round_trip(self, tmp_path):
-        rec = FlightRecorder()
-        rec.record("corrupt", t_s=0.5, node=1, request_id=11, lost_dims=4)
-        path = tmp_path / "flight.jsonl"
-        assert rec.export_jsonl(path) == 1
-        restored = FlightRecorder.load_jsonl(path)
-        assert len(restored) == 1
-        assert isinstance(restored[0], FlightEvent)
-        assert restored[0].to_dict() == rec.events()[0].to_dict()
-        raw = json.loads(path.read_text())
-        assert raw["request"] == 11
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="max_events"):
-            FlightRecorder(max_events=0)

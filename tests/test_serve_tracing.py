@@ -5,10 +5,11 @@ request through queues and escalation bundles, so after a chaos run
 (message drops + a crashed internal node) a degraded request's full
 causal timeline — admission, hops, escalation attempts, timeouts,
 retries, the degraded answer — is reconstructable from the trace log
-alone, with consistent request ids across the trace, the flight
-recorder and the telemetry stream, and with a seed-deterministic
-semantic skeleton across two same-seed runs. The report module and the
-``repro serve-report`` CLI are tested on the same traces.
+alone, with the run's fault evidence a view over that same log
+(``traces.faults()``), totals that agree with the telemetry stream,
+and a seed-deterministic semantic skeleton across two same-seed runs.
+The report module and the ``repro serve-report`` CLI are tested on the
+same traces.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.serve.report import (
     summarize_request,
 )
 from repro.serve.tracing import (
+    FAULT_EVENTS,
     SEMANTIC_EVENTS,
     RequestTraceLog,
     TraceContext,
@@ -101,7 +103,7 @@ class TestTracePropagation:
         first, _, _, workload = chaos_traced
         assert first.traces is not None
         assert first.telemetry is not None
-        assert first.flight_events
+        assert first.traces.faults()
         assert first.traces.n_requests == len(workload)
         assert first.n_degraded > 0 and first.n_retries > 0
 
@@ -155,14 +157,29 @@ class TestTracePropagation:
         assert done.attrs["attempts"] == n_escalate >= 2
         assert done.attrs["hops"] >= 1
 
-    def test_flight_recorder_shares_request_ids(self, chaos_traced):
+    def test_fault_view_shares_request_ids(self, chaos_traced):
         first, _, _, _ = chaos_traced
         request_id, _ = _degraded_target(first)
         kinds = {
-            e.kind for e in first.flight_events
+            e.event for e in first.traces.faults()
             if e.request_id == request_id
         }
-        assert "degraded" in kinds
+        assert {"drop", "timeout", "degraded"} <= kinds
+
+    def test_faults_view_is_the_fault_record(self, chaos_traced):
+        first, _, _, workload = chaos_traced
+        faults = first.traces.faults()
+        by_req = first.traces.by_request()
+        assert {e.event for e in faults} <= set(FAULT_EVENTS)
+        assert faults == [e for e in first.traces if e.event in FAULT_EVENTS]
+        for event in faults:
+            timeline = by_req[event.request_id]
+            assert event in timeline
+            assert timeline[0].event == "admitted"
+            assert timeline[-1].event == "done"
+        degraded = [e for e in faults if e.event == "degraded"]
+        assert len(degraded) == first.n_degraded > 0
+        assert len({e.request_id for e in degraded}) == first.n_degraded
 
     def test_telemetry_sampled_per_node_series(self, chaos_traced):
         first, _, _, _ = chaos_traced
@@ -196,9 +213,10 @@ class TestTracePropagation:
         assert not obs.enabled()
         runtime = ServingRuntime(inference, MEDIUM, CONFIG)
         result = runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
+        # no trace, hence no fault view: result.traces.faults() is all
+        # the fault evidence a run keeps
         assert result.traces is None
         assert result.telemetry is None
-        assert result.flight_events == []
 
 
 class TestRequestTraceLog:
@@ -208,12 +226,29 @@ class TestRequestTraceLog:
         )
 
     def test_ring_drops_oldest_and_counts(self):
-        log = RequestTraceLog(max_events=3)
+        """A flushed request counts even when the ring evicts its head."""
+        log = RequestTraceLog(capacity=3)
         log.extend([self._event(0, s) for s in range(5)])
         assert len(log) == 3
         assert log.dropped == 2
         assert log.n_requests == 1
         assert [e.seq for e in log] == [2, 3, 4]
+        log.clear()
+        assert (len(log), log.dropped, log.n_requests) == (0, 0, 0)
+
+    def test_faults_keeps_ring_order_and_only_fault_kinds(self):
+        log = RequestTraceLog()
+        log.extend([
+            self._event(1, 0, "admitted"), self._event(1, 1, "shed"),
+            self._event(1, 2, "done"),
+        ])
+        log.extend([
+            self._event(0, 0, "admitted"), self._event(0, 1, "corrupt"),
+            self._event(0, 2, "retry"), self._event(0, 3, "degraded"),
+        ])
+        assert [(e.request_id, e.event) for e in log.faults()] == [
+            (1, "shed"), (0, "corrupt"), (0, "degraded"),
+        ]
 
     def test_by_request_groups_and_sorts(self):
         log = RequestTraceLog()
@@ -228,10 +263,6 @@ class TestRequestTraceLog:
         log = RequestTraceLog()
         log.extend([])
         assert log.n_requests == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="max_events"):
-            RequestTraceLog(max_events=0)
 
     def test_export_load_round_trip_skips_foreign_lines(self, tmp_path):
         log = RequestTraceLog()
