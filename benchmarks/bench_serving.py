@@ -1,33 +1,22 @@
-"""Serving-runtime benchmark: throughput vs tail latency (Sec. IV-C).
+"""Serving-runtime smoke: served answers == the offline walk (Sec. IV-C).
 
-Drives a trained TREE federation through :mod:`repro.serve` across a
-grid of micro-batch windows x escalation confidence thresholds x
-dense/packed search backends, all under the same open-loop Poisson
-arrival stream. Each cell reports sustained throughput, exact
-p50/p95/p99 total latency, the per-stage breakdown, escalation volume
-and accuracy — the live-system counterpart of the offline message
-accounting in ``repro.hierarchy.inference``.
+The timing-independent contracts of :mod:`repro.serve` on one small
+trained TREE federation: the served labels / deciding nodes / levels /
+message accounting equal ``HierarchicalInference.run`` on the same
+queries and seed; an overloaded shed-policy run sheds instead of
+growing its queues; and, with ``--workers N``, the N-process
+:class:`repro.serve.ClusterRuntime` gives the same answers from
+zero-copy shared-memory model replicas.
 
-Beyond the single-process grid, a scaling section drives the
-multi-process :class:`repro.serve.ClusterRuntime` at the same offered
-load with workers in ``SCALING_WORKERS`` — shared-memory model
-replicas, consistent-hash sharding — and every cell records its
-runtime topology (workers / replicas / shared bytes) plus the
-degraded-answer rate.
-
-Emits ``benchmarks/results/BENCH_serving.json`` plus a human-readable
-table. Run standalone with ``python benchmarks/bench_serving.py
-[--smoke [--workers N]]``; ``--smoke`` skips the timing grid and only
-runs the timing-independent checks (served answers identical to the
-offline walk; overload sheds instead of growing queues; with
-``--workers N`` the N-process cluster equivalence + zero-copy attach),
-which is also what ``tests/test_bench_serving_smoke.py`` exercises.
+Run standalone with ``python benchmarks/bench_serving.py [--smoke]
+[--workers N]`` (the CI ``cluster-smoke`` job passes ``--smoke
+--workers 2``); ``tests/test_bench_serving_smoke.py`` runs the same
+checks in tier-1. Serving throughput and latency are measured by
+``benchmarks/e2e`` (see its README), not here.
 """
 
 import numpy as np
-from _common import RESULTS_DIR, bench_scale, save_json, save_report
 
-import repro.obs as obs
 from repro.config import EdgeHDConfig
 from repro.data import DATASETS, load_dataset, partition_features
 from repro.hierarchy import (
@@ -35,7 +24,6 @@ from repro.hierarchy import (
     HierarchicalInference,
     build_tree,
 )
-from repro.core.search import SearchSpec
 from repro.network.medium import get_medium
 from repro.serve import (
     ClusterConfig,
@@ -46,211 +34,6 @@ from repro.serve import (
 )
 
 DATASET = "APRI"
-MEDIUM = "wifi-802.11ac"
-
-#: grid: micro-batch window (ms) x confidence threshold x search spec.
-WAIT_WINDOWS_MS = (0.5, 2.0, 8.0)
-THRESHOLDS = (0.6, 0.8, 0.95)
-SEARCH_SPECS = (SearchSpec(backend="dense"), SearchSpec(backend="packed"))
-MAX_BATCH = 32
-RATE_RPS = 1500.0
-#: worker counts for the multi-process scaling curve.
-SCALING_WORKERS = (1, 2, 4, 8)
-
-
-def train_federation(scale=None):
-    """One TREE federation on the benchmark dataset; reused per cell."""
-    scale = scale or bench_scale()
-    spec = DATASETS[DATASET]
-    data = load_dataset(
-        DATASET, scale=scale.data_scale, max_train=scale.max_train,
-        max_test=scale.max_test, seed=7,
-    )
-    partition = partition_features(data.n_features, spec.n_end_nodes)
-    config = EdgeHDConfig(
-        dimension=scale.dimension, retrain_epochs=scale.retrain_epochs,
-        batch_size=scale.batch_size, seed=7,
-    )
-    federation = EdgeHDFederation(
-        build_tree(spec.n_end_nodes), partition, data.n_classes, config
-    )
-    federation.fit_offline(data.train_x, data.train_y)
-    return federation, data
-
-
-def run_cell(
-    federation, data, wait_ms, threshold, search, workers=1,
-    force_cluster=False,
-):
-    if isinstance(search, str):
-        search = SearchSpec(backend=search)
-    inference = HierarchicalInference(
-        federation, confidence_threshold=threshold, search=search
-    )
-    workload = make_workload(data.test_x, inference, seed=3, labels=data.test_y)
-    config = ServeConfig(
-        max_batch=MAX_BATCH,
-        max_wait_ms=wait_ms,
-        queue_depth=max(64, len(workload)),
-    )
-    if workers > 1 or force_cluster:
-        with ClusterRuntime(
-            inference, get_medium(MEDIUM), config,
-            cluster=ClusterConfig(workers=workers),
-        ) as runtime:
-            result = runtime.serve_open_loop(
-                workload, rate_rps=RATE_RPS, seed=1
-            )
-    else:
-        runtime = ServingRuntime(inference, get_medium(MEDIUM), config)
-        result = runtime.serve_open_loop(workload, rate_rps=RATE_RPS, seed=1)
-    assert result.n_shed == 0, "grid cells must run below overload"
-    labels = np.asarray([r.label for r in result.responses])
-    return {
-        "max_wait_ms": wait_ms,
-        "threshold": threshold,
-        "backend": search.backend,
-        "search": search.to_metadata(),
-        "n_requests": result.n_total,
-        "throughput_rps": result.throughput_rps,
-        "latency_ms": result.percentiles(),
-        "stages": result.stage_breakdown(),
-        "escalated": int(sum(result.escalations.values())),
-        "wire_bytes": result.wire_bytes,
-        "energy_j": result.energy_j,
-        "accuracy": workload.accuracy(labels),
-        "degraded_rate": result.degraded_rate,
-        "topology": result.topology,
-    }
-
-
-def run_grid(scale=None) -> dict:
-    federation, data = train_federation(scale)
-    cells = [
-        run_cell(federation, data, wait_ms, threshold, search)
-        for search in SEARCH_SPECS
-        for threshold in THRESHOLDS
-        for wait_ms in WAIT_WINDOWS_MS
-    ]
-    return {
-        "dataset": DATASET,
-        "medium": MEDIUM,
-        "rate_rps": RATE_RPS,
-        "max_batch": MAX_BATCH,
-        "note": (
-            "open-loop Poisson arrivals; exact percentiles over "
-            "per-request totals (queue wait + encode + search + "
-            "escalation RTT)"
-        ),
-        "cells": cells,
-    }
-
-
-def run_scaling(federation, data) -> list:
-    """Throughput / p99 vs worker count at the full offered load.
-
-    One point per ``SCALING_WORKERS`` entry, all serving the same
-    workload at ``RATE_RPS`` offered Poisson load with default grid
-    settings (2 ms window, 0.8 threshold, dense search). The
-    ``workers=1`` point also runs through the cluster so the curve
-    isolates process scaling from router overhead.
-    """
-    points = []
-    for workers in SCALING_WORKERS:
-        cell = run_cell(
-            federation, data, 2.0, 0.8, "dense",
-            workers=workers, force_cluster=True,
-        )
-        points.append(
-            {
-                "workers": workers,
-                "throughput_rps": cell["throughput_rps"],
-                "p50_ms": cell["latency_ms"]["p50"],
-                "p99_ms": cell["latency_ms"]["p99"],
-                "degraded_rate": cell["degraded_rate"],
-                "topology": cell["topology"],
-                "accuracy": cell["accuracy"],
-            }
-        )
-        print(
-            f"  scaling: workers={workers} -> "
-            f"{cell['throughput_rps']:.0f} req/s, "
-            f"p99 {cell['latency_ms']['p99']:.2f} ms"
-        )
-    return points
-
-
-def export_openmetrics_example(federation, data) -> dict:
-    """One instrumented cell, exported as an OpenMetrics exposition.
-
-    Serves a single fault-free cell with observability on and writes
-    the resulting registry — latency histograms plus the sampler's
-    labeled per-node gauges — as Prometheus-scrapable text under
-    ``benchmarks/results/BENCH_serving_openmetrics.txt``.
-    """
-    was_enabled = obs.enabled()
-    obs.reset()
-    obs.enable()
-    try:
-        cell = run_cell(federation, data, 2.0, 0.8, "dense")
-        text = obs.render_openmetrics()
-    finally:
-        if not was_enabled:
-            obs.disable()
-        obs.reset()
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / "BENCH_serving_openmetrics.txt"
-    path.write_text(text)
-    families = obs.parse_openmetrics(text)
-    print(f"[saved {len(families)} OpenMetrics families to "
-          f"benchmarks/results/{path.name}]")
-    return {
-        "families": len(families),
-        "throughput_rps": cell["throughput_rps"],
-    }
-
-
-def format_grid(payload: dict) -> str:
-    lines = [
-        f"Serving {payload['dataset']} over {payload['medium']} at "
-        f"{payload['rate_rps']:.0f} req/s (open-loop Poisson)",
-        f"{'backend':>7} {'thresh':>6} {'wait ms':>7} {'rps':>6} "
-        f"{'p50':>7} {'p95':>7} {'p99':>7} {'escal':>6} {'degr':>6} "
-        f"{'acc':>6}",
-    ]
-    for c in payload["cells"]:
-        p = c["latency_ms"]
-        lines.append(
-            f"{c['backend']:>7} {c['threshold']:>6.2f} "
-            f"{c['max_wait_ms']:>7.1f} {c['throughput_rps']:>6.0f} "
-            f"{p['p50']:>7.2f} {p['p95']:>7.2f} {p['p99']:>7.2f} "
-            f"{c['escalated']:>6d} {c['degraded_rate']:>6.1%} "
-            f"{c['accuracy']:>6.3f}"
-        )
-    lines.append(
-        "(p50/p95/p99 in ms over per-request total latency; 'escal' = "
-        "queries escalated past their entry node; 'degr' = fraction "
-        "answered in degraded mode)"
-    )
-    if payload.get("scaling"):
-        lines.append("")
-        lines.append(
-            f"Worker scaling (cluster, {payload['rate_rps']:.0f} req/s "
-            "offered, dense search, threshold 0.8, 2 ms window)"
-        )
-        lines.append(
-            f"{'workers':>7} {'shards':>6} {'rps':>6} {'p50':>7} "
-            f"{'p99':>7} {'degr':>6} {'shm KiB':>8}"
-        )
-        for s in payload["scaling"]:
-            topo = s["topology"]
-            lines.append(
-                f"{s['workers']:>7d} {topo['n_shards']:>6d} "
-                f"{s['throughput_rps']:>6.0f} {s['p50_ms']:>7.2f} "
-                f"{s['p99_ms']:>7.2f} {s['degraded_rate']:>6.1%} "
-                f"{topo['shared_memory_bytes'] / 1024:>8.1f}"
-            )
-    return "\n".join(lines)
 
 
 def check_equivalence() -> dict:
@@ -384,23 +167,6 @@ def check_cluster_equivalence(workers=2) -> dict:
     }
 
 
-def bench_serving(benchmark):
-    """pytest-benchmark entry: full grid + scaling + equivalence smokes."""
-    payload = benchmark.pedantic(
-        run_grid, rounds=1, iterations=1, warmup_rounds=0
-    )
-    payload["smoke"] = check_equivalence()
-    payload["cluster_smoke"] = check_cluster_equivalence(workers=2)
-    federation, data = train_federation()
-    payload["scaling"] = run_scaling(federation, data)
-    payload["openmetrics"] = export_openmetrics_example(federation, data)
-    save_json("BENCH_serving", payload)
-    save_report("bench_serving", format_grid(payload))
-    for cell in payload["cells"]:
-        assert cell["latency_ms"]["p99"] >= cell["latency_ms"]["p50"]
-        assert cell["topology"]["workers"] >= 1
-
-
 def main(argv=None) -> None:
     import argparse
 
@@ -408,31 +174,21 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="skip the timing grid; only run the timing-independent "
-        "serving-vs-offline equivalence + overload shedding checks",
+        help="run the timing-independent serving-vs-offline equivalence "
+        "+ overload shedding checks (all this script does)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="with --smoke: also verify the --workers-process cluster "
-        "answers match the offline walk with zero-copy shared models",
+        help="also verify the --workers-process cluster answers match "
+        "the offline walk with zero-copy shared models",
     )
     args = parser.parse_args(argv)
-    if args.smoke:
-        evidence = check_equivalence()
-        if args.workers > 1:
-            evidence["cluster"] = check_cluster_equivalence(args.workers)
-        print(f"serving smoke OK: {evidence}")
-        return
-    payload = run_grid()
-    payload["smoke"] = check_equivalence()
-    payload["cluster_smoke"] = check_cluster_equivalence(workers=2)
-    federation, data = train_federation()
-    payload["scaling"] = run_scaling(federation, data)
-    payload["openmetrics"] = export_openmetrics_example(federation, data)
-    save_json("BENCH_serving", payload)
-    save_report("bench_serving", format_grid(payload))
+    evidence = check_equivalence()
+    if args.workers > 1:
+        evidence["cluster"] = check_cluster_equivalence(args.workers)
+    print(f"serving smoke OK: {evidence}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ single-node level (Sections III and IV-A/C/D primitives); the
 hierarchy-level orchestration lives in :mod:`repro.hierarchy`.
 """
 
-from repro.core.adaptive import AdaptiveOnlineUpdater
 from repro.core.classifier import (
     BACKENDS,
     HDClassifier,
@@ -24,7 +23,6 @@ from repro.core.kernels import (
 )
 from repro.core.predictor import (
     Predictor,
-    SearchAwarePredictor,
     result_from_proba,
     result_from_scores,
 )
@@ -85,10 +83,8 @@ from repro.core.quantize import (
 from repro.core.projection import TernaryProjection, concatenate_hypervectors
 
 __all__ = [
-    "AdaptiveOnlineUpdater",
     "BACKENDS",
     "SearchSpec",
-    "SearchAwarePredictor",
     "get_default_search",
     "resolve_search",
     "set_default_search",

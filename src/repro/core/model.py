@@ -33,7 +33,6 @@ __all__ = [
     "hypervector_bytes",
     "class_model_bytes",
     "raw_data_bytes",
-    "shared_replica_bytes",
 ]
 
 #: Bytes per element on the wire. Encoded hypervectors are bipolar and
@@ -65,26 +64,6 @@ def raw_data_bytes(n_samples: int, n_features: int) -> int:
     if n_samples < 0 or n_features <= 0:
         raise ValueError("invalid raw data shape")
     return n_samples * n_features * _RAW_FEATURE_BYTES
-
-
-def shared_replica_bytes(n_classes: int, dimension: int) -> int:
-    """In-memory size of one node's shared-memory model replica.
-
-    The serving cluster's :class:`repro.serve.shard.SharedModelStore`
-    keeps three matrices per node: float64 class hypervectors, their
-    normalized rows, and the bit-packed uint64 sign model. This is the
-    RAM cost shared by *all* worker processes combined — contrast with
-    :func:`class_model_bytes`, the cost of shipping the model over the
-    paper's wireless uplink.
-    """
-    from repro.core.kernels import packed_nbytes
-
-    if n_classes <= 0:
-        raise ValueError(f"n_classes must be positive, got {n_classes}")
-    if dimension <= 0:
-        raise ValueError(f"dimension must be positive, got {dimension}")
-    dense = n_classes * dimension * 8  # float64
-    return 2 * dense + packed_nbytes(n_classes, dimension)
 
 
 @dataclass

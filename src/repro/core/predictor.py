@@ -27,12 +27,10 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.classifier import PredictionResult, softmax_confidence
-from repro.core.search import SearchSpec
 from repro.utils.validation import check_matrix
 
 __all__ = [
     "Predictor",
-    "SearchAwarePredictor",
     "result_from_scores",
     "result_from_proba",
 ]
@@ -53,22 +51,6 @@ class Predictor(Protocol):
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Per-class probabilities, shape ``(n_samples, n_classes)``."""
         ...
-
-
-@runtime_checkable
-class SearchAwarePredictor(Predictor, Protocol):
-    """A predictor whose associative search is tunable per object.
-
-    HD-family models (``HDClassifier``, ``EdgeHDModel``, the HD
-    baselines) expose their resolved
-    :class:`~repro.core.search.SearchSpec` as a ``search`` attribute;
-    harness code that wants to force a backend or pruning mode checks
-    for this protocol rather than special-casing model classes —
-    non-HD baselines (SVM, boosting) have no associative search and
-    simply don't conform.
-    """
-
-    search: SearchSpec
 
 
 def result_from_scores(

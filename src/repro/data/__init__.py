@@ -8,12 +8,6 @@ from repro.data.datasets import (
     load_dataset,
 )
 from repro.data.partition import FeaturePartition, partition_features
-from repro.data.streams import (
-    DriftStream,
-    GradualDrift,
-    RecurringDrift,
-    ShiftDrift,
-)
 from repro.data.synthetic import SyntheticDataset, make_classification, train_test_split
 
 __all__ = [
@@ -24,10 +18,6 @@ __all__ = [
     "load_dataset",
     "FeaturePartition",
     "partition_features",
-    "DriftStream",
-    "GradualDrift",
-    "RecurringDrift",
-    "ShiftDrift",
     "SyntheticDataset",
     "make_classification",
     "train_test_split",

@@ -66,10 +66,8 @@ def _drift_offsets(n_features: int, strength: float, seed: int) -> np.ndarray:
     The paper's online phase runs over later, time-ordered data
     ("propagate the models every midnight, based on the timestamps"),
     i.e. the deployed distribution has moved since offline training —
-    the situation online learning exists to fix. The shape is the same
-    as :class:`repro.data.streams.ShiftDrift` (kept inline here for
-    stream-seed stability); richer drift shapes — gradual, recurring —
-    live in :mod:`repro.data.streams`.
+    the situation online learning exists to fix: one fixed random
+    offset of every feature mean, applied to the whole online stream.
     """
     from repro.utils.rng import derive_rng
 

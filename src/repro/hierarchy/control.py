@@ -770,30 +770,33 @@ class TopologyController:
 # ----------------------------------------------------------------------
 # replacement scenario harness
 # ----------------------------------------------------------------------
+#: Virtual seconds between propagation barriers.
+_STEP_DURATION_S = 2.0
+#: Offered load of the two serve phases.
+_SERVE_RATE_RPS = 2000.0
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Deterministic schedule for one crash-replacement scenario.
 
     The feedback stream splits into ``n_steps`` segments; each segment
     records feedback, then hits the propagation barrier and a
-    checkpoint. During segment ``crash_step`` the victim leaf crashes
-    mid-segment — after half of the segment's feedback was applied and
-    with the other half arriving while it is down — is detected by
-    lease expiry, and respawns from the latest checkpoint before the
-    barrier. Mid-outage the system serves a workload under a
-    :class:`~repro.serve.faults.FaultPlan` with the victim's crash
-    window (plus message drops), and serves it again fault-free after
-    recovery.
+    checkpoint. During segment ``crash_step`` the victim (the first
+    end node) crashes mid-segment — after half of the segment's
+    feedback was applied and with the other half arriving while it is
+    down — is detected by lease expiry, and respawns from the latest
+    checkpoint before the barrier. Mid-outage the system serves a
+    workload under a :class:`~repro.serve.faults.FaultPlan` with the
+    victim's crash window (plus message drops), and serves it again
+    fault-free after recovery.
     """
 
     n_steps: int = 3
     crash_step: int = 1
-    crash_leaf: Optional[int] = None
     lease_timeout_s: float = 0.5
     heartbeat_period_s: float = 0.25
-    step_duration_s: float = 2.0
     drop_probability: float = 0.1
-    serve_rate_rps: float = 2000.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -830,7 +833,7 @@ def _serve_phase(inference, serve_x, spec: ScenarioSpec, plan):
         fault_plan=plan,
     )
     result = runtime.serve_open_loop(
-        workload, rate_rps=spec.serve_rate_rps, seed=spec.seed
+        workload, rate_rps=_SERVE_RATE_RPS, seed=spec.seed
     )
     return result, len(workload) - result.n_total
 
@@ -863,9 +866,7 @@ def run_replacement_scenario(
     fed = controller.federation
     hierarchy = fed.hierarchy
     leaves = hierarchy.leaves()
-    victim = spec.crash_leaf if spec.crash_leaf is not None else leaves[0]
-    if victim not in leaves:
-        raise ValueError(f"crash_leaf {victim} is not an end node")
+    victim = leaves[0]
     stream_x = check_matrix(
         "stream_x", stream_x, cols=fed.partition.n_features
     )
@@ -952,7 +953,7 @@ def run_replacement_scenario(
         # next crash would catch up from.
         controller.learner.propagate()
         controller.checkpoint(checkpoint_path)
-        clock += spec.step_duration_s
+        clock += _STEP_DURATION_S
         controller.heartbeat_active(clock)
         events.append(f"barrier:{step}@{clock:.2f}")
     final_serve, n_lost_final = _serve_phase(inference, serve_x, spec, None)

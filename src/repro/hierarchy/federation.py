@@ -274,22 +274,9 @@ class EdgeHDFederation:
         if view not in {"own", "forward"}:
             raise ValueError(f"view must be 'own' or 'forward', got {view!r}")
         mat = check_matrix("features", features, cols=self.partition.n_features)
-        own: Dict[int, np.ndarray] = {}
-        forward: Dict[int, np.ndarray] = {}
-        for node_id in self.hierarchy.postorder():
-            node = self.hierarchy.nodes[node_id]
-            if node.is_leaf:
-                encoded = self.encode_leaf(node_id, mat)
-                own[node_id] = encoded
-                forward[node_id] = encoded
-            else:
-                children = [forward[c] for c in node.children]
-                raw = self.combine_children(node_id, children, binarize=False)
-                own[node_id] = raw
-                forward[node_id] = (
-                    sign_binarize(raw) if self.config.binarize else raw
-                )
-        return own if view == "own" else forward
+        lazy = LazyEncodings(self, mat)
+        look_up = lazy.own if view == "own" else lazy.forward
+        return {nid: look_up(nid) for nid in self.hierarchy.postorder()}
 
     def encode_lazy(
         self,
@@ -326,19 +313,8 @@ class EdgeHDFederation:
         mat = check_matrix("features", features, cols=self.partition.n_features)
         if view not in {"own", "forward"}:
             raise ValueError(f"view must be 'own' or 'forward', got {view!r}")
-
-        def encode(nid: int) -> tuple[np.ndarray, np.ndarray]:
-            node = self.hierarchy.nodes[nid]
-            if node.is_leaf:
-                encoded = self.encode_leaf(nid, mat)
-                return encoded, encoded
-            children = [encode(c)[1] for c in node.children]
-            raw = self.combine_children(nid, children, binarize=False)
-            fwd = sign_binarize(raw) if self.config.binarize else raw
-            return raw, fwd
-
-        own, forward = encode(node_id)
-        return own if view == "own" else forward
+        lazy = LazyEncodings(self, mat)
+        return lazy.own(node_id) if view == "own" else lazy.forward(node_id)
 
     # ------------------------------------------------------------------
     # offline federated training (Sec. IV-B)
@@ -529,14 +505,14 @@ class EdgeHDFederation:
 class LazyEncodings:
     """Memoized per-node hierarchical encodings of one feature batch.
 
-    Produced by :meth:`EdgeHDFederation.encode_lazy`. Node encodings are
-    computed with exactly the same per-node arithmetic as
-    :meth:`EdgeHDFederation.encode_all` — leaf slice encoding, children
-    forward concatenation, ternary projection — but only when a node is
-    first accessed, and each node at most once. Because every node's
-    encoding depends only on its own subtree (never on evaluation
-    order), the values are bit-identical to the eager path for whichever
-    subset of nodes a caller touches.
+    The one implementation of the hierarchical-encoding recurrence —
+    leaf slice encoding, children forward concatenation, ternary
+    projection (:meth:`_materialize`); :meth:`EdgeHDFederation.encode_all`
+    and :meth:`~EdgeHDFederation.encode_at` are look-ups over it. A node
+    is encoded when first accessed, and at most once. Because every
+    node's encoding depends only on its own subtree (never on
+    evaluation order), the values are the same for whichever subset of
+    nodes a caller touches.
     """
 
     def __init__(
@@ -552,16 +528,7 @@ class LazyEncodings:
         for node_id, encoded in (prefill or {}).items():
             if node_id not in federation.hierarchy.nodes:
                 raise KeyError(f"prefill references unknown node {node_id}")
-            self._own[node_id] = encoded
-            node = federation.hierarchy.nodes[node_id]
-            # Mirror encode_all's forward view: leaves forward what they
-            # classify with; internal nodes forward the binarized copy.
-            if node.is_leaf:
-                self._forward[node_id] = encoded
-            elif federation.config.binarize:
-                self._forward[node_id] = sign_binarize(encoded)
-            else:
-                self._forward[node_id] = encoded
+            self._store(node_id, encoded)
 
     def own(self, node_id: int) -> np.ndarray:
         """What ``node_id`` classifies with (raw values at internal nodes)."""
@@ -600,13 +567,22 @@ class LazyEncodings:
         if node is None:
             raise KeyError(f"unknown node {node_id}")
         if node.is_leaf:
-            encoded = federation.encode_leaf(node_id, self._mat)
-            self._own[node_id] = encoded
-            self._forward[node_id] = encoded
-            return
-        children = [self.forward(child) for child in node.children]
-        raw = federation.combine_children(node_id, children, binarize=False)
-        self._own[node_id] = raw
+            own = federation.encode_leaf(node_id, self._mat)
+        else:
+            children = [self.forward(child) for child in node.children]
+            own = federation.combine_children(
+                node_id, children, binarize=False
+            )
+        self._store(node_id, own)
+
+    def _store(self, node_id: int, own: np.ndarray) -> None:
+        """Cache a node's own view and what it forwards: a leaf forwards
+        what it classifies with, an internal node the binarized copy
+        (when ``config.binarize``)."""
+        federation = self._federation
+        is_leaf = federation.hierarchy.nodes[node_id].is_leaf
+        self._own[node_id] = own
         self._forward[node_id] = (
-            sign_binarize(raw) if federation.config.binarize else raw
+            own if is_leaf or not federation.config.binarize
+            else sign_binarize(own)
         )

@@ -79,10 +79,16 @@ class BoundedQueue:
         this as its per-hop timeout so a stalled or crashed consumer
         can never wedge a producer forever.
         """
+        # Hand the item over *before* it enters the queue: the consumer
+        # may get and acquire it before this coroutine resumes from the
+        # await, and publishing then would re-mark an item it owns. The
+        # shed / timeout arms take it back — it never entered the queue.
+        sanitizer.publish(item)
         if self.policy == "shed":
             try:
                 self._queue.put_nowait(item)
             except asyncio.QueueFull:
+                sanitizer.unpublish(item)
                 self.stats.shed += 1
                 raise ShedError(
                     f"queue full ({self.maxsize}), item shed"
@@ -93,13 +99,11 @@ class BoundedQueue:
             try:
                 await asyncio.wait_for(self._queue.put(item), timeout=timeout_s)
             except asyncio.TimeoutError:
+                sanitizer.unpublish(item)
                 self.stats.timeouts += 1
                 raise QueueTimeout(
                     f"queue full ({self.maxsize}) for {timeout_s} s"
                 ) from None
-        # Only a *successful* enqueue hands the item over: the shed /
-        # timeout raises above fire before the item enters the queue.
-        sanitizer.publish(item)
         self.stats.enqueued += 1
         depth = self._queue.qsize()
         if depth > self.stats.high_water:
@@ -109,12 +113,13 @@ class BoundedQueue:
         """Non-blocking enqueue; returns False (and counts a shed) when
         full. Usable under either policy — with ``"block"`` semantics a
         False return lets the caller choose to fall back to ``put``."""
+        sanitizer.publish(item)
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
+            sanitizer.unpublish(item)
             self.stats.shed += 1
             return False
-        sanitizer.publish(item)
         self.stats.enqueued += 1
         depth = self._queue.qsize()
         if depth > self.stats.high_water:

@@ -8,7 +8,7 @@ queue wait, encode, associative search, and escalation round-trip.
 :class:`ServeResult` aggregates a whole run and computes **exact**
 latency percentiles from the recorded per-request values (unlike the
 fixed-bucket :mod:`repro.obs` histograms, which approximate) — the
-numbers ``BENCH_serving.json`` and ``repro serve-bench`` report.
+numbers ``repro serve-bench`` and ``bench_chaos_serving.py`` report.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ class ServeResult:
         #: runtime topology metadata: workers / replicas_per_shard /
         #: n_shards / shared_memory_bytes (plus eviction counts for
         #: cluster runs). ``{"workers": 1}``-style dict for the
-        #: single-process runtime; recorded per cell in
-        #: ``BENCH_serving.json``.
+        #: single-process runtime.
         self.topology: Dict[str, object] = dict(topology or {"workers": 1})
 
     # ------------------------------------------------------------------

@@ -565,10 +565,6 @@ class ServingRuntime:
         self._last_completion = self._t0
         for node_id in self.hierarchy.nodes:
             self.nodes[node_id] = _NodeServer(self, node_id, self.config)
-        node_tasks = [
-            asyncio.ensure_future(server.run())
-            for server in self.nodes.values()
-        ]
         tracing = obs.enabled()
         request_cls = sanitizer.request_class()
         requests = [
@@ -580,6 +576,26 @@ class ServingRuntime:
                 trace=TraceContext(i) if tracing else None,
             )
             for i in range(len(workload))
+        ]
+
+        async def submit_and_await_all() -> None:
+            if arrivals is not None:
+                await self._open_loop(requests, arrivals)
+            else:
+                await asyncio.gather(
+                    *(
+                        self._client(requests[c::n_clients], think_time_s)
+                        for c in range(n_clients)
+                    )
+                )
+            await asyncio.gather(*(req.future for req in requests))
+
+        # Scheduled ahead of the node tasks: what is due at t=0 is
+        # submitted before any node forms its first batch.
+        drive = asyncio.ensure_future(submit_and_await_all())
+        node_tasks = [
+            asyncio.ensure_future(server.run())
+            for server in self.nodes.values()
         ]
         sampler: Optional[TelemetrySampler] = None
         sampler_task: Optional["asyncio.Task[None]"] = None
@@ -597,17 +613,12 @@ class ServingRuntime:
             max_batch=self.config.max_batch,
         ):
             try:
-                if arrivals is not None:
-                    await self._open_loop(requests, arrivals)
-                else:
-                    clients = [
-                        asyncio.ensure_future(
-                            self._client(requests[c::n_clients], think_time_s)
-                        )
-                        for c in range(n_clients)
-                    ]
-                    await asyncio.gather(*clients)
-                await asyncio.gather(*(req.future for req in requests))
+                # A node task loops forever, so one that finishes has
+                # died — and the answers (or the inbox space) the drive
+                # is waiting for would never come.
+                await asyncio.wait(
+                    {drive, *node_tasks}, return_when=asyncio.FIRST_COMPLETED
+                )
             finally:
                 if sampler_task is not None:
                     sampler_task.cancel()
@@ -615,13 +626,16 @@ class ServingRuntime:
                 if sampler is not None:
                     # Final tick so even sub-interval runs get a sample.
                     sampler.sample_once()
-                for task in node_tasks:
+                for task in (drive, *node_tasks):
                     task.cancel()
-                await asyncio.gather(*node_tasks, return_exceptions=True)
+                await asyncio.gather(drive, *node_tasks, return_exceptions=True)
                 for server in self.nodes.values():
                     server.batcher.close()
                 for task in list(self._deliveries):
                     task.cancel()
+            for task in (*node_tasks, drive):
+                if not task.cancelled():
+                    task.result()  # re-raises what killed it
         makespan = max(self._last_completion - self._t0, 0.0)
         result = ServeResult(
             responses=self._responses,

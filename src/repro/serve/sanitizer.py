@@ -13,12 +13,18 @@ Ownership protocol (mirrors the runtime's handoff discipline):
 
 * creation — the creating code may mutate freely (``owner is None``);
 * :func:`publish` — called by :class:`~repro.serve.queueing.
-  BoundedQueue` *after* a successful enqueue (``ShedError`` /
-  ``QueueTimeout`` are raised before the item ever enters the queue,
-  so a failed handoff leaves ownership untouched). While enqueued,
-  **any** mutation raises: the producer has surrendered the object but
-  the consumer has not picked it up — exactly the window the pre-fix
-  ``_forward`` append landed in;
+  BoundedQueue` *before* the enqueue: once the item is in the queue
+  the consumer may :func:`acquire` it before the producer resumes from
+  its ``await``, so a publish after the put could re-mark an object
+  the consumer already owns. While enqueued, **any** mutation raises:
+  the producer has surrendered the object but the consumer has not
+  picked it up — exactly the window the pre-fix ``_forward`` append
+  landed in;
+* :func:`unpublish` — the inverse, for a handoff that did not happen
+  (``ShedError`` / ``QueueTimeout`` / ``offer`` returning False): the
+  item never entered the queue, so the previous owner gets it back
+  with its generation untouched and may mutate again (``_forward``'s
+  ``charged_path.pop()`` arms rely on it);
 * :func:`acquire` — called by :class:`~repro.serve.batcher.
   MicroBatcher` when the *consuming* coroutine (the node's ``run``
   task — not the internal getter future) receives the batch. From
@@ -51,6 +57,7 @@ __all__ = [
     "enabled",
     "enable",
     "publish",
+    "unpublish",
     "acquire",
 ]
 
@@ -92,12 +99,17 @@ def _current_task() -> Optional["asyncio.Task[Any]"]:
 class OwnershipGuard:
     """Generation-counting single-owner guard for one request."""
 
-    __slots__ = ("describe", "owner", "generation", "published_generation")
+    __slots__ = (
+        "describe", "owner", "previous_owner", "generation",
+        "published_generation",
+    )
 
     def __init__(self, describe: str) -> None:
         self.describe = describe
         #: None (creator), :data:`_ENQUEUED`, or the owning task.
         self.owner: Any = None
+        #: the owner :meth:`publish` replaced (for :meth:`unpublish`).
+        self.previous_owner: Any = None
         self.generation = 0
         self.published_generation = -1
 
@@ -122,9 +134,14 @@ class OwnershipGuard:
         self.generation += 1
 
     def publish(self) -> None:
-        """The current owner handed the object to a queue."""
+        """The current owner is handing the object to a queue."""
+        self.previous_owner = self.owner
         self.owner = _ENQUEUED
         self.published_generation = self.generation
+
+    def unpublish(self) -> None:
+        """The handoff failed: the object never entered the queue."""
+        self.owner = self.previous_owner
 
     def acquire(self) -> None:
         """The consuming task picked the object up."""
@@ -224,19 +241,27 @@ def request_class() -> type:
     return SanitizedServeRequest if _enabled else ServeRequest
 
 
+def _guard_of(item: Any) -> Optional[OwnershipGuard]:
+    """``item``'s guard while the sanitizer is on (unguarded items: None)."""
+    return getattr(item, "_san_guard", None) if _enabled else None
+
+
 def publish(item: Any) -> None:
-    """Queue hook: ``item`` was successfully enqueued."""
-    if not _enabled:
-        return
-    guard = getattr(item, "_san_guard", None)
+    """Queue hook: ``item`` is about to be enqueued."""
+    guard = _guard_of(item)
     if guard is not None:
         guard.publish()
 
 
+def unpublish(item: Any) -> None:
+    """Queue hook: the enqueue of ``item`` failed (shed / timed out)."""
+    guard = _guard_of(item)
+    if guard is not None:
+        guard.unpublish()
+
+
 def acquire(item: Any) -> None:
     """Consumer hook: the owning coroutine received ``item``."""
-    if not _enabled:
-        return
-    guard = getattr(item, "_san_guard", None)
+    guard = _guard_of(item)
     if guard is not None:
         guard.acquire()

@@ -9,15 +9,12 @@ overload can never grow memory without a test noticing.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _load_bench_module():
-    if str(BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCH_DIR))
     spec = importlib.util.spec_from_file_location(
         "bench_serving_smoke", BENCH_DIR / "bench_serving.py"
     )

@@ -1,6 +1,5 @@
 """Integration tests: federated training through real wire frames."""
 
-import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
@@ -111,66 +110,3 @@ class TestLossyDeployment:
         fed = fresh_federation(setup)
         with pytest.raises(ValueError):
             SimulatedDeployment(fed, MEDIA["wired-1gbps"], corrupt_bits=1.5)
-
-
-class TestAdaptiveUpdater:
-    def test_adaptive_updates_fix_drifted_model(self, setup):
-        from repro.core.adaptive import AdaptiveOnlineUpdater
-        from repro.core.hypervector import normalize_rows
-        from repro.core.model import EdgeHDModel
-
-        data, partition, config = setup
-        model = EdgeHDModel(
-            data.n_features, data.n_classes, dimension=1024, seed=1
-        )
-        half = data.n_train // 2
-        model.fit(data.train_x[:half], data.train_y[:half], retrain_epochs=0)
-        model.classifier.set_model(
-            normalize_rows(model.class_hypervectors)
-        )
-        drift = np.full(data.n_features, 1.0)
-        stream_x = data.train_x[half:] + drift
-        test_x = data.test_x + drift
-        before = model.accuracy(test_x, data.test_y)
-        updater = AdaptiveOnlineUpdater(model.classifier, learning_rate=0.3)
-        encoded = model.encode(stream_x).astype(float)
-        encoded /= np.linalg.norm(encoded, axis=1, keepdims=True)
-        updater.update_batch(encoded, data.train_y[half:])
-        after = model.accuracy(test_x, data.test_y)
-        assert after >= before - 0.02
-        assert updater.updates_applied > 0
-
-    def test_correct_sample_no_update(self):
-        from repro.core.adaptive import AdaptiveOnlineUpdater
-        from repro.core.classifier import HDClassifier
-        from repro.core.hypervector import random_bipolar
-
-        dim = 256
-        model = random_bipolar(dim, count=2, seed=6).astype(float)
-        clf = HDClassifier(2, dim).set_model(model)
-        updater = AdaptiveOnlineUpdater(clf)
-        before = clf.class_hypervectors.copy()
-        assert updater.update_one(model[0], true_class=0)
-        assert np.array_equal(clf.class_hypervectors, before)
-
-    def test_mirroring_to_residuals(self):
-        from repro.core.adaptive import AdaptiveOnlineUpdater
-        from repro.core.classifier import HDClassifier
-        from repro.core.hypervector import random_bipolar
-        from repro.core.online import ResidualAccumulator
-
-        dim = 256
-        model = random_bipolar(dim, count=2, seed=7).astype(float)
-        clf = HDClassifier(2, dim).set_model(model)
-        acc = ResidualAccumulator(2, dim)
-        updater = AdaptiveOnlineUpdater(clf, mirror_to=acc)
-        # Force a mistake: present class-1's prototype labelled 0.
-        updater.update_one(model[1], true_class=0)
-        assert acc.feedback_count == 1
-
-    def test_unfitted_rejected(self):
-        from repro.core.adaptive import AdaptiveOnlineUpdater
-        from repro.core.classifier import HDClassifier
-
-        with pytest.raises(RuntimeError):
-            AdaptiveOnlineUpdater(HDClassifier(2, 8))

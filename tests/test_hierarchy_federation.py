@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
+from repro.core.hypervector import sign_binarize
 from repro.data import partition_features
 from repro.hierarchy.federation import EdgeHDFederation, batch_groups
 from repro.hierarchy.topology import build_star, build_tree
@@ -104,6 +105,42 @@ class TestEncoding:
         encodings = fed.encode_all(data.test_x[:3])
         root_enc = fed.encode_at(fed.root_id, data.test_x[:3])
         assert np.allclose(encodings[fed.root_id], root_enc)
+
+    @pytest.mark.parametrize("binarize", [True, False])
+    @pytest.mark.parametrize("view", ["own", "forward"])
+    def test_encode_all_at_and_lazy_agree(self, apri_small, binarize, view):
+        """One recurrence, three entry points: the same bits and dtype
+        on every node — and the ones the definition gives (leaf →
+        ``encode_leaf``; internal → ``combine_children`` over the
+        children's forward views, forwarded binarized iff configured)."""
+        fed = EdgeHDFederation(
+            build_tree(3),
+            partition_features(apri_small.n_features, 3),
+            apri_small.n_classes,
+            EdgeHDConfig(dimension=512, binarize=binarize, seed=17),
+        )
+        rows = apri_small.test_x[:6]
+
+        def by_definition(nid):
+            node = fed.hierarchy.nodes[nid]
+            if node.is_leaf:
+                own = fed.encode_leaf(nid, rows)
+                return own, own
+            children = [by_definition(c)[1] for c in node.children]
+            own = fed.combine_children(nid, children, binarize=False)
+            return own, sign_binarize(own) if binarize else own
+
+        eager = fed.encode_all(rows, view=view)
+        lazy = fed.encode_lazy(rows)
+        assert list(eager) == list(fed.hierarchy.postorder())
+        for nid, expected in eager.items():
+            for got in (
+                fed.encode_at(nid, rows, view=view),
+                getattr(lazy, view)(nid),
+                by_definition(nid)[view == "forward"],
+            ):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
     def test_invalid_view(self, trained_federation):
         fed, _, data = trained_federation

@@ -9,7 +9,6 @@ from repro.core.classifier import HDClassifier
 from repro.core.hypervector import random_bipolar
 from repro.core.kernels import pack_bits, packed_similarities
 from repro.core.model import EdgeHDModel
-from repro.core.predictor import SearchAwarePredictor
 from repro.core.search import (
     BACKENDS,
     SearchSpec,
@@ -126,7 +125,6 @@ class TestObjectIntegration:
 
     def test_model_conforms_to_search_aware_protocol(self):
         model = EdgeHDModel(n_features=8, n_classes=3, dimension=128, seed=1)
-        assert isinstance(model, SearchAwarePredictor)
         assert model.search == SearchSpec()
         with pytest.raises(TypeError, match="SearchSpec"):
             model.search = "packed"  # type: ignore[assignment]

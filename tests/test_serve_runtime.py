@@ -11,6 +11,8 @@ backend's integer similarities make even confidences bitwise equal.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.search import SearchSpec
 from repro.hierarchy import HierarchicalInference
 from repro.network.medium import get_medium
 from repro.serve import ServeConfig, ServingRuntime, make_workload
+from repro.serve.runtime import _NodeServer
 
 
 def _msg_key(m):
@@ -243,6 +246,40 @@ class TestOverloadAndBackpressure:
         for r in shed_responses:
             # Either rejected outright or degraded to a real decision.
             assert r.rejected or r.deciding_node >= 0
+
+
+class TestNodeTaskDeath:
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_dead_node_task_fails_the_run(self, serve_setup, monkeypatch, loop):
+        """A node task that dies takes with it the answers (and the
+        inbox space) the drive waits for: the run must re-raise what
+        killed it instead of waiting forever. Served from a thread so
+        the *test* is bounded even where the run is not."""
+        inference, workload, _, _ = serve_setup
+
+        async def exploding(self, batch):
+            raise RuntimeError("node exploded")
+
+        monkeypatch.setattr(_NodeServer, "_process", exploding)
+        runtime = ServingRuntime(
+            inference, get_medium("wired-1gbps"), ServeConfig(queue_depth=4)
+        )
+        raised = []
+
+        def serve():
+            try:
+                if loop == "open":
+                    runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
+                else:
+                    runtime.serve_closed_loop(workload, n_clients=4)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "the run hung on a dead node task"
+        assert [str(exc) for exc in raised] == ["node exploded"]
 
 
 class TestTimingsAndObs:

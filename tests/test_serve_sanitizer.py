@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import numpy as np
 import pytest
@@ -148,19 +149,60 @@ class TestQueueIntegration:
         asyncio.run(main())
 
     def test_failed_put_leaves_ownership_with_producer(self, san):
-        """Shed raises before the enqueue — the undo append/pop of the
+        """A shed / timed-out ``put`` and a refused ``offer`` un-publish:
+        the item never entered the queue, so the undo append/pop of the
         fixed ``_forward`` must stay legal."""
-        from repro.serve.queueing import ShedError
+        from repro.serve.queueing import QueueTimeout, ShedError
 
         async def main():
-            queue = BoundedQueue(maxsize=1, policy="shed")
-            blocker = _request(0)
-            await queue.put(blocker)
+            shedding = BoundedQueue(maxsize=1, policy="shed")
+            await shedding.put(_request(0))
+            blocking = BoundedQueue(maxsize=1, policy="block")
+            await blocking.put(_request(0))
             req = _request(1)
+            sanitizer.acquire(req)  # as in _forward: a node task owns it
+            for attempt, refusal in (
+                (lambda: shedding.put(req), ShedError),
+                (lambda: blocking.put(req, timeout_s=0.001), QueueTimeout),
+            ):
+                req.charged_path.append((1, 0))
+                with pytest.raises(refusal):
+                    await attempt()
+                req.charged_path.pop()  # producer still owns it
             req.charged_path.append((1, 0))
-            with pytest.raises(ShedError):
-                await queue.put(req)
-            req.charged_path.pop()  # producer still owns it
+            assert blocking.offer(req) is False
+            req.charged_path.pop()
+            guard = req._san_guard
+            assert guard.owner is asyncio.current_task()  # not the creator
+            assert guard.generation == 6  # un-publishing is no mutation
+
+        asyncio.run(main())
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12),
+        reason="from 3.12 wait_for awaits the put inline instead of in a "
+        "task, so the producer cannot resume after the consumer",
+    )
+    def test_publish_precedes_the_enqueue(self, san):
+        """A bounded ``put`` resumes *after* a consumer that was already
+        runnable: the consumer gets and acquires the request first, and
+        a publish on resumption would re-mark a request it owns."""
+
+        async def main():
+            queue = BoundedQueue(maxsize=8, policy="block")
+            req = _request()
+
+            async def consumer():
+                await asyncio.sleep(0)
+                got = queue.get_nowait()
+                sanitizer.acquire(got)
+                for label in range(4):
+                    got.decided = (label, 0.5, 0, 0)
+                    await asyncio.sleep(0)
+
+            task = asyncio.ensure_future(consumer())
+            await queue.put(req, timeout_s=1.0)
+            await task
 
         asyncio.run(main())
 
