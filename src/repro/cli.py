@@ -165,32 +165,45 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_hierarchical(dataset: str) -> bool:
+    """Whether ``dataset`` can be federated; says why not on stderr."""
+    if DATASETS[dataset].is_hierarchical:
+        return True
+    print(
+        f"error: {dataset} has no end-node layout; choose one of "
+        f"PECAN/PAMAP2/APRI/PDP", file=sys.stderr,
+    )
+    return False
+
+
+def _build_federation(args: argparse.Namespace, data) -> EdgeHDFederation:
+    """The untrained federation the topology / model flags describe."""
+    n_end_nodes = DATASETS[args.dataset].n_end_nodes
+    if args.topology == "star":
+        hierarchy = build_star(n_end_nodes)
+    elif args.topology == "pecan":
+        hierarchy = build_pecan(n_appliances=n_end_nodes)
+    else:
+        hierarchy = build_tree(n_end_nodes)
+    config = EdgeHDConfig(
+        dimension=args.dimension, retrain_epochs=args.epochs,
+        batch_size=args.batch_size, seed=args.seed,
+    )
+    return EdgeHDFederation(
+        hierarchy, partition_features(data.n_features, n_end_nodes),
+        data.n_classes, config,
+    )
+
+
 def _cmd_federate(args: argparse.Namespace) -> int:
-    spec = DATASETS[args.dataset]
-    if not spec.is_hierarchical:
-        print(
-            f"error: {args.dataset} has no end-node layout; choose one of "
-            f"PECAN/PAMAP2/APRI/PDP", file=sys.stderr,
-        )
+    if not _is_hierarchical(args.dataset):
         return 2
     data = load_dataset(
         args.dataset, scale=args.scale,
         max_train=args.max_train, max_test=args.max_test, seed=args.seed,
     )
-    if args.topology == "star":
-        hierarchy = build_star(spec.n_end_nodes)
-    elif args.topology == "pecan":
-        hierarchy = build_pecan(n_appliances=spec.n_end_nodes)
-    else:
-        hierarchy = build_tree(spec.n_end_nodes)
-    partition = partition_features(data.n_features, spec.n_end_nodes)
-    config = EdgeHDConfig(
-        dimension=args.dimension, retrain_epochs=args.epochs,
-        batch_size=args.batch_size, seed=args.seed,
-    )
-    federation = EdgeHDFederation(
-        hierarchy, partition, data.n_classes, config
-    )
+    federation = _build_federation(args, data)
+    hierarchy = federation.hierarchy
     report = federation.fit_offline(data.train_x, data.train_y)
     print(
         f"{args.dataset} over {args.topology.upper()} "
@@ -233,12 +246,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     """Train a federation and drive it through the serving runtime."""
-    spec = DATASETS[args.dataset]
-    if not spec.is_hierarchical:
-        print(
-            f"error: {args.dataset} has no end-node layout; choose one of "
-            f"PECAN/PAMAP2/APRI/PDP", file=sys.stderr,
-        )
+    if not _is_hierarchical(args.dataset):
         return 2
     if args.workers > 1 and args.closed_loop:
         print("error: cluster serving is open-loop only", file=sys.stderr)
@@ -254,18 +262,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         args.dataset, scale=args.scale,
         max_train=args.max_train, max_test=args.max_test, seed=args.seed,
     )
-    if args.topology == "star":
-        hierarchy = build_star(spec.n_end_nodes)
-    elif args.topology == "pecan":
-        hierarchy = build_pecan(n_appliances=spec.n_end_nodes)
-    else:
-        hierarchy = build_tree(spec.n_end_nodes)
-    partition = partition_features(data.n_features, spec.n_end_nodes)
-    config = EdgeHDConfig(
-        dimension=args.dimension, retrain_epochs=args.epochs,
-        batch_size=args.batch_size, seed=args.seed,
-    )
-    federation = EdgeHDFederation(hierarchy, partition, data.n_classes, config)
+    federation = _build_federation(args, data)
     federation.fit_offline(data.train_x, data.train_y)
 
     from repro.network.medium import get_medium
@@ -306,7 +303,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
     print(
         f"{args.dataset} over {args.topology.upper()} "
-        f"({len(hierarchy.nodes)} nodes), "
+        f"({len(federation.hierarchy.nodes)} nodes), "
         f"search {inference.search.describe()}, "
         f"threshold {args.threshold}, medium {args.medium}"
     )
@@ -490,12 +487,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         TopologyController,
     )
 
-    spec = DATASETS[args.dataset]
-    if not spec.is_hierarchical:
-        print(
-            f"error: {args.dataset} has no end-node layout; choose one of "
-            f"PECAN/PAMAP2/APRI/PDP", file=sys.stderr,
-        )
+    if not _is_hierarchical(args.dataset):
         return 2
     data = load_dataset(
         args.dataset, scale=args.scale,
@@ -515,23 +507,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         print(f"  fingerprint: {controller.fingerprint()}")
 
     if args.action == "checkpoint":
-        if args.topology == "star":
-            hierarchy = build_star(spec.n_end_nodes)
-        elif args.topology == "pecan":
-            hierarchy = build_pecan(n_appliances=spec.n_end_nodes)
-        else:
-            hierarchy = build_tree(spec.n_end_nodes)
-        partition = partition_features(data.n_features, spec.n_end_nodes)
-        config = EdgeHDConfig(
-            dimension=args.dimension, retrain_epochs=args.epochs,
-            batch_size=args.batch_size, seed=args.seed,
-        )
-        hierarchy.allocate_dimensions(
-            config.dimension, partition.feature_counts()
-        )
-        federation = EdgeHDFederation(
-            hierarchy, partition, data.n_classes, config
-        )
+        federation = _build_federation(args, data)
         controller = TopologyController(
             federation, data.train_x, data.train_y,
             learner=OnlineLearner(federation),

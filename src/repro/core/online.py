@@ -19,6 +19,7 @@ This both amortizes the update cost and bounds communication to
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = ["ResidualAccumulator"]
 
 
 class ResidualAccumulator:
-    """Per-class residual hypervectors with apply/merge/clear lifecycle."""
+    """Per-class residual hypervectors with record/apply/clear lifecycle."""
 
     def __init__(self, n_classes: int, dimension: int) -> None:
         if n_classes < 2:
@@ -126,15 +127,16 @@ class ResidualAccumulator:
             )
         classifier._refresh_normalized()
 
-    def merge(self, other: "ResidualAccumulator") -> None:
-        """Accumulate a child's (same-dimension) residuals into ours."""
-        if other.n_classes != self.n_classes or other.dimension != self.dimension:
-            raise ValueError("residual shapes do not match")
-        self.negative += other.negative
-        self.positive += other.positive
-        self.negative_counts += other.negative_counts
-        self.positive_counts += other.positive_counts
-        self.feedback_count += other.feedback_count
+    def copy(self) -> "ResidualAccumulator":
+        """Exact duplicate, per-class counts included.
+
+        What a checkpoint restores from — :meth:`load` spreads a total
+        count evenly over the classes (fine for stacks received from
+        the network, wrong here): the averaged online mode divides by
+        the true per-class counts, so only an exact copy replays
+        bit-exactly.
+        """
+        return deepcopy(self)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the (negative, positive) residual stacks for transfer."""
@@ -168,7 +170,3 @@ class ResidualAccumulator:
         self.negative_counts.fill(0)
         self.positive_counts.fill(0)
         self.feedback_count = 0
-
-    def wire_elements(self) -> int:
-        """Scalar elements shipped when propagating these residuals."""
-        return self.negative.size + self.positive.size

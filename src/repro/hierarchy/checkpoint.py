@@ -22,14 +22,13 @@ truncated or version-mismatched checkpoint must never load silently.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.config import EdgeHDConfig
-from repro.data.partition import FeaturePartition
+from repro.core.online import ResidualAccumulator
 from repro.hierarchy.federation import EdgeHDFederation
 from repro.hierarchy.online import OnlineLearner
 from repro.hierarchy.topology import Hierarchy
@@ -40,7 +39,6 @@ __all__ = [
     "load_topology_state",
     "validate_topology_meta",
     "TopologyCheckpoint",
-    "ResidualSnapshot",
     "CheckpointError",
 ]
 
@@ -100,23 +98,6 @@ def _read_meta(data, path: Path) -> dict:
 # full topology state
 # ----------------------------------------------------------------------
 @dataclass
-class ResidualSnapshot:
-    """Raw residual-accumulator state of one node (true per-class counts).
-
-    :meth:`repro.core.online.ResidualAccumulator.load` spreads a total
-    count evenly over classes (lossy — fine for network transfer, wrong
-    for a checkpoint): a restored accumulator must divide by the exact
-    per-class counts for the averaged online mode to replay bit-exactly.
-    """
-
-    negative: np.ndarray
-    positive: np.ndarray
-    negative_counts: np.ndarray
-    positive_counts: np.ndarray
-    feedback_count: int
-
-
-@dataclass
 class TopologyCheckpoint:
     """Decoded content of a v2 topology checkpoint."""
 
@@ -127,7 +108,9 @@ class TopologyCheckpoint:
     #: None when the checkpoint was saved without an online learner.
     learner_params: Optional[dict]
     propagations: int
-    residuals: Dict[int, ResidualSnapshot]
+    #: exact per-node accumulators (true per-class counts), not the
+    #: lossy :meth:`~repro.core.online.ResidualAccumulator.load` form.
+    residuals: Dict[int, ResidualAccumulator]
     #: reconstructed federation with models installed; None when the
     #: caller asked for metadata/arrays only (``reconstruct=False``).
     federation: Optional[EdgeHDFederation]
@@ -159,13 +142,8 @@ class TopologyCheckpoint:
         learner.normalize = bool(p["normalize"])
         learner.learning_rate_decay = float(p["learning_rate_decay"])
         learner._propagations = int(p["propagations"])
-        for node_id, snap in self.residuals.items():
-            acc = learner.residuals[node_id]
-            acc.negative = snap.negative.copy()
-            acc.positive = snap.positive.copy()
-            acc.negative_counts = snap.negative_counts.copy()
-            acc.positive_counts = snap.positive_counts.copy()
-            acc.feedback_count = int(snap.feedback_count)
+        for node_id, saved in self.residuals.items():
+            learner.residuals[node_id] = saved.copy()
         return learner
 
 
@@ -178,11 +156,7 @@ def _topology_metadata(
     meta = {
         "format_version": TOPOLOGY_FORMAT_VERSION,
         "kind": "topology",
-        "n_classes": federation.n_classes,
-        "holographic": federation.holographic,
-        "config": asdict(federation.config),
-        "hierarchy": federation.hierarchy.spec(),
-        "partition": [list(s) for s in federation.partition.slices],
+        **federation.spec(),
         "node_states": {str(nid): state for nid, state in node_states.items()},
         "journal_seq": int(journal_seq),
         "node_dimensions": {
@@ -262,14 +236,7 @@ def validate_topology_meta(
     Used on respawn: the node catching up from the checkpoint must be
     rejoining the same deployment the checkpoint describes.
     """
-    expected = {
-        "n_classes": federation.n_classes,
-        "holographic": federation.holographic,
-        "config": asdict(federation.config),
-        "hierarchy": federation.hierarchy.spec(),
-        "partition": [list(s) for s in federation.partition.slices],
-    }
-    for key, want in expected.items():
+    for key, want in federation.spec().items():
         if meta.get(key) != want:
             raise CheckpointError(
                 f"{path}: topology checkpoint mismatch on {key!r}: "
@@ -307,15 +274,13 @@ def load_topology_state(
                     f"{path}: metadata missing required key {key!r} — "
                     f"found keys {sorted(meta)}"
                 )
+        federation: Optional[EdgeHDFederation] = None
         try:
-            hierarchy = Hierarchy.from_spec(meta["hierarchy"])
-            partition = FeaturePartition(
-                slices=tuple(tuple(int(c) for c in s) for s in meta["partition"])
-            )
-            partition.validate()
-            config = EdgeHDConfig(**meta["config"])
-        except CheckpointError:
-            raise
+            if reconstruct:
+                federation = EdgeHDFederation.from_spec(meta)
+                hierarchy = federation.hierarchy
+            else:
+                hierarchy = Hierarchy.from_spec(meta["hierarchy"])
         except Exception as exc:
             raise CheckpointError(
                 f"{path}: invalid topology description ({exc})"
@@ -334,7 +299,7 @@ def load_topology_state(
                 _read_array(data, key, path), dtype=np.float64
             )
         learner_params = meta.get("learner")
-        residuals: Dict[int, ResidualSnapshot] = {}
+        residuals: Dict[int, ResidualAccumulator] = {}
         if learner_params is not None:
             counts = learner_params.get("feedback_counts", {})
             for node_id in node_ids:
@@ -348,27 +313,30 @@ def load_topology_state(
                             f"{sorted(data.files)}"
                         )
                     parts[prefix] = np.array(_read_array(data, key, path))
-                residuals[node_id] = ResidualSnapshot(
-                    negative=parts["resneg"].astype(np.float64),
-                    positive=parts["respos"].astype(np.float64),
-                    negative_counts=parts["resnegc"].astype(np.int64),
-                    positive_counts=parts["resposc"].astype(np.int64),
-                    feedback_count=int(counts.get(str(node_id), 0)),
-                )
+                shapes = {prefix: arr.shape for prefix, arr in parts.items()}
+                stack = shapes["resneg"]
+                if len(stack) != 2 or shapes != {
+                    "resneg": stack, "respos": stack,
+                    "resnegc": stack[:1], "resposc": stack[:1],
+                }:
+                    raise CheckpointError(
+                        f"{path}: residual arrays for node {node_id} have "
+                        f"shapes {shapes} — expected two (K, d) stacks and "
+                        "two (K,) counts"
+                    )
+                acc = ResidualAccumulator(*stack)
+                acc.negative = parts["resneg"].astype(np.float64)
+                acc.positive = parts["respos"].astype(np.float64)
+                acc.negative_counts = parts["resnegc"].astype(np.int64)
+                acc.positive_counts = parts["resposc"].astype(np.int64)
+                acc.feedback_count = int(counts.get(str(node_id), 0))
+                residuals[node_id] = acc
             learner_params = dict(learner_params)
     node_states = {
         int(nid): str(state)
         for nid, state in meta.get("node_states", {}).items()
     }
-    federation: Optional[EdgeHDFederation] = None
-    if reconstruct:
-        federation = EdgeHDFederation(
-            hierarchy,
-            partition,
-            int(meta["n_classes"]),
-            config,
-            holographic=bool(meta["holographic"]),
-        )
+    if federation is not None:
         saved_dims = meta.get("node_dimensions", {})
         for node_id in node_ids:
             node = hierarchy.nodes[node_id]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
-from repro.core.hypervector import sign_binarize
 from repro.core.online import ResidualAccumulator
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.checkpoint import (
@@ -52,7 +51,6 @@ from repro.hierarchy.checkpoint import (
 from repro.hierarchy.federation import (
     EdgeHDFederation,
     FederatedTrainingReport,
-    batch_groups,
 )
 from repro.hierarchy.inference import HierarchicalInference
 from repro.hierarchy.online import OnlineLearner
@@ -180,23 +178,12 @@ class TopologyController:
         now: float = 0.0,
     ) -> None:
         self.federation = federation
-        self._mat = check_matrix(
-            "train_x", train_x, cols=federation.partition.n_features
+        self._mat, self._y, self._groups = federation.training_inputs(
+            train_x, train_y
         )
-        self._y = check_labels(
-            "train_y", train_y, n_classes=federation.n_classes
-        )
-        if self._mat.shape[0] != self._y.shape[0]:
-            raise ValueError(
-                f"{self._mat.shape[0]} samples but {self._y.shape[0]} labels"
-            )
         if learner is not None and learner.federation is not federation:
             raise ValueError("learner is attached to a different federation")
         self.learner = learner
-        self._groups = batch_groups(self._y, federation.config.batch_size)
-        self._batch_labels = np.array(
-            [cls for cls, _ in self._groups], dtype=np.int64
-        )
         self.states: Dict[int, NodeState] = {
             nid: NodeState.ACTIVE for nid in federation.hierarchy.nodes
         }
@@ -217,50 +204,57 @@ class TopologyController:
     # training / artifacts
     # ------------------------------------------------------------------
     def fit(self, retrain_epochs: Optional[int] = None) -> FederatedTrainingReport:
-        """Full offline training pass; caches the re-encode artifacts."""
-        report = self.federation.fit_offline(
-            self._mat, self._y, retrain_epochs
+        """Full offline training pass; keeps the re-encode artifacts.
+
+        The models are :meth:`EdgeHDFederation.fit_offline`'s, bit for
+        bit — both drive the same per-node step over the whole tree.
+        """
+        self._batch_hvs.clear()
+        report = self._train(
+            list(self.federation.hierarchy.postorder()), retrain_epochs
         )
-        self.refresh_artifacts()
         self._trained = True
         return report
 
+    def _train(
+        self, order: List[int], epochs: Optional[int]
+    ) -> FederatedTrainingReport:
+        """Train ``order`` (children first) against the cached artifacts.
+
+        Children outside ``order`` contribute their *current* class
+        models and cached batch hypervectors, so a dirty parent
+        re-encodes without its clean subtrees recomputing anything.
+        """
+        fed = self.federation
+        epochs = fed.config.retrain_epochs if epochs is None else epochs
+        current = {
+            nid: clf.class_hypervectors for nid, clf in fed.classifiers.items()
+        }
+        return fed.train_nodes(
+            order, self._mat, self._y, self._groups, epochs,
+            current, self._batch_hvs,
+        )
+
     def attach_trained(self) -> None:
-        """Adopt an already-trained federation (e.g. a restored one)."""
-        for nid, clf in self.federation.classifiers.items():
+        """Adopt an already-trained federation (e.g. a restored one).
+
+        Its models were installed, not trained here, so the re-encode
+        artifacts are recomputed: the batch hypervectors the training
+        step would have forwarded, touching no model state.
+        """
+        fed = self.federation
+        for nid, clf in fed.classifiers.items():
             if clf.class_hypervectors is None:
                 raise RuntimeError(
                     f"node {nid} is untrained; call fit() instead"
                 )
-        self.refresh_artifacts()
-        self._trained = True
-
-    def refresh_artifacts(self) -> None:
-        """Recompute every node's forwarded batch hypervectors.
-
-        Identical arithmetic to the training pass (leaf: binarized
-        per-group bundles; internal: binarized hierarchical encoding of
-        the children's forwarded batches), but touching no model state.
-        """
-        fed = self.federation
-        hierarchy = fed.hierarchy
         self._batch_hvs.clear()
-        for nid in hierarchy.postorder():
-            node = hierarchy.nodes[nid]
-            if node.is_leaf:
-                encoded = fed.encode_leaf(nid, self._mat)
-                batches = sign_binarize(
-                    np.stack(
-                        [encoded[idx].sum(axis=0) for _, idx in self._groups]
-                    )
-                ).astype(np.float64)
-            else:
-                child_batches = [self._batch_hvs[c] for c in node.children]
-                raw = fed.combine_children(
-                    nid, child_batches, binarize=False
-                ).astype(np.float64)
-                batches = sign_binarize(raw).astype(np.float64)
-            self._batch_hvs[nid] = batches
+        for nid in fed.hierarchy.postorder():
+            _, _, self._batch_hvs[nid] = fed.training_set(
+                nid, self._mat, self._y, self._groups,
+                [self._batch_hvs[c] for c in fed.hierarchy.nodes[nid].children],
+            )
+        self._trained = True
 
     def _require_trained(self) -> None:
         if not self._trained:
@@ -310,32 +304,10 @@ class TopologyController:
         return order
 
     def _refit(self, dirty: List[int], epochs: Optional[int]) -> FederatedTrainingReport:
-        """Rebuild + retrain exactly the dirty nodes, children-first.
-
-        Clean children contribute their *current* class models and
-        cached batch hypervectors, so a dirty parent re-encodes without
-        its clean subtrees recomputing anything.
-        """
-        fed = self.federation
-        hierarchy = fed.hierarchy
-        epochs = fed.config.retrain_epochs if epochs is None else epochs
-        report = FederatedTrainingReport()
-        report.n_batches = len(self._groups)
-        dirty_set = set(dirty)
-        class_models: Dict[int, np.ndarray] = {}
+        """Rebuild + retrain exactly the dirty nodes, children-first."""
         for nid in dirty:
-            for child in hierarchy.nodes[nid].children:
-                if child not in dirty_set and child not in class_models:
-                    model = fed.classifiers[child].class_hypervectors
-                    assert model is not None
-                    class_models[child] = model.copy()
-        for nid in dirty:
-            fed.rebuild_node(nid)
-            fed._fit_node(
-                nid, self._mat, self._y, epochs, report, self._groups,
-                self._batch_labels, class_models, self._batch_hvs,
-            )
-        return report
+            self.federation.rebuild_node(nid)
+        return self._train(dirty, epochs)
 
     def _reset_residuals(self) -> None:
         """Fresh (empty) accumulators sized to the current topology."""
@@ -692,16 +664,14 @@ class TopologyController:
         self.federation.classifiers[node_id].set_model(ckpt.models[node_id])
         replayed = 0
         if self.learner is not None:
+            saved = ckpt.residuals.get(node_id)
             node = self.federation.hierarchy.nodes[node_id]
-            acc = ResidualAccumulator(self.federation.n_classes, node.dimension)
-            snap = ckpt.residuals.get(node_id)
-            if snap is not None:
-                acc.negative = snap.negative.copy()
-                acc.positive = snap.positive.copy()
-                acc.negative_counts = snap.negative_counts.copy()
-                acc.positive_counts = snap.positive_counts.copy()
-                acc.feedback_count = int(snap.feedback_count)
-            self.learner.residuals[node_id] = acc
+            self.learner.residuals[node_id] = (
+                saved.copy() if saved is not None
+                else ResidualAccumulator(
+                    self.federation.n_classes, node.dimension
+                )
+            )
             for event in self.journal[ckpt.journal_seq:]:
                 if event.node_id == node_id:
                     self.learner.record_feedback(
@@ -733,11 +703,7 @@ class TopologyController:
         """
         fed = self.federation
         payload = {
-            "hierarchy": fed.hierarchy.spec(),
-            "partition": [list(s) for s in fed.partition.slices],
-            "config": asdict(fed.config),
-            "holographic": fed.holographic,
-            "n_classes": fed.n_classes,
+            "federation": fed.spec(),
             "states": {
                 str(nid): state.value
                 for nid, state in sorted(self.states.items())

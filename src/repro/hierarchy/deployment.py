@@ -10,28 +10,26 @@ Python references. This closes the loop between the algorithmic layer
 models charge): the class hypervectors the central node ends up with
 are reconstructed purely from bytes that crossed the simulated network.
 
-It is intentionally slower than :class:`EdgeHDFederation.fit_offline`
-(which it mirrors) and is used by the integration tests and the
-failure-injection studies.
+It drives the same per-node training step as
+:meth:`EdgeHDFederation.fit_offline` — on a clean network the two end
+with bit-identical models — and is used by the integration tests and
+the failure-injection studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.classifier import HDClassifier
-from repro.core.hypervector import sign_binarize
-from repro.hierarchy.federation import EdgeHDFederation, batch_groups
+from repro.hierarchy.federation import EdgeHDFederation
 from repro.network.failure import FailureModel
 from repro.network.medium import Medium
 from repro.network.message import Message, MessageKind
-from repro.network.protocol import Frame, ProtocolError, decode_frame, encode_frame
+from repro.network.protocol import ProtocolError, decode_frame, encode_frame
 from repro.network.simulator import NetworkSimulator, SimulationResult
 from repro.utils.rng import derive_rng
-from repro.utils.validation import check_labels, check_matrix
 
 __all__ = ["SimulatedDeployment", "DeploymentReport"]
 
@@ -89,133 +87,74 @@ class SimulatedDeployment:
         self._rng = derive_rng(seed, "deployment-corruption")
 
     # ------------------------------------------------------------------
-    def _transmit(
+    def _ship(
         self,
         report: DeploymentReport,
         messages: List[Message],
-        frame: bytes,
         source: int,
         destination: int,
         kind: MessageKind,
-    ) -> Optional[bytes]:
-        """Queue the frame's cost; return the received bytes (or None)."""
+        data: np.ndarray,
+    ) -> np.ndarray:
+        """Frame ``data``, charge it, return what the receiver decodes.
+
+        A frame that fails its CRC is lost: the receiver sees zeros.
+        """
+        frame = encode_frame(kind, data)
         report.frames_sent += 1
         report.bytes_on_wire += len(frame)
         messages.append(
             Message(source, destination, kind, payload_bytes=len(frame))
         )
-        received = frame
         if self.corrupt_bits > 0.0 and self._rng.random() < self.corrupt_bits:
             # Flip one payload byte — the CRC will catch it.
-            buf = bytearray(received)
+            buf = bytearray(frame)
             idx = int(self._rng.integers(0, len(buf)))
             buf[idx] ^= 0xFF
-            received = bytes(buf)
+            frame = bytes(buf)
         try:
-            decode_frame(received)
+            return decode_frame(frame).data.astype(np.float64)
         except ProtocolError:
             report.frames_corrupted += 1
-            return None
-        return received
-
-    @staticmethod
-    def _decode(blob: Optional[bytes]) -> Optional[Frame]:
-        if blob is None:
-            return None
-        return decode_frame(blob)
+            return np.zeros(data.shape)
 
     # ------------------------------------------------------------------
     def train(self, train_x: np.ndarray, train_y: np.ndarray) -> DeploymentReport:
         """Execute the bottom-up training pass over the wire.
 
-        Mirrors :meth:`EdgeHDFederation.fit_offline`, but every child
-        contribution crosses the (lossy) network as serialized frames.
+        The training is :meth:`EdgeHDFederation.train_node`, exactly as
+        in :meth:`~EdgeHDFederation.fit_offline`; only the transport
+        differs — what a node ships crosses the (lossy) network as
+        serialized frames, and its parent trains on what it decoded.
         """
         federation = self.federation
         hierarchy = federation.hierarchy
-        mat = check_matrix("train_x", train_x, cols=federation.partition.n_features)
-        y = check_labels("train_y", train_y, n_classes=federation.n_classes)
-        if mat.shape[0] != y.shape[0]:
-            raise ValueError("sample/label count mismatch")
-        config = federation.config
-        groups = batch_groups(y, config.batch_size)
-        batch_labels = np.array([cls for cls, _ in groups], dtype=np.int64)
+        mat, y, groups = federation.training_inputs(train_x, train_y)
         report = DeploymentReport(
             simulation=SimulationResult(0, 0, 0, 0, 0, 0, 0)
         )
         messages: List[Message] = []
 
-        # Received artifacts per node: (model frame, batches frame).
-        inbox: Dict[int, Dict[int, tuple]] = {}
+        # Per node, the (class model, batch hypervectors) its parent decoded.
+        received: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for node_id in hierarchy.postorder():
             node = hierarchy.nodes[node_id]
-            clf: HDClassifier = federation.classifiers[node_id]
-            if node.is_leaf:
-                encoded = federation.encode_leaf(node_id, mat)
-                clf.fit_initial(encoded, y)
-                clf.retrain(
-                    encoded, y, epochs=config.retrain_epochs,
-                    learning_rate=config.retrain_learning_rate,
-                    shuffle_seed=node_id,
-                )
-                report.node_train_accuracy[node_id] = clf.accuracy(encoded, y)
-                batches = sign_binarize(
-                    np.stack([encoded[idx].sum(axis=0) for _, idx in groups])
-                )
-            else:
-                received = inbox.get(node_id, {})
-                child_models, child_batches = [], []
-                for child in node.children:
-                    dim = hierarchy.nodes[child].dimension
-                    model_frame, batch_frame = received.get(child, (None, None))
-                    if model_frame is None:
-                        child_models.append(
-                            np.zeros((federation.n_classes, dim))
-                        )
-                    else:
-                        child_models.append(self._decode(model_frame).data)
-                    if batch_frame is None:
-                        child_batches.append(
-                            np.zeros((len(groups), dim))
-                        )
-                    else:
-                        child_batches.append(
-                            self._decode(batch_frame).data.astype(np.float64)
-                        )
-                clf.set_model(
-                    federation.combine_children(
-                        node_id, child_models, binarize=False
-                    )
-                )
-                batches_f = federation.combine_children(
-                    node_id, child_batches, binarize=False
-                ).astype(np.float64)
-                if config.retrain_epochs > 0 and batches_f.shape[0] > 0:
-                    clf.retrain(
-                        batches_f, batch_labels, epochs=config.retrain_epochs,
-                        learning_rate=config.retrain_learning_rate,
-                        shuffle_seed=node_id,
-                    )
-                    report.node_train_accuracy[node_id] = clf.accuracy(
-                        batches_f, batch_labels
-                    )
-                batches = sign_binarize(batches_f)
-
+            model, batches, accuracy = federation.train_node(
+                node_id, mat, y, groups, federation.config.retrain_epochs,
+                [received[c][0] for c in node.children],
+                [received[c][1] for c in node.children],
+            )
+            report.node_train_accuracy[node_id] = accuracy
             if node.parent is not None:
-                model_blob = self._transmit(
-                    report, messages,
-                    encode_frame(
-                        MessageKind.CLASS_MODEL, clf.class_hypervectors
+                received[node_id] = (
+                    self._ship(
+                        report, messages, node_id, node.parent,
+                        MessageKind.CLASS_MODEL, model,
                     ),
-                    node_id, node.parent, MessageKind.CLASS_MODEL,
-                )
-                batch_blob = self._transmit(
-                    report, messages,
-                    encode_frame(MessageKind.BATCH_HYPERVECTORS, batches),
-                    node_id, node.parent, MessageKind.BATCH_HYPERVECTORS,
-                )
-                inbox.setdefault(node.parent, {})[node_id] = (
-                    model_blob, batch_blob,
+                    self._ship(
+                        report, messages, node_id, node.parent,
+                        MessageKind.BATCH_HYPERVECTORS, batches,
+                    ),
                 )
         report.simulation = self.simulator.simulate_upward_pass(messages)
         return report

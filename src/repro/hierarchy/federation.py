@@ -33,8 +33,8 @@ so the network simulator can replay the run over any medium.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -147,6 +147,42 @@ class EdgeHDFederation:
         self.classifiers: Dict[int, HDClassifier] = {}
         for node_id in hierarchy.preorder():
             self.rebuild_node(node_id)
+
+    def spec(self) -> dict:
+        """JSON-safe description of everything this federation is built from.
+
+        Structure, feature slices, config, class count and the
+        holographic switch — encoders, projections and (untrained)
+        classifiers regenerate from these alone, which is what a
+        checkpoint, a cluster worker and the control plane's
+        fingerprint each rely on. :meth:`from_spec` is the inverse.
+        """
+        return {
+            "n_classes": self.n_classes,
+            "holographic": self.holographic,
+            "config": asdict(self.config),
+            "hierarchy": self.hierarchy.spec(),
+            "partition": [list(s) for s in self.partition.slices],
+        }
+
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any]) -> "EdgeHDFederation":
+        """Rebuild the (untrained) federation :meth:`spec` describes.
+
+        Reads the five :meth:`spec` keys and ignores any others, so a
+        checkpoint's metadata block can be passed as is.
+        """
+        partition = FeaturePartition(
+            slices=tuple(tuple(int(c) for c in s) for s in spec["partition"])
+        )
+        partition.validate()
+        return cls(
+            Hierarchy.from_spec(spec["hierarchy"]),
+            partition,
+            int(spec["n_classes"]),
+            EdgeHDConfig(**spec["config"]),
+            holographic=bool(spec["holographic"]),
+        )
 
     def node_seed(self, node_id: int) -> int:
         """Stable per-node RNG seed, keyed by node id.
@@ -319,6 +355,147 @@ class EdgeHDFederation:
     # ------------------------------------------------------------------
     # offline federated training (Sec. IV-B)
     # ------------------------------------------------------------------
+    def training_inputs(
+        self, train_x: np.ndarray, train_y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]:
+        """Validated ``(features, labels, batch groups)`` of a training set."""
+        mat = check_matrix("train_x", train_x, cols=self.partition.n_features)
+        y = check_labels("train_y", train_y, n_classes=self.n_classes)
+        if mat.shape[0] != y.shape[0]:
+            raise ValueError(f"{mat.shape[0]} samples but {y.shape[0]} labels")
+        return mat, y, batch_groups(y, self.config.batch_size)
+
+    def training_set(
+        self,
+        node_id: int,
+        mat: np.ndarray,
+        y: np.ndarray,
+        groups: list[tuple[int, np.ndarray]],
+        child_batches: list[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What one node retrains on, and the batch hypervectors it forwards.
+
+        Returns ``(samples, labels, forwarded)``. An end node retrains
+        on its encoded samples and bundles them per batch group; an
+        internal node retrains on the hierarchical encoding of its
+        children's forwarded batches (raw projection values — local to
+        the node), one row per group. Either way the copy that travels
+        is binarized — one bit per dimension on the wire, exactly like
+        query hypervectors. Touches no model state.
+        """
+        node = self.hierarchy.nodes[node_id]
+        if node.is_leaf:
+            samples, labels = self.encode_leaf(node_id, mat), y
+            raw = np.stack([samples[idx].sum(axis=0) for _, idx in groups])
+        else:
+            samples = raw = self.combine_children(
+                node_id, child_batches, binarize=False
+            ).astype(np.float64)
+            labels = np.array([cls for cls, _ in groups], dtype=np.int64)
+        return samples, labels, sign_binarize(raw).astype(np.float64)
+
+    def train_node(
+        self,
+        node_id: int,
+        mat: np.ndarray,
+        y: np.ndarray,
+        groups: list[tuple[int, np.ndarray]],
+        epochs: int,
+        child_models: list[np.ndarray],
+        child_batches: list[np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """The training step of Sec. IV-B at one node.
+
+        ``child_models`` / ``child_batches`` are the children's class
+        models and forwarded batch hypervectors *as this node received
+        them*, in child order (empty at an end node). The initial model
+        is the bundle of the local samples at an end node, and elsewhere
+        the hierarchical encoding of the children's class hypervectors
+        (kept real-valued: a linear aggregate the retraining refines).
+        Returns what the node ships in turn — ``(class model, forwarded
+        batch hypervectors)`` — plus its training accuracy.
+
+        Charges no traffic and records nothing: every driver
+        (:meth:`fit_offline`, the control plane's refit, the wire-level
+        deployment) trains a node through this one function and differs
+        only in how the artifacts travel.
+        """
+        clf = self.classifiers[node_id]
+        samples, labels, forwarded = self.training_set(
+            node_id, mat, y, groups, child_batches
+        )
+        if self.hierarchy.nodes[node_id].is_leaf:
+            clf.fit_initial(samples, labels)
+        else:
+            clf.set_model(
+                self.combine_children(node_id, child_models, binarize=False)
+            )
+        if epochs > 0:
+            clf.retrain(
+                samples, labels, epochs=epochs,
+                learning_rate=self.config.retrain_learning_rate,
+                shuffle_seed=node_id,
+            )
+        accuracy = clf.accuracy(samples, labels)
+        return clf.class_hypervectors.copy(), forwarded, accuracy
+
+    def _charge_upward(
+        self, node_id: int, n_batches: int, report: FederatedTrainingReport
+    ) -> None:
+        """Analytic cost of one node's two upward transfers."""
+        node = self.hierarchy.nodes[node_id]
+        if node.parent is None:
+            return
+        payloads = (
+            (MessageKind.CLASS_MODEL,
+             class_model_bytes(self.n_classes, node.dimension)),
+            (MessageKind.BATCH_HYPERVECTORS,
+             n_batches * hypervector_bytes(node.dimension, bipolar=True)),
+        )
+        for sequence, (kind, payload_bytes) in enumerate(payloads):
+            report.messages.append(
+                Message(
+                    source=node_id,
+                    destination=node.parent,
+                    kind=kind,
+                    payload_bytes=payload_bytes,
+                    sequence=sequence,
+                )
+            )
+            obs.incr(f"hierarchy.upward.bytes.{kind.value}", payload_bytes)
+
+    def train_nodes(
+        self,
+        order: Iterable[int],
+        mat: np.ndarray,
+        y: np.ndarray,
+        groups: list[tuple[int, np.ndarray]],
+        epochs: int,
+        class_models: Dict[int, np.ndarray],
+        batch_hvs: Dict[int, np.ndarray],
+    ) -> FederatedTrainingReport:
+        """In-memory driver: :meth:`train_node` over ``order``.
+
+        ``order`` lists children before parents. Each node reads its
+        children's artifacts from the two dicts and leaves its own
+        there, so a child outside ``order`` contributes whatever the
+        caller put in — how the control plane retrains exactly the
+        nodes a topology mutation dirtied, bit-identical to a full pass
+        over the mutated tree, without touching the clean subtrees.
+        """
+        report = FederatedTrainingReport(n_batches=len(groups))
+        for node_id in order:
+            children = self.hierarchy.nodes[node_id].children
+            model, batches, accuracy = self.train_node(
+                node_id, mat, y, groups, epochs,
+                [class_models[c] for c in children],
+                [batch_hvs[c] for c in children],
+            )
+            class_models[node_id], batch_hvs[node_id] = model, batches
+            report.node_train_accuracy[node_id] = accuracy
+            self._charge_upward(node_id, len(groups), report)
+        return report
+
     def fit_offline(
         self,
         train_x: np.ndarray,
@@ -330,32 +507,17 @@ class EdgeHDFederation:
         Returns a report containing per-node training accuracy and the
         complete list of network messages the run generated.
         """
-        mat = check_matrix("train_x", train_x, cols=self.partition.n_features)
-        y = check_labels("train_y", train_y, n_classes=self.n_classes)
-        if mat.shape[0] != y.shape[0]:
-            raise ValueError(f"{mat.shape[0]} samples but {y.shape[0]} labels")
+        mat, y, groups = self.training_inputs(train_x, train_y)
         epochs = self.config.retrain_epochs if retrain_epochs is None else retrain_epochs
-        report = FederatedTrainingReport()
-        groups = batch_groups(y, self.config.batch_size)
-        report.n_batches = len(groups)
-        batch_labels = np.array([cls for cls, _ in groups], dtype=np.int64)
-
-        # Per-node artifacts produced during the upward pass.
-        class_models: Dict[int, np.ndarray] = {}
-        batch_hvs: Dict[int, np.ndarray] = {}
-
-        upward = obs.span(
+        with obs.span(
             "fit_offline",
             nodes=len(self.hierarchy.nodes),
             n_samples=mat.shape[0],
-            n_batches=report.n_batches,
-        )
-        upward.__enter__()
-        try:
-            self._upward_pass(mat, y, epochs, report, groups, batch_labels,
-                              class_models, batch_hvs)
-        finally:
-            upward.__exit__(None, None, None)
+            n_batches=len(groups),
+        ):
+            report = self.train_nodes(
+                self.hierarchy.postorder(), mat, y, groups, epochs, {}, {}
+            )
         obs.incr("hierarchy.train.passes")
         obs.incr("hierarchy.train.bytes", report.total_bytes)
         logger.info(
@@ -364,116 +526,6 @@ class EdgeHDFederation:
             report.total_bytes / 1024,
         )
         return report
-
-    def _upward_pass(
-        self,
-        mat: np.ndarray,
-        y: np.ndarray,
-        epochs: int,
-        report: FederatedTrainingReport,
-        groups: list[tuple[int, np.ndarray]],
-        batch_labels: np.ndarray,
-        class_models: Dict[int, np.ndarray],
-        batch_hvs: Dict[int, np.ndarray],
-    ) -> None:
-        """Bottom-up training walk shared by :meth:`fit_offline`."""
-        for node_id in self.hierarchy.postorder():
-            self._fit_node(node_id, mat, y, epochs, report, groups,
-                           batch_labels, class_models, batch_hvs)
-
-    def _fit_node(
-        self,
-        node_id: int,
-        mat: np.ndarray,
-        y: np.ndarray,
-        epochs: int,
-        report: FederatedTrainingReport,
-        groups: list[tuple[int, np.ndarray]],
-        batch_labels: np.ndarray,
-        class_models: Dict[int, np.ndarray],
-        batch_hvs: Dict[int, np.ndarray],
-    ) -> None:
-        """Train one node, reading children artifacts from the dicts.
-
-        The per-node unit of the bottom-up pass. The control plane
-        re-invokes it for exactly the nodes a topology mutation dirtied
-        (new/donor leaves and their ancestors), against cached children
-        artifacts — producing models bit-identical to a full
-        :meth:`fit_offline` of the mutated tree without retraining the
-        untouched subtrees.
-        """
-        node = self.hierarchy.nodes[node_id]
-        clf = self.classifiers[node_id]
-        if node.is_leaf:
-            encoded = self.encode_leaf(node_id, mat)
-            clf.fit_initial(encoded, y)
-            clf.retrain(
-                encoded, y, epochs=epochs,
-                learning_rate=self.config.retrain_learning_rate,
-                shuffle_seed=node_id,
-            )
-            report.node_train_accuracy[node_id] = clf.accuracy(encoded, y)
-            # Batch hypervectors are binarized for transfer — one
-            # bit per dimension on the wire, exactly like query
-            # hypervectors (Sec. IV-B).
-            batches = sign_binarize(
-                np.stack([encoded[idx].sum(axis=0) for _, idx in groups])
-            ).astype(np.float64)
-        else:
-            # Initial model: hierarchical encoding of children's
-            # class hypervectors (kept real-valued — it is a linear
-            # aggregate the retraining step refines).
-            child_models = [class_models[c] for c in node.children]
-            clf.set_model(
-                self.combine_children(node_id, child_models, binarize=False)
-            )
-            # Retraining set: hierarchically-encoded batch hypervectors
-            # (raw projection values — local to this node).
-            child_batches = [batch_hvs[c] for c in node.children]
-            batches = self.combine_children(
-                node_id, child_batches, binarize=False
-            ).astype(np.float64)
-            if epochs > 0 and batches.shape[0] > 0:
-                clf.retrain(
-                    batches, batch_labels, epochs=epochs,
-                    learning_rate=self.config.retrain_learning_rate,
-                    shuffle_seed=node_id,
-                )
-            if batches.shape[0] > 0:
-                report.node_train_accuracy[node_id] = clf.accuracy(
-                    batches, batch_labels
-                )
-            # Binarize before forwarding, as at the leaves.
-            batches = sign_binarize(batches).astype(np.float64)
-        class_models[node_id] = clf.class_hypervectors.copy()
-        batch_hvs[node_id] = batches
-
-        if node.parent is not None:
-            model_bytes = class_model_bytes(self.n_classes, node.dimension)
-            report.messages.append(
-                Message(
-                    source=node_id,
-                    destination=node.parent,
-                    kind=MessageKind.CLASS_MODEL,
-                    payload_bytes=model_bytes,
-                )
-            )
-            batch_bytes = batches.shape[0] * hypervector_bytes(
-                node.dimension, bipolar=True
-            )
-            report.messages.append(
-                Message(
-                    source=node_id,
-                    destination=node.parent,
-                    kind=MessageKind.BATCH_HYPERVECTORS,
-                    payload_bytes=batch_bytes,
-                    sequence=1,
-                )
-            )
-            obs.incr("hierarchy.upward.bytes.class_model", model_bytes)
-            obs.incr(
-                "hierarchy.upward.bytes.batch_hypervectors", batch_bytes
-            )
 
     # ------------------------------------------------------------------
     # evaluation helpers

@@ -54,12 +54,9 @@ import multiprocessing as mp
 import numpy as np
 
 import repro.obs as obs
-from repro.config import EdgeHDConfig
 from repro.core.search import SearchSpec
-from repro.data.partition import FeaturePartition
 from repro.hierarchy.federation import EdgeHDFederation
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
-from repro.hierarchy.topology import Hierarchy
 from repro.network.medium import Medium, edge_medium
 from repro.obs.registry import MetricsRegistry
 from repro.serve.faults import FaultPlan
@@ -184,17 +181,13 @@ class WorkerSpec:
     """Everything a worker needs to rebuild + attach its serving stack.
 
     Deliberately model-free: the learned arrays travel via the
-    shared-memory ``manifest``; the rest is plain-data structure
-    (hierarchy, partition, config) from which encoders and projections
+    shared-memory ``manifest``; ``federation`` is the plain-data
+    :meth:`EdgeHDFederation.spec` from which encoders and projections
     regenerate deterministically, exactly as
     :mod:`repro.hierarchy.checkpoint` relies on.
     """
 
-    hierarchy: Hierarchy
-    partition: FeaturePartition
-    n_classes: int
-    config: EdgeHDConfig
-    holographic: bool
+    federation: dict
     confidence_threshold: float
     compression_count: int
     min_level: int
@@ -224,13 +217,7 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
     metrics = MetricsRegistry()
     labels = {"replica": str(spec.replica_id), "shard": str(spec.shard_id)}
     try:
-        federation = EdgeHDFederation(
-            spec.hierarchy,
-            spec.partition,
-            spec.n_classes,
-            spec.config,
-            holographic=spec.holographic,
-        )
+        federation = EdgeHDFederation.from_spec(spec.federation)
         store = SharedModelStore.attach(spec.manifest)
         report = store.install(federation)
         inference = HierarchicalInference(
@@ -242,8 +229,8 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
         )
         # Warm the BLAS / encoder paths before accepting traffic so the
         # first real batch doesn't pay one-time setup cost.
-        warm = np.zeros((1, spec.partition.n_features))
-        leaf0 = spec.hierarchy.leaves()[0]
+        warm = np.zeros((1, federation.partition.n_features))
+        leaf0 = federation.hierarchy.leaves()[0]
         inference.run(
             warm,
             start_leaves=np.asarray([leaf0], dtype=np.int64),
@@ -425,11 +412,7 @@ class ClusterRuntime:
         assert self._ctx is not None and self._manifest is not None
         assert replica_id == len(self._task_qs)
         spec = WorkerSpec(
-            hierarchy=self.hierarchy,
-            partition=self.federation.partition,
-            n_classes=self.federation.n_classes,
-            config=self.federation.config,
-            holographic=self.federation.holographic,
+            federation=self.federation.spec(),
             confidence_threshold=self.inference.confidence_threshold,
             compression_count=self.inference.compression_count,
             min_level=self.inference.min_level,

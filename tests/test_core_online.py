@@ -112,21 +112,19 @@ class TestApply:
 
 
 class TestMergeTransferClear:
-    def test_merge(self):
-        a = ResidualAccumulator(2, 4)
-        b = ResidualAccumulator(2, 4)
-        a.record_negative(np.ones(4), 0)
-        b.record_negative(2 * np.ones(4), 0, true_class=1)
-        a.merge(b)
-        assert np.array_equal(a.negative[0], 3 * np.ones(4))
-        assert np.array_equal(a.positive[1], 2 * np.ones(4))
-        assert a.feedback_count == 2
-
-    def test_merge_shape_mismatch(self):
-        a = ResidualAccumulator(2, 4)
-        b = ResidualAccumulator(3, 4)
-        with pytest.raises(ValueError):
-            a.merge(b)
+    def test_copy_is_exact_and_independent(self):
+        acc = ResidualAccumulator(3, 4)
+        acc.record_negative(np.ones(4), 0, true_class=2)
+        acc.record_negative(2 * np.ones(4), 0)
+        clone = acc.copy()
+        for name in ("negative", "positive", "negative_counts",
+                     "positive_counts"):
+            assert np.array_equal(getattr(clone, name), getattr(acc, name))
+        # per-class counts survive — load() would spread them evenly
+        assert clone.negative_counts.tolist() == [2, 0, 0]
+        assert clone.feedback_count == 2
+        clone.record_negative(np.ones(4), 1)
+        assert acc.feedback_count == 2 and acc.negative[1].sum() == 0
 
     def test_snapshot_copies(self):
         acc = ResidualAccumulator(2, 4)
@@ -156,10 +154,6 @@ class TestMergeTransferClear:
         acc.clear()
         assert acc.is_empty
         assert np.all(acc.negative == 0)
-
-    def test_wire_elements(self):
-        acc = ResidualAccumulator(3, 10)
-        assert acc.wire_elements() == 2 * 3 * 10
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -303,6 +303,27 @@ class TestErrorContext:
         assert "(2, 3)" in msg
         assert "expected" in msg
 
+    def test_residual_shape_mismatch_names_node_and_shapes(
+        self, trained, tmp_path
+    ):
+        from repro.hierarchy.online import OnlineLearner
+
+        data, partition, config, federation = trained
+        path = tmp_path / "ctx.npz"
+        save_topology_state(
+            federation, path, learner=OnlineLearner(federation)
+        )
+        arrays = dict(np.load(path, allow_pickle=False))
+        arrays["resposc_0"] = np.zeros(7, dtype=np.int64)
+        target = tmp_path / "resshape.npz"
+        np.savez_compressed(str(target), **arrays)
+        with pytest.raises(CheckpointError) as err:
+            load_topology_state(target, reconstruct=False)
+        msg = str(err.value)
+        assert str(target) in msg
+        assert "residual arrays for node 0" in msg
+        assert "(7,)" in msg
+
     def test_missing_meta_lists_found_entries(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)
         arrays = dict(np.load(path, allow_pickle=False))

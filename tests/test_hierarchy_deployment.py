@@ -1,5 +1,6 @@
 """Integration tests: federated training through real wire frames."""
 
+import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
@@ -28,9 +29,10 @@ def fresh_federation(setup):
 
 class TestCleanDeployment:
     def test_matches_in_memory_training(self, setup):
-        """Wire-level training must reproduce in-memory federated
-        training exactly when the network is clean (float32 rounding
-        of class models is the only difference)."""
+        """Wire-level training reproduces in-memory federated training
+        bit for bit when the network is clean: both drive the same
+        per-node step, and at this size (every projection scale exactly
+        1/8) the float32 class-model frames lose nothing."""
         data, partition, config = setup
         in_memory = fresh_federation(setup)
         in_memory.fit_offline(data.train_x, data.train_y)
@@ -39,13 +41,11 @@ class TestCleanDeployment:
         deployment = SimulatedDeployment(deployed_fed, MEDIA["wired-1gbps"])
         deployment.train(data.train_x, data.train_y)
 
-        acc_mem = in_memory.accuracy_at(
-            in_memory.root_id, data.test_x, data.test_y
-        )
-        acc_wire = deployed_fed.accuracy_at(
-            deployed_fed.root_id, data.test_x, data.test_y
-        )
-        assert acc_wire == pytest.approx(acc_mem, abs=0.02)
+        for nid, clf in in_memory.classifiers.items():
+            assert np.array_equal(
+                deployed_fed.classifiers[nid].class_hypervectors,
+                clf.class_hypervectors,
+            ), f"node {nid}"
 
     def test_report_contents(self, setup):
         data, partition, config = setup

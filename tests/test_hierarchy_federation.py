@@ -74,6 +74,28 @@ class TestConstruction:
             else:
                 assert nid in fed.projections
 
+    def test_spec_round_trips_through_json(self, trained_federation):
+        """``from_spec(spec())`` regenerates every untrained artifact —
+        what a checkpoint and a cluster worker rebuild from."""
+        import json
+
+        fed, _, data = trained_federation
+        spec = fed.spec()
+        assert sorted(spec) == [
+            "config", "hierarchy", "holographic", "n_classes", "partition"
+        ]
+        twin = EdgeHDFederation.from_spec(json.loads(json.dumps(spec)))
+        assert twin.spec() == spec
+        assert twin.config == fed.config
+        for nid, projection in fed.projections.items():
+            assert np.array_equal(twin.projections[nid].matrix, projection.matrix)
+        twin.fit_offline(data.train_x, data.train_y)
+        for nid, clf in fed.classifiers.items():
+            assert np.array_equal(
+                twin.classifiers[nid].class_hypervectors,
+                clf.class_hypervectors,
+            )
+
 
 class TestEncoding:
     def test_encode_leaf_uses_local_columns(self, trained_federation):

@@ -154,17 +154,24 @@ class TestRoundTripProperties:
         assert restored is not None
         assert restored._propagations == learner._propagations
         assert set(restored.residuals) == set(learner.residuals)
+        assert set(ckpt.residuals) == set(learner.residuals)
         for nid, acc in learner.residuals.items():
-            loaded = restored.residuals[nid]
-            assert np.array_equal(loaded.negative, acc.negative)
-            assert np.array_equal(loaded.positive, acc.positive)
-            assert np.array_equal(
-                loaded.negative_counts, acc.negative_counts
-            )
-            assert np.array_equal(
-                loaded.positive_counts, acc.positive_counts
-            )
-            assert loaded.feedback_count == acc.feedback_count
+            # the accumulator the loader decoded, and the copy of it the
+            # rebuilt learner owns: both exact, per-class counts included
+            assert restored.residuals[nid] is not ckpt.residuals[nid]
+            for loaded in (ckpt.residuals[nid], restored.residuals[nid]):
+                assert (loaded.n_classes, loaded.dimension) == (
+                    acc.n_classes, acc.dimension
+                )
+                assert np.array_equal(loaded.negative, acc.negative)
+                assert np.array_equal(loaded.positive, acc.positive)
+                assert np.array_equal(
+                    loaded.negative_counts, acc.negative_counts
+                )
+                assert np.array_equal(
+                    loaded.positive_counts, acc.positive_counts
+                )
+                assert loaded.feedback_count == acc.feedback_count
 
     @given(setup=federation_with_models())
     @settings(max_examples=10, deadline=None)
