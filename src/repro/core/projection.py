@@ -12,12 +12,58 @@ information (the robustness experiment of Fig. 12 hinges on this).
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.core.hypervector import sign_binarize
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_matrix, check_probability
 
 __all__ = ["TernaryProjection", "concatenate_hypervectors"]
+
+#: Cells drawn per block of rows: bounds the construction's temporaries
+#: (a float64 uniform per cell, two masks, the non-zeros' positions)
+#: to ~20 MiB whatever the matrix size.
+_DRAW_BLOCK_CELLS = 1 << 20
+
+
+def _draw_ternary_csr(
+    rng: np.random.Generator,
+    out_dimension: int,
+    in_dimension: int,
+    zero_fraction: float,
+) -> csr_matrix:
+    """``rng.choice([-1, 0, 1], size=(out, in), p=...)``, drawn as CSR.
+
+    ``Generator.choice`` with ``p`` draws one uniform ``u`` per cell, in
+    C order, and picks index ``cdf.searchsorted(u, side="right")`` of
+    the normalised CDF: the number of CDF entries ``<= u``. With three
+    entries, the last exactly 1.0, that is ``(u >= cdf[0]) + (u >=
+    cdf[1])``, so index 0 (-1) is ``u < cdf[0]`` and index 2 (+1) is
+    ``u >= cdf[1]``. Applying that map to consecutive blocks of rows of
+    the same stream yields the identical matrix without ever holding a
+    full-size temporary, and only the non-zeros are kept. They are
+    stored as float64 ±1.0 so the product needs no per-call upcast.
+    """
+    nonzero = (1.0 - zero_fraction) / 2.0
+    cdf = np.array([nonzero, zero_fraction, nonzero], dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    block_rows = max(1, _DRAW_BLOCK_CELLS // in_dimension)
+    counts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+    indices: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    for start in range(0, out_dimension, block_rows):
+        rows = min(block_rows, out_dimension - start)
+        uniform = rng.random((rows, in_dimension))
+        positive = uniform >= cdf[1]
+        flat = np.flatnonzero((uniform < cdf[0]) | positive)
+        counts.append(np.bincount(flat // in_dimension, minlength=rows))
+        indices.append((flat % in_dimension).astype(np.int32))
+        data.append(np.where(positive.ravel()[flat], 1.0, -1.0))
+    return csr_matrix(
+        (np.concatenate(data), np.concatenate(indices),
+         np.cumsum(np.concatenate(counts))),
+        shape=(out_dimension, in_dimension),
+    )
 
 
 def concatenate_hypervectors(parts: list[np.ndarray]) -> np.ndarray:
@@ -78,12 +124,13 @@ class TernaryProjection:
         self.out_dimension = int(out_dimension)
         self.zero_fraction = float(zero_fraction)
         self.binarize = bool(binarize)
-        rng = derive_rng(seed, "ternary-projection")
-        nonzero = (1.0 - zero_fraction) / 2.0
-        self.matrix = rng.choice(
-            np.array([-1, 0, 1], dtype=np.int8),
-            size=(out_dimension, in_dimension),
-            p=[nonzero, zero_fraction, nonzero],
+        #: The {-1, 0, +1} matrix as CSR, ``out x in``: only the
+        #: non-zeros are stored (what ships to the FPGA) and multiplied.
+        self.matrix = _draw_ternary_csr(
+            derive_rng(seed, "ternary-projection"),
+            self.out_dimension,
+            self.in_dimension,
+            self.zero_fraction,
         )
         # Variance-preserving scale: each output element sums
         # ~in_dim * (1 - zero_fraction) random +/-1 contributions, so
@@ -91,35 +138,30 @@ class TernaryProjection:
         # input. Without it, projected values drown any un-projected
         # sibling hypervector they are later concatenated with.
         self._scale = 1.0 / np.sqrt(in_dimension * (1.0 - zero_fraction))
-        #: float64 transpose for BLAS, built on first projection. The
-        #: int8 `matrix` stays the source of truth (what ships to the
-        #: FPGA); converting per call would charge a full-matrix
-        #: upcast to every micro-batch, which dominates small-cohort
-        #: projections.
-        self._matrix_f64_t: np.ndarray | None = None
 
     def project(self, hypervectors: np.ndarray) -> np.ndarray:
         """Project (a batch of) concatenated hypervectors.
 
         Returns bipolar int8 when ``binarize`` is set, otherwise the
         variance-preserving real projection. 1-D input yields 1-D
-        output.
+        output. Integer-valued input (every binarized hypervector) sums
+        exactly in any order, so its projection is bit-equal to a dense
+        product; real-valued input may differ from one in the last bit.
         """
         arr = np.asarray(hypervectors)
         single = arr.ndim == 1
         mat = check_matrix("hypervectors", arr, cols=self.in_dimension)
-        if self._matrix_f64_t is None:
-            # order='K' (astype default) keeps the transposed layout, so
-            # BLAS sees byte-identical operands to the uncached days and
-            # every projected value stays bit-identical.
-            self._matrix_f64_t = self.matrix.T.astype(np.float64)
-        projected = (mat @ self._matrix_f64_t) * self._scale
+        # M @ X^T streams each output row's non-zeros once over a
+        # C-ordered (in, batch) operand; the result goes back to the
+        # C-ordered (batch, out) layout the dense product had.
+        product = self.matrix @ mat.T.astype(np.float64, order="C")
+        projected = np.ascontiguousarray(np.asarray(product).T) * self._scale
         out = sign_binarize(projected) if self.binarize else projected
         return out[0] if single else out
 
     def multiplies_per_vector(self) -> int:
         """Non-zero multiply-accumulates per projected hypervector."""
-        return int(np.count_nonzero(self.matrix))
+        return int(self.matrix.nnz)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,7 +14,11 @@ semantics exact:
   and projections are deterministic), attach the learned models from a
   :class:`~repro.serve.shard.SharedModelStore` — read-only, zero-copy,
   never pickled — and replay the exact offline escalation walk
-  (:meth:`HierarchicalInference.run`) on their cohort;
+  (:meth:`HierarchicalInference.run`) on their cohort. Each worker is
+  pinned to one CPU of the router's affinity set (replica ``i`` to the
+  ``i``-th, wrapping), so the fleet is spread over the cores from its
+  first batch instead of whenever the kernel's load balancer gets to
+  it;
 * a **heartbeat registry** evicts replicas that stop beating and the
   router re-dispatches their outstanding batches, so a killed worker
   (via :meth:`FaultPlan.validate_for_cluster` crash windows keyed by
@@ -44,6 +48,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import logging
+import os
 import queue as queue_mod
 import time
 from dataclasses import dataclass
@@ -198,6 +203,16 @@ class WorkerSpec:
     shard_id: int
     heartbeat_interval_s: float
     fault_plan: Optional[FaultPlan] = None
+    #: CPU the worker pins itself to; None leaves placement to the OS.
+    cpu: Optional[int] = None
+
+
+def _fleet_cpus() -> List[int]:
+    """CPUs the router may run on, in order; empty where the platform
+    cannot pin a process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
 
 
 def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
@@ -217,6 +232,12 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
     metrics = MetricsRegistry()
     labels = {"replica": str(spec.replica_id), "shard": str(spec.shard_id)}
     try:
+        if spec.cpu is not None:
+            # Forked next to the router, a worker that sleeps between
+            # short batches keeps being woken on the router's core;
+            # two of them sharing it halve the fleet until the load
+            # balancer moves one, which takes a second or more.
+            os.sched_setaffinity(0, {spec.cpu})
         federation = EdgeHDFederation.from_spec(spec.federation)
         store = SharedModelStore.attach(spec.manifest)
         report = store.install(federation)
@@ -397,12 +418,16 @@ class ClusterRuntime:
         #: shard a replica id serves — replacements inherit their
         #: predecessor's shard, and ids are never reused.
         self._shard_of_replica: Dict[int, int] = {}
+        #: CPU a replica id is pinned to — replacements inherit it too.
+        self._cpu_of_replica: Dict[int, Optional[int]] = {}
         self.n_respawned = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn_worker(self, replica_id: int, shard_id: int) -> None:
+    def _spawn_worker(
+        self, replica_id: int, shard_id: int, cpu: Optional[int]
+    ) -> None:
         """Spawn one worker process attached to the shared store.
 
         Used both for the initial fleet and for eviction-triggered
@@ -423,6 +448,7 @@ class ClusterRuntime:
             shard_id=shard_id,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,
             fault_plan=self.plan,
+            cpu=cpu,
         )
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
@@ -435,6 +461,7 @@ class ClusterRuntime:
         self._task_qs.append(task_q)
         self._procs.append(proc)
         self._shard_of_replica[replica_id] = shard_id
+        self._cpu_of_replica[replica_id] = cpu
 
     def start(self) -> None:
         """Publish the shared store and spawn the worker fleet."""
@@ -450,8 +477,13 @@ class ClusterRuntime:
         self._result_q = ctx.Queue()
         self._task_qs = []
         self._procs = []
+        cpus = _fleet_cpus()
         for replica_id in range(self.cluster.workers):
-            self._spawn_worker(replica_id, replica_id % self.cluster.n_shards)
+            self._spawn_worker(
+                replica_id,
+                replica_id % self.cluster.n_shards,
+                cpus[replica_id % len(cpus)] if cpus else None,
+            )
         deadline = time.monotonic() + self.cluster.ready_timeout_s
         while len(self._zero_copy_reports) < self.cluster.workers:
             remaining = deadline - time.monotonic()
@@ -762,7 +794,10 @@ class ClusterRuntime:
                     )
                     if obs.enabled():
                         obs.incr("cluster.respawns")
-                    self._spawn_worker(new_id, info.shard_id)
+                    self._spawn_worker(
+                        new_id, info.shard_id,
+                        self._cpu_of_replica[info.replica_id],
+                    )
             # 4. drain worker results (block briefly to avoid spinning)
             timeout = self._drain_timeout(
                 arrival_ptr, n, order, arrivals, rel, buffer_open_wall,

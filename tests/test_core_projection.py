@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.hypervector import cosine, random_bipolar
-from repro.core.projection import TernaryProjection, concatenate_hypervectors
+from repro.core.hypervector import cosine, random_bipolar, sign_binarize
+from repro.core.projection import (
+    _DRAW_BLOCK_CELLS,
+    TernaryProjection,
+    concatenate_hypervectors,
+)
+from repro.utils.rng import derive_rng
 
 
 class TestConcatenate:
@@ -34,15 +39,103 @@ class TestConcatenate:
             concatenate_hypervectors([])
 
 
+def _reference_matrix(in_dim, out_dim, zero_fraction, seed):
+    """The dense draw the sparse construction must reproduce."""
+    nonzero = (1.0 - zero_fraction) / 2.0
+    return derive_rng(seed, "ternary-projection").choice(
+        np.array([-1, 0, 1], dtype=np.int8),
+        size=(out_dim, in_dim),
+        p=[nonzero, zero_fraction, nonzero],
+    )
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj``'s attributes, recursively."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+class TestSparseDraw:
+    """The CSR draw is ``Generator.choice``'s matrix, cell for cell."""
+
+    @pytest.mark.parametrize(
+        "in_dim, out_dim, zero_fraction",
+        [
+            (1, 1, 1.0 / 3.0),
+            # Rows not a multiple of the draw's row block.
+            (1000, 3 * (_DRAW_BLOCK_CELLS // 1000) + 7, 1.0 / 3.0),
+            # in_dim below projection_nonzeros: no zeros at all.
+            (48, 40, 0.0),
+            (300, 200, 1.0 / 3.0),
+            (4000, 4000, 1.0 - 64 / 4000),
+        ],
+    )
+    def test_equals_choice(self, in_dim, out_dim, zero_fraction):
+        proj = TernaryProjection(
+            in_dim, out_dim, zero_fraction=zero_fraction, seed=21
+        )
+        reference = _reference_matrix(in_dim, out_dim, zero_fraction, 21)
+        assert proj.matrix.shape == reference.shape
+        assert np.array_equal(proj.matrix.toarray(), reference)
+        assert proj.matrix.nnz == np.count_nonzero(reference)
+
+    @pytest.mark.parametrize("rows", ["1d", 1, 32])
+    def test_project_equals_dense_product(self, rows):
+        proj = TernaryProjection(
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=22, binarize=False
+        )
+        dense_t = proj.matrix.toarray().T.astype(np.float64)
+        shape = (600,) if rows == "1d" else (rows, 600)
+        bipolar = random_bipolar(600, count=int(np.prod(shape)) // 600, seed=23)
+        bipolar = bipolar.reshape(shape)
+        for x in (bipolar, bipolar.astype(np.float64)):
+            got = proj.project(x)
+            assert got.shape == shape[:-1] + (500,)
+            assert np.array_equal(got, (x @ dense_t) * proj._scale)
+        real = np.random.default_rng(24).standard_normal(shape)
+        np.testing.assert_allclose(
+            proj.project(real), (real @ dense_t) * proj._scale, rtol=1e-12
+        )
+
+    def test_binarized_projection_equals_dense(self):
+        proj = TernaryProjection(200, 150, seed=25)
+        x = random_bipolar(200, count=8, seed=26)
+        dense = (x @ proj.matrix.toarray().T.astype(np.float64)) * proj._scale
+        assert np.array_equal(proj.project(x), sign_binarize(dense))
+
+    def test_no_dense_operand_kept(self):
+        """A dense cache of the root-sized projection would be 122 MiB."""
+        proj = TernaryProjection(4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=27)
+        proj.project(random_bipolar(4000, count=32, seed=28))
+        proj.project(random_bipolar(4000, seed=29))
+        biggest = max(a.nbytes for a in _reachable_arrays(proj))
+        assert biggest <= 4 * 2 ** 20
+
+
 class TestTernaryProjection:
     def test_matrix_values(self):
         proj = TernaryProjection(100, 80, seed=1)
-        assert set(np.unique(proj.matrix)) <= {-1, 0, 1}
+        assert set(np.unique(proj.matrix.toarray())) <= {-1, 0, 1}
         assert proj.matrix.shape == (80, 100)
 
     def test_zero_fraction_respected(self):
         proj = TernaryProjection(1000, 500, zero_fraction=0.5, seed=2)
-        zero_rate = np.mean(proj.matrix == 0)
+        zero_rate = np.mean(proj.matrix.toarray() == 0)
         assert abs(zero_rate - 0.5) < 0.05
 
     def test_binarized_output(self):
@@ -59,7 +152,7 @@ class TestTernaryProjection:
     def test_deterministic(self):
         a = TernaryProjection(64, 64, seed=6).matrix
         b = TernaryProjection(64, 64, seed=6).matrix
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.toarray(), b.toarray())
 
     def test_variance_preserving(self):
         """Non-binarized projection keeps per-element variance ~input's."""
@@ -107,7 +200,7 @@ class TestTernaryProjection:
 
     def test_multiplies_counts_nonzeros(self):
         proj = TernaryProjection(100, 50, zero_fraction=0.4, seed=18)
-        assert proj.multiplies_per_vector() == np.count_nonzero(proj.matrix)
+        assert proj.multiplies_per_vector() == np.count_nonzero(proj.matrix.toarray())
 
     def test_wrong_input_dimension(self):
         proj = TernaryProjection(10, 10, seed=19)

@@ -88,7 +88,9 @@ class TestConstruction:
         assert twin.spec() == spec
         assert twin.config == fed.config
         for nid, projection in fed.projections.items():
-            assert np.array_equal(twin.projections[nid].matrix, projection.matrix)
+            assert np.array_equal(
+                twin.projections[nid].matrix.toarray(), projection.matrix.toarray()
+            )
         twin.fit_offline(data.train_x, data.train_y)
         for nid, clf in fed.classifiers.items():
             assert np.array_equal(

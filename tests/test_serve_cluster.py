@@ -17,6 +17,8 @@ Three layers, in increasing weight:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -412,6 +414,19 @@ class TestClusterServing:
             info.n_completed for info in runtime.registry.replicas()
         ]
         assert sum(per_replica) >= result.n_answered - result.n_retries
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API"
+    )
+    def test_workers_pinned_one_cpu_each(self, cluster_setup):
+        inference, _, _, _ = cluster_setup
+        cpus = sorted(os.sched_getaffinity(0))
+        with ClusterRuntime(
+            inference, get_medium("wired-1gbps"), ServeConfig(),
+            cluster=ClusterConfig(workers=3),
+        ) as runtime:
+            pinned = [os.sched_getaffinity(p.pid) for p in runtime._procs]
+        assert pinned == [{cpus[i % len(cpus)]} for i in range(3)]
 
     def test_killed_worker_is_evicted_and_work_redispatched(
         self, cluster_setup
