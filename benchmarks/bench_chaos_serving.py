@@ -97,7 +97,6 @@ def run_cell(federation, data, drop, dim_loss, crash):
         get_medium(MEDIUM),
         ServeConfig(
             max_batch=MAX_BATCH,
-            max_wait_ms=2.0,
             queue_depth=max(64, len(workload)),
         ),
         fault_plan=plan,
@@ -173,7 +172,7 @@ def run_traced_example(federation, data) -> dict:
         inference,
         get_medium(MEDIUM),
         ServeConfig(
-            max_batch=MAX_BATCH, max_wait_ms=2.0,
+            max_batch=MAX_BATCH,
             queue_depth=max(64, len(workload)),
         ),
         fault_plan=plan,
@@ -253,7 +252,7 @@ def check_chaos() -> dict:
         runtime = ServingRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=8, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=8, queue_depth=512),
             fault_plan=plan,
         )
         return runtime.serve_open_loop(workload, rate_rps=2000.0, seed=1)

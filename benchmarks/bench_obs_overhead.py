@@ -114,7 +114,7 @@ def _serve_once(inference, workload) -> float:
     runtime = ServingRuntime(
         inference,
         get_medium("wired-1gbps"),
-        ServeConfig(max_batch=16, max_wait_ms=0.5, queue_depth=512),
+        ServeConfig(max_batch=16, queue_depth=512),
     )
     start = time.perf_counter()
     runtime.serve_open_loop(workload, rate_rps=20000.0, seed=1)

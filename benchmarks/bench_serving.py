@@ -61,7 +61,7 @@ def check_equivalence() -> dict:
     runtime = ServingRuntime(
         inference,
         get_medium("wired-1gbps"),
-        ServeConfig(max_batch=8, max_wait_ms=1.0, queue_depth=512),
+        ServeConfig(max_batch=8, queue_depth=512),
     )
     served = runtime.serve_open_loop(workload, rate_rps=2000.0, seed=1)
     out = served.to_outcome()
@@ -82,7 +82,7 @@ def check_equivalence() -> dict:
         inference,
         get_medium("bluetooth-4.0"),
         ServeConfig(
-            max_batch=4, max_wait_ms=0.5, queue_depth=depth,
+            max_batch=4, queue_depth=depth,
             policy="shed", service_time_base_s=0.004,
         ),
     )
@@ -134,7 +134,7 @@ def check_cluster_equivalence(workers=2) -> dict:
     with ClusterRuntime(
         inference,
         get_medium("wired-1gbps"),
-        ServeConfig(max_batch=8, max_wait_ms=1.0, queue_depth=512),
+        ServeConfig(max_batch=8, queue_depth=512),
         cluster=ClusterConfig(workers=workers),
     ) as runtime:
         if not runtime.zero_copy:

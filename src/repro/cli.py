@@ -283,7 +283,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     serve_config = ServeConfig(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth,
         policy=args.policy,
     )
@@ -747,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="escalation confidence threshold",
     )
     serve_bench.add_argument("--max-batch", type=int, default=32)
-    serve_bench.add_argument("--max-wait-ms", type=float, default=2.0)
     serve_bench.add_argument("--queue-depth", type=int, default=64)
     serve_bench.add_argument(
         "--policy", default="block", choices=("block", "shed")

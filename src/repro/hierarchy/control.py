@@ -795,7 +795,7 @@ def _serve_phase(inference, serve_x, spec: ScenarioSpec, plan):
     runtime = ServingRuntime(
         inference,
         get_medium("wired-1gbps"),
-        ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=4096),
+        ServeConfig(max_batch=16, queue_depth=4096),
         fault_plan=plan,
     )
     result = runtime.serve_open_loop(

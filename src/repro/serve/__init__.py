@@ -2,8 +2,8 @@
 
 Turns a trained :class:`~repro.hierarchy.inference.HierarchicalInference`
 tree into a live service: requests arrive over time at end nodes, each
-node micro-batches its bounded inbox (flush on ``max_batch`` or
-``max_wait_ms``), classifies the cohort in one vectorized associative
+node micro-batches its bounded inbox (takes what is queued, up to
+``max_batch``), classifies the cohort in one vectorized associative
 search, and escalates low-confidence queries upward in compressed
 ``m``-query bundles whose transfer time and energy are charged through
 the configured :class:`~repro.network.medium.Medium`. Bounded queues
@@ -36,7 +36,7 @@ Quickstart::
     from repro.network.medium import get_medium
 
     runtime = ServingRuntime(inference, get_medium("wifi-802.11ac"),
-                             ServeConfig(max_batch=16, max_wait_ms=2.0))
+                             ServeConfig(max_batch=16))
     workload = make_workload(test_x, inference, seed=7)
     result = runtime.serve_open_loop(workload, rate_rps=500.0, seed=7)
     print(result.summary())

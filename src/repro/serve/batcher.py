@@ -1,12 +1,11 @@
 """Micro-batching: amortize one associative search over a cohort.
 
 HD inference cost is nearly flat in batch size (one vectorized
-popcount/cosine per node — the PR 2 kernel), so grouping requests that
-arrive close together is almost free throughput. The flush rule is the
-standard two-condition window: emit as soon as ``max_batch`` requests
-are waiting **or** ``max_wait_ms`` has elapsed since the first request
-of the window, whichever comes first. ``max_wait_ms`` therefore bounds
-the queueing latency a lone request can pay waiting for company.
+popcount/cosine per node), so serving everything that is queued in
+one flush is almost free throughput. The flush rule is
+work-conserving: wait for one request, take whatever else is already
+queued up to ``max_batch``, and flush. A lone request never waits for
+company, and under load the batch grows with the backlog — no timer.
 """
 
 from __future__ import annotations
@@ -23,79 +22,28 @@ __all__ = ["MicroBatcher"]
 class MicroBatcher:
     """Pull micro-batches off a :class:`BoundedQueue`."""
 
-    def __init__(
-        self, queue: BoundedQueue, max_batch: int, max_wait_ms: float
-    ) -> None:
+    def __init__(self, queue: BoundedQueue, max_batch: int) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.queue = queue
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         #: flush accounting: batches emitted and their size total.
         self.n_batches = 0
         self.n_items = 0
-        #: persistent getter task. Wrapping ``queue.get()`` directly in
-        #: ``asyncio.wait_for`` can *lose* an item when the timeout
-        #: races a successful get (the cancellation discards the
-        #: retrieved value); instead the getter survives window
-        #: timeouts and its result is simply collected by the next
-        #: window.
-        self._getter: "asyncio.Task[Any] | None" = None
-
-    async def _get_one(self, timeout: float | None) -> Any:
-        """Await one item, preserving the getter across timeouts.
-
-        Returns the item, or raises ``asyncio.TimeoutError`` with the
-        pending getter left running (no item can be lost).
-        """
-        if self._getter is None:
-            self._getter = asyncio.ensure_future(self.queue.get())
-        done, _ = await asyncio.wait({self._getter}, timeout=timeout)
-        if not done:
-            raise asyncio.TimeoutError
-        getter, self._getter = self._getter, None
-        return getter.result()
-
-    def close(self) -> None:
-        """Cancel the pending getter (runtime shutdown)."""
-        if self._getter is not None:
-            self._getter.cancel()
-            self._getter = None
 
     async def next_batch(self) -> List[Any]:
-        """Wait for the next micro-batch (never returns empty).
-
-        Waits indefinitely for the first item; then drains whatever is
-        immediately available and keeps the window open until the batch
-        is full or the deadline passes.
-        """
-        batch: List[Any] = [await self._get_one(None)]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_wait_s
-        while len(batch) < self.max_batch:
-            # Drain synchronously first: items already queued join the
-            # batch without paying any wait.
-            try:
-                while len(batch) < self.max_batch:
-                    batch.append(self.queue.get_nowait())
-                break
-            except asyncio.QueueEmpty:
-                pass
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                break
-            try:
-                batch.append(await self._get_one(timeout))
-            except asyncio.TimeoutError:
-                break
+        """Wait for one item, then take what is queued (never empty)."""
+        batch: List[Any] = [await self.queue.get()]
+        try:
+            while len(batch) < self.max_batch:
+                batch.append(self.queue.get_nowait())
+        except asyncio.QueueEmpty:
+            pass
         self.n_batches += 1
         self.n_items += len(batch)
         if sanitizer.enabled():
-            # Ownership transfers to *this* coroutine (the node's run
-            # task) — not to the internal getter future, which would
-            # mis-assign the owner to a task that never mutates.
+            # Ownership transfers to the awaiting coroutine: the node's
+            # run task, which is the one that mutates the requests.
             for item in batch:
                 sanitizer.acquire(item)
         return batch

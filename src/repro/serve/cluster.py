@@ -358,8 +358,10 @@ class ClusterRuntime:
     """Router over a fleet of shared-memory worker replicas.
 
     Mirrors :class:`~repro.serve.runtime.ServingRuntime`'s contract —
-    same :class:`ServeConfig` knobs (max_batch / max_wait_ms /
-    queue_depth / policy / max_level / search), same
+    same :class:`ServeConfig` knobs (max_batch / queue_depth / policy /
+    max_level / search) and the same work-conserving batching (a
+    shard's buffer is dispatched as soon as its least-loaded replica is
+    idle, or when it reaches ``max_batch``), same
     :class:`~repro.serve.request.ServeResult` output, same offline
     message accounting — but executes requests on ``cluster.workers``
     OS processes. Request tracing stays a single-process feature;
@@ -657,14 +659,12 @@ class ClusterRuntime:
         arrivals = open_loop_arrivals(n, rate_rps, seed, arrivals)
         order = np.argsort(arrivals, kind="stable")
         cfg = self.config
-        max_wait_s = cfg.max_wait_ms / 1e3
 
         responses: Dict[int, ServeResponse] = {}
         escalations: Dict[Tuple[int, int], int] = {}
         buffers: Dict[int, List[int]] = {
             shard: [] for shard in range(self.cluster.n_shards)
         }
-        buffer_open_wall: Dict[int, float] = {}
         outstanding: Dict[int, _Dispatch] = {}
         high_water: Dict[int, int] = {
             shard: 0 for shard in range(self.cluster.n_shards)
@@ -719,7 +719,6 @@ class ClusterRuntime:
             if not indices:
                 return
             buffers[shard] = []
-            buffer_open_wall.pop(shard, None)
             dispatch(shard, indices)
 
         arrival_ptr = 0
@@ -747,20 +746,19 @@ class ClusterRuntime:
                         timings=StageTimings(),
                     )
                     continue
-                if not buffers[shard]:
-                    buffer_open_wall[shard] = now
                 buffers[shard].append(idx)
                 high_water[shard] = max(high_water[shard], shard_pending(shard))
                 if len(buffers[shard]) >= cfg.max_batch:
                     flush(shard)
-            # 2. flush batches whose wait window expired (or when no
-            #    arrivals remain — nothing more to coalesce with)
-            for shard in list(buffers):
-                if not buffers[shard]:
-                    continue
-                waited = now - buffer_open_wall.get(shard, now)
-                if waited >= max_wait_s or arrival_ptr >= n:
-                    flush(shard)
+            # 2. work-conserving flush: a buffer goes out as soon as its
+            #    shard has an idle replica (or none at all — the router
+            #    then answers locally); while every replica is busy the
+            #    buffer keeps growing with the backlog.
+            for shard, buffer in buffers.items():
+                if buffer:
+                    info = self.registry.pick(shard)
+                    if info is None or info.in_flight == 0:
+                        flush(shard)
             # 3. evict silent replicas, re-dispatch their batches and —
             #    with respawn enabled — spawn a replacement worker, so a
             #    crash window becomes a replacement scenario instead of
@@ -799,10 +797,7 @@ class ClusterRuntime:
                         self._cpu_of_replica[info.replica_id],
                     )
             # 4. drain worker results (block briefly to avoid spinning)
-            timeout = self._drain_timeout(
-                arrival_ptr, n, order, arrivals, rel, buffer_open_wall,
-                t0, max_wait_s,
-            )
+            timeout = self._drain_timeout(arrival_ptr, n, order, arrivals, rel)
             try:
                 assert self._result_q is not None
                 msg = self._result_q.get(timeout=timeout)
@@ -896,20 +891,14 @@ class ClusterRuntime:
         order: np.ndarray,
         arrivals: np.ndarray,
         rel: float,
-        buffer_open_wall: Dict[int, float],
-        t0: float,
-        max_wait_s: float,
     ) -> float:
         """Longest the router may block on results without missing an
-        arrival admission or a batch-flush deadline."""
+        arrival admission."""
         timeout = self.cluster.heartbeat_interval_s
         if arrival_ptr < n:
             timeout = min(
                 timeout, max(arrivals[order[arrival_ptr]] - rel, 0.0)
             )
-        if buffer_open_wall:
-            next_flush = min(buffer_open_wall.values()) + max_wait_s
-            timeout = min(timeout, max(next_flush - (t0 + rel), 0.0))
         return max(timeout, 1e-4)
 
     def _answer_locally(

@@ -66,10 +66,9 @@ logger = logging.getLogger(__name__)
 class ServeConfig:
     """Tunables of the serving runtime."""
 
-    #: flush a node's micro-batch at this size ...
+    #: largest micro-batch a node takes from its backlog in one flush
+    #: (batches are work-conserving: a node never waits to fill one).
     max_batch: int = 32
-    #: ... or after this many milliseconds, whichever first.
-    max_wait_ms: float = 2.0
     #: bounded inbox depth per node.
     queue_depth: int = 64
     #: backpressure policy: ``"block"`` or ``"shed"``.
@@ -90,10 +89,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
@@ -121,9 +116,7 @@ class _NodeServer:
         self.node_id = node_id
         self.node = runtime.hierarchy.nodes[node_id]
         self.queue = BoundedQueue(config.queue_depth, config.policy)
-        self.batcher = MicroBatcher(
-            self.queue, config.max_batch, config.max_wait_ms
-        )
+        self.batcher = MicroBatcher(self.queue, config.max_batch)
         #: size of the most recent micro-batch (telemetry probe reads it).
         self.last_batch = 0
 
@@ -629,8 +622,6 @@ class ServingRuntime:
                 for task in (drive, *node_tasks):
                     task.cancel()
                 await asyncio.gather(drive, *node_tasks, return_exceptions=True)
-                for server in self.nodes.values():
-                    server.batcher.close()
                 for task in list(self._deliveries):
                     task.cancel()
             for task in (*node_tasks, drive):
@@ -673,10 +664,11 @@ class ServingRuntime:
     ) -> None:
         loop = asyncio.get_running_loop()
         for req, at in zip(requests, arrivals):
-            delay = self._t0 + float(at) - loop.time()
+            due = self._t0 + float(at)
+            delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            await self.submit(req)
+            await self.submit(req, arrival_s=due)
 
     async def _client(
         self, requests: List[ServeRequest], think_time_s: float
@@ -688,16 +680,22 @@ class ServingRuntime:
                 await asyncio.sleep(think_time_s)
 
     # ------------------------------------------------------------------
-    async def submit(self, req: ServeRequest) -> None:
+    async def submit(
+        self, req: ServeRequest, arrival_s: Optional[float] = None
+    ) -> None:
         """Admit one request at its start leaf (policy applies).
+
+        ``arrival_s`` (loop time) is when the request was due; latency
+        is charged from it, so a request held back by a full ``block``
+        inbox is not under-reported. It defaults to now.
 
         A crashed entry node refuses admission outright: the request
         completes immediately as a degraded rejection rather than
         waiting on a dead inbox.
         """
         loop = asyncio.get_running_loop()
-        req.arrival_s = loop.time()
-        req.enqueued_s = req.arrival_s
+        req.enqueued_s = loop.time()
+        req.arrival_s = req.enqueued_s if arrival_s is None else arrival_s
         self.n_inflight += 1
         if obs.enabled():
             obs.incr("serve.requests")

@@ -27,7 +27,7 @@ Ownership protocol (mirrors the runtime's handoff discipline):
   ``charged_path.pop()`` arms rely on it);
 * :func:`acquire` — called by :class:`~repro.serve.batcher.
   MicroBatcher` when the *consuming* coroutine (the node's ``run``
-  task — not the internal getter future) receives the batch. From
+  task) receives the batch. From
   then on only the owning task may mutate, until it publishes again
   for the next hop.
 

@@ -224,7 +224,7 @@ class TestRegistryLeaseEdgeCases:
             with ClusterRuntime(
                 inference,
                 get_medium("wired-1gbps"),
-                ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+                ServeConfig(max_batch=16, queue_depth=512),
                 cluster=ClusterConfig(
                     workers=2,
                     heartbeat_interval_s=0.02,
@@ -381,7 +381,7 @@ class TestClusterServing:
                 inference,
                 get_medium("wired-1gbps"),
                 ServeConfig(
-                    max_batch=16, max_wait_ms=1.0, queue_depth=512,
+                    max_batch=16, queue_depth=512,
                     max_level=max_level,
                 ),
                 cluster=ClusterConfig(workers=1),
@@ -394,12 +394,33 @@ class TestClusterServing:
             assert result.topology["workers"] == 1, name
             assert result.degraded_rate == 0.0, name
 
+    def test_lone_arrival_dispatched_to_idle_worker(self, cluster_setup):
+        """An arrival that finds its shard's worker idle goes out in the
+        same router pass: nothing is held back waiting for company. The
+        second arrival is far off, so the first is not the last either."""
+        inference, workload, _, _ = cluster_setup
+        pair = make_workload(
+            workload.features[:2], inference,
+            start_leaves=workload.start_leaves[:2],
+        )
+        with ClusterRuntime(
+            inference,
+            get_medium("wired-1gbps"),
+            ServeConfig(),
+            cluster=ClusterConfig(workers=1),
+        ) as runtime:
+            result = runtime.serve_open_loop(
+                pair, rate_rps=1.0, arrivals=np.array([0.0, 0.2])
+            )
+        first = next(r for r in result.responses if r.index == 0)
+        assert first.timings.queue_wait_ms < 1.0
+
     def test_two_worker_fleet_matches_offline(self, cluster_setup):
         inference, workload, offline, _ = cluster_setup
         with ClusterRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
             cluster=ClusterConfig(workers=2),
         ) as runtime:
             assert runtime.zero_copy
@@ -436,7 +457,7 @@ class TestClusterServing:
         with ClusterRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
             cluster=ClusterConfig(
                 workers=2,
                 heartbeat_interval_s=0.02,

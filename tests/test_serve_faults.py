@@ -32,7 +32,7 @@ from repro.serve import (
 )
 
 MEDIUM = get_medium("wired-1gbps")
-CONFIG = ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512)
+CONFIG = ServeConfig(max_batch=16, queue_depth=512)
 
 
 @pytest.fixture(scope="module")

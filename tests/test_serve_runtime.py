@@ -67,7 +67,7 @@ class TestEquivalence:
                 inference,
                 get_medium("wired-1gbps"),
                 ServeConfig(
-                    max_batch=16, max_wait_ms=1.0, queue_depth=512,
+                    max_batch=16, queue_depth=512,
                     max_level=max_level,
                 ),
             )
@@ -82,15 +82,11 @@ class TestEquivalence:
         """Different micro-batch composition, same decisions — encoding
         and search are deterministic per row."""
         inference, workload, offline, _ = serve_setup
-        for max_batch, wait_ms in ((1, 0.0), (64, 4.0)):
+        for max_batch in (1, 64):
             runtime = ServingRuntime(
                 inference,
                 get_medium("wired-1gbps"),
-                ServeConfig(
-                    max_batch=max_batch,
-                    max_wait_ms=wait_ms,
-                    queue_depth=1024,
-                ),
+                ServeConfig(max_batch=max_batch, queue_depth=1024),
             )
             result = runtime.serve_open_loop(
                 workload, rate_rps=5000.0, seed=1
@@ -109,7 +105,7 @@ class TestEquivalence:
         runtime = ServingRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
         )
         result = runtime.serve_open_loop(workload, rate_rps=3000.0, seed=2)
         assert result.n_shed == 0
@@ -128,7 +124,7 @@ class TestEquivalence:
             inference,
             get_medium("wifi-802.11ac"),
             ServeConfig(
-                max_batch=8, max_wait_ms=1.0, queue_depth=256,
+                max_batch=8, queue_depth=256,
                 max_level=depth,
             ),
         )
@@ -145,7 +141,7 @@ class TestEquivalence:
         runtime = ServingRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=4, max_wait_ms=0.2, queue_depth=512),
+            ServeConfig(max_batch=4, queue_depth=512),
         )
         result = runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
         assert result.wire_bytes >= offline.total_bytes
@@ -159,7 +155,7 @@ class TestEquivalence:
                 inference,
                 get_medium("wired-1gbps"),
                 ServeConfig(
-                    max_batch=8, max_wait_ms=1.0, queue_depth=256,
+                    max_batch=8, queue_depth=256,
                     max_level=max_level,
                 ),
             )
@@ -191,7 +187,6 @@ class TestOverloadAndBackpressure:
             get_medium("bluetooth-4.0"),
             ServeConfig(
                 max_batch=4,
-                max_wait_ms=0.5,
                 queue_depth=4,
                 policy="shed",
                 service_time_base_s=0.004,
@@ -216,7 +211,6 @@ class TestOverloadAndBackpressure:
             get_medium("wifi-802.11ac"),
             ServeConfig(
                 max_batch=4,
-                max_wait_ms=0.5,
                 queue_depth=4,
                 policy="block",
                 service_time_base_s=0.002,
@@ -234,7 +228,6 @@ class TestOverloadAndBackpressure:
             get_medium("bluetooth-4.0"),
             ServeConfig(
                 max_batch=2,
-                max_wait_ms=0.2,
                 queue_depth=1,
                 policy="shed",
                 service_time_base_s=0.01,
@@ -246,6 +239,54 @@ class TestOverloadAndBackpressure:
         for r in shed_responses:
             # Either rejected outright or degraded to a real decision.
             assert r.rejected or r.deciding_node >= 0
+
+
+class TestWorkConservingBatching:
+    def test_lone_request_pays_no_batch_window(self, trained_federation):
+        """A request alone in the system is flushed at every hop as soon
+        as it is dequeued: no node waits for company that is not
+        coming."""
+        federation, _, data = trained_federation
+        inference = HierarchicalInference(
+            federation, confidence_threshold=1.0
+        )
+        workload = make_workload(data.test_x[:1], inference, seed=0)
+        runtime = ServingRuntime(
+            inference, get_medium("wired-1gbps"), ServeConfig()
+        )
+        result = runtime.serve_open_loop(workload, rate_rps=1.0, seed=0)
+        (response,) = result.responses
+        assert response.deciding_level == federation.hierarchy.depth
+        # Summed over three hops; a 2 ms window per hop read ~4.5 ms.
+        assert response.timings.queue_wait_ms < 1.0
+
+    def test_latency_counts_from_due_time(self, serve_setup):
+        """Under ``block`` a request whose admission stalls behind a full
+        inbox is charged the stall: latency runs from when it was due,
+        not from when the inbox finally took it."""
+        inference, workload, _, _ = serve_setup
+        service_s = 0.02
+        runtime = ServingRuntime(
+            inference,
+            get_medium("wired-1gbps"),
+            ServeConfig(
+                max_batch=1, queue_depth=1, policy="block",
+                service_time_base_s=service_s, max_level=1,
+            ),
+        )
+        leaf = workload.start_leaves[0]
+        n = 4
+        one_leaf = make_workload(
+            workload.features[:n], inference,
+            start_leaves=np.full(n, leaf),
+        )
+        result = runtime.serve_open_loop(
+            one_leaf, rate_rps=1.0, arrivals=np.zeros(n)
+        )
+        by_index = {r.index: r.timings.total_ms for r in result.responses}
+        # All four are due at t=0 and the leaf serves one per flush, so
+        # the last one completes after four service times.
+        assert by_index[n - 1] >= n * service_s * 1e3
 
 
 class TestNodeTaskDeath:
@@ -288,7 +329,7 @@ class TestTimingsAndObs:
         runtime = ServingRuntime(
             inference,
             get_medium("wifi-802.11ac"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
         )
         result = runtime.serve_open_loop(workload, rate_rps=2000.0, seed=4)
         escalated = [
@@ -310,7 +351,7 @@ class TestTimingsAndObs:
         runtime = ServingRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
         )
         obs.reset()
         obs.enable()

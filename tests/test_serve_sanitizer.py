@@ -209,13 +209,12 @@ class TestQueueIntegration:
     def test_batcher_transfers_ownership_to_consumer(self, san):
         async def main():
             queue = BoundedQueue(maxsize=8, policy="block")
-            batcher = MicroBatcher(queue, max_batch=4, max_wait_ms=1.0)
+            batcher = MicroBatcher(queue, max_batch=4)
             req = _request()
             await queue.put(req)
             (got,) = await batcher.next_batch()
             got.charged_path.append((1, 0))  # consumer owns it now
             got.decided = (1, 0.9, 0, 0)
-            batcher.close()
 
         asyncio.run(main())
 
@@ -245,7 +244,7 @@ class TestRuntimeUnderSanitizer:
         runtime = ServingRuntime(
             inference,
             get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512),
+            ServeConfig(max_batch=16, queue_depth=512),
         )
         result = runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
         assert result.n_answered == len(workload)

@@ -46,7 +46,7 @@ from repro.serve.tracing import (
 )
 
 MEDIUM = get_medium("wired-1gbps")
-CONFIG = ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=512)
+CONFIG = ServeConfig(max_batch=16, queue_depth=512)
 
 #: the causal skeleton a retried-then-degraded request must show.
 _DEGRADED_KINDS = {"retry", "timeout", "degraded", "done"}

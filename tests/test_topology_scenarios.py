@@ -167,7 +167,7 @@ class TestClusterReplacement:
         )
         with ClusterRuntime(
             inference, get_medium("wired-1gbps"),
-            ServeConfig(max_batch=16, max_wait_ms=1.0, queue_depth=1024),
+            ServeConfig(max_batch=16, queue_depth=1024),
             cluster, fault_plan=plan,
         ) as runtime:
             result = runtime.serve_open_loop(workload, rate_rps=400.0, seed=1)
