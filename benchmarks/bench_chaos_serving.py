@@ -151,9 +151,9 @@ def run_grid(scale=None) -> dict:
 def run_traced_example(federation, data) -> dict:
     """One fully traced chaos run: the observability artifact set.
 
-    Serves one representative faulted cell with tracing and the
-    telemetry sampler on, then drops the request trace (fault events
-    included), telemetry series and rendered ``serve-report`` under
+    Serves one representative faulted cell with tracing on, then drops
+    the request trace (fault events included), the telemetry series
+    replayed from it and the rendered ``serve-report`` under
     ``benchmarks/results/`` — the end-to-end evidence that a degraded
     request's causal timeline is reconstructable offline.
     """

@@ -148,7 +148,7 @@ def measure_serving_overhead(n_serves: int = 3, max_test: int = 120) -> dict:
 
     Returns ``guard_overhead`` (the fraction of a disabled-mode run's
     per-request cost spent on trace guards — the quantity the <5%
-    budget binds) and ``enabled_overhead`` (full tracing + telemetry,
+    budget binds) and ``enabled_overhead`` (full request tracing,
     reported for visibility, asserted only loosely: chaos-free tracing
     should not multiply serving cost).
     """
@@ -212,7 +212,7 @@ def test_serving_disabled_overhead_under_5_percent():
         f"{evidence['guard_overhead'] * 100:.2f}% of the per-request "
         f"serving budget (budget {_THRESHOLD * 100:.0f}%)"
     )
-    # Enabled tracing records ~15 events + a sampler tick per request;
+    # Enabled tracing records ~15 events per request;
     # it must stay the same order of magnitude as untraced serving.
     assert evidence["enabled_overhead"] < 1.0, (
         f"tracing-enabled serving costs "

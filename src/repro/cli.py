@@ -14,8 +14,8 @@ Subcommands
     per-stage latency breakdown with p50/p95/p99. With observability
     on, ``--trace`` writes the *request-level* trace (one event per
     line, not spans — fault events included), and ``--telemetry`` /
-    ``--openmetrics`` export the sampled time-series and a
-    Prometheus-scrapable exposition.
+    ``--openmetrics`` export the telemetry time-series (a view over
+    that trace) and a Prometheus-scrapable exposition.
 ``serve-report``
     Offline analysis of a ``serve-bench --trace`` file: per-stage
     latency breakdown, critical-path attribution per percentile band,
@@ -370,10 +370,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"{result.traces.dropped} dropped) written to {args.trace} "
                 f"(view: repro serve-report {args.trace})"
             )
-        if args.telemetry and result.telemetry is not None:
-            written = result.telemetry.export_jsonl(args.telemetry)
-            print(f"[obs] {written} telemetry samples written to "
-                  f"{args.telemetry}")
+        telemetry = result.telemetry
+        if telemetry is not None:
+            # the series' final values reach the stats dump and the
+            # OpenMetrics exposition as labeled gauges
+            telemetry.publish()
+            if args.telemetry:
+                written = telemetry.export_jsonl(args.telemetry)
+                print(f"[obs] {written} telemetry samples written to "
+                      f"{args.telemetry}")
         if args.openmetrics:
             out = Path(args.openmetrics)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -798,7 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument(
         "--telemetry", default=None, metavar="PATH",
-        help="write the sampled time-series as JSONL (implies --trace obs)",
+        help="write the telemetry time-series, replayed from the request "
+        "trace, as JSONL (implies --trace obs)",
     )
     serve_bench.add_argument(
         "--openmetrics", default=None, metavar="PATH",

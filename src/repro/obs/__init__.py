@@ -58,7 +58,7 @@ from repro.obs.stats import (
     load_stats,
     render_stats,
 )
-from repro.obs.telemetry import TelemetryLog, TelemetrySample, TelemetrySampler
+from repro.obs.telemetry import TelemetryLog, TelemetrySample
 
 __all__ = [
     "enable",
@@ -91,7 +91,6 @@ __all__ = [
     "TraceBuffer",
     "TelemetryLog",
     "TelemetrySample",
-    "TelemetrySampler",
     "DEFAULT_TIME_BUCKETS_MS",
     "UNIT_BUCKETS",
 ]

@@ -2,7 +2,7 @@
 
 :func:`render_openmetrics` serializes a
 :class:`~repro.obs.registry.MetricsRegistry` — including the labeled
-per-node series the telemetry sampler records — into the OpenMetrics
+per-node ``serve.telemetry.*`` gauges — into the OpenMetrics
 text format (the ``# TYPE`` / ``# EOF`` dialect Prometheus scrapes), so
 a serving run's metrics can be dropped straight into any standard
 dashboard stack. Dotted repro names become underscore names

@@ -209,8 +209,8 @@ Instrument = Union[Counter, Gauge, Histogram]
 class MetricsRegistry:
     """Series-key -> instrument map with get-or-create semantics.
 
-    Plain metrics are keyed by name; *labeled* metrics (the telemetry
-    sampler's per-node time-series use these) are keyed by
+    Plain metrics are keyed by name; *labeled* metrics (the per-node
+    telemetry gauges use these) are keyed by
     ``name{k="v",...}`` with sorted label keys, so one metric name can
     carry many label combinations without losing greppability — the
     name prefix stays a source-literal string.

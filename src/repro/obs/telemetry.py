@@ -1,42 +1,30 @@
-"""Runtime telemetry: labeled time-series sampling.
+"""Runtime telemetry: labeled time-series records.
 
-:class:`TelemetryLog` + :class:`TelemetrySampler` — a periodic sampler
-(an asyncio task inside ``ServingRuntime``) records *labeled*
-time-series: queue depth, in-flight count, batch size and
-retry/timeout/degraded counters per node, each sample stamped with
-seconds-since-run-start. Samples land both in the log (exportable as
-JSONL for plotting) and in labeled gauges of the
+:class:`TelemetryLog` holds *labeled* time-series points — queue depth,
+in-flight count, batch size and retry/timeout/degraded counters per
+node, each stamped with seconds-since-run-start — exportable as JSONL
+for plotting. The serving runtime does not sample them: they are a view
+over its request trace
+(:meth:`repro.serve.tracing.RequestTraceLog.telemetry`), one point at
+every instant a series changes, so a series is exact rather than a
+reading every few milliseconds. :meth:`TelemetryLog.publish` mirrors
+each series' final value into a labeled gauge of the
 :class:`~repro.obs.registry.MetricsRegistry`, so ``repro stats`` can
-answer "what was queue depth at node 3?" after the run.
+answer "how many requests degraded at node 3?" after the run.
 
-The log is a :class:`~repro.obs.ring.Ring` — long serving runs stay
-bounded in memory and truncation is counted, never silent. *Why* a
-request degraded is in its request trace
-(:meth:`repro.serve.tracing.RequestTraceLog.faults`).
+The log is a :class:`~repro.obs.ring.Ring`, so an exported stream reads
+back through :func:`~repro.obs.ring.read_jsonl` like the other two.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.obs.registry import Labels, MetricsRegistry, get_registry
 from repro.obs.ring import Ring
 
-__all__ = [
-    "TelemetrySample",
-    "TelemetryLog",
-    "TelemetrySampler",
-    "Probe",
-]
-
-#: One probe reading: ``(metric name, labels, value)``.
-Reading = Tuple[str, Mapping[str, Any], float]
-
-#: A probe produces the readings of one sampling tick.
-Probe = Callable[[], Iterable[Reading]]
+__all__ = ["TelemetrySample", "TelemetryLog"]
 
 
 def _freeze(labels: Mapping[str, Any]) -> Labels:
@@ -106,54 +94,14 @@ class TelemetryLog(Ring[TelemetrySample]):
             if s.name == name and all(item in s.labels for item in want)
         ]
 
+    def publish(self, registry: Optional[MetricsRegistry] = None) -> int:
+        """Set one labeled gauge per series to its final value.
 
-class TelemetrySampler:
-    """Periodic probe runner: one asyncio task, many labeled series.
-
-    ``probe`` is called once per tick and yields ``(name, labels,
-    value)`` readings; each reading is appended to the log and mirrored
-    into a labeled gauge of ``registry``. ``clock`` supplies the sample
-    timestamp (the serving runtime passes seconds-since-run-start so
-    exported series align with request traces).
-    """
-
-    def __init__(
-        self,
-        probe: Probe,
-        interval_s: float = 0.025,
-        log: Optional[TelemetryLog] = None,
-        registry: Optional[MetricsRegistry] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self.probe = probe
-        self.interval_s = float(interval_s)
-        self.log = log if log is not None else TelemetryLog()
-        self._registry = registry
-        self._clock = clock
-        #: completed sampling ticks.
-        self.n_ticks = 0
-
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return time.monotonic()
-
-    def sample_once(self, t_s: Optional[float] = None) -> int:
-        """Run the probe once; returns readings recorded."""
-        now = self._now() if t_s is None else float(t_s)
-        registry = self._registry if self._registry is not None else get_registry()
-        n = 0
-        for name, labels, value in self.probe():
-            self.log.record(name, value, now, labels)
-            registry.gauge(name, labels=labels).set(value)
-            n += 1
-        self.n_ticks += 1
-        return n
-
-    async def run(self) -> None:
-        """Sample forever at ``interval_s``; cancel to stop."""
-        while True:
-            self.sample_once()
-            await asyncio.sleep(self.interval_s)
+        ``registry`` defaults to the process-global one; returns the
+        number of series published.
+        """
+        final = {(s.name, s.labels): s.value for s in self}
+        registry = registry if registry is not None else get_registry()
+        for (name, labels), value in final.items():
+            registry.gauge(name, labels=dict(labels)).set(value)
+        return len(final)

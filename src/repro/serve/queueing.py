@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import repro.serve.sanitizer as sanitizer
 
@@ -50,10 +50,33 @@ class QueueStats:
     high_water: int = 0
 
 
-class BoundedQueue:
-    """An ``asyncio.Queue`` wrapper enforcing one backpressure policy."""
+class _Landing(asyncio.Queue):
+    """An ``asyncio.Queue`` that calls ``on_put(item)`` from its insert
+    hook: at the instant the item became gettable, not when a blocked
+    producer resumes (under ``wait_for`` a consumer may have it by then).
+    """
 
-    def __init__(self, maxsize: int, policy: str = "block") -> None:
+    def __init__(self, maxsize: int, on_put: Callable[[Any], None]) -> None:
+        super().__init__(maxsize=maxsize)
+        self._on_put = on_put
+
+    def _put(self, item: Any) -> None:
+        super()._put(item)
+        self._on_put(item)
+
+
+class BoundedQueue:
+    """An ``asyncio.Queue`` wrapper enforcing one backpressure policy.
+
+    ``on_put``, when given, sees each item the instant it enters.
+    """
+
+    def __init__(
+        self,
+        maxsize: int,
+        policy: str = "block",
+        on_put: Optional[Callable[[Any], None]] = None,
+    ) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         if policy not in POLICIES:
@@ -63,7 +86,11 @@ class BoundedQueue:
         self.maxsize = int(maxsize)
         self.policy = policy
         self.stats = QueueStats()
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.maxsize)
+        self._queue: asyncio.Queue = (
+            asyncio.Queue(maxsize=self.maxsize)
+            if on_put is None
+            else _Landing(self.maxsize, on_put)
+        )
 
     def __len__(self) -> int:
         return self._queue.qsize()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,7 +126,6 @@ class ServeResult:
         queue_high_water: Dict[int, int],
         n_retries: int = 0,
         n_timeouts: int = 0,
-        telemetry: Optional["TelemetryLog"] = None,
         traces: Optional["RequestTraceLog"] = None,
         topology: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -150,9 +150,6 @@ class ServeResult:
         self.n_retries = int(n_retries)
         #: fault injection: loss-detection / per-hop timeouts that fired.
         self.n_timeouts = int(n_timeouts)
-        #: labeled time-series sampled during the run (None when
-        #: observability was disabled).
-        self.telemetry = telemetry
         #: per-request trace-event log (None when tracing was disabled);
         #: ``traces.faults()`` is the run's fault evidence.
         self.traces = traces
@@ -163,6 +160,12 @@ class ServeResult:
         self.topology: Dict[str, object] = dict(topology or {"workers": 1})
 
     # ------------------------------------------------------------------
+    @cached_property
+    def telemetry(self) -> Optional["TelemetryLog"]:
+        """Labeled ``serve.telemetry.*`` time-series of the run: a view
+        over :attr:`traces` (None when tracing was disabled)."""
+        return self.traces.telemetry() if self.traces is not None else None
+
     @property
     def n_total(self) -> int:
         return len(self.responses)

@@ -40,7 +40,7 @@ import asyncio
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.network.medium import Medium, edge_medium
-from repro.obs.telemetry import TelemetryLog, TelemetrySampler
 import repro.serve.sanitizer as sanitizer
 from repro.serve.batcher import MicroBatcher
 from repro.serve.faults import FaultPlan
@@ -110,15 +109,20 @@ class _NodeServer:
     """One hierarchy node's inbox, batcher and processing loop."""
 
     def __init__(
-        self, runtime: "ServingRuntime", node_id: int, config: ServeConfig
+        self,
+        runtime: "ServingRuntime",
+        node_id: int,
+        config: ServeConfig,
+        traced: bool,
     ) -> None:
         self.runtime = runtime
         self.node_id = node_id
         self.node = runtime.hierarchy.nodes[node_id]
-        self.queue = BoundedQueue(config.queue_depth, config.policy)
+        self.queue = BoundedQueue(
+            config.queue_depth, config.policy,
+            on_put=runtime._landed if traced else None,
+        )
         self.batcher = MicroBatcher(self.queue, config.max_batch)
-        #: size of the most recent micro-batch (telemetry probe reads it).
-        self.last_batch = 0
 
     async def run(self) -> None:
         while True:
@@ -131,7 +135,6 @@ class _NodeServer:
         loop = asyncio.get_running_loop()
         now = loop.time()
         now_ms = (now - rt._t0) * 1e3
-        self.last_batch = len(batch)
         for req in batch:
             wait_ms = (now - req.enqueued_s) * 1e3
             req.timings.queue_wait_ms += wait_ms
@@ -140,6 +143,7 @@ class _NodeServer:
                 req.trace.emit(
                     "hop", now_ms, node=self.node_id,
                     queue_wait_ms=wait_ms, batch=len(batch),
+                    landed_ms=req.trace.landed_ms,
                 )
         if rt.config.service_time_base_s > 0:
             await asyncio.sleep(rt.config.service_time_base_s)
@@ -356,26 +360,25 @@ class _NodeServer:
                         edge=edge_tag, attempt=attempt, reason=drop_reason,
                     )
             # Loss detection: the sender waits out the ack timeout (and
-            # the backoff when a retry is still allowed).
+            # the backoff when a retry is still allowed). One timer
+            # fires for the cohort, so its events share one timestamp.
             rt.n_timeouts += 1
-            rt.timeouts_by_node[self.node_id] = (
-                rt.timeouts_by_node.get(self.node_id, 0) + 1
-            )
             if obs.enabled():
                 obs.incr("serve.timeouts")
             exhausted = attempt >= plan.max_attempts
             delay = plan.timeout_s + (
                 0.0 if exhausted else plan.backoff_s(attempt - 1)
             )
+            fired_ms = rt._now_ms()
             for req in dropped:
                 if req.trace is not None:
                     req.trace.emit(
-                        "timeout", rt._now_ms(), node=self.node_id,
+                        "timeout", fired_ms, node=self.node_id,
                         edge=edge_tag, attempt=attempt,
                     )
                     if not exhausted and delay > 0:
                         req.trace.emit(
-                            "backoff", rt._now_ms(), node=self.node_id,
+                            "backoff", fired_ms, node=self.node_id,
                             attempt=attempt, wait_ms=delay * 1e3,
                         )
             if delay > 0:
@@ -389,9 +392,6 @@ class _NodeServer:
                 rt._degrade_cohort(self, dropped, reason="retries_exhausted")
                 return
             rt.n_retries += len(dropped)
-            rt.retries_by_node[self.node_id] = (
-                rt.retries_by_node.get(self.node_id, 0) + len(dropped)
-            )
             if obs.enabled():
                 obs.incr("serve.retries", len(dropped))
             for req in dropped:
@@ -476,17 +476,9 @@ class ServingRuntime:
         self.n_shed_escalation = 0
         self.n_retries = 0
         self.n_timeouts = 0
-        self.n_inflight = 0
-        #: per-node fault tallies the telemetry sampler exports as
-        #: labeled series (kept even when observability is disabled —
-        #: three dict bumps on fault paths cost nothing measurable).
-        self.retries_by_node: Dict[int, int] = {}
-        self.timeouts_by_node: Dict[int, int] = {}
-        self.degraded_by_node: Dict[int, int] = {}
-        #: finished requests flush their trace events here.
+        #: finished requests flush their trace events here; the run's
+        #: telemetry series are a view over it.
         self.trace_log = RequestTraceLog()
-        #: time-series the sampler recorded (None when obs disabled).
-        self.telemetry: Optional[TelemetryLog] = None
         self._responses: List[ServeResponse] = []
         self._deliveries: set = set()
         self._t0 = 0.0
@@ -497,9 +489,13 @@ class ServingRuntime:
         return asyncio.get_running_loop().time() - self._t0
 
     def _now_ms(self) -> float:
-        """Milliseconds since run start — the shared trace/telemetry
-        clock."""
+        """Milliseconds since run start — the trace clock."""
         return self._elapsed() * 1e3
+
+    def _landed(self, req: ServeRequest) -> None:
+        """Stamp the instant a traced request enters a node inbox."""
+        if req.trace is not None:
+            req.trace.landed_ms = self._now_ms()
 
     # ------------------------------------------------------------------
     # entry points
@@ -556,9 +552,11 @@ class ServingRuntime:
         loop = asyncio.get_running_loop()
         self._t0 = loop.time()
         self._last_completion = self._t0
-        for node_id in self.hierarchy.nodes:
-            self.nodes[node_id] = _NodeServer(self, node_id, self.config)
         tracing = obs.enabled()
+        for node_id in self.hierarchy.nodes:
+            self.nodes[node_id] = _NodeServer(
+                self, node_id, self.config, traced=tracing
+            )
         request_cls = sanitizer.request_class()
         requests = [
             request_cls(
@@ -590,17 +588,6 @@ class ServingRuntime:
             asyncio.ensure_future(server.run())
             for server in self.nodes.values()
         ]
-        sampler: Optional[TelemetrySampler] = None
-        sampler_task: Optional["asyncio.Task[None]"] = None
-        if tracing:
-            self.telemetry = TelemetryLog()
-            sampler = TelemetrySampler(
-                self._telemetry_readings,
-                log=self.telemetry,
-                registry=obs.get_registry(),
-                clock=self._elapsed,
-            )
-            sampler_task = asyncio.ensure_future(sampler.run())
         with obs.span(
             "serve", n=len(requests), policy=self.config.policy,
             max_batch=self.config.max_batch,
@@ -613,12 +600,6 @@ class ServingRuntime:
                     {drive, *node_tasks}, return_when=asyncio.FIRST_COMPLETED
                 )
             finally:
-                if sampler_task is not None:
-                    sampler_task.cancel()
-                    await asyncio.gather(sampler_task, return_exceptions=True)
-                if sampler is not None:
-                    # Final tick so even sub-interval runs get a sample.
-                    sampler.sample_once()
                 for task in (drive, *node_tasks):
                     task.cancel()
                 await asyncio.gather(drive, *node_tasks, return_exceptions=True)
@@ -643,7 +624,6 @@ class ServingRuntime:
             },
             n_retries=self.n_retries,
             n_timeouts=self.n_timeouts,
-            telemetry=self.telemetry,
             traces=self.trace_log if tracing else None,
             topology={
                 "workers": 1,
@@ -696,7 +676,6 @@ class ServingRuntime:
         loop = asyncio.get_running_loop()
         req.enqueued_s = loop.time()
         req.arrival_s = req.enqueued_s if arrival_s is None else arrival_s
-        self.n_inflight += 1
         if obs.enabled():
             obs.incr("serve.requests")
         if req.trace is not None:
@@ -781,9 +760,6 @@ class ServingRuntime:
                 if via_edge is not None:
                     req.charged_path.pop()
                 self.n_timeouts += 1
-                self.timeouts_by_node[destination] = (
-                    self.timeouts_by_node.get(destination, 0) + 1
-                )
                 if req.trace is not None:
                     req.trace.emit(
                         "timeout", self._now_ms(), node=destination,
@@ -902,11 +878,6 @@ class ServingRuntime:
         loop = asyncio.get_running_loop()
         now = loop.time()
         self._last_completion = max(self._last_completion, now)
-        self.n_inflight -= 1
-        if degraded:
-            self.degraded_by_node[node] = (
-                self.degraded_by_node.get(node, 0) + 1
-            )
         req.timings.total_ms = (now - req.arrival_s) * 1e3
         response = ServeResponse(
             index=req.index,
@@ -941,34 +912,6 @@ class ServingRuntime:
             req.future.set_result(response)
 
     # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-    def _telemetry_readings(
-        self,
-    ) -> Iterable[Tuple[str, Mapping[str, object], float]]:
-        """One sampler tick's labeled readings (the sampler's probe)."""
-        readings: List[Tuple[str, Mapping[str, object], float]] = [
-            ("serve.telemetry.inflight", {}, float(self.n_inflight)),
-            ("serve.telemetry.batches", {}, float(self.n_batches)),
-        ]
-        for nid, server in self.nodes.items():
-            labels = {"node": nid}
-            readings.append(
-                ("serve.telemetry.queue_depth", labels, float(len(server.queue)))
-            )
-            readings.append(
-                ("serve.telemetry.batch_size", labels, float(server.last_batch))
-            )
-        counters: Tuple[Tuple[str, Dict[int, int]], ...] = (
-            ("serve.telemetry.retries", self.retries_by_node),
-            ("serve.telemetry.timeouts", self.timeouts_by_node),
-            ("serve.telemetry.degraded", self.degraded_by_node),
-        )
-        for name, by_node in counters:
-            for nid, count in by_node.items():
-                readings.append((name, {"node": nid}, float(count)))
-        return readings
-
     def _record_response(self, response: ServeResponse) -> None:
         t = response.timings
         obs.incr("serve.responses")

@@ -16,7 +16,8 @@ Event kinds and the stage they witness:
 
 ==================  ====================================================
 ``admitted``        request entered its start leaf's inbox
-``hop``             micro-batch formed at a node (queue wait, batch size)
+``hop``             micro-batch formed at a node (queue wait, batch size,
+                    ``landed_ms``: when the request entered the inbox)
 ``encode``          cohort encode at a node (batch wall time)
 ``search``          associative search at a node (batch wall time)
 ``decide``          a decision-capable node recorded (answer / escalate)
@@ -33,8 +34,10 @@ Event kinds and the stage they witness:
 ``done``            terminal response (outcome + stage timing totals)
 ==================  ====================================================
 
-Timestamps are milliseconds since the serving run started, so a trace
-and the telemetry time-series share one clock.
+Timestamps are milliseconds since the serving run started. The
+telemetry time-series (queue depth, in-flight, batch size, fault
+counters per node) are not recorded beside the trace but replayed from
+it: :meth:`RequestTraceLog.telemetry`.
 Event *sequences* are seed-deterministic under a
 :class:`~repro.serve.faults.FaultPlan` (fault decisions derive from
 structural tags); timestamps and batch sizes are not — comparisons must
@@ -49,10 +52,13 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.obs.ring import Ring, read_jsonl
+from repro.obs.telemetry import TelemetryLog
 
 __all__ = [
     "TraceEvent",
@@ -121,7 +127,9 @@ class TraceContext:
     to one shared timeline.
     """
 
-    __slots__ = ("request_id", "hop_path", "attempts", "events", "_seq")
+    __slots__ = (
+        "request_id", "hop_path", "attempts", "landed_ms", "events", "_seq"
+    )
 
     def __init__(self, request_id: int) -> None:
         self.request_id = int(request_id)
@@ -129,6 +137,9 @@ class TraceContext:
         self.hop_path: List[int] = []
         #: cumulative uplink transmission attempts across all edges.
         self.attempts = 0
+        #: when the request last entered a node inbox (trace clock);
+        #: the next ``hop`` event carries it.
+        self.landed_ms = 0.0
         self.events: List[TraceEvent] = []
         self._seq = 0
 
@@ -194,6 +205,79 @@ class RequestTraceLog(Ring[TraceEvent]):
     def faults(self) -> List[TraceEvent]:
         """Every :data:`FAULT_EVENTS` record of the run, in ring order."""
         return [event for event in self if event.event in FAULT_EVENTS]
+
+    def telemetry(self) -> TelemetryLog:
+        """The run's ``serve.telemetry.*`` series, replayed from the log.
+
+        Each series gets one point at every instant it changes, valued
+        after all of that instant's changes:
+
+        ======================  ========================================
+        ``inflight``            +1 at ``admitted``, -1 at ``done``
+        ``queue_depth{node}``   +1 at a ``hop``'s ``landed_ms``, -1 at
+                                the ``hop``
+        ``batch_size{node}``    the ``batch`` of each ``hop`` cohort
+        ``batches``             +1 per ``encode`` cohort
+        ``retries{node}``       +1 per ``retry``
+        ``timeouts{node}``      +1 per ``timeout`` cohort (one timer)
+        ``degraded{node}``      +1 per ``done`` whose outcome is
+                                ``degraded``, at its deciding node
+        ======================  ========================================
+
+        A cohort is the events one batch, or one failed attempt, emits
+        for its requests: they share kind, node and timestamp, and two
+        cohorts at one node are apart by at least their own work. Over
+        a truncated log (``dropped > 0``) the series start mid-run.
+        """
+        changes: List[Tuple[float, str, Optional[int], float]] = []
+        cohorts: Set[Tuple[str, int, float]] = set()
+
+        def first_of_cohort(event: TraceEvent) -> bool:
+            key = (event.event, event.node, event.t_ms)
+            fresh = key not in cohorts
+            cohorts.add(key)
+            return fresh
+
+        for event in self:
+            t, node, kind = event.t_ms, event.node, event.event
+            if kind == "admitted":
+                changes.append((t, "inflight", None, 1.0))
+            elif kind == "done":
+                changes.append((t, "inflight", None, -1.0))
+                if event.attrs.get("outcome") == "degraded":
+                    changes.append((t, "degraded", node, 1.0))
+            elif kind == "hop":
+                landed = float(event.attrs["landed_ms"])
+                changes.append((landed, "queue_depth", node, 1.0))
+                changes.append((t, "queue_depth", node, -1.0))
+                if first_of_cohort(event):
+                    batch = float(event.attrs["batch"])
+                    changes.append((t, "batch_size", node, batch))
+            elif kind == "encode" and first_of_cohort(event):
+                changes.append((t, "batches", None, 1.0))
+            elif kind == "timeout" and first_of_cohort(event):
+                changes.append((t, "timeouts", node, 1.0))
+            elif kind == "retry":
+                changes.append((t, "retries", node, 1.0))
+        changes.sort(key=itemgetter(0))
+        log = TelemetryLog(capacity=max(1, len(changes)))
+        state: Dict[Tuple[str, Optional[int]], float] = {}
+        for t, instant in groupby(changes, key=itemgetter(0)):
+            touched: Dict[Tuple[str, Optional[int]], None] = {}
+            for _, name, node, value in instant:
+                key = (name, node)
+                # batch_size is a level; every other series a count.
+                state[key] = (
+                    value if name == "batch_size"
+                    else state.get(key, 0.0) + value
+                )
+                touched[key] = None
+            for name, node in touched:
+                log.record(
+                    f"serve.telemetry.{name}", state[(name, node)], t / 1e3,
+                    {} if node is None else {"node": node},
+                )
+        return log
 
 
 def _event_or_none(data: Any) -> Optional[TraceEvent]:

@@ -3,15 +3,14 @@
 The observability surfaces added for the serving stack: series-key
 labeled instruments and :meth:`MetricsRegistry.merge` (what ``repro
 stats --merge`` folds per-worker dumps with), the OpenMetrics text
-round trip and the :class:`TelemetrySampler` time-series path. The
-ring under :class:`TelemetryLog` is tested in ``test_obs`` (``TestRing``);
-trace-context propagation through the serving runtime itself lives in
+round trip and the :class:`TelemetryLog` record type. The ring under
+:class:`TelemetryLog` is tested in ``test_obs`` (``TestRing``); the
+series the serving runtime's trace replays into it live in
 ``test_serve_tracing``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 
 import pytest
@@ -20,7 +19,6 @@ import repro.obs as obs
 from repro.obs import (
     MetricsRegistry,
     TelemetryLog,
-    TelemetrySampler,
     format_series_key,
     parse_openmetrics,
     parse_series_key,
@@ -236,47 +234,16 @@ class TestTelemetryLog:
         assert log.series("q.depth", node=0) == [(0.1, 3.0), (0.3, 4.0)]
         assert log.series("q.depth") == [(0.1, 3.0), (0.2, 5.0), (0.3, 4.0)]
 
-
-class TestTelemetrySampler:
-    def _probe(self):
-        return [
-            ("t.depth", {"node": 0}, 3.0),
-            ("t.depth", {"node": 1}, 7.0),
-            ("t.inflight", {}, 2.0),
-        ]
-
-    def test_sample_once_records_log_and_registry(self):
+    def test_publish_sets_each_series_final_value(self):
+        log = TelemetryLog()
+        log.record("t.depth", 3.0, t_s=0.1, labels={"node": 1})
+        log.record("t.depth", 7.0, t_s=0.2, labels={"node": 1})
+        log.record("t.depth", 2.0, t_s=0.2, labels={"node": 0})
+        log.record("t.inflight", 2.0, t_s=1.25)
         reg = MetricsRegistry()
-        sampler = TelemetrySampler(self._probe, registry=reg, clock=lambda: 1.25)
-        assert sampler.sample_once() == 3
-        assert sampler.n_ticks == 1
-        assert sampler.log.series("t.depth", node=1) == [(1.25, 7.0)]
+        assert log.publish(reg) == 3
         assert reg.gauge("t.depth", labels={"node": 1}).value == 7.0
+        assert reg.gauge("t.depth", labels={"node": 0}).value == 2.0
         assert reg.gauge("t.inflight").value == 2.0
-
-    def test_explicit_timestamp_overrides_clock(self):
-        sampler = TelemetrySampler(self._probe, registry=MetricsRegistry())
-        sampler.sample_once(t_s=9.0)
-        assert sampler.log.series("t.inflight") == [(9.0, 2.0)]
-
-    def test_run_loop_ticks_until_cancelled(self):
-        sampler = TelemetrySampler(
-            self._probe, interval_s=0.002, registry=MetricsRegistry()
-        )
-
-        async def drive():
-            task = asyncio.ensure_future(sampler.run())
-            await asyncio.sleep(0.02)
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-        asyncio.run(drive())
-        assert sampler.n_ticks >= 2
-        assert len(sampler.log) == 3 * sampler.n_ticks
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError, match="interval_s"):
-            TelemetrySampler(self._probe, interval_s=0.0)
+        log.publish()
+        assert 't.depth{node="1"}' in obs.get_registry()

@@ -79,6 +79,22 @@ class TestBoundedQueue:
         assert q.stats.shed == 0
         assert q.stats.enqueued == 2
 
+    def test_on_put_sees_the_item_land_not_the_blocked_put(self):
+        landed = []
+
+        async def scenario():
+            q = BoundedQueue(1, policy="block", on_put=landed.append)
+            await q.put("a")
+            task = asyncio.ensure_future(q.put("b"))
+            await asyncio.sleep(0.01)
+            assert landed == ["a"]  # "b" waits at the door, not inside
+            assert await q.get() == "a"
+            await task
+            assert landed == ["a", "b"]
+            assert await q.get() == "b"
+
+        run(scenario())
+
     def test_offer_counts_shed_without_raising(self):
         async def scenario():
             q = BoundedQueue(1, policy="block")

@@ -21,6 +21,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import main
 from repro.hierarchy import HierarchicalInference
+from repro.obs.ring import read_jsonl
 from repro.network.medium import get_medium
 from repro.serve import (
     FaultPlan,
@@ -183,18 +184,26 @@ class TestTracePropagation:
 
     def test_telemetry_sampled_per_node_series(self, chaos_traced):
         first, _, _, _ = chaos_traced
-        names = first.telemetry.names()
-        assert "serve.telemetry.inflight" in names
-        assert "serve.telemetry.queue_depth" in names
-        assert "serve.telemetry.degraded" in names
-        # the final (post-run) sample of each per-node degraded series
-        # must add up to the run's degraded total — same evidence, two
-        # streams
-        last_by_node = {}
-        for sample in first.telemetry:
-            if sample.name == "serve.telemetry.degraded":
-                last_by_node[sample.labels] = sample.value
-        assert sum(last_by_node.values()) == first.n_degraded > 0
+        telemetry = first.telemetry
+        for name in (
+            "inflight", "queue_depth", "batch_size", "batches",
+            "retries", "timeouts", "degraded",
+        ):
+            assert f"serve.telemetry.{name}" in telemetry.names()
+        final = {(s.name, s.labels): s.value for s in telemetry}
+
+        def total(name):
+            return sum(
+                value for (series, _), value in final.items()
+                if series == f"serve.telemetry.{name}"
+            )
+
+        # the per-node counters, replayed from the trace, end on the
+        # run's own totals
+        assert total("degraded") == first.n_degraded > 0
+        assert total("retries") == first.n_retries > 0
+        assert total("timeouts") == first.n_timeouts > 0
+        assert final[("serve.telemetry.inflight", ())] == 0
 
     def test_semantic_timelines_deterministic_across_runs(self, chaos_traced):
         first, second, _, _ = chaos_traced
@@ -217,6 +226,88 @@ class TestTracePropagation:
         # the fault evidence a run keeps
         assert result.traces is None
         assert result.telemetry is None
+
+
+class TestTelemetryView:
+    def test_series_replay_a_hand_built_trace(self):
+        """Counts step at their events, a cohort counts once, and every
+        instant gets one point per series it changed."""
+        log = RequestTraceLog()
+        for rid, admitted, landed, done, outcome, at in (
+            (0, 0.0, 0.0, 3.0, "degraded", 2),
+            (1, 0.5, 0.5, 4.0, "ok", 0),
+        ):
+            ctx = TraceContext(rid)
+            ctx.emit("admitted", admitted, node=2)
+            ctx.emit("hop", 1.0, node=2, batch=2, landed_ms=landed)
+            ctx.emit("encode", 1.5, node=2, ms=0.4, batch=2)
+            ctx.emit("timeout", 2.0, node=2, edge="2->0", attempt=1)
+            ctx.emit("retry", 2.0, node=2, edge="2->0", attempt=2)
+            ctx.emit("done", done, node=at, outcome=outcome)
+            log.extend(ctx.events)
+        telemetry = log.telemetry()
+
+        def series(name, **labels):
+            return telemetry.series(f"serve.telemetry.{name}", **labels)
+
+        assert series("inflight") == [
+            (0.0, 1.0), (0.0005, 2.0), (0.003, 1.0), (0.004, 0.0),
+        ]
+        assert series("queue_depth", node=2) == [
+            (0.0, 1.0), (0.0005, 2.0), (0.001, 0.0),
+        ]
+        assert series("batch_size", node=2) == [(0.001, 2.0)]
+        assert series("batches") == [(0.0015, 1.0)]
+        assert series("timeouts", node=2) == [(0.002, 1.0)]
+        assert series("retries", node=2) == [(0.002, 2.0)]
+        assert series("degraded", node=2) == [(0.003, 1.0)]
+        assert series("degraded", node=0) == []
+
+    def test_queue_depth_and_batches_exact_under_blocking(
+        self, trained_federation
+    ):
+        """A full ``block`` inbox keeps producers at the door: the
+        replayed depth peaks at the queue's own high-water mark, and
+        every flush is one batch-size point."""
+        federation, _, data = trained_federation
+        inference = HierarchicalInference(federation, confidence_threshold=0.7)
+        workload = make_workload(data.test_x, inference, seed=3)
+        runtime = ServingRuntime(
+            inference, MEDIUM,
+            ServeConfig(max_batch=4, queue_depth=4, service_time_base_s=0.002),
+        )
+        obs.reset()
+        obs.enable()
+        try:
+            result = runtime.serve_open_loop(workload, rate_rps=5000.0, seed=1)
+        finally:
+            obs.disable()
+            obs.reset()
+        assert max(result.queue_high_water.values()) == 4  # it blocked
+        telemetry = result.telemetry
+        for nid, server in runtime.nodes.items():
+            depth = [
+                v for _, v in
+                telemetry.series("serve.telemetry.queue_depth", node=nid)
+            ]
+            assert max(depth, default=0.0) == result.queue_high_water[nid]
+            assert depth[-1:] in ([], [0.0])
+            sizes = telemetry.series("serve.telemetry.batch_size", node=nid)
+            assert len(sizes) == server.batcher.n_batches
+            assert sum(v for _, v in sizes) == server.batcher.n_items
+        batches = telemetry.series("serve.telemetry.batches")
+        assert batches[-1][1] == runtime.n_batches
+        inflight = telemetry.series("serve.telemetry.inflight")
+        assert [t for t, _ in inflight] == sorted(t for t, _ in inflight)
+        assert min(v for _, v in inflight) >= 0 and inflight[-1][1] == 0
+
+    def test_view_replays_from_the_exported_trace(self, chaos_traced, tmp_path):
+        first, _, _, _ = chaos_traced
+        path = tmp_path / "t.jsonl"
+        first.traces.export_jsonl(path)
+        reloaded = RequestTraceLog()
+        reloaded.extend(read_jsonl(path, TraceEvent.from_dict))
+        assert list(reloaded.telemetry()) == list(first.telemetry)
 
 
 class TestRequestTraceLog:
