@@ -1,6 +1,6 @@
 """Static-analysis ratchet: lint the tree and persist per-rule counts.
 
-Runs ``repro lint --flow`` (all 12 rules, dataflow included) over
+Runs ``repro lint --flow`` (all 10 rules, dataflow included) over
 ``src/`` plus the fixture self-tests, times the full pass, and writes
 ``BENCH_lint.json`` so the finding counts are comparable across PRs:
 the tree must stay at zero unsuppressed findings while the fixture

@@ -3,16 +3,14 @@
 The timing-independent contracts of :mod:`repro.serve` on one small
 trained TREE federation: the served labels / deciding nodes / levels /
 message accounting equal ``HierarchicalInference.run`` on the same
-queries and seed; an overloaded shed-policy run sheds instead of
-growing its queues; and, with ``--workers N``, the N-process
-:class:`repro.serve.ClusterRuntime` gives the same answers from
-zero-copy shared-memory model replicas.
+queries and seed; and an overloaded shed-policy run sheds instead of
+growing its queues. The cluster's equivalence to the offline walk is
+pinned by ``tests/test_serve_cluster.py`` and ``benchmarks/e2e``.
 
-Run standalone with ``python benchmarks/bench_serving.py [--smoke]
-[--workers N]`` (the CI ``cluster-smoke`` job passes ``--smoke
---workers 2``); ``tests/test_bench_serving_smoke.py`` runs the same
-checks in tier-1. Serving throughput and latency are measured by
-``benchmarks/e2e`` (see its README), not here.
+Run standalone with ``python benchmarks/bench_serving.py [--smoke]``;
+``tests/test_bench_serving_smoke.py`` runs the same checks in tier-1.
+Serving throughput and latency are measured by ``benchmarks/e2e`` (see
+its README), not here.
 """
 
 import numpy as np
@@ -25,13 +23,7 @@ from repro.hierarchy import (
     build_tree,
 )
 from repro.network.medium import get_medium
-from repro.serve import (
-    ClusterConfig,
-    ClusterRuntime,
-    ServeConfig,
-    ServingRuntime,
-    make_workload,
-)
+from repro.serve import ServeConfig, ServingRuntime, make_workload
 
 DATASET = "APRI"
 
@@ -108,65 +100,6 @@ def check_equivalence() -> dict:
     }
 
 
-def check_cluster_equivalence(workers=2) -> dict:
-    """Cluster smoke: multi-process answers == offline, zero-copy attach.
-
-    Serves the equivalence workload through a ``workers``-process
-    :class:`ClusterRuntime` and asserts (a) every worker attached the
-    shared model store without copying a single model array, and
-    (b) labels / deciding nodes / levels / wire bytes match the offline
-    walk exactly (confidences to float tolerance). This is the CI
-    cluster smoke job's payload (``--smoke --workers N``).
-    """
-    data = load_dataset(DATASET, scale=0.05, max_train=600, max_test=200, seed=7)
-    spec = DATASETS[DATASET]
-    federation = EdgeHDFederation(
-        build_tree(spec.n_end_nodes),
-        partition_features(data.n_features, spec.n_end_nodes),
-        data.n_classes,
-        EdgeHDConfig(dimension=512, retrain_epochs=3, batch_size=10, seed=7),
-    )
-    federation.fit_offline(data.train_x, data.train_y)
-    inference = HierarchicalInference(federation, confidence_threshold=0.8)
-    workload = make_workload(data.test_x, inference, seed=3)
-    offline = inference.run(data.test_x, seed=3)
-
-    with ClusterRuntime(
-        inference,
-        get_medium("wired-1gbps"),
-        ServeConfig(max_batch=8, queue_depth=512),
-        cluster=ClusterConfig(workers=workers),
-    ) as runtime:
-        if not runtime.zero_copy:
-            raise AssertionError(
-                "a worker copied model arrays instead of attaching views"
-            )
-        shared_bytes = runtime.topology()["shared_memory_bytes"]
-        served = runtime.serve_open_loop(workload, rate_rps=2000.0, seed=1)
-    out = served.to_outcome()
-    if not np.array_equal(out.labels, offline.labels):
-        raise AssertionError("cluster labels differ from the offline walk")
-    if not np.array_equal(out.deciding_node, offline.deciding_node):
-        raise AssertionError("cluster deciding nodes differ from offline")
-    if not np.array_equal(out.deciding_level, offline.deciding_level):
-        raise AssertionError("cluster deciding levels differ from offline")
-    if out.total_bytes != offline.total_bytes:
-        raise AssertionError(
-            f"cluster message accounting ({out.total_bytes} B) differs "
-            f"from offline ({offline.total_bytes} B)"
-        )
-    if not np.allclose(out.confidence, offline.confidence):
-        raise AssertionError("cluster confidences drifted beyond tolerance")
-    return {
-        "workers": workers,
-        "n_queries": len(workload),
-        "labels_equal": True,
-        "bytes_equal": True,
-        "zero_copy": True,
-        "shared_memory_bytes": int(shared_bytes),
-    }
-
-
 def main(argv=None) -> None:
     import argparse
 
@@ -177,17 +110,8 @@ def main(argv=None) -> None:
         help="run the timing-independent serving-vs-offline equivalence "
         "+ overload shedding checks (all this script does)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="also verify the --workers-process cluster answers match "
-        "the offline walk with zero-copy shared models",
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     evidence = check_equivalence()
-    if args.workers > 1:
-        evidence["cluster"] = check_cluster_equivalence(args.workers)
     print(f"serving smoke OK: {evidence}")
 
 

@@ -48,12 +48,10 @@ from repro.analysis.rules import (
     DEFAULT_RULES,
     RULE_INDEX,
     AsyncBlockingCallRule,
-    MutableDefaultRule,
     ObsLiteralNameRule,
     PackedDtypeRule,
     RngDisciplineRule,
     SilentBroadExceptRule,
-    UnawaitedCoroutineRule,
     UnvalidatedArrayApiRule,
     default_rules,
 )
@@ -80,10 +78,8 @@ __all__ = [
     "summarize",
     "RngDisciplineRule",
     "AsyncBlockingCallRule",
-    "UnawaitedCoroutineRule",
     "PackedDtypeRule",
     "ObsLiteralNameRule",
-    "MutableDefaultRule",
     "SilentBroadExceptRule",
     "UnvalidatedArrayApiRule",
     "AwaitBoundaryRaceRule",

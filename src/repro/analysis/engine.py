@@ -238,9 +238,9 @@ class Rule:
     """Base class / protocol for lint rules.
 
     Subclasses set the class attributes and implement
-    :meth:`on_node` for the node types named in :attr:`node_types`.
-    :meth:`start_file` / :meth:`finish_file` bracket each file for
-    rules that need a pre-pass (collect names) or file-level findings.
+    :meth:`on_node` for the node types named in :attr:`node_types`;
+    :meth:`finish_file` runs after each file's walk for rules with
+    file-level findings.
     """
 
     rule_id: str = "REPRO000"
@@ -249,9 +249,6 @@ class Rule:
     autofix_hint: str = ""
     #: AST node classes this rule wants to observe.
     node_types: Tuple[type, ...] = ()
-
-    def start_file(self, ctx: FileContext) -> None:
-        """Called before the walk; override to reset per-file state."""
 
     def on_node(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
         """Called for every node matching :attr:`node_types`."""
@@ -338,8 +335,6 @@ class LintEngine:
                 )
             ], None
         findings: List[Finding] = []
-        for rule in self.rules:
-            rule.start_file(ctx)
         self._walk(ctx, ctx.tree, findings)
         for rule in self.rules:
             findings.extend(

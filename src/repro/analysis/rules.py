@@ -9,11 +9,9 @@ id         name                     invariant protected
 REPRO101   rng-discipline           all randomness derives from
                                     ``utils.rng.derive_rng`` (seeded figures)
 REPRO102   async-blocking-call      ``serve`` coroutines never block the loop
-REPRO103   unawaited-coroutine      no silently-dropped coroutine work
 REPRO104   packed-dtype-discipline  uint64 word arrays never leak into float
                                     math without ``unpack_bits``
 REPRO105   obs-literal-names        metric/span names stay greppable
-REPRO106   mutable-default-arg      no shared mutable state across calls
 REPRO107   silent-broad-except      hot paths never swallow errors silently
 REPRO108   unvalidated-array-api    public array APIs validate their input
 REPRO110   process-boundary         ``multiprocessing`` process / shared-memory
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence
 
 from repro.analysis.engine import FileContext, Finding, Rule
 from repro.analysis.flow import flow_rules
@@ -42,10 +40,8 @@ from repro.analysis.flow import flow_rules
 __all__ = [
     "RngDisciplineRule",
     "AsyncBlockingCallRule",
-    "UnawaitedCoroutineRule",
     "PackedDtypeRule",
     "ObsLiteralNameRule",
-    "MutableDefaultRule",
     "SilentBroadExceptRule",
     "UnvalidatedArrayApiRule",
     "ProcessBoundaryRule",
@@ -184,49 +180,6 @@ class AsyncBlockingCallRule(Rule):
             )
 
 
-class UnawaitedCoroutineRule(Rule):
-    """A coroutine call whose result is discarded never runs.
-
-    Flags expression statements that call ``asyncio.sleep`` or any
-    ``async def`` defined in the same file without ``await`` (and
-    without wrapping in ``ensure_future`` / ``create_task``, which
-    would make the call an argument rather than the statement itself).
-    """
-
-    rule_id = "REPRO103"
-    severity = "error"
-    description = "coroutine called without await; it will never execute"
-    autofix_hint = "await the call or schedule it with asyncio.ensure_future"
-    node_types = (ast.Expr,)
-
-    def __init__(self) -> None:
-        self._async_names: Set[str] = set()
-
-    def start_file(self, ctx: FileContext) -> None:
-        self._async_names = {
-            node.name
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.AsyncFunctionDef)
-        }
-
-    def on_node(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
-        assert isinstance(node, ast.Expr)
-        call = node.value
-        if not isinstance(call, ast.Call):
-            return
-        dotted = ctx.dotted_name(call.func)
-        terminal = ctx.terminal_name(call.func)
-        if dotted == "asyncio.sleep":
-            yield self.finding(ctx, node, "asyncio.sleep() is not awaited")
-        elif terminal in self._async_names:
-            yield self.finding(
-                ctx,
-                node,
-                f"coroutine {terminal}() is not awaited (async def in this "
-                "module)",
-            )
-
-
 class PackedDtypeRule(Rule):
     """Bit-packed uint64 word arrays must not silently enter float math.
 
@@ -359,58 +312,6 @@ class ObsLiteralNameRule(Rule):
             f"{terminal}() name must be a string literal (or an f-string "
             "with a dotted literal prefix)",
         )
-
-
-class MutableDefaultRule(Rule):
-    """No mutable default argument values.
-
-    A ``def f(x, acc=[])`` default is created once and shared by every
-    call — accumulated state leaks across experiments, the classic
-    seeded-run poisoner.
-    """
-
-    rule_id = "REPRO106"
-    severity = "error"
-    description = "mutable default argument value"
-    autofix_hint = "default to None and create the value inside the function"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    _MUTABLE_CALLS = {
-        "list",
-        "dict",
-        "set",
-        "bytearray",
-        "collections.defaultdict",
-        "collections.OrderedDict",
-        "collections.Counter",
-        "collections.deque",
-    }
-    _MUTABLE_NODES = (
-        ast.List,
-        ast.Dict,
-        ast.Set,
-        ast.ListComp,
-        ast.DictComp,
-        ast.SetComp,
-    )
-
-    def on_node(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
-        args = node.args  # type: ignore[union-attr]
-        for default in list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            if isinstance(default, self._MUTABLE_NODES):
-                yield self.finding(
-                    ctx, default, "mutable literal as default argument"
-                )
-            elif isinstance(default, ast.Call):
-                name = ctx.dotted_name(default.func)
-                if name in self._MUTABLE_CALLS:
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable {name}() call as default argument",
-                    )
 
 
 class SilentBroadExceptRule(Rule):
@@ -613,10 +514,8 @@ def default_rules() -> List[Rule]:
     return [
         RngDisciplineRule(),
         AsyncBlockingCallRule(),
-        UnawaitedCoroutineRule(),
         PackedDtypeRule(),
         ObsLiteralNameRule(),
-        MutableDefaultRule(),
         SilentBroadExceptRule(),
         UnvalidatedArrayApiRule(),
         ProcessBoundaryRule(),

@@ -319,10 +319,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         from repro.serve import ClusterConfig, ClusterRuntime
 
         try:
-            cluster = ClusterConfig(
-                workers=args.workers,
-                replicas_per_shard=args.replicas_per_shard,
-            )
+            cluster = ClusterConfig(workers=args.workers)
             runtime = ClusterRuntime(
                 inference, get_medium(args.medium), serve_config,
                 cluster=cluster, fault_plan=fault_plan,
@@ -331,8 +328,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(
-            f"cluster: {cluster.workers} workers over {cluster.n_shards} "
-            f"shards, open loop at {args.rate:.0f} req/s"
+            f"cluster: {cluster.workers} workers, "
+            f"open loop at {args.rate:.0f} req/s"
         )
         with runtime:
             result = runtime.serve_open_loop(
@@ -771,10 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes; > 1 serves through the multi-process "
              "cluster with shared-memory model replicas",
-    )
-    serve_bench.add_argument(
-        "--replicas-per-shard", type=int, default=1,
-        help="replicas per request shard (cluster mode)",
     )
     serve_bench.add_argument(
         "--faults", action="store_true",

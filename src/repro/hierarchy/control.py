@@ -105,8 +105,7 @@ class NodeLeaseMonitor:
 
     Every node holds a lease refreshed by :meth:`beat`; a node whose
     lease lapses past ``lease_timeout_s`` is reported by
-    :meth:`expired` exactly once. The registry's shard id doubles as
-    the node's hierarchy level, so its summary groups by tier.
+    :meth:`expired` exactly once.
     """
 
     def __init__(self, lease_timeout_s: float = 1.0) -> None:
@@ -116,8 +115,8 @@ class NodeLeaseMonitor:
 
         self.registry = ReplicaRegistry(heartbeat_timeout_s=lease_timeout_s)
 
-    def track(self, node_id: int, level: int, now: float) -> None:
-        self.registry.register(node_id, shard_id=level, now=now)
+    def track(self, node_id: int, now: float) -> None:
+        self.registry.register(node_id, now)
 
     def release(self, node_id: int) -> None:
         self.registry.deregister(node_id)
@@ -191,8 +190,8 @@ class TopologyController:
         self.journal: List[FeedbackEvent] = []
         self.n_checkpoints = 0
         self.monitor = NodeLeaseMonitor(lease_timeout_s=lease_timeout_s)
-        for nid, node in sorted(federation.hierarchy.nodes.items()):
-            self.monitor.track(nid, node.level, now)
+        for nid in sorted(federation.hierarchy.nodes):
+            self.monitor.track(nid, now)
         #: per-node forwarded batch hypervectors — the training artifact
         #: a parent needs to re-encode when a child changes. Pure
         #: function of (training data, structure), so it can always be
@@ -422,7 +421,7 @@ class TopologyController:
         dirty = self._dirty_nodes(*pre)
         report = self._refit(dirty, epochs)
         self._reset_residuals()
-        self.monitor.track(new_id, hierarchy.nodes[new_id].level, now)
+        self.monitor.track(new_id, now)
         self.states[new_id] = NodeState.ACTIVE
         self._record(
             "join", new_id, parent=parent_id, columns=sorted(moved),

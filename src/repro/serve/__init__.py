@@ -26,8 +26,8 @@ For throughput beyond one process, :class:`~repro.serve.cluster.
 ClusterRuntime` serves the same contract over a fleet of OS worker
 processes that attach read-only model replicas from a
 :class:`~repro.serve.shard.SharedModelStore` (zero copies, zero
-pickling) with consistent-hash request sharding, least-loaded replica
-selection and heartbeat-based eviction
+pickling): the router keeps one backlog and hands it to the
+least-loaded idle replica, with heartbeat-based eviction
 (:class:`~repro.serve.registry.ReplicaRegistry`).
 
 Quickstart::
@@ -43,12 +43,7 @@ Quickstart::
 """
 
 from repro.serve.batcher import MicroBatcher
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterRuntime,
-    ConsistentHashRing,
-    WorkerSpec,
-)
+from repro.serve.cluster import ClusterConfig, ClusterRuntime, WorkerSpec
 from repro.serve.faults import FaultPlan
 from repro.serve.registry import ReplicaInfo, ReplicaRegistry
 from repro.serve.shard import NodeLayout, SharedModelStore
@@ -89,7 +84,6 @@ __all__ = [
     "BoundedQueue",
     "ClusterConfig",
     "ClusterRuntime",
-    "ConsistentHashRing",
     "FaultPlan",
     "MicroBatcher",
     "NodeLayout",

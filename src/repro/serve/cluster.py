@@ -1,4 +1,4 @@
-"""Multi-process sharded serving cluster (router + worker replicas).
+"""Multi-process serving cluster (router + worker replicas).
 
 The single-process :class:`~repro.serve.runtime.ServingRuntime`
 simulates the whole hierarchy inside one asyncio loop, which caps
@@ -6,15 +6,16 @@ sustained throughput at what one GIL can encode and search. This module
 breaks that ceiling with real OS processes while keeping the paper's
 semantics exact:
 
-* a **router** (this process) admits the open-loop arrival schedule,
-  micro-batches requests per *shard*, and dispatches each batch to a
-  worker replica chosen by consistent-hash + least-loaded selection
-  (:class:`~repro.serve.registry.ReplicaRegistry`);
+* a **router** (this process) admits the open-loop arrival schedule
+  into one backlog and flushes it, as one micro-batch, to the
+  least-loaded healthy worker replica
+  (:class:`~repro.serve.registry.ReplicaRegistry`) whenever that
+  replica is idle or the backlog reaches ``max_batch``;
 * **workers** rebuild the federation's structure from seeds (encoders
   and projections are deterministic), attach the learned models from a
   :class:`~repro.serve.shard.SharedModelStore` — read-only, zero-copy,
   never pickled — and replay the exact offline escalation walk
-  (:meth:`HierarchicalInference.run`) on their cohort. Each worker is
+  (:meth:`HierarchicalInference.run`) on their batch. Each worker is
   pinned to one CPU of the router's affinity set (replica ``i`` to the
   ``i``-th, wrapping), so the fleet is spread over the cores from its
   first batch instead of whenever the kernel's load balancer gets to
@@ -26,12 +27,12 @@ semantics exact:
   fleet is down the router answers locally and marks responses
   degraded.
 
-Sharding partitions the *request space*: a consistent-hash ring maps
-each start leaf to a shard, giving per-subtree batch affinity, while
-every replica holds the full shared model and can stand in for any
-shard. Because :meth:`HierarchicalInference.run` is per-query
-deterministic regardless of batch composition, and per-edge escalation
-counts are additive across cohorts, a ``workers=1`` cluster answers
+Every replica holds the full shared model and runs the whole walk, so
+any replica can take any batch: the unit of placement in the paper
+(Sec. IV) is a hierarchy node, not a slice of the request stream.
+Because :meth:`HierarchicalInference.run` is per-query deterministic
+regardless of batch composition, and per-edge escalation counts are
+additive across batches, a ``workers=1`` cluster answers
 bit-identically to the offline walk — same labels, deciding nodes,
 levels and wire bytes.
 
@@ -45,14 +46,12 @@ the aggregated escalation counts via
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import logging
 import os
 import queue as queue_mod
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import multiprocessing as mp
 
@@ -75,7 +74,7 @@ from repro.serve.runtime import ServeConfig
 from repro.serve.shard import SharedModelStore
 from repro.serve.workload import ServeWorkload, open_loop_arrivals
 
-__all__ = ["ClusterConfig", "ClusterRuntime", "ConsistentHashRing", "WorkerSpec"]
+__all__ = ["ClusterConfig", "ClusterRuntime", "WorkerSpec"]
 
 logger = logging.getLogger(__name__)
 
@@ -95,8 +94,6 @@ class ClusterConfig:
 
     #: total worker processes (replicas) to spawn.
     workers: int = 2
-    #: replicas per shard; ``n_shards = ceil(workers / replicas)``.
-    replicas_per_shard: int = 1
     #: idle workers send a heartbeat this often.
     heartbeat_interval_s: float = 0.05
     #: replicas silent for longer than this are evicted and their
@@ -104,11 +101,9 @@ class ClusterConfig:
     #: at every batch start, so this only needs to exceed the slowest
     #: single batch (a late beat resurrects the replica regardless).
     heartbeat_timeout_s: float = 3.0
-    #: virtual points per shard on the consistent-hash ring.
-    hash_points: int = 64
     #: max seconds to wait for every worker to attach and report ready.
     ready_timeout_s: float = 60.0
-    #: spawn a replacement worker (fresh replica id, same shard) when a
+    #: spawn a replacement worker (fresh replica id, same CPU) when a
     #: replica is evicted — the elastic control plane's replacement
     #: loop applied to the process fleet. The replacement attaches the
     #: same shared model store, so catch-up is a zero-copy attach.
@@ -117,65 +112,14 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.replicas_per_shard < 1:
-            raise ValueError(
-                f"replicas_per_shard must be >= 1, got "
-                f"{self.replicas_per_shard}"
-            )
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be > 0")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
             raise ValueError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s"
             )
-        if self.hash_points < 1:
-            raise ValueError(f"hash_points must be >= 1, got {self.hash_points}")
         if self.ready_timeout_s <= 0:
             raise ValueError("ready_timeout_s must be > 0")
-
-    @property
-    def n_shards(self) -> int:
-        return -(-self.workers // self.replicas_per_shard)
-
-
-# ----------------------------------------------------------------------
-# consistent hashing
-# ----------------------------------------------------------------------
-class ConsistentHashRing:
-    """Consistent-hash ring mapping keys (leaf ids) to shard ids.
-
-    Each shard owns ``points`` virtual positions (blake2b of
-    ``"shard:<id>:<point>"``); a key lands on the first position
-    clockwise of its own hash. Adding or removing a shard moves only
-    ~1/n of the key space, so scaling the worker fleet re-homes few
-    subtrees.
-    """
-
-    def __init__(self, shard_ids: Sequence[int], points: int = 64) -> None:
-        if not shard_ids:
-            raise ValueError("ring needs at least one shard")
-        if points < 1:
-            raise ValueError(f"points must be >= 1, got {points}")
-        entries = []
-        for shard_id in shard_ids:
-            for point in range(points):
-                entries.append((self._digest(f"shard:{shard_id}:{point}"), shard_id))
-        entries.sort()
-        self._hashes = [h for h, _ in entries]
-        self._shards = [s for _, s in entries]
-
-    @staticmethod
-    def _digest(key: str) -> int:
-        raw = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(raw, "big")
-
-    def lookup(self, key: int) -> int:
-        """Shard owning ``key`` (wraps around the ring)."""
-        h = self._digest(f"leaf:{key}")
-        idx = bisect.bisect_right(self._hashes, h)
-        if idx == len(self._hashes):
-            idx = 0
-        return self._shards[idx]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +144,6 @@ class WorkerSpec:
     search: SearchSpec
     manifest: dict
     replica_id: int
-    shard_id: int
     heartbeat_interval_s: float
     fault_plan: Optional[FaultPlan] = None
     #: CPU the worker pins itself to; None leaves placement to the OS.
@@ -230,7 +173,7 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
     t_start = time.monotonic()
     store = None
     metrics = MetricsRegistry()
-    labels = {"replica": str(spec.replica_id), "shard": str(spec.shard_id)}
+    labels = {"replica": str(spec.replica_id)}
     try:
         if spec.cpu is not None:
             # Forked next to the router, a worker that sleeps between
@@ -348,7 +291,6 @@ class _Dispatch:
     """Router-side record of one in-flight batch."""
 
     batch_id: int
-    shard_id: int
     replica_id: int
     indices: List[int]
     dispatched_wall: float
@@ -359,12 +301,14 @@ class ClusterRuntime:
 
     Mirrors :class:`~repro.serve.runtime.ServingRuntime`'s contract —
     same :class:`ServeConfig` knobs (max_batch / queue_depth / policy /
-    max_level / search) and the same work-conserving batching (a
-    shard's buffer is dispatched as soon as its least-loaded replica is
-    idle, or when it reaches ``max_batch``), same
+    max_level / search) and the same work-conserving batching (the
+    router's one backlog is dispatched as soon as the least-loaded
+    healthy replica is idle, or when it reaches ``max_batch``), same
     :class:`~repro.serve.request.ServeResult` output, same offline
     message accounting — but executes requests on ``cluster.workers``
-    OS processes. Request tracing stays a single-process feature;
+    OS processes. Under ``policy="shed"``, ``queue_depth`` bounds that
+    backlog: buffered plus in-flight requests over the whole fleet.
+    Request tracing stays a single-process feature;
     per-worker metrics arrive as labeled
     ``cluster.worker.*`` series merged into the global registry.
 
@@ -398,13 +342,6 @@ class ClusterRuntime:
         self.plan: Optional[FaultPlan] = (
             fault_plan if fault_plan is not None and fault_plan.active else None
         )
-        self.ring = ConsistentHashRing(
-            range(self.cluster.n_shards), points=self.cluster.hash_points
-        )
-        #: leaf id -> shard id (the ring is stable, so cache it).
-        self.shard_of_leaf: Dict[int, int] = {
-            leaf: self.ring.lookup(leaf) for leaf in self.hierarchy.leaves()
-        }
         self.registry = ReplicaRegistry(
             heartbeat_timeout_s=self.cluster.heartbeat_timeout_s
         )
@@ -417,19 +354,15 @@ class ClusterRuntime:
         self._started = False
         self._ctx: Optional[mp.context.BaseContext] = None
         self._manifest: Optional[dict] = None
-        #: shard a replica id serves — replacements inherit their
-        #: predecessor's shard, and ids are never reused.
-        self._shard_of_replica: Dict[int, int] = {}
-        #: CPU a replica id is pinned to — replacements inherit it too.
+        #: CPU a replica id is pinned to — replacements inherit their
+        #: predecessor's, under a fresh id (ids are never reused).
         self._cpu_of_replica: Dict[int, Optional[int]] = {}
         self.n_respawned = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _spawn_worker(
-        self, replica_id: int, shard_id: int, cpu: Optional[int]
-    ) -> None:
+    def _spawn_worker(self, replica_id: int, cpu: Optional[int]) -> None:
         """Spawn one worker process attached to the shared store.
 
         Used both for the initial fleet and for eviction-triggered
@@ -447,7 +380,6 @@ class ClusterRuntime:
             search=self.search,
             manifest=self._manifest,
             replica_id=replica_id,
-            shard_id=shard_id,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,
             fault_plan=self.plan,
             cpu=cpu,
@@ -462,7 +394,6 @@ class ClusterRuntime:
         proc.start()
         self._task_qs.append(task_q)
         self._procs.append(proc)
-        self._shard_of_replica[replica_id] = shard_id
         self._cpu_of_replica[replica_id] = cpu
 
     def start(self) -> None:
@@ -482,9 +413,7 @@ class ClusterRuntime:
         cpus = _fleet_cpus()
         for replica_id in range(self.cluster.workers):
             self._spawn_worker(
-                replica_id,
-                replica_id % self.cluster.n_shards,
-                cpus[replica_id % len(cpus)] if cpus else None,
+                replica_id, cpus[replica_id % len(cpus)] if cpus else None
             )
         deadline = time.monotonic() + self.cluster.ready_timeout_s
         while len(self._zero_copy_reports) < self.cluster.workers:
@@ -508,15 +437,11 @@ class ClusterRuntime:
             if msg[0] == "ready":
                 replica_id, report = msg[1], msg[2]
                 self._zero_copy_reports[replica_id] = report
-                self.registry.register(
-                    replica_id,
-                    self._shard_of_replica[replica_id],
-                    time.monotonic(),
-                )
+                self.registry.register(replica_id, time.monotonic())
         self._started = True
         logger.info(
-            "cluster: %d workers over %d shards ready (%.1f KiB shared)",
-            self.cluster.workers, self.cluster.n_shards,
+            "cluster: %d workers ready (%.1f KiB shared)",
+            self.cluster.workers,
             (self._store.nbytes if self._store else 0) / 1024,
         )
 
@@ -594,8 +519,6 @@ class ClusterRuntime:
         """Topology metadata recorded in every benchmark cell."""
         return {
             "workers": self.cluster.workers,
-            "replicas_per_shard": self.cluster.replicas_per_shard,
-            "n_shards": self.cluster.n_shards,
             "shared_memory_bytes": self._store.nbytes if self._store else 0,
             "evictions": self.registry.n_evicted,
         }
@@ -662,13 +585,9 @@ class ClusterRuntime:
 
         responses: Dict[int, ServeResponse] = {}
         escalations: Dict[Tuple[int, int], int] = {}
-        buffers: Dict[int, List[int]] = {
-            shard: [] for shard in range(self.cluster.n_shards)
-        }
+        backlog: List[int] = []
         outstanding: Dict[int, _Dispatch] = {}
-        high_water: Dict[int, int] = {
-            shard: 0 for shard in range(self.cluster.n_shards)
-        }
+        high_water = 0
         n_shed_admission = 0
         n_retries = 0
         n_timeouts = 0
@@ -678,18 +597,14 @@ class ClusterRuntime:
         t0 = time.monotonic()
         last_completion_wall = t0
 
-        def shard_pending(shard: int) -> int:
-            queued = len(buffers[shard])
-            in_flight = sum(
-                len(d.indices)
-                for d in outstanding.values()
-                if d.shard_id == shard
+        def pending() -> int:
+            return len(backlog) + sum(
+                len(d.indices) for d in outstanding.values()
             )
-            return queued + in_flight
 
-        def dispatch(shard: int, indices: List[int]) -> None:
+        def dispatch(indices: List[int]) -> None:
             nonlocal n_batches, last_completion_wall
-            info = self.registry.pick(shard)
+            info = self.registry.pick()
             if info is None:
                 # Whole fleet down: the router still owns the original
                 # federation, so it answers locally in degraded mode.
@@ -708,32 +623,25 @@ class ClusterRuntime:
             self.registry.dispatch(info.replica_id, len(indices))
             outstanding[batch_id] = _Dispatch(
                 batch_id=batch_id,
-                shard_id=shard,
                 replica_id=info.replica_id,
                 indices=indices,
                 dispatched_wall=time.monotonic(),
             )
 
-        def flush(shard: int) -> None:
-            indices = buffers[shard]
-            if not indices:
-                return
-            buffers[shard] = []
-            dispatch(shard, indices)
+        def flush() -> None:
+            indices = list(backlog)
+            backlog.clear()
+            dispatch(indices)
 
         arrival_ptr = 0
         while len(responses) < n:
             now = time.monotonic()
             rel = now - t0
-            # 1. admit due arrivals into shard buffers
+            # 1. admit due arrivals into the backlog
             while arrival_ptr < n and arrivals[order[arrival_ptr]] <= rel:
                 idx = int(order[arrival_ptr])
                 arrival_ptr += 1
-                shard = self.shard_of_leaf[int(workload.start_leaves[idx])]
-                if (
-                    cfg.policy == "shed"
-                    and shard_pending(shard) >= cfg.queue_depth
-                ):
+                if cfg.policy == "shed" and pending() >= cfg.queue_depth:
                     n_shed_admission += 1
                     responses[idx] = ServeResponse(
                         index=idx,
@@ -746,19 +654,18 @@ class ClusterRuntime:
                         timings=StageTimings(),
                     )
                     continue
-                buffers[shard].append(idx)
-                high_water[shard] = max(high_water[shard], shard_pending(shard))
-                if len(buffers[shard]) >= cfg.max_batch:
-                    flush(shard)
-            # 2. work-conserving flush: a buffer goes out as soon as its
-            #    shard has an idle replica (or none at all — the router
-            #    then answers locally); while every replica is busy the
-            #    buffer keeps growing with the backlog.
-            for shard, buffer in buffers.items():
-                if buffer:
-                    info = self.registry.pick(shard)
-                    if info is None or info.in_flight == 0:
-                        flush(shard)
+                backlog.append(idx)
+                high_water = max(high_water, pending())
+                if len(backlog) >= cfg.max_batch:
+                    flush()
+            # 2. work-conserving flush: the backlog goes out as soon as
+            #    the least-loaded replica is idle (or there is none at
+            #    all — the router then answers locally); while every
+            #    replica is busy the backlog keeps growing.
+            if backlog:
+                info = self.registry.pick()
+                if info is None or info.in_flight == 0:
+                    flush()
             # 3. evict silent replicas, re-dispatch their batches and —
             #    with respawn enabled — spawn a replacement worker, so a
             #    crash window becomes a replacement scenario instead of
@@ -770,16 +677,15 @@ class ClusterRuntime:
                     if d.replica_id == info.replica_id
                 ]
                 logger.warning(
-                    "cluster: evicting replica %d (shard %d), "
-                    "re-dispatching %d batches",
-                    info.replica_id, info.shard_id, len(stranded),
+                    "cluster: evicting replica %d, re-dispatching %d batches",
+                    info.replica_id, len(stranded),
                 )
                 if obs.enabled():
                     obs.incr("cluster.evictions")
                 for d in stranded:
                     del outstanding[d.batch_id]
                     n_retries += len(d.indices)
-                    dispatch(d.shard_id, d.indices)
+                    dispatch(d.indices)
                 if (
                     self.cluster.respawn
                     and self.n_respawned < _MAX_RESPAWNS
@@ -787,14 +693,13 @@ class ClusterRuntime:
                     new_id = len(self._task_qs)
                     self.n_respawned += 1
                     logger.info(
-                        "cluster: respawning shard %d as replica %d",
-                        info.shard_id, new_id,
+                        "cluster: respawning replica %d as replica %d",
+                        info.replica_id, new_id,
                     )
                     if obs.enabled():
                         obs.incr("cluster.respawns")
                     self._spawn_worker(
-                        new_id, info.shard_id,
-                        self._cpu_of_replica[info.replica_id],
+                        new_id, self._cpu_of_replica[info.replica_id]
                     )
             # 4. drain worker results (block briefly to avoid spinning)
             timeout = self._drain_timeout(arrival_ptr, n, order, arrivals, rel)
@@ -835,16 +740,12 @@ class ClusterRuntime:
                         last_completion_wall = done_wall
                 elif kind == "ready":
                     # A replacement worker came up mid-run: register it
-                    # on its predecessor's shard so the picker can use
-                    # it. (Without respawn there is nothing to arrive.)
+                    # so the picker can use it. (Without respawn there
+                    # is nothing to arrive.)
                     replica_id, report = msg[1], msg[2]
                     if replica_id not in self.registry:
                         self._zero_copy_reports[replica_id] = report
-                        self.registry.register(
-                            replica_id,
-                            self._shard_of_replica[replica_id],
-                            done_wall,
-                        )
+                        self.registry.register(replica_id, done_wall)
                 # "bye" during a run: ignore.
                 try:
                     assert self._result_q is not None
@@ -871,7 +772,7 @@ class ClusterRuntime:
             messages=messages,
             n_shed_admission=n_shed_admission,
             n_shed_escalation=0,
-            queue_high_water=high_water,
+            queue_high_water={0: high_water},
             n_retries=n_retries,
             n_timeouts=n_timeouts,
             topology=self.topology(),

@@ -1,18 +1,16 @@
 """Heartbeat-based replica registry for the serving cluster.
 
-The router tracks every worker replica here: which shard it serves, how
-many requests it has in flight, and when it last sent a heartbeat. The
+The router tracks every worker replica here: how many requests it has
+in flight, and when it last sent a heartbeat. The
 registry is a pure in-process data structure — no sockets, no threads —
 so replica-selection and eviction policy are unit-testable without
 spawning a single process. :mod:`repro.serve.cluster` feeds it wall
 -clock timestamps from the router loop.
 
-Selection policy: :meth:`ReplicaRegistry.pick` prefers the
-least-loaded *healthy* replica of the request's home shard, falling
-back to any healthy replica (every worker attaches the full
+Selection policy: :meth:`ReplicaRegistry.pick` returns the
+least-loaded *healthy* replica (every worker attaches the full
 :class:`~repro.serve.shard.SharedModelStore`, so any replica can answer
-any request — sharding is an affinity optimization, not a capability
-boundary). Replicas that miss heartbeats for longer than
+any request). Replicas that miss heartbeats for longer than
 ``heartbeat_timeout_s`` are evicted by :meth:`evict_stale`; their
 outstanding work is re-dispatched by the router, composing with
 :class:`repro.serve.faults.FaultPlan` worker-kill scenarios.
@@ -31,7 +29,6 @@ class ReplicaInfo:
     """Mutable registry record for one worker replica."""
 
     replica_id: int
-    shard_id: int
     healthy: bool = True
     last_beat_s: float = 0.0
     in_flight: int = 0
@@ -56,12 +53,10 @@ class ReplicaRegistry:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def register(self, replica_id: int, shard_id: int, now: float) -> ReplicaInfo:
+    def register(self, replica_id: int, now: float) -> ReplicaInfo:
         if replica_id in self._replicas:
             raise ValueError(f"replica {replica_id} already registered")
-        info = ReplicaInfo(
-            replica_id=replica_id, shard_id=shard_id, last_beat_s=now
-        )
+        info = ReplicaInfo(replica_id=replica_id, last_beat_s=now)
         self._replicas[replica_id] = info
         return info
 
@@ -116,8 +111,8 @@ class ReplicaRegistry:
     def deregister(self, replica_id: int) -> Optional[ReplicaInfo]:
         """Remove a replica's record entirely (planned drain).
 
-        Unlike :meth:`mark_unhealthy` — which keeps the record so a
-        late heartbeat can resurrect it — deregistration is for nodes
+        Unlike eviction — which keeps the record so a late heartbeat
+        can resurrect it — deregistration is for nodes
         leaving on purpose: a later beat from the removed id is ignored
         and its id is free for the control plane to never reuse.
         Returns the removed record, or ``None`` if it was not tracked.
@@ -134,15 +129,6 @@ class ReplicaRegistry:
         info = self._replicas[replica_id]
         return info.last_beat_s + self.heartbeat_timeout_s - now
 
-    def mark_unhealthy(self, replica_id: int) -> Optional[ReplicaInfo]:
-        """Immediately evict a replica (e.g. its process exited)."""
-        info = self._replicas.get(replica_id)
-        if info is None or not info.healthy:
-            return None
-        info.healthy = False
-        self.n_evicted += 1
-        return info
-
     # ------------------------------------------------------------------
     # load accounting
     # ------------------------------------------------------------------
@@ -156,60 +142,21 @@ class ReplicaRegistry:
         info.in_flight = max(0, info.in_flight - n_requests)
         info.n_completed += n_requests
 
-    def shard_in_flight(self, shard_id: int) -> int:
-        """Outstanding requests across a shard's healthy replicas."""
-        return sum(
-            info.in_flight
-            for info in self._replicas.values()
-            if info.shard_id == shard_id and info.healthy
-        )
-
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------
-    def healthy_replicas(self, shard_id: Optional[int] = None) -> List[ReplicaInfo]:
-        return [
-            info
-            for info in self._replicas.values()
-            if info.healthy and (shard_id is None or info.shard_id == shard_id)
-        ]
+    def healthy_replicas(self) -> List[ReplicaInfo]:
+        return [info for info in self._replicas.values() if info.healthy]
 
-    def pick(self, shard_id: int) -> Optional[ReplicaInfo]:
-        """Least-loaded healthy replica for a shard.
+    def pick(self) -> Optional[ReplicaInfo]:
+        """Least-loaded healthy replica.
 
-        Falls back to the least-loaded healthy replica of *any* shard
-        when the home shard has none (degraded-but-correct: every
-        replica holds the full shared model). Returns ``None`` when the
-        whole fleet is down; the router then answers locally and marks
-        responses degraded. Ties break on lowest replica id so replaying
-        the same trace picks the same replicas.
+        Returns ``None`` when the whole fleet is down; the router then
+        answers locally and marks responses degraded. Ties break on
+        lowest replica id so replaying the same trace picks the same
+        replicas.
         """
-        candidates = self.healthy_replicas(shard_id)
-        if not candidates:
-            candidates = self.healthy_replicas()
+        candidates = self.healthy_replicas()
         if not candidates:
             return None
         return min(candidates, key=lambda info: (info.in_flight, info.replica_id))
-
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """JSON-safe registry state (for telemetry / debugging)."""
-        return {
-            "n_replicas": len(self._replicas),
-            "n_healthy": len(self.healthy_replicas()),
-            "n_evicted": self.n_evicted,
-            "n_resurrected": self.n_resurrected,
-            "replicas": [
-                {
-                    "replica_id": info.replica_id,
-                    "shard_id": info.shard_id,
-                    "healthy": info.healthy,
-                    "in_flight": info.in_flight,
-                    "n_dispatched": info.n_dispatched,
-                    "n_completed": info.n_completed,
-                    "n_beats": info.n_beats,
-                }
-                for info in self._replicas.values()
-            ],
-        }
-

@@ -144,7 +144,8 @@ class ServeResult:
         self.messages: List["Message"] = list(messages)
         self.n_shed_admission = int(n_shed_admission)
         self.n_shed_escalation = int(n_shed_escalation)
-        #: max depth each node's inbox reached (memory bound witness).
+        #: max depth each node's inbox reached (memory bound witness);
+        #: a cluster run reports its router backlog under key 0.
         self.queue_high_water = dict(queue_high_water)
         #: fault injection: (request, attempt) retransmissions issued.
         self.n_retries = int(n_retries)
@@ -153,10 +154,9 @@ class ServeResult:
         #: per-request trace-event log (None when tracing was disabled);
         #: ``traces.faults()`` is the run's fault evidence.
         self.traces = traces
-        #: runtime topology metadata: workers / replicas_per_shard /
-        #: n_shards / shared_memory_bytes (plus eviction counts for
-        #: cluster runs). ``{"workers": 1}``-style dict for the
-        #: single-process runtime.
+        #: runtime topology metadata: workers / shared_memory_bytes
+        #: (plus eviction counts for cluster runs). ``{"workers": 1}``
+        #: -style dict for the single-process runtime.
         self.topology: Dict[str, object] = dict(topology or {"workers": 1})
 
     # ------------------------------------------------------------------
@@ -321,10 +321,7 @@ class ServeResult:
         workers = self.topology.get("workers", 1)
         if isinstance(workers, int) and workers > 1:
             lines.append(
-                f"cluster: {workers} workers over "
-                f"{self.topology.get('n_shards', '?')} shards "
-                f"(x{self.topology.get('replicas_per_shard', '?')} replicas)  "
-                f"shared model: "
+                f"cluster: {workers} workers  shared model: "
                 f"{int(self.topology.get('shared_memory_bytes', 0)) / 1024:.1f} KiB"
             )
         return "\n".join(lines)

@@ -68,7 +68,10 @@ class ServeConfig:
     #: largest micro-batch a node takes from its backlog in one flush
     #: (batches are work-conserving: a node never waits to fill one).
     max_batch: int = 32
-    #: bounded inbox depth per node.
+    #: bounded inbox depth per node; in a
+    #: :class:`~repro.serve.cluster.ClusterRuntime`, the bound on the
+    #: router's one backlog (buffered plus in flight), which ``"shed"``
+    #: enforces at admission.
     queue_depth: int = 64
     #: backpressure policy: ``"block"`` or ``"shed"``.
     policy: str = "block"
@@ -625,12 +628,7 @@ class ServingRuntime:
             n_retries=self.n_retries,
             n_timeouts=self.n_timeouts,
             traces=self.trace_log if tracing else None,
-            topology={
-                "workers": 1,
-                "replicas_per_shard": 1,
-                "n_shards": 1,
-                "shared_memory_bytes": 0,
-            },
+            topology={"workers": 1, "shared_memory_bytes": 0},
         )
         logger.info(
             "serve: %d requests, %d answered, %d shed, %.0f req/s",

@@ -12,9 +12,9 @@ assumes) and then :meth:`attach` + :meth:`install` the learned state as
 **read-only zero-copy views** — no model matrix is ever pickled to or
 duplicated in a worker, no matter how many replicas run.
 
-Every worker holds the *full* store, not a slice of it: the cluster
-shards the request space (which end nodes a worker fronts), while the
-upper-tier models are shared read-only by all replicas — the
+Every worker holds the *full* store, not a slice of it: any replica
+can take any batch, and the upper-tier models are shared read-only by
+all replicas — the
 shared-memory realization of the paper's hierarchy, where gateway and
 central models serve every subtree below them.
 

@@ -41,8 +41,8 @@ class TestSuppression:
             """
             import numpy as np
 
-            async def f(packed):
-                open("x")  # repro-lint: disable=REPRO102, REPRO103
+            async def f():
+                open(np.random.rand(3))  # repro-lint: disable=REPRO101, REPRO102
             """
         )
         assert findings == []
@@ -142,8 +142,8 @@ class TestEngineBasics:
             """
             import numpy as np
 
-            def late(acc=[]):
-                return np.random.rand(3)
+            def late(packed):
+                return packed.astype(float), np.random.rand(3)
 
             a = np.random.rand(3)
             """
@@ -188,13 +188,13 @@ class TestSelection:
             """
             import numpy as np
 
-            def f(acc=[]):
-                return np.random.rand(3)
+            def f(packed):
+                return packed.astype(float), np.random.rand(3)
             """
         )
-        engine = LintEngine(select_rules(select=["REPRO106"]))
+        engine = LintEngine(select_rules(select=["REPRO104"]))
         findings = engine.lint_source(source, path="<string>")
-        assert [f.rule_id for f in findings] == ["REPRO106"]
+        assert [f.rule_id for f in findings] == ["REPRO104"]
 
 
 class TestReporters:
@@ -280,8 +280,10 @@ class TestCli:
 
     def test_lint_select_flag(self, tmp_path):
         target = tmp_path / "dirty.py"
-        target.write_text("import random\ndef f(acc=[]):\n    return acc\n")
-        assert cli.main(["lint", str(target), "--select", "REPRO106"]) == 1
+        target.write_text(
+            "import random\ndef f(packed):\n    return packed.astype(float)\n"
+        )
+        assert cli.main(["lint", str(target), "--select", "REPRO104"]) == 1
 
     def test_lint_unknown_rule_exits_two(self, tmp_path, capsys):
         target = tmp_path / "clean.py"

@@ -177,59 +177,6 @@ class TestAsyncBlocking:
         assert findings == []
 
 
-class TestUnawaitedCoroutine:
-    def test_fires_on_bare_asyncio_sleep(self):
-        findings = findings_for(
-            """
-            import asyncio
-
-            async def handler():
-                asyncio.sleep(1.0)
-            """
-        )
-        assert "REPRO103" in rule_ids(findings)
-
-    def test_fires_on_unawaited_local_coroutine(self):
-        findings = findings_for(
-            """
-            class Server:
-                async def _escalate(self, batch):
-                    pass
-
-                async def process(self, batch):
-                    self._escalate(batch)
-            """
-        )
-        assert "REPRO103" in rule_ids(findings)
-
-    def test_clean_awaited_and_scheduled_calls(self):
-        findings = findings_for(
-            """
-            import asyncio
-
-            async def _escalate(batch):
-                pass
-
-            async def process(batch):
-                await _escalate(batch)
-                asyncio.ensure_future(_escalate(batch))
-            """
-        )
-        assert findings == []
-
-    def test_clean_sync_call_with_same_shape(self):
-        findings = findings_for(
-            """
-            def close():
-                pass
-
-            def shutdown():
-                close()
-            """
-        )
-        assert findings == []
-
-
 class TestPackedDtype:
     def test_fires_on_astype_float_of_words(self):
         findings = findings_for(
@@ -340,42 +287,6 @@ class TestObsLiteralNames:
             path="src/repro/obs/runtime.py",
         )
         assert findings == []
-
-
-class TestMutableDefault:
-    def test_fires_on_list_literal_default(self):
-        findings = findings_for(
-            """
-            def accumulate(x, acc=[]):
-                acc.append(x)
-                return acc
-            """
-        )
-        assert "REPRO106" in rule_ids(findings)
-
-    def test_fires_on_dict_call_and_kwonly_default(self):
-        findings = findings_for(
-            """
-            def f(x, *, cache=dict()):
-                return cache
-            """
-        )
-        assert "REPRO106" in rule_ids(findings)
-
-    def test_clean_none_default(self):
-        findings = findings_for(
-            """
-            def accumulate(x, acc=None):
-                if acc is None:
-                    acc = []
-                acc.append(x)
-                return acc
-            """
-        )
-        assert findings == []
-
-    def test_clean_tuple_default(self):
-        assert findings_for("def f(qs=(50, 95, 99)):\n    return qs\n") == []
 
 
 class TestSilentBroadExcept:
@@ -558,9 +469,9 @@ class TestProcessBoundary:
 
 
 class TestRuleRegistry:
-    def test_nine_rules_with_unique_ids(self):
+    def test_seven_rules_with_unique_ids(self):
         ids = [rule.rule_id for rule in DEFAULT_RULES]
-        assert len(ids) == len(set(ids)) == 9
+        assert len(ids) == len(set(ids)) == 7
         # the index additionally knows the dataflow rules (--flow)
         from repro.analysis import FLOW_RULE_IDS
 

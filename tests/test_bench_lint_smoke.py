@@ -29,7 +29,7 @@ def test_tree_is_clean_and_counts_are_shaped():
     tree = bench._lint_tree()
     assert tree["findings_total"] == 0
     assert set(tree["flow_rules"]) == {"REPRO111", "REPRO112", "REPRO113"}
-    assert len(tree["findings_by_rule"]) == 12
+    assert len(tree["findings_by_rule"]) == 10
     assert tree["files"] > 50
 
 

@@ -429,8 +429,8 @@ class TestFingerprint:
 class TestLeaseMonitor:
     def test_track_beat_expire_release(self):
         monitor = NodeLeaseMonitor(lease_timeout_s=1.0)
-        monitor.track(3, level=1, now=0.0)
-        monitor.track(4, level=2, now=0.0)
+        monitor.track(3, now=0.0)
+        monitor.track(4, now=0.0)
         monitor.beat(3, 0.8)
         assert monitor.expired(1.5) == [4]
         assert monitor.expired(1.5) == []  # reported once

@@ -1,10 +1,10 @@
-"""Tests for the multi-process sharded serving cluster.
+"""Tests for the multi-process serving cluster.
 
 Three layers, in increasing weight:
 
 * pure in-process units — :class:`ReplicaRegistry` selection/eviction/
-  resurrection policy, :class:`ConsistentHashRing` determinism,
-  :class:`ClusterConfig` validation, crash-only fault-plan gating;
+  resurrection policy, :class:`ClusterConfig` validation, crash-only
+  fault-plan gating;
 * shared-memory plumbing — :class:`SharedModelStore` publish → attach →
   install round-trips inside one process, including the zero-copy
   assertion the issue pins (worker model arrays are *views* over the
@@ -27,7 +27,6 @@ from repro.network.medium import get_medium
 from repro.serve import (
     ClusterConfig,
     ClusterRuntime,
-    ConsistentHashRing,
     FaultPlan,
     ReplicaRegistry,
     ServeConfig,
@@ -72,15 +71,15 @@ def assert_matches_offline(result, offline, cell="tree"):
 class TestReplicaRegistry:
     def test_register_and_duplicate_rejected(self):
         reg = ReplicaRegistry()
-        reg.register(0, 0, now=1.0)
+        reg.register(0, now=1.0)
         assert 0 in reg and len(reg) == 1
         with pytest.raises(ValueError, match="already registered"):
-            reg.register(0, 1, now=2.0)
+            reg.register(0, now=2.0)
 
     def test_evicts_only_stale_replicas(self):
         reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
-        reg.register(0, 0, now=0.0)
-        reg.register(1, 0, now=0.0)
+        reg.register(0, now=0.0)
+        reg.register(1, now=0.0)
         reg.beat(1, now=2.0)
         evicted = reg.evict_stale(now=2.5)
         assert [info.replica_id for info in evicted] == [0]
@@ -91,58 +90,53 @@ class TestReplicaRegistry:
 
     def test_beat_resurrects_evicted_replica(self):
         reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
-        reg.register(0, 0, now=0.0)
+        reg.register(0, now=0.0)
         reg.dispatch(0, 8)
         assert reg.evict_stale(now=5.0)
-        assert reg.pick(0) is None
+        assert reg.pick() is None
         # the worker was slow, not dead: a late beat brings it back
         # with an empty in-flight count (its batches were re-dispatched)
         assert reg.beat(0, now=5.5) is True
         info = reg.get(0)
         assert info.healthy and info.in_flight == 0
         assert reg.n_resurrected == 1
-        assert reg.pick(0) is info
+        assert reg.pick() is info
 
     def test_pick_prefers_least_loaded_home_replica(self):
         reg = ReplicaRegistry()
-        reg.register(0, 0, now=0.0)
-        reg.register(1, 0, now=0.0)
-        reg.register(2, 1, now=0.0)
+        reg.register(0, now=0.0)
+        reg.register(1, now=0.0)
+        reg.register(2, now=0.0)
         reg.dispatch(0, 5)
-        assert reg.pick(0).replica_id == 1
-        reg.dispatch(1, 5)
+        reg.dispatch(1, 3)
+        assert reg.pick().replica_id == 2
+        reg.dispatch(2, 5)
+        assert reg.pick().replica_id == 1
+        reg.dispatch(1, 2)
         # tie on in_flight breaks on lowest replica id
-        assert reg.pick(0).replica_id == 0
+        assert reg.pick().replica_id == 0
 
     def test_pick_falls_back_across_shards(self):
-        reg = ReplicaRegistry()
-        reg.register(0, 0, now=0.0)
-        reg.register(1, 1, now=0.0)
-        reg.mark_unhealthy(0)
-        assert reg.pick(0).replica_id == 1
-        reg.mark_unhealthy(1)
-        assert reg.pick(0) is None
+        # any healthy replica is a candidate, however loaded; with the
+        # whole fleet evicted there is none and the router goes local
+        reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
+        reg.register(0, now=0.0)
+        reg.register(1, now=0.0)
+        reg.dispatch(1, 5)
+        reg.beat(1, now=2.0)
+        assert [i.replica_id for i in reg.evict_stale(now=2.5)] == [0]
+        assert reg.pick().replica_id == 1
+        assert [i.replica_id for i in reg.evict_stale(now=5.0)] == [1]
+        assert reg.pick() is None
 
     def test_complete_clamps_and_counts(self):
         reg = ReplicaRegistry()
-        reg.register(0, 0, now=0.0)
+        reg.register(0, now=0.0)
         reg.dispatch(0, 3)
         reg.complete(0, 5)
         info = reg.get(0)
         assert info.in_flight == 0
         assert info.n_dispatched == 3 and info.n_completed == 5
-
-    def test_summary_is_json_safe(self):
-        import json
-
-        reg = ReplicaRegistry()
-        reg.register(0, 0, now=0.0)
-        reg.mark_unhealthy(0)
-        summary = json.loads(json.dumps(reg.summary()))
-        assert summary["n_replicas"] == 1
-        assert summary["n_healthy"] == 0
-        assert summary["n_evicted"] == 1
-        assert summary["n_resurrected"] == 0
 
 
 class TestRegistryLeaseEdgeCases:
@@ -158,8 +152,8 @@ class TestRegistryLeaseEdgeCases:
         # replica 0 goes quiet with a batch in flight; the router
         # evicts it and re-dispatches the stranded batch to replica 1.
         reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
-        reg.register(0, 0, now=0.0)
-        reg.register(1, 0, now=0.0)
+        reg.register(0, now=0.0)
+        reg.register(1, now=0.0)
         reg.dispatch(0, 4)
         reg.beat(1, now=2.0)
         assert [i.replica_id for i in reg.evict_stale(now=2.5)] == [0]
@@ -175,15 +169,15 @@ class TestRegistryLeaseEdgeCases:
         reg.complete(0, 4)
         assert reg.get(0).in_flight == 0
         # selection prefers the resurrected idle replica again
-        assert reg.pick(0).replica_id == 0
-        # and total shard load reflects only the live re-dispatch
-        assert reg.shard_in_flight(0) == 4
+        assert reg.pick().replica_id == 0
+        # and total fleet load reflects only the live re-dispatch
+        assert sum(i.in_flight for i in reg.healthy_replicas()) == 4
 
     def test_lease_expiry_races_late_heartbeat(self):
         # eviction is strictly-greater-than: a beat landing exactly at
         # the lease boundary keeps the replica alive.
         reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
-        reg.register(0, 0, now=0.0)
+        reg.register(0, now=0.0)
         assert reg.lease_remaining(0, now=1.0) == 0.0
         assert reg.evict_stale(now=1.0) == []  # boundary: still held
         assert reg.get(0).healthy
@@ -202,7 +196,7 @@ class TestRegistryLeaseEdgeCases:
         # re-create the record (ids are never reused by the control
         # plane, so a revenant here would be a ghost replica).
         reg = ReplicaRegistry(heartbeat_timeout_s=1.0)
-        reg.register(0, 0, now=0.0)
+        reg.register(0, now=0.0)
         gone = reg.deregister(0)
         assert gone is not None and gone.replica_id == 0
         assert reg.beat(0, now=0.5) is False
@@ -244,40 +238,17 @@ class TestRegistryLeaseEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# consistent-hash ring / config validation
+# config validation
 # ----------------------------------------------------------------------
-class TestConsistentHashRing:
-    def test_lookup_is_deterministic_and_total(self):
-        ring = ConsistentHashRing(range(4))
-        first = [ring.lookup(leaf) for leaf in range(32)]
-        again = [ring.lookup(leaf) for leaf in range(32)]
-        assert first == again
-        assert set(first) <= set(range(4))
-
-    def test_all_shards_receive_keys(self):
-        ring = ConsistentHashRing(range(4), points=64)
-        owners = {ring.lookup(key) for key in range(256)}
-        assert owners == set(range(4))
-
-    def test_single_shard_owns_everything(self):
-        ring = ConsistentHashRing([7])
-        assert {ring.lookup(k) for k in range(16)} == {7}
-
-
 class TestClusterConfig:
-    def test_n_shards_rounds_up(self):
-        assert ClusterConfig(workers=4, replicas_per_shard=1).n_shards == 4
-        assert ClusterConfig(workers=4, replicas_per_shard=2).n_shards == 2
-        assert ClusterConfig(workers=5, replicas_per_shard=2).n_shards == 3
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 0},
-            {"replicas_per_shard": 0},
+            {"workers": -1},
             {"heartbeat_interval_s": 0.0},
             {"heartbeat_interval_s": 2.0, "heartbeat_timeout_s": 1.0},
-            {"hash_points": 0},
+            {"heartbeat_interval_s": 1.0, "heartbeat_timeout_s": 1.0},
             {"ready_timeout_s": 0.0},
         ],
     )
@@ -395,7 +366,7 @@ class TestClusterServing:
             assert result.degraded_rate == 0.0, name
 
     def test_lone_arrival_dispatched_to_idle_worker(self, cluster_setup):
-        """An arrival that finds its shard's worker idle goes out in the
+        """An arrival that finds an idle worker goes out in the
         same router pass: nothing is held back waiting for company. The
         second arrival is far off, so the first is not the last either."""
         inference, workload, _, _ = cluster_setup
@@ -426,15 +397,59 @@ class TestClusterServing:
             assert runtime.zero_copy
             result = runtime.serve_open_loop(workload, rate_rps=2000.0, seed=1)
             topology = runtime.topology()
+            # a t=0 burst of six full batches: the one backlog goes out
+            # in max_batch slices, each to the least-loaded replica, so
+            # neither worker is handed more than the other's share
+            n = 6 * 16
+            head = make_workload(
+                workload.features[:n], inference,
+                start_leaves=workload.start_leaves[:n],
+            )
+            before = [i.n_dispatched for i in runtime.registry.replicas()]
+            burst = runtime.serve_open_loop(
+                head, rate_rps=1.0, arrivals=np.zeros(n)
+            )
+            per_replica = [
+                i.n_dispatched - n0
+                for i, n0 in zip(runtime.registry.replicas(), before)
+            ]
         assert_matches_offline(result, offline)
+        assert np.array_equal(
+            burst.to_outcome().labels, offline.labels[:n]
+        )
         assert topology["workers"] == 2
-        assert topology["n_shards"] == 2
         assert topology["shared_memory_bytes"] > 0
-        # every worker answered something (consistent-hash spread)
-        per_replica = [
-            info.n_completed for info in runtime.registry.replicas()
-        ]
-        assert sum(per_replica) >= result.n_answered - result.n_retries
+        assert sum(per_replica) == n
+        assert max(per_replica) - min(per_replica) <= 16
+
+    def test_shed_policy_bounds_the_backlog(self, cluster_setup):
+        """``queue_depth`` bounds the router's one backlog (buffered plus
+        in flight): a t=0 burst past it sheds the excess at admission,
+        every request gets exactly one response, and what is answered
+        is the offline walk's answer."""
+        inference, workload, offline, _ = cluster_setup
+        depth = 8
+        n = len(workload)
+        assert n > depth
+        with ClusterRuntime(
+            inference,
+            get_medium("wired-1gbps"),
+            ServeConfig(max_batch=4, queue_depth=depth, policy="shed"),
+            cluster=ClusterConfig(workers=2),
+        ) as runtime:
+            result = runtime.serve_open_loop(
+                workload, rate_rps=1.0, arrivals=np.zeros(n)
+            )
+        assert [r.index for r in result.responses] == list(range(n))
+        shed = [r for r in result.responses if r.shed]
+        assert shed and result.n_shed_admission == len(shed)
+        assert result.n_answered == n - len(shed)
+        assert max(result.queue_high_water.values()) <= depth
+        for r in result.answered:
+            assert not r.degraded
+            assert r.label == offline.labels[r.index]
+            assert r.deciding_node == offline.deciding_node[r.index]
+            assert r.deciding_level == offline.deciding_level[r.index]
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API"

@@ -20,6 +20,8 @@ deterministic despite exercising detection timing.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -174,13 +176,16 @@ class TestClusterReplacement:
             assert result.n_total == len(workload)  # zero lost
             assert runtime.n_respawned >= 1
             assert runtime.registry.n_evicted >= 1
-            # the replacement inherited the evicted worker's shard under
+            # the replacement inherited the evicted worker's CPU under
             # a fresh, never-reused id
-            assert runtime._shard_of_replica[2] == 0
+            cpu = runtime._cpu_of_replica[0]
+            assert runtime._cpu_of_replica[2] == cpu
             # give the replacement time to come up, then serve again:
             # the router registers it and the fleet is whole again.
             time.sleep(1.0)
             second = runtime.serve_open_loop(workload, rate_rps=400.0, seed=2)
             assert second.n_total == len(workload)
             assert 2 in runtime.registry
-            assert runtime.registry.get(2).shard_id == 0
+            if cpu is not None:
+                pid = runtime._procs[2].pid
+                assert os.sched_getaffinity(pid) == {cpu}
