@@ -41,6 +41,38 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: rows per ``np.add.accumulate`` call: bounds the gathered copy.
+_BLOCK_ROWS = 128
+
+
+def _add_ordered(
+    model: np.ndarray, samples: np.ndarray, rows: np.ndarray,
+    add_to: np.ndarray, subtract_from: np.ndarray, scale: float = 1.0,
+) -> None:
+    """``model[add_to] += scale * samples[rows]``, then ``-=`` likewise.
+
+    The bits of ``np.add.at`` then ``np.subtract.at``: each class row
+    takes its additions, then its negated subtractions, each in index
+    order, summed left to right (DESIGN.md §4e, "Reach of exact").
+    """
+    targets = np.concatenate([add_to, subtract_from])
+    order = np.argsort(targets, kind="stable")
+    sources = rows[order % rows.shape[0]]
+    coefficients = np.where(order < rows.shape[0], scale, -scale)[:, None]
+    bounds = np.searchsorted(targets[order], np.arange(model.shape[0] + 1))
+    for cls in np.flatnonzero(np.diff(bounds)):
+        running = model[cls]
+        for start in range(bounds[cls], bounds[cls + 1], _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, bounds[cls + 1])
+            block = samples[sources[start:stop]].astype(np.float64, copy=False)
+            block *= coefficients[start:stop]
+            block[0] += running
+            # accumulate is sequential by definition; reduce is pairwise
+            # along a contiguous axis (D=1) and would round differently.
+            running = np.add.accumulate(block, axis=0, out=block)[-1]
+        model[cls] = running
+
+
 def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax over (rows of) similarity scores.
 
@@ -162,7 +194,7 @@ class HDClassifier:
                 f"{enc.shape[0]} samples but {y.shape[0]} labels"
             )
         model = np.zeros((self.n_classes, self.dimension), dtype=np.float64)
-        np.add.at(model, y, enc)
+        _add_ordered(model, enc, np.arange(enc.shape[0]), y, y[:0])
         self.class_hypervectors = model
         self._refresh_normalized()
         return self
@@ -196,7 +228,7 @@ class HDClassifier:
         (see :class:`repro.serve.shard.SharedModelStore`). The arrays
         are installed as-is — typically read-only views — so a worker
         holds **no private copy** of any model matrix. Training entry
-        points (``retrain``/``update``) would attempt to write through
+        points (``fit_initial``/``retrain``) would attempt to write through
         the views and fail on read-only memory; attached classifiers
         are serve-only by construction.
 
@@ -247,7 +279,8 @@ class HDClassifier:
         paper describes. ``mode="batched"`` (default) classifies the
         whole epoch against the current model and applies all updates
         at once — the same fixed point, but vectorized, which matters
-        for hierarchies with hundreds of nodes (PECAN has 312).
+        for hierarchies with hundreds of nodes (PECAN has 312); it
+        normalises the samples once and sums each class's updates in order.
         """
         check_fitted(self, "class_hypervectors")
         enc = check_matrix("encoded", encoded, cols=self.dimension)
@@ -258,8 +291,22 @@ class HDClassifier:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
         if mode not in {"batched", "online"}:
             raise ValueError(f"mode must be 'batched' or 'online', got {mode!r}")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {learning_rate}"
+            )
         if enc.shape[0] == 0:
             return []
+        if mode == "batched":
+            # cosine_many's query half, formed once instead of per epoch.
+            qn = np.linalg.norm(enc, axis=1, keepdims=True)
+            qn[qn == 0] = 1.0
+            # Updates gather from the caller's rows; a float copy that
+            # check_matrix made of them becomes the unit rows in place.
+            raw = np.asarray(encoded).reshape(enc.shape)
+            shared = np.shares_memory(raw, enc)
+            unit = enc / qn if shared else np.divide(enc, qn, out=enc)
+            enc = raw
         rng = derive_rng(shuffle_seed, "retrain-shuffle")
         history: list[float] = []
         model = self.class_hypervectors
@@ -281,14 +328,15 @@ class HDClassifier:
                             model[pred] -= learning_rate * sample
                     history.append(correct / enc.shape[0])
                 else:
-                    sims = cosine_many(enc, model)
+                    sims = unit @ normalize_rows(model).T
                     preds = np.argmax(sims, axis=1)
                     wrong = np.flatnonzero(preds != y)
                     history.append(1.0 - wrong.size / enc.shape[0])
                     if wrong.size:
-                        updates = learning_rate * enc[wrong]
-                        np.add.at(model, y[wrong], updates)
-                        np.subtract.at(model, preds[wrong], updates)
+                        _add_ordered(
+                            model, enc, wrong, y[wrong], preds[wrong],
+                            scale=learning_rate,
+                        )
                 if history[-1] == 1.0:
                     break
             retrain_span.set(epochs_run=len(history))
@@ -301,26 +349,6 @@ class HDClassifier:
                 mode, len(history), history[0], history[-1],
             )
         return history
-
-    def update(self, class_index: int, delta: np.ndarray, subtract: bool = False) -> None:
-        """Apply an additive update (e.g. a residual hypervector).
-
-        Online learning (Sec. IV-D) subtracts accumulated negative-
-        feedback residuals from the currently-selected class.
-        """
-        check_fitted(self, "class_hypervectors")
-        if not 0 <= class_index < self.n_classes:
-            raise IndexError(f"class_index {class_index} out of range")
-        vec = np.asarray(delta, dtype=np.float64)
-        if vec.shape != (self.dimension,):
-            raise ValueError(
-                f"delta must have shape ({self.dimension},), got {vec.shape}"
-            )
-        if subtract:
-            self.class_hypervectors[class_index] -= vec
-        else:
-            self.class_hypervectors[class_index] += vec
-        self._refresh_normalized()
 
     # ------------------------------------------------------------------
     # inference

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.classifier import HDClassifier, softmax_confidence
 from repro.core.encoding import RBFEncoder
+from repro.core.hypervector import cosine_many
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +119,92 @@ class TestRetrain:
         with pytest.raises(ValueError):
             clf.retrain(enc, y, mode="magic")
 
+    @pytest.mark.parametrize("rate", [0.0, -0.5, np.nan, np.inf])
+    def test_retrain_rejects_bad_learning_rate(self, encoded_problem, rate):
+        enc, y, dim = encoded_problem
+        clf = HDClassifier(3, dim).fit_initial(enc, y)
+        before = clf.class_hypervectors.copy()
+        with pytest.raises(ValueError, match="learning_rate"):
+            clf.retrain(enc, y, epochs=2, learning_rate=rate)
+        assert np.array_equal(clf.class_hypervectors, before)
+
     def test_retrain_empty_set(self, encoded_problem):
         enc, y, dim = encoded_problem
         clf = HDClassifier(3, dim).fit_initial(enc, y)
         assert clf.retrain(enc[:0], y[:0], epochs=3) == []
+
+
+def _scatter_fit_initial(enc, y, n_classes):
+    """The bundling rule as ``np.add.at`` states it: the oracle."""
+    model = np.zeros((n_classes, enc.shape[1]))
+    np.add.at(model, y, np.asarray(enc, dtype=np.float64))
+    return model
+
+
+def _scatter_retrain(model, enc, y, epochs, learning_rate):
+    """Batched retraining by ``cosine_many`` and ``np.add.at`` /
+    ``np.subtract.at``: the oracle. Also returns, per epoch, how many
+    update rows each class received."""
+    enc = np.asarray(enc, dtype=np.float64)
+    history, touched = [], []
+    for _ in range(epochs):
+        preds = np.argmax(cosine_many(enc, model), axis=1)
+        wrong = np.flatnonzero(preds != y)
+        history.append(1.0 - wrong.size / enc.shape[0])
+        touched.append(
+            np.bincount(y[wrong], minlength=model.shape[0])
+            + np.bincount(preds[wrong], minlength=model.shape[0])
+        )
+        if wrong.size:
+            updates = learning_rate * enc[wrong]
+            np.add.at(model, y[wrong], updates)
+            np.subtract.at(model, preds[wrong], updates)
+        if history[-1] == 1.0:
+            break
+    return model, history, touched
+
+
+class TestOrderedUpdate:
+    """The ordered per-class sum gives the bits of the scatter rule."""
+
+    N_CLASSES, N_SAMPLES, EPOCHS = 4, 600, 5
+
+    def _problem(self, dtype, dimension):
+        # Random labels over three classes and rank-2 noise (nothing
+        # to memorise) keep every epoch busy; the shared positive
+        # offset keeps the empty fourth class (a zero row, cosine 0)
+        # below every trained one at the first epoch.
+        rng = np.random.default_rng(dimension)
+        noise = rng.standard_normal((self.N_SAMPLES, 2)) @ rng.standard_normal(
+            (2, dimension)
+        )
+        enc = np.abs(noise + 3.0)
+        if dtype == "int8":
+            enc = np.rint(enc).astype(np.int8)
+        y = rng.integers(0, self.N_CLASSES - 1, size=self.N_SAMPLES)
+        return enc, y
+
+    @pytest.mark.parametrize("dimension", [1, 2, 17, 600])
+    @pytest.mark.parametrize("learning_rate", [1.0, 0.3])
+    @pytest.mark.parametrize("dtype", ["float64", "int8"])
+    def test_matches_scatter_rule(self, dtype, learning_rate, dimension):
+        enc, y = self._problem(dtype, dimension)
+        clf = HDClassifier(self.N_CLASSES, dimension).fit_initial(enc, y)
+        expected = _scatter_fit_initial(enc, y, self.N_CLASSES)
+        assert np.array_equal(clf.class_hypervectors, expected)
+
+        history = clf.retrain(
+            enc, y, epochs=self.EPOCHS, learning_rate=learning_rate
+        )
+        expected, expected_history, touched = _scatter_retrain(
+            expected, enc, y, self.EPOCHS, learning_rate
+        )
+        assert history == expected_history
+        assert np.array_equal(clf.class_hypervectors, expected)
+        # The cases the blocking must get right: a class no update
+        # reaches, and one whose updates span more than one block.
+        assert touched[0].min() == 0
+        assert touched[0].max() > 128
 
 
 class TestInference:
@@ -173,24 +256,6 @@ class TestModelManagement:
         clf.set_model(model)
         model[0, 0] = 99.0
         assert clf.class_hypervectors[0, 0] == 1.0
-
-    def test_update_add_and_subtract(self):
-        clf = HDClassifier(2, 4).set_model(np.zeros((2, 4)))
-        delta = np.array([1.0, 2.0, 3.0, 4.0])
-        clf.update(0, delta)
-        assert np.array_equal(clf.class_hypervectors[0], delta)
-        clf.update(0, delta, subtract=True)
-        assert np.array_equal(clf.class_hypervectors[0], np.zeros(4))
-
-    def test_update_out_of_range(self):
-        clf = HDClassifier(2, 4).set_model(np.zeros((2, 4)))
-        with pytest.raises(IndexError):
-            clf.update(5, np.zeros(4))
-
-    def test_update_wrong_shape(self):
-        clf = HDClassifier(2, 4).set_model(np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            clf.update(0, np.zeros(5))
 
     def test_copy_is_independent(self, encoded_problem):
         enc, y, dim = encoded_problem
