@@ -4,6 +4,7 @@
     python3 benchmarks/pairs.py PARENT --pairs 12 --seeds 20-31
     python3 benchmarks/pairs.py PARENT --workload serve_local
     python3 benchmarks/pairs.py HEAD --smoke              # one --smoke pair
+    python3 benchmarks/pairs.py PARENT --append           # + trajectory row
 
 PARENT is any git revision. It is exported with ``git archive``; the
 change is the working tree (tracked and untracked, not ignored files),
@@ -16,7 +17,7 @@ The output is a markdown table with a provenance line. For every
 workload and end-to-end metric of ``BENCHMARK.json`` it gives the
 parent's median and quartiles, the change's median, the pairs the
 change won (ties count for neither) and the median per-pair ratio
-change/parent. The verdict:
+change/parent, then every per-pair ratio in pair order. The verdict:
 
 * ``accuracy``, ``wire_bytes_per_query`` and ``failed`` must be equal
   in every pair: ``equal`` or ``DIFFERS``;
@@ -28,6 +29,11 @@ change/parent. The verdict:
   parent run: the spread cannot tell "unchanged" from a regression;
 * ``WORSE`` when the change's median is worse by more than the bound;
 * ``within bound`` otherwise.
+
+``--append [PATH]`` also adds one JSON line to the trajectory, by
+default the committed ``benchmarks/results/trajectory.jsonl``: the two
+commits, the provenance, and per workload and metric both medians, the
+wins and the verdict.
 
 Exit status 1 when a run broke or an exact metric differs; timing
 verdicts do not set it.
@@ -53,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+TRAJECTORY = ROOT / "benchmarks" / "results" / "trajectory.jsonl"
 #: compared for equality, pair by pair, rather than for speed.
 EXACT = ("accuracy", "wire_bytes_per_query", "failed")
 #: a gain needs this share of at least this many pairs won.
@@ -148,20 +155,15 @@ def metric_value(result: dict, key: str) -> float:
     return float(result["metrics"][key]["value"])
 
 
-def table(
+def compare(
     contract: dict,
     pairs: List[Tuple[Results, Results]],
-) -> Tuple[List[str], bool]:
-    """The markdown rows, and whether every exact metric held."""
+) -> List[dict]:
+    """Per workload and metric: both sides' values, wins, ratios, verdict."""
     metrics = contract["end_to_end"] + [
         {"name": "failed", "unit": "count", "better": "lower", "bound": 0.0}
     ]
-    rows = [
-        "| workload | metric | parent median [q1–q3] | change median "
-        "| wins | ratio | verdict |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    exact_ok = True
+    rows = []
     for workload in [w["name"] for w in contract["workloads"]]:
         both = [(p[workload], c[workload]) for p, c in pairs
                 if workload in p and workload in c]
@@ -174,15 +176,53 @@ def table(
             word, wins, ratio = verdict(
                 key, metric["better"], metric["bound"], parent, change
             )
-            exact_ok = exact_ok and word != "DIFFERS"
-            q1, med, q3 = quartiles(parent)
-            shown = "-" if ratio is None else f"×{ratio:.3f}"
-            rows.append(
-                f"| `{workload}` | `{key}` | {med:.6g} [{q1:.6g}–{q3:.6g}] "
-                f"| {statistics.median(change):.6g} | {wins}/{len(both)} "
-                f"| {shown} | {word} |"
-            )
-    return rows, exact_ok
+            rows.append({
+                "workload": workload, "metric": key,
+                "parent": parent, "change": change, "verdict": word,
+                "wins": wins, "ratio": ratio,
+                "ratios": [c / p if p else None for p, c in zip(parent, change)],
+            })
+    return rows
+
+
+def table(rows: List[dict]) -> List[str]:
+    """The markdown table of :func:`compare`'s rows."""
+    lines = [
+        "| workload | metric | parent median [q1–q3] | change median "
+        "| wins | ratio | verdict | every ratio |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for row in rows:
+        q1, med, q3 = quartiles(row["parent"])
+        shown = "-" if row["ratio"] is None else f"×{row['ratio']:.3f}"
+        every = " ".join(
+            "-" if r is None else f"{r:.3f}" for r in row["ratios"]
+        )
+        lines.append(
+            f"| `{row['workload']}` | `{row['metric']}` "
+            f"| {med:.6g} [{q1:.6g}–{q3:.6g}] "
+            f"| {statistics.median(row['change']):.6g} "
+            f"| {row['wins']}/{len(row['parent'])} | {shown} "
+            f"| {row['verdict']} | {every} |"
+        )
+    return lines
+
+
+def trajectory_row(
+    parent: str, change: str, provenance: dict, rows: List[dict]
+) -> dict:
+    """One line of the trajectory: what the table says, as medians."""
+    workloads: Dict[str, dict] = {}
+    for row in rows:
+        workloads.setdefault(row["workload"], {})[row["metric"]] = {
+            "parent": statistics.median(row["parent"]),
+            "change": statistics.median(row["change"]),
+            "wins": row["wins"],
+            "pairs": len(row["parent"]),
+            "verdict": row["verdict"],
+        }
+    return {"parent": parent, "change": change,
+            "provenance": provenance, "workloads": workloads}
 
 
 def package(name: str) -> str:
@@ -213,6 +253,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=[w["name"] for w in contract["workloads"]])
     parser.add_argument("--smoke", action="store_true",
                         help="one pair of run.py --smoke")
+    parser.add_argument("--append", nargs="?", const=TRAJECTORY,
+                        type=Path, metavar="PATH",
+                        help="add a row to the trajectory "
+                        f"(default {TRAJECTORY.relative_to(ROOT)})")
     args = parser.parse_args(argv)
     count = 1 if args.smoke else args.pairs
     if count < 1:
@@ -241,18 +285,31 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{'done' if ok else 'BROKE'}", file=sys.stderr, flush=True)
             pairs.append((got["parent"], got["change"]))
 
+    provenance = {
+        "pairs": count, "seeds": [seeds[0], seeds[-1]],
+        "smoke": args.smoke, "host": platform.node(),
+        "cores": os.cpu_count(), "python": platform.python_version(),
+        "numpy": package("numpy"), "scipy": package("scipy"),
+        "time": time.strftime("%Y-%m-%dT%H:%MZ", time.gmtime()),
+    }
     print(
         f"Provenance: parent `{parent_commit}` vs change `{change_commit}`; "
         f"{count} pair(s), seeds {seeds[0]}–{seeds[-1]}, order alternating; "
         f"`run.py{' --smoke' if args.smoke else ''}` at its default "
-        f"--seconds; host {platform.node()}, {os.cpu_count()} cores, "
-        f"python {platform.python_version()}, numpy {package('numpy')}, "
-        f"scipy {package('scipy')}; "
-        f"{time.strftime('%Y-%m-%dT%H:%MZ', time.gmtime())}."
+        f"--seconds; host {provenance['host']}, {provenance['cores']} cores, "
+        f"python {provenance['python']}, numpy {provenance['numpy']}, "
+        f"scipy {provenance['scipy']}; {provenance['time']}."
     )
     print()
-    rows, exact_ok = table(contract, pairs)
-    print("\n".join(rows))
+    rows = compare(contract, pairs)
+    print("\n".join(table(rows)))
+    if args.append is not None:
+        args.append.parent.mkdir(parents=True, exist_ok=True)
+        with open(args.append, "a") as handle:
+            handle.write(json.dumps(trajectory_row(
+                parent_commit, change_commit, provenance, rows
+            )) + "\n")
+    exact_ok = all(row["verdict"] != "DIFFERS" for row in rows)
     return 1 if broken or not exact_ok else 0
 
 

@@ -45,6 +45,42 @@ __all__ = [
     "make_encoder",
 ]
 
+#: Cells per block of the binarized RBF map: bounds its temporaries to
+#: 128 KiB a float64 array, and keeps them in cache.
+_SIGN_BLOCK_CELLS = 1 << 14
+#: Half-width, in units of p/π, of the band around the zeros of cos
+#: (p = (k + 1/2)π) inside which a cell's sign comes from ``np.cos``.
+_ZERO_BAND = 1e-6
+#: A batch with any |p| at or beyond this, or any non-finite p, takes
+#: ``np.cos`` throughout.
+_PARITY_LIMIT = float(1 << 20)
+#: The sign of cos p by the parity of the integer nearest p/π.
+_SIGN_OF_PARITY = np.array([1, -1], dtype=np.int8)
+
+
+def _cos_signs(phase: np.ndarray, out: np.ndarray) -> None:
+    """Write the sign of ``np.cos(phase)`` into ``out`` as int8 ±1, for
+    a 2-D block of finite phases below ``_PARITY_LIMIT`` in magnitude.
+
+    cos p > 0 exactly when the integer nearest p/π is even, so the sign
+    is a parity and no cosine is evaluated. For |p| < 2^20 the computed
+    p/π is within ~1e-10 of the true quotient, four orders of magnitude
+    inside ``_ZERO_BAND``: a cell outside the band cannot round to the
+    wrong integer, and there |cos p| >= sin(1e-6 π), far above any
+    ``np.cos`` error, so both agree. Cells inside the band take
+    ``np.cos``. No finite double is a zero of cos, so no cell is 0 and
+    :func:`sign_binarize`'s tie-break never applies.
+    """
+    turns = phase * (1.0 / np.pi)
+    nearest = np.rint(turns)
+    turns -= nearest
+    np.abs(turns, out=turns)
+    near_zero = turns > 0.5 - _ZERO_BAND
+    np.take(_SIGN_OF_PARITY, nearest.astype(np.int32) & 1, out=out, mode="clip")
+    if near_zero.any():
+        rows, cols = np.nonzero(near_zero)
+        out[rows, cols] = np.where(np.cos(phase[rows, cols]) > 0, 1, -1)
+
 
 class Encoder(abc.ABC):
     """Common interface for feature-space -> hyperspace maps."""
@@ -62,6 +98,11 @@ class Encoder(abc.ABC):
     def _transform(self, features: np.ndarray) -> np.ndarray:
         """Map ``(n_samples, n_features)`` to real ``(n_samples, D)``."""
 
+    def _binarized(self, features: np.ndarray) -> np.ndarray:
+        """``sign_binarize(self._transform(features))``; encoders with a
+        cheaper exact route to the signs override it."""
+        return sign_binarize(self._transform(features))
+
     def encode(self, features: np.ndarray) -> np.ndarray:
         """Encode a batch of feature vectors into hypervectors.
 
@@ -71,9 +112,10 @@ class Encoder(abc.ABC):
         """
         mat = check_matrix("features", features, cols=self.n_features)
         with obs.span("encode", encoder=type(self).__name__, n=mat.shape[0]):
-            encoded = self._transform(mat)
             if self.binarize:
-                encoded = sign_binarize(encoded)
+                encoded = self._binarized(mat)
+            else:
+                encoded = self._transform(mat)
         obs.incr("core.encode.calls")
         obs.incr("core.encode.samples", mat.shape[0])
         return encoded
@@ -142,9 +184,28 @@ class RBFEncoder(Encoder):
             self.block_length = n_features
             self.block_starts = np.zeros(dimension, dtype=np.int64)
 
+    def _phase(self, features: np.ndarray) -> np.ndarray:
+        """``B . F + b``: the argument of the cosine."""
+        return features @ self.weights.T + self.bias
+
     def _transform(self, features: np.ndarray) -> np.ndarray:
-        projection = features @ self.weights.T + self.bias
-        return np.sqrt(2.0 / self.dimension) * np.cos(projection)
+        return np.sqrt(2.0 / self.dimension) * np.cos(self._phase(features))
+
+    def _binarized(self, features: np.ndarray) -> np.ndarray:
+        # Only the signs are kept, and √(2/D)·cos p has the sign of cos p,
+        # a parity of p/π: see _cos_signs. The phases are the same array
+        # _transform takes the cosine of; the parity runs over blocks of
+        # rows so its temporaries stay small.
+        phase = self._phase(features)
+        if phase.size and not np.abs(phase).max() < _PARITY_LIMIT:
+            # huge or non-finite phases (a nan fails the test)
+            return super()._binarized(features)
+        out = np.empty(phase.shape, dtype=np.int8)
+        step = max(1, _SIGN_BLOCK_CELLS // self.dimension)
+        for start in range(0, phase.shape[0], step):
+            block = slice(start, start + step)
+            _cos_signs(phase[block], out[block])
+        return out
 
     def multiplies_per_sample(self) -> int:
         return self.block_length * self.dimension

@@ -138,6 +138,18 @@ class TernaryProjection:
         # input. Without it, projected values drown any un-projected
         # sibling hypervector they are later concatenated with.
         self._scale = 1.0 / np.sqrt(in_dimension * (1.0 - zero_fraction))
+        #: The same matrix with int16 data, for int8 input: an output
+        #: element is a sum of at most (max row nnz) terms of magnitude
+        #: <= 128, exact in int16 when that product fits, as it does
+        #: for the hierarchy's ~64-non-zero rows. None when it may not.
+        self._matrix16: csr_matrix | None = None
+        row_nnz = int(np.diff(self.matrix.indptr).max())
+        if row_nnz * 128 <= np.iinfo(np.int16).max:
+            self._matrix16 = csr_matrix(
+                (self.matrix.data.astype(np.int16), self.matrix.indices,
+                 self.matrix.indptr),
+                shape=self.matrix.shape,
+            )
 
     def project(self, hypervectors: np.ndarray) -> np.ndarray:
         """Project (a batch of) concatenated hypervectors.
@@ -147,14 +159,20 @@ class TernaryProjection:
         output. Integer-valued input (every binarized hypervector) sums
         exactly in any order, so its projection is bit-equal to a dense
         product; real-valued input may differ from one in the last bit.
+        int8 input (bipolar hypervectors) is multiplied in int16, whose
+        sums are the same integers, so the result is bit-identical.
         """
         arr = np.asarray(hypervectors)
         single = arr.ndim == 1
-        mat = check_matrix("hypervectors", arr, cols=self.in_dimension)
         # M @ X^T streams each output row's non-zeros once over a
         # C-ordered (in, batch) operand; the result goes back to the
         # C-ordered (batch, out) layout the dense product had.
-        product = self.matrix @ mat.T.astype(np.float64, order="C")
+        mat = check_matrix("hypervectors", arr, cols=self.in_dimension, dtype=None)
+        if mat.dtype == np.int8 and self._matrix16 is not None:
+            matrix, operand = self._matrix16, np.int16
+        else:
+            matrix, operand = self.matrix, np.float64
+        product = matrix @ mat.T.astype(operand, order="C")
         projected = np.ascontiguousarray(np.asarray(product).T) * self._scale
         out = sign_binarize(projected) if self.binarize else projected
         return out[0] if single else out

@@ -96,7 +96,8 @@ class SimulatedDeployment:
         kind: MessageKind,
         data: np.ndarray,
     ) -> np.ndarray:
-        """Frame ``data``, charge it, return what the receiver decodes.
+        """Frame ``data``, charge it, return what the receiver decodes,
+        in ``data``'s dtype (a float32 model frame comes back float64).
 
         A frame that fails its CRC is lost: the receiver sees zeros.
         """
@@ -113,10 +114,10 @@ class SimulatedDeployment:
             buf[idx] ^= 0xFF
             frame = bytes(buf)
         try:
-            return decode_frame(frame).data.astype(np.float64)
+            return decode_frame(frame).data.astype(data.dtype)
         except ProtocolError:
             report.frames_corrupted += 1
-            return np.zeros(data.shape)
+            return np.zeros(data.shape, dtype=data.dtype)
 
     # ------------------------------------------------------------------
     def train(self, train_x: np.ndarray, train_y: np.ndarray) -> DeploymentReport:

@@ -380,8 +380,8 @@ class EdgeHDFederation:
         internal node retrains on the hierarchical encoding of its
         children's forwarded batches (raw projection values — local to
         the node), one row per group. Either way the copy that travels
-        is binarized — one bit per dimension on the wire, exactly like
-        query hypervectors. Touches no model state.
+        is binarized — bipolar int8, one bit per dimension on the wire,
+        exactly like query hypervectors. Touches no model state.
         """
         node = self.hierarchy.nodes[node_id]
         if node.is_leaf:
@@ -392,7 +392,7 @@ class EdgeHDFederation:
                 node_id, child_batches, binarize=False
             ).astype(np.float64)
             labels = np.array([cls for cls, _ in groups], dtype=np.int64)
-        return samples, labels, sign_binarize(raw).astype(np.float64)
+        return samples, labels, sign_binarize(raw)
 
     def train_node(
         self,

@@ -161,7 +161,9 @@ def _fleet_cpus() -> List[int]:
 def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
     """Worker replica entry point (runs in a child process).
 
-    Protocol (result queue): ``("ready", id, zero_copy_report)`` once
+    Protocol (task queue): ``("warm",)`` once, ignored; ``("batch",
+    batch_id, indices, rows, leaves)``; ``("stop",)``. Protocol (result
+    queue): ``("ready", id, zero_copy_report)`` once
     attached; ``("hb", id, seq)`` while idle; ``("done", id, batch_id,
     indices, labels, confidences, nodes, levels, escalation_triples,
     encode_ms, search_ms)`` per batch; ``("error", id, traceback)`` on
@@ -218,6 +220,8 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
                 continue
             if msg[0] == "stop":
                 break
+            if msg[0] == "warm":
+                continue
             _, batch_id, indices, rows, leaves = msg
             # Renew the lease up front so a batch that takes a while to
             # process doesn't read as a dead replica to the router.
@@ -392,6 +396,9 @@ class ClusterRuntime:
             name=f"repro-worker-{replica_id}",
         )
         proc.start()
+        # The first put of an mp.Queue starts its feeder thread (~0.6 ms,
+        # several under load): pay it here, not in the first batch.
+        task_q.put(("warm",))
         self._task_qs.append(task_q)
         self._procs.append(proc)
         self._cpu_of_replica[replica_id] = cpu
@@ -617,6 +624,8 @@ class ClusterRuntime:
             n_batches += 1
             rows = np.stack([workload.features[i] for i in indices])
             leaves = [int(workload.start_leaves[i]) for i in indices]
+            # The queue wait ends here; the handoff below is the IPC hop.
+            dispatched_wall = time.monotonic()
             self._task_qs[info.replica_id].put(
                 ("batch", batch_id, indices, rows, leaves)
             )
@@ -625,7 +634,7 @@ class ClusterRuntime:
                 batch_id=batch_id,
                 replica_id=info.replica_id,
                 indices=indices,
-                dispatched_wall=time.monotonic(),
+                dispatched_wall=dispatched_wall,
             )
 
         def flush() -> None:

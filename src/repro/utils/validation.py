@@ -38,9 +38,15 @@ def check_vector(name: str, value: Any, length: int | None = None) -> np.ndarray
     return arr
 
 
-def check_matrix(name: str, value: Any, cols: int | None = None) -> np.ndarray:
-    """Coerce ``value`` to a 2-D float array, optionally with fixed columns."""
-    arr = np.asarray(value, dtype=np.float64)
+def check_matrix(
+    name: str, value: Any, cols: int | None = None,
+    dtype: type | None = np.float64,
+) -> np.ndarray:
+    """Coerce ``value`` to a 2-D array, optionally with fixed columns.
+
+    float64 by default; ``dtype=None`` keeps the array's own dtype.
+    """
+    arr = np.asarray(value, dtype=dtype)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.encoding import (
+    _PARITY_LIMIT,
+    _SIGN_BLOCK_CELLS,
     CosSinEncoder,
     IDLevelEncoder,
     LinearEncoder,
     RBFEncoder,
     make_encoder,
 )
+from repro.core.hypervector import sign_binarize
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,104 @@ class TestRBFEncoder:
         enc = RBFEncoder(12, 64, seed=1)
         with pytest.raises(ValueError):
             enc.encode(features[:, :5])
+
+
+def _assert_cosine_signs(enc, x):
+    """Binarized ``encode`` is the reference map's signs, bit for bit."""
+    with np.errstate(invalid="ignore"):
+        expected = sign_binarize(enc._transform(x))
+        got = enc.encode(x)
+    assert got.dtype == expected.dtype == np.int8
+    assert np.array_equal(got, expected)
+
+
+def _phase_encoder(phases):
+    """An encoder whose zero feature row has exactly ``phases``: with
+    unit weights and a zero input, ``B . F + b`` is the bias itself."""
+    enc = RBFEncoder(1, len(phases), seed=0)
+    enc.weights = np.ones((len(phases), 1))
+    enc.bias = np.asarray(phases, dtype=np.float64)
+    x = np.zeros((2, 1))
+    assert np.array_equal(enc._phase(x)[0], enc.bias, equal_nan=True)
+    return enc, x
+
+
+class TestBinarizedRBFExact:
+    """``encode`` takes the cosine's sign from the parity of p/π; every
+    cell must come out as ``sign_binarize`` of the cosine would have it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        n_features=st.integers(min_value=1, max_value=20),
+        dimension=st.integers(min_value=1, max_value=300),
+        gamma=st.floats(min_value=1e-3, max_value=1e3),
+        sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+        scale=st.sampled_from([1e-6, 1.0, 30.0, 1e4, 1e7]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_cosine_signs(
+        self, rows, n_features, dimension, gamma, sparsity, scale, seed
+    ):
+        enc = RBFEncoder(
+            n_features, dimension, gamma=gamma, sparsity=sparsity, seed=seed
+        )
+        x = np.random.default_rng(seed).standard_normal((rows, n_features))
+        _assert_cosine_signs(enc, x * scale)
+
+    @pytest.mark.parametrize(
+        "rows, dimension",
+        [(150, 1000), (3, _SIGN_BLOCK_CELLS + 3), (0, 100)],
+        ids=["many-blocks", "row-longer-than-a-block", "empty-batch"],
+    )
+    def test_batch_sizes(self, rows, dimension):
+        enc = RBFEncoder(8, dimension, gamma=0.4, seed=3)
+        x = np.random.default_rng(4).standard_normal((rows, 8)) * 5.0
+        _assert_cosine_signs(enc, x)
+
+    def test_phases_a_few_ulps_from_the_zeros_of_cos(self):
+        ks = np.concatenate([
+            np.arange(-40, 40), [1000, -12345, 2**17 + 1, -(2**18) + 3, 333000],
+        ])
+        zeros = (ks + 0.5) * np.pi
+        phases = [zeros]
+        for direction in (np.inf, -np.inf):
+            step = zeros
+            for _ in range(4):
+                step = np.nextafter(step, direction)
+                phases.append(step)
+        # just either side of the guard band, in units of p/π
+        for offset in (0.5 - 1e-6, 0.5 - 0.9e-6, 0.5 - 1.1e-6):
+            phases += [(ks + offset) * np.pi, (ks + 1 - offset) * np.pi]
+        phases = np.concatenate(phases)
+        assert np.abs(phases).max() < _PARITY_LIMIT  # the parity path
+        _assert_cosine_signs(*_phase_encoder(phases))
+
+    def test_large_phases_take_the_cosine(self):
+        limit = 2.0 ** 20
+        phases = np.array([
+            limit, -limit, np.nextafter(limit, 0), np.nextafter(-limit, 0),
+            limit + 0.3, 1e9 + 0.25, -7.5e12, 1e17, 1e300, -1e308,
+        ])
+        _assert_cosine_signs(*_phase_encoder(np.repeat(phases, 3)))
+
+    def test_non_finite_phases_break_ties_by_position(self):
+        # nan, cos(±inf) = nan, casts to 0 and takes sign_binarize's
+        # positional tie-break: +1 at even columns, -1 at odd ones.
+        phases = np.array([np.nan, np.nan, np.inf, np.inf, -np.inf, -np.inf,
+                           0.0, np.pi])
+        enc, x = _phase_encoder(phases)
+        _assert_cosine_signs(enc, x)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(
+                enc.encode(x)[0], [1, -1, 1, -1, 1, -1, 1, -1]
+            )
+
+    def test_non_finite_features(self):
+        enc = RBFEncoder(6, 50, sparsity=0.5, seed=5)
+        x = np.random.default_rng(6).standard_normal((4, 6))
+        x[0, 0], x[1, 3], x[2, 5] = np.nan, np.inf, -np.inf
+        _assert_cosine_signs(enc, x)
 
 
 class TestCosSinEncoder:

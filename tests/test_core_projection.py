@@ -127,6 +127,59 @@ class TestSparseDraw:
         assert biggest <= 4 * 2 ** 20
 
 
+class TestInt16Path:
+    """int8 input is multiplied in int16; every bit matches float64."""
+
+    @pytest.mark.parametrize("magnitude", [1, 127])
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_int8_equals_float64(self, magnitude, binarize):
+        proj = TernaryProjection(
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=30, binarize=binarize
+        )
+        assert proj._matrix16 is not None
+        x = (magnitude * random_bipolar(600, count=9, seed=31)).astype(np.int8)
+        for rows in (x, x[0]):
+            got, want = proj.project(rows), proj.project(rows.astype(np.float64))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("in_dim, int_path", [(255, True), (256, False)])
+    def test_overflow_bound(self, in_dim, int_path):
+        """No zeros: every row has ``in_dim`` non-zeros. An input of -128
+        where a row is +1 and +127 where it is -1 (and the mirror image)
+        drives that row's sum to its extreme."""
+        proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32,
+                                 binarize=False)
+        assert (proj._matrix16 is not None) is int_path
+        signs = proj.matrix.toarray().astype(np.int64)
+        x = np.concatenate([
+            np.where(signs[:4] > 0, -128, 127), np.where(signs[4:] > 0, 127, -128),
+        ]).astype(np.int8)
+        got = proj.project(x)
+        assert np.array_equal(got, proj.project(x.astype(np.float64)))
+        sums = np.diag(x.astype(np.int64) @ signs.T)
+        assert np.all(np.abs(sums) >= 127 * in_dim)
+        assert np.array_equal(np.diag(got), sums * proj._scale)
+
+    def test_dense_rows_fall_back_and_agree(self):
+        proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33,
+                                 binarize=False)
+        assert proj._matrix16 is None
+        x = (127 * proj.matrix.toarray()[:6]).astype(np.int8)
+        got = proj.project(x)
+        assert np.array_equal(got, proj.project(x.astype(np.float64)))
+        assert np.array_equal(
+            np.diag(got[:, :6]), np.full(6, 127 * 300) * proj._scale
+        )
+
+    def test_int8_shape_checks(self):
+        proj = TernaryProjection(10, 10, seed=34)
+        with pytest.raises(ValueError, match="10 columns"):
+            proj.project(np.ones((2, 11), dtype=np.int8))
+        with pytest.raises(ValueError, match="2-D"):
+            proj.project(np.ones((2, 2, 10), dtype=np.int8))
+
+
 class TestTernaryProjection:
     def test_matrix_values(self):
         proj = TernaryProjection(100, 80, seed=1)
