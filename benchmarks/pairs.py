@@ -5,6 +5,7 @@
     python3 benchmarks/pairs.py PARENT --workload serve_local
     python3 benchmarks/pairs.py HEAD --smoke              # one --smoke pair
     python3 benchmarks/pairs.py PARENT --append           # + trajectory row
+    python3 benchmarks/pairs.py PARENT --trace            # per-layer table
 
 PARENT is any git revision. It is exported with ``git archive``; the
 change is the working tree (tracked and untracked, not ignored files),
@@ -29,6 +30,10 @@ change/parent, then every per-pair ratio in pair order. The verdict:
   parent run: the spread cannot tell "unchanged" from a regression;
 * ``WORSE`` when the change's median is worse by more than the bound;
 * ``within bound`` otherwise.
+
+``--trace`` runs both trees at ``run.py --trace 1`` instead and tables
+``BENCHMARK.json``'s per-layer metrics the same way, with no verdict:
+they have no bounds. It attributes an end-to-end change to its layers.
 
 ``--append [PATH]`` also adds one JSON line to the trajectory, by
 default the committed ``benchmarks/results/trajectory.jsonl``: the two
@@ -99,12 +104,14 @@ def export_working_tree(dest: Path) -> None:
 
 
 def run_tree(
-    tree: Path, seed: int, workload: Optional[str], smoke: bool
+    tree: Path, seed: int, workload: Optional[str], smoke: bool,
+    trace: bool = False,
 ) -> Results:
     """One run of a tree's benchmark; an empty dict when it broke."""
     command = [sys.executable, str(tree / RUNNER), "--seed", str(seed)]
     command += ["--workload", workload] if workload else []
     command += ["--smoke"] if smoke else []
+    command += ["--trace", "1"] if trace else []
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -123,15 +130,23 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def wins_and_ratio(
+    better: str, parent: List[float], change: List[float]
+) -> Tuple[int, Optional[float]]:
+    """(pairs the change won, median ratio change/parent)."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ratios = [c / p for p, c in zip(parent, change) if p != 0]
+    return wins, statistics.median(ratios) if ratios else None
+
+
 def verdict(
     name: str, better: str, bound: float,
     parent: List[float], change: List[float],
 ) -> Tuple[str, int, Optional[float]]:
     """(verdict, pairs won, median ratio change/parent)."""
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    ratios = [c / p for p, c in zip(parent, change) if p != 0]
-    ratio = statistics.median(ratios) if ratios else None
+    wins, ratio = wins_and_ratio(better, parent, change)
     if name in EXACT:
         return ("equal" if parent == change else "DIFFERS"), wins, ratio
     q1, med_p, q3 = quartiles(parent)
@@ -158,9 +173,14 @@ def metric_value(result: dict, key: str) -> float:
 def compare(
     contract: dict,
     pairs: List[Tuple[Results, Results]],
+    trace: bool = False,
 ) -> List[dict]:
-    """Per workload and metric: both sides' values, wins, ratios, verdict."""
-    metrics = contract["end_to_end"] + [
+    """Per workload and metric: both sides' values, wins, ratios, verdict.
+
+    With ``trace`` the metrics are the per-layer ones, and the verdict
+    is None.
+    """
+    metrics = contract["per_layer"] if trace else contract["end_to_end"] + [
         {"name": "failed", "unit": "count", "better": "lower", "bound": 0.0}
     ]
     rows = []
@@ -173,9 +193,13 @@ def compare(
             key = metric["name"]
             parent = [metric_value(p, key) for p, _ in both]
             change = [metric_value(c, key) for _, c in both]
-            word, wins, ratio = verdict(
-                key, metric["better"], metric["bound"], parent, change
-            )
+            if trace:
+                word = None
+                wins, ratio = wins_and_ratio(metric["better"], parent, change)
+            else:
+                word, wins, ratio = verdict(
+                    key, metric["better"], metric["bound"], parent, change
+                )
             rows.append({
                 "workload": workload, "metric": key,
                 "parent": parent, "change": change, "verdict": word,
@@ -186,11 +210,14 @@ def compare(
 
 
 def table(rows: List[dict]) -> List[str]:
-    """The markdown table of :func:`compare`'s rows."""
+    """The markdown table of :func:`compare`'s rows (no verdict column
+    when they have none)."""
+    judged = all(row["verdict"] is not None for row in rows)
+    verdict_head = " verdict |" if judged else ""
     lines = [
         "| workload | metric | parent median [q1–q3] | change median "
-        "| wins | ratio | verdict | every ratio |",
-        "|---|---|---|---|---|---|---|---|",
+        f"| wins | ratio |{verdict_head} every ratio |",
+        "|---|---|---|---|---|---|" + "---|" * (2 if judged else 1),
     ]
     for row in rows:
         q1, med, q3 = quartiles(row["parent"])
@@ -203,7 +230,8 @@ def table(rows: List[dict]) -> List[str]:
             f"| {med:.6g} [{q1:.6g}–{q3:.6g}] "
             f"| {statistics.median(row['change']):.6g} "
             f"| {row['wins']}/{len(row['parent'])} | {shown} "
-            f"| {row['verdict']} | {every} |"
+            + (f"| {row['verdict']} " if judged else "")
+            + f"| {every} |"
         )
     return lines
 
@@ -253,6 +281,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=[w["name"] for w in contract["workloads"]])
     parser.add_argument("--smoke", action="store_true",
                         help="one pair of run.py --smoke")
+    parser.add_argument("--trace", action="store_true",
+                        help="run.py --trace 1: the per-layer table")
     parser.add_argument("--append", nargs="?", const=TRAJECTORY,
                         type=Path, metavar="PATH",
                         help="add a row to the trajectory "
@@ -276,7 +306,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             got: Dict[str, Results] = {}
             for side in order:
-                got[side] = run_tree(trees[side], seed, args.workload, args.smoke)
+                got[side] = run_tree(
+                    trees[side], seed, args.workload, args.smoke, args.trace
+                )
                 ok = bool(got[side]) and all(
                     r["correct"] for r in got[side].values()
                 )
@@ -287,21 +319,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     provenance = {
         "pairs": count, "seeds": [seeds[0], seeds[-1]],
-        "smoke": args.smoke, "host": platform.node(),
+        "smoke": args.smoke, "trace": args.trace, "host": platform.node(),
         "cores": os.cpu_count(), "python": platform.python_version(),
         "numpy": package("numpy"), "scipy": package("scipy"),
         "time": time.strftime("%Y-%m-%dT%H:%MZ", time.gmtime()),
     }
+    flags = (" --smoke" if args.smoke else "") + (" --trace 1" if args.trace else "")
     print(
         f"Provenance: parent `{parent_commit}` vs change `{change_commit}`; "
         f"{count} pair(s), seeds {seeds[0]}–{seeds[-1]}, order alternating; "
-        f"`run.py{' --smoke' if args.smoke else ''}` at its default "
+        f"`run.py{flags}` at its default "
         f"--seconds; host {provenance['host']}, {provenance['cores']} cores, "
         f"python {provenance['python']}, numpy {provenance['numpy']}, "
         f"scipy {provenance['scipy']}; {provenance['time']}."
     )
     print()
-    rows = compare(contract, pairs)
+    rows = compare(contract, pairs, args.trace)
     print("\n".join(table(rows)))
     if args.append is not None:
         args.append.parent.mkdir(parents=True, exist_ok=True)

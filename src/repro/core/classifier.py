@@ -43,6 +43,30 @@ logger = logging.getLogger(__name__)
 
 #: rows per ``np.add.accumulate`` call: bounds the gathered copy.
 _BLOCK_ROWS = 128
+#: bytes of float64 rows per block of the integer update's product.
+_PRODUCT_BLOCK_BYTES = 1 << 20
+
+
+def _exact_in_any_order(
+    model: np.ndarray, samples: np.ndarray, n_terms: int, scale: float
+) -> bool:
+    """Whether every partial sum of the update is an exact integer.
+
+    True for integer rows, an integral ``scale`` and an integer-valued
+    model (no ``-0.0``, whose sign only the ordered sum keeps) when
+    ``max|model| + n_terms * max|row| * |scale|`` stays below 2**53.
+    """
+    if not (np.issubdtype(samples.dtype, np.integer)
+            and float(scale).is_integer()):
+        return False
+    info = np.iinfo(samples.dtype)
+    largest = max(-int(info.min), int(info.max))
+    peak = float(np.abs(model).max(initial=0.0))
+    return bool(
+        peak + n_terms * largest * abs(scale) < 2.0**53
+        and np.array_equal(model, np.rint(model))
+        and not np.signbit(model[model == 0]).any()
+    )
 
 
 def _add_ordered(
@@ -54,7 +78,13 @@ def _add_ordered(
     The bits of ``np.add.at`` then ``np.subtract.at``: each class row
     takes its additions, then its negated subtractions, each in index
     order, summed left to right (DESIGN.md §4e, "Reach of exact").
+    When :func:`_exact_in_any_order` holds, that sum is one one-hot
+    product in row blocks instead, which gives the same bits.
     """
+    n_terms = add_to.shape[0] + subtract_from.shape[0]
+    if _exact_in_any_order(model, samples, n_terms, scale):
+        _add_product(model, samples, rows, add_to, subtract_from, scale)
+        return
     targets = np.concatenate([add_to, subtract_from])
     order = np.argsort(targets, kind="stable")
     sources = rows[order % rows.shape[0]]
@@ -71,6 +101,29 @@ def _add_ordered(
             # along a contiguous axis (D=1) and would round differently.
             running = np.add.accumulate(block, axis=0, out=block)[-1]
         model[cls] = running
+
+
+def _add_product(
+    model: np.ndarray, samples: np.ndarray, rows: np.ndarray,
+    add_to: np.ndarray, subtract_from: np.ndarray, scale: float,
+) -> None:
+    """:func:`_add_ordered`'s update as ``one_hot @ rows``, for exact sums."""
+    touched, slot = np.unique(
+        np.concatenate([add_to, subtract_from]), return_inverse=True
+    )
+    n = rows.shape[0]
+    subtracts = subtract_from.shape[0] > 0
+    totals = model[touched]
+    step = max(1, _PRODUCT_BLOCK_BYTES // (8 * samples.shape[1]))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        columns = np.arange(stop - start)
+        one_hot = np.zeros((touched.size, stop - start))
+        one_hot[slot[start:stop], columns] = scale
+        if subtracts:
+            one_hot[slot[n + start:n + stop], columns] -= scale
+        totals += one_hot @ samples[rows[start:stop]].astype(np.float64)
+    model[touched] = totals
 
 
 def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -187,7 +240,8 @@ class HDClassifier:
     # ------------------------------------------------------------------
     def fit_initial(self, encoded: np.ndarray, labels: np.ndarray) -> "HDClassifier":
         """Single-pass initial training: bundle samples per class."""
-        enc = check_matrix("encoded", encoded, cols=self.dimension)
+        # The caller's own rows: int8 ones take the integer update.
+        enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
         y = check_labels("labels", labels, n_classes=self.n_classes)
         if enc.shape[0] != y.shape[0]:
             raise ValueError(

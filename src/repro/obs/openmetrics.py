@@ -127,7 +127,10 @@ _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
 )
-_LABEL_RE = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<val>(?:\\.|[^"\\])*)"')
+_KEY, _VAL = r"[a-zA-Z_][a-zA-Z0-9_]*", r'(?:\\.|[^"\\])*'
+_LABEL_RE = re.compile(rf'(?P<key>{_KEY})="(?P<val>{_VAL})"')
+#: a whole label set: pairs separated by commas, one trailing comma allowed.
+_LABELS_RE = re.compile(rf'{_KEY}="{_VAL}"(?:,{_KEY}="{_VAL}")*,?')
 
 
 def _unescape(value: str) -> str:
@@ -136,12 +139,15 @@ def _unescape(value: str) -> str:
     )
 
 
-def _parse_value(raw: str) -> float:
+def _parse_value(raw: str, lineno: int) -> float:
     if raw == "+Inf":
         return math.inf
     if raw == "-Inf":
         return -math.inf
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed value {raw!r}") from None
 
 
 def parse_openmetrics(text: str) -> Dict[str, Dict[str, object]]:
@@ -185,9 +191,11 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, object]]:
         labels: Dict[str, str] = {}
         raw_labels = match.group("labels")
         if raw_labels:
+            if _LABELS_RE.fullmatch(raw_labels) is None:
+                raise ValueError(f"line {lineno}: malformed labels {raw_labels!r}")
             for lm in _LABEL_RE.finditer(raw_labels):
                 labels[lm.group("key")] = _unescape(lm.group("val"))
-        value = _parse_value(match.group("value"))
+        value = _parse_value(match.group("value"), lineno)
         family = current
         # A sample may belong to the family by suffix (counter _total,
         # histogram _bucket/_sum/_count) rather than exact name.
@@ -201,5 +209,8 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, object]]:
         assert isinstance(samples, list)
         samples.append((name, labels, value))
     if not saw_eof:
-        raise ValueError("exposition is missing the # EOF terminator")
+        raise ValueError(
+            f"line {len(text.splitlines()) + 1}: "
+            "exposition is missing the # EOF terminator"
+        )
     return families

@@ -87,19 +87,17 @@ def read_jsonl(
 
     ``parse`` is a record type's ``from_dict``; returning ``None``
     skips the line (a record of another stream sharing the file). A
-    line that is not JSON (a file cut mid-line when the run was killed)
-    or a record without its required fields raises ``ValueError``
-    naming the file and line.
+    line that is not UTF-8 JSON (a file cut mid-line when the run was
+    killed) or a record without its required fields raises
+    ``ValueError`` naming the file and line.
     """
     records: List[R] = []
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                record = parse(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
+                line = raw.decode("utf-8").strip()
+                record = parse(json.loads(line)) if line else None
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: unreadable record "
                     f"({type(exc).__name__}: {exc})"

@@ -51,6 +51,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -86,6 +87,13 @@ SEMANTIC_EVENTS = (
 FAULT_EVENTS = ("drop", "timeout", "shed", "corrupt", "degraded")
 
 
+def _integer(data: Mapping[str, Any], key: str, default: Optional[int] = None) -> int:
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One step of one request's causal timeline."""
@@ -109,13 +117,25 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceEvent":
+        """The inverse of :meth:`to_dict`; a field of the wrong type
+        (a float or bool id, a non-finite time) raises ``ValueError``."""
+        t_ms = data["t_ms"]
+        if isinstance(t_ms, bool) or not isinstance(t_ms, (int, float)) \
+                or not math.isfinite(t_ms):
+            raise ValueError(f"'t_ms' must be a finite number, got {t_ms!r}")
+        event = data["event"]
+        if not isinstance(event, str):
+            raise ValueError(f"'event' must be a string, got {event!r}")
+        attrs = data.get("attrs") or {}
+        if not isinstance(attrs, dict):
+            raise ValueError(f"'attrs' must be an object, got {attrs!r}")
         return cls(
-            request_id=int(data["request"]),
-            seq=int(data["seq"]),
-            t_ms=float(data["t_ms"]),
-            event=str(data["event"]),
-            node=int(data.get("node", -1)),
-            attrs=dict(data.get("attrs") or {}),
+            request_id=_integer(data, "request"),
+            seq=_integer(data, "seq"),
+            t_ms=float(t_ms),
+            event=event,
+            node=_integer(data, "node", -1),
+            attrs=dict(attrs),
         )
 
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.classifier import HDClassifier, softmax_confidence
+from repro.core.classifier import (
+    HDClassifier,
+    _add_ordered,
+    _exact_in_any_order,
+    softmax_confidence,
+)
 from repro.core.encoding import RBFEncoder
 from repro.core.hypervector import cosine_many
 
@@ -191,7 +196,7 @@ class TestOrderedUpdate:
         enc, y = self._problem(dtype, dimension)
         clf = HDClassifier(self.N_CLASSES, dimension).fit_initial(enc, y)
         expected = _scatter_fit_initial(enc, y, self.N_CLASSES)
-        assert np.array_equal(clf.class_hypervectors, expected)
+        assert clf.class_hypervectors.tobytes() == expected.tobytes()
 
         history = clf.retrain(
             enc, y, epochs=self.EPOCHS, learning_rate=learning_rate
@@ -200,11 +205,50 @@ class TestOrderedUpdate:
             expected, enc, y, self.EPOCHS, learning_rate
         )
         assert history == expected_history
-        assert np.array_equal(clf.class_hypervectors, expected)
+        assert clf.class_hypervectors.tobytes() == expected.tobytes()
         # The cases the blocking must get right: a class no update
         # reaches, and one whose updates span more than one block.
         assert touched[0].min() == 0
         assert touched[0].max() > 128
+
+    #: (model, scale) per cell, and whether the update is exact in any
+    #: order (the one-hot product) or must keep the ordered sum.
+    CELLS = {
+        "integer": (lambda m: m, 1.0, True),
+        "integer-scale-2": (lambda m: m, 2.0, True),
+        "learning-rate-0.3": (lambda m: m, 0.3, False),
+        "non-integer-model": (lambda m: m + 0.1, 1.0, False),
+        "near-2**53": (lambda m: m + (2.0**53 - 16), 1.0, False),
+        "negative-zero": (lambda m: np.where(m == 0, -0.0, m), 1.0, False),
+    }
+
+    @pytest.mark.parametrize("cell", list(CELLS))
+    def test_update_path_matches_scatter_rule(self, cell):
+        """Each path, and the choice between them, against the scatter
+        rule bit for bit; the last class takes no update."""
+        shape_model, scale, exact = self.CELLS[cell]
+        rng = np.random.default_rng(11)
+        n, dimension = 700, 33
+        samples = rng.integers(-128, 128, size=(n, dimension), dtype=np.int8)
+        samples[:, 0] = 0  # the column where a -0.0 model cell survives
+        samples[:, 1] = rng.choice([-128, 127], size=n)
+        rows = rng.permutation(n + 100)[:n] % n
+        # class 0 only gains, 1 gains and loses, 2 only loses, 3 rests
+        add_to = rng.integers(0, 2, size=n)
+        subtract_from = rng.integers(1, 3, size=n)
+        base = rng.integers(-3, 4, size=(self.N_CLASSES, dimension)).astype(float)
+        base[:, 0] = 0.0
+        model = shape_model(base)
+        expected = model.copy()
+        updates = scale * samples[rows].astype(np.float64)
+        np.add.at(expected, add_to, updates)
+        np.subtract.at(expected, subtract_from, updates)
+
+        assert _exact_in_any_order(model, samples, 2 * n, scale) is exact
+        got = model.copy()
+        _add_ordered(got, samples, rows, add_to, subtract_from, scale=scale)
+        assert got.tobytes() == expected.tobytes()
+        assert got[-1].tobytes() == model[-1].tobytes()
 
 
 class TestInference:

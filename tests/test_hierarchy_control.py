@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
+from repro.core.projection import TernaryProjection
 from repro.data import make_classification
 from repro.data.partition import FeaturePartition, partition_features
 from repro.hierarchy import (
@@ -184,6 +185,53 @@ class TestJoin:
         controller = TopologyController(fed, x, y)
         with pytest.raises(RuntimeError, match="fit"):
             controller.join(hierarchy.root_id)
+
+
+def _redrawn(fed: EdgeHDFederation, node_id: int) -> TernaryProjection:
+    """A fresh draw of a node's projection, from its seed and shape."""
+    kept = fed.projections[node_id]
+    return TernaryProjection(
+        kept.in_dimension, kept.out_dimension,
+        zero_fraction=kept.zero_fraction, seed=fed.node_seed(node_id),
+        binarize=False,
+    )
+
+
+class TestKeptProjection:
+    """A refit keeps a projection whose shape did not change; it is the
+    matrix a fresh draw would give."""
+
+    def test_root_keeps_its_projection_through_join_and_drain(self, data):
+        controller = make_controller(data)
+        fed = controller.federation
+        root = fed.hierarchy.root_id
+        before = fed.projections[root]
+        joined = controller.join(root)
+        assert root in joined.refit_nodes
+        assert fed.projections[root] is before
+        drained = controller.drain(joined.node_id)
+        assert root in drained.refit_nodes
+        assert fed.projections[root] is before
+        assert np.array_equal(
+            before.matrix.toarray(), _redrawn(fed, root).matrix.toarray()
+        )
+
+    def test_gateway_with_new_input_dimension_draws_anew(self, data):
+        controller = make_controller(data)
+        fed = controller.federation
+        before = {nid: p for nid, p in fed.projections.items() if p is not None}
+        controller.join(fed.hierarchy.root_id)
+        reshaped = [
+            nid for nid, p in before.items()
+            if fed.projections[nid].in_dimension != p.in_dimension
+        ]
+        assert reshaped and fed.hierarchy.root_id not in reshaped
+        for nid in reshaped:
+            assert fed.projections[nid] is not before[nid]
+            assert np.array_equal(
+                fed.projections[nid].matrix.toarray(),
+                _redrawn(fed, nid).matrix.toarray(),
+            )
 
 
 class TestDrain:

@@ -215,6 +215,16 @@ class TestOpenMetrics:
         with pytest.raises(ValueError, match="malformed"):
             parse_openmetrics("# TYPE x gauge\n??? nope\n# EOF\n")
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [("a 1x\n# EOF", "value"), ("a{b=c} 1\n# EOF", "labels"),
+         ('# TYPE a gauge\na{b="c"d="e"} 1\n# EOF', "labels")],
+        ids=["value", "unquoted-label", "unseparated-labels"],
+    )
+    def test_malformed_value_or_labels_name_the_line(self, text, what):
+        with pytest.raises(ValueError, match=rf"^line {text.count(chr(10))}: malformed {what}"):
+            parse_openmetrics(text)
+
     def test_infinities_render_and_parse(self):
         reg = MetricsRegistry()
         reg.gauge("inf.up").set(math.inf)
