@@ -39,12 +39,13 @@ supplies the machinery that can:
     f-string pattern can also produce, and f-strings with adjacent
     holes all silently correlate streams that must stay independent.
 
-Known imprecision (by design, covered by the ``REPRO_SAN=1`` dynamic
-sanitizer in :mod:`repro.serve.sanitizer`): aliasing through container
-membership (``bucket.append(req)``) is not tracked, mutation inside
-helper calls is not summarized, and every ``await`` is treated as a
-potential suspension point even when the awaited coroutine completes
-synchronously.
+Known imprecision (by design): aliasing through container membership
+(``bucket.append(req)``) is not tracked, mutation inside helper calls
+is not summarized, and every ``await`` is treated as a potential
+suspension point even when the awaited coroutine completes
+synchronously. REPRO111 is the serving stack's only guard for this race
+class: ``tests/test_analysis_flow.py`` re-plants the pre-fix ``_forward``
+in a copy of the live ``runtime.py`` and pins that it is flagged.
 """
 
 from __future__ import annotations

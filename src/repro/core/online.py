@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.classifier import HDClassifier
+from repro.utils.validation import check_vector
 
 __all__ = ["ResidualAccumulator"]
 
@@ -60,15 +61,22 @@ class ResidualAccumulator:
         provide only negative feedback; when the correct label is also
         available the update matches the retraining rule.
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dimension,):
-            raise ValueError(
-                f"query must have shape ({self.dimension},), got {q.shape}"
-            )
-        if not 0 <= predicted_class < self.n_classes:
-            raise IndexError(f"predicted_class {predicted_class} out of range")
+        q = self.check(query, predicted_class, true_class)
         self.negative[predicted_class] += q
         self.negative_counts[predicted_class] += 1
+        if true_class is not None:
+            self.positive[true_class] += q
+            self.positive_counts[true_class] += 1
+        self.feedback_count += 1
+
+    def check(
+        self, query: np.ndarray, predicted_class: int,
+        true_class: Optional[int] = None,
+    ) -> np.ndarray:
+        """Validate a :meth:`record_negative` event, recording nothing."""
+        q = check_vector("query", query, length=self.dimension)
+        if not 0 <= predicted_class < self.n_classes:
+            raise IndexError(f"predicted_class {predicted_class} out of range")
         if true_class is not None:
             if not 0 <= true_class < self.n_classes:
                 raise IndexError(f"true_class {true_class} out of range")
@@ -76,9 +84,7 @@ class ResidualAccumulator:
                 raise ValueError(
                     "negative feedback with true_class == predicted_class"
                 )
-            self.positive[true_class] += q
-            self.positive_counts[true_class] += 1
-        self.feedback_count += 1
+        return q
 
     @property
     def is_empty(self) -> bool:
@@ -109,8 +115,8 @@ class ResidualAccumulator:
             raise ValueError("classifier shape does not match residuals")
         if classifier.class_hypervectors is None:
             raise RuntimeError("classifier is not fitted")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         negative, positive = self.negative, self.positive
         if average:
             neg_div = np.maximum(self.negative_counts, 1).astype(np.float64)

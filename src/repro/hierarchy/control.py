@@ -571,12 +571,16 @@ class TopologyController:
 
         Feedback for a crashed node is journaled but not applied — the
         gateway buffers it — and :meth:`respawn` replays it during
-        catch-up. Returns True when the event was applied live.
+        catch-up. Returns True when the event was applied live. A
+        malformed event raises before it is journaled: replay must not.
         """
         if self.learner is None:
             raise RuntimeError("controller has no online learner attached")
         if node_id not in self.federation.hierarchy.nodes:
             raise KeyError(f"unknown node {node_id}")
+        self.learner.residuals[node_id].check(
+            query_hv, predicted_class, true_class
+        )
         event = FeedbackEvent(
             node_id=node_id,
             query_hv=np.asarray(query_hv, dtype=np.float64).copy(),

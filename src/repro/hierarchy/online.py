@@ -61,8 +61,8 @@ class OnlineLearner:
         recipe, the paper's ref [32]). Cosine classification is
         invariant to the rescaling.
         """
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         self.federation = federation
         self.learning_rate = float(learning_rate)
         self.feedback_includes_label = bool(feedback_includes_label)

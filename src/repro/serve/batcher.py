@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, List
 
-import repro.serve.sanitizer as sanitizer
 from repro.serve.queueing import BoundedQueue
 
 __all__ = ["MicroBatcher"]
@@ -41,11 +40,6 @@ class MicroBatcher:
             pass
         self.n_batches += 1
         self.n_items += len(batch)
-        if sanitizer.enabled():
-            # Ownership transfers to the awaiting coroutine: the node's
-            # run task, which is the one that mutates the requests.
-            for item in batch:
-                sanitizer.acquire(item)
         return batch
 
     @property

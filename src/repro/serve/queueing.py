@@ -21,8 +21,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-import repro.serve.sanitizer as sanitizer
-
 __all__ = ["BoundedQueue", "QueueStats", "QueueTimeout", "ShedError", "POLICIES"]
 
 POLICIES = ("block", "shed")
@@ -106,16 +104,10 @@ class BoundedQueue:
         this as its per-hop timeout so a stalled or crashed consumer
         can never wedge a producer forever.
         """
-        # Hand the item over *before* it enters the queue: the consumer
-        # may get and acquire it before this coroutine resumes from the
-        # await, and publishing then would re-mark an item it owns. The
-        # shed / timeout arms take it back — it never entered the queue.
-        sanitizer.publish(item)
         if self.policy == "shed":
             try:
                 self._queue.put_nowait(item)
             except asyncio.QueueFull:
-                sanitizer.unpublish(item)
                 self.stats.shed += 1
                 raise ShedError(
                     f"queue full ({self.maxsize}), item shed"
@@ -126,7 +118,6 @@ class BoundedQueue:
             try:
                 await asyncio.wait_for(self._queue.put(item), timeout=timeout_s)
             except asyncio.TimeoutError:
-                sanitizer.unpublish(item)
                 self.stats.timeouts += 1
                 raise QueueTimeout(
                     f"queue full ({self.maxsize}) for {timeout_s} s"
@@ -140,11 +131,9 @@ class BoundedQueue:
         """Non-blocking enqueue; returns False (and counts a shed) when
         full. Usable under either policy — with ``"block"`` semantics a
         False return lets the caller choose to fall back to ``put``."""
-        sanitizer.publish(item)
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
-            sanitizer.unpublish(item)
             self.stats.shed += 1
             return False
         self.stats.enqueued += 1

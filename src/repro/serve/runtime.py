@@ -48,7 +48,6 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.network.medium import Medium, edge_medium
-import repro.serve.sanitizer as sanitizer
 from repro.serve.batcher import MicroBatcher
 from repro.serve.faults import FaultPlan
 from repro.serve.queueing import POLICIES, BoundedQueue, QueueTimeout, ShedError
@@ -560,9 +559,8 @@ class ServingRuntime:
             self.nodes[node_id] = _NodeServer(
                 self, node_id, self.config, traced=tracing
             )
-        request_cls = sanitizer.request_class()
         requests = [
-            request_cls(
+            ServeRequest(
                 index=i,
                 features=workload.features[i],
                 start_leaf=int(workload.start_leaves[i]),

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import re
+from pathlib import Path
 
 from repro.analysis import FLOW_RULE_IDS, lint_paths, select_rules
 from repro.analysis.engine import LintEngine
@@ -17,6 +19,19 @@ from repro.analysis.flow import (
 from repro.analysis.reporters import render_json
 
 SERVE_PATH = "src/repro/serve/module.py"
+RUNTIME = Path(__file__).resolve().parents[1] / "src/repro/serve/runtime.py"
+
+# ``_forward`` charges the escalation edge, then hands the request over:
+#     if via_edge is not None:
+#         req.charged_path.append(via_edge)
+#     try:
+#         await queue.put(...)
+CHARGE_THEN_PUT = re.compile(
+    r"^(?P<ind>[ ]+)if via_edge is not None:\n"
+    r"(?P=ind)    req\.charged_path\.append\(via_edge\)\n"
+    r"(?P=ind)try:\n(?P<put>(?P=ind)    await queue\.put\(.*\)\n)",
+    re.MULTILINE,
+)
 
 
 def _cfg_of(source):
@@ -109,6 +124,41 @@ class TestAwaitBoundaryRace:
         assert witness[1]["task"] == "the queue consumer"
         assert witness[2]["line"] == f.line
         assert "charged_path.append" in witness[2]["event"]
+
+    def test_replanted_forward_in_live_runtime_is_flagged(self, tmp_path):
+        """REPRO111 is the only guard for this race: moving the live
+        ``_forward``'s charge after its ``await queue.put`` is flagged
+        on the moved line, and the unedited file stays clean."""
+        live = RUNTIME.read_text()
+
+        def charge_after_put(m):
+            ind = m["ind"] + "    "
+            return (
+                m["ind"] + "try:\n" + m["put"]
+                + ind + "if via_edge is not None:\n"
+                + ind + "    req.charged_path.append(via_edge)\n"
+            )
+
+        replanted, n_edits = CHARGE_THEN_PUT.subn(charge_after_put, live)
+        assert n_edits == 1
+
+        def lint_copy(source, name):
+            pkg = tmp_path / name / "repro" / "serve"
+            pkg.mkdir(parents=True)
+            (pkg / "runtime.py").write_text(source)
+            return lint_paths([str(pkg / "runtime.py")], flow=True)
+
+        assert lint_copy(live, "live") == []
+        findings = lint_copy(replanted, "replanted")
+        lines = replanted.splitlines()
+        moved = 1 + next(
+            i for i, line in enumerate(lines)
+            if line.strip() == "req.charged_path.append(via_edge)"
+        )
+        assert "await queue.put(" in lines[moved - 3]
+        assert any(
+            f.rule_id == "REPRO111" and f.line == moved for f in findings
+        ), "\n".join(f.format() for f in findings)
 
     def test_mutate_before_await_is_clean(self):
         src = (

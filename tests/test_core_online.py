@@ -53,6 +53,23 @@ class TestRecording:
         with pytest.raises(IndexError):
             acc.record_negative(np.ones(16), 0, true_class=9)
 
+    @pytest.mark.parametrize(
+        "query, true_class",
+        [(np.ones(16), 1), (np.ones(16), 9), (np.ones(8), 2)],
+        ids=["true-is-predicted", "true-out-of-range", "bad-shape"],
+    )
+    def test_rejected_feedback_leaves_no_trace(self, acc, query, true_class):
+        # a half-recorded event would be applied by the next propagation
+        acc.record_negative(np.full(16, 2.0), 0, true_class=2)
+        before = acc.copy()
+        with pytest.raises((ValueError, IndexError)):
+            acc.record_negative(query, predicted_class=1, true_class=true_class)
+        assert np.array_equal(acc.negative, before.negative)
+        assert np.array_equal(acc.positive, before.positive)
+        assert np.array_equal(acc.negative_counts, before.negative_counts)
+        assert np.array_equal(acc.positive_counts, before.positive_counts)
+        assert acc.feedback_count == before.feedback_count
+
 
 class TestApply:
     def test_apply_subtracts_negative_adds_positive(self):
@@ -91,9 +108,12 @@ class TestApply:
 
     def test_apply_invalid_lr(self):
         acc = ResidualAccumulator(2, 4)
+        acc.record_negative(np.ones(4), 0)
         clf = HDClassifier(2, 4).set_model(np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            acc.apply_to(clf, learning_rate=0.0)
+        for rate in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                acc.apply_to(clf, learning_rate=rate)
+        assert np.array_equal(clf.class_hypervectors, np.zeros((2, 4)))
 
     def test_online_update_improves_on_mistake(self):
         """Subtracting a misclassified query weakens the wrong class."""

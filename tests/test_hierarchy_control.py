@@ -400,6 +400,35 @@ class TestFailRespawn:
         assert replayed == 2  # the lost event and the buffered one
         assert controller.learner.residuals[victim].feedback_count == 2
 
+    @pytest.mark.parametrize("crashed", [False, True], ids=["live", "crashed"])
+    def test_malformed_feedback_is_not_journaled(self, data, tmp_path, crashed):
+        # a journaled bad event would make respawn raise mid-replay and
+        # leave the node stuck in RESTORING
+        controller = make_controller(data)
+        fed = controller.federation
+        victim = fed.hierarchy.leaves()[0]
+        dim = fed.hierarchy.nodes[victim].dimension
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        if crashed:
+            controller.fail(victim)
+        journaled = len(controller.journal)
+        malformed = [
+            (np.ones(dim + 1), 0, 1),  # query of the wrong length
+            (np.ones(dim), N_CLASSES, 1),  # predicted class out of range
+            (np.ones(dim), 0, N_CLASSES),  # true class out of range
+            (np.ones(dim), 1, 1),  # true class is the predicted one
+        ]
+        for query, predicted, true in malformed:
+            with pytest.raises((ValueError, IndexError)):
+                controller.record_feedback(victim, query, predicted, true)
+        assert len(controller.journal) == journaled
+        assert controller.learner.residuals[victim].feedback_count == 0
+        if not crashed:
+            controller.fail(victim)
+        assert controller.respawn(victim, path) == 0
+        assert controller.states[victim] is NodeState.ACTIVE
+
     def test_respawned_node_matches_never_crashed_twin(self, data, tmp_path):
         crashed = make_controller(data)
         clean = make_controller(data)

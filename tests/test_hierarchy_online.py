@@ -87,8 +87,9 @@ class TestOnlineLearner:
 
     def test_invalid_learning_rate(self, online_setup):
         fed, *_ = online_setup
-        with pytest.raises(ValueError):
-            OnlineLearner(fed, learning_rate=0.0)
+        for rate in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                OnlineLearner(fed, learning_rate=rate)
 
 
 class TestOnlineSession:
