@@ -46,7 +46,7 @@ from repro.core.hypervector import sign_binarize
 from repro.core.model import class_model_bytes, hypervector_bytes
 from repro.core.projection import TernaryProjection, concatenate_hypervectors
 from repro.data.partition import FeaturePartition
-from repro.hierarchy.topology import Hierarchy
+from repro.hierarchy.topology import Hierarchy, Node
 from repro.network.message import Message, MessageKind
 from repro.utils.rng import spawn_seeds
 from repro.utils.validation import check_labels, check_matrix
@@ -328,14 +328,14 @@ class EdgeHDFederation:
         """Demand-driven :meth:`encode_all`: nodes encode on first access.
 
         Returns a :class:`LazyEncodings` view over ``features`` that
-        computes each node's encoding (and, transitively, its subtree's
-        forwarded encodings) only when that node is actually looked up.
+        computes a node's encoding (and, transitively, its subtree's
+        forwarded encodings) only for the rows it is looked up for.
         Confidence-gated escalation visits few internal nodes on most
         batches, so callers that walk the hierarchy — inference, the
-        serving cluster workers — skip the bulk of the projection work
-        while producing bit-identical encodings for the nodes they do
-        touch. ``prefill`` seeds the cache with already-computed "own"
-        encodings (e.g. the start leaves a worker encoded up front).
+        serving runtime and cluster workers — skip the bulk of the
+        projection work while producing bit-identical encodings for the
+        nodes they do touch. ``prefill`` seeds the cache with
+        already-computed whole-batch "own" encodings.
         """
         mat = check_matrix("features", features, cols=self.partition.n_features)
         return LazyEncodings(self, mat, prefill=prefill)
@@ -565,12 +565,14 @@ class LazyEncodings:
 
     The one implementation of the hierarchical-encoding recurrence —
     leaf slice encoding, children forward concatenation, ternary
-    projection (:meth:`_materialize`); :meth:`EdgeHDFederation.encode_all`
-    and :meth:`~EdgeHDFederation.encode_at` are look-ups over it. A node
-    is encoded when first accessed, and at most once. Because every
-    node's encoding depends only on its own subtree (never on
-    evaluation order), the values are the same for whichever subset of
-    nodes a caller touches.
+    projection (:meth:`own_rows`) — under ``encode_all``, ``encode_at``,
+    the offline walk and the serving runtime. What a node forwards is
+    kept per row, so a row subset encodes only the (row, node) pairs no
+    earlier call encoded or :meth:`carry` seeded: a parent projects what
+    its children forwarded (Sec. IV-A), each pair at most once. A row's
+    encoding depends only on that row and the node's subtree, so the
+    values are the same whichever rows and nodes are touched, in any
+    order.
     """
 
     def __init__(
@@ -581,66 +583,95 @@ class LazyEncodings:
     ) -> None:
         self._federation = federation
         self._mat = mat
+        self._all = np.arange(mat.shape[0])
+        #: whole-batch "own" views: prefilled, or looked up by own().
         self._own: Dict[int, np.ndarray] = {}
+        #: per node, each row's index into _forward[node]; -1 until the
+        #: row's forward is encoded or carried.
+        self._slot: Dict[int, np.ndarray] = {}
         self._forward: Dict[int, np.ndarray] = {}
         for node_id, encoded in (prefill or {}).items():
-            if node_id not in federation.hierarchy.nodes:
-                raise KeyError(f"prefill references unknown node {node_id}")
-            self._store(node_id, encoded)
+            self._node(node_id)
+            self._own[node_id] = encoded
+            self._keep(node_id, self._all, encoded)
 
     def own(self, node_id: int) -> np.ndarray:
         """What ``node_id`` classifies with (raw values at internal nodes)."""
         cached = self._own.get(node_id)
         if cached is None:
-            self._materialize(node_id)
-            cached = self._own[node_id]
+            cached = self._own[node_id] = self.own_rows(node_id, self._all)
         return cached
 
     def forward(self, node_id: int) -> np.ndarray:
         """What ``node_id`` transmits upward (binarized when configured)."""
-        cached = self._forward.get(node_id)
-        if cached is None:
-            self._materialize(node_id)
-            cached = self._forward[node_id]
-        return cached
+        return self.forward_rows(node_id, self._all)
 
-    def __getitem__(self, node_id: int) -> np.ndarray:
-        return self.own(node_id)
+    def own_rows(self, node_id: int, rows: np.ndarray) -> np.ndarray:
+        """:meth:`own` for the batch rows ``rows`` (distinct indices); a
+        node below the root also keeps what it forwards for them."""
+        cached = self._own.get(node_id)
+        if cached is not None:
+            return cached[rows]
+        node = self._node(node_id)
+        if node.is_leaf:
+            return self.forward_rows(node_id, rows)
+        own = self._federation.combine_children(
+            node_id,
+            [self.forward_rows(child, rows) for child in node.children],
+            binarize=False,
+        )
+        if node.parent is not None:
+            self._keep(node_id, rows, own)
+        return own
 
-    def materialized(self, node_id: int) -> bool:
-        """Whether ``node_id`` has already been encoded (no compute)."""
-        return node_id in self._own
+    def forward_rows(self, node_id: int, rows: np.ndarray) -> np.ndarray:
+        """:meth:`forward` for the batch rows ``rows`` (distinct indices)."""
+        slot = self._slot.get(node_id)
+        missing = rows if slot is None else rows[slot[rows] < 0]
+        if missing.size or slot is None:
+            node = self._node(node_id)
+            if node.is_leaf:
+                self.carry(
+                    node_id, missing,
+                    self._federation.encode_leaf(node_id, self._mat[missing]),
+                )
+            elif node.parent is None:
+                self._keep(node_id, missing, self.own_rows(node_id, missing))
+            else:  # below the root, own_rows keeps the forward itself
+                self.own_rows(node_id, missing)
+        return self._forward[node_id][self._slot[node_id][rows]]
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._federation.hierarchy.nodes
+    def carry(
+        self, node_id: int, rows: np.ndarray, forwarded: np.ndarray
+    ) -> None:
+        """Seed what ``node_id`` forwards for ``rows`` (e.g. the copies
+        an escalation brought up); rows already held keep their value."""
+        slot = self._slot.get(node_id)
+        if slot is None:
+            self._node(node_id)
+            slot = self._slot[node_id] = np.full(self._all.size, -1)
+            slot[rows] = np.arange(rows.size)
+            self._forward[node_id] = forwarded
+            return
+        new = slot[rows] < 0
+        held = self._forward[node_id]
+        slot[rows[new]] = len(held) + np.arange(np.count_nonzero(new))
+        self._forward[node_id] = np.concatenate([held, forwarded[new]])
 
     @property
     def n_materialized(self) -> int:
         """How many nodes have been encoded so far (for tests/telemetry)."""
-        return len(self._own)
+        return len(self._slot.keys() | self._own.keys())
 
-    def _materialize(self, node_id: int) -> None:
-        federation = self._federation
-        node = federation.hierarchy.nodes.get(node_id)
+    def _node(self, node_id: int) -> Node:
+        node = self._federation.hierarchy.nodes.get(node_id)
         if node is None:
             raise KeyError(f"unknown node {node_id}")
-        if node.is_leaf:
-            own = federation.encode_leaf(node_id, self._mat)
-        else:
-            children = [self.forward(child) for child in node.children]
-            own = federation.combine_children(
-                node_id, children, binarize=False
-            )
-        self._store(node_id, own)
+        return node
 
-    def _store(self, node_id: int, own: np.ndarray) -> None:
-        """Cache a node's own view and what it forwards: a leaf forwards
-        what it classifies with, an internal node the binarized copy
-        (when ``config.binarize``)."""
-        federation = self._federation
-        is_leaf = federation.hierarchy.nodes[node_id].is_leaf
-        self._own[node_id] = own
-        self._forward[node_id] = (
-            own if is_leaf or not federation.config.binarize
-            else sign_binarize(own)
-        )
+    def _keep(self, node_id: int, rows: np.ndarray, own: np.ndarray) -> None:
+        """Keep what a node forwards: a leaf its own view, an internal
+        node the binarized copy (when ``config.binarize``)."""
+        if self._federation.config.binarize and not self._node(node_id).is_leaf:
+            own = sign_binarize(own)
+        self.carry(node_id, rows, own)

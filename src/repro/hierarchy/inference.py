@@ -18,14 +18,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.obs as obs
 from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec, resolve_search
-from repro.hierarchy.federation import EdgeHDFederation
+from repro.hierarchy.federation import EdgeHDFederation, LazyEncodings
 from repro.network.message import Message, MessageKind
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_labels, check_matrix
@@ -232,7 +232,7 @@ class HierarchicalInference:
         start_leaves: Optional[np.ndarray] = None,
         max_level: Optional[int] = None,
         seed: int = 0,
-        encodings: Optional[Dict[int, np.ndarray]] = None,
+        encodings: Union[Dict[int, np.ndarray], LazyEncodings, None] = None,
     ) -> InferenceOutcome:
         """Classify a test batch with escalation.
 
@@ -241,8 +241,10 @@ class HierarchicalInference:
         leaves. ``max_level`` caps escalation (e.g. 2 = stop at the
         gateways), used by the Fig. 11 level sweep. ``encodings`` may
         pass precomputed ``encode_all(features)`` output (or any subset
-        of it, e.g. just the start leaves) to avoid re-encoding; nodes
-        missing from it are encoded on demand.
+        of it) to avoid re-encoding, or a
+        :class:`~repro.hierarchy.federation.LazyEncodings` over
+        ``features`` that already holds some rows' encodings (a cluster
+        worker's start leaves); the rest are encoded on demand.
 
         The walk is batch-first: each node classifies its whole cohort
         of pending queries in one vectorized call (using the kernel
@@ -271,47 +273,26 @@ class HierarchicalInference:
                 raise ValueError(f"start_leaves contains non-leaf ids {unknown}")
         cap = self.effective_cap(max_level)
 
-        # Encodings and predictions are materialized lazily, whole
-        # batch at a time, the first time the walk reaches a node (one
-        # vectorized associative search per visited node). Confidence
-        # gating stops most queries at their entry leaf, so untouched
-        # subtrees are never encoded; the values computed for visited
-        # nodes are bit-identical to the eager encode-everything path.
+        # Encodings are materialized lazily, per cohort, the first time
+        # the walk reaches a node (one vectorized associative search per
+        # cohort). A parent's cohort reuses the forwards its children
+        # computed and encodes only the sibling subtrees its rows lack;
+        # untouched subtrees are never encoded. The values are
+        # bit-identical to the eager encode-everything path.
         with obs.span("hierarchical_inference", n=n, cap=cap):
-            lazy = self.federation.encode_lazy(mat, prefill=encodings)
-            predictions: Dict[int, "PredictionResult"] = {}
-
-            def pred(node_id: int):
-                cached = predictions.get(node_id)
-                if cached is None:
-                    cached = self.federation.classifiers[node_id].predict(
-                        lazy.own(node_id), search=self.search
-                    )
-                    predictions[node_id] = cached
-                return cached
+            lazy = (
+                encodings if isinstance(encodings, LazyEncodings)
+                else self.federation.encode_lazy(mat, prefill=encodings)
+            )
 
             def cohort(
                 node_id: int, rows: np.ndarray, where: Optional[np.ndarray]
             ):
-                """(labels, confidence) for ``rows[where]`` at ``node_id``.
-
-                Uses the whole-batch prediction when the node's encoding
-                is already in hand (prefilled leaves, repeat visits);
-                otherwise encodes just the cohort's rows, so an internal
-                node only pays for the queries that escalated to it.
-                """
+                """(labels, confidence) for ``rows[where]`` at ``node_id``."""
                 if where is not None:
                     rows = rows[where]
-                if (
-                    rows.size == n
-                    or node_id in predictions
-                    or lazy.materialized(node_id)
-                ):
-                    decided = pred(node_id)
-                    return decided.labels[rows], decided.top_confidence[rows]
                 decided = self.federation.classifiers[node_id].predict(
-                    self.federation.encode_at(node_id, mat[rows]),
-                    search=self.search,
+                    lazy.own_rows(node_id, rows), search=self.search
                 )
                 return decided.labels, decided.top_confidence
 

@@ -9,8 +9,11 @@ at 46.5 / 23.5 Mbps, Bluetooth 4.0 at 1 Mbps) are used directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping
+
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # type-only: repro.hierarchy already imports repro.network
     from repro.hierarchy.topology import Hierarchy
@@ -31,12 +34,10 @@ class Medium:
     rx_energy_per_bit: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_bps}")
-        if self.latency_s < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency_s}")
-        if self.tx_energy_per_bit < 0 or self.rx_energy_per_bit < 0:
-            raise ValueError("energy per bit must be >= 0")
+        check_positive("bandwidth_bps", self.bandwidth_bps)
+        check_positive("latency_s", self.latency_s, allow_zero=True)
+        check_positive("tx_energy_per_bit", self.tx_energy_per_bit, allow_zero=True)
+        check_positive("rx_energy_per_bit", self.rx_energy_per_bit, allow_zero=True)
 
     def transfer_time(self, payload_bytes: int, jitter_s: float = 0.0) -> float:
         """Seconds to push ``payload_bytes`` through this link.
@@ -47,8 +48,8 @@ class Medium:
         """
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
-        if jitter_s < 0:
-            raise ValueError("jitter_s must be >= 0")
+        if not 0.0 <= jitter_s < math.inf:  # NaN fails too
+            raise ValueError(f"jitter_s must be >= 0 and finite, got {jitter_s}")
         return (
             self.latency_s + jitter_s + (payload_bytes * 8) / self.bandwidth_bps
         )

@@ -227,19 +227,17 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
             # process doesn't read as a dead replica to the router.
             seq += 1
             result_q.put(("hb", spec.replica_id, seq))
-            # Encode only the entry leaves present in this batch
-            # eagerly (timed as the encode stage); escalation
-            # materializes internal-node encodings on demand inside
-            # ``run`` (timed as search). Confidence gating stops most
-            # queries at their leaf, so untouched subtrees are never
-            # projected — the bulk of the old encode-everything cost.
+            # Encode each query at its entry leaf up front (timed as the
+            # encode stage); escalation encodes the rest inside ``run``
+            # (timed as search), one cohort per visited node, reusing
+            # these rows. Confidence gating stops most queries at their
+            # leaf, so untouched subtrees are never projected.
             n_batch = len(indices)
             leaves_arr = np.asarray(leaves, dtype=np.int64)
             t0 = time.perf_counter()
-            encodings = {
-                int(leaf): federation.encode_leaf(int(leaf), rows)
-                for leaf in np.unique(leaves_arr)
-            }
+            encodings = federation.encode_lazy(rows)
+            for leaf in np.unique(leaves_arr).tolist():
+                encodings.forward_rows(leaf, np.flatnonzero(leaves_arr == leaf))
             t1 = time.perf_counter()
             outcome = inference.run(
                 rows,

@@ -45,7 +45,7 @@ import numpy as np
 from repro.network.failure import FailureModel, drop_blocks, drop_dimensions
 from repro.network.message import Message, MessageKind
 from repro.utils.rng import SeedLike, derive_rng
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["FaultPlan"]
 
@@ -95,10 +95,7 @@ class FaultPlan:
         check_probability("drop_probability", self.drop_probability)
         check_probability("dimension_loss", self.dimension_loss)
         check_probability("block_loss", self.block_loss)
-        if self.latency_jitter_s < 0:
-            raise ValueError(
-                f"latency_jitter_s must be >= 0, got {self.latency_jitter_s}"
-            )
+        check_positive("latency_jitter_s", self.latency_jitter_s, allow_zero=True)
         if self.block_size < 1:
             raise ValueError(
                 f"block_size must be >= 1, got {self.block_size}"
@@ -107,24 +104,18 @@ class FaultPlan:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.timeout_s < 0:
-            raise ValueError(f"timeout_s must be >= 0, got {self.timeout_s}")
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
+        check_positive("timeout_s", self.timeout_s, allow_zero=True)
+        check_positive("backoff_base_s", self.backoff_base_s, allow_zero=True)
+        check_positive("backoff_factor", self.backoff_factor)
         if self.backoff_factor < 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if self.hop_timeout_s <= 0:
-            raise ValueError(
-                f"hop_timeout_s must be > 0, got {self.hop_timeout_s}"
-            )
+        check_positive("hop_timeout_s", self.hop_timeout_s)
         windows: Dict[int, Tuple[float, float]] = {}
         for node_id, window in dict(self.crash_windows).items():
             start, end = float(window[0]), float(window[1])
-            if start < 0 or end < start:
+            if not 0 <= start <= end:  # NaN fails too
                 raise ValueError(
                     f"crash window for node {node_id} must satisfy "
                     f"0 <= start <= end, got ({start}, {end})"
@@ -194,10 +185,10 @@ class FaultPlan:
     ) -> np.ndarray:
         """Dimension/block loss suffered by one in-flight query row.
 
-        Applied at the receiving node: the runtime recomputes encodings
-        from raw features (deterministic, so batching cannot change an
+        Applied at the receiving node: the runtime encodes from the
+        undamaged forwards (deterministic, so batching cannot change an
         answer), so the loss the bundle suffered on the wire is
-        replayed onto the freshly computed row. The damage pattern
+        replayed onto the row the node classifies. The damage pattern
         derives from ``(seed, node, request index)`` only.
         """
         out = encoded_row

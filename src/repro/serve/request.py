@@ -77,6 +77,11 @@ class ServeRequest:
     #: (child, parent) edges this request escalated over — the edges
     #: the answer descends (and is charged) on the way back.
     charged_path: List[Tuple[int, int]] = field(default_factory=list)
+    #: (node, row) of the highest node that has encoded this request so
+    #: far: what it forwards upward (undamaged), so the next node
+    #: projects it instead of re-encoding the subtree. Dropped when the
+    #: request finishes.
+    forwarded: Optional[Tuple[int, np.ndarray]] = None
     future: Optional["asyncio.Future[ServeResponse]"] = None
     #: per-request trace (None when tracing is disabled). The context
     #: travels with the request through queues and escalation bundles,

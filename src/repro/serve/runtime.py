@@ -16,11 +16,13 @@ time is simulated with ``asyncio.sleep``, energy and bytes accumulate
 in the result. Answers descend the escalation path as
 :data:`~repro.hierarchy.inference.PREDICTION_BYTES` each.
 
-The runtime computes node encodings from the raw feature rows
-(:meth:`EdgeHDFederation.encode_at` — deterministic, so micro-batch
-composition cannot change any answer) rather than decoding the noisy
-bundles; the offline walk charges wire bytes the same way, which is
-what keeps served and offline outcomes identical.
+A request carries up what its last node forwarded (undamaged), and
+each node encodes only the sibling subtrees its cohort lacks, through
+the :class:`~repro.hierarchy.federation.LazyEncodings` the offline walk
+uses — each (query, node) pair once, deterministic row by row, so
+micro-batch composition cannot change any answer. Noisy bundles are
+never decoded; the offline walk charges wire bytes the same way, which
+is what keeps served and offline outcomes identical.
 
 With a :class:`~repro.serve.faults.FaultPlan` the same tree serves
 through an unreliable network: escalation attempts drop and pay
@@ -54,6 +56,7 @@ from repro.serve.queueing import POLICIES, BoundedQueue, QueueTimeout, ShedError
 from repro.serve.request import ServeRequest, ServeResponse, ServeResult
 from repro.serve.tracing import RequestTraceLog, TraceContext
 from repro.serve.workload import ServeWorkload, open_loop_arrivals
+from repro.utils.validation import check_positive
 
 __all__ = ["ServeConfig", "ServingRuntime"]
 
@@ -98,8 +101,9 @@ class ServeConfig:
             raise ValueError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        if self.service_time_base_s < 0:
-            raise ValueError("service_time_base_s must be >= 0")
+        check_positive(
+            "service_time_base_s", self.service_time_base_s, allow_zero=True
+        )
         if self.search is not None and not isinstance(self.search, SearchSpec):
             raise TypeError(
                 f"search must be a SearchSpec or None, got "
@@ -198,17 +202,39 @@ class _NodeServer:
     def _predict(
         self, batch: List[ServeRequest]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One vectorized encode + associative search for the cohort."""
+        """One vectorized encode + associative search for the cohort.
+
+        Rows that escalated here bring what the node below forwarded
+        (:attr:`ServeRequest.forwarded`), so only the sibling subtrees
+        they lack are encoded; a node below the root hands its own
+        forward to every request in turn.
+        """
         rt = self.runtime
         rows = np.stack([req.features for req in batch])
         t0 = time.perf_counter()
-        encoded = rt.federation.encode_at(self.node_id, rows, view="own")
+        lazy = rt.federation.encode_lazy(rows)
+        carried: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
+        for i, req in enumerate(batch):
+            if req.forwarded is not None:
+                node_id, row = req.forwarded
+                at, held = carried.setdefault(node_id, ([], []))
+                at.append(i)
+                held.append(row)
+        for node_id, (at, held) in carried.items():
+            lazy.carry(node_id, np.asarray(at), np.stack(held))
+        everyone = np.arange(len(batch))
+        encoded = lazy.own_rows(self.node_id, everyone)
+        if self.node.parent is not None:
+            forwarded = lazy.forward_rows(self.node_id, everyone)
+            for req, row in zip(batch, forwarded):
+                req.forwarded = (self.node_id, row)
         plan = rt.plan
         if plan is not None and plan.corrupts_payload:
             # Replay the wire damage onto rows that escalated to get
             # here; the pattern derives from (seed, node, request), so
-            # batch composition cannot change it.
-            encoded = np.asarray(encoded, dtype=np.float64)
+            # batch composition cannot change it. The forwards handed
+            # on above stay undamaged, as a fresh encoding would be.
+            encoded = np.array(encoded, dtype=np.float64)
             for i, req in enumerate(batch):
                 if req.charged_path:
                     encoded[i] = plan.corrupt(
@@ -874,6 +900,7 @@ class ServingRuntime:
         loop = asyncio.get_running_loop()
         now = loop.time()
         self._last_completion = max(self._last_completion, now)
+        req.forwarded = None
         req.timings.total_ms = (now - req.arrival_s) * 1e3
         response = ServeResponse(
             index=req.index,

@@ -7,8 +7,12 @@ paper-scale parameters.
 
 from __future__ import annotations
 
+import os
+import platform
+
 import numpy as np
 import pytest
+import scipy
 
 from repro.config import EdgeHDConfig
 from repro.data import load_dataset, make_classification, partition_features
@@ -18,6 +22,34 @@ from repro.hierarchy import (
     HierarchicalInference,
     build_tree,
 )
+
+
+#: BLAS / OpenMP thread settings that can change kernel choice and timing.
+_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+
+def pytest_report_header(config):
+    """Name the numeric stack in the log: CI installs numpy and scipy
+    unpinned, and the bit-exactness pins rest on their kernels (scipy's
+    int16 CSR product among them)."""
+    threads = " ".join(
+        f"{name}={os.environ.get(name, '-')}" for name in _THREAD_VARS
+    )
+    return [
+        f"numeric stack: python {platform.python_version()}, "
+        f"numpy {np.__version__}, scipy {scipy.__version__}",
+        f"BLAS threads: {threads}",
+    ]
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """``-q`` (the configured default) hides the header: repeat it last."""
+    if config.get_verbosity() < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.hypervector import cosine, random_bipolar, sign_binarize
 from repro.core.projection import (
+    PAD_WIDTH,
     _DRAW_BLOCK_CELLS,
     TernaryProjection,
     concatenate_hypervectors,
@@ -125,6 +126,54 @@ class TestSparseDraw:
         proj.project(random_bipolar(4000, seed=29))
         biggest = max(a.nbytes for a in _reachable_arrays(proj))
         assert biggest <= 4 * 2 ** 20
+
+
+class _WidthRecorder:
+    """Stands in for a CSR matrix and records each operand's width."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.widths = []
+
+    def __matmul__(self, operand):
+        self.widths.append(operand.shape[1])
+        return self.matrix @ operand
+
+
+class TestPaddedWidth:
+    """The batch axis is padded to PAD_WIDTH; no bit of the output moves."""
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_width_sweep_equals_dense(self, dtype, binarize):
+        proj = TernaryProjection(
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=35, binarize=binarize
+        )
+        assert proj._matrix16 is not None
+        dense_t = proj.matrix.toarray().T.astype(np.float64)
+        x = random_bipolar(600, count=40, seed=36).astype(dtype)
+        for width in range(1, 41):
+            rows = x[:width]
+            want = (rows.astype(np.float64) @ dense_t) * proj._scale
+            if binarize:
+                want = sign_binarize(want)
+            got = proj.project(rows)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), width
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_operand_padded_to_simd_width(self, dtype):
+        proj = TernaryProjection(
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=37, binarize=False
+        )
+        name = "_matrix16" if dtype == np.int8 else "matrix"
+        recorder = _WidthRecorder(getattr(proj, name))
+        setattr(proj, name, recorder)
+        x = random_bipolar(600, count=17, seed=38).astype(dtype)
+        for width in (1, 2, 7, 8, 9, 16, 17):
+            proj.project(x[:width])
+        assert PAD_WIDTH == 8
+        assert recorder.widths == [1, 8, 8, 8, 16, 16, 24]
 
 
 class TestInt16Path:

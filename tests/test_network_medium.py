@@ -69,6 +69,11 @@ class TestMedium:
         with pytest.raises(ValueError):
             m.transfer_energy(-1)
 
+    @pytest.mark.parametrize("jitter_s", [-1e-3, float("nan"), float("inf")])
+    def test_invalid_jitter(self, jitter_s):
+        with pytest.raises(ValueError, match="jitter_s"):
+            MEDIA["wired-1gbps"].transfer_time(100, jitter_s=jitter_s)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Medium("bad", 0.0, 0.0, 0.0, 0.0)
@@ -76,3 +81,17 @@ class TestMedium:
             Medium("bad", 1e6, -1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             Medium("bad", 1e6, 0.0, -1e-9, 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["bandwidth_bps", "latency_s", "tx_energy_per_bit", "rx_energy_per_bit"],
+    )
+    def test_non_finite_construction(self, field, value):
+        kwargs = dict(
+            bandwidth_bps=1e6, latency_s=0.0,
+            tx_energy_per_bit=0.0, rx_energy_per_bit=0.0,
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            Medium("bad", **kwargs)

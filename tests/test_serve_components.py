@@ -240,6 +240,8 @@ class TestConfigAndResult:
             dict(queue_depth=0),
             dict(policy="nope"),
             dict(service_time_base_s=-1.0),
+            dict(service_time_base_s=float("nan")),
+            dict(service_time_base_s=float("inf")),
         ):
             with pytest.raises(ValueError):
                 ServeConfig(**bad)

@@ -220,6 +220,19 @@ class TestFaultPlanValidation:
             {"hop_timeout_s": 0.0},
             {"crash_windows": {1: (2.0, 1.0)}},
             {"crash_windows": {1: (-1.0, 2.0)}},
+            {"latency_jitter_s": float("nan")},
+            {"latency_jitter_s": float("inf")},
+            {"timeout_s": float("nan")},
+            {"timeout_s": float("inf")},
+            {"backoff_base_s": float("nan")},
+            {"backoff_base_s": float("inf")},
+            {"backoff_factor": float("nan")},
+            {"backoff_factor": float("inf")},
+            {"hop_timeout_s": float("nan")},
+            {"hop_timeout_s": float("inf")},
+            {"drop_probability": float("nan")},
+            {"crash_windows": {1: (float("nan"), 2.0)}},
+            {"crash_windows": {1: (0.0, float("nan"))}},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
