@@ -38,7 +38,8 @@ they have no bounds. It attributes an end-to-end change to its layers.
 ``--append [PATH]`` also adds one JSON line to the trajectory, by
 default the committed ``benchmarks/results/trajectory.jsonl``: the two
 commits, the provenance, and per workload and metric both medians, the
-wins and the verdict.
+parent's quartiles, the wins, the median per-pair ratio and the
+verdict.
 
 Exit status 1 when a run broke or an exact metric differs; timing
 verdicts do not set it.
@@ -239,14 +240,20 @@ def table(rows: List[dict]) -> List[str]:
 def trajectory_row(
     parent: str, change: str, provenance: dict, rows: List[dict]
 ) -> dict:
-    """One line of the trajectory: what the table says, as medians."""
+    """One line of the trajectory: what the table says, as medians,
+    with the parent's quartiles and the median per-pair ratio, so the
+    rule a claimed gain must meet can be checked from the row alone."""
     workloads: Dict[str, dict] = {}
     for row in rows:
+        q1, med, q3 = quartiles(row["parent"])
         workloads.setdefault(row["workload"], {})[row["metric"]] = {
-            "parent": statistics.median(row["parent"]),
+            "parent": med,
+            "parent_q1": q1,
+            "parent_q3": q3,
             "change": statistics.median(row["change"]),
             "wins": row["wins"],
             "pairs": len(row["parent"]),
+            "ratio": row["ratio"],
             "verdict": row["verdict"],
         }
     return {"parent": parent, "change": change,

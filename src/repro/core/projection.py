@@ -11,6 +11,8 @@ information (the robustness experiment of Fig. 12 hinges on this).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -72,6 +74,40 @@ def _draw_ternary_csr(
     )
 
 
+class _Draw:
+    """The matrix a (seed, out, in, zero fraction) key draws, and its
+    int16 twin. Projections with the same key share one while it is
+    alive, so every array is frozen."""
+
+    def __init__(
+        self, seed: SeedLike, out_dimension: int, in_dimension: int,
+        zero_fraction: float,
+    ) -> None:
+        self.matrix = _draw_ternary_csr(
+            derive_rng(seed, "ternary-projection"),
+            out_dimension, in_dimension, zero_fraction,
+        )
+        # For int8 input an output element sums at most (max row nnz)
+        # terms of magnitude <= 128: exact in int16 when that product
+        # fits, as it does for the hierarchy's ~64-non-zero rows.
+        self.matrix16: csr_matrix | None = None
+        if int(np.diff(self.matrix.indptr).max()) * 128 <= np.iinfo(np.int16).max:
+            self.matrix16 = csr_matrix(
+                (self.matrix.data.astype(np.int16), self.matrix.indices,
+                 self.matrix.indptr),
+                shape=self.matrix.shape,
+            )
+        for csr in (self.matrix, self.matrix16):
+            if csr is not None:
+                for array in (csr.data, csr.indices, csr.indptr):
+                    array.flags.writeable = False
+
+
+#: The live draws by (int seed, out, in, zero fraction), held weakly:
+#: once no projection holds a draw, the next build draws it again.
+_LIVE_DRAWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def concatenate_hypervectors(parts: list[np.ndarray]) -> np.ndarray:
     """Concatenate per-child hypervectors along the last axis.
 
@@ -108,7 +144,11 @@ class TernaryProjection:
         between -1 and +1. Sparse projections are cheaper on the FPGA.
     seed:
         Deterministic basis seed — all replicas of a gateway regenerate
-        the same matrix offline.
+        the same matrix offline. Within a process, an integer seed's
+        matrix is drawn once: a projection built while one with the same
+        seed, dimensions and zero fraction is alive shares its frozen
+        (read-only) CSR arrays instead of redrawing them. Once no
+        projection holds a draw, the next build draws again.
     """
 
     def __init__(
@@ -130,32 +170,26 @@ class TernaryProjection:
         self.out_dimension = int(out_dimension)
         self.zero_fraction = float(zero_fraction)
         self.binarize = bool(binarize)
+        shape = (self.out_dimension, self.in_dimension, self.zero_fraction)
+        # Only an integer seed names a matrix; a Generator draws anew.
+        key = (int(seed), *shape) if isinstance(seed, (int, np.integer)) else None
+        # Holding the draw is what keeps it in the memo.
+        self._draw = _LIVE_DRAWS.get(key) or _Draw(seed, *shape)
+        if key is not None:
+            _LIVE_DRAWS[key] = self._draw
         #: The {-1, 0, +1} matrix as CSR, ``out x in``: only the
         #: non-zeros are stored (what ships to the FPGA) and multiplied.
-        self.matrix = _draw_ternary_csr(
-            derive_rng(seed, "ternary-projection"),
-            self.out_dimension,
-            self.in_dimension,
-            self.zero_fraction,
-        )
+        #: Read-only: other projections may hold the same arrays.
+        self.matrix = self._draw.matrix
+        #: The same matrix with int16 data, for int8 input; None when
+        #: int16 sums may overflow.
+        self._matrix16 = self._draw.matrix16
         # Variance-preserving scale: each output element sums
         # ~in_dim * (1 - zero_fraction) random +/-1 contributions, so
         # dividing by sqrt of that keeps the element variance of the
         # input. Without it, projected values drown any un-projected
         # sibling hypervector they are later concatenated with.
         self._scale = 1.0 / np.sqrt(in_dimension * (1.0 - zero_fraction))
-        #: The same matrix with int16 data, for int8 input: an output
-        #: element is a sum of at most (max row nnz) terms of magnitude
-        #: <= 128, exact in int16 when that product fits, as it does
-        #: for the hierarchy's ~64-non-zero rows. None when it may not.
-        self._matrix16: csr_matrix | None = None
-        row_nnz = int(np.diff(self.matrix.indptr).max())
-        if row_nnz * 128 <= np.iinfo(np.int16).max:
-            self._matrix16 = csr_matrix(
-                (self.matrix.data.astype(np.int16), self.matrix.indices,
-                 self.matrix.indptr),
-                shape=self.matrix.shape,
-            )
 
     def project(self, hypervectors: np.ndarray) -> np.ndarray:
         """Project (a batch of) concatenated hypervectors.

@@ -208,7 +208,8 @@ class EdgeHDFederation:
         the config and the node-id-keyed seed, so a rebuilt node is
         bit-identical to one created at construction time. For the same
         reason a projection whose dimensions and zero fraction did not
-        change is kept, not redrawn: the draw would give the same matrix.
+        change shares the matrix it replaces (``TernaryProjection`` draws
+        a seed's matrix once while it is alive).
         """
         node = self.hierarchy.nodes[node_id]
         node_seed = self.node_seed(node_id)
@@ -232,14 +233,10 @@ class EdgeHDFederation:
                 zero_fraction = max(
                     0.0, 1.0 - self.config.projection_nonzeros / in_dim
                 )
-                kept = self.projections.get(node_id)
-                if kept is None or (
-                    kept.in_dimension, kept.out_dimension, kept.zero_fraction
-                ) != (in_dim, node.dimension, zero_fraction):
-                    self.projections[node_id] = TernaryProjection(
-                        in_dim, node.dimension, zero_fraction=zero_fraction,
-                        seed=node_seed, binarize=False,
-                    )
+                self.projections[node_id] = TernaryProjection(
+                    in_dim, node.dimension, zero_fraction=zero_fraction,
+                    seed=node_seed, binarize=False,
+                )
             else:
                 self.projections[node_id] = None
         self.classifiers[node_id] = HDClassifier(self.n_classes, node.dimension)

@@ -121,3 +121,38 @@ def test_trace_flag_end_to_end(monkeypatch, tmp_path, capsys):
     assert written["provenance"]["trace"] is True
     fit = written["workloads"][WORKLOADS[0]]["hierarchy.fit_s"]
     assert fit["wins"] == 3 and fit["pairs"] == 4 and fit["verdict"] is None
+    q1, med, q3 = pairs.quartiles([p for p, _ in FIT_S])
+    assert (fit["parent_q1"], fit["parent"], fit["parent_q3"]) == (q1, med, q3)
+    assert fit["ratio"] == statistics.median([c / p for p, c in FIT_S])
+
+
+def _end_to_end(throughput: float) -> dict:
+    return {
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {
+            m["name"]: {"value": throughput if m["name"] == "throughput_rps"
+                        else 1.0, "unit": m["unit"]}
+            for m in CONTRACT["end_to_end"]
+        },
+    }
+
+
+def test_trajectory_row_lets_the_gain_rule_be_checked():
+    """A row keeps what the claimed-gain rule reads: wins, pairs, both
+    medians and the parent's quartiles. Recomputed from the row alone,
+    the rule gives the verdict the table gave."""
+    parent = [100.0, 104.0, 98.0, 101.0, 99.0, 103.0, 97.0, 102.0, 100.0, 96.0]
+    change = [p * 1.2 for p in parent[:-1]] + [90.0]
+    canned = [({"serve_learn": _end_to_end(p)}, {"serve_learn": _end_to_end(c)})
+              for p, c in zip(parent, change)]
+    rows = pairs.compare(CONTRACT, canned)
+    row = pairs.trajectory_row("a", "b", {}, rows)
+    entry = row["workloads"]["serve_learn"]["throughput_rps"]
+    assert entry["verdict"] == "better"
+    assert entry["wins"] == 9 and entry["pairs"] == 10
+    assert entry["ratio"] == statistics.median(
+        [c / p for p, c in zip(parent, change)]
+    )
+    gain = entry["change"] - entry["parent"]
+    assert gain > entry["parent_q3"] - entry["parent_q1"]
+    assert entry["wins"] >= pairs.WIN_SHARE * entry["pairs"]

@@ -1,5 +1,7 @@
 """Unit tests for ternary holographic projection and concatenation."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from repro.core.hypervector import cosine, random_bipolar, sign_binarize
 from repro.core.projection import (
     PAD_WIDTH,
     _DRAW_BLOCK_CELLS,
+    _LIVE_DRAWS,
     TernaryProjection,
+    _draw_ternary_csr,
     concatenate_hypervectors,
 )
 from repro.utils.rng import derive_rng
@@ -229,6 +233,69 @@ class TestInt16Path:
             proj.project(np.ones((2, 2, 10), dtype=np.int8))
 
 
+class TestSharedDraw:
+    """One draw per live (int seed, out, in, zero fraction), frozen, and
+    gone once no projection holds it."""
+
+    def test_identical_live_projections_share_the_matrices(self):
+        a = TernaryProjection(300, 200, zero_fraction=0.5, seed=40)
+        b = TernaryProjection(300, 200, zero_fraction=0.5, seed=np.int64(40),
+                              binarize=False)
+        assert a is not b and a.binarize != b.binarize
+        assert a.matrix is b.matrix and a._matrix16 is b._matrix16
+
+    @pytest.mark.parametrize("other", [
+        dict(seed=42), dict(in_dimension=301), dict(out_dimension=201),
+        dict(zero_fraction=0.25),
+    ])
+    def test_different_keys_never_share(self, other):
+        base = dict(in_dimension=300, out_dimension=200, zero_fraction=0.5,
+                    seed=41)
+        changed = {**base, **other}
+        a = TernaryProjection(**base)
+        b = TernaryProjection(**changed)
+        assert a.matrix is not b.matrix
+        assert np.array_equal(b.matrix.toarray(), _reference_matrix(
+            changed["in_dimension"], changed["out_dimension"],
+            changed["zero_fraction"], changed["seed"],
+        ))
+
+    def test_generator_seeds_never_share(self):
+        a = TernaryProjection(100, 80, seed=np.random.default_rng(43))
+        b = TernaryProjection(100, 80, seed=np.random.default_rng(43))
+        assert a.matrix is not b.matrix
+        assert np.array_equal(a.matrix.toarray(), b.matrix.toarray())
+
+    def test_released_draw_leaves_the_memo_and_is_drawn_again(self):
+        """Once no projection holds a draw the memo forgets it, so the
+        next build (a new cycle's fit) draws again, bit for bit."""
+        gc.collect()
+        before = set(_LIVE_DRAWS.keys())
+        key = (44, 200, 300, 0.5)
+        first = TernaryProjection(300, 200, zero_fraction=0.5, seed=44)
+        assert set(_LIVE_DRAWS.keys()) == before | {key}
+        old = first.matrix.toarray()
+        del first
+        gc.collect()
+        assert set(_LIVE_DRAWS.keys()) == before
+        again = TernaryProjection(300, 200, zero_fraction=0.5, seed=44)
+        assert np.array_equal(again.matrix.toarray(), old)
+        assert np.array_equal(
+            again.matrix.toarray(), _reference_matrix(300, 200, 0.5, 44)
+        )
+
+    def test_shared_arrays_are_read_only(self):
+        proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600,
+                                 seed=46)
+        assert proj._matrix16 is not None
+        for matrix in (proj.matrix, proj._matrix16):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+        x = random_bipolar(600, count=3, seed=47)
+        assert np.array_equal(proj.project(x), proj.project(x.astype(float)))
+
+
 class TestTernaryProjection:
     def test_matrix_values(self):
         proj = TernaryProjection(100, 80, seed=1)
@@ -252,9 +319,13 @@ class TestTernaryProjection:
         assert out.shape == (7, 48)
 
     def test_deterministic(self):
-        a = TernaryProjection(64, 64, seed=6).matrix
-        b = TernaryProjection(64, 64, seed=6).matrix
-        assert np.array_equal(a.toarray(), b.toarray())
+        """Equal to a draw taken straight from the seed's stream: a
+        second projection would share the first one's draw."""
+        direct = _draw_ternary_csr(
+            derive_rng(6, "ternary-projection"), 64, 64, 1.0 / 3.0
+        )
+        proj = TernaryProjection(64, 64, seed=6)
+        assert np.array_equal(proj.matrix.toarray(), direct.toarray())
 
     def test_variance_preserving(self):
         """Non-binarized projection keeps per-element variance ~input's."""

@@ -18,11 +18,13 @@ Pins the control plane's core contracts:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
-from repro.core.projection import TernaryProjection
+from repro.core.projection import _LIVE_DRAWS, _draw_ternary_csr
 from repro.data import make_classification
 from repro.data.partition import FeaturePartition, partition_features
 from repro.hierarchy import (
@@ -35,6 +37,7 @@ from repro.hierarchy import (
     build_deep_tree,
     build_tree,
 )
+from repro.utils.rng import derive_rng
 
 N_FEATURES = 16
 N_CLASSES = 3
@@ -187,34 +190,46 @@ class TestJoin:
             controller.join(hierarchy.root_id)
 
 
-def _redrawn(fed: EdgeHDFederation, node_id: int) -> TernaryProjection:
-    """A fresh draw of a node's projection, from its seed and shape."""
-    kept = fed.projections[node_id]
-    return TernaryProjection(
-        kept.in_dimension, kept.out_dimension,
-        zero_fraction=kept.zero_fraction, seed=fed.node_seed(node_id),
-        binarize=False,
-    )
+def _reference_draw(fed: EdgeHDFederation, node_id: int) -> np.ndarray:
+    """A node's matrix drawn straight from its seed and shape. A second
+    ``TernaryProjection`` would share the live draw, not redraw it."""
+    live = fed.projections[node_id]
+    return _draw_ternary_csr(
+        derive_rng(fed.node_seed(node_id), "ternary-projection"),
+        live.out_dimension, live.in_dimension, live.zero_fraction,
+    ).toarray()
+
+
+def _draw_keys(fed: EdgeHDFederation) -> set:
+    """The shared-draw memo keys of a federation's projections."""
+    return {
+        (fed.node_seed(nid), p.out_dimension, p.in_dimension, p.zero_fraction)
+        for nid, p in fed.projections.items() if p is not None
+    }
 
 
 class TestKeptProjection:
-    """A refit keeps a projection whose shape did not change; it is the
-    matrix a fresh draw would give."""
+    """A refit or a restore shares the matrix of a projection whose
+    shape did not change; it is the matrix a fresh draw would give."""
 
-    def test_root_keeps_its_projection_through_join_and_drain(self, data):
+    def test_root_keeps_its_projection_through_join_and_drain(
+        self, data, tmp_path
+    ):
         controller = make_controller(data)
         fed = controller.federation
         root = fed.hierarchy.root_id
         before = fed.projections[root]
         joined = controller.join(root)
         assert root in joined.refit_nodes
-        assert fed.projections[root] is before
+        assert fed.projections[root].matrix is before.matrix
         drained = controller.drain(joined.node_id)
         assert root in drained.refit_nodes
-        assert fed.projections[root] is before
-        assert np.array_equal(
-            before.matrix.toarray(), _redrawn(fed, root).matrix.toarray()
-        )
+        assert fed.projections[root].matrix is before.matrix
+        path = tmp_path / "ctl.npz"
+        controller.checkpoint(path)
+        restored = TopologyController.restore(path, *data)
+        assert restored.federation.projections[root].matrix is before.matrix
+        assert np.array_equal(before.matrix.toarray(), _reference_draw(fed, root))
 
     def test_gateway_with_new_input_dimension_draws_anew(self, data):
         controller = make_controller(data)
@@ -227,11 +242,39 @@ class TestKeptProjection:
         ]
         assert reshaped and fed.hierarchy.root_id not in reshaped
         for nid in reshaped:
-            assert fed.projections[nid] is not before[nid]
+            assert fed.projections[nid].matrix is not before[nid].matrix
             assert np.array_equal(
-                fed.projections[nid].matrix.toarray(),
-                _redrawn(fed, nid).matrix.toarray(),
+                fed.projections[nid].matrix.toarray(), _reference_draw(fed, nid)
             )
+
+    def test_restore_with_no_live_federation_draws_the_same(
+        self, data, tmp_path
+    ):
+        controller = make_controller(data)
+        fed = controller.federation
+        path = tmp_path / "ctl.npz"
+        controller.checkpoint(path)
+        keys = _draw_keys(fed)
+        models = {
+            nid: clf.class_hypervectors.copy()
+            for nid, clf in fed.classifiers.items()
+        }
+        references = {
+            nid: _reference_draw(fed, nid)
+            for nid, p in fed.projections.items() if p is not None
+        }
+        fingerprint = controller.fingerprint()
+        del controller, fed
+        gc.collect()
+        assert not keys & set(_LIVE_DRAWS.keys())
+        restored = TopologyController.restore(path, *data)
+        twin = restored.federation
+        assert restored.fingerprint() == fingerprint
+        assert _draw_keys(twin) == keys
+        for nid, model in models.items():
+            assert np.array_equal(twin.classifiers[nid].class_hypervectors, model)
+        for nid, reference in references.items():
+            assert np.array_equal(twin.projections[nid].matrix.toarray(), reference)
 
 
 class TestDrain:
