@@ -111,14 +111,15 @@ def permute(a: np.ndarray, shift: int = 1) -> np.ndarray:
 
 
 def sign_binarize(a: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Map to {-1, +1} with ``sign()``; zeros break ties randomly.
+    """Map to {-1, +1} by sign; zeros and NaNs break ties randomly.
 
     Random tie-breaking keeps the result unbiased (deterministic +1 for
     zeros would correlate otherwise-independent hypervectors).
     """
     # Elementwise on any shape by contract; no structure to validate.
     a = np.asarray(a)  # repro-lint: disable=REPRO108
-    out = np.sign(a).astype(np.int8)
+    # Not np.sign: casting its NaN to int8 is implementation-defined.
+    out = (a > 0).view(np.int8) - (a < 0).view(np.int8)
     zeros = out == 0
     if np.any(zeros):
         if rng is None:

@@ -233,6 +233,7 @@ class HierarchicalInference:
         max_level: Optional[int] = None,
         seed: int = 0,
         encodings: Union[Dict[int, np.ndarray], LazyEncodings, None] = None,
+        max_batch: Optional[int] = None,
     ) -> InferenceOutcome:
         """Classify a test batch with escalation.
 
@@ -250,7 +251,10 @@ class HierarchicalInference:
         of pending queries in one vectorized call (using the kernel
         selected by ``self.search``), and confidence gating
         escalates entire sub-batches at once. The escalation decisions
-        are identical to walking queries one at a time.
+        are identical to walking queries one at a time. ``max_batch``
+        caps a node visit: a larger cohort goes through :meth:`step` in
+        chunks of at most that many rows, the rule the serving runtimes
+        follow. Answers and escalation counts do not depend on it.
         """
         hierarchy = self.federation.hierarchy
         mat = check_matrix(
@@ -272,6 +276,8 @@ class HierarchicalInference:
             if unknown:
                 raise ValueError(f"start_leaves contains non-leaf ids {unknown}")
         cap = self.effective_cap(max_level)
+        if max_batch is not None and max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
 
         # Encodings are materialized lazily, per cohort, the first time
         # the walk reaches a node (one vectorized associative search per
@@ -309,24 +315,27 @@ class HierarchicalInference:
             while pending.size:
                 advancing: list[np.ndarray] = []
                 for node_id in np.unique(current[pending]).tolist():
-                    rows = pending[current[pending] == node_id]
-                    step = self.step(
-                        node_id, cap, chosen[rows] >= 0,
-                        partial(cohort, node_id, rows),
-                    )
-                    here = rows[step.decided]
-                    chosen[here] = node_id
-                    best_label[here] = step.labels
-                    best_conf[here] = step.confidence
-                    moving = rows[~step.answer]
-                    if moving.size:
-                        if step.charged:
-                            edge = (node_id, step.destination)
-                            escalations[edge] = (
-                                escalations.get(edge, 0) + moving.size
-                            )
-                        current[moving] = step.destination
-                        advancing.append(moving)
+                    visiting = pending[current[pending] == node_id]
+                    width = max_batch or visiting.size
+                    for lo in range(0, visiting.size, width):
+                        rows = visiting[lo:lo + width]
+                        step = self.step(
+                            node_id, cap, chosen[rows] >= 0,
+                            partial(cohort, node_id, rows),
+                        )
+                        here = rows[step.decided]
+                        chosen[here] = node_id
+                        best_label[here] = step.labels
+                        best_conf[here] = step.confidence
+                        moving = rows[~step.answer]
+                        if moving.size:
+                            if step.charged:
+                                edge = (node_id, step.destination)
+                                escalations[edge] = (
+                                    escalations.get(edge, 0) + moving.size
+                                )
+                            current[moving] = step.destination
+                            advancing.append(moving)
                 pending = (
                     np.concatenate(advancing)
                     if advancing

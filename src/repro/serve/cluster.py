@@ -15,7 +15,8 @@ semantics exact:
   and projections are deterministic), attach the learned models from a
   :class:`~repro.serve.shard.SharedModelStore` — read-only, zero-copy,
   never pickled — and replay the exact offline escalation walk
-  (:meth:`HierarchicalInference.run`) on their batch. Each worker is
+  (:meth:`HierarchicalInference.run`) on every batch queued for them
+  at once, each node visit capped at ``max_batch``. Each worker is
   pinned to one CPU of the router's affinity set (replica ``i`` to the
   ``i``-th, wrapping), so the fleet is spread over the cores from its
   first batch instead of whenever the kernel's load balancer gets to
@@ -98,8 +99,9 @@ class ClusterConfig:
     heartbeat_interval_s: float = 0.05
     #: replicas silent for longer than this are evicted and their
     #: outstanding batches re-dispatched. Workers beat when idle *and*
-    #: at every batch start, so this only needs to exceed the slowest
-    #: single batch (a late beat resurrects the replica regardless).
+    #: at every walk's start, so this only needs to exceed the slowest
+    #: walk of at most ``queue_depth`` x the node count rows (a late
+    #: beat resurrects the replica regardless).
     heartbeat_timeout_s: float = 3.0
     #: max seconds to wait for every worker to attach and report ready.
     ready_timeout_s: float = 60.0
@@ -145,6 +147,9 @@ class WorkerSpec:
     manifest: dict
     replica_id: int
     heartbeat_interval_s: float
+    #: rows of one node visit, and the walk's row bound per node.
+    max_batch: int
+    queue_depth: int
     fault_plan: Optional[FaultPlan] = None
     #: CPU the worker pins itself to; None leaves placement to the OS.
     cpu: Optional[int] = None
@@ -162,15 +167,26 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
     """Worker replica entry point (runs in a child process).
 
     Protocol (task queue): ``("warm",)`` once, ignored; ``("batch",
-    batch_id, indices, rows, leaves)``; ``("stop",)``. Protocol (result
-    queue): ``("ready", id, zero_copy_report)`` once
-    attached; ``("hb", id, seq)`` while idle; ``("done", id, batch_id,
-    indices, labels, confidences, nodes, levels, escalation_triples,
-    encode_ms, search_ms)`` per batch; ``("error", id, traceback)`` on
-    failure; ``("bye", id, metrics_snapshot)`` on clean shutdown. A
-    fault-plan crash window for this replica index makes the process
-    vanish silently — no bye, no more heartbeats — which is exactly
-    what a ``kill -9`` looks like to the router.
+    batch_id, indices, rows, leaves)`` per dispatch; ``("stop",)``.
+    Protocol (result queue): ``("ready", id, zero_copy_report)`` once
+    attached; ``("hb", id, seq)`` while idle and at every walk's start;
+    ``("done", id, dispatches, labels, confidences, nodes, levels,
+    escalation_triples, encode_ms, search_ms)`` per walk, where
+    ``dispatches`` lists each walked dispatch's ``(batch_id, indices)``
+    and the per-request lists follow that order; ``("error", id,
+    traceback)`` on failure; ``("bye", id, metrics_snapshot)`` on clean
+    shutdown, after the answers of every dispatch taken before the
+    ``("stop",)``.
+
+    A walk is every dispatch already queued, never waited for: after the
+    first ``("batch", ...)`` the worker takes more with ``get_nowait``
+    while the walk stays within ``queue_depth`` x the node count rows
+    (a single dispatch is always walked). Each node visit of the walk
+    covers at most ``max_batch`` rows. One ``"done"`` carries the whole
+    walk, so its answers and escalation counts reach the router together
+    or not at all. A fault-plan crash window for this replica index
+    makes the process vanish silently — no bye, no more heartbeats —
+    which is exactly what a ``kill -9`` looks like to the router.
     """
     t_start = time.monotonic()
     store = None
@@ -208,22 +224,40 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
             if spec.fault_plan is not None
             else None
         )
+        # The in-process tree's total inbox capacity.
+        walk_rows = spec.queue_depth * len(federation.hierarchy.nodes)
         seq = 0
+        #: a task a drain took but could not add to its walk: next up.
+        held: Optional[tuple] = None
         while True:
             if crash is not None and time.monotonic() - t_start >= crash[0]:
                 return  # simulated kill: vanish without a bye
-            try:
-                msg = task_q.get(timeout=spec.heartbeat_interval_s)
-            except queue_mod.Empty:
-                seq += 1
-                result_q.put(("hb", spec.replica_id, seq))
-                continue
+            msg, held = held, None
+            if msg is None:
+                try:
+                    msg = task_q.get(timeout=spec.heartbeat_interval_s)
+                except queue_mod.Empty:
+                    seq += 1
+                    result_q.put(("hb", spec.replica_id, seq))
+                    continue
             if msg[0] == "stop":
                 break
             if msg[0] == "warm":
                 continue
-            _, batch_id, indices, rows, leaves = msg
-            # Renew the lease up front so a batch that takes a while to
+            walk = [msg]
+            n_rows = len(msg[2])
+            while True:
+                try:
+                    msg = task_q.get_nowait()
+                except queue_mod.Empty:
+                    break
+                if msg[0] == "batch" and n_rows + len(msg[2]) <= walk_rows:
+                    walk.append(msg)
+                    n_rows += len(msg[2])
+                else:
+                    held = msg
+                    break
+            # Renew the lease up front so a walk that takes a while to
             # process doesn't read as a dead replica to the router.
             seq += 1
             result_q.put(("hb", spec.replica_id, seq))
@@ -232,8 +266,10 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
             # (timed as search), one cohort per visited node, reusing
             # these rows. Confidence gating stops most queries at their
             # leaf, so untouched subtrees are never projected.
-            n_batch = len(indices)
-            leaves_arr = np.asarray(leaves, dtype=np.int64)
+            rows = np.concatenate([task[3] for task in walk])
+            leaves_arr = np.asarray(
+                [leaf for task in walk for leaf in task[4]], dtype=np.int64
+            )
             t0 = time.perf_counter()
             encodings = federation.encode_lazy(rows)
             for leaf in np.unique(leaves_arr).tolist():
@@ -244,33 +280,26 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
                 start_leaves=leaves_arr,
                 max_level=spec.max_level,
                 encodings=encodings,
+                max_batch=spec.max_batch,
             )
             t2 = time.perf_counter()
-            encode_s = t1 - t0
-            search_s = t2 - t1
-            out_labels = outcome.labels
-            out_confs = outcome.confidence
-            out_nodes = outcome.deciding_node
-            out_levels = outcome.deciding_level
-            batch_escalations = outcome.escalations
             metrics.counter("cluster.worker.batches", labels).inc()
-            metrics.counter("cluster.worker.requests", labels).inc(n_batch)
+            metrics.counter("cluster.worker.requests", labels).inc(n_rows)
             metrics.counter(
                 "cluster.worker.escalated", labels
-            ).inc(sum(batch_escalations.values()))
+            ).inc(sum(outcome.escalations.values()))
             result_q.put(
                 (
                     "done",
                     spec.replica_id,
-                    batch_id,
-                    indices,
-                    out_labels.tolist(),
-                    out_confs.tolist(),
-                    out_nodes.tolist(),
-                    out_levels.tolist(),
-                    [(c, p, n) for (c, p), n in batch_escalations.items()],
-                    encode_s * 1e3,
-                    search_s * 1e3,
+                    [(task[1], task[2]) for task in walk],
+                    outcome.labels.tolist(),
+                    outcome.confidence.tolist(),
+                    outcome.deciding_node.tolist(),
+                    outcome.deciding_level.tolist(),
+                    [(c, p, n) for (c, p), n in outcome.escalations.items()],
+                    (t1 - t0) * 1e3,
+                    (t2 - t1) * 1e3,
                 )
             )
     except Exception:  # pragma: no cover - surfaced as a router error
@@ -383,6 +412,8 @@ class ClusterRuntime:
             manifest=self._manifest,
             replica_id=replica_id,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,
+            max_batch=self.config.max_batch,
+            queue_depth=self.config.queue_depth,
             fault_plan=self.plan,
             cpu=cpu,
         )
@@ -724,26 +755,44 @@ class ClusterRuntime:
                     self.close()
                     raise RuntimeError(f"worker {msg[1]} crashed:\n{msg[2]}")
                 elif kind == "done":
-                    (_, replica_id, batch_id, indices, labels, confs,
+                    (_, replica_id, walked, labels, confs,
                      nodes, levels, triples, encode_ms, search_ms) = msg
                     self.registry.beat(replica_id, done_wall)
-                    d = outstanding.pop(batch_id, None)
-                    if d is not None:
-                        if replica_id in self.registry:
-                            self.registry.complete(replica_id, len(indices))
+                    live = [
+                        outstanding.pop(batch_id)
+                        for batch_id, _ in walked
+                        if batch_id in outstanding
+                    ]
+                    if replica_id in self.registry:
+                        for d in live:
+                            self.registry.complete(replica_id, len(d.indices))
+                    if len(live) < len(walked):
+                        # The walk took dispatches an eviction had already
+                        # sent elsewhere, and its escalation counts cannot
+                        # be split per dispatch: a walk is taken whole or
+                        # not at all, so its live dispatches go out again.
+                        for d in live:
+                            n_retries += len(d.indices)
+                            dispatch(d.indices)
+                    else:
                         for c, p, count in triples:
                             edge = (int(c), int(p))
                             escalations[edge] = (
                                 escalations.get(edge, 0) + int(count)
                             )
-                        self._respond(
-                            responses, workload, indices, t0, arrivals,
-                            zip(labels, confs, nodes, levels),
-                            started_wall=d.dispatched_wall,
-                            done_wall=done_wall,
-                            encode_ms=float(encode_ms),
-                            search_ms=float(search_ms),
-                        )
+                        answers = list(zip(labels, confs, nodes, levels))
+                        lo = 0
+                        for d in live:
+                            hi = lo + len(d.indices)
+                            self._respond(
+                                responses, workload, d.indices, t0, arrivals,
+                                answers[lo:hi],
+                                started_wall=d.dispatched_wall,
+                                done_wall=done_wall,
+                                encode_ms=float(encode_ms),
+                                search_ms=float(search_ms),
+                            )
+                            lo = hi
                         last_completion_wall = done_wall
                 elif kind == "ready":
                     # A replacement worker came up mid-run: register it

@@ -184,8 +184,9 @@ class TestBinarizedRBFExact:
         _assert_cosine_signs(*_phase_encoder(np.repeat(phases, 3)))
 
     def test_non_finite_phases_break_ties_by_position(self):
-        # nan, cos(±inf) = nan, casts to 0 and takes sign_binarize's
-        # positional tie-break: +1 at even columns, -1 at odd ones.
+        # nan, cos(±inf) = nan, is neither > 0 nor < 0, so it takes
+        # sign_binarize's positional tie-break: +1 at even columns, -1
+        # at odd ones.
         phases = np.array([np.nan, np.nan, np.inf, np.inf, -np.inf, -np.inf,
                            0.0, np.pi])
         enc, x = _phase_encoder(phases)

@@ -1,5 +1,7 @@
 """Unit tests for the hypervector algebra primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,28 @@ class TestSignBinarize:
         out = sign_binarize(np.array([[1.0, -1.0], [-0.5, 2.0]]))
         assert out.shape == (2, 2)
         assert out.dtype == np.int8
+
+    def test_nan_is_a_tie_without_a_cast_warning(self):
+        # NaN is neither > 0 nor < 0: it takes the tie-break (+1 at even
+        # columns, -1 at odd ones), and no invalid cast is attempted.
+        a = np.array([[np.nan, np.nan, 2.0, np.nan],
+                      [-1.0, np.nan, -0.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sign_binarize(a)
+            drawn = sign_binarize(a, rng=np.random.default_rng(0))
+        assert out.dtype == np.int8
+        assert np.array_equal(out, [[1, -1, 1, -1], [-1, -1, 1, -1]])
+        signed = (a > 0) | (a < 0)
+        assert np.array_equal(drawn[signed], [1, -1, -1])
+        assert set(drawn[~signed].tolist()) <= {-1, 1}
+
+    def test_nonzero_values_keep_their_sign(self, rng):
+        a = rng.standard_normal((7, 33)).astype(np.float32)
+        a[a > 1.5] = np.inf
+        assert np.array_equal(sign_binarize(a), np.sign(a).astype(np.int8))
+        ints = rng.integers(1, 5, size=40) * rng.choice([-1, 1], size=40)
+        assert np.array_equal(sign_binarize(ints), np.sign(ints))
 
 
 class TestCosine:

@@ -163,3 +163,48 @@ class TestValidation:
         outcome.labels = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError):
             outcome.level_frequency(3)
+
+
+class TestMaxBatch:
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    def test_capped_visits_match_the_uncapped_walk(
+        self, ragged_cells, monkeypatch, k
+    ):
+        """``run(max_batch=k)`` gives ``run()``'s labels, deciding nodes,
+        levels and escalation counts, and no node visit predicts more
+        than ``k`` rows."""
+        from repro.core.classifier import HDClassifier
+
+        widths = []
+        predict = HDClassifier.predict
+
+        def counting(self, encoded, search=None):
+            widths.append(len(encoded))
+            return predict(self, encoded, search=search)
+
+        monkeypatch.setattr(HDClassifier, "predict", counting)
+        for name, inference, max_level, workload, offline in ragged_cells:
+            widths.clear()
+            capped = inference.run(
+                workload.features, start_leaves=workload.start_leaves,
+                max_level=max_level, max_batch=k,
+            )
+            assert widths and max(widths) <= k, name
+            assert np.array_equal(capped.labels, offline.labels), name
+            assert np.array_equal(
+                capped.deciding_node, offline.deciding_node
+            ), name
+            assert np.array_equal(
+                capped.deciding_level, offline.deciding_level
+            ), name
+            # The float64 search product rounds by batch width, so a
+            # confidence agrees to a few ulps, as in every served pin.
+            assert np.allclose(
+                capped.confidence, offline.confidence, rtol=0, atol=1e-12
+            ), name
+            assert capped.escalations == offline.escalations, name
+
+    def test_invalid_max_batch(self, inference):
+        inf, _, data = inference
+        with pytest.raises(ValueError, match="max_batch"):
+            inf.run(data.test_x[:4], max_batch=0)

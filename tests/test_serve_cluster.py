@@ -12,16 +12,25 @@ Three layers, in increasing weight:
 * end-to-end fleets — real worker processes serving a workload with
   answers bit-identical to the offline ``HierarchicalInference.run``
   walk, plus a killed-worker scenario where eviction + re-dispatch
-  still answers every request correctly.
+  still answers every request correctly;
+* the worker loop run in this process on queues filled in advance —
+  how it walks what is queued at once, the walk's bounds, and the
+  ``bye`` that follows a drain's answers.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.obs as obs
+from repro.core.classifier import HDClassifier
 from repro.hierarchy import HierarchicalInference
 from repro.network.medium import get_medium
 from repro.serve import (
@@ -31,8 +40,10 @@ from repro.serve import (
     ReplicaRegistry,
     ServeConfig,
     SharedModelStore,
+    WorkerSpec,
     make_workload,
 )
+from repro.serve.cluster import _worker_main
 
 
 def _msg_key(m):
@@ -63,6 +74,64 @@ def assert_matches_offline(result, offline, cell="tree"):
         map(_msg_key, offline.messages)
     ), cell
     assert out.total_bytes == offline.total_bytes, cell
+
+
+def offline_head(inference, workload, n):
+    """The first ``n`` requests of ``workload`` and their offline walk."""
+    head = make_workload(
+        workload.features[:n], inference,
+        start_leaves=workload.start_leaves[:n],
+    )
+    return head, inference.run(head.features, start_leaves=head.start_leaves)
+
+
+def worker_counter(snapshot, name):
+    """Sum of a worker counter over its replica labels."""
+    return sum(
+        series["value"]
+        for key, series in snapshot.items()
+        if obs.parse_series_key(key)[0] == name
+    )
+
+
+def worker_spec(inference, store, *, max_batch, queue_depth):
+    return WorkerSpec(
+        federation=inference.federation.spec(),
+        confidence_threshold=inference.confidence_threshold,
+        compression_count=inference.compression_count,
+        min_level=inference.min_level,
+        max_level=None,
+        search=inference.search,
+        manifest=store.manifest(),
+        replica_id=0,
+        heartbeat_interval_s=0.05,
+        max_batch=max_batch,
+        queue_depth=queue_depth,
+    )
+
+
+def run_worker(inference, tasks, *, max_batch, queue_depth):
+    """Run a worker in this process on a task queue filled in advance;
+    returns everything it put on its result queue, in order."""
+    task_q, result_q = queue.Queue(), queue.Queue()
+    for task in tasks:
+        task_q.put(task)
+    with SharedModelStore.publish(inference.federation) as store:
+        _worker_main(
+            worker_spec(
+                inference, store,
+                max_batch=max_batch, queue_depth=queue_depth,
+            ),
+            task_q, result_q,
+        )
+    return [result_q.get_nowait() for _ in range(result_q.qsize())]
+
+
+def batch_task(workload, batch_id, indices):
+    return (
+        "batch", batch_id, indices, workload.features[indices],
+        [int(workload.start_leaves[i]) for i in indices],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +458,140 @@ class TestClusterServing:
         assert sum(per_replica) == n
         assert max(per_replica) - min(per_replica) <= 16
 
+    def test_burst_is_walked_as_few_cohorts(self, cluster_setup):
+        """A t=0 burst of five full dispatches reaches one worker faster
+        than it walks them: it walks what is queued at once, in fewer
+        walks than dispatches, and answers as the offline walk does."""
+        inference, workload, _, _ = cluster_setup
+        max_batch = 16
+        head, offline = offline_head(inference, workload, 5 * max_batch)
+        obs.reset()
+        obs.enable()
+        try:
+            with ClusterRuntime(
+                inference,
+                get_medium("wired-1gbps"),
+                ServeConfig(max_batch=max_batch),
+                cluster=ClusterConfig(workers=1),
+            ) as runtime:
+                result = runtime.serve_open_loop(
+                    head, rate_rps=1.0, arrivals=np.zeros(len(head))
+                )
+            walks = worker_counter(obs.snapshot(), "cluster.worker.batches")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert_matches_offline(result, offline)
+        assert result.degraded_rate == 0.0
+        assert 1 <= walks < 5
+
+    def test_stop_during_a_drain_says_bye_after_the_answers(
+        self, cluster_setup
+    ):
+        inference, workload, offline, _ = cluster_setup
+        dispatches = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
+        out = run_worker(
+            inference,
+            [("warm",)]
+            + [batch_task(workload, i, ix) for i, ix in enumerate(dispatches)]
+            + [("stop",)],
+            max_batch=32, queue_depth=64,
+        )
+        assert [msg[0] for msg in out] == ["ready", "hb", "done", "bye"]
+        done = out[2]
+        assert done[2] == list(enumerate(dispatches))
+        rows = [i for ix in dispatches for i in ix]
+        assert done[3] == offline.labels[rows].tolist()
+        assert done[5] == offline.deciding_node[rows].tolist()
+        assert worker_counter(out[3][2], "cluster.worker.batches") == 1
+        assert worker_counter(out[3][2], "cluster.worker.requests") == 9
+
+    def test_walk_bounds(self, cluster_setup, monkeypatch):
+        """A walk stays within ``queue_depth`` x the node count rows (a
+        single dispatch is always walked), and no node visit predicts
+        more than ``max_batch`` rows."""
+        inference, workload, offline, _ = cluster_setup
+        queue_depth, max_batch = 1, 2
+        bound = queue_depth * len(inference.federation.hierarchy.nodes)
+        assert bound == 5
+        sizes = [3, 2, 4, 1, 6]
+        starts = np.cumsum([0] + sizes)
+        dispatches = [
+            list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])
+        ]
+        widths = []
+        predict = HDClassifier.predict
+
+        def counting(self, encoded, search=None):
+            widths.append(len(encoded))
+            return predict(self, encoded, search=search)
+
+        monkeypatch.setattr(HDClassifier, "predict", counting)
+        out = run_worker(
+            inference,
+            [batch_task(workload, i, ix) for i, ix in enumerate(dispatches)]
+            + [("stop",)],
+            max_batch=max_batch, queue_depth=queue_depth,
+        )
+        done = [msg for msg in out if msg[0] == "done"]
+        assert [[b for b, _ in msg[2]] for msg in done] == [[0, 1], [2, 3], [4]]
+        for msg in done:
+            rows = [i for _, ix in msg[2] for i in ix]
+            assert len(rows) <= max(bound, len(msg[2][0][1]))
+            assert msg[3] == offline.labels[rows].tolist()
+        assert out[-1][0] == "bye"
+        assert widths and max(widths) <= max_batch
+
+    def test_walk_with_a_redispatched_batch_is_taken_whole_or_not_at_all(
+        self, cluster_setup
+    ):
+        """A walk's escalation counts cannot be split per dispatch, so a
+        walk that took a dispatch an eviction already sent elsewhere is
+        dropped whole: its answers and counts are not used, and its
+        live dispatches go out again."""
+        inference, workload, _, _ = cluster_setup
+        n = 8
+        head, offline = offline_head(inference, workload, n)
+        runtime = ClusterRuntime(
+            inference, get_medium("wired-1gbps"), ServeConfig(max_batch=n),
+            cluster=ClusterConfig(workers=1),
+        )
+        leaf = int(head.start_leaves[0])
+        root = inference.federation.hierarchy.root_id
+        task_q, result_q = queue.Queue(), queue.Queue()
+        # Batch 0 (the router's first dispatch) walked with batch 99,
+        # which is not outstanding: wrong answers, inflated counts.
+        result_q.put((
+            "done", 0, [(99, [0]), (0, list(range(n)))],
+            [-1] * (n + 1), [0.0] * (n + 1), [root] * (n + 1),
+            [1] * (n + 1), [(leaf, root, 1000)], 0.0, 0.0,
+        ))
+        with SharedModelStore.publish(inference.federation) as store:
+            worker = threading.Thread(
+                target=_worker_main,
+                args=(
+                    worker_spec(inference, store, max_batch=n, queue_depth=64),
+                    task_q, result_q,
+                ),
+                daemon=True,
+            )
+            runtime._task_qs = [task_q]
+            runtime._result_q = result_q
+            runtime.registry.register(0, time.monotonic())
+            runtime._started = True
+            worker.start()
+            try:
+                result = runtime.serve_open_loop(
+                    head, rate_rps=1.0, arrivals=np.zeros(n)
+                )
+            finally:
+                task_q.put(("stop",))
+                worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert_matches_offline(result, offline)
+        assert result.n_retries >= n
+        assert result.degraded_rate == 0.0
+
     def test_shed_policy_bounds_the_backlog(self, cluster_setup):
         """``queue_depth`` bounds the router's one backlog (buffered plus
         in flight): a t=0 burst past it sheds the excess at admission,
@@ -474,6 +677,73 @@ class TestClusterServing:
         for idx in indices:
             assert responses[idx].degraded is True
             assert responses[idx].label == int(offline.labels[idx])
+
+
+@pytest.mark.scenario
+class TestSigkillMidWalk:
+    def test_every_request_answered_once_after_a_kill_mid_walk(
+        self, cluster_setup, monkeypatch, tmp_path
+    ):
+        """The first worker to start a walk of several dispatches is
+        SIGKILLed between its leaf and gateway visits. Every dispatch
+        it held goes to the survivor: each request is answered once, as
+        the offline walk answers it, with the offline wire bytes, and no
+        shared-memory segment is left behind."""
+        inference, workload, offline, _ = cluster_setup
+        max_batch = 16
+        router = os.getpid()
+        leaves = set(inference.federation.hierarchy.leaves())
+        killed = tmp_path / "killed"
+        walk_rows = {}
+        run, step = HierarchicalInference.run, HierarchicalInference.step
+
+        def recording_run(self, features, *args, **kwargs):
+            walk_rows["n"] = len(features)
+            return run(self, features, *args, **kwargs)
+
+        def killing_step(self, node_id, *args, **kwargs):
+            if (
+                os.getpid() != router
+                and walk_rows.get("n", 0) > 2 * max_batch
+                and node_id not in leaves
+            ):
+                try:  # one worker dies; the other must survive
+                    os.close(os.open(killed, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return step(self, node_id, *args, **kwargs)
+
+        answered = []
+        respond = ClusterRuntime._respond
+
+        def counting_respond(self, responses, workload, indices, *a, **kw):
+            answered.extend(indices)
+            return respond(self, responses, workload, indices, *a, **kw)
+
+        monkeypatch.setattr(HierarchicalInference, "run", recording_run)
+        monkeypatch.setattr(HierarchicalInference, "step", killing_step)
+        monkeypatch.setattr(ClusterRuntime, "_respond", counting_respond)
+        segments = set(os.listdir("/dev/shm"))
+        with ClusterRuntime(
+            inference,
+            get_medium("wired-1gbps"),
+            ServeConfig(max_batch=max_batch),
+            cluster=ClusterConfig(
+                workers=2, heartbeat_interval_s=0.02, heartbeat_timeout_s=0.3,
+            ),
+        ) as runtime:
+            result = runtime.serve_open_loop(
+                workload, rate_rps=1.0, arrivals=np.zeros(len(workload))
+            )
+            evicted = runtime.registry.n_evicted
+        assert killed.exists()
+        assert evicted >= 1
+        assert result.n_retries > max_batch
+        assert sorted(answered) == list(range(len(workload)))
+        assert_matches_offline(result, offline)
+        assert set(os.listdir("/dev/shm")) <= segments
 
 
 class TestLazyEncodings:
