@@ -3,6 +3,8 @@
     python3 benchmarks/pairs.py PARENT                    # 10 pairs, seeds 0-9
     python3 benchmarks/pairs.py PARENT --pairs 12 --seeds 20-31
     python3 benchmarks/pairs.py PARENT --workload serve_local
+    python3 benchmarks/pairs.py PARENT --workload serve_local \
+        --workload serve_escalate                         # claim + bypass
     python3 benchmarks/pairs.py HEAD --smoke              # one --smoke pair
     python3 benchmarks/pairs.py PARENT --append           # + trajectory row
     python3 benchmarks/pairs.py PARENT --trace            # per-layer table
@@ -12,7 +14,10 @@ change is the working tree (tracked and untracked, not ignored files),
 copied likewise, so neither run writes into this checkout. Each tree
 runs its own ``benchmarks/e2e/run.py``. Pair i uses the i-th seed and
 runs the parent first when i is even, the change first when it is odd,
-so both sides see the same drift of the host.
+so both sides see the same drift of the host. ``--workload`` may be
+given more than once: each side then runs ``run.py --workload W`` for
+each named workload in turn, so a claimed workload and the one that
+bypasses the change share one alternating run.
 
 The output is a markdown table with a provenance line. For every
 workload and end-to-end metric of ``BENCHMARK.json`` it gives the
@@ -105,23 +110,28 @@ def export_working_tree(dest: Path) -> None:
 
 
 def run_tree(
-    tree: Path, seed: int, workload: Optional[str], smoke: bool,
+    tree: Path, seed: int, workloads: List[str], smoke: bool,
     trace: bool = False,
 ) -> Results:
-    """One run of a tree's benchmark; an empty dict when it broke."""
-    command = [sys.executable, str(tree / RUNNER), "--seed", str(seed)]
-    command += ["--workload", workload] if workload else []
-    command += ["--smoke"] if smoke else []
-    command += ["--trace", "1"] if trace else []
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    try:
-        last = json.loads(lines[-1])
-    except (IndexError, ValueError):
-        sys.stderr.write(done.stderr)
-        return {}
-    results = last["workloads"] if "workloads" in last else {workload: last}
-    return {name: r for name, r in results.items() if r is not None}
+    """One run of a tree's benchmark, one ``run.py`` per named workload
+    (one for all of them when none is named); an empty dict when any
+    run broke."""
+    results: Results = {}
+    for workload in workloads or [None]:
+        command = [sys.executable, str(tree / RUNNER), "--seed", str(seed)]
+        command += ["--workload", workload] if workload else []
+        command += ["--smoke"] if smoke else []
+        command += ["--trace", "1"] if trace else []
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+        lines = done.stdout.strip().splitlines()
+        try:
+            last = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            sys.stderr.write(done.stderr)
+            return {}
+        ran = last["workloads"] if "workloads" in last else {workload: last}
+        results.update((name, r) for name, r in ran.items() if r is not None)
+    return results
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -284,8 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", help="A-B: the seeds, in order "
                         "(default 0 to pairs-1; reused when fewer)")
-    parser.add_argument("--workload",
-                        choices=[w["name"] for w in contract["workloads"]])
+    parser.add_argument("--workload", action="append", default=[],
+                        choices=[w["name"] for w in contract["workloads"]],
+                        help="run only this workload (repeatable)")
     parser.add_argument("--smoke", action="store_true",
                         help="one pair of run.py --smoke")
     parser.add_argument("--trace", action="store_true",
@@ -299,6 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if count < 1:
         parser.error("--pairs must be at least 1")
     seeds = parse_seeds(args.seeds, count)
+    workloads = list(dict.fromkeys(args.workload))
     parent_commit = git("rev-parse", "--short", args.parent)
     change_commit = git("describe", "--always", "--dirty")
 
@@ -314,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             got: Dict[str, Results] = {}
             for side in order:
                 got[side] = run_tree(
-                    trees[side], seed, args.workload, args.smoke, args.trace
+                    trees[side], seed, workloads, args.smoke, args.trace
                 )
                 ok = bool(got[side]) and all(
                     r["correct"] for r in got[side].values()

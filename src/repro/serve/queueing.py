@@ -9,7 +9,7 @@ excess is the *policy*:
   fills their inboxes, which eventually stalls admission. Memory stays
   bounded and no request is lost, at the cost of rising admission
   delay.
-* ``"shed"`` — ``offer`` fails immediately when full and the caller
+* ``"shed"`` — ``put`` fails immediately when full and the caller
   decides how to degrade (reject at admission, answer with the current
   low-confidence decision at escalation). Latency stays bounded at the
   cost of lost work, counted in :class:`QueueStats`.
@@ -27,7 +27,8 @@ POLICIES = ("block", "shed")
 
 
 class ShedError(Exception):
-    """Raised by :meth:`BoundedQueue.offer` when a full queue sheds."""
+    """Raised by :meth:`BoundedQueue.put` (and ``try_put``) when a full
+    ``"shed"`` queue sheds."""
 
 
 class QueueTimeout(Exception):
@@ -93,26 +94,40 @@ class BoundedQueue:
     def __len__(self) -> int:
         return self._queue.qsize()
 
+    def try_put(self, item: Any) -> bool:
+        """Enqueue without waiting while there is room.
+
+        When the queue is full, ``"shed"`` counts the shed and raises
+        :class:`ShedError`; ``"block"`` counts nothing and returns
+        False, and the caller awaits :meth:`put` for the room.
+        """
+        try:
+            self._queue.put_nowait(item)
+        except asyncio.QueueFull:
+            if self.policy == "block":
+                return False
+            self.stats.shed += 1
+            raise ShedError(
+                f"queue full ({self.maxsize}), item shed"
+            ) from None
+        self._count()
+        return True
+
     async def put(self, item: Any, timeout_s: Optional[float] = None) -> None:
         """Enqueue under the configured policy.
 
-        Blocks under ``"block"``; raises :class:`ShedError` (after
-        counting the shed) under ``"shed"`` when full. ``timeout_s``
-        bounds the blocking wait: when it expires with the queue still
-        full, :class:`QueueTimeout` is raised (and counted) and the
-        item is not enqueued — the fault-injected serving path uses
-        this as its per-hop timeout so a stalled or crashed consumer
-        can never wedge a producer forever.
+        Returns without suspending while there is room. When full it
+        blocks under ``"block"`` and raises :class:`ShedError` (after
+        counting the shed) under ``"shed"``. ``timeout_s`` bounds the
+        blocking wait: when it expires with the queue still full,
+        :class:`QueueTimeout` is raised (and counted) and the item is
+        not enqueued — the fault-injected serving path uses this as its
+        per-hop timeout so a stalled or crashed consumer can never
+        wedge a producer forever.
         """
-        if self.policy == "shed":
-            try:
-                self._queue.put_nowait(item)
-            except asyncio.QueueFull:
-                self.stats.shed += 1
-                raise ShedError(
-                    f"queue full ({self.maxsize}), item shed"
-                ) from None
-        elif timeout_s is None:
+        if self.try_put(item):
+            return
+        if timeout_s is None:
             await self._queue.put(item)
         else:
             try:
@@ -122,10 +137,7 @@ class BoundedQueue:
                 raise QueueTimeout(
                     f"queue full ({self.maxsize}) for {timeout_s} s"
                 ) from None
-        self.stats.enqueued += 1
-        depth = self._queue.qsize()
-        if depth > self.stats.high_water:
-            self.stats.high_water = depth
+        self._count()
 
     def offer(self, item: Any) -> bool:
         """Non-blocking enqueue; returns False (and counts a shed) when
@@ -136,11 +148,14 @@ class BoundedQueue:
         except asyncio.QueueFull:
             self.stats.shed += 1
             return False
+        self._count()
+        return True
+
+    def _count(self) -> None:
         self.stats.enqueued += 1
         depth = self._queue.qsize()
         if depth > self.stats.high_water:
             self.stats.high_water = depth
-        return True
 
     async def get(self) -> Any:
         return await self._queue.get()

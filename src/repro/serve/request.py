@@ -82,16 +82,26 @@ class ServeRequest:
     #: projects it instead of re-encoding the subtree. Dropped when the
     #: request finishes.
     forwarded: Optional[Tuple[int, np.ndarray]] = None
+    #: the answer a closed-loop client awaits. None in the open loop,
+    #: where the runtime counts unanswered requests instead and its
+    #: drive awaits one future, set when the count reaches zero.
     future: Optional["asyncio.Future[ServeResponse]"] = None
+    #: set by the request's one response; a second one is an error.
+    finished: bool = False
     #: per-request trace (None when tracing is disabled). The context
     #: travels with the request through queues and escalation bundles,
     #: which is what propagates the request id and hop path end to end.
     trace: Optional[TraceContext] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ServeResponse:
-    """Terminal outcome of one request."""
+    """Terminal outcome of one request.
+
+    Not frozen: the runtime builds one per request, and a frozen
+    dataclass sets each field through ``object.__setattr__``, which
+    makes construction about 2.4× as dear.
+    """
 
     index: int
     start_leaf: int

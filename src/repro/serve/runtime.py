@@ -189,8 +189,8 @@ class _NodeServer:
                     "decide", rt._now_ms(), node=self.node_id, level=level,
                     action="answer_cached",
                 )
-        for req in answer:
-            rt._answer(req)
+        if answer:
+            rt._answer(answer)
         if not move:
             return
         if step.charged:
@@ -210,7 +210,7 @@ class _NodeServer:
         forward to every request in turn.
         """
         rt = self.runtime
-        rows = np.stack([req.features for req in batch])
+        rows = np.array([req.features for req in batch])
         t0 = time.perf_counter()
         lazy = rt.federation.encode_lazy(rows)
         carried: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
@@ -455,6 +455,8 @@ class ServingRuntime:
     """
 
     _BATCH_BUCKETS = tuple(float(2 ** i) for i in range(0, 11))
+    #: set when the current run's last request is finished.
+    _all_finished: "asyncio.Future[None]"
 
     def __init__(
         self,
@@ -508,7 +510,10 @@ class ServingRuntime:
         #: telemetry series are a view over it.
         self.trace_log = RequestTraceLog()
         self._responses: List[ServeResponse] = []
-        self._deliveries: set = set()
+        #: descent timers in flight, by the id of the cohort they carry.
+        self._deliveries: Dict[int, asyncio.TimerHandle] = {}
+        #: requests with no response yet; ``_all_finished`` is set at 0.
+        self._unfinished = 0
         self._t0 = 0.0
         self._last_completion = 0.0
 
@@ -585,16 +590,25 @@ class ServingRuntime:
             self.nodes[node_id] = _NodeServer(
                 self, node_id, self.config, traced=tracing
             )
+        # Only a closed-loop client awaits its own answer; the drive
+        # awaits one future, set when the last request is answered.
+        closed = arrivals is None
         requests = [
             ServeRequest(
                 index=i,
-                features=workload.features[i],
-                start_leaf=int(workload.start_leaves[i]),
-                future=loop.create_future(),
+                features=features,
+                start_leaf=leaf,
+                future=loop.create_future() if closed else None,
                 trace=TraceContext(i) if tracing else None,
             )
-            for i in range(len(workload))
+            for i, (features, leaf) in enumerate(
+                zip(workload.features, workload.start_leaves.tolist())
+            )
         ]
+        all_finished = self._all_finished = loop.create_future()
+        self._unfinished = len(requests)
+        if not requests:
+            all_finished.set_result(None)
 
         async def submit_and_await_all() -> None:
             if arrivals is not None:
@@ -606,7 +620,7 @@ class ServingRuntime:
                         for c in range(n_clients)
                     )
                 )
-            await asyncio.gather(*(req.future for req in requests))
+            await all_finished
 
         # Scheduled ahead of the node tasks: what is due at t=0 is
         # submitted before any node forms its first batch.
@@ -622,19 +636,24 @@ class ServingRuntime:
             try:
                 # A node task loops forever, so one that finishes has
                 # died — and the answers (or the inbox space) the drive
-                # is waiting for would never come.
+                # is waiting for would never come. ``all_finished`` ends
+                # the wait too when a descent timer failed it, because a
+                # closed-loop client waits on its own answer instead.
                 await asyncio.wait(
-                    {drive, *node_tasks}, return_when=asyncio.FIRST_COMPLETED
+                    {drive, all_finished, *node_tasks},
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
             finally:
                 for task in (drive, *node_tasks):
                     task.cancel()
                 await asyncio.gather(drive, *node_tasks, return_exceptions=True)
-                for task in list(self._deliveries):
-                    task.cancel()
+                for handle in self._deliveries.values():
+                    handle.cancel()
+                self._deliveries.clear()
             for task in (*node_tasks, drive):
                 if not task.cancelled():
                     task.result()  # re-raises what killed it
+            all_finished.result()
         makespan = max(self._last_completion - self._t0, 0.0)
         result = ServeResult(
             responses=self._responses,
@@ -664,13 +683,22 @@ class ServingRuntime:
     async def _open_loop(
         self, requests: List[ServeRequest], arrivals: np.ndarray
     ) -> None:
+        """Admit each request when it is due.
+
+        Admission is synchronous while the entry inbox has room, so a
+        burst due at once enqueues without an await. The drive yields
+        only to sleep until the next due time or, under ``"block"``, to
+        wait for room in a full inbox.
+        """
         loop = asyncio.get_running_loop()
-        for req, at in zip(requests, arrivals):
-            due = self._t0 + float(at)
-            delay = due - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            await self.submit(req, arrival_s=due)
+        for req, at in zip(requests, arrivals.tolist()):
+            due = self._t0 + at
+            now = loop.time()
+            if due > now:
+                await asyncio.sleep(due - now)
+                now = loop.time()
+            if not self._admit(req, due, now):
+                await self.nodes[req.start_leaf].queue.put(req)
 
     async def _client(
         self, requests: List[ServeRequest], think_time_s: float
@@ -691,13 +719,24 @@ class ServingRuntime:
         is charged from it, so a request held back by a full ``block``
         inbox is not under-reported. It defaults to now.
 
-        A crashed entry node refuses admission outright: the request
-        completes immediately as a degraded rejection rather than
-        waiting on a dead inbox.
+        The request is enqueued synchronously while the inbox has room
+        (or shed at once under ``"shed"``); the call suspends only to
+        wait for room in a full ``"block"`` inbox. A crashed entry node
+        refuses admission outright: the request completes immediately
+        as a degraded rejection rather than waiting on a dead inbox.
         """
-        loop = asyncio.get_running_loop()
-        req.enqueued_s = loop.time()
-        req.arrival_s = req.enqueued_s if arrival_s is None else arrival_s
+        now = asyncio.get_running_loop().time()
+        if not self._admit(req, now if arrival_s is None else arrival_s, now):
+            await self.nodes[req.start_leaf].queue.put(req)
+
+    def _admit(self, req: ServeRequest, arrival_s: float, now: float) -> bool:
+        """Admission without waiting: reject, shed or enqueue ``req``.
+
+        False when its ``"block"`` inbox is full; the caller then awaits
+        that queue's ``put``, which charges nothing more.
+        """
+        req.enqueued_s = now
+        req.arrival_s = arrival_s
         if obs.enabled():
             obs.incr("serve.requests")
         if req.trace is not None:
@@ -712,11 +751,10 @@ class ServingRuntime:
                 )
             if obs.enabled():
                 obs.incr("serve.faults.crashed_admission")
-            self._finish(req, label=-1, confidence=0.0, node=-1, level=-1,
-                         shed=False, degraded=True)
-            return
+            self._reject(req, shed=False)
+            return True
         try:
-            await self.nodes[req.start_leaf].queue.put(req)
+            return self.nodes[req.start_leaf].queue.try_put(req)
         except ShedError:
             self.n_shed_admission += 1
             if req.trace is not None:
@@ -726,8 +764,8 @@ class ServingRuntime:
                 )
             if obs.enabled():
                 obs.incr("serve.shed.admission")
-            self._finish(req, label=-1, confidence=0.0, node=-1, level=-1,
-                         shed=True)
+            self._reject(req, shed=True)
+            return True
 
     async def _forward(
         self,
@@ -741,10 +779,11 @@ class ServingRuntime:
         ``via_edge`` marks a charged escalation edge: on success it
         joins the request's answer-descent path; on shed the request
         degrades to its last decision (the uplink was already spent —
-        the parent dropped the bundle). Under a fault plan the blocking
-        put is bounded by ``hop_timeout_s``: when it expires the
-        request is answered in degraded mode at ``origin`` (the sending
-        node) instead of wedging the sender forever.
+        the parent dropped the bundle). Each put returns without
+        suspending while the inbox has room. Under a fault plan a put
+        that must wait for room is bounded by ``hop_timeout_s``: when it
+        expires the request is answered in degraded mode at ``origin``
+        (the sending node) instead of wedging the sender forever.
         """
         loop = asyncio.get_running_loop()
         queue = self.nodes[destination].queue
@@ -773,10 +812,9 @@ class ServingRuntime:
                 if obs.enabled():
                     obs.incr("serve.shed.escalation")
                 if req.decided is not None:
-                    self._answer(req, shed=True)
+                    self._answer([req], shed=True)
                 else:
-                    self._finish(req, label=-1, confidence=0.0, node=-1,
-                                 level=-1, shed=True)
+                    self._reject(req, shed=True)
                 continue
             except QueueTimeout:
                 if via_edge is not None:
@@ -798,10 +836,9 @@ class ServingRuntime:
                         reason="hop_timeout",
                     )
                 if req.decided is not None:
-                    self._answer(req, degraded=True)
+                    self._answer([req], degraded=True)
                 else:
-                    self._finish(req, label=-1, confidence=0.0, node=-1,
-                                 level=-1, shed=False, degraded=True)
+                    self._reject(req, shed=False)
                 continue
 
     def _degrade_cohort(
@@ -833,72 +870,101 @@ class ServingRuntime:
                     "degraded", self._now_ms(), node=server.node_id,
                     reason=reason,
                 )
-            self._answer(req, degraded=True)
+        self._answer(cohort, degraded=True)
 
     # ------------------------------------------------------------------
     # answers
     # ------------------------------------------------------------------
     def _answer(
-        self, req: ServeRequest, shed: bool = False, degraded: bool = False
+        self,
+        cohort: List[ServeRequest],
+        shed: bool = False,
+        degraded: bool = False,
     ) -> None:
-        """Complete a request with its recorded decision.
+        """Complete a cohort with each request's recorded decision.
 
         The 4-byte prediction descends every escalation edge the query
-        climbed; each hop charges its medium's time and energy.
+        climbed; each hop charges its medium's time and energy. The
+        clock is read once for the cohort. A request that climbed no
+        edge finishes here; the rest finish on one loop timer per
+        distinct descent delay.
         """
-        assert req.decided is not None
-        label, confidence, node, level = req.decided
-        delay = 0.0
-        for child, parent in reversed(req.charged_path):
-            medium = edge_medium(
-                self.hierarchy, parent, child, self.medium, self.media_by_level
-            )
-            delay += medium.transfer_time(PREDICTION_BYTES)
-            self.energy_j += medium.transfer_energy(PREDICTION_BYTES)
-            self.wire_bytes += PREDICTION_BYTES
-        if req.trace is not None and req.charged_path:
-            req.trace.emit(
-                "descend", self._now_ms(), node=node,
-                hops=len(req.charged_path), ms=delay * 1e3,
-            )
-        if delay > 0:
-            req.timings.escalation_rtt_ms += delay * 1e3
-            task = asyncio.ensure_future(
-                self._deliver(
-                    req, delay, label, confidence, node, level, shed, degraded
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        descending: Dict[float, List[ServeRequest]] = {}
+        for req in cohort:
+            if not req.charged_path:
+                self._finish(req, now, shed, degraded)
+                continue
+            delay = 0.0
+            for child, parent in reversed(req.charged_path):
+                medium = edge_medium(
+                    self.hierarchy, parent, child, self.medium,
+                    self.media_by_level,
                 )
+                delay += medium.transfer_time(PREDICTION_BYTES)
+                self.energy_j += medium.transfer_energy(PREDICTION_BYTES)
+                self.wire_bytes += PREDICTION_BYTES
+            if req.trace is not None:
+                assert req.decided is not None
+                req.trace.emit(
+                    "descend", (now - self._t0) * 1e3, node=req.decided[2],
+                    hops=len(req.charged_path), ms=delay * 1e3,
+                )
+            if delay > 0:
+                req.timings.escalation_rtt_ms += delay * 1e3
+                descending.setdefault(delay, []).append(req)
+            else:
+                self._finish(req, now, shed, degraded)
+        for delay, group in descending.items():
+            self._deliveries[id(group)] = loop.call_later(
+                delay, self._deliver, group, shed, degraded
             )
-            self._deliveries.add(task)
-            task.add_done_callback(self._deliveries.discard)
-        else:
-            self._finish(req, label, confidence, node, level, shed, degraded)
 
-    async def _deliver(
-        self,
-        req: ServeRequest,
-        delay: float,
-        label: int,
-        confidence: float,
-        node: int,
-        level: int,
-        shed: bool,
-        degraded: bool,
+    def _deliver(
+        self, group: List[ServeRequest], shed: bool, degraded: bool
     ) -> None:
-        await asyncio.sleep(delay)
-        self._finish(req, label, confidence, node, level, shed, degraded)
+        """A descent timer fired: finish the requests it carried."""
+        del self._deliveries[id(group)]
+        now = asyncio.get_running_loop().time()
+        try:
+            for req in group:
+                self._finish(req, now, shed, degraded)
+        except Exception as exc:
+            # A timer callback has no awaiter: fail the run instead of
+            # leaving the rest of the group unanswered (the loop logs
+            # the re-raised error).
+            if not self._all_finished.done():
+                self._all_finished.set_exception(exc)
+            raise
+
+    def _reject(self, req: ServeRequest, shed: bool) -> None:
+        """Complete ``req`` with no decision: shed, or refused by a
+        fault (a degraded rejection)."""
+        self._finish(
+            req, asyncio.get_running_loop().time(), shed, degraded=not shed,
+            decision=(-1, 0.0, -1, -1),
+        )
 
     def _finish(
         self,
         req: ServeRequest,
-        label: int,
-        confidence: float,
-        node: int,
-        level: int,
+        now: float,
         shed: bool,
         degraded: bool = False,
+        decision: Optional[Tuple[int, float, int, int]] = None,
     ) -> None:
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        """Record ``req``'s one response (its ``decided`` unless
+        ``decision`` is given) and count it off; the run's drive wakes
+        when the count reaches zero. A second finish raises, so a
+        duplicate can never end the run early."""
+        if req.finished:
+            raise RuntimeError(f"request {req.index} finished twice")
+        req.finished = True
+        if decision is None:
+            decision = req.decided
+            assert decision is not None, "only a decided request is answered"
+        label, confidence, node, level = decision
         self._last_completion = max(self._last_completion, now)
         req.forwarded = None
         req.timings.total_ms = (now - req.arrival_s) * 1e3
@@ -918,7 +984,7 @@ class ServingRuntime:
             t = req.timings
             outcome = "shed" if shed else ("degraded" if degraded else "ok")
             req.trace.emit(
-                "done", self._now_ms(), node=node,
+                "done", (now - self._t0) * 1e3, node=node,
                 outcome=outcome, label=label, level=level,
                 total_ms=t.total_ms,
                 queue_wait_ms=t.queue_wait_ms,
@@ -931,8 +997,11 @@ class ServingRuntime:
             self.trace_log.extend(req.trace.events)
         if obs.enabled():
             self._record_response(response)
-        if req.future is not None and not req.future.done():
+        if req.future is not None:
             req.future.set_result(response)
+        self._unfinished -= 1
+        if self._unfinished == 0:
+            self._all_finished.set_result(None)
 
     # ------------------------------------------------------------------
     def _record_response(self, response: ServeResponse) -> None:

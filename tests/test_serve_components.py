@@ -95,6 +95,38 @@ class TestBoundedQueue:
 
         run(scenario())
 
+    def test_try_put_never_waits(self):
+        """The no-wait attempt: a full ``"block"`` queue counts nothing
+        (its caller awaits ``put`` next); a full ``"shed"`` queue
+        counts and raises, as ``put`` does."""
+
+        async def scenario():
+            block = BoundedQueue(1, policy="block")
+            shed = BoundedQueue(1, policy="shed")
+            assert block.try_put("a") and shed.try_put("a")
+            assert block.try_put("b") is False
+            with pytest.raises(ShedError):
+                shed.try_put("b")
+            return block, shed
+
+        block, shed = run(scenario())
+        assert (block.stats.enqueued, block.stats.shed) == (1, 0)
+        assert (shed.stats.enqueued, shed.stats.shed) == (1, 1)
+        assert block.stats.high_water == shed.stats.high_water == 1
+
+    def test_put_with_room_does_not_suspend(self):
+        """``put`` into a queue with room completes on its first step:
+        nothing else runs in between."""
+
+        async def scenario():
+            q = BoundedQueue(2, policy="block")
+            ran = []
+            asyncio.get_running_loop().call_soon(ran.append, "other")
+            await q.put("a")
+            return list(ran)
+
+        assert run(scenario()) == []
+
     def test_offer_counts_shed_without_raising(self):
         async def scenario():
             q = BoundedQueue(1, policy="block")

@@ -11,6 +11,9 @@ backend's integer similarities make even confidences bitwise equal.
 
 from __future__ import annotations
 
+import gc
+import logging
+import math
 import threading
 
 import numpy as np
@@ -20,7 +23,7 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy import HierarchicalInference
 from repro.network.medium import get_medium
-from repro.serve import ServeConfig, ServingRuntime, make_workload
+from repro.serve import FaultPlan, ServeConfig, ServingRuntime, make_workload
 from repro.serve.runtime import _NodeServer
 
 
@@ -289,13 +292,166 @@ class TestWorkConservingBatching:
         assert by_index[n - 1] >= n * service_s * 1e3
 
 
+def _bounded(serve, timeout_s=30.0):
+    """``serve()`` from a thread, so the *test* is bounded even where
+    the run is not; returns its result or re-raises what it raised."""
+    out, raised = [], []
+
+    def target():
+        try:
+            out.append(serve())
+        except Exception as exc:  # handed back to the test thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout_s)
+    assert not thread.is_alive(), "the run hung"
+    if raised:
+        raise raised[0]
+    return out[0]
+
+
+def _one_response_each(result, workload):
+    assert sorted(r.index for r in result.responses) == list(
+        range(len(workload))
+    )
+
+
+class TestCountedCompletion:
+    """The open-loop drive awaits one future, set when the count of
+    unanswered requests reaches zero: every way a request can end must
+    count once, or the run would hang or end early."""
+
+    def test_shedding_run(self, serve_setup):
+        inference, workload, _, _ = serve_setup
+        runtime = ServingRuntime(
+            inference, get_medium("bluetooth-4.0"),
+            ServeConfig(max_batch=2, queue_depth=1, policy="shed",
+                        service_time_base_s=0.002),
+        )
+        result = _bounded(
+            lambda: runtime.serve_open_loop(workload, 10000.0, seed=1)
+        )
+        _one_response_each(result, workload)
+        assert result.n_shed > 0
+
+    def test_crashed_entry_leaf_rejects(self, serve_setup):
+        inference, workload, _, _ = serve_setup
+        victim = int(workload.start_leaves[0])
+        runtime = ServingRuntime(
+            inference, get_medium("wired-1gbps"),
+            ServeConfig(queue_depth=512),
+            fault_plan=FaultPlan(crash_windows={victim: (0.0, math.inf)}),
+        )
+        result = _bounded(
+            lambda: runtime.serve_open_loop(workload, 3000.0, seed=1)
+        )
+        _one_response_each(result, workload)
+        rejected = [r.index for r in result.responses if r.rejected]
+        assert rejected == list(
+            np.flatnonzero(workload.start_leaves == victim)
+        )
+
+    def test_retries_exhausted_degrade(self, serve_setup):
+        inference, workload, offline, _ = serve_setup
+        runtime = ServingRuntime(
+            inference, get_medium("wired-1gbps"),
+            ServeConfig(queue_depth=512),
+            fault_plan=FaultPlan(
+                seed=5, drop_probability=1.0, max_attempts=2,
+                timeout_s=0.002, backoff_base_s=0.001,
+            ),
+        )
+        result = _bounded(
+            lambda: runtime.serve_open_loop(workload, 3000.0, seed=1)
+        )
+        _one_response_each(result, workload)
+        # nothing gets past its first uplink: what escalated offline
+        # degrades, the rest answers as offline
+        escalated = offline.deciding_level > 1
+        assert escalated.any()
+        degraded = np.array([r.degraded for r in result.responses])
+        assert np.array_equal(degraded, escalated)
+        assert result.n_retries == result.n_degraded
+
+    @pytest.mark.parametrize("descended", [False, True])
+    def test_double_finish_fails_the_run(
+        self, serve_setup, monkeypatch, caplog, descended
+    ):
+        """A request finished twice would count twice and could end the
+        run before another request is answered; the second finish
+        raises instead, on the inline and on the descent-timer path."""
+        inference, workload, _, _ = serve_setup
+        finish = ServingRuntime._finish
+        doubled = []
+
+        def twice(self, req, *args, **kwargs):
+            finish(self, req, *args, **kwargs)
+            if not doubled and bool(req.charged_path) == descended:
+                doubled.append(req.index)
+                finish(self, req, *args, **kwargs)
+
+        monkeypatch.setattr(ServingRuntime, "_finish", twice)
+        runtime = ServingRuntime(
+            inference, get_medium("wifi-802.11ac"), ServeConfig()
+        )
+        with caplog.at_level(logging.CRITICAL, logger="asyncio"):
+            with pytest.raises(RuntimeError, match="finished twice"):
+                _bounded(
+                    lambda: runtime.serve_open_loop(workload, 3000.0, seed=1)
+                )
+        assert len(doubled) == 1
+
+
+class TestAdmission:
+    def test_burst_under_block_admits_in_arrival_order(
+        self, serve_setup, monkeypatch
+    ):
+        """A t=0 burst into one-slot inboxes: admission waits on each
+        full inbox in turn, and never overfills one, reorders a
+        request or changes an answer."""
+        inference, workload, offline, _ = serve_setup
+        admitted, served = [], []
+        admit, process = ServingRuntime._admit, _NodeServer._process
+
+        def recording_admit(self, req, arrival_s, now):
+            admitted.append(req.index)
+            return admit(self, req, arrival_s, now)
+
+        async def recording_process(self, batch):
+            served.append((self.node_id, [req.index for req in batch]))
+            await process(self, batch)
+
+        monkeypatch.setattr(ServingRuntime, "_admit", recording_admit)
+        monkeypatch.setattr(_NodeServer, "_process", recording_process)
+        runtime = ServingRuntime(
+            inference, get_medium("wifi-802.11ac"),
+            ServeConfig(max_batch=1, queue_depth=1, policy="block"),
+        )
+        result = _bounded(lambda: runtime.serve_open_loop(
+            workload, 1.0, arrivals=np.zeros(len(workload))
+        ))
+        assert admitted == list(range(len(workload)))
+        assert max(result.queue_high_water.values()) <= 1
+        for leaf in inference.federation.hierarchy.leaves():
+            at_leaf = [i for node, (i,) in served if node == leaf]
+            assert at_leaf == list(
+                np.flatnonzero(workload.start_leaves == leaf)
+            )
+        TestEquivalence()._assert_equivalent(result, offline)
+
+
+@pytest.mark.filterwarnings("error")
 class TestNodeTaskDeath:
     @pytest.mark.parametrize("loop", ["open", "closed"])
-    def test_dead_node_task_fails_the_run(self, serve_setup, monkeypatch, loop):
+    def test_dead_node_task_fails_the_run(
+        self, serve_setup, monkeypatch, caplog, loop
+    ):
         """A node task that dies takes with it the answers (and the
         inbox space) the drive waits for: the run must re-raise what
-        killed it instead of waiting forever. Served from a thread so
-        the *test* is bounded even where the run is not."""
+        killed it instead of waiting forever, and leave nothing
+        scheduled or pending behind."""
         inference, workload, _, _ = serve_setup
 
         async def exploding(self, batch):
@@ -305,22 +461,47 @@ class TestNodeTaskDeath:
         runtime = ServingRuntime(
             inference, get_medium("wired-1gbps"), ServeConfig(queue_depth=4)
         )
-        raised = []
 
         def serve():
-            try:
-                if loop == "open":
-                    runtime.serve_open_loop(workload, rate_rps=3000.0, seed=1)
-                else:
-                    runtime.serve_closed_loop(workload, n_clients=4)
-            except RuntimeError as exc:
-                raised.append(exc)
+            if loop == "open":
+                return runtime.serve_open_loop(workload, 3000.0, seed=1)
+            return runtime.serve_closed_loop(workload, n_clients=4)
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        thread.join(timeout=20)
-        assert not thread.is_alive(), "the run hung on a dead node task"
-        assert [str(exc) for exc in raised] == ["node exploded"]
+        with pytest.raises(RuntimeError, match="^node exploded$"):
+            _bounded(serve, timeout_s=20)
+        gc.collect()
+        assert runtime._deliveries == {}
+        assert "destroyed" not in caplog.text
+
+    def test_death_with_answers_descending(
+        self, serve_setup, monkeypatch, caplog
+    ):
+        """The root dies while answers it gave are still descending:
+        teardown cancels their timers."""
+        inference, workload, _, _ = serve_setup
+        root = inference.federation.hierarchy.root_id
+        process = _NodeServer._process
+        in_flight = []
+
+        async def dies_second_time(self, batch):
+            if self.node_id == root and in_flight:
+                raise RuntimeError("root exploded")
+            await process(self, batch)
+            if self.node_id == root:
+                in_flight.append(len(self.runtime._deliveries))
+
+        monkeypatch.setattr(_NodeServer, "_process", dies_second_time)
+        runtime = ServingRuntime(
+            inference, get_medium("bluetooth-4.0"), ServeConfig()
+        )
+        with pytest.raises(RuntimeError, match="^root exploded$"):
+            _bounded(lambda: runtime.serve_open_loop(
+                workload, 1.0, arrivals=np.zeros(len(workload))
+            ))
+        gc.collect()
+        assert in_flight[0] > 0, "no descent was in flight at the death"
+        assert runtime._deliveries == {}
+        assert "destroyed" not in caplog.text
 
 
 class TestTimingsAndObs:
