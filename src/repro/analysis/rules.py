@@ -129,15 +129,18 @@ class AsyncBlockingCallRule(Rule):
     coroutine stalls *every* node server sharing the event loop; the
     simulated store-and-forward delays must go through
     ``asyncio.sleep`` so concurrent transfers overlap as they would on
-    real links.
+    real links. Serve coroutines may wait only on loop timers and
+    queues: the in-process loop runs on virtual time
+    (:mod:`repro.serve.clock`) and skips any wait it sees idle, so work
+    handed to a thread (``run_in_executor``) would be a real wait the
+    clock jumps over.
     """
 
     rule_id = "REPRO102"
     severity = "error"
     description = "blocking call inside an async function"
     autofix_hint = (
-        "use asyncio.sleep / run_in_executor, or move the I/O out of "
-        "the coroutine"
+        "use asyncio.sleep, or move the I/O out of the coroutine"
     )
     node_types = (ast.Call,)
 

@@ -12,8 +12,9 @@ through to the root.
 Escalated cohorts travel as compressed ``m``-query bundles (Eq. 3):
 the uplink is charged :meth:`HierarchicalInference.uplink_bytes`
 through the edge's :class:`~repro.network.medium.Medium` — transfer
-time is simulated with ``asyncio.sleep``, energy and bytes accumulate
-in the result. Answers descend the escalation path as
+time is a timer on the loop's virtual clock
+(:class:`~repro.serve.clock.VirtualClockLoop`), energy and bytes
+accumulate in the result. Answers descend the escalation path as
 :data:`~repro.hierarchy.inference.PREDICTION_BYTES` each.
 
 A request carries up what its last node forwarded (undamaged), and
@@ -51,6 +52,7 @@ from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.network.medium import Medium, edge_medium
 from repro.serve.batcher import MicroBatcher
+from repro.serve.clock import run_virtual
 from repro.serve.faults import FaultPlan
 from repro.serve.queueing import POLICIES, BoundedQueue, QueueTimeout, ShedError
 from repro.serve.request import ServeRequest, ServeResponse, ServeResult
@@ -82,7 +84,9 @@ class ServeConfig:
     max_level: Optional[int] = None
     #: simulated per-flush compute time in seconds (0 = as fast as the
     #: hardware allows; used to model slow nodes and to force overload
-    #: in tests).
+    #: in tests). In-process it is charged on the virtual clock: each
+    #: flush adds it to every latency in the batch and occupies the
+    #: node for it, but costs no wall time.
     service_time_base_s: float = 0.0
     #: associative-search override for every node's classify call
     #: (:class:`repro.core.search.SearchSpec`); ``None`` serves with
@@ -546,9 +550,14 @@ class ServingRuntime:
         schedule drawn at ``rate_rps`` from ``seed``. Arrivals are
         honored regardless of system state — under overload the
         bounded queues shed or block per the configured policy.
+
+        The run is on virtual network time (:mod:`repro.serve.clock`):
+        arrival gaps and simulated waits advance the loop clock without
+        sleeping, so the result's ``makespan_s`` is virtual too. Like
+        ``asyncio.run``, it raises when called from a running loop.
         """
         arrivals = open_loop_arrivals(len(workload), rate_rps, seed, arrivals)
-        return asyncio.run(self._serve(workload, arrivals=arrivals))
+        return run_virtual(self._serve(workload, arrivals=arrivals))
 
     def serve_closed_loop(
         self,
@@ -567,7 +576,7 @@ class ServingRuntime:
             raise ValueError(
                 f"think_time_s must be >= 0, got {think_time_s}"
             )
-        return asyncio.run(
+        return run_virtual(
             self._serve(
                 workload, n_clients=n_clients, think_time_s=think_time_s
             )

@@ -20,6 +20,7 @@ Three layers, in increasing weight:
 
 from __future__ import annotations
 
+import multiprocessing.queues as mp_queues
 import os
 import queue
 import signal
@@ -688,14 +689,49 @@ class TestSigkillMidWalk:
         SIGKILLed between its leaf and gateway visits. Every dispatch
         it held goes to the survivor: each request is answered once, as
         the offline walk answers it, with the offline wire bytes, and no
-        shared-memory segment is left behind."""
+        shared-memory segment is left behind.
+
+        A walk holds several dispatches only if they were queued before
+        the worker drained its queue, so that is made certain: a
+        worker's first batch waits for a gate file the router creates
+        once it has queued every full dispatch of the t=0 burst, and
+        the drain then takes each dispatch already put for it."""
         inference, workload, offline, _ = cluster_setup
         max_batch = 16
         router = os.getpid()
         leaves = set(inference.federation.hierarchy.leaves())
         killed = tmp_path / "killed"
+        gate = tmp_path / "burst-queued"
+        burst_dispatches = len(workload) // max_batch
+        assert burst_dispatches >= 6, "each worker needs three dispatches"
         walk_rows = {}
         run, step = HierarchicalInference.run, HierarchicalInference.step
+        put, get = mp_queues.Queue.put, mp_queues.Queue.get
+        queued = []
+
+        def gated_put(self, obj, *args, **kwargs):
+            put(self, obj, *args, **kwargs)
+            if os.getpid() == router and obj[0] == "batch":
+                queued.append(obj[1])
+                if len(queued) == burst_dispatches:
+                    gate.touch()
+
+        def gated_get(self, block=True, timeout=None):
+            if os.getpid() == router:
+                return get(self, block, timeout)
+            if not block and gate.exists() and self.qsize() > 0:
+                # Already put, so it is on its way: the router's feeder
+                # thread may not have written it to the pipe yet.
+                return get(self, True, 10.0)
+            msg = get(self, block, timeout)
+            deadline = time.monotonic() + 10.0
+            while (
+                msg[0] == "batch"
+                and not gate.exists()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            return msg
 
         def recording_run(self, features, *args, **kwargs):
             walk_rows["n"] = len(features)
@@ -725,6 +761,8 @@ class TestSigkillMidWalk:
         monkeypatch.setattr(HierarchicalInference, "run", recording_run)
         monkeypatch.setattr(HierarchicalInference, "step", killing_step)
         monkeypatch.setattr(ClusterRuntime, "_respond", counting_respond)
+        monkeypatch.setattr(mp_queues.Queue, "put", gated_put)
+        monkeypatch.setattr(mp_queues.Queue, "get", gated_get)
         segments = set(os.listdir("/dev/shm"))
         with ClusterRuntime(
             inference,

@@ -11,10 +11,13 @@ backend's integer similarities make even confidences bitwise equal.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import logging
 import math
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ import pytest
 import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy import HierarchicalInference
-from repro.network.medium import get_medium
+from repro.hierarchy.inference import PREDICTION_BYTES
+from repro.network.medium import edge_medium, get_medium
 from repro.serve import FaultPlan, ServeConfig, ServingRuntime, make_workload
+from repro.serve.clock import run_virtual
 from repro.serve.runtime import _NodeServer
 
 
@@ -571,3 +576,119 @@ class TestTimingsAndObs:
             > r_fast.latencies_ms("escalation_rtt_ms").sum()
         )
         assert r_slow.energy_j != r_fast.energy_j
+
+
+class TestVirtualClock:
+    """The loop in-process serving runs on: idle waits are skipped,
+    real ones are refused, and a wait nothing can end raises."""
+
+    def test_idle_wait_costs_no_wall_time(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            await asyncio.sleep(3600)
+            return loop.time() - t0
+
+        start = time.perf_counter()
+        advanced = run_virtual(main())
+        assert time.perf_counter() - start < 1.0
+        assert advanced >= 3600
+
+    def test_timers_fire_in_due_order(self):
+        async def main():
+            fired = []
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+
+            async def wake(delay):
+                await asyncio.sleep(delay)
+                fired.append((delay, loop.time() - t0))
+
+            await asyncio.gather(*(wake(d) for d in (30.0, 0.5, 7.0)))
+            return fired
+
+        fired = run_virtual(main())
+        assert [d for d, _ in fired] == [0.5, 7.0, 30.0]
+        for due, at in fired:
+            assert at >= due
+
+    def test_registered_descriptor_refuses_the_skip(self):
+        """A socket could be due any moment: skipping past it would
+        hide a real wait."""
+        ours, theirs = socket.socketpair()
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.add_reader(ours.fileno(), lambda: None)
+            try:
+                await asyncio.sleep(1.0)
+            finally:
+                loop.remove_reader(ours.fileno())
+
+        try:
+            with pytest.raises(RuntimeError, match="file descriptors"):
+                _bounded(lambda: run_virtual(main()), timeout_s=10)
+        finally:
+            ours.close()
+            theirs.close()
+
+    def test_wait_nothing_can_end_raises(self):
+        async def main():
+            await asyncio.get_running_loop().create_future()
+
+        with pytest.raises(RuntimeError, match="nothing scheduled"):
+            _bounded(lambda: run_virtual(main()), timeout_s=10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_serving_inside_a_running_loop_raises(self, serve_setup):
+        inference, workload, _, _ = serve_setup
+        runtime = ServingRuntime(
+            inference, get_medium("wired-1gbps"), ServeConfig()
+        )
+
+        async def nested():
+            runtime.serve_open_loop(workload, 1000.0, seed=1)
+
+        with pytest.raises(RuntimeError, match="running event loop"):
+            asyncio.run(nested())
+
+
+class TestChargedNotSlept:
+    def test_simulated_time_is_charged_not_slept(self, serve_setup):
+        """A second of simulated compute per flush: every latency pays
+        it at each node it visits, and the run pays none of it in wall
+        time. One request in flight at a time, so each uplink carries a
+        bundle of one and the network part of a latency is exact."""
+        inference, workload, _, _ = serve_setup
+        hierarchy = inference.federation.hierarchy
+        medium = get_medium("wifi-802.11ac")
+        runtime = ServingRuntime(
+            inference, medium, ServeConfig(service_time_base_s=1.0)
+        )
+        start = time.perf_counter()
+        result = _bounded(lambda: runtime.serve_open_loop(
+            workload, 1.0, arrivals=np.arange(len(workload)) * 10.0
+        ), timeout_s=10)
+        assert time.perf_counter() - start < 1.0
+        assert result.n_answered == len(workload)
+        climbed_any = False
+        for r in result.answered:
+            path = [r.start_leaf]
+            while path[-1] != r.deciding_node:
+                parent = hierarchy.nodes[path[-1]].parent
+                assert parent is not None, "deciding node not an ancestor"
+                path.append(parent)
+            assert r.timings.total_ms >= 1000.0 * len(path)
+            rtt_ms = 0.0
+            for child, parent in zip(path, path[1:]):
+                up = edge_medium(hierarchy, child, parent, medium, {})
+                down = edge_medium(hierarchy, parent, child, medium, {})
+                rtt_ms += 1e3 * (
+                    up.transfer_time(inference.uplink_bytes(parent, 1))
+                    + down.transfer_time(PREDICTION_BYTES)
+                )
+                climbed_any = True
+            assert r.timings.escalation_rtt_ms == pytest.approx(
+                rtt_ms, rel=1e-12, abs=1e-12
+            )
+        assert climbed_any, "threshold 0.7 must escalate some queries"
