@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 #: rows per ``np.add.accumulate`` call: bounds the gathered copy.
 _BLOCK_ROWS = 128
-#: bytes of float64 rows per block of the integer update's product.
+#: bytes of float64 rows per block: the integer update's product, norms.
 _PRODUCT_BLOCK_BYTES = 1 << 20
 
 
@@ -124,6 +124,31 @@ def _add_product(
             one_hot[slot[n + start:n + stop], columns] -= scale
         totals += one_hot @ samples[rows[start:stop]].astype(np.float64)
     model[touched] = totals
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows / np.linalg.norm(rows, axis=1, keepdims=True)`` in float64,
+    zero rows left zero, with no full-size temporary but the result.
+
+    Past one ``_PRODUCT_BLOCK_BYTES`` block, C-contiguous rows take
+    ``np.linalg.norm`` per block, which sums each row as the whole array
+    does (integer rows' squares exactly, in any order). One block, the
+    served batch, and strided arrays keep one call.
+    """
+    n, dimension = rows.shape
+    step = max(1, _PRODUCT_BLOCK_BYTES // (8 * dimension))
+    # A float64 copy of other dtypes is the result, divided in place.
+    unit = None if rows.dtype == np.float64 else rows.astype(np.float64)
+    floats = rows if unit is None else unit
+    if n <= step or not floats.flags.c_contiguous:
+        norms = np.linalg.norm(floats, axis=1, keepdims=True)
+    else:
+        norms = np.empty((n, 1))
+        for start in range(0, n, step):
+            block = floats[start:start + step]
+            norms[start:start + step] = np.linalg.norm(block, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return np.divide(floats, norms, out=unit)
 
 
 def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -337,7 +362,7 @@ class HDClassifier:
         normalises the samples once and sums each class's updates in order.
         """
         check_fitted(self, "class_hypervectors")
-        enc = check_matrix("encoded", encoded, cols=self.dimension)
+        enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
         y = check_labels("labels", labels, n_classes=self.n_classes)
         if enc.shape[0] != y.shape[0]:
             raise ValueError(f"{enc.shape[0]} samples but {y.shape[0]} labels")
@@ -353,14 +378,9 @@ class HDClassifier:
             return []
         if mode == "batched":
             # cosine_many's query half, formed once instead of per epoch.
-            qn = np.linalg.norm(enc, axis=1, keepdims=True)
-            qn[qn == 0] = 1.0
-            # Updates gather from the caller's rows; a float copy that
-            # check_matrix made of them becomes the unit rows in place.
-            raw = np.asarray(encoded).reshape(enc.shape)
-            shared = np.shares_memory(raw, enc)
-            unit = enc / qn if shared else np.divide(enc, qn, out=enc)
-            enc = raw
+            unit = _unit_rows(enc)
+        else:
+            enc = enc.astype(np.float64, copy=False)
         rng = derive_rng(shuffle_seed, "retrain-shuffle")
         history: list[float] = []
         model = self.class_hypervectors
@@ -440,13 +460,11 @@ class HDClassifier:
                 self._packed_model = pack_bits(self.class_hypervectors)
             queries = pack_bits(enc)
             return packed_similarities(queries, self._packed_model)
-        enc = check_matrix("encoded", encoded, cols=self.dimension)
+        enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
         obs.incr("core.similarity.calls")
         obs.incr("core.similarity.queries", enc.shape[0])
         # Pre-normalized model: cosine == dot with normalized queries.
-        qn = np.linalg.norm(enc, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        return (enc / qn) @ self._normalized.T
+        return _unit_rows(enc) @ self._normalized.T
 
     def predict(
         self,
@@ -464,8 +482,8 @@ class HDClassifier:
         encoded: np.ndarray,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
-        """Convenience: just the argmax labels."""
-        return self.predict(encoded, search=search).labels
+        """Convenience: just the argmax labels, with no confidences."""
+        return np.argmax(self.similarities(encoded, search=search), axis=1)
 
     def predict_proba(
         self,

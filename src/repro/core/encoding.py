@@ -45,9 +45,13 @@ __all__ = [
     "make_encoder",
 ]
 
-#: Cells per block of the binarized RBF map: bounds its temporaries to
-#: 128 KiB a float64 array, and keeps them in cache.
+#: Cells per block of the binarized RBF map's parity: bounds its
+#: temporaries (two float64 arrays, two int32, one mask: 25 bytes a
+#: cell) to 400 KiB, and keeps them in cache.
 _SIGN_BLOCK_CELLS = 1 << 14
+#: Cells per chunk of rows whose phases (1 MiB of float64) the binarized
+#: RBF map holds at once: a served batch of 32 rows at D <= 4096 is one.
+_PHASE_CHUNK_CELLS = 1 << 17
 #: Half-width, in units of p/π, of the band around the zeros of cos
 #: (p = (k + 1/2)π) inside which a cell's sign comes from ``np.cos``.
 _ZERO_BAND = 1e-6
@@ -193,9 +197,16 @@ class RBFEncoder(Encoder):
 
     def _binarized(self, features: np.ndarray) -> np.ndarray:
         # Only the signs are kept, and √(2/D)·cos p has the sign of cos p,
-        # a parity of p/π: see _cos_signs. The phases are the same array
-        # _transform takes the cosine of; the parity runs over blocks of
-        # rows so its temporaries stay small.
+        # a parity of p/π: see _cos_signs. A row's signs depend on that
+        # row alone, so a training set is taken a chunk of rows at a time
+        # and never holds its N x D phases; the parity runs over blocks
+        # of rows so its temporaries stay small.
+        chunk = max(1, _PHASE_CHUNK_CELLS // self.dimension)
+        if features.shape[0] > chunk:
+            return np.concatenate([
+                self._binarized(features[first:first + chunk])
+                for first in range(0, features.shape[0], chunk)
+            ])
         phase = self._phase(features)
         if phase.size and not np.abs(phase).max() < _PARITY_LIMIT:
             # huge or non-finite phases (a nan fails the test)

@@ -111,10 +111,11 @@ def permute(a: np.ndarray, shift: int = 1) -> np.ndarray:
 
 
 def sign_binarize(a: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Map to {-1, +1} by sign; zeros and NaNs break ties randomly.
+    """Map to {-1, +1} by sign; zeros and NaNs break ties.
 
-    Random tie-breaking keeps the result unbiased (deterministic +1 for
-    zeros would correlate otherwise-independent hypervectors).
+    With ``rng`` ties take random signs; without, they alternate +1, -1
+    along the last axis, so a row binarizes alike in any batch (served
+    and offline walks rely on it). All +1 would correlate hypervectors.
     """
     # Elementwise on any shape by contract; no structure to validate.
     a = np.asarray(a)  # repro-lint: disable=REPRO108

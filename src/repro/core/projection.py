@@ -22,10 +22,11 @@ from repro.utils.validation import check_matrix, check_probability
 
 __all__ = ["TernaryProjection", "concatenate_hypervectors"]
 
-#: Cells drawn per block of rows: bounds the construction's temporaries
-#: (a float64 uniform per cell, two masks, the non-zeros' positions)
-#: to ~20 MiB whatever the matrix size.
-_DRAW_BLOCK_CELLS = 1 << 20
+#: Cells drawn per block of rows: bounds the construction's scratch (a
+#: float64 uniform, three masks, the non-zeros' positions, rows, columns
+#: and signs) to at most 40 bytes a cell, 1.25 MiB while an input row
+#: fits in a block (one row a block past that).
+_DRAW_BLOCK_CELLS = 1 << 15
 
 #: scipy's CSR-times-dense kernel runs fastest when the operand's batch
 #: axis is a multiple of this SIMD width (4000 x 4000 root matrix,
@@ -49,8 +50,9 @@ def _draw_ternary_csr(
     cdf[1])``, so index 0 (-1) is ``u < cdf[0]`` and index 2 (+1) is
     ``u >= cdf[1]``. Applying that map to consecutive blocks of rows of
     the same stream yields the identical matrix without ever holding a
-    full-size temporary, and only the non-zeros are kept. They are
-    stored as float64 ±1.0 so the product needs no per-call upcast.
+    full-size temporary, and only the non-zeros are kept: int32 columns
+    and one bool sign each. They are stored as float64 ±1.0 so the
+    product needs no per-call upcast.
     """
     nonzero = (1.0 - zero_fraction) / 2.0
     cdf = np.array([nonzero, zero_fraction, nonzero], dtype=np.float64).cumsum()
@@ -58,7 +60,7 @@ def _draw_ternary_csr(
     block_rows = max(1, _DRAW_BLOCK_CELLS // in_dimension)
     counts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    signs: list[np.ndarray] = []
     for start in range(0, out_dimension, block_rows):
         rows = min(block_rows, out_dimension - start)
         uniform = rng.random((rows, in_dimension))
@@ -66,9 +68,9 @@ def _draw_ternary_csr(
         flat = np.flatnonzero((uniform < cdf[0]) | positive)
         counts.append(np.bincount(flat // in_dimension, minlength=rows))
         indices.append((flat % in_dimension).astype(np.int32))
-        data.append(np.where(positive.ravel()[flat], 1.0, -1.0))
+        signs.append(positive.ravel()[flat])
     return csr_matrix(
-        (np.concatenate(data), np.concatenate(indices),
+        (np.where(np.concatenate(signs), 1.0, -1.0), np.concatenate(indices),
          np.cumsum(np.concatenate(counts))),
         shape=(out_dimension, in_dimension),
     )

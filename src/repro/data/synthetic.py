@@ -200,11 +200,19 @@ def make_classification(
         )
         lift = lift * mask
         mix = mix * mask
-    observed = (1.0 - nonlinear_mix) * (latent @ lift) + nonlinear_mix * np.tanh(
-        latent @ mix
-    ) * 2.0
-    observed += noise * rng.standard_normal((n_samples, n_features))
-    return observed.astype(np.float64), labels.astype(np.int64)
+    # (1 - m)·(latent @ lift) + m·tanh(latent @ mix)·2 + noise·N(0, 1),
+    # in place: one scratch array takes the tanh term, then the noise.
+    observed = latent @ lift
+    observed *= 1.0 - nonlinear_mix
+    scratch = latent @ mix
+    np.tanh(scratch, out=scratch)
+    scratch *= nonlinear_mix
+    scratch *= 2.0
+    observed += scratch
+    rng.standard_normal(out=scratch)
+    scratch *= noise
+    observed += scratch
+    return observed, labels.astype(np.int64)
 
 
 def _block_mask(

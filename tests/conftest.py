@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,3 +161,26 @@ def ragged_cells(apri_small, small_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` -> ``(fn(), bytes)``: how far the traced heap
+    rose above its level at the call while ``fn`` ran. numpy reports
+    its array buffers to ``tracemalloc``, so this is the peak of every
+    array ``fn`` allocates, kept or not."""
+
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure

@@ -7,10 +7,11 @@ from repro.core.classifier import (
     HDClassifier,
     _add_ordered,
     _exact_in_any_order,
+    _unit_rows,
     softmax_confidence,
 )
 from repro.core.encoding import RBFEncoder
-from repro.core.hypervector import cosine_many
+from repro.core.hypervector import cosine_many, normalize_rows
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,88 @@ class TestInference:
         sims = clf.similarities(enc[:3])
         assert np.all(sims <= 1.0 + 1e-9)
         assert np.all(sims >= -1.0 - 1e-9)
+
+
+def _float_copy_unit_rows(rows):
+    """Unit rows from a float64 copy of the rows: the formula the
+    integer and blocked paths must reproduce bit for bit."""
+    enc = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(enc, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return enc / norms
+
+
+def _float_copy_retrain(model, rows, y, epochs):
+    """Batched retraining on :func:`_float_copy_unit_rows`."""
+    unit = _float_copy_unit_rows(rows)
+    history = []
+    for _ in range(epochs):
+        preds = np.argmax(unit @ normalize_rows(model).T, axis=1)
+        wrong = np.flatnonzero(preds != y)
+        history.append(1.0 - wrong.size / y.size)
+        if wrong.size:
+            _add_ordered(model, rows, wrong, y[wrong], preds[wrong])
+        if history[-1] == 1.0:
+            break
+    return model, history
+
+
+class TestUnitRows:
+    """Norms taken in row blocks change no bit, integer rows included."""
+
+    DIMENSION = 257
+
+    @pytest.mark.parametrize("kind", ["int8", "int8-bipolar", "int16"])
+    def test_inference_and_retrain_equal_float_copy(self, kind):
+        rng = np.random.default_rng(12)
+        if kind == "int16":  # squares past int8's range
+            rows = rng.integers(-(2**15), 2**15, size=(600, self.DIMENSION))
+        elif kind == "int8":
+            rows = rng.integers(-128, 128, size=(600, self.DIMENSION))
+            rows[1], rows[2] = -128, 127
+        else:
+            rows = rng.choice([-1, 1], size=(600, self.DIMENSION))
+        rows = rows.astype(kind.split("-")[0])
+        rows[0] = 0
+        y = rng.integers(0, 3, size=rows.shape[0])
+        clf = HDClassifier(3, self.DIMENSION).fit_initial(rows, y)
+        want = _float_copy_unit_rows(rows) @ clf._normalized.T
+        result = clf.predict(rows)
+        assert result.similarities.tobytes() == want.tobytes()
+        assert np.array_equal(result.labels, np.argmax(want, axis=1))
+        assert result.confidences.tobytes() == softmax_confidence(
+            want, temperature=clf.confidence_temperature
+        ).tobytes()
+        assert np.array_equal(clf.predict_labels(rows), result.labels)
+        assert clf.accuracy(rows, y) == float(np.mean(result.labels == y))
+        model, history = _float_copy_retrain(
+            clf.class_hypervectors.copy(), rows, y, epochs=5
+        )
+        assert clf.retrain(rows, y, epochs=5) == history
+        assert clf.class_hypervectors.tobytes() == model.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 33, 512])
+    def test_float_rows_equal_linalg_norm(self, n, order):
+        """512 rows at D=1200 span five blocks; a Fortran-ordered array,
+        whose sums follow its layout, is normed in one call."""
+        rows = np.random.default_rng(n).standard_normal((n, 1200))
+        rows = np.asarray(rows, order=order)
+        rows[0] = 0.0
+        got = _unit_rows(rows)
+        assert got.tobytes() == _float_copy_unit_rows(rows).tobytes()
+
+    def test_retrain_memory_is_one_float_array_of_the_rows(self, traced_peak):
+        """Batched retraining on int8 rows keeps one float64 array of
+        their shape, the unit rows, and the update's product blocks of
+        ``_PRODUCT_BLOCK_BYTES``: within 1.25 such arrays at this size.
+        A float copy and its squares took it past two."""
+        rng = np.random.default_rng(13)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(1250, 1200))
+        y = rng.integers(0, 2, size=rows.shape[0])
+        clf = HDClassifier(2, 1200).fit_initial(rows, y)
+        _, peak = traced_peak(lambda: clf.retrain(rows, y, epochs=3))
+        assert peak <= 1.25 * 8 * rows.size
 
 
 class TestModelManagement:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.encoding import (
     _PARITY_LIMIT,
+    _PHASE_CHUNK_CELLS,
     _SIGN_BLOCK_CELLS,
     CosSinEncoder,
+    Encoder,
     IDLevelEncoder,
     LinearEncoder,
     RBFEncoder,
@@ -201,6 +203,44 @@ class TestBinarizedRBFExact:
         x = np.random.default_rng(6).standard_normal((4, 6))
         x[0, 0], x[1, 3], x[2, 5] = np.nan, np.inf, -np.inf
         _assert_cosine_signs(enc, x)
+
+    @pytest.mark.parametrize("odd_row", [None, "nan", "huge"])
+    def test_chunks_equal_row_by_row(self, monkeypatch, odd_row):
+        """A training set spans several chunks of phases. Every row gets
+        the signs it gets alone, also when a nan or huge phase sends
+        its chunk, and only that chunk, to ``np.cos``."""
+        dimension = 1200
+        chunk = _PHASE_CHUNK_CELLS // dimension
+        enc = RBFEncoder(12, dimension, gamma=0.4, seed=7)
+        x = np.random.default_rng(8).standard_normal((3 * chunk + 5, 12))
+        if odd_row == "nan":
+            x[chunk + 3, 4] = np.nan
+        elif odd_row == "huge":
+            x[chunk + 3] *= 1e7
+        fallbacks = []
+        cosine = Encoder._binarized
+
+        def spy(self, rows):
+            fallbacks.append(len(rows))
+            return cosine(self, rows)
+
+        with np.errstate(invalid="ignore"):
+            alone = np.concatenate([enc.encode(row[None, :]) for row in x])
+            monkeypatch.setattr(Encoder, "_binarized", spy)
+            got = enc.encode(x)
+        assert np.array_equal(got, alone)
+        assert fallbacks == ([] if odd_row is None else [chunk])
+        _assert_cosine_signs(enc, x)
+
+    def test_encode_memory_is_bounded_by_one_float_array(self, traced_peak):
+        """A training set's encode holds one chunk of phases and its int8
+        signs per chunk, then joined: less than one float64 array of the
+        output's shape. The
+        whole set's phases, twice, took it past two."""
+        enc = RBFEncoder(60, 1200, seed=9)
+        x = np.random.default_rng(10).standard_normal((1250, 60))
+        out, peak = traced_peak(lambda: enc.encode(x))
+        assert peak <= 8 * out.size
 
 
 class TestCosSinEncoder:

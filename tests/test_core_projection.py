@@ -5,10 +5,10 @@ import gc
 import numpy as np
 import pytest
 
+import repro.core.projection as projection_module
 from repro.core.hypervector import cosine, random_bipolar, sign_binarize
 from repro.core.projection import (
     PAD_WIDTH,
-    _DRAW_BLOCK_CELLS,
     _LIVE_DRAWS,
     TernaryProjection,
     _draw_ternary_csr,
@@ -82,8 +82,8 @@ class TestSparseDraw:
         "in_dim, out_dim, zero_fraction",
         [
             (1, 1, 1.0 / 3.0),
-            # Rows not a multiple of the draw's row block.
-            (1000, 3 * (_DRAW_BLOCK_CELLS // 1000) + 7, 1.0 / 3.0),
+            # 32 rows a block, and the last block is partial.
+            (1000, 3151, 1.0 / 3.0),
             # in_dim below projection_nonzeros: no zeros at all.
             (48, 40, 0.0),
             (300, 200, 1.0 / 3.0),
@@ -98,6 +98,37 @@ class TestSparseDraw:
         assert proj.matrix.shape == reference.shape
         assert np.array_equal(proj.matrix.toarray(), reference)
         assert proj.matrix.nnz == np.count_nonzero(reference)
+
+    @pytest.mark.parametrize(
+        "cells", [1, 12, 7 * 13], ids=["one-cell", "in-minus-one", "7-rows"]
+    )
+    def test_any_block_equals_choice(self, monkeypatch, cells):
+        """Blocks smaller than a row (one row each), or whole rows not
+        dividing ``out`` (40 = 5 blocks of 7 and one of 5), draw the
+        same matrix, and
+        leave a passed Generator where drawing ``out x in`` uniforms
+        at once leaves it."""
+        monkeypatch.setattr(projection_module, "_DRAW_BLOCK_CELLS", cells)
+        rng = derive_rng(31, "ternary-projection")
+        matrix = _draw_ternary_csr(rng, 40, 13, 1.0 / 3.0)
+        assert np.array_equal(
+            matrix.toarray(), _reference_matrix(13, 40, 1.0 / 3.0, 31)
+        )
+        whole = derive_rng(31, "ternary-projection")
+        whole.random((40, 13))
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+    def test_draw_memory_is_bounded_by_its_output(self, traced_peak):
+        """Beside the output's 12 bytes a non-zero, the draw holds each
+        non-zero's int32 column and bool sign twice at most (per block,
+        then joined), plus a fixed block scratch: under twice the output
+        for the root-sized matrix. Blocks of 2**20 float64 uniforms took
+        it past 6x."""
+        matrix, peak = traced_peak(lambda: _draw_ternary_csr(
+            derive_rng(32, "ternary-projection"), 4000, 4000, 1.0 - 64 / 4000
+        ))
+        output = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 2 * output
 
     @pytest.mark.parametrize("rows", ["1d", 1, 32])
     def test_project_equals_dense_product(self, rows):

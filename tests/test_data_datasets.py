@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.data.datasets as datasets_module
 from repro.data.datasets import (
     DATASETS,
     HIERARCHY_DATASETS,
     dataset_names,
     load_dataset,
 )
+from repro.data.synthetic import _block_mask, _latent_clusters
+from repro.utils.rng import derive_rng
 
 
 class TestRegistry:
@@ -94,3 +97,71 @@ class TestLoadDataset:
         model.fit(data.train_x, data.train_y, retrain_epochs=5)
         chance = 1.0 / data.n_classes
         assert model.accuracy(data.test_x, data.test_y) > chance + 0.3
+
+
+def _pre_change_make_classification(
+    n_samples, n_features, n_classes, clusters_per_class, latent_dim,
+    class_separation, noise, nonlinear_mix, feature_blocks, block_leak,
+    seed, name,
+):
+    """``make_classification`` as it was written before the generator
+    built its output in place: its draws replayed, and the final
+    expression kept verbatim."""
+    if latent_dim is None:
+        latent_dim = int(min(n_features, max(8, n_classes * 2)))
+    rng = derive_rng(seed, f"dataset-{name}")
+    parts = int(min(feature_blocks, latent_dim)) if feature_blocks > 1 else 1
+    centers = _latent_clusters(
+        n_classes, clusters_per_class, latent_dim, class_separation, rng,
+        parts=parts,
+    )
+    labels = rng.integers(0, n_classes, size=n_samples)
+    cluster_ids = rng.integers(0, clusters_per_class, size=n_samples)
+    latent = centers[labels, cluster_ids] + rng.standard_normal(
+        (n_samples, latent_dim)
+    )
+    lift = rng.standard_normal((latent_dim, n_features)) / np.sqrt(latent_dim)
+    mix = rng.standard_normal((latent_dim, n_features)) / np.sqrt(latent_dim)
+    if feature_blocks > 1:
+        mask = _block_mask(
+            n_features, latent_dim, feature_blocks, block_leak, rng
+        )
+        lift = lift * mask
+        mix = mix * mask
+    observed = (1.0 - nonlinear_mix) * (latent @ lift) + nonlinear_mix * np.tanh(
+        latent @ mix
+    ) * 2.0
+    observed += noise * rng.standard_normal((n_samples, n_features))
+    return observed.astype(np.float64), labels.astype(np.int64)
+
+
+class TestGeneratorBits:
+    """The in-place generator reproduces the old expression bit for bit."""
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    @pytest.mark.parametrize("scale", [0.01, 0.05])
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_load_dataset_equals_pre_change(self, monkeypatch, name, scale, seed):
+        got = load_dataset(name, scale=scale, max_train=600, seed=seed)
+        monkeypatch.setattr(
+            datasets_module, "make_classification",
+            _pre_change_make_classification,
+        )
+        want = load_dataset(name, scale=scale, max_train=600, seed=seed)
+        for field in ("train_x", "train_y", "test_x", "test_y"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b), field
+
+
+def test_load_dataset_memory_is_bounded_by_its_output(traced_peak):
+    """The generator holds its output and one scratch array of the same
+    size, and the split copies the output once: a peak of about twice
+    the features. The latent draws and labels are far below half of
+    them, so 2.5x bounds it. The old expression's temporaries took it
+    past 3x."""
+    data, peak = traced_peak(lambda: load_dataset(
+        "PDP", scale=5.0, max_train=1250, max_test=30000
+    ))
+    output = data.train_x.nbytes + data.test_x.nbytes
+    assert peak <= 2.5 * output
