@@ -26,7 +26,9 @@ Subpackages
 ``repro.hardware``
     Op counting, platform rooflines, the FPGA design model.
 ``repro.baselines``
-    MLP, kernel SVM, AdaBoost, linear-encoding HD, centralized HD.
+    MLP, kernel SVM, AdaBoost, linear-encoding HD, and the
+    centralized-learning traffic (centralized HD is ``EdgeHDModel``
+    plus ``centralized_upload_messages``).
 ``repro.data``
     Synthetic stand-ins for the paper's nine datasets.
 ``repro.experiments``

@@ -207,11 +207,6 @@ class FileContext:
             isinstance(f, ast.AsyncFunctionDef) for f in self.func_stack
         )
 
-    def current_function(
-        self,
-    ) -> Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-        return self.func_stack[-1] if self.func_stack else None
-
     # ------------------------------------------------------------------
     def is_suppressed(
         self, rule_id: str, line: int, end_line: int = 0
@@ -358,11 +353,6 @@ class LintEngine:
                     continue
                 findings.append(finding)
         return findings
-
-    def lint_file(self, path: Union[str, Path]) -> List[Finding]:
-        return self.lint_source(
-            Path(path).read_text(encoding="utf-8"), path=path
-        )
 
     def lint_paths(self, paths: Iterable[Union[str, Path]]) -> List[Finding]:
         """Lint files and (recursively) directories of ``*.py`` files."""

@@ -5,24 +5,21 @@ central node, which encodes, trains and serves the single global model.
 This is the configuration EdgeHD is measured against in Figs. 10/11/13:
 the classifier itself can be HD (HD-GPU / HD-FPGA) or a DNN (DNN-GPU);
 the communication pattern is what distinguishes it from EdgeHD.
+Centralized HD is an :class:`~repro.core.model.EdgeHDModel` trained on
+all features plus the traffic :func:`centralized_upload_messages`
+prices; this module holds only the latter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
-from repro.config import DEFAULT_CONFIG, EdgeHDConfig
-from repro.core.classifier import PredictionResult
-from repro.core.model import EdgeHDModel, raw_data_bytes
+from repro.core.model import raw_data_bytes
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.topology import Hierarchy
 from repro.network.message import Message, MessageKind
-from repro.utils.validation import check_labels, check_matrix
 
-__all__ = ["CentralizedHD", "centralized_upload_messages"]
+__all__ = ["centralized_upload_messages"]
 
 
 def centralized_upload_messages(
@@ -60,75 +57,3 @@ def centralized_upload_messages(
                 )
             )
     return messages
-
-
-@dataclass
-class CentralizedTrainingReport:
-    """Training outcome + the upload traffic it required."""
-
-    train_accuracy: float
-    messages: List[Message] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.payload_bytes for m in self.messages)
-
-
-class CentralizedHD:
-    """HD learning with all data collected at the central node."""
-
-    def __init__(
-        self,
-        hierarchy: Hierarchy,
-        partition: FeaturePartition,
-        n_classes: int,
-        config: EdgeHDConfig = DEFAULT_CONFIG,
-    ) -> None:
-        self.hierarchy = hierarchy
-        self.partition = partition
-        self.config = config
-        self.model = EdgeHDModel(
-            n_features=partition.n_features,
-            n_classes=n_classes,
-            dimension=config.dimension,
-            encoder=config.encoder,
-            sparsity=config.sparsity,
-            binarize=config.binarize,
-            seed=config.seed,
-        )
-
-    def fit(self, train_x: np.ndarray, train_y: np.ndarray) -> CentralizedTrainingReport:
-        """Upload everything, then train the global model centrally."""
-        mat = check_matrix("train_x", train_x, cols=self.partition.n_features)
-        y = check_labels("train_y", train_y, n_classes=self.model.n_classes)
-        messages = centralized_upload_messages(
-            self.hierarchy, self.partition, mat.shape[0]
-        )
-        report = self.model.fit(
-            mat, y, retrain_epochs=self.config.retrain_epochs,
-            learning_rate=self.config.retrain_learning_rate,
-        )
-        return CentralizedTrainingReport(
-            train_accuracy=report.final_accuracy, messages=messages
-        )
-
-    def inference_messages(self, n_queries: int) -> List[Message]:
-        """Per-query upload traffic for centralized inference."""
-        return centralized_upload_messages(
-            self.hierarchy, self.partition, n_queries, kind=MessageKind.QUERY
-        )
-
-    # ------------------------------------------------------------------
-    # Predictor protocol: delegate to the central global model.
-    # ------------------------------------------------------------------
-    def predict(self, features: np.ndarray) -> PredictionResult:
-        return self.model.predict(features)
-
-    def predict_labels(self, features: np.ndarray) -> np.ndarray:
-        return self.model.predict_labels(features)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(features)
-
-    def accuracy(self, test_x: np.ndarray, test_y: np.ndarray) -> float:
-        return self.model.accuracy(test_x, test_y)

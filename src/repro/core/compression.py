@@ -55,10 +55,6 @@ class CompressedBatch:
     def dimension(self) -> int:
         return int(self.bundle.shape[-1])
 
-    def wire_elements(self) -> int:
-        """Number of scalar elements actually transmitted."""
-        return self.bundle.size
-
 
 class PositionCodebook:
     """Fixed codebook of random bipolar position hypervectors.
@@ -89,14 +85,6 @@ class PositionCodebook:
         bound = mat * self.positions[:count].astype(np.float64)
         return CompressedBatch(bundle=bound.sum(axis=0), count=count)
 
-    def compress_stream(self, hypervectors: np.ndarray) -> list[CompressedBatch]:
-        """Split an arbitrarily long stack into capacity-sized bundles."""
-        mat = check_matrix("hypervectors", hypervectors, cols=self.dimension)
-        return [
-            self.compress(mat[start : start + self.capacity])
-            for start in range(0, mat.shape[0], self.capacity)
-        ]
-
     def decompress(self, batch: CompressedBatch, binarize: bool = True) -> np.ndarray:
         """Recover the ``batch.count`` hypervectors (approximately).
 
@@ -111,15 +99,6 @@ class PositionCodebook:
         if not 0 < batch.count <= self.capacity:
             raise ValueError(f"invalid batch count {batch.count}")
         decoded = batch.bundle[None, :] * self.positions[: batch.count].astype(np.float64)
-        if binarize:
-            return sign_binarize(decoded)
-        return decoded
-
-    def decode_one(self, batch: CompressedBatch, index: int, binarize: bool = True) -> np.ndarray:
-        """Recover a single hypervector by its position index."""
-        if not 0 <= index < batch.count:
-            raise IndexError(f"index {index} out of range for count {batch.count}")
-        decoded = batch.bundle * self.positions[index].astype(np.float64)
         if binarize:
             return sign_binarize(decoded)
         return decoded

@@ -14,7 +14,6 @@ hypervectors) instead of raw datasets.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -243,12 +242,6 @@ class EdgeHDModel:
                 )
             self.classifier.set_model(data["class_hypervectors"])
         return self
-
-    def to_bytes(self) -> bytes:
-        """Serialize the class model to bytes (for network transfer)."""
-        buf = io.BytesIO()
-        np.save(buf, self.class_hypervectors)
-        return buf.getvalue()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

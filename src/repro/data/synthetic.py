@@ -52,38 +52,6 @@ class SyntheticDataset:
     def n_test(self) -> int:
         return int(self.test_x.shape[0])
 
-    def subset_features(self, columns: np.ndarray | list[int]) -> "SyntheticDataset":
-        """View of the dataset restricted to a feature subset.
-
-        Used to hand each end node only the sensors it owns.
-        """
-        cols = np.asarray(columns, dtype=np.int64)
-        if cols.size == 0:
-            raise ValueError("feature subset must be non-empty")
-        if cols.min() < 0 or cols.max() >= self.n_features:
-            raise IndexError("feature subset out of range")
-        return SyntheticDataset(
-            name=f"{self.name}[{cols.size}f]",
-            train_x=self.train_x[:, cols],
-            train_y=self.train_y,
-            test_x=self.test_x[:, cols],
-            test_y=self.test_y,
-        )
-
-    def subsample(self, n_train: int, n_test: int, seed: SeedLike = None) -> "SyntheticDataset":
-        """Random subsample (used to keep benches laptop-scale)."""
-        rng = derive_rng(seed, f"subsample-{self.name}")
-        n_train = min(n_train, self.n_train)
-        n_test = min(n_test, self.n_test)
-        tr = rng.choice(self.n_train, size=n_train, replace=False)
-        te = rng.choice(self.n_test, size=n_test, replace=False)
-        return SyntheticDataset(
-            name=self.name,
-            train_x=self.train_x[tr],
-            train_y=self.train_y[tr],
-            test_x=self.test_x[te],
-            test_y=self.test_y[te],
-        )
 
 
 def _latent_clusters(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.baselines.centralized import centralized_upload_messages
+from repro.config import DEFAULT_CONFIG
 from repro.data import DATASETS, load_dataset, partition_features
 from repro.experiments.efficiency import (
     _edgehd_node_training_ops,
@@ -75,9 +76,11 @@ def _training_speedup(dataset: str, depth: int, medium_name: str, dimension: int
     # Centralized: raw upload through every level + central compute.
     upload = centralized_upload_messages(hierarchy, partition, n)
     central_ops = (
-        encoding_ops(n, spec.n_features, dimension, 0.8)
+        encoding_ops(n, spec.n_features, dimension, DEFAULT_CONFIG.sparsity)
         + hd_initial_training_ops(n, dimension)
-        + hd_retrain_ops(n, dimension, spec.n_classes, 20)
+        + hd_retrain_ops(
+            n, dimension, spec.n_classes, DEFAULT_CONFIG.retrain_epochs
+        )
     )
     central_time = (
         sim.simulate_upward_pass(upload).makespan_s

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.compression import compressed_bundle_bytes
 from repro.core.model import class_model_bytes, hypervector_bytes
 from repro.baselines.centralized import centralized_upload_messages
@@ -67,16 +68,12 @@ CONFIGS = ("dnn-gpu", "hd-gpu", "hd-fpga", "edgehd")
 #: DNN architecture/epochs the grid search settles on (Sec. VI-B).
 _DNN_HIDDEN = (512, 256)
 _DNN_EPOCHS = 30
-_HD_EPOCHS = 20
-_SPARSITY = 0.8
-#: sparse-JL non-zeros per projection row (matches EdgeHDConfig).
-_PROJ_NONZEROS = 64
 #: host (RPi) power overhead per active EdgeHD node during the run.
 _HOST_POWER_W = 1.0
 
 
 def _proj_density(in_dim: int) -> float:
-    return min(1.0, _PROJ_NONZEROS / max(1, in_dim))
+    return min(1.0, DEFAULT_CONFIG.projection_nonzeros / max(1, in_dim))
 
 #: Default share of queries escalating past each level when no measured
 #: frequencies are supplied (post-online-training PECAN behaviour,
@@ -191,9 +188,14 @@ def _edgehd_node_training_ops(
         if node.is_leaf:
             n_local = len(partition.columns(node.leaf_index))
             ops[node_id] = (
-                encoding_ops(n_samples, n_local, node.dimension, _SPARSITY)
+                encoding_ops(
+                    n_samples, n_local, node.dimension, DEFAULT_CONFIG.sparsity
+                )
                 + hd_initial_training_ops(n_samples, node.dimension)
-                + hd_retrain_ops(n_samples, node.dimension, n_classes, _HD_EPOCHS)
+                + hd_retrain_ops(
+                    n_samples, node.dimension, n_classes,
+                    DEFAULT_CONFIG.retrain_epochs,
+                )
             )
         else:
             in_dim = sum(hierarchy.nodes[c].dimension for c in node.children)
@@ -202,7 +204,10 @@ def _edgehd_node_training_ops(
                     n_batches + n_classes, in_dim, node.dimension,
                     density=_proj_density(in_dim),
                 )
-                + hd_retrain_ops(n_batches, node.dimension, n_classes, _HD_EPOCHS)
+                + hd_retrain_ops(
+                    n_batches, node.dimension, n_classes,
+                    DEFAULT_CONFIG.retrain_epochs,
+                )
             )
     return ops
 
@@ -262,9 +267,11 @@ def system_training_cost(
         platform: Platform = GPU_GTX1080TI
     else:
         ops = (
-            encoding_ops(n, spec.n_features, dimension, _SPARSITY)
+            encoding_ops(n, spec.n_features, dimension, DEFAULT_CONFIG.sparsity)
             + hd_initial_training_ops(n, dimension)
-            + hd_retrain_ops(n, dimension, spec.n_classes, _HD_EPOCHS)
+            + hd_retrain_ops(
+                n, dimension, spec.n_classes, DEFAULT_CONFIG.retrain_epochs
+            )
         )
         platform = GPU_GTX1080TI if config == "hd-gpu" else FPGA_KINTEX7_CENTRAL
     cost.add_compute(platform.execution_time(ops), platform.energy(ops))
@@ -302,9 +309,9 @@ def system_inference_cost(
         for leaf in hierarchy.leaves():
             node = hierarchy.nodes[leaf]
             n_local = len(partition.columns(node.leaf_index))
-            ops = encoding_ops(n, n_local, node.dimension, _SPARSITY) + hd_inference_ops(
-                n, node.dimension, spec.n_classes
-            )
+            ops = encoding_ops(
+                n, n_local, node.dimension, DEFAULT_CONFIG.sparsity
+            ) + hd_inference_ops(n, node.dimension, spec.n_classes)
             compute_energy += FPGA_NODE.energy(ops)
             compute_time = max(compute_time, FPGA_NODE.execution_time(ops))
         freq = level_frequency or _DEFAULT_LEVEL_FREQUENCY
@@ -339,9 +346,9 @@ def system_inference_cost(
         ops = dnn_inference_ops(n, spec.n_features, _DNN_HIDDEN, spec.n_classes)
         platform: Platform = GPU_GTX1080TI
     else:
-        ops = encoding_ops(n, spec.n_features, dimension, _SPARSITY) + hd_inference_ops(
-            n, dimension, spec.n_classes
-        )
+        ops = encoding_ops(
+            n, spec.n_features, dimension, DEFAULT_CONFIG.sparsity
+        ) + hd_inference_ops(n, dimension, spec.n_classes)
         platform = GPU_GTX1080TI if config == "hd-gpu" else FPGA_KINTEX7_CENTRAL
     cost.add_compute(platform.execution_time(ops), platform.energy(ops))
     return cost

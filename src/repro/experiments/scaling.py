@@ -7,9 +7,11 @@ analytically at the paper's workload shape:
 
 * **EdgeHD** — models/batches upward, per-node compute in parallel;
 * **centralized HD** — raw upload + central compute;
-* **vertical-federated DNN** — per-epoch embedding/gradient traffic
-  (:class:`repro.baselines.federated_dnn.VerticalFedMLP`), the
-  "non-trivial" DNN federation the paper's challenge (iii) describes.
+* **vertical-federated DNN** — per-epoch embedding/gradient traffic,
+  the "non-trivial" DNN federation the paper's challenge (iii)
+  describes. It is priced analytically in :func:`run_scaling`: every
+  non-root node carries each of its subtree's devices' embeddings up
+  and their gradients down, once per epoch.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 from repro.baselines.centralized import centralized_upload_messages
+from repro.config import DEFAULT_CONFIG
 from repro.data import partition_features
 from repro.experiments.efficiency import (
     _edgehd_node_training_ops,
@@ -92,9 +95,11 @@ def run_scaling(
         upload = centralized_upload_messages(hierarchy, partition, n_samples)
         comm = sim.simulate_upward_pass(upload)
         ops = (
-            encoding_ops(n_samples, n_features, dimension, 0.8)
+            encoding_ops(n_samples, n_features, dimension, DEFAULT_CONFIG.sparsity)
             + hd_initial_training_ops(n_samples, dimension)
-            + hd_retrain_ops(n_samples, dimension, n_classes, 20)
+            + hd_retrain_ops(
+                n_samples, dimension, n_classes, DEFAULT_CONFIG.retrain_epochs
+            )
         )
         result.time_s[("centralized-hd", n_nodes)] = (
             comm.makespan_s + FPGA_KINTEX7_CENTRAL.execution_time(ops)

@@ -199,10 +199,6 @@ class OnlineStepMetrics:
     def central_accuracy(self) -> float:
         return self.accuracy_by_level[max(self.accuracy_by_level)]
 
-    @property
-    def end_node_accuracy(self) -> float:
-        return self.accuracy_by_level[min(self.accuracy_by_level)]
-
 
 class OnlineSession:
     """Drive a feedback stream through the hierarchy in steps (Fig. 8/9).

@@ -42,10 +42,6 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
 
 class Hierarchy:
     """Rooted tree of devices with dimension bookkeeping."""

@@ -50,10 +50,6 @@ class SpanRecord:
     parent: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def duration_ms(self) -> float:
-        return self.duration_ns / 1e6
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -139,18 +139,6 @@ class BoundedQueue:
                 ) from None
         self._count()
 
-    def offer(self, item: Any) -> bool:
-        """Non-blocking enqueue; returns False (and counts a shed) when
-        full. Usable under either policy — with ``"block"`` semantics a
-        False return lets the caller choose to fall back to ``put``."""
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            self.stats.shed += 1
-            return False
-        self._count()
-        return True
-
     def _count(self) -> None:
         self.stats.enqueued += 1
         depth = self._queue.qsize()

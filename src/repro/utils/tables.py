@@ -49,10 +49,3 @@ def format_table(
     out.append(sep)
     return "\n".join(out)
 
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any], ndigits: int = 3) -> str:
-    """Render a figure series as ``name: x=y`` pairs, one per line."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    pairs = ", ".join(f"{_fmt(x, ndigits)}={_fmt(y, ndigits)}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

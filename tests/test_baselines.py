@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.adaboost import AdaBoostClassifier, DecisionStump
-from repro.baselines.centralized import CentralizedHD, centralized_upload_messages
+from repro.baselines.centralized import centralized_upload_messages
 from repro.baselines.linear_hd import LinearHDClassifier
 from repro.baselines.mlp import MLPClassifier
 from repro.baselines.svm import KernelSVM
@@ -187,9 +187,18 @@ class TestCentralized:
 
     def test_upload_messages_cover_all_hops(self, setup):
         x, y, part, hierarchy, config = setup
-        messages = centralized_upload_messages(hierarchy, part, 100)
+        raw = centralized_upload_messages(hierarchy, part, 100)
         # Every non-root node forwards once.
-        assert len(messages) == len(hierarchy.nodes) - 1
+        assert len(raw) == len(hierarchy.nodes) - 1
+        assert all(m.kind == MessageKind.RAW_DATA for m in raw)
+        # Centralized inference ships its queries along the same hops.
+        queries = centralized_upload_messages(
+            hierarchy, part, 100, kind=MessageKind.QUERY
+        )
+        assert all(m.kind == MessageKind.QUERY for m in queries)
+        assert [(m.source, m.destination, m.payload_bytes) for m in queries] == [
+            (m.source, m.destination, m.payload_bytes) for m in raw
+        ]
 
     def test_gateway_forwards_subtree_volume(self, setup):
         x, y, part, hierarchy, config = setup
@@ -202,20 +211,6 @@ class TestCentralized:
                 by_source[c].payload_bytes for c in hierarchy.nodes[nid].children
             )
             assert by_source[nid].payload_bytes == children_bytes
-
-    def test_fit_and_accuracy(self, setup):
-        x, y, part, hierarchy, config = setup
-        central = CentralizedHD(hierarchy, part, 2, config)
-        report = central.fit(x[:300], y[:300])
-        assert report.total_bytes > 0
-        assert all(m.kind == MessageKind.RAW_DATA for m in report.messages)
-        assert central.accuracy(x[300:], y[300:]) > 0.6
-
-    def test_inference_messages_kind(self, setup):
-        x, y, part, hierarchy, config = setup
-        central = CentralizedHD(hierarchy, part, 2, config)
-        messages = central.inference_messages(10)
-        assert all(m.kind == MessageKind.QUERY for m in messages)
 
     def test_star_less_hops_than_tree(self, setup):
         x, y, part, hierarchy, config = setup

@@ -8,7 +8,11 @@ from repro.core.compression import (
     PositionCodebook,
     compressed_bundle_bytes,
 )
-from repro.core.hypervector import hamming_similarity, random_bipolar
+from repro.core.hypervector import (
+    hamming_similarity,
+    random_bipolar,
+    sign_binarize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,19 +74,6 @@ class TestCompressDecompress:
         decoded = book.decompress(batch)
         assert np.array_equal(decoded[0], hv.astype(np.int8))
 
-    def test_decode_one_matches_decompress(self, queries):
-        book = PositionCodebook(4000, 25, seed=6)
-        batch = book.compress(queries[:5])
-        all_decoded = book.decompress(batch)
-        for i in range(5):
-            assert np.array_equal(book.decode_one(batch, i), all_decoded[i])
-
-    def test_decode_one_out_of_range(self, queries):
-        book = PositionCodebook(4000, 25, seed=7)
-        batch = book.compress(queries[:5])
-        with pytest.raises(IndexError):
-            book.decode_one(batch, 5)
-
     def test_non_binarized_decode_signal_noise(self):
         """Signal term has unit magnitude; noise std ~ sqrt(m-1)."""
         dim, m = 20_000, 10
@@ -99,14 +90,9 @@ class TestWireAccounting:
         book = PositionCodebook(4000, 25, seed=10)
         batch = book.compress(queries)
         # One bundle of D integers regardless of m.
-        assert batch.wire_elements() == 4000
+        assert batch.bundle.shape == (4000,)
         assert batch.count == 25
         assert batch.dimension == 4000
-
-    def test_compress_stream_splits(self, queries):
-        book = PositionCodebook(4000, 10, seed=11)
-        batches = book.compress_stream(queries)  # 25 vectors, capacity 10
-        assert [b.count for b in batches] == [10, 10, 5]
 
 
 class TestValidation:
@@ -197,10 +183,11 @@ class TestByteAccounting:
         assert partial.count == 7
         decoded = book.decompress(partial)
         assert decoded.shape == (7, 4000)
-        # Per-vector decode matches the batch decode at every index.
+        # Row i is the bundle unbound by position i, for every i < count.
         for index in range(partial.count):
             np.testing.assert_array_equal(
-                book.decode_one(partial, index), decoded[index]
+                decoded[index],
+                sign_binarize(partial.bundle * book.positions[index]),
             )
         fidelity = np.mean(
             [

@@ -129,12 +129,6 @@ class TestEdgeHDModel:
         with pytest.raises(ValueError):
             other.load_model(path)
 
-    def test_to_bytes_nonempty(self, fitted):
-        model, _, _, _ = fitted
-        blob = model.to_bytes()
-        assert isinstance(blob, bytes)
-        assert len(blob) > 400
-
     def test_custom_encoder_instance(self):
         enc = RBFEncoder(6, 128, seed=3)
         model = EdgeHDModel(6, 2, dimension=128, encoder=enc)

@@ -9,7 +9,6 @@ from repro.core.classifier import HDClassifier
 from repro.core.encoding import IDLevelEncoder, RBFEncoder
 from repro.core.hypervector import bundle, permute, random_bipolar
 from repro.core.model import TrainingReport
-from repro.data import load_dataset
 from repro.experiments.bandwidth import _level_frequency_for
 from repro.hierarchy.topology import build_pecan, build_tree
 
@@ -130,16 +129,3 @@ class TestCliReport:
         (results / "fig7_accuracy.txt").write_text("BODY\n")
         assert cli_main(["report", "--results-dir", str(results)]) == 0
         assert "BODY" in capsys.readouterr().out
-
-
-class TestDatasetSubsetInterplay:
-    def test_subset_then_train(self):
-        """A device can train on its own feature slice end to end."""
-        from repro.core.model import EdgeHDModel
-
-        data = load_dataset("PDP", scale=0.03, max_train=400, max_test=150, seed=8)
-        local = data.subset_features(list(range(12)))
-        model = EdgeHDModel(12, data.n_classes, dimension=512, seed=9)
-        model.fit(local.train_x, local.train_y, retrain_epochs=4)
-        acc = model.accuracy(local.test_x, local.test_y)
-        assert acc > 1.0 / data.n_classes

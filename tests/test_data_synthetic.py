@@ -113,28 +113,3 @@ class TestSyntheticDataset:
         assert dataset.n_classes == 3
         assert dataset.n_train == 80
         assert dataset.n_test == 20
-
-    def test_subset_features(self, dataset):
-        sub = dataset.subset_features([0, 3, 5])
-        assert sub.n_features == 3
-        assert np.array_equal(sub.train_x, dataset.train_x[:, [0, 3, 5]])
-        assert np.array_equal(sub.train_y, dataset.train_y)
-
-    def test_subset_features_invalid(self, dataset):
-        with pytest.raises(ValueError):
-            dataset.subset_features([])
-        with pytest.raises(IndexError):
-            dataset.subset_features([99])
-
-    def test_subsample(self, dataset):
-        small = dataset.subsample(10, 5, seed=1)
-        assert small.n_train == 10 and small.n_test == 5
-
-    def test_subsample_caps_at_available(self, dataset):
-        same = dataset.subsample(10_000, 10_000, seed=1)
-        assert same.n_train == 80 and same.n_test == 20
-
-    def test_subsample_deterministic(self, dataset):
-        a = dataset.subsample(10, 5, seed=3)
-        b = dataset.subsample(10, 5, seed=3)
-        assert np.array_equal(a.train_x, b.train_x)

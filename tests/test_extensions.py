@@ -1,101 +1,17 @@
-"""Tests for the extension modules: vertical-federated DNN, model
-quantization, and the scaling study."""
+"""Tests for the extension modules: model quantization and the scaling
+study (which prices the vertical-federated DNN)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.federated_dnn import VerticalFedMLP
 from repro.core.classifier import HDClassifier
 from repro.core.encoding import RBFEncoder
 from repro.core.quantize import (
-    QuantizedModel,
     dequantize_model,
     quantize_classifier,
     quantize_model,
 )
-from repro.data import make_classification, partition_features
 from repro.experiments.scaling import SYSTEMS, format_scaling, run_scaling
-from repro.hierarchy.topology import build_tree
-from repro.network.message import MessageKind
-
-
-@pytest.fixture(scope="module")
-def vertical_problem():
-    x, y = make_classification(
-        700, 24, 3, feature_blocks=4, seed=17, noise=0.4
-    )
-    partition = partition_features(24, 4)
-    return x[:550], y[:550], x[550:], y[550:], partition
-
-
-class TestVerticalFedMLP:
-    def test_learns(self, vertical_problem):
-        tr_x, tr_y, te_x, te_y, partition = vertical_problem
-        model = VerticalFedMLP(
-            partition, 3, embedding_dim=16, hidden_dim=32,
-            epochs=25, seed=1,
-        )
-        report = model.fit(tr_x, tr_y)
-        assert report.loss_history[-1] < report.loss_history[0]
-        assert model.accuracy(te_x, te_y) > 0.6
-
-    def test_proba_normalized(self, vertical_problem):
-        tr_x, tr_y, te_x, _, partition = vertical_problem
-        model = VerticalFedMLP(partition, 3, epochs=3, seed=2)
-        model.fit(tr_x, tr_y)
-        probs = model.predict_proba(te_x[:9])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
-    def test_training_messages_per_epoch(self, vertical_problem):
-        *_, partition = vertical_problem
-        hierarchy = build_tree(4)
-        model = VerticalFedMLP(partition, 3, epochs=5, seed=3)
-        messages = model.training_messages(hierarchy, n_samples=100)
-        # 2 messages (up + down) per non-root node per epoch.
-        assert len(messages) == 2 * (len(hierarchy.nodes) - 1) * 5
-        kinds = {m.kind for m in messages}
-        assert kinds == {MessageKind.RAW_DATA, MessageKind.CONTROL}
-
-    def test_traffic_dwarfs_edgehd(self, vertical_problem):
-        """Challenge (iii): DNN federation is communication-heavy."""
-        from repro.experiments.efficiency import edgehd_training_messages
-
-        *_, partition = vertical_problem
-        hierarchy = build_tree(4)
-        hierarchy.allocate_dimensions(4000, partition.feature_counts())
-        model = VerticalFedMLP(partition, 3, epochs=20, seed=4)
-        dnn_bytes = sum(
-            m.payload_bytes
-            for m in model.training_messages(hierarchy, n_samples=10_000)
-        )
-        edge_bytes = sum(
-            m.payload_bytes
-            for m in edgehd_training_messages(hierarchy, 10_000, 3, 75)
-        )
-        assert dnn_bytes > 50 * edge_bytes
-
-    def test_inference_messages(self, vertical_problem):
-        *_, partition = vertical_problem
-        hierarchy = build_tree(4)
-        model = VerticalFedMLP(partition, 3, seed=5)
-        messages = model.inference_messages(hierarchy, 10)
-        assert all(m.kind == MessageKind.QUERY for m in messages)
-        assert len(messages) == len(hierarchy.nodes) - 1
-
-    def test_predict_before_fit(self, vertical_problem):
-        *_, partition = vertical_problem
-        model = VerticalFedMLP(partition, 3, seed=6)
-        with pytest.raises(RuntimeError):
-            model.predict(np.ones((1, 24)))
-
-    def test_invalid_params(self, vertical_problem):
-        *_, partition = vertical_problem
-        with pytest.raises(ValueError):
-            VerticalFedMLP(partition, 1)
-        with pytest.raises(ValueError):
-            VerticalFedMLP(partition, 3, embedding_dim=0)
-        with pytest.raises(ValueError):
-            VerticalFedMLP(partition, 3, learning_rate=0.0)
 
 
 class TestQuantization:
@@ -179,6 +95,12 @@ class TestScaling:
         lo = result.traffic_bytes[("vertical-dnn", 4)]
         hi = result.traffic_bytes[("vertical-dnn", 64)]
         assert hi == pytest.approx(16 * lo, rel=0.1)
+
+    def test_traffic_dwarfs_edgehd(self):
+        """Challenge (iii): DNN federation is communication-heavy."""
+        result = run_scaling(node_counts=(4,), n_samples=10_000, n_classes=3)
+        dnn_bytes = result.traffic_bytes[("vertical-dnn", 4)]
+        assert dnn_bytes > 50 * result.traffic_bytes[("edgehd", 4)]
 
     def test_edgehd_fastest_at_scale(self, result):
         n = max(result.node_counts)

@@ -106,7 +106,6 @@ class TestOnlineSession:
             assert set(m.accuracy_by_level) == {1, 2, 3}
             assert set(m.inference_frequency_by_level) == {1, 2, 3}
             assert 0.0 <= m.central_accuracy <= 1.0
-            assert 0.0 <= m.end_node_accuracy <= 1.0
 
     def test_online_learning_improves_accuracy(self, online_setup):
         """The Fig. 9 claim: accuracy rises with online steps."""

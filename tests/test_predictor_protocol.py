@@ -9,8 +9,6 @@ from repro.baselines import (
     LinearHDClassifier,
     MLPClassifier,
 )
-from repro.baselines.centralized import CentralizedHD
-from repro.baselines.federated_dnn import VerticalFedMLP
 from repro.core.classifier import HDClassifier, PredictionResult
 from repro.core.model import EdgeHDModel
 from repro.core.predictor import (
@@ -18,8 +16,7 @@ from repro.core.predictor import (
     result_from_proba,
     result_from_scores,
 )
-from repro.data import make_classification, partition_features
-from repro.hierarchy import build_tree
+from repro.data import make_classification
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +40,6 @@ def _fitted_models(data):
     ada.fit(train_x, train_y)
     mlp = MLPClassifier(10, 3, hidden_sizes=(16,), epochs=2, seed=5)
     mlp.fit(train_x, train_y)
-    partition = partition_features(10, 2)
-    fed = VerticalFedMLP(partition, 3, embedding_dim=8, hidden_dim=16,
-                         epochs=2, seed=6)
-    fed.fit(train_x, train_y)
-    central = CentralizedHD(build_tree(2), partition, 3)
-    central.fit(train_x, train_y)
     clf = HDClassifier(3, 256)
     clf.fit_initial(hd.encoder.encode(train_x), train_y)
     return {
@@ -57,8 +48,6 @@ def _fitted_models(data):
         "KernelSVM": (svm, train_x),
         "AdaBoostClassifier": (ada, train_x),
         "MLPClassifier": (mlp, train_x),
-        "VerticalFedMLP": (fed, train_x),
-        "CentralizedHD": (central, train_x),
         "HDClassifier": (clf, hd.encoder.encode(train_x)),
     }
 

@@ -127,17 +127,6 @@ class TestBoundedQueue:
 
         assert run(scenario()) == []
 
-    def test_offer_counts_shed_without_raising(self):
-        async def scenario():
-            q = BoundedQueue(1, policy="block")
-            assert q.offer("a") is True
-            assert q.offer("b") is False
-            return q
-
-        q = run(scenario())
-        assert q.stats.shed == 1
-        assert q.stats.high_water == 1
-
 
 # ----------------------------------------------------------------------
 # MicroBatcher

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, EdgeHDConfig
 from repro.utils.rng import derive_rng, spawn_seeds
-from repro.utils.tables import format_series, format_table
+from repro.utils.tables import format_table
 from repro.utils.validation import (
     check_fitted,
     check_labels,
@@ -78,15 +78,6 @@ class TestTables:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-    def test_format_series(self):
-        out = format_series("speedup", [1, 2], [1.5, 3.0])
-        assert "speedup:" in out
-        assert "2=3.000" in out
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
 
 
 class TestValidation:

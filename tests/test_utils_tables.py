@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import _fmt, format_series, format_table
+from repro.utils.tables import _fmt, format_table
 
 
 class TestFmt:
@@ -45,16 +45,3 @@ class TestFormatTable:
     def test_wide_cell_widens_column(self):
         out = format_table(["x"], [["a-very-long-cell"]])
         assert "| a-very-long-cell |" in out
-
-
-class TestFormatSeries:
-    def test_renders_pairs(self):
-        out = format_series("acc_vs_dim", [1000, 2000], [0.81, 0.88])
-        assert out == "acc_vs_dim: 1000=0.810, 2000=0.880"
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="equal length"):
-            format_series("s", [1, 2], [1.0])
-
-    def test_empty_series(self):
-        assert format_series("s", [], []) == "s: "
