@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.engine import Finding
 

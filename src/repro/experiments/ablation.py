@@ -18,11 +18,10 @@ the paper asserts (Sec. VI-A defaults) or motivates qualitatively:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.config import EdgeHDConfig
 from repro.core.compression import PositionCodebook
 from repro.core.hypervector import hamming_similarity, random_bipolar
 from repro.core.model import EdgeHDModel

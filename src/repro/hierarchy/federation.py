@@ -564,9 +564,10 @@ class LazyEncodings:
     leaf slice encoding, children forward concatenation, ternary
     projection (:meth:`own_rows`) — under ``encode_all``, ``encode_at``,
     the offline walk and the serving runtime. What a node forwards is
-    kept per row, so a row subset encodes only the (row, node) pairs no
-    earlier call encoded or :meth:`carry` seeded: a parent projects what
-    its children forwarded (Sec. IV-A), each pair at most once. A row's
+    kept per row, in one buffer per node (:meth:`carry`), so a row
+    subset encodes only the (row, node) pairs no earlier call encoded
+    or :meth:`carry` seeded: a parent projects what its children
+    forwarded (Sec. IV-A), each pair at most once. A row's
     encoding depends only on that row and the node's subtree, so the
     values are the same whichever rows and nodes are touched, in any
     order.
@@ -583,10 +584,12 @@ class LazyEncodings:
         self._all = np.arange(mat.shape[0])
         #: whole-batch "own" views: prefilled, or looked up by own().
         self._own: Dict[int, np.ndarray] = {}
-        #: per node, each row's index into _forward[node]; -1 until the
-        #: row's forward is encoded or carried.
-        self._slot: Dict[int, np.ndarray] = {}
+        #: per node, one (n_rows, width) buffer of forwards, filled in
+        #: the order rows arrive; each row's index into it (-1 until the
+        #: row is encoded or carried); how many of its rows are filled.
         self._forward: Dict[int, np.ndarray] = {}
+        self._slot: Dict[int, np.ndarray] = {}
+        self._filled: Dict[int, int] = {}
         for node_id, encoded in (prefill or {}).items():
             self._node(node_id)
             self._own[node_id] = encoded
@@ -642,18 +645,30 @@ class LazyEncodings:
         self, node_id: int, rows: np.ndarray, forwarded: np.ndarray
     ) -> None:
         """Seed what ``node_id`` forwards for ``rows`` (e.g. the copies
-        an escalation brought up); rows already held keep their value."""
+        an escalation brought up); rows already held keep their value.
+
+        The first carry allocates the node's (n_rows, width) buffer, or
+        keeps ``forwarded`` itself when ``rows`` is every row in order.
+        Rows fill the buffer in arrival order: chunked carries never
+        copy what is held, and only held rows' pages are touched.
+        """
         slot = self._slot.get(node_id)
         if slot is None:
             self._node(node_id)
+            if np.array_equal(rows, self._all):
+                self._slot[node_id], self._forward[node_id] = self._all, forwarded
+                self._filled[node_id] = rows.size
+                return
             slot = self._slot[node_id] = np.full(self._all.size, -1)
-            slot[rows] = np.arange(rows.size)
-            self._forward[node_id] = forwarded
-            return
-        new = slot[rows] < 0
-        held = self._forward[node_id]
-        slot[rows[new]] = len(held) + np.arange(np.count_nonzero(new))
-        self._forward[node_id] = np.concatenate([held, forwarded[new]])
+            self._forward[node_id] = np.empty(
+                (self._all.size, *forwarded.shape[1:]), dtype=forwarded.dtype
+            )
+            self._filled[node_id] = 0
+        fresh = slot[rows] < 0
+        start = self._filled[node_id]
+        stop = self._filled[node_id] = start + int(np.count_nonzero(fresh))
+        slot[rows[fresh]] = np.arange(start, stop)
+        self._forward[node_id][start:stop] = forwarded[fresh]
 
     @property
     def n_materialized(self) -> int:

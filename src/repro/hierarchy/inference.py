@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
+from repro.core.classifier import _PRODUCT_BLOCK_BYTES
 from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec, resolve_search
 from repro.hierarchy.federation import EdgeHDFederation, LazyEncodings
@@ -247,14 +248,14 @@ class HierarchicalInference:
         ``features`` that already holds some rows' encodings (a cluster
         worker's start leaves); the rest are encoded on demand.
 
-        The walk is batch-first: each node classifies its whole cohort
-        of pending queries in one vectorized call (using the kernel
-        selected by ``self.search``), and confidence gating
-        escalates entire sub-batches at once. The escalation decisions
-        are identical to walking queries one at a time. ``max_batch``
-        caps a node visit: a larger cohort goes through :meth:`step` in
-        chunks of at most that many rows, the rule the serving runtimes
-        follow. Answers and escalation counts do not depend on it.
+        The walk is batch-first: each node classifies its cohort in
+        vectorized visits (with the kernel ``self.search`` selects), and
+        confidence gating escalates whole sub-batches, with decisions
+        identical to walking queries one at a time. A visit covers at
+        most one product block of the node's float64 encodings (and at
+        most ``max_batch`` rows, the serving runtimes' rule), so only the
+        forwards kept below the root grow with the batch. Answers and
+        escalation counts do not depend on the visit width.
         """
         hierarchy = self.federation.hierarchy
         mat = check_matrix(
@@ -279,9 +280,9 @@ class HierarchicalInference:
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
 
-        # Encodings are materialized lazily, per cohort, the first time
+        # Encodings are materialized lazily, per visit, the first time
         # the walk reaches a node (one vectorized associative search per
-        # cohort). A parent's cohort reuses the forwards its children
+        # visit). A parent's visit reuses the forwards its children
         # computed and encodes only the sibling subtrees its rows lack;
         # untouched subtrees are never encoded. The values are
         # bit-identical to the eager encode-everything path.
@@ -316,7 +317,9 @@ class HierarchicalInference:
                 advancing: list[np.ndarray] = []
                 for node_id in np.unique(current[pending]).tolist():
                     visiting = pending[current[pending] == node_id]
-                    width = max_batch or visiting.size
+                    dimension = hierarchy.nodes[node_id].dimension
+                    width = max(1, _PRODUCT_BLOCK_BYTES // (8 * dimension))
+                    width = min(width, max_batch or width)
                     for lo in range(0, visiting.size, width):
                         rows = visiting[lo:lo + width]
                         step = self.step(

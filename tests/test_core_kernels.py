@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import repro.core.kernels as kernels
 from repro.core.hypervector import random_bipolar
 from repro.core.kernels import (
-    WORD_BITS,
     PackedBits,
     pack_bits,
     packed_dot,

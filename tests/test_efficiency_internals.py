@@ -13,7 +13,7 @@ from repro.experiments.efficiency import (
     system_inference_cost,
     system_training_cost,
 )
-from repro.hierarchy.topology import build_star, build_tree
+from repro.hierarchy.topology import build_tree
 from repro.network.message import MessageKind
 
 

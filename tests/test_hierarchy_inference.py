@@ -204,6 +204,94 @@ class TestMaxBatch:
             ), name
             assert capped.escalations == offline.escalations, name
 
+    def test_default_visits_are_bounded_and_match_one_row_visits(
+        self, ragged_cells, monkeypatch
+    ):
+        """The default ``run()`` visits a node with at most
+        ``_PRODUCT_BLOCK_BYTES // (8 * dimension)`` rows and answers as
+        ``run(max_batch=1)`` does. The block is shrunk so the bound
+        binds on the 48-query cells (root 3 rows, leaves 12)."""
+        import repro.hierarchy.inference as inference_module
+        from repro.core.classifier import HDClassifier
+
+        block = 8 * 1024 * 3
+        monkeypatch.setattr(inference_module, "_PRODUCT_BLOCK_BYTES", block)
+        visits = []
+        predict = HDClassifier.predict
+
+        def counting(self, encoded, search=None):
+            visits.append((self, len(encoded)))
+            return predict(self, encoded, search=search)
+
+        monkeypatch.setattr(HDClassifier, "predict", counting)
+        reached = set()
+        for name, inference, max_level, workload, offline in ragged_cells:
+            federation = inference.federation
+            node_of = {id(c): n for n, c in federation.classifiers.items()}
+            visits.clear()
+            default = inference.run(
+                workload.features, start_leaves=workload.start_leaves,
+                max_level=max_level,
+            )
+            for classifier, width in visits:
+                node = federation.hierarchy.nodes[node_of[id(classifier)]]
+                bound = max(1, block // (8 * node.dimension))
+                assert width <= bound, name
+                if width == bound:
+                    reached.add(node.level)
+            single = inference.run(
+                workload.features, start_leaves=workload.start_leaves,
+                max_level=max_level, max_batch=1,
+            )
+            for outcome in (default, single):
+                assert np.array_equal(outcome.labels, offline.labels), name
+                assert np.array_equal(
+                    outcome.deciding_node, offline.deciding_node
+                ), name
+                assert np.array_equal(
+                    outcome.deciding_level, offline.deciding_level
+                ), name
+                assert outcome.escalations == offline.escalations, name
+        # the bound is met, not merely respected, from leaves to the root
+        assert {1, 4} <= reached, reached
+
+    def test_walk_memory_grows_by_the_forwards_it_keeps(
+        self, apri_small, traced_peak
+    ):
+        """Past one node visit, a walk's traced peak grows with its rows
+        only by the int8 forwards kept below the root: 4x the rows raise
+        the peak by at most (3n rows) x (sum of non-root dimensions)
+        bytes plus two product blocks, although every query reaches a
+        root whose float64 encodings alone are 8 x 4,096 bytes a row."""
+        from repro.config import EdgeHDConfig
+        from repro.core.classifier import _PRODUCT_BLOCK_BYTES
+        from repro.data.partition import partition_features
+        from repro.hierarchy import EdgeHDFederation, build_tree
+
+        federation = EdgeHDFederation(
+            build_tree(3), partition_features(apri_small.n_features, 3),
+            apri_small.n_classes,
+            EdgeHDConfig(dimension=4096, batch_size=10, retrain_epochs=1,
+                         seed=17),
+        )
+        federation.fit_offline(apri_small.train_x, apri_small.train_y)
+        central = HierarchicalInference(federation, confidence_threshold=1.0)
+        n = 75
+        x = apri_small.train_x[:4 * n]
+        central.run(x[:8])  # warm up lazily built state
+        _, small_peak = traced_peak(lambda: central.run(x[:n]))
+        large, large_peak = traced_peak(lambda: central.run(x))
+        root = federation.hierarchy.root_id
+        assert np.all(large.deciding_node == root)
+        kept_per_row = sum(
+            node.dimension
+            for nid, node in federation.hierarchy.nodes.items()
+            if nid != root
+        )
+        assert large_peak - small_peak <= (
+            3 * n * kept_per_row + 2 * _PRODUCT_BLOCK_BYTES
+        ), (small_peak, large_peak, kept_per_row)
+
     def test_invalid_max_batch(self, inference):
         inf, _, data = inference
         with pytest.raises(ValueError, match="max_batch"):

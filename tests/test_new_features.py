@@ -11,7 +11,7 @@ from repro.core.online import ResidualAccumulator
 from repro.core.hypervector import normalize_rows, random_bipolar
 from repro.hierarchy.inference import HierarchicalInference
 from repro.hierarchy.online import OnlineLearner, OnlineSession
-from repro.hierarchy.topology import build_star, build_tree
+from repro.hierarchy.topology import build_star
 from repro.network.failure import drop_blocks
 from repro.network.medium import Medium
 from repro.network.message import Message, MessageKind

@@ -814,6 +814,44 @@ class TestLazyEncodings:
             seeded.own(leaf), federation.encode_all(rows)[leaf]
         )
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_chunked_carries_fill_one_buffer(self, trained_federation, k):
+        """Carrying a node's rows in ``k`` chunks allocates its buffer
+        once, gives what one whole carry gives, and a row already held
+        keeps its first value."""
+        federation, _, data = trained_federation
+        rows = data.test_x[:10]
+        gateway = next(
+            nid for nid, node in federation.hierarchy.nodes.items()
+            if not node.is_leaf and node.parent is not None
+        )
+        whole = federation.encode_lazy(rows).forward(gateway)
+        lazy = federation.encode_lazy(rows)
+        buffers = []
+        for chunk in np.array_split(np.arange(len(rows))[::-1], k):
+            lazy.carry(gateway, chunk, whole[chunk])
+            buffers.append(lazy._forward[gateway])
+        assert all(buffer is buffers[0] for buffer in buffers)
+        assert np.array_equal(lazy.forward(gateway), whole)
+        lazy.carry(gateway, np.array([3, 7]), -whole[[3, 7]])
+        assert lazy._forward[gateway] is buffers[0]
+        assert np.array_equal(lazy.forward(gateway), whole)
+
+    def test_whole_first_carry_keeps_the_callers_array(
+        self, trained_federation
+    ):
+        federation, _, data = trained_federation
+        rows = data.test_x[:6]
+        leaf = federation.hierarchy.leaves()[0]
+        whole = federation.encode_leaf(leaf, rows)
+        snapshot = whole.copy()
+        lazy = federation.encode_lazy(rows)
+        lazy.carry(leaf, np.arange(len(rows)), whole)
+        lazy.carry(leaf, np.array([0, 5]), -whole[[0, 5]])
+        assert lazy._forward[leaf] is whole
+        assert np.array_equal(whole, snapshot)
+        assert np.array_equal(lazy.own(leaf), snapshot)
+
     def test_unknown_node_rejected(self, trained_federation):
         federation, _, data = trained_federation
         lazy = federation.encode_lazy(data.test_x[:2])
