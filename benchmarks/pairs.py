@@ -21,9 +21,12 @@ bypasses the change share one alternating run.
 
 The output is a markdown table with a provenance line. For every
 workload and end-to-end metric of ``BENCHMARK.json`` it gives the
-parent's median and quartiles, the change's median, the pairs the
-change won (ties count for neither) and the median per-pair ratio
-change/parent, then every per-pair ratio in pair order. The verdict:
+parent's median and quartiles, the smallest gain the rule below could
+call ``better`` in this run (``min gain``: the parent's interquartile
+range over its median; ``-`` for exact metrics and under ten pairs),
+the change's median, the pairs the change won (ties count for neither)
+and the median per-pair ratio change/parent, then every per-pair ratio
+in pair order. The verdict:
 
 * ``accuracy``, ``wire_bytes_per_query`` and ``failed`` must be equal
   in every pair: ``equal`` or ``DIFFERS``;
@@ -43,8 +46,9 @@ they have no bounds. It attributes an end-to-end change to its layers.
 ``--append [PATH]`` also adds one JSON line to the trajectory, by
 default the committed ``benchmarks/results/trajectory.jsonl``: the two
 commits, the provenance, and per workload and metric both medians, the
-parent's quartiles, the wins, the median per-pair ratio and the
-verdict.
+parent's quartiles, the wins, the median per-pair ratio, the verdict
+and the smallest resolvable gain (``resolvable``, null where the table
+shows ``-``).
 
 Exit status 1 when a run broke or an exact metric differs; timing
 verdicts do not set it.
@@ -175,6 +179,17 @@ def verdict(
     return "within bound", wins, ratio
 
 
+def resolvable(name: str, parent: List[float]) -> Optional[float]:
+    """The smallest gain, as a share of the parent's median, that the
+    claimed-gain rule could call ``better`` in this run: the parent's
+    interquartile range over its median. None for an exact metric, a
+    zero median or fewer than ``MIN_PAIRS`` pairs, where no gain can."""
+    q1, med_p, q3 = quartiles(parent)
+    if name in EXACT or len(parent) < MIN_PAIRS or not med_p:
+        return None
+    return (q3 - q1) / abs(med_p)
+
+
 def metric_value(result: dict, key: str) -> float:
     if key == "failed":
         return float(result["failed"])
@@ -189,7 +204,7 @@ def compare(
     """Per workload and metric: both sides' values, wins, ratios, verdict.
 
     With ``trace`` the metrics are the per-layer ones, and the verdict
-    is None.
+    and the resolvable gain are None.
     """
     metrics = contract["per_layer"] if trace else contract["end_to_end"] + [
         {"name": "failed", "unit": "count", "better": "lower", "bound": 0.0}
@@ -216,19 +231,21 @@ def compare(
                 "parent": parent, "change": change, "verdict": word,
                 "wins": wins, "ratio": ratio,
                 "ratios": [c / p if p else None for p, c in zip(parent, change)],
+                "resolvable": None if trace else resolvable(key, parent),
             })
     return rows
 
 
 def table(rows: List[dict]) -> List[str]:
-    """The markdown table of :func:`compare`'s rows (no verdict column
-    when they have none)."""
+    """The markdown table of :func:`compare`'s rows (no verdict and no
+    resolvable-gain column when they have no verdict)."""
     judged = all(row["verdict"] is not None for row in rows)
     verdict_head = " verdict |" if judged else ""
+    gain_head = " min gain |" if judged else ""
     lines = [
-        "| workload | metric | parent median [q1–q3] | change median "
-        f"| wins | ratio |{verdict_head} every ratio |",
-        "|---|---|---|---|---|---|" + "---|" * (2 if judged else 1),
+        f"| workload | metric | parent median [q1–q3] |{gain_head} "
+        f"change median | wins | ratio |{verdict_head} every ratio |",
+        "|---|---|---|---|---|---|" + "---|" * (3 if judged else 1),
     ]
     for row in rows:
         q1, med, q3 = quartiles(row["parent"])
@@ -236,10 +253,12 @@ def table(rows: List[dict]) -> List[str]:
         every = " ".join(
             "-" if r is None else f"{r:.3f}" for r in row["ratios"]
         )
+        gain = "-" if row["resolvable"] is None else f"{row['resolvable']:.1%}"
         lines.append(
             f"| `{row['workload']}` | `{row['metric']}` "
             f"| {med:.6g} [{q1:.6g}–{q3:.6g}] "
-            f"| {statistics.median(row['change']):.6g} "
+            + (f"| {gain} " if judged else "")
+            + f"| {statistics.median(row['change']):.6g} "
             f"| {row['wins']}/{len(row['parent'])} | {shown} "
             + (f"| {row['verdict']} " if judged else "")
             + f"| {every} |"
@@ -265,6 +284,7 @@ def trajectory_row(
             "pairs": len(row["parent"]),
             "ratio": row["ratio"],
             "verdict": row["verdict"],
+            "resolvable": row["resolvable"],
         }
     return {"parent": parent, "change": change,
             "provenance": provenance, "workloads": workloads}

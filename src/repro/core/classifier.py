@@ -41,10 +41,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: rows per ``np.add.accumulate`` call: bounds the gathered copy.
-_BLOCK_ROWS = 128
-#: bytes of float64 rows per block: the integer update's product, norms.
+#: bytes of float64 rows per block: the update's gathers and product,
+#: norms, the blocked argmax and the offline walk's node visits.
 _PRODUCT_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(dimension: int) -> int:
+    """Rows of ``dimension`` float64 values in one block."""
+    return max(1, _PRODUCT_BLOCK_BYTES // (8 * dimension))
 
 
 def _exact_in_any_order(
@@ -90,10 +94,11 @@ def _add_ordered(
     sources = rows[order % rows.shape[0]]
     coefficients = np.where(order < rows.shape[0], scale, -scale)[:, None]
     bounds = np.searchsorted(targets[order], np.arange(model.shape[0] + 1))
+    step = _block_rows(samples.shape[1])
     for cls in np.flatnonzero(np.diff(bounds)):
         running = model[cls]
-        for start in range(bounds[cls], bounds[cls + 1], _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, bounds[cls + 1])
+        for start in range(bounds[cls], bounds[cls + 1], step):
+            stop = min(start + step, bounds[cls + 1])
             block = samples[sources[start:stop]].astype(np.float64, copy=False)
             block *= coefficients[start:stop]
             block[0] += running
@@ -114,7 +119,7 @@ def _add_product(
     n = rows.shape[0]
     subtracts = subtract_from.shape[0] > 0
     totals = model[touched]
-    step = max(1, _PRODUCT_BLOCK_BYTES // (8 * samples.shape[1]))
+    step = _block_rows(samples.shape[1])
     for start in range(0, n, step):
         stop = min(start + step, n)
         columns = np.arange(stop - start)
@@ -136,7 +141,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     served batch, and strided arrays keep one call.
     """
     n, dimension = rows.shape
-    step = max(1, _PRODUCT_BLOCK_BYTES // (8 * dimension))
+    step = _block_rows(dimension)
     # A float64 copy of other dtypes is the result, divided in place.
     unit = None if rows.dtype == np.float64 else rows.astype(np.float64)
     floats = rows if unit is None else unit
@@ -149,6 +154,23 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
             norms[start:start + step] = np.linalg.norm(block, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return np.divide(floats, norms, out=unit)
+
+
+def _argmax_rows(rows: np.ndarray, normalized: np.ndarray) -> np.ndarray:
+    """``np.argmax(_unit_rows(rows) @ normalized.T, axis=1)``, one
+    :func:`_block_rows` block of float64 rows at a time. A row's norm is
+    one positive factor on all its similarities, so the argmax skips the
+    division. Both forms round by row count and scale, so only the
+    argmax is shared (DESIGN.md §4e, "Reach of exact")."""
+    labels = np.empty(rows.shape[0], dtype=np.intp)
+    step = _block_rows(rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        # One expression: a bound name would keep the last block alive.
+        labels[block] = np.argmax(
+            rows[block].astype(np.float64, copy=False) @ normalized.T, axis=1
+        )
+    return labels
 
 
 def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -358,8 +380,9 @@ class HDClassifier:
         paper describes. ``mode="batched"`` (default) classifies the
         whole epoch against the current model and applies all updates
         at once — the same fixed point, but vectorized, which matters
-        for hierarchies with hundreds of nodes (PECAN has 312); it
-        normalises the samples once and sums each class's updates in order.
+        for hierarchies with hundreds of nodes (PECAN has 312). It
+        classifies one 1 MiB block of float64 rows at a time (no float64
+        copy of the samples) and sums each class's updates in order.
         """
         check_fitted(self, "class_hypervectors")
         enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
@@ -376,10 +399,7 @@ class HDClassifier:
             )
         if enc.shape[0] == 0:
             return []
-        if mode == "batched":
-            # cosine_many's query half, formed once instead of per epoch.
-            unit = _unit_rows(enc)
-        else:
+        if mode == "online":
             enc = enc.astype(np.float64, copy=False)
         rng = derive_rng(shuffle_seed, "retrain-shuffle")
         history: list[float] = []
@@ -402,8 +422,7 @@ class HDClassifier:
                             model[pred] -= learning_rate * sample
                     history.append(correct / enc.shape[0])
                 else:
-                    sims = unit @ normalize_rows(model).T
-                    preds = np.argmax(sims, axis=1)
+                    preds = _argmax_rows(enc, normalize_rows(model))
                     wrong = np.flatnonzero(preds != y)
                     history.append(1.0 - wrong.size / enc.shape[0])
                     if wrong.size:
@@ -482,8 +501,18 @@ class HDClassifier:
         encoded: np.ndarray,
         search: Optional[SearchSpec] = None,
     ) -> np.ndarray:
-        """Convenience: just the argmax labels, with no confidences."""
-        return np.argmax(self.similarities(encoded, search=search), axis=1)
+        """Just the argmax labels, with no confidences. The dense
+        backend classifies one row block at a time."""
+        check_fitted(self, "class_hypervectors")
+        spec = resolve_search(
+            search, default=self.search, owner="HDClassifier.predict_labels"
+        )
+        if spec.backend == "packed":
+            return np.argmax(self.similarities(encoded, search=spec), axis=1)
+        enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
+        obs.incr("core.similarity.calls")
+        obs.incr("core.similarity.queries", enc.shape[0])
+        return _argmax_rows(enc, self._normalized)
 
     def predict_proba(
         self,

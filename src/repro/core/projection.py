@@ -51,8 +51,7 @@ def _draw_ternary_csr(
     ``u >= cdf[1]``. Applying that map to consecutive blocks of rows of
     the same stream yields the identical matrix without ever holding a
     full-size temporary, and only the non-zeros are kept: int32 columns
-    and one bool sign each. They are stored as float64 ±1.0 so the
-    product needs no per-call upcast.
+    and one bool sign each, returned as float64 ±1.0.
     """
     nonzero = (1.0 - zero_fraction) / 2.0
     cdf = np.array([nonzero, zero_fraction, nonzero], dtype=np.float64).cumsum()
@@ -77,9 +76,9 @@ def _draw_ternary_csr(
 
 
 class _Draw:
-    """The matrix a (seed, out, in, zero fraction) key draws, and its
-    int16 twin. Projections with the same key share one while it is
-    alive, so every array is frozen."""
+    """The matrix a (seed, out, in, zero fraction) key draws. Projections
+    with the same key share one while it is alive, so its arrays are
+    frozen."""
 
     def __init__(
         self, seed: SeedLike, out_dimension: int, in_dimension: int,
@@ -91,18 +90,12 @@ class _Draw:
         )
         # For int8 input an output element sums at most (max row nnz)
         # terms of magnitude <= 128: exact in int16 when that product
-        # fits, as it does for the hierarchy's ~64-non-zero rows.
-        self.matrix16: csr_matrix | None = None
+        # fits, as it does for the hierarchy's ~64-non-zero rows. scipy
+        # upcasts int16 data to float input's dtype, the same ±1.0.
         if int(np.diff(self.matrix.indptr).max()) * 128 <= np.iinfo(np.int16).max:
-            self.matrix16 = csr_matrix(
-                (self.matrix.data.astype(np.int16), self.matrix.indices,
-                 self.matrix.indptr),
-                shape=self.matrix.shape,
-            )
-        for csr in (self.matrix, self.matrix16):
-            if csr is not None:
-                for array in (csr.data, csr.indices, csr.indptr):
-                    array.flags.writeable = False
+            self.matrix.data = self.matrix.data.astype(np.int16)
+        for array in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
+            array.flags.writeable = False
 
 
 #: The live draws by (int seed, out, in, zero fraction), held weakly:
@@ -181,11 +174,10 @@ class TernaryProjection:
             _LIVE_DRAWS[key] = self._draw
         #: The {-1, 0, +1} matrix as CSR, ``out x in``: only the
         #: non-zeros are stored (what ships to the FPGA) and multiplied.
-        #: Read-only: other projections may hold the same arrays.
+        #: Its data is int16 unless int8 input could overflow int16
+        #: sums, then float64. Read-only: other projections may hold
+        #: the same arrays.
         self.matrix = self._draw.matrix
-        #: The same matrix with int16 data, for int8 input; None when
-        #: int16 sums may overflow.
-        self._matrix16 = self._draw.matrix16
         # Variance-preserving scale: each output element sums
         # ~in_dim * (1 - zero_fraction) random +/-1 contributions, so
         # dividing by sqrt of that keeps the element variance of the
@@ -203,6 +195,8 @@ class TernaryProjection:
         product; real-valued input may differ from one in the last bit.
         int8 input (bipolar hypervectors) is multiplied in int16, whose
         sums are the same integers, so the result is bit-identical.
+        Other input multiplies the one stored matrix in float64 (scipy
+        upcasts its int16 ±1 data to the same values).
         Each output row is summed on its own, so the batch it arrives
         in (and the :data:`PAD_WIDTH` padding) cannot change it.
         """
@@ -213,15 +207,13 @@ class TernaryProjection:
         # the result goes back to the C-ordered (batch, out) layout the
         # dense product had.
         mat = check_matrix("hypervectors", arr, cols=self.in_dimension, dtype=None)
-        if mat.dtype == np.int8 and self._matrix16 is not None:
-            matrix, dtype = self._matrix16, np.int16
-        else:
-            matrix, dtype = self.matrix, np.float64
+        integral = mat.dtype == np.int8 and self.matrix.dtype == np.int16
+        dtype = np.int16 if integral else np.float64
         n = mat.shape[0]
         width = n if n <= 1 else -(-n // PAD_WIDTH) * PAD_WIDTH
         operand = np.zeros((self.in_dimension, width), dtype=dtype)
         operand[:, :n] = mat.T
-        product = np.asarray(matrix @ operand)[:, :n]
+        product = np.asarray(self.matrix @ operand)[:, :n]
         projected = np.multiply(product.T, self._scale, order="C")
         out = sign_binarize(projected) if self.binarize else projected
         return out[0] if single else out

@@ -393,7 +393,7 @@ class EdgeHDFederation:
         else:
             samples = raw = self.combine_children(
                 node_id, child_batches, binarize=False
-            ).astype(np.float64)
+            ).astype(np.float64, copy=False)
             labels = np.array([cls for cls, _ in groups], dtype=np.int64)
         return samples, labels, sign_binarize(raw)
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
-from repro.core.classifier import _PRODUCT_BLOCK_BYTES
+from repro.core.classifier import _block_rows
 from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec, resolve_search
 from repro.hierarchy.federation import EdgeHDFederation, LazyEncodings
@@ -317,8 +317,7 @@ class HierarchicalInference:
                 advancing: list[np.ndarray] = []
                 for node_id in np.unique(current[pending]).tolist():
                     visiting = pending[current[pending] == node_id]
-                    dimension = hierarchy.nodes[node_id].dimension
-                    width = max(1, _PRODUCT_BLOCK_BYTES // (8 * dimension))
+                    width = _block_rows(hierarchy.nodes[node_id].dimension)
                     width = min(width, max_batch or width)
                     for lo in range(0, visiting.size, width):
                         rows = visiting[lo:lo + width]

@@ -156,3 +156,39 @@ def test_trajectory_row_lets_the_gain_rule_be_checked():
     gain = entry["change"] - entry["parent"]
     assert gain > entry["parent_q3"] - entry["parent_q1"]
     assert entry["wins"] >= pairs.WIN_SHARE * entry["pairs"]
+
+
+@pytest.mark.parametrize("factor, word", [(1.01, "better"), (0.99, None)])
+def test_resolvable_gain_is_the_smallest_the_rule_calls_better(factor, word):
+    """``resolvable`` is the parent's IQR over its median: a change that
+    wins every pair reads ``better`` just above that gain and not just
+    below it. The table shows it as ``min gain``; the trajectory row
+    keeps it."""
+    parent = [100.0, 104.0, 98.0, 101.0, 99.0, 103.0, 97.0, 102.0, 100.0, 96.0]
+    q1, med, q3 = pairs.quartiles(parent)
+    shift = factor * (q3 - q1)
+    canned = [({"serve_learn": _end_to_end(p)},
+               {"serve_learn": _end_to_end(p + shift)}) for p in parent]
+    rows = pairs.compare(CONTRACT, canned)
+    row = next(r for r in rows if r["metric"] == "throughput_rps")
+    assert row["resolvable"] == (q3 - q1) / med
+    assert row["wins"] == len(parent)
+    assert (row["verdict"] == "better") is (word == "better")
+    lines = pairs.table(rows)
+    assert "| min gain |" in lines[0]
+    assert lines[0].count("|") == lines[1].count("|") == 10
+    shown = next(line for line in lines if "`throughput_rps`" in line)
+    assert f"| {(q3 - q1) / med:.1%} |" in shown
+    exact = next(line for line in lines if "`accuracy`" in line)
+    assert exact.split("|")[4].strip() == "-"
+    entry = pairs.trajectory_row("a", "b", {}, rows)["workloads"]["serve_learn"]
+    assert entry["throughput_rps"]["resolvable"] == row["resolvable"]
+    assert entry["accuracy"]["resolvable"] is None
+
+
+def test_no_gain_is_resolvable_under_ten_pairs_or_in_a_trace():
+    few = [({"serve_learn": _end_to_end(p)}, {"serve_learn": _end_to_end(p)})
+           for p in (100.0, 110.0, 90.0)]
+    assert all(r["resolvable"] is None for r in pairs.compare(CONTRACT, few))
+    traced = pairs.compare(CONTRACT, _canned(), trace=True)
+    assert all(r["resolvable"] is None for r in traced)

@@ -6,12 +6,16 @@ import pytest
 from repro.core.classifier import (
     HDClassifier,
     _add_ordered,
+    _block_rows,
     _exact_in_any_order,
     _unit_rows,
     softmax_confidence,
 )
 from repro.core.encoding import RBFEncoder
 from repro.core.hypervector import cosine_many, normalize_rows
+from repro.data import HIERARCHY_DATASETS
+from repro.experiments.accuracy import run_table2
+from repro.experiments.harness import ExperimentScale
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +371,118 @@ class TestUnitRows:
         clf = HDClassifier(2, 1200).fit_initial(rows, y)
         _, peak = traced_peak(lambda: clf.retrain(rows, y, epochs=3))
         assert peak <= 1.25 * 8 * rows.size
+
+
+    @pytest.mark.parametrize("kind", ["retrain", "accuracy"])
+    def test_training_memory_is_one_block(self, kind, traced_peak):
+        """Batched retraining and training-set accuracy on int8 rows
+        classify one ``_PRODUCT_BLOCK_BYTES`` block of float64 rows at a
+        time: they rise by at most 2 MiB plus n x k similarities and n
+        norms in float64. A float64 copy of the rows took 11.4 MiB."""
+        rng = np.random.default_rng(14)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(1250, 1200))
+        y = rng.integers(0, 5, size=rows.shape[0])
+        clf = HDClassifier(5, 1200).fit_initial(rows, y)
+        if kind == "retrain":
+            _, peak = traced_peak(lambda: clf.retrain(rows, y, epochs=3))
+        else:
+            _, peak = traced_peak(lambda: clf.accuracy(rows, y))
+        n, k = rows.shape[0], clf.n_classes
+        assert peak <= 2 * 2 ** 20 + 8 * n * k + 8 * n, peak
+
+
+def _whole_array_retrain(model, rows, y, epochs, learning_rate):
+    """Batched retraining as one product of all the unit rows an epoch:
+    the expressions the blocked argmax replaced, verbatim."""
+    unit = _unit_rows(rows)
+    history = []
+    for _ in range(epochs):
+        sims = unit @ normalize_rows(model).T
+        preds = np.argmax(sims, axis=1)
+        wrong = np.flatnonzero(preds != y)
+        history.append(1.0 - wrong.size / rows.shape[0])
+        if wrong.size:
+            _add_ordered(
+                model, rows, wrong, y[wrong], preds[wrong], scale=learning_rate,
+            )
+        if history[-1] == 1.0:
+            break
+    return model, history
+
+
+def _whole_array_labels(clf, rows):
+    """``predict_labels`` as one product of all the unit rows, verbatim."""
+    return np.argmax(clf.similarities(rows), axis=1)
+
+
+#: Table II's pipeline at tier-1 size. A block of 341-dimension rows is
+#: 384 rows, fewer than a leaf's 1,200 samples, so calls cross blocks
+#: (PECAN's 8-dimension leaves do not; its root and centralized model do).
+_PIN_SCALE = ExperimentScale(
+    name="pin", data_scale=0.2, max_train=1200, max_test=300,
+    dimension=1024, retrain_epochs=5, batch_size=10,
+)
+
+
+class TestBlockedArgmax:
+    """The argmax taken one row block at a time equals the one taken over
+    a single whole-array product: models, histories and labels."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "3x+7"])
+    def test_row_counts_around_the_block_boundary(self, offset, dtype):
+        dimension = 800
+        step = _block_rows(dimension)
+        n = 3 * step + 7 if offset == "3x+7" else step + offset
+        rng = np.random.default_rng(15)
+        rows = rng.choice([-1, 1], size=(n, dimension)).astype(dtype)
+        if dtype == np.float64:  # an internal node's raw projections
+            rows *= rng.random((n, dimension))
+        y = rng.integers(0, 5, size=n)
+        clf = HDClassifier(5, dimension).fit_initial(rows, y)
+        model, history = _whole_array_retrain(
+            clf.class_hypervectors.copy(), rows, y, 8, 0.5
+        )
+        assert clf.retrain(rows, y, epochs=8, learning_rate=0.5) == history
+        assert clf.class_hypervectors.tobytes() == model.tobytes()
+        want = _whole_array_labels(clf, rows)
+        assert np.array_equal(clf.predict_labels(rows), want)
+        assert clf.accuracy(rows, y) == float(np.mean(want == y))
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("dataset", HIERARCHY_DATASETS)
+    def test_table2_runs_equal_whole_array(self, dataset, seed, monkeypatch):
+        """Every batched ``retrain`` and every ``predict_labels`` of a
+        Table II run, hierarchy and centralized model alike."""
+        retrain, predict_labels = HDClassifier.retrain, HDClassifier.predict_labels
+        spans = []
+
+        def checked_retrain(self, encoded, labels, epochs=20,
+                            learning_rate=1.0, shuffle_seed=None,
+                            mode="batched"):
+            before = self.class_hypervectors.copy()
+            history = retrain(self, encoded, labels, epochs, learning_rate,
+                              shuffle_seed, mode)
+            if mode == "batched":
+                model, want = _whole_array_retrain(
+                    before, np.asarray(encoded), np.asarray(labels),
+                    epochs, learning_rate,
+                )
+                assert history == want
+                assert self.class_hypervectors.tobytes() == model.tobytes()
+                spans.append(len(encoded) > _block_rows(self.dimension))
+            return history
+
+        def checked_labels(self, encoded, search=None):
+            labels = predict_labels(self, encoded, search=search)
+            assert np.array_equal(labels, _whole_array_labels(self, encoded))
+            spans.append(len(encoded) > _block_rows(self.dimension))
+            return labels
+
+        monkeypatch.setattr(HDClassifier, "retrain", checked_retrain)
+        monkeypatch.setattr(HDClassifier, "predict_labels", checked_labels)
+        run_table2(datasets=[dataset], scale=_PIN_SCALE, seed=seed)
+        assert any(spans), "no call spanned two blocks"
 
 
 class TestModelManagement:

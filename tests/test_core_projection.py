@@ -1,9 +1,12 @@
 """Unit tests for ternary holographic projection and concatenation."""
 
+import copy
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import repro.core.projection as projection_module
 from repro.core.hypervector import cosine, random_bipolar, sign_binarize
@@ -164,14 +167,18 @@ class TestSparseDraw:
 
 
 class _WidthRecorder:
-    """Stands in for a CSR matrix and records each operand's width."""
+    """Stands in for a CSR matrix and records each operand's width and
+    dtype."""
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.dtype = matrix.dtype
         self.widths = []
+        self.operand_dtypes = []
 
     def __matmul__(self, operand):
         self.widths.append(operand.shape[1])
+        self.operand_dtypes.append(operand.dtype)
         return self.matrix @ operand
 
 
@@ -184,7 +191,7 @@ class TestPaddedWidth:
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=35, binarize=binarize
         )
-        assert proj._matrix16 is not None
+        assert proj.matrix.dtype == np.int16
         dense_t = proj.matrix.toarray().T.astype(np.float64)
         x = random_bipolar(600, count=40, seed=36).astype(dtype)
         for width in range(1, 41):
@@ -201,9 +208,8 @@ class TestPaddedWidth:
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=37, binarize=False
         )
-        name = "_matrix16" if dtype == np.int8 else "matrix"
-        recorder = _WidthRecorder(getattr(proj, name))
-        setattr(proj, name, recorder)
+        recorder = _WidthRecorder(proj.matrix)
+        proj.matrix = recorder
         x = random_bipolar(600, count=17, seed=38).astype(dtype)
         for width in (1, 2, 7, 8, 9, 16, 17):
             proj.project(x[:width])
@@ -220,7 +226,7 @@ class TestInt16Path:
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=30, binarize=binarize
         )
-        assert proj._matrix16 is not None
+        assert proj.matrix.dtype == np.int16
         x = (magnitude * random_bipolar(600, count=9, seed=31)).astype(np.int8)
         for rows in (x, x[0]):
             got, want = proj.project(rows), proj.project(rows.astype(np.float64))
@@ -234,7 +240,7 @@ class TestInt16Path:
         drives that row's sum to its extreme."""
         proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32,
                                  binarize=False)
-        assert (proj._matrix16 is not None) is int_path
+        assert (proj.matrix.dtype == np.int16) is int_path
         signs = proj.matrix.toarray().astype(np.int64)
         x = np.concatenate([
             np.where(signs[:4] > 0, -128, 127), np.where(signs[4:] > 0, 127, -128),
@@ -248,13 +254,53 @@ class TestInt16Path:
     def test_dense_rows_fall_back_and_agree(self):
         proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33,
                                  binarize=False)
-        assert proj._matrix16 is None
+        assert proj.matrix.dtype == np.float64
         x = (127 * proj.matrix.toarray()[:6]).astype(np.int8)
         got = proj.project(x)
         assert np.array_equal(got, proj.project(x.astype(np.float64)))
         assert np.array_equal(
             np.diag(got[:, :6]), np.full(6, 127 * 300) * proj._scale
         )
+
+    @pytest.mark.parametrize("rows", ["1d", 1, 7, 8, 126])
+    def test_float_input_equals_float64_twin(self, rows):
+        """Float input multiplies the one int16 matrix through scipy's
+        upcast, byte for byte as a float64 copy of it; int8 input keeps
+        an int16 operand."""
+        proj = TernaryProjection(
+            4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48, binarize=False
+        )
+        assert proj.matrix.dtype == np.int16
+        twin = copy.copy(proj)
+        twin.matrix = csr_matrix(
+            (proj.matrix.data.astype(np.float64), proj.matrix.indices,
+             proj.matrix.indptr), shape=proj.matrix.shape,
+        )
+        shape = (4000,) if rows == "1d" else (rows, 4000)
+        x = np.random.default_rng(49).standard_normal(shape)
+        assert proj.project(x).tobytes() == twin.project(x).tobytes()
+        recorder = _WidthRecorder(proj.matrix)
+        proj.matrix = recorder
+        proj.project(x.astype(np.int8))
+        proj.project(x)
+        assert recorder.operand_dtypes == [np.int16, np.float64]
+
+    def test_projection_holds_one_matrix(self, traced_peak):
+        """A root-sized projection holds one CSR: an int16 ±1 and an
+        int32 column per non-zero, plus ``indptr``. A float64 matrix
+        beside its int16 twin held 14 bytes a non-zero."""
+        gc.collect()
+
+        def build():
+            start = tracemalloc.get_traced_memory()[0]
+            proj = TernaryProjection(
+                4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=50
+            )
+            return proj, tracemalloc.get_traced_memory()[0] - start
+
+        (proj, held), _ = traced_peak(build)
+        matrix = proj.matrix
+        assert held <= 6 * matrix.nnz + matrix.indptr.nbytes + 2 ** 16
 
     def test_int8_shape_checks(self):
         proj = TernaryProjection(10, 10, seed=34)
@@ -273,7 +319,7 @@ class TestSharedDraw:
         b = TernaryProjection(300, 200, zero_fraction=0.5, seed=np.int64(40),
                               binarize=False)
         assert a is not b and a.binarize != b.binarize
-        assert a.matrix is b.matrix and a._matrix16 is b._matrix16
+        assert a.matrix is b.matrix and a.matrix.dtype == np.int16
 
     @pytest.mark.parametrize("other", [
         dict(seed=42), dict(in_dimension=301), dict(out_dimension=201),
@@ -318,11 +364,10 @@ class TestSharedDraw:
     def test_shared_arrays_are_read_only(self):
         proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600,
                                  seed=46)
-        assert proj._matrix16 is not None
-        for matrix in (proj.matrix, proj._matrix16):
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = array[0]
+        assert proj.matrix.dtype == np.int16
+        for array in (proj.matrix.data, proj.matrix.indices, proj.matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
         x = random_bipolar(600, count=3, seed=47)
         assert np.array_equal(proj.project(x), proj.project(x.astype(float)))
 

@@ -240,6 +240,41 @@ class TestOfflineTraining:
         acc = fed.accuracy_at(fed.root_id, data.test_x, data.test_y)
         assert acc > 1.0 / data.n_classes + 0.2
 
+    def test_internal_training_set_memory_is_one_float_array(
+        self, apri_small, traced_peak
+    ):
+        """The root's training set holds one float64 array of its samples
+        beside the projection's integer scratch (the int8 concatenation,
+        the int16 operand and product, each padded to ``PAD_WIDTH``
+        columns). A float64 copy of the projection took a second array."""
+        from repro.core.projection import PAD_WIDTH
+
+        fed = EdgeHDFederation(
+            build_tree(3), partition_features(apri_small.n_features, 3),
+            apri_small.n_classes,
+            EdgeHDConfig(dimension=4096, batch_size=10, retrain_epochs=1,
+                         seed=17),
+        )
+        mat, y, groups = fed.training_inputs(apri_small.train_x, apri_small.train_y)
+        forwarded = {}
+        for node_id in fed.hierarchy.postorder():
+            children = fed.hierarchy.nodes[node_id].children
+            if node_id != fed.root_id:
+                forwarded[node_id] = fed.training_set(
+                    node_id, mat, y, groups, [forwarded[c] for c in children]
+                )[2]
+        children = fed.hierarchy.nodes[fed.root_id].children
+        (samples, _, _), peak = traced_peak(lambda: fed.training_set(
+            fed.root_id, mat, y, groups, [forwarded[c] for c in children]
+        ))
+        n, dimension = samples.shape
+        in_dimension = sum(forwarded[c].shape[1] for c in children)
+        width = -(-n // PAD_WIDTH) * PAD_WIDTH
+        assert samples.dtype == np.float64
+        assert peak <= samples.nbytes + n * in_dimension + 2 * width * (
+            in_dimension + dimension
+        ) + 2 ** 17, peak
+
     def test_sample_label_mismatch(self, apri_small, small_config):
         part = partition_features(apri_small.n_features, 3)
         fed = EdgeHDFederation(build_tree(3), part, 2, small_config)

@@ -211,11 +211,11 @@ class TestMaxBatch:
         ``_PRODUCT_BLOCK_BYTES // (8 * dimension)`` rows and answers as
         ``run(max_batch=1)`` does. The block is shrunk so the bound
         binds on the 48-query cells (root 3 rows, leaves 12)."""
-        import repro.hierarchy.inference as inference_module
+        import repro.core.classifier as classifier_module
         from repro.core.classifier import HDClassifier
 
         block = 8 * 1024 * 3
-        monkeypatch.setattr(inference_module, "_PRODUCT_BLOCK_BYTES", block)
+        monkeypatch.setattr(classifier_module, "_PRODUCT_BLOCK_BYTES", block)
         visits = []
         predict = HDClassifier.predict
 
