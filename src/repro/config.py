@@ -13,7 +13,7 @@ evaluation unless otherwise noted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.utils.validation import check_positive, check_probability
@@ -31,7 +31,6 @@ class EdgeHDConfig:
     retrain_epochs: int = 20
     retrain_learning_rate: float = 1.0
     encoder: str = "rbf"  # "rbf" | "cos-sin" | "linear" | "id-level"
-    binarize: bool = True
     #: non-zeros per row of the hierarchical ternary projection (sparse
     #: JL regime): each output dimension mixes this many input
     #: dimensions. Keeps gateway compute linear in D instead of D^2.

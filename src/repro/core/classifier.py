@@ -25,10 +25,9 @@ from typing import Any, Optional
 import numpy as np
 
 import repro.obs as obs
-from repro.core.hypervector import cosine_many, normalize_rows
+from repro.core.hypervector import normalize_rows
 from repro.core.kernels import PackedBits, pack_bits, packed_similarities
 from repro.core.search import BACKENDS, SearchSpec, resolve_search
-from repro.utils.rng import derive_rng
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
 __all__ = [
@@ -366,8 +365,6 @@ class HDClassifier:
         labels: np.ndarray,
         epochs: int = 20,
         learning_rate: float = 1.0,
-        shuffle_seed: Optional[int] = None,
-        mode: str = "batched",
     ) -> list[float]:
         """Perceptron-style retraining (Sec. III-B).
 
@@ -376,13 +373,12 @@ class HDClassifier:
         callers can observe convergence (the paper reports 20 epochs
         suffice on all tested datasets).
 
-        ``mode="online"`` updates after every sample, exactly as the
-        paper describes. ``mode="batched"`` (default) classifies the
-        whole epoch against the current model and applies all updates
-        at once — the same fixed point, but vectorized, which matters
-        for hierarchies with hundreds of nodes (PECAN has 312). It
-        classifies one 1 MiB block of float64 rows at a time (no float64
-        copy of the samples) and sums each class's updates in order.
+        Each epoch classifies every sample against the current model and
+        then applies all of its updates at once, vectorized, which
+        matters for hierarchies with hundreds of nodes (PECAN has 312).
+        It classifies one 1 MiB block of float64 rows at a time (no
+        float64 copy of the samples) and sums each class's updates in
+        order.
         """
         check_fitted(self, "class_hypervectors")
         enc = check_matrix("encoded", encoded, cols=self.dimension, dtype=None)
@@ -391,45 +387,24 @@ class HDClassifier:
             raise ValueError(f"{enc.shape[0]} samples but {y.shape[0]} labels")
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
-        if mode not in {"batched", "online"}:
-            raise ValueError(f"mode must be 'batched' or 'online', got {mode!r}")
         if not (np.isfinite(learning_rate) and learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be positive and finite, got {learning_rate}"
             )
         if enc.shape[0] == 0:
             return []
-        if mode == "online":
-            enc = enc.astype(np.float64, copy=False)
-        rng = derive_rng(shuffle_seed, "retrain-shuffle")
         history: list[float] = []
         model = self.class_hypervectors
-        with obs.span(
-            "retrain", mode=mode, epochs=epochs, n=enc.shape[0]
-        ) as retrain_span:
+        with obs.span("retrain", epochs=epochs, n=enc.shape[0]) as retrain_span:
             for _ in range(epochs):
-                if mode == "online":
-                    order = rng.permutation(enc.shape[0])
-                    correct = 0
-                    for idx in order:
-                        sample = enc[idx]
-                        sims = cosine_many(sample[None, :], model)[0]
-                        pred = int(np.argmax(sims))
-                        if pred == y[idx]:
-                            correct += 1
-                        else:
-                            model[y[idx]] += learning_rate * sample
-                            model[pred] -= learning_rate * sample
-                    history.append(correct / enc.shape[0])
-                else:
-                    preds = _argmax_rows(enc, normalize_rows(model))
-                    wrong = np.flatnonzero(preds != y)
-                    history.append(1.0 - wrong.size / enc.shape[0])
-                    if wrong.size:
-                        _add_ordered(
-                            model, enc, wrong, y[wrong], preds[wrong],
-                            scale=learning_rate,
-                        )
+                preds = _argmax_rows(enc, normalize_rows(model))
+                wrong = np.flatnonzero(preds != y)
+                history.append(1.0 - wrong.size / enc.shape[0])
+                if wrong.size:
+                    _add_ordered(
+                        model, enc, wrong, y[wrong], preds[wrong],
+                        scale=learning_rate,
+                    )
                 if history[-1] == 1.0:
                     break
             retrain_span.set(epochs_run=len(history))
@@ -438,8 +413,8 @@ class HDClassifier:
         self._refresh_normalized()
         if history:
             logger.debug(
-                "retrain(%s): %d epochs, accuracy %.3f -> %.3f",
-                mode, len(history), history[0], history[-1],
+                "retrain: %d epochs, accuracy %.3f -> %.3f",
+                len(history), history[0], history[-1],
             )
         return history
 

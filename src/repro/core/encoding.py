@@ -19,7 +19,8 @@ Four encoders are provided:
 
 All encoders share the :class:`Encoder` interface: ``encode`` maps an
 ``(n_samples, n_features)`` matrix to ``(n_samples, dimension)``
-hypervectors. Encoders are deterministic given their seed, so every
+bipolar hypervectors, the ``sign()`` of the real map (Sec. III-A).
+Encoders are deterministic given their seed, so every
 node in a hierarchy can regenerate the same basis offline, exactly as
 the paper assumes ("generated once offline", Sec. III-A).
 """
@@ -27,7 +28,6 @@ the paper assumes ("generated once offline", Sec. III-A).
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
@@ -89,14 +89,13 @@ def _cos_signs(phase: np.ndarray, out: np.ndarray) -> None:
 class Encoder(abc.ABC):
     """Common interface for feature-space -> hyperspace maps."""
 
-    def __init__(self, n_features: int, dimension: int, binarize: bool = True) -> None:
+    def __init__(self, n_features: int, dimension: int) -> None:
         if n_features <= 0:
             raise ValueError(f"n_features must be positive, got {n_features}")
         if dimension <= 0:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self.n_features = int(n_features)
         self.dimension = int(dimension)
-        self.binarize = bool(binarize)
 
     @abc.abstractmethod
     def _transform(self, features: np.ndarray) -> np.ndarray:
@@ -111,15 +110,12 @@ class Encoder(abc.ABC):
         """Encode a batch of feature vectors into hypervectors.
 
         Accepts a single vector or a matrix; always returns a 2-D array
-        of shape ``(n_samples, dimension)``. When ``binarize`` is set,
-        elements are bipolar int8 in {-1, +1}.
+        of shape ``(n_samples, dimension)`` whose elements are bipolar
+        int8 in {-1, +1}: :meth:`_binarized` of the real map.
         """
         mat = check_matrix("features", features, cols=self.n_features)
         with obs.span("encode", encoder=type(self).__name__, n=mat.shape[0]):
-            if self.binarize:
-                encoded = self._binarized(mat)
-            else:
-                encoded = self._transform(mat)
+            encoded = self._binarized(mat)
         obs.incr("core.encode.calls")
         obs.incr("core.encode.samples", mat.shape[0])
         return encoded
@@ -137,7 +133,7 @@ class Encoder(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(n_features={self.n_features}, "
-            f"dimension={self.dimension}, binarize={self.binarize})"
+            f"dimension={self.dimension})"
         )
 
 
@@ -160,10 +156,9 @@ class RBFEncoder(Encoder):
         dimension: int,
         gamma: float = 1.0,
         sparsity: float = 0.0,
-        binarize: bool = True,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(n_features, dimension, binarize)
+        super().__init__(n_features, dimension)
         if gamma <= 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
         check_probability("sparsity", sparsity)
@@ -224,8 +219,8 @@ class RBFEncoder(Encoder):
     def kernel_approximation(self, a: np.ndarray, b: np.ndarray) -> float:
         """Approximate ``exp(-gamma^2 ||a-b||^2 / 2)`` via inner product.
 
-        Only meaningful for the non-binarized map; used by tests to
-        verify Eq. 1.
+        Reads the real map (:meth:`_transform`), not the bipolar
+        encoding; used by tests to verify Eq. 1.
         """
         mat = check_matrix("pair", np.stack([np.asarray(a), np.asarray(b)]), cols=self.n_features)
         enc = self._transform(mat)
@@ -246,10 +241,9 @@ class CosSinEncoder(Encoder):
         n_features: int,
         dimension: int,
         gamma: float = 1.0,
-        binarize: bool = True,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(n_features, dimension, binarize)
+        super().__init__(n_features, dimension)
         if gamma <= 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
@@ -274,10 +268,9 @@ class LinearEncoder(Encoder):
         self,
         n_features: int,
         dimension: int,
-        binarize: bool = True,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(n_features, dimension, binarize)
+        super().__init__(n_features, dimension)
         rng = derive_rng(seed, "linear-encoder")
         self.weights = rng.standard_normal((dimension, n_features))
 
@@ -301,10 +294,9 @@ class IDLevelEncoder(Encoder):
         dimension: int,
         n_levels: int = 32,
         value_range: tuple[float, float] = (-3.0, 3.0),
-        binarize: bool = True,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(n_features, dimension, binarize)
+        super().__init__(n_features, dimension)
         if n_levels < 2:
             raise ValueError(f"n_levels must be >= 2, got {n_levels}")
         lo, hi = value_range
@@ -349,28 +341,24 @@ def make_encoder(
     n_features: int,
     dimension: int,
     sparsity: float = 0.0,
-    gamma: Optional[float] = None,
-    binarize: bool = True,
     seed: SeedLike = None,
 ) -> Encoder:
     """Factory mapping config names to encoder instances.
 
-    ``gamma`` defaults to ``1/sqrt(n_features)`` which keeps the RBF
-    kernel bandwidth comparable across datasets of different widths.
+    ``gamma`` is ``1/sqrt(n_features)``, which keeps the RBF kernel
+    bandwidth comparable across datasets of different widths.
     """
     if n_features <= 0:
         raise ValueError(f"n_features must be positive, got {n_features}")
-    if gamma is None:
-        gamma = 1.0 / np.sqrt(n_features)
+    gamma = 1.0 / np.sqrt(n_features)
     if kind == "rbf":
         return RBFEncoder(
-            n_features, dimension, gamma=gamma, sparsity=sparsity,
-            binarize=binarize, seed=seed,
+            n_features, dimension, gamma=gamma, sparsity=sparsity, seed=seed,
         )
     if kind == "cos-sin":
-        return CosSinEncoder(n_features, dimension, gamma=gamma, binarize=binarize, seed=seed)
+        return CosSinEncoder(n_features, dimension, gamma=gamma, seed=seed)
     if kind == "linear":
-        return LinearEncoder(n_features, dimension, binarize=binarize, seed=seed)
+        return LinearEncoder(n_features, dimension, seed=seed)
     if kind == "id-level":
-        return IDLevelEncoder(n_features, dimension, binarize=binarize, seed=seed)
+        return IDLevelEncoder(n_features, dimension, seed=seed)
     raise ValueError(f"unknown encoder kind {kind!r}")

@@ -110,33 +110,22 @@ def permute(a: np.ndarray, shift: int = 1) -> np.ndarray:
     return np.roll(np.asarray(a), shift, axis=-1)  # repro-lint: disable=REPRO108
 
 
-def sign_binarize(a: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+def sign_binarize(a: np.ndarray) -> np.ndarray:
     """Map to {-1, +1} by sign; zeros and NaNs break ties.
 
-    With ``rng`` ties take random signs; without, they alternate +1, -1
-    along the last axis, so a row binarizes alike in any batch (served
-    and offline walks rely on it). All +1 would correlate hypervectors.
+    Ties alternate +1, -1 by position along the last axis (not the flat
+    index), so a row binarizes alike in any batch: any row subset
+    binarizes bit-identically to the full batch, which the served and
+    offline walks rely on. All +1 would correlate hypervectors.
     """
     # Elementwise on any shape by contract; no structure to validate.
     a = np.asarray(a)  # repro-lint: disable=REPRO108
     # Not np.sign: casting its NaN to int8 is implementation-defined.
     out = (a > 0).view(np.int8) - (a < 0).view(np.int8)
-    zeros = out == 0
-    if np.any(zeros):
-        if rng is None:
-            # Deterministic fallback: alternate signs by position *within*
-            # the trailing axis. Keying on the last-axis index (not the
-            # flat index) makes each row's binarization independent of
-            # where it sits in the batch, so any row subset binarizes
-            # bit-identically to the full batch — the property the
-            # serving cluster and escalation-cohort walks rely on.
-            idx = np.flatnonzero(zeros)
-            pos = idx % a.shape[-1] if a.ndim else idx
-            out.flat[idx] = np.where(pos % 2 == 0, 1, -1).astype(np.int8)
-        else:
-            out[zeros] = rng.choice(
-                np.array([-1, 1], dtype=np.int8), size=int(zeros.sum())
-            )
+    idx = np.flatnonzero(out == 0)
+    if idx.size:
+        pos = idx % a.shape[-1] if a.ndim else idx
+        out.flat[idx] = np.where(pos % 2 == 0, 1, -1).astype(np.int8)
     return out
 
 

@@ -94,7 +94,6 @@ class EdgeHDModel:
         dimension: int = 4000,
         encoder: str | Encoder = "rbf",
         sparsity: float = 0.0,
-        binarize: bool = True,
         seed: SeedLike = None,
         search: Optional[SearchSpec] = None,
     ) -> None:
@@ -106,8 +105,7 @@ class EdgeHDModel:
             self.encoder = encoder
         else:
             self.encoder = make_encoder(
-                encoder, n_features, dimension,
-                sparsity=sparsity, binarize=binarize, seed=seed,
+                encoder, n_features, dimension, sparsity=sparsity, seed=seed,
             )
         self.classifier = HDClassifier(n_classes, dimension, search=search)
         self.n_features = int(n_features)
@@ -121,7 +119,6 @@ class EdgeHDModel:
         labels: np.ndarray,
         retrain_epochs: int = 20,
         learning_rate: float = 1.0,
-        shuffle_seed: Optional[int] = None,
     ) -> TrainingReport:
         """Encode, build initial class hypervectors, then retrain."""
         mat = check_matrix("features", features, cols=self.n_features)
@@ -130,8 +127,7 @@ class EdgeHDModel:
         self.classifier.fit_initial(encoded, y)
         initial = self.classifier.accuracy(encoded, y)
         history = self.classifier.retrain(
-            encoded, y, epochs=retrain_epochs,
-            learning_rate=learning_rate, shuffle_seed=shuffle_seed,
+            encoded, y, epochs=retrain_epochs, learning_rate=learning_rate,
         )
         return TrainingReport(
             initial_accuracy=initial, retrain_history=history, n_samples=mat.shape[0]

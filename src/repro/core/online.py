@@ -95,18 +95,16 @@ class ResidualAccumulator:
         self,
         classifier: HDClassifier,
         learning_rate: float = 1.0,
-        average: bool = False,
-        renormalize: bool = False,
+        normalized: bool = False,
     ) -> None:
         """Fold the residuals into ``classifier`` (step 2 of Fig. 5b).
 
-        ``average=True`` divides each class's residual by its feedback
-        count, so every propagation moves each class hypervector by at
-        most ``learning_rate`` in the *mean correction direction* —
-        stable regardless of feedback volume. ``renormalize=True``
-        rescales class rows back to unit norm after the update (pure
-        rotation; requires a normalized model). Both are used by the
-        normalized online-learning mode.
+        ``normalized=True`` is the normalized online-learning mode: it
+        divides each class's residual by its feedback count, so every
+        propagation moves each class hypervector by at most
+        ``learning_rate`` in the *mean correction direction* — stable
+        regardless of feedback volume — and then rescales class rows
+        back to unit norm (pure rotation; requires a normalized model).
 
         Does not clear the residuals — callers propagate them upward
         first and then call :meth:`clear`.
@@ -118,14 +116,14 @@ class ResidualAccumulator:
         if not (np.isfinite(learning_rate) and learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
         negative, positive = self.negative, self.positive
-        if average:
+        if normalized:
             neg_div = np.maximum(self.negative_counts, 1).astype(np.float64)
             pos_div = np.maximum(self.positive_counts, 1).astype(np.float64)
             negative = negative / neg_div[:, None]
             positive = positive / pos_div[:, None]
         classifier.class_hypervectors -= learning_rate * negative
         classifier.class_hypervectors += learning_rate * positive
-        if renormalize:
+        if normalized:
             from repro.core.hypervector import normalize_rows
 
             classifier.class_hypervectors = normalize_rows(

@@ -2,7 +2,9 @@
 
 Section IV-A: a gateway concatenates the hypervectors received from its
 children and multiplies the concatenation by a random matrix with
-elements drawn from {-1, 0, +1}, then binarizes with ``sign()``. The
+elements drawn from {-1, 0, +1}. The node keeps the real projection
+for its own classifier; the copy it forwards is binarized with
+``sign()`` by :class:`~repro.hierarchy.federation.LazyEncodings`. The
 projection mixes every input dimension into every output dimension, so
 the result is *holographic* — losing any subset of output dimensions
 degrades all features uniformly instead of wiping out one child's
@@ -16,7 +18,6 @@ import weakref
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.core.hypervector import sign_binarize
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_matrix, check_probability
 
@@ -125,7 +126,7 @@ def concatenate_hypervectors(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class TernaryProjection:
-    """Random {-1, 0, +1} projection with ``sign()`` binarization.
+    """Variance-preserving random {-1, 0, +1} projection.
 
     Parameters
     ----------
@@ -152,7 +153,6 @@ class TernaryProjection:
         out_dimension: int,
         zero_fraction: float = 1.0 / 3.0,
         seed: SeedLike = None,
-        binarize: bool = True,
     ) -> None:
         if in_dimension <= 0 or out_dimension <= 0:
             raise ValueError(
@@ -164,7 +164,6 @@ class TernaryProjection:
         self.in_dimension = int(in_dimension)
         self.out_dimension = int(out_dimension)
         self.zero_fraction = float(zero_fraction)
-        self.binarize = bool(binarize)
         shape = (self.out_dimension, self.in_dimension, self.zero_fraction)
         # Only an integer seed names a matrix; a Generator draws anew.
         key = (int(seed), *shape) if isinstance(seed, (int, np.integer)) else None
@@ -188,17 +187,18 @@ class TernaryProjection:
     def project(self, hypervectors: np.ndarray) -> np.ndarray:
         """Project (a batch of) concatenated hypervectors.
 
-        Returns bipolar int8 when ``binarize`` is set, otherwise the
-        variance-preserving real projection. 1-D input yields 1-D
-        output. Integer-valued input (every binarized hypervector) sums
-        exactly in any order, so its projection is bit-equal to a dense
-        product; real-valued input may differ from one in the last bit.
+        Returns the variance-preserving real projection, float64; 1-D
+        input yields 1-D output. Integer-valued input (every bipolar
+        hypervector) sums exactly in any order, so its projection is
+        bit-equal to a dense product; real-valued input may differ from
+        one in the last bit.
         int8 input (bipolar hypervectors) is multiplied in int16, whose
         sums are the same integers, so the result is bit-identical.
         Other input multiplies the one stored matrix in float64 (scipy
         upcasts its int16 ±1 data to the same values).
         Each output row is summed on its own, so the batch it arrives
-        in (and the :data:`PAD_WIDTH` padding) cannot change it.
+        in (and the :data:`PAD_WIDTH` padding) cannot change it. The
+        operand is freed before the float64 result is formed.
         """
         arr = np.asarray(hypervectors)
         single = arr.ndim == 1
@@ -214,9 +214,9 @@ class TernaryProjection:
         operand = np.zeros((self.in_dimension, width), dtype=dtype)
         operand[:, :n] = mat.T
         product = np.asarray(self.matrix @ operand)[:, :n]
+        del operand
         projected = np.multiply(product.T, self._scale, order="C")
-        out = sign_binarize(projected) if self.binarize else projected
-        return out[0] if single else out
+        return projected[0] if single else projected
 
     def multiplies_per_vector(self) -> int:
         """Non-zero multiply-accumulates per projected hypervector."""

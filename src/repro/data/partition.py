@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, derive_rng
-
 __all__ = ["FeaturePartition", "partition_features"]
 
 
@@ -78,20 +76,12 @@ class FeaturePartition:
             raise ValueError("slices do not cover the feature range contiguously")
 
 
-def partition_features(
-    n_features: int,
-    n_nodes: int,
-    balanced: bool = True,
-    shuffle: bool = False,
-    seed: SeedLike = None,
-) -> FeaturePartition:
+def partition_features(n_features: int, n_nodes: int) -> FeaturePartition:
     """Split ``n_features`` columns across ``n_nodes`` end nodes.
 
-    ``balanced`` gives near-equal slice sizes (remainder spread over the
-    first nodes); with ``balanced=False`` slice sizes are drawn randomly
-    (each node still gets at least one feature), modelling devices with
-    very different sensor counts. ``shuffle`` randomizes which columns
-    go where instead of contiguous runs.
+    Each node owns a contiguous run of columns, in node order, and the
+    runs' sizes differ by at most one: the remainder goes one column
+    each to the first nodes.
     """
     if n_features <= 0:
         raise ValueError(f"n_features must be positive, got {n_features}")
@@ -101,24 +91,9 @@ def partition_features(
         raise ValueError(
             f"cannot split {n_features} features over {n_nodes} nodes"
         )
-    rng = derive_rng(seed, "partition")
-    columns = np.arange(n_features)
-    if shuffle:
-        columns = rng.permutation(n_features)
-    if balanced:
-        sizes = np.full(n_nodes, n_features // n_nodes, dtype=np.int64)
-        sizes[: n_features % n_nodes] += 1
-    else:
-        # Random composition: n_nodes positive integers summing to n_features.
-        cuts = np.sort(
-            rng.choice(np.arange(1, n_features), size=n_nodes - 1, replace=False)
-        )
-        bounds = np.concatenate([[0], cuts, [n_features]])
-        sizes = np.diff(bounds)
-    slices: list[tuple[int, ...]] = []
-    start = 0
-    for size in sizes:
-        slices.append(tuple(int(c) for c in columns[start : start + size]))
-        start += size
-    partition = FeaturePartition(slices=tuple(slices))
-    return partition
+    sizes = np.full(n_nodes, n_features // n_nodes, dtype=np.int64)
+    sizes[: n_features % n_nodes] += 1
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    return FeaturePartition(slices=tuple(
+        tuple(range(start, stop)) for start, stop in zip(bounds, bounds[1:])
+    ))

@@ -42,7 +42,8 @@ __all__ = [
     "CheckpointError",
 ]
 
-TOPOLOGY_FORMAT_VERSION = 2
+#: 3: the config block has no ``binarize`` key (every encoding is bipolar).
+TOPOLOGY_FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -99,7 +100,7 @@ def _read_meta(data, path: Path) -> dict:
 # ----------------------------------------------------------------------
 @dataclass
 class TopologyCheckpoint:
-    """Decoded content of a v2 topology checkpoint."""
+    """Decoded content of a topology checkpoint."""
 
     meta: dict
     models: Dict[int, np.ndarray]
@@ -189,7 +190,7 @@ def save_topology_state(
     node_states: Optional[Mapping[int, str]] = None,
     journal_seq: int = 0,
 ) -> None:
-    """Persist the full control-plane state as a v2 checkpoint.
+    """Persist the full control-plane state as a checkpoint.
 
     ``node_states`` maps node id to a lifecycle-state string (defaults
     to ``"active"`` for every node); ``journal_seq`` records how much of
@@ -231,7 +232,7 @@ def save_topology_state(
 def validate_topology_meta(
     meta: dict, federation: EdgeHDFederation, path: Union[str, Path]
 ) -> None:
-    """Check a v2 checkpoint's structure against a live federation.
+    """Check a checkpoint's structure against a live federation.
 
     Used on respawn: the node catching up from the checkpoint must be
     rejoining the same deployment the checkpoint describes.
@@ -247,7 +248,7 @@ def validate_topology_meta(
 def load_topology_state(
     path: Union[str, Path], *, reconstruct: bool = True
 ) -> TopologyCheckpoint:
-    """Decode a v2 checkpoint; optionally rebuild the federation from it.
+    """Decode a checkpoint; optionally rebuild the federation from it.
 
     With ``reconstruct=True`` (default) the hierarchy, partition,
     config and per-node models are turned back into a live

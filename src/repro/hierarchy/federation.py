@@ -221,7 +221,6 @@ class EdgeHDFederation:
                 n_local,
                 node.dimension,
                 sparsity=self.config.sparsity,
-                binarize=self.config.binarize,
                 seed=node_seed,
             )
         else:
@@ -235,7 +234,7 @@ class EdgeHDFederation:
                 )
                 self.projections[node_id] = TernaryProjection(
                     in_dim, node.dimension, zero_fraction=zero_fraction,
-                    seed=node_seed, binarize=False,
+                    seed=node_seed,
                 )
             else:
                 self.projections[node_id] = None
@@ -261,9 +260,11 @@ class EdgeHDFederation:
         return self.encoders[leaf_id].encode(local)
 
     def combine_children(
-        self, node_id: int, child_encodings: list[np.ndarray], binarize: bool = True
+        self, node_id: int, child_encodings: list[np.ndarray]
     ) -> np.ndarray:
-        """Hierarchically encode already-encoded children hypervectors."""
+        """Hierarchically encode already-encoded children hypervectors:
+        the real projection of their concatenation (the concatenation
+        itself, as float64, without a projection)."""
         node = self.hierarchy.nodes[node_id]
         if node.is_leaf:
             raise ValueError(f"node {node_id} has no children to combine")
@@ -275,47 +276,24 @@ class EdgeHDFederation:
         concat = concatenate_hypervectors(child_encodings)
         projection = self.projections[node_id]
         if projection is None:
-            combined = np.asarray(concat, dtype=np.float64)
-        else:
-            combined = projection.project(concat)
-        if binarize:
-            return sign_binarize(combined)
-        return combined
+            return np.asarray(concat, dtype=np.float64)
+        return projection.project(concat)
 
-    def encode_all(
-        self, features: np.ndarray, *, view: str = "own"
-    ) -> Dict[int, np.ndarray]:
-        """Hierarchical encodings of ``features`` at *every* node.
+    def encode_all(self, features: np.ndarray) -> Dict[int, np.ndarray]:
+        """What every node classifies ``features`` with.
 
-        Leaves encode their feature slice. Each internal node receives
-        its children's **forwarded** encodings — binarized hypervectors,
-        which is what actually travels over the network — concatenates
-        and projects them. The projection happens locally *after*
-        receipt, so the node's **own** view keeps the raw projection
-        values (more faithful, zero extra communication); only the copy
-        it forwards to its parent is binarized again.
-
-        Parameters
-        ----------
-        features:
-            Global feature matrix, one row per observation.
-        view:
-            Keyword-only. ``"own"`` (default) returns what each node
-            *classifies with*: the leaf's encoded hypervectors, or an
-            internal node's raw post-projection values. ``"forward"``
-            returns what each node *transmits to its parent*: the same
-            values binarized whenever ``config.binarize`` is set (at a
-            leaf the two views coincide because leaf encoders already
-            binarize). Use ``"forward"`` when modelling the wire
-            (packing, corruption, bandwidth); use ``"own"`` for local
-            accuracy.
+        Leaves encode their feature slice into bipolar hypervectors.
+        Each internal node receives its children's **forwarded**
+        encodings — bipolar hypervectors, which is what actually
+        travels over the network — concatenates and projects them. The
+        projection happens locally *after* receipt, so the node keeps
+        the raw projection values (more faithful, zero extra
+        communication); only the copy it forwards to its parent is
+        binarized again (:meth:`encode_at` with ``view="forward"``).
         """
-        if view not in {"own", "forward"}:
-            raise ValueError(f"view must be 'own' or 'forward', got {view!r}")
         mat = check_matrix("features", features, cols=self.partition.n_features)
         lazy = LazyEncodings(self, mat)
-        look_up = lazy.own if view == "own" else lazy.forward
-        return {nid: look_up(nid) for nid in self.hierarchy.postorder()}
+        return {nid: lazy.own(nid) for nid in self.hierarchy.postorder()}
 
     def encode_lazy(
         self,
@@ -342,10 +320,11 @@ class EdgeHDFederation:
     ) -> np.ndarray:
         """Hierarchical encoding at a single node (computes its subtree).
 
-        ``view`` is keyword-only and has the same ``"own"`` (what the
-        node classifies with — raw projection values at internal nodes)
-        vs ``"forward"`` (what the node transmits — binarized when
-        ``config.binarize``) semantics as :meth:`encode_all`.
+        ``view`` is keyword-only: ``"own"`` (default) is what the node
+        classifies with, as in :meth:`encode_all` (raw projection values
+        at internal nodes); ``"forward"`` is what it transmits to its
+        parent, always bipolar int8. Use ``"forward"`` when modelling
+        the wire (packing, corruption, bandwidth).
         """
         if node_id not in self.hierarchy.nodes:
             raise KeyError(f"unknown node {node_id}")
@@ -391,9 +370,7 @@ class EdgeHDFederation:
             samples, labels = self.encode_leaf(node_id, mat), y
             raw = np.stack([samples[idx].sum(axis=0) for _, idx in groups])
         else:
-            samples = raw = self.combine_children(
-                node_id, child_batches, binarize=False
-            ).astype(np.float64, copy=False)
+            samples = raw = self.combine_children(node_id, child_batches)
             labels = np.array([cls for cls, _ in groups], dtype=np.int64)
         return samples, labels, sign_binarize(raw)
 
@@ -430,14 +407,11 @@ class EdgeHDFederation:
         if self.hierarchy.nodes[node_id].is_leaf:
             clf.fit_initial(samples, labels)
         else:
-            clf.set_model(
-                self.combine_children(node_id, child_models, binarize=False)
-            )
+            clf.set_model(self.combine_children(node_id, child_models))
         if epochs > 0:
             clf.retrain(
                 samples, labels, epochs=epochs,
                 learning_rate=self.config.retrain_learning_rate,
-                shuffle_seed=node_id,
             )
         accuracy = clf.accuracy(samples, labels)
         return clf.class_hypervectors.copy(), forwarded, accuracy
@@ -603,7 +577,7 @@ class LazyEncodings:
         return cached
 
     def forward(self, node_id: int) -> np.ndarray:
-        """What ``node_id`` transmits upward (binarized when configured)."""
+        """What ``node_id`` transmits upward: bipolar int8."""
         return self.forward_rows(node_id, self._all)
 
     def own_rows(self, node_id: int, rows: np.ndarray) -> np.ndarray:
@@ -618,7 +592,6 @@ class LazyEncodings:
         own = self._federation.combine_children(
             node_id,
             [self.forward_rows(child, rows) for child in node.children],
-            binarize=False,
         )
         if node.parent is not None:
             self._keep(node_id, rows, own)
@@ -683,7 +656,7 @@ class LazyEncodings:
 
     def _keep(self, node_id: int, rows: np.ndarray, own: np.ndarray) -> None:
         """Keep what a node forwards: a leaf its own view, an internal
-        node the binarized copy (when ``config.binarize``)."""
-        if self._federation.config.binarize and not self._node(node_id).is_leaf:
+        node the binarized copy."""
+        if not self._node(node_id).is_leaf:
             own = sign_binarize(own)
         self.carry(node_id, rows, own)

@@ -28,7 +28,7 @@ from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec, resolve_search
 from repro.hierarchy.federation import EdgeHDFederation, LazyEncodings
 from repro.network.message import Message, MessageKind
-from repro.utils.rng import derive_rng
+from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_labels, check_matrix
 
 __all__ = ["HierarchicalInference", "InferenceOutcome", "PREDICTION_BYTES", "Step"]
@@ -226,6 +226,33 @@ class HierarchicalInference:
         parent_in_dim = sum(nodes[c].dimension for c in nodes[parent].children)
         return -(-count // m) * compressed_bundle_bytes(parent_in_dim, m)
 
+    def entry_leaves(
+        self, n: int, seed: SeedLike = 0,
+        start_leaves: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The end node each of ``n`` queries enters at.
+
+        ``start_leaves`` is checked and returned; without it, queries
+        are spread uniformly over the leaves by ``derive_rng(seed,
+        "start-leaves")``. :meth:`run` and
+        :func:`~repro.serve.workload.make_workload` both draw here, so
+        an offline run and a served workload with the same seed walk
+        the same (query, entry leaf) pairs.
+        """
+        leaves = self.federation.hierarchy.leaves()
+        if start_leaves is None:
+            rng = derive_rng(seed, "start-leaves")
+            return np.asarray(leaves)[rng.integers(0, len(leaves), size=n)]
+        start_leaves = np.asarray(start_leaves)
+        if start_leaves.shape != (n,):
+            raise ValueError("start_leaves must have one entry per query")
+        unknown = set(start_leaves.tolist()) - set(leaves)
+        if unknown:
+            raise ValueError(
+                f"start_leaves contains non-leaf ids {sorted(unknown)}"
+            )
+        return start_leaves
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -262,20 +289,7 @@ class HierarchicalInference:
             "features", features, cols=self.federation.partition.n_features
         )
         n = mat.shape[0]
-        leaves = hierarchy.leaves()
-        if start_leaves is None:
-            # Intentionally the same tag as serve.workload.entry_plan:
-            # the served path must draw *identical* start leaves for the
-            # offline == served equivalence tests to hold bit-for-bit.
-            rng = derive_rng(seed, "start-leaves")  # repro-lint: disable=REPRO113
-            start_leaves = np.asarray(leaves)[rng.integers(0, len(leaves), size=n)]
-        else:
-            start_leaves = np.asarray(start_leaves)
-            if start_leaves.shape != (n,):
-                raise ValueError("start_leaves must have one entry per query")
-            unknown = set(start_leaves.tolist()) - set(leaves)
-            if unknown:
-                raise ValueError(f"start_leaves contains non-leaf ids {unknown}")
+        start_leaves = self.entry_leaves(n, seed, start_leaves)
         cap = self.effective_cap(max_level)
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")

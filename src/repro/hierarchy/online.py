@@ -136,12 +136,8 @@ class OnlineLearner:
                 child_poss = [effective[c][1] for c in node.children]
                 child_count = sum(effective[c][2] for c in node.children)
                 if child_count > 0:
-                    neg += federation.combine_children(
-                        node_id, child_negs, binarize=False
-                    )
-                    pos += federation.combine_children(
-                        node_id, child_poss, binarize=False
-                    )
+                    neg += federation.combine_children(node_id, child_negs)
+                    pos += federation.combine_children(node_id, child_poss)
                     count += child_count
             effective[node_id] = (neg, pos, count)
             if count > 0:
@@ -156,8 +152,7 @@ class OnlineLearner:
                 source.apply_to(
                     federation.classifiers[node_id],
                     learning_rate=effective_lr,
-                    average=self.normalize,
-                    renormalize=self.normalize,
+                    normalized=self.normalize,
                 )
                 obs.incr("online.residual_updates")
             if (

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import Dict
 
 from repro.utils.validation import check_positive
 
-if TYPE_CHECKING:  # type-only: repro.hierarchy already imports repro.network
-    from repro.hierarchy.topology import Hierarchy
-
-__all__ = ["Medium", "MEDIA", "get_medium", "edge_medium"]
+__all__ = ["Medium", "MEDIA", "get_medium"]
 
 
 @dataclass(frozen=True)
@@ -83,22 +80,3 @@ def get_medium(name: str) -> Medium:
         raise KeyError(
             f"unknown medium {name!r}; available: {', '.join(MEDIA)}"
         ) from None
-
-
-def edge_medium(
-    hierarchy: "Hierarchy",
-    source: int,
-    destination: int,
-    medium: Medium,
-    media_by_level: Mapping[int, Medium],
-) -> Medium:
-    """Medium of the (source, destination) link.
-
-    ``media_by_level`` assigns a medium per *child level* (e.g.
-    Bluetooth at the appliance level, WiFi between gateways); links it
-    does not name use ``medium``.
-    """
-    lower = min(
-        hierarchy.nodes[source].level, hierarchy.nodes[destination].level
-    )
-    return media_by_level.get(lower, medium)

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import repro.obs as obs
 from repro.hierarchy.topology import Hierarchy
 from repro.network.failure import FailureModel
-from repro.network.medium import Medium, edge_medium
+from repro.network.medium import Medium
 from repro.network.message import Message, MessageKind
 
 __all__ = ["NetworkSimulator", "SimulationResult"]
@@ -97,18 +97,12 @@ def _link_key(a: int, b: int) -> Tuple[int, int]:
 
 
 class NetworkSimulator:
-    """Replay message lists over a hierarchy with a single medium.
-
-    ``media_by_level`` optionally assigns a different medium to each
-    *child level* (e.g. Bluetooth at the appliance level, WiFi between
-    gateways); otherwise ``medium`` is used everywhere.
-    """
+    """Replay message lists over a hierarchy with a single medium."""
 
     def __init__(
         self,
         hierarchy: Hierarchy,
         medium: Medium,
-        media_by_level: Optional[Dict[int, Medium]] = None,
         failure_model: Optional[FailureModel] = None,
         max_retries: int = 3,
         shared_medium: bool = False,
@@ -122,7 +116,6 @@ class NetworkSimulator:
             raise ValueError("max_retries must be >= 0")
         self.hierarchy = hierarchy
         self.medium = medium
-        self.media_by_level = media_by_level or {}
         self.failure_model = failure_model
         self.max_retries = int(max_retries)
         self.shared_medium = bool(shared_medium)
@@ -227,21 +220,17 @@ class NetworkSimulator:
         total: "_Totals",
     ) -> Optional[float]:
         """Send one message; returns delivery time or None if dropped."""
-        medium = edge_medium(
-            self.hierarchy, message.source, message.destination,
-            self.medium, self.media_by_level,
-        )
         attempts, delivered = self._attempts(message)
         if self.shared_medium:
             key = _SHARED_CHANNEL
         else:
             key = _link_key(message.source, message.destination)
         start = max(ready, link_free.get(key, 0.0))
-        duration = attempts * medium.transfer_time(message.payload_bytes)
+        duration = attempts * self.medium.transfer_time(message.payload_bytes)
         end = start + duration
         link_free[key] = end
         total.busy += duration
-        total.energy += attempts * medium.transfer_energy(message.payload_bytes)
+        total.energy += attempts * self.medium.transfer_energy(message.payload_bytes)
         total.makespan = max(total.makespan, end)
         total.retransmissions += attempts - 1
         total.bytes_by_kind[message.kind] = (

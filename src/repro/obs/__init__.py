@@ -15,7 +15,9 @@ reduces to a flag check — the overhead budget is enforced by
 Fast-path helpers
 -----------------
 :func:`incr`, :func:`gauge_set`, :func:`gauge_add`, :func:`observe`
-mutate named instruments and no-op when disabled. :func:`span` /
+mutate named, unlabelled instruments and no-op when disabled; labelled
+series are written through the registry, as
+:class:`~repro.obs.telemetry.TelemetryLog` does. :func:`span` /
 :func:`traced` time regions; closed spans also feed a
 ``span.<name>.ms`` histogram so timings show up in ``repro stats``
 without exporting the trace.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.obs import runtime
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
@@ -119,45 +121,30 @@ def reset() -> None:
 # ----------------------------------------------------------------------
 # fast-path helpers — one flag check, then a dict lookup + arithmetic
 # ----------------------------------------------------------------------
-def incr(
-    name: str,
-    amount: Union[int, float] = 1,
-    labels: Optional[Mapping[str, object]] = None,
-) -> None:
+def incr(name: str, amount: Union[int, float] = 1) -> None:
     """Increment counter ``name`` (no-op when disabled)."""
     if runtime.active:
-        get_registry().counter(name, labels=labels).inc(amount)
+        get_registry().counter(name).inc(amount)
 
 
-def gauge_set(
-    name: str,
-    value: Union[int, float],
-    labels: Optional[Mapping[str, object]] = None,
-) -> None:
+def gauge_set(name: str, value: Union[int, float]) -> None:
     """Set gauge ``name`` (no-op when disabled)."""
     if runtime.active:
-        get_registry().gauge(name, labels=labels).set(value)
+        get_registry().gauge(name).set(value)
 
 
-def gauge_add(
-    name: str,
-    amount: Union[int, float],
-    labels: Optional[Mapping[str, object]] = None,
-) -> None:
+def gauge_add(name: str, amount: Union[int, float]) -> None:
     """Add to gauge ``name`` (no-op when disabled)."""
     if runtime.active:
-        get_registry().gauge(name, labels=labels).add(amount)
+        get_registry().gauge(name).add(amount)
 
 
 def observe(
-    name: str,
-    value: float,
-    bounds: Optional[Sequence[float]] = None,
-    labels: Optional[Mapping[str, object]] = None,
+    name: str, value: float, bounds: Optional[Sequence[float]] = None
 ) -> None:
     """Record ``value`` into histogram ``name`` (no-op when disabled)."""
     if runtime.active:
-        get_registry().histogram(name, bounds, labels=labels).observe(value)
+        get_registry().histogram(name, bounds).observe(value)
 
 
 def snapshot() -> dict:

@@ -62,7 +62,7 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy.federation import EdgeHDFederation
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
-from repro.network.medium import Medium, edge_medium
+from repro.network.medium import Medium
 from repro.obs.registry import MetricsRegistry
 from repro.serve.faults import FaultPlan
 from repro.serve.registry import ReplicaRegistry
@@ -355,14 +355,12 @@ class ClusterRuntime:
         medium: Medium,
         config: Optional[ServeConfig] = None,
         cluster: Optional[ClusterConfig] = None,
-        media_by_level: Optional[Dict[int, Medium]] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.inference = inference
         self.federation = inference.federation
         self.hierarchy = self.federation.hierarchy
         self.medium = medium
-        self.media_by_level = media_by_level or {}
         self.config = config or ServeConfig()
         self.cluster = cluster or ClusterConfig()
         self.cap = inference.effective_cap(self.config.max_level)
@@ -574,13 +572,9 @@ class ClusterRuntime:
             parent = node.parent
             if parent is None:
                 continue
-            medium = edge_medium(
-                self.hierarchy, node_id, parent,
-                self.medium, self.media_by_level,
-            )
-            rtt[(node_id, parent)] = medium.transfer_time(
+            rtt[(node_id, parent)] = self.medium.transfer_time(
                 self.inference.uplink_bytes(parent, 1)
-            ) + medium.transfer_time(PREDICTION_BYTES)
+            ) + self.medium.transfer_time(PREDICTION_BYTES)
         return rtt
 
     def _escalation_rtt_ms(self, start_leaf: int, deciding_node: int) -> float:
@@ -813,11 +807,7 @@ class ClusterRuntime:
         messages = self.inference.escalation_messages(escalations)
         wire_bytes = sum(m.payload_bytes for m in messages)
         energy_j = sum(
-            edge_medium(
-                self.hierarchy, m.source, m.destination,
-                self.medium, self.media_by_level,
-            ).transfer_energy(m.payload_bytes)
-            for m in messages
+            self.medium.transfer_energy(m.payload_bytes) for m in messages
         )
         result = ServeResult(
             responses=list(responses.values()),

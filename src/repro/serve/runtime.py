@@ -50,7 +50,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
-from repro.network.medium import Medium, edge_medium
+from repro.network.medium import Medium
 from repro.serve.batcher import MicroBatcher
 from repro.serve.clock import run_virtual
 from repro.serve.faults import FaultPlan
@@ -293,11 +293,8 @@ class _NodeServer:
         aggregated escalation map stays comparable across runs.
         """
         rt = self.runtime
-        medium = edge_medium(
-            rt.hierarchy, self.node_id, parent, rt.medium, rt.media_by_level
-        )
-        delay = medium.transfer_time(payload, jitter_s=jitter_s)
-        rt.energy_j += medium.transfer_energy(payload)
+        delay = rt.medium.transfer_time(payload, jitter_s=jitter_s)
+        rt.energy_j += rt.medium.transfer_energy(payload)
         rt.wire_bytes += payload
         edge = (self.node_id, parent)
         if count_escalation:
@@ -449,9 +446,6 @@ class ServingRuntime:
         Link model charged for every escalation / answer transfer.
     config:
         Batching, queueing and backpressure tunables.
-    media_by_level:
-        Optional per-child-level medium override, as in
-        :class:`~repro.network.simulator.NetworkSimulator`.
     fault_plan:
         Optional deterministic chaos schedule
         (:class:`~repro.serve.faults.FaultPlan`). An inert plan (every
@@ -467,14 +461,12 @@ class ServingRuntime:
         inference: HierarchicalInference,
         medium: Medium,
         config: Optional[ServeConfig] = None,
-        media_by_level: Optional[Dict[int, Medium]] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.inference = inference
         self.federation = inference.federation
         self.hierarchy = self.federation.hierarchy
         self.medium = medium
-        self.media_by_level = media_by_level or {}
         self.config = config or ServeConfig()
         self.cap = inference.effective_cap(self.config.max_level)
         #: resolved associative-search spec every node serves with.
@@ -563,24 +555,15 @@ class ServingRuntime:
         self,
         workload: ServeWorkload,
         n_clients: int = 4,
-        think_time_s: float = 0.0,
     ) -> ServeResult:
         """Closed-loop serving: ``n_clients`` requests in flight.
 
-        Each client submits its next query once the previous answer
-        (or shed notice) came back, after ``think_time_s``.
+        Each client submits its next query as soon as the previous
+        answer (or shed notice) came back.
         """
         if n_clients < 1:
             raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-        if think_time_s < 0:
-            raise ValueError(
-                f"think_time_s must be >= 0, got {think_time_s}"
-            )
-        return run_virtual(
-            self._serve(
-                workload, n_clients=n_clients, think_time_s=think_time_s
-            )
-        )
+        return run_virtual(self._serve(workload, n_clients=n_clients))
 
     # ------------------------------------------------------------------
     async def _serve(
@@ -588,7 +571,6 @@ class ServingRuntime:
         workload: ServeWorkload,
         arrivals: Optional[np.ndarray] = None,
         n_clients: int = 0,
-        think_time_s: float = 0.0,
     ) -> ServeResult:
         self._reset_state()
         loop = asyncio.get_running_loop()
@@ -625,7 +607,7 @@ class ServingRuntime:
             else:
                 await asyncio.gather(
                     *(
-                        self._client(requests[c::n_clients], think_time_s)
+                        self._client(requests[c::n_clients])
                         for c in range(n_clients)
                     )
                 )
@@ -709,24 +691,15 @@ class ServingRuntime:
             if not self._admit(req, due, now):
                 await self.nodes[req.start_leaf].queue.put(req)
 
-    async def _client(
-        self, requests: List[ServeRequest], think_time_s: float
-    ) -> None:
+    async def _client(self, requests: List[ServeRequest]) -> None:
         for req in requests:
             await self.submit(req)
             await req.future
-            if think_time_s > 0:
-                await asyncio.sleep(think_time_s)
 
     # ------------------------------------------------------------------
-    async def submit(
-        self, req: ServeRequest, arrival_s: Optional[float] = None
-    ) -> None:
-        """Admit one request at its start leaf (policy applies).
-
-        ``arrival_s`` (loop time) is when the request was due; latency
-        is charged from it, so a request held back by a full ``block``
-        inbox is not under-reported. It defaults to now.
+    async def submit(self, req: ServeRequest) -> None:
+        """Admit one request at its start leaf (policy applies), arriving
+        now: latency is charged from this call.
 
         The request is enqueued synchronously while the inbox has room
         (or shed at once under ``"shed"``); the call suspends only to
@@ -735,7 +708,7 @@ class ServingRuntime:
         as a degraded rejection rather than waiting on a dead inbox.
         """
         now = asyncio.get_running_loop().time()
-        if not self._admit(req, now if arrival_s is None else arrival_s, now):
+        if not self._admit(req, now, now):
             await self.nodes[req.start_leaf].queue.put(req)
 
     def _admit(self, req: ServeRequest, arrival_s: float, now: float) -> bool:
@@ -893,7 +866,7 @@ class ServingRuntime:
         """Complete a cohort with each request's recorded decision.
 
         The 4-byte prediction descends every escalation edge the query
-        climbed; each hop charges its medium's time and energy. The
+        climbed; each hop charges the medium's time and energy. The
         clock is read once for the cohort. A request that climbed no
         edge finishes here; the rest finish on one loop timer per
         distinct descent delay.
@@ -906,13 +879,9 @@ class ServingRuntime:
                 self._finish(req, now, shed, degraded)
                 continue
             delay = 0.0
-            for child, parent in reversed(req.charged_path):
-                medium = edge_medium(
-                    self.hierarchy, parent, child, self.medium,
-                    self.media_by_level,
-                )
-                delay += medium.transfer_time(PREDICTION_BYTES)
-                self.energy_j += medium.transfer_energy(PREDICTION_BYTES)
+            for _ in req.charged_path:
+                delay += self.medium.transfer_time(PREDICTION_BYTES)
+                self.energy_j += self.medium.transfer_energy(PREDICTION_BYTES)
                 self.wire_bytes += PREDICTION_BYTES
             if req.trace is not None:
                 assert req.decided is not None

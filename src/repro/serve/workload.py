@@ -1,11 +1,11 @@
 """Workloads and arrival processes for the serving runtime.
 
 A :class:`ServeWorkload` is a feature matrix plus the end node each
-query enters at. :func:`make_workload` assigns start leaves with the
-*same* seed derivation as :meth:`HierarchicalInference.run` (tag
-``"start-leaves"``), so a served workload and an offline run over the
-same features and seed walk identical queries through identical nodes —
-the property the equivalence tests pin down.
+query enters at. :func:`make_workload` draws start leaves through
+:meth:`HierarchicalInference.entry_leaves`, as
+:meth:`HierarchicalInference.run` does, so a served workload and an
+offline run over the same features and seed walk identical queries
+through identical nodes — the property the equivalence tests pin down.
 
 Arrival processes (all reproducible through :mod:`repro.utils.rng`):
 
@@ -82,32 +82,18 @@ def make_workload(
 ) -> ServeWorkload:
     """Build a workload over a trained ``HierarchicalInference``.
 
-    When ``start_leaves`` is omitted, queries are spread uniformly over
-    the end nodes using the identical rng derivation (seed + tag
-    ``"start-leaves"``) as ``HierarchicalInference.run(seed=seed)`` —
-    so serving this workload and running offline with the same seed
-    process the same (query, entry node) pairs.
+    Start leaves come from :meth:`HierarchicalInference.entry_leaves`,
+    the draw ``HierarchicalInference.run(seed=seed)`` makes — so serving
+    this workload and running offline with the same seed process the
+    same (query, entry node) pairs.
     """
-    hierarchy = inference.federation.hierarchy
     mat = check_matrix(
         "features", features, cols=inference.federation.partition.n_features
     )
-    leaves = hierarchy.leaves()
-    n = mat.shape[0]
-    if start_leaves is None:
-        # Intentionally the same tag as HierarchicalInference.classify:
-        # offline and served runs must draw identical start leaves.
-        rng = derive_rng(seed, "start-leaves")  # repro-lint: disable=REPRO113
-        start_leaves = np.asarray(leaves)[rng.integers(0, len(leaves), size=n)]
-    else:
-        start_leaves = np.asarray(start_leaves)
-        unknown = set(start_leaves.tolist()) - set(leaves)
-        if unknown:
-            raise ValueError(
-                f"start_leaves contains non-leaf ids {sorted(unknown)}"
-            )
     return ServeWorkload(
-        features=mat, start_leaves=start_leaves, labels=labels
+        features=mat,
+        start_leaves=inference.entry_leaves(mat.shape[0], seed, start_leaves),
+        labels=labels,
     )
 
 

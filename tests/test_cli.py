@@ -154,7 +154,7 @@ class TestObservability:
         """A one-counter + one-gauge stats dump worth ``n``."""
         obs.enable()
         obs.reset()
-        obs.incr("worker.requests", n, labels={"node": 0})
+        obs.get_registry().counter("worker.requests", labels={"node": 0}).inc(n)
         obs.gauge_set("worker.depth", n)
         obs.dump_stats(path)
         obs.reset()

@@ -95,19 +95,18 @@ class TestInitialTraining:
 
 
 class TestRetrain:
-    @pytest.mark.parametrize("mode", ["batched", "online"])
-    def test_retrain_improves_training_accuracy(self, encoded_problem, mode):
+    def test_retrain_improves_training_accuracy(self, encoded_problem):
         enc, y, dim = encoded_problem
         clf = HDClassifier(3, dim).fit_initial(enc, y)
         initial = clf.accuracy(enc, y)
-        history = clf.retrain(enc, y, epochs=10, shuffle_seed=0, mode=mode)
+        history = clf.retrain(enc, y, epochs=10)
         assert clf.accuracy(enc, y) >= initial
         assert len(history) <= 10
 
     def test_retrain_early_stops_at_perfect(self, encoded_problem):
         enc, y, dim = encoded_problem
         clf = HDClassifier(3, dim).fit_initial(enc, y)
-        history = clf.retrain(enc, y, epochs=100, shuffle_seed=0)
+        history = clf.retrain(enc, y, epochs=100)
         if history and history[-1] == 1.0:
             assert len(history) < 100
 
@@ -122,12 +121,6 @@ class TestRetrain:
         before = clf.class_hypervectors.copy()
         assert clf.retrain(enc, y, epochs=0) == []
         assert np.array_equal(clf.class_hypervectors, before)
-
-    def test_retrain_invalid_mode(self, encoded_problem):
-        enc, y, dim = encoded_problem
-        clf = HDClassifier(3, dim).fit_initial(enc, y)
-        with pytest.raises(ValueError):
-            clf.retrain(enc, y, mode="magic")
 
     @pytest.mark.parametrize("rate", [0.0, -0.5, np.nan, np.inf])
     def test_retrain_rejects_bad_learning_rate(self, encoded_problem, rate):
@@ -458,19 +451,16 @@ class TestBlockedArgmax:
         spans = []
 
         def checked_retrain(self, encoded, labels, epochs=20,
-                            learning_rate=1.0, shuffle_seed=None,
-                            mode="batched"):
+                            learning_rate=1.0):
             before = self.class_hypervectors.copy()
-            history = retrain(self, encoded, labels, epochs, learning_rate,
-                              shuffle_seed, mode)
-            if mode == "batched":
-                model, want = _whole_array_retrain(
-                    before, np.asarray(encoded), np.asarray(labels),
-                    epochs, learning_rate,
-                )
-                assert history == want
-                assert self.class_hypervectors.tobytes() == model.tobytes()
-                spans.append(len(encoded) > _block_rows(self.dimension))
+            history = retrain(self, encoded, labels, epochs, learning_rate)
+            model, want = _whole_array_retrain(
+                before, np.asarray(encoded), np.asarray(labels),
+                epochs, learning_rate,
+            )
+            assert history == want
+            assert self.class_hypervectors.tobytes() == model.tobytes()
+            spans.append(len(encoded) > _block_rows(self.dimension))
             return history
 
         def checked_labels(self, encoded, search=None):

@@ -45,7 +45,7 @@ class TestRBFEncoder:
     def test_kernel_approximation(self):
         """Eq. 1: inner products approximate the Gaussian kernel."""
         gamma = 0.5
-        enc = RBFEncoder(6, 20_000, gamma=gamma, binarize=False, seed=2)
+        enc = RBFEncoder(6, 20_000, gamma=gamma, seed=2)
         rng = np.random.default_rng(3)
         for _ in range(5):
             a = rng.standard_normal(6)
@@ -251,8 +251,8 @@ class TestCosSinEncoder:
         assert set(np.unique(out)) <= {-1, 1}
 
     def test_non_binarized_range(self, features):
-        enc = CosSinEncoder(12, 200, binarize=False, seed=10)
-        out = enc.encode(features)
+        enc = CosSinEncoder(12, 200, seed=10)
+        out = enc._transform(features)
         # cos(a+b) * sin(a) is bounded by 1 in magnitude.
         assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
@@ -268,9 +268,9 @@ class TestLinearEncoder:
         assert enc.encode(features).shape == (40, 300)
 
     def test_is_linear_before_binarization(self, features):
-        enc = LinearEncoder(12, 64, binarize=False, seed=13)
-        a = enc.encode(features[:1])
-        b = enc.encode(2.0 * features[:1])
+        enc = LinearEncoder(12, 64, seed=13)
+        a = enc._transform(features[:1])
+        b = enc._transform(2.0 * features[:1])
         assert np.allclose(b, 2.0 * a)
 
     def test_sign_invariance_to_scaling(self, features):

@@ -136,8 +136,7 @@ class TestSparseDraw:
     @pytest.mark.parametrize("rows", ["1d", 1, 32])
     def test_project_equals_dense_product(self, rows):
         proj = TernaryProjection(
-            600, 500, zero_fraction=1.0 - 64 / 600, seed=22, binarize=False
-        )
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=22)
         dense_t = proj.matrix.toarray().T.astype(np.float64)
         shape = (600,) if rows == "1d" else (rows, 600)
         bipolar = random_bipolar(600, count=int(np.prod(shape)) // 600, seed=23)
@@ -152,10 +151,14 @@ class TestSparseDraw:
         )
 
     def test_binarized_projection_equals_dense(self):
+        """The copy an internal node forwards, the sign of its
+        projection, is the sign of the dense product."""
         proj = TernaryProjection(200, 150, seed=25)
         x = random_bipolar(200, count=8, seed=26)
         dense = (x @ proj.matrix.toarray().T.astype(np.float64)) * proj._scale
-        assert np.array_equal(proj.project(x), sign_binarize(dense))
+        assert np.array_equal(
+            sign_binarize(proj.project(x)), sign_binarize(dense)
+        )
 
     def test_no_dense_operand_kept(self):
         """A dense cache of the root-sized projection would be 122 MiB."""
@@ -188,8 +191,10 @@ class TestPaddedWidth:
     @pytest.mark.parametrize("binarize", [False, True])
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_width_sweep_equals_dense(self, dtype, binarize):
+        """``binarize`` compares the forwarded copy, the projection's
+        sign."""
         proj = TernaryProjection(
-            600, 500, zero_fraction=1.0 - 64 / 600, seed=35, binarize=binarize
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=35
         )
         assert proj.matrix.dtype == np.int16
         dense_t = proj.matrix.toarray().T.astype(np.float64)
@@ -197,17 +202,16 @@ class TestPaddedWidth:
         for width in range(1, 41):
             rows = x[:width]
             want = (rows.astype(np.float64) @ dense_t) * proj._scale
-            if binarize:
-                want = sign_binarize(want)
             got = proj.project(rows)
+            if binarize:
+                got, want = sign_binarize(got), sign_binarize(want)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), width
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_operand_padded_to_simd_width(self, dtype):
         proj = TernaryProjection(
-            600, 500, zero_fraction=1.0 - 64 / 600, seed=37, binarize=False
-        )
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=37)
         recorder = _WidthRecorder(proj.matrix)
         proj.matrix = recorder
         x = random_bipolar(600, count=17, seed=38).astype(dtype)
@@ -223,13 +227,17 @@ class TestInt16Path:
     @pytest.mark.parametrize("magnitude", [1, 127])
     @pytest.mark.parametrize("binarize", [False, True])
     def test_int8_equals_float64(self, magnitude, binarize):
+        """``binarize`` compares the forwarded copy, the projection's
+        sign."""
         proj = TernaryProjection(
-            600, 500, zero_fraction=1.0 - 64 / 600, seed=30, binarize=binarize
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=30
         )
         assert proj.matrix.dtype == np.int16
         x = (magnitude * random_bipolar(600, count=9, seed=31)).astype(np.int8)
         for rows in (x, x[0]):
             got, want = proj.project(rows), proj.project(rows.astype(np.float64))
+            if binarize:
+                got, want = sign_binarize(got), sign_binarize(want)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -238,8 +246,7 @@ class TestInt16Path:
         """No zeros: every row has ``in_dim`` non-zeros. An input of -128
         where a row is +1 and +127 where it is -1 (and the mirror image)
         drives that row's sum to its extreme."""
-        proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32,
-                                 binarize=False)
+        proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32)
         assert (proj.matrix.dtype == np.int16) is int_path
         signs = proj.matrix.toarray().astype(np.int64)
         x = np.concatenate([
@@ -252,8 +259,7 @@ class TestInt16Path:
         assert np.array_equal(np.diag(got), sums * proj._scale)
 
     def test_dense_rows_fall_back_and_agree(self):
-        proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33,
-                                 binarize=False)
+        proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33)
         assert proj.matrix.dtype == np.float64
         x = (127 * proj.matrix.toarray()[:6]).astype(np.int8)
         got = proj.project(x)
@@ -268,8 +274,7 @@ class TestInt16Path:
         upcast, byte for byte as a float64 copy of it; int8 input keeps
         an int16 operand."""
         proj = TernaryProjection(
-            4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48, binarize=False
-        )
+            4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48)
         assert proj.matrix.dtype == np.int16
         twin = copy.copy(proj)
         twin.matrix = csr_matrix(
@@ -316,9 +321,8 @@ class TestSharedDraw:
 
     def test_identical_live_projections_share_the_matrices(self):
         a = TernaryProjection(300, 200, zero_fraction=0.5, seed=40)
-        b = TernaryProjection(300, 200, zero_fraction=0.5, seed=np.int64(40),
-                              binarize=False)
-        assert a is not b and a.binarize != b.binarize
+        b = TernaryProjection(300, 200, zero_fraction=0.5, seed=np.int64(40))
+        assert a is not b
         assert a.matrix is b.matrix and a.matrix.dtype == np.int16
 
     @pytest.mark.parametrize("other", [
@@ -384,10 +388,11 @@ class TestTernaryProjection:
         assert abs(zero_rate - 0.5) < 0.05
 
     def test_binarized_output(self):
+        """The projection is real; the copy a node forwards is its sign."""
         proj = TernaryProjection(64, 64, seed=3)
         out = proj.project(random_bipolar(64, seed=4).astype(float))
-        assert out.shape == (64,)
-        assert set(np.unique(out)) <= {-1, 1}
+        assert out.shape == (64,) and out.dtype == np.float64
+        assert set(np.unique(sign_binarize(out))) <= {-1, 1}
 
     def test_batch_projection(self):
         proj = TernaryProjection(32, 48, seed=5)
@@ -405,14 +410,14 @@ class TestTernaryProjection:
 
     def test_variance_preserving(self):
         """Non-binarized projection keeps per-element variance ~input's."""
-        proj = TernaryProjection(2000, 2000, seed=7, binarize=False)
+        proj = TernaryProjection(2000, 2000, seed=7)
         inputs = random_bipolar(2000, count=50, seed=8).astype(float)
         out = proj.project(inputs)
         assert abs(out.std() - 1.0) < 0.15
 
     def test_similarity_preserved(self):
         """Similar inputs stay similar after projection (JL-style)."""
-        proj = TernaryProjection(4000, 4000, seed=9, binarize=False)
+        proj = TernaryProjection(4000, 4000, seed=9)
         base = random_bipolar(4000, seed=10).astype(float)
         noisy = base.copy()
         flip = np.random.default_rng(11).choice(4000, 200, replace=False)
@@ -420,7 +425,7 @@ class TestTernaryProjection:
         assert cosine(proj.project(base), proj.project(noisy)) > 0.8
 
     def test_dissimilarity_preserved(self):
-        proj = TernaryProjection(4000, 4000, seed=12, binarize=False)
+        proj = TernaryProjection(4000, 4000, seed=12)
         a = random_bipolar(4000, seed=13).astype(float)
         b = random_bipolar(4000, seed=14).astype(float)
         assert abs(cosine(proj.project(a), proj.project(b))) < 0.1
@@ -432,7 +437,7 @@ class TestTernaryProjection:
         little instead of wiping a contiguous region — the property the
         Fig. 12 robustness relies on.
         """
-        proj = TernaryProjection(1000, 1000, seed=15, binarize=False)
+        proj = TernaryProjection(1000, 1000, seed=15)
         x = random_bipolar(1000, seed=16).astype(float)
         damaged = x.copy()
         damaged[:500] = 0.0

@@ -2,42 +2,13 @@
 don't reach."""
 
 import numpy as np
-import pytest
 
 from repro.cli import main as cli_main
-from repro.core.classifier import HDClassifier
 from repro.core.encoding import IDLevelEncoder, RBFEncoder
 from repro.core.hypervector import bundle, permute, random_bipolar
 from repro.core.model import TrainingReport
 from repro.experiments.bandwidth import _level_frequency_for
 from repro.hierarchy.topology import build_pecan, build_tree
-
-
-class TestClassifierOnlineMode:
-    @pytest.fixture(scope="class")
-    def problem(self):
-        rng = np.random.default_rng(2)
-        centers = rng.standard_normal((3, 8)) * 3.0
-        x = np.vstack([centers[c] + rng.standard_normal((40, 8)) for c in range(3)])
-        y = np.repeat([0, 1, 2], 40)
-        enc = RBFEncoder(8, 512, gamma=0.3, seed=3).encode(x)
-        return enc.astype(float), y
-
-    def test_online_and_batched_converge_similarly(self, problem):
-        enc, y = problem
-        results = {}
-        for mode in ("online", "batched"):
-            clf = HDClassifier(3, 512).fit_initial(enc, y)
-            clf.retrain(enc, y, epochs=10, shuffle_seed=1, mode=mode)
-            results[mode] = clf.accuracy(enc, y)
-        assert abs(results["online"] - results["batched"]) < 0.1
-
-    def test_online_mode_updates_per_sample(self, problem):
-        enc, y = problem
-        clf = HDClassifier(3, 512).fit_initial(enc, y)
-        history = clf.retrain(enc, y, epochs=3, shuffle_seed=2, mode="online")
-        assert len(history) <= 3
-        assert all(0.0 <= h <= 1.0 for h in history)
 
 
 class TestEncodingExtras:

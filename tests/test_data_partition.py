@@ -21,23 +21,6 @@ class TestPartitionFeatures:
         assert part.feature_counts() == [7]
         assert np.array_equal(part.columns(0), np.arange(7))
 
-    def test_unbalanced_random_sizes(self):
-        part = partition_features(20, 4, balanced=False, seed=1)
-        counts = part.feature_counts()
-        assert sum(counts) == 20
-        assert all(c >= 1 for c in counts)
-        part.validate()
-
-    def test_unbalanced_deterministic(self):
-        a = partition_features(20, 4, balanced=False, seed=2)
-        b = partition_features(20, 4, balanced=False, seed=2)
-        assert a.slices == b.slices
-
-    def test_shuffled_columns(self):
-        part = partition_features(10, 2, shuffle=True, seed=3)
-        all_cols = sorted(c for s in part.slices for c in s)
-        assert all_cols == list(range(10))
-
     def test_contiguous_when_not_shuffled(self):
         part = partition_features(9, 3)
         assert part.slices == ((0, 1, 2), (3, 4, 5), (6, 7, 8))

@@ -23,7 +23,7 @@ class TestQuantization:
         y = np.repeat([0, 1, 2], 60)
         enc = RBFEncoder(10, 1024, gamma=0.3, seed=8).encode(x).astype(float)
         clf = HDClassifier(3, 1024).fit_initial(enc, y)
-        clf.retrain(enc, y, epochs=5, shuffle_seed=0)
+        clf.retrain(enc, y, epochs=5)
         return clf, enc, y
 
     def test_roundtrip_error_bounded(self, fitted):

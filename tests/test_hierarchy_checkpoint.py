@@ -271,8 +271,39 @@ class TestErrorContext:
             load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
-        assert "expected 2" in msg
+        assert "expected 3" in msg
         assert "found 99" in msg
+
+    def test_version_2_with_binarize_is_refused(self, trained, tmp_path):
+        """A checkpoint from before ``binarize`` left the config names
+        its version in the error instead of failing to rebuild."""
+        import json
+
+        from repro.hierarchy.checkpoint import TOPOLOGY_FORMAT_VERSION
+
+        assert TOPOLOGY_FORMAT_VERSION == 3
+        data, partition, config, path = self._saved(trained, tmp_path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        assert "binarize" not in meta["config"]
+        meta["format_version"] = 2
+        meta["config"]["binarize"] = True
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        target = tmp_path / "v2.npz"
+        np.savez_compressed(str(target), **arrays)
+        for load in (
+            lambda: load_topology_state(target),
+            lambda: load_topology_state(target, reconstruct=False),
+            lambda: load_checked(fresh(data, partition, config), target),
+        ):
+            with pytest.raises(CheckpointError) as err:
+                load()
+            msg = str(err.value)
+            assert str(target) in msg
+            assert "version" in msg
+            assert "expected 3" in msg and "found 2" in msg
 
     def test_missing_model_lists_expected_and_found(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)

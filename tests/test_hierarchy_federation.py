@@ -120,8 +120,9 @@ class TestEncoding:
 
     def test_forward_view_is_bipolar(self, trained_federation):
         fed, _, data = trained_federation
-        forwards = fed.encode_all(data.test_x[:3], view="forward")
-        for enc in forwards.values():
+        for nid in fed.hierarchy.nodes:
+            enc = fed.encode_at(nid, data.test_x[:3], view="forward")
+            assert enc.dtype == np.int8
             assert set(np.unique(enc)) <= {-1, 1}
 
     def test_own_view_matches_encode_at(self, trained_federation):
@@ -130,18 +131,20 @@ class TestEncoding:
         root_enc = fed.encode_at(fed.root_id, data.test_x[:3])
         assert np.allclose(encodings[fed.root_id], root_enc)
 
-    @pytest.mark.parametrize("binarize", [True, False])
+    @pytest.mark.parametrize("holographic", [True, False])
     @pytest.mark.parametrize("view", ["own", "forward"])
-    def test_encode_all_at_and_lazy_agree(self, apri_small, binarize, view):
+    def test_encode_all_at_and_lazy_agree(self, apri_small, holographic, view):
         """One recurrence, three entry points: the same bits and dtype
         on every node — and the ones the definition gives (leaf →
         ``encode_leaf``; internal → ``combine_children`` over the
-        children's forward views, forwarded binarized iff configured)."""
+        children's forward views, forwarded binarized), with a
+        projection or without one."""
         fed = EdgeHDFederation(
             build_tree(3),
             partition_features(apri_small.n_features, 3),
             apri_small.n_classes,
-            EdgeHDConfig(dimension=512, binarize=binarize, seed=17),
+            EdgeHDConfig(dimension=512, seed=17),
+            holographic=holographic,
         )
         rows = apri_small.test_x[:6]
 
@@ -151,25 +154,25 @@ class TestEncoding:
                 own = fed.encode_leaf(nid, rows)
                 return own, own
             children = [by_definition(c)[1] for c in node.children]
-            own = fed.combine_children(nid, children, binarize=False)
-            return own, sign_binarize(own) if binarize else own
+            own = fed.combine_children(nid, children)
+            return own, sign_binarize(own)
 
-        eager = fed.encode_all(rows, view=view)
+        eager = fed.encode_all(rows)
         lazy = fed.encode_lazy(rows)
         assert list(eager) == list(fed.hierarchy.postorder())
-        for nid, expected in eager.items():
-            for got in (
-                fed.encode_at(nid, rows, view=view),
-                getattr(lazy, view)(nid),
-                by_definition(nid)[view == "forward"],
-            ):
+        for nid in eager:
+            expected = by_definition(nid)[view == "forward"]
+            candidates = [
+                fed.encode_at(nid, rows, view=view), getattr(lazy, view)(nid),
+            ]
+            if view == "own":
+                candidates.append(eager[nid])
+            for got in candidates:
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected)
 
     def test_invalid_view(self, trained_federation):
         fed, _, data = trained_federation
-        with pytest.raises(ValueError):
-            fed.encode_all(data.test_x[:1], view="sideways")
         with pytest.raises(ValueError):
             fed.encode_at(fed.root_id, data.test_x[:1], view="sideways")
 
@@ -274,6 +277,36 @@ class TestOfflineTraining:
         assert peak <= samples.nbytes + n * in_dimension + 2 * width * (
             in_dimension + dimension
         ) + 2 ** 17, peak
+
+    def test_float_combine_frees_the_operand_first(self, traced_peak):
+        """A float64 combine at an internal node holds the concatenation,
+        the padded operand, the product and scipy's float64 upcast of the
+        matrix data while it multiplies; the operand goes before the
+        float64 result is formed, so the result does not add to that.
+        Holding the operand to the end took one more result-sized array
+        (4.5 MB here)."""
+        from repro.core.projection import PAD_WIDTH
+
+        fed = EdgeHDFederation(
+            build_tree(3), partition_features(30, 3), 4,
+            EdgeHDConfig(dimension=4096, seed=17),
+        )
+        children = fed.hierarchy.nodes[fed.root_id].children
+        rng = np.random.default_rng(0)
+        n = 200
+        parts = [
+            rng.standard_normal((n, fed.hierarchy.nodes[c].dimension))
+            for c in children
+        ]
+        out, peak = traced_peak(lambda: fed.combine_children(fed.root_id, parts))
+        in_dimension = sum(part.shape[1] for part in parts)
+        width = -(-n // PAD_WIDTH) * PAD_WIDTH
+        dimension = fed.hierarchy.nodes[fed.root_id].dimension
+        nnz = fed.projections[fed.root_id].matrix.nnz
+        assert out.dtype == np.float64 and out.shape == (n, dimension)
+        assert peak <= 8 * (
+            n * in_dimension + width * (in_dimension + dimension) + nnz
+        ) + 2 ** 16, peak
 
     def test_sample_label_mismatch(self, apri_small, small_config):
         part = partition_features(apri_small.n_features, 3)

@@ -10,7 +10,6 @@ from repro.network.simulator import NetworkSimulator, SimulationResult
 
 
 FAST = Medium("fast", 1e9, 0.0, 1e-9, 1e-9)
-SLOW = Medium("slow", 1e6, 0.0, 1e-9, 1e-9)
 
 
 def leaf_messages(hierarchy, payload=1000, kind=MessageKind.QUERY):
@@ -129,21 +128,17 @@ class TestUpwardPass:
 
 
 class TestMediaSelection:
-    def test_media_by_level(self):
-        h = build_tree(4)
-        sim = NetworkSimulator(h, FAST, media_by_level={1: SLOW})
-        leaf_msg = leaf_messages(h)[:1]
-        result = sim.simulate_independent(leaf_msg)
-        assert result.makespan_s == pytest.approx(SLOW.transfer_time(1000))
-
     def test_default_medium_above(self):
+        """A leaf's link and a gateway's link both use the one medium."""
         h = build_tree(4)
-        sim = NetworkSimulator(h, FAST, media_by_level={1: SLOW})
+        sim = NetworkSimulator(h, FAST)
         gateway = [n for n in h.internal_nodes() if n != h.root_id][0]
-        result = sim.simulate_independent(
-            [Message(gateway, h.root_id, MessageKind.CLASS_MODEL, 1000)]
-        )
-        assert result.makespan_s == pytest.approx(FAST.transfer_time(1000))
+        for message in (
+            leaf_messages(h)[0],
+            Message(gateway, h.root_id, MessageKind.CLASS_MODEL, 1000),
+        ):
+            result = sim.simulate_independent([message])
+            assert result.makespan_s == pytest.approx(FAST.transfer_time(1000))
 
     def test_slow_medium_slower_end_to_end(self):
         h = build_tree(4)

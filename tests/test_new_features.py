@@ -150,7 +150,7 @@ class TestAveragedResidualApply:
         for _ in range(50):
             acc.record_negative(q, predicted_class=0)
         before = clf.class_hypervectors.copy()
-        acc.apply_to(clf, learning_rate=0.1, average=True, renormalize=True)
+        acc.apply_to(clf, learning_rate=0.1, normalized=True)
         delta = np.linalg.norm(clf.class_hypervectors[0] - before[0])
         # 50 identical events averaged: update magnitude ~ lr, not 50*lr.
         assert delta < 0.3
@@ -160,7 +160,7 @@ class TestAveragedResidualApply:
         clf.set_model(normalize_rows(np.ones((2, 32))))
         acc = ResidualAccumulator(2, 32)
         acc.record_negative(np.ones(32) / np.sqrt(32), 0)
-        acc.apply_to(clf, learning_rate=0.5, average=True, renormalize=True)
+        acc.apply_to(clf, learning_rate=0.5, normalized=True)
         norms = np.linalg.norm(clf.class_hypervectors, axis=1)
         assert np.allclose(norms, 1.0)
 

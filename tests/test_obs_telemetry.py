@@ -90,16 +90,6 @@ class TestLabeledRegistry:
         assert restored.snapshot() == reg.snapshot()
         assert restored.counter("c", labels={"node": 4}).value == 9
 
-    def test_fast_path_helpers_accept_labels(self):
-        obs.enable()
-        obs.incr("f.hits", labels={"node": 5})
-        obs.gauge_set("f.depth", 3, labels={"node": 5})
-        obs.observe("f.ms", 0.5, bounds=(1.0,), labels={"node": 5})
-        reg = obs.get_registry()
-        assert 'f.hits{node="5"}' in reg
-        assert 'f.depth{node="5"}' in reg
-        assert 'f.ms{node="5"}' in reg
-
 
 class TestRegistryMerge:
     def test_counters_add(self):

@@ -163,7 +163,7 @@ class TestProjectionProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_projection_linear(self, in_dim, out_dim, seed):
-        proj = TernaryProjection(in_dim, out_dim, seed=seed, binarize=False)
+        proj = TernaryProjection(in_dim, out_dim, seed=seed)
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(in_dim)
         b = rng.standard_normal(in_dim)
@@ -175,7 +175,7 @@ class TestProjectionProperties:
     @settings(max_examples=10, deadline=None)
     def test_projection_roughly_preserves_norm_ratio(self, seed):
         """JL flavour: relative norms survive the projection."""
-        proj = TernaryProjection(2048, 2048, seed=seed, binarize=False)
+        proj = TernaryProjection(2048, 2048, seed=seed)
         rng = np.random.default_rng(seed)
         small = rng.standard_normal(2048)
         big = 10.0 * rng.standard_normal(2048)

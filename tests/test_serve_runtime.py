@@ -26,7 +26,7 @@ import repro.obs as obs
 from repro.core.search import SearchSpec
 from repro.hierarchy import HierarchicalInference
 from repro.hierarchy.inference import PREDICTION_BYTES
-from repro.network.medium import edge_medium, get_medium
+from repro.network.medium import get_medium
 from repro.serve import FaultPlan, ServeConfig, ServingRuntime, make_workload
 from repro.serve.clock import run_virtual
 from repro.serve.runtime import _NodeServer
@@ -555,28 +555,6 @@ class TestTimingsAndObs:
         assert snap["serve.latency.total_ms"]["count"] == n
         assert snap["serve.batch_size"]["count"] > 0
 
-    def test_media_by_level_override(self, serve_setup):
-        """A slower leaf uplink must raise escalation RTT."""
-        inference, workload, _, _ = serve_setup
-        fast = ServingRuntime(
-            inference,
-            get_medium("wired-1gbps"),
-            ServeConfig(queue_depth=512),
-        )
-        slow = ServingRuntime(
-            inference,
-            get_medium("wired-1gbps"),
-            ServeConfig(queue_depth=512),
-            media_by_level={1: get_medium("bluetooth-4.0")},
-        )
-        r_fast = fast.serve_open_loop(workload, rate_rps=2000.0, seed=4)
-        r_slow = slow.serve_open_loop(workload, rate_rps=2000.0, seed=4)
-        assert (
-            r_slow.latencies_ms("escalation_rtt_ms").sum()
-            > r_fast.latencies_ms("escalation_rtt_ms").sum()
-        )
-        assert r_slow.energy_j != r_fast.energy_j
-
 
 class TestVirtualClock:
     """The loop in-process serving runs on: idle waits are skipped,
@@ -681,11 +659,9 @@ class TestChargedNotSlept:
             assert r.timings.total_ms >= 1000.0 * len(path)
             rtt_ms = 0.0
             for child, parent in zip(path, path[1:]):
-                up = edge_medium(hierarchy, child, parent, medium, {})
-                down = edge_medium(hierarchy, parent, child, medium, {})
                 rtt_ms += 1e3 * (
-                    up.transfer_time(inference.uplink_bytes(parent, 1))
-                    + down.transfer_time(PREDICTION_BYTES)
+                    medium.transfer_time(inference.uplink_bytes(parent, 1))
+                    + medium.transfer_time(PREDICTION_BYTES)
                 )
                 climbed_any = True
             assert r.timings.escalation_rtt_ms == pytest.approx(
