@@ -21,8 +21,9 @@ a first-class, *reproducible* event:
   the v2 format in :mod:`repro.hierarchy.checkpoint`.
 * **replacement** — crash → heartbeat detection over
   :class:`~repro.serve.registry.ReplicaRegistry` leases → respawn →
-  catch-up from the last checkpoint plus residual-journal replay. The
-  recovered node ends bit-identical to one that never crashed, and
+  catch-up from the last checkpoint plus replay of the feedback journal,
+  which holds the events since that checkpoint. The recovered node ends
+  bit-identical to one that never crashed, and
   :meth:`TopologyController.fingerprint` witnesses the whole run.
 
 Everything is driven by explicit virtual-clock timestamps, so the
@@ -187,7 +188,11 @@ class TopologyController:
             nid: NodeState.ACTIVE for nid in federation.hierarchy.nodes
         }
         self.transitions: List[TransitionRecord] = []
+        #: feedback since the latest checkpoint: a write-ahead log whose
+        #: events before a completed checkpoint's mark are dropped.
         self.journal: List[FeedbackEvent] = []
+        #: how many events were dropped from the journal's head.
+        self.journal_start = 0
         self.n_checkpoints = 0
         self.monitor = NodeLeaseMonitor(lease_timeout_s=lease_timeout_s)
         for nid in sorted(federation.hierarchy.nodes):
@@ -519,9 +524,21 @@ class TopologyController:
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
+    @property
+    def journal_seq(self) -> int:
+        """Feedback events journaled since construction, dropped ones too."""
+        return self.journal_start + len(self.journal)
+
     def checkpoint(self, path: Union[str, Path]) -> None:
-        """Save the full topology state (v2) including the journal mark."""
+        """Save the full topology state (v2) including the journal mark.
+
+        The file is the new recovery point, so once it is written the
+        journal drops every event before the mark. A save that raises
+        leaves the journal whole: the previous file is still the one a
+        respawn catches up from.
+        """
         self._require_trained()
+        mark = self.journal_seq
         save_topology_state(
             self.federation,
             path,
@@ -529,8 +546,10 @@ class TopologyController:
             node_states={
                 nid: state.value for nid, state in self.states.items()
             },
-            journal_seq=len(self.journal),
+            journal_seq=mark,
         )
+        self.journal.clear()
+        self.journal_start = mark
         self.n_checkpoints += 1
         obs.incr("topology.checkpoints")
 
@@ -544,7 +563,11 @@ class TopologyController:
         lease_timeout_s: float = 1.0,
         now: float = 0.0,
     ) -> "TopologyController":
-        """Reconstruct a controller (federation + learner) from a v2 file."""
+        """Reconstruct a controller (federation + learner) from a v2 file.
+
+        Its journal starts empty at the file's mark, as the live
+        controller's did when it wrote the file.
+        """
         ckpt = load_topology_state(path)
         assert ckpt.federation is not None
         learner = ckpt.build_learner()
@@ -554,6 +577,7 @@ class TopologyController:
         )
         for nid, state in ckpt.node_states.items():
             controller.states[nid] = NodeState(state)
+        controller.journal_start = ckpt.journal_seq
         controller.attach_trained()
         return controller
 
@@ -569,10 +593,12 @@ class TopologyController:
     ) -> bool:
         """Journal one feedback event and apply it if the node is up.
 
-        Feedback for a crashed node is journaled but not applied — the
-        gateway buffers it — and :meth:`respawn` replays it during
-        catch-up. Returns True when the event was applied live. A
-        malformed event raises before it is journaled: replay must not.
+        Every event is journaled, as a float64 copy of the query, until
+        the next :meth:`checkpoint` covers it. Feedback for a crashed
+        node is journaled but not applied — the gateway buffers it —
+        and :meth:`respawn` replays it during catch-up. Returns True
+        when the event was applied live. A malformed event raises
+        before it is journaled: replay must not.
         """
         if self.learner is None:
             raise RuntimeError("controller has no online learner attached")
@@ -658,12 +684,23 @@ class TopologyController:
         it was down. Returns the number of replayed events. After the
         next propagation the node is bit-identical to one that never
         crashed.
+
+        The journal holds only the events since the latest checkpoint,
+        so a file whose mark lies outside it cannot be caught up from:
+        that raises, naming both marks, before any state changes.
         """
         if self.states.get(node_id) is not NodeState.CRASHED:
             raise ValueError(f"node {node_id} is not crashed")
-        self.states[node_id] = NodeState.RESTORING
         ckpt = load_topology_state(checkpoint_path, reconstruct=False)
         validate_topology_meta(ckpt.meta, self.federation, checkpoint_path)
+        if not self.journal_start <= ckpt.journal_seq <= self.journal_seq:
+            raise ValueError(
+                f"{checkpoint_path}: journal mark {ckpt.journal_seq} is "
+                f"outside the journal, which starts at mark "
+                f"{self.journal_start} and ends at mark {self.journal_seq}; "
+                "respawn from the latest checkpoint"
+            )
+        self.states[node_id] = NodeState.RESTORING
         self.federation.classifiers[node_id].set_model(ckpt.models[node_id])
         replayed = 0
         if self.learner is not None:
@@ -675,7 +712,7 @@ class TopologyController:
                     self.federation.n_classes, node.dimension
                 )
             )
-            for event in self.journal[ckpt.journal_seq:]:
+            for event in self.journal[ckpt.journal_seq - self.journal_start:]:
                 if event.node_id == node_id:
                     self.learner.record_feedback(
                         node_id, event.query_hv,
@@ -714,7 +751,7 @@ class TopologyController:
             "transitions": [
                 (t.kind, t.node_id, list(t.detail)) for t in self.transitions
             ],
-            "journal_seq": len(self.journal),
+            "journal_seq": self.journal_seq,
             "propagations": (
                 self.learner._propagations if self.learner is not None else 0
             ),

@@ -34,7 +34,7 @@ __all__ = ["StageTimings", "ServeRequest", "ServeResponse", "ServeResult"]
 STAGES = ("queue_wait_ms", "encode_ms", "search_ms", "escalation_rtt_ms")
 
 
-@dataclass
+@dataclass(slots=True)
 class StageTimings:
     """Cumulative per-stage latency of one request (milliseconds).
 
@@ -59,7 +59,7 @@ class StageTimings:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeRequest:
     """One in-flight query (runtime-internal bookkeeping)."""
 
@@ -94,7 +94,7 @@ class ServeRequest:
     trace: Optional[TraceContext] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeResponse:
     """Terminal outcome of one request.
 

@@ -10,7 +10,12 @@ from repro.data.datasets import (
     dataset_names,
     load_dataset,
 )
-from repro.data.synthetic import _block_mask, _latent_clusters
+from repro.data.synthetic import (
+    _block_mask,
+    _latent_clusters,
+    make_classification,
+    train_test_split,
+)
 from repro.utils.rng import derive_rng
 
 
@@ -152,6 +157,50 @@ class TestGeneratorBits:
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.flags.c_contiguous
             assert np.array_equal(a, b), field
+
+
+def _whole_matrix_load_dataset(name, scale, max_train, max_test, seed):
+    """``load_dataset``'s body as it stands: one whole-matrix draw,
+    then the split. A generator that writes rows straight into their
+    split order must reproduce it bit for bit."""
+    spec = DATASETS[name]
+    n_train = int(min(max(spec.paper_train_size * scale, 40 * spec.n_classes), max_train))
+    n_test = int(min(max(spec.paper_test_size * scale, 10 * spec.n_classes), max_test))
+    total = n_train + n_test
+    features, labels = make_classification(
+        n_samples=total,
+        n_features=spec.n_features,
+        n_classes=spec.n_classes,
+        clusters_per_class=spec.clusters_per_class,
+        class_separation=spec.class_separation,
+        noise=spec.noise,
+        nonlinear_mix=spec.nonlinear_mix,
+        feature_blocks=spec.n_end_nodes or 1,
+        block_leak=spec.block_leak,
+        latent_dim=spec.latent_dim,
+        seed=seed,
+        name=spec.name,
+    )
+    return train_test_split(
+        features, labels, test_fraction=n_test / total, seed=seed
+    )
+
+
+@pytest.mark.parametrize("args", [
+    dict(scale=0.05, max_train=4000, max_test=1500, seed=7),
+    # the e2e benchmark's draw, with fewer test rows
+    dict(scale=5.0, max_train=1250, max_test=3000, seed=7),
+], ids=["default", "e2e"])
+@pytest.mark.parametrize("name", HIERARCHY_DATASETS)
+def test_load_dataset_equals_the_whole_matrix_draw(name, args):
+    """Pins the bits of the hierarchy datasets, whose e2e draw sets the
+    benchmark's peak memory: a rewrite that lowers it must keep them."""
+    got = load_dataset(name, **args)
+    want = _whole_matrix_load_dataset(name, **args)
+    for field, expected in zip(("train_x", "train_y", "test_x", "test_y"), want):
+        actual = getattr(got, field)
+        assert actual.dtype == expected.dtype, field
+        assert np.array_equal(actual, expected), field
 
 
 def test_load_dataset_memory_is_bounded_by_its_output(traced_peak):

@@ -23,6 +23,7 @@ import gc
 import numpy as np
 import pytest
 
+import repro.hierarchy.control as control_module
 from repro.config import EdgeHDConfig
 from repro.core.projection import _LIVE_DRAWS, _draw_ternary_csr
 from repro.data import make_classification
@@ -37,6 +38,7 @@ from repro.hierarchy import (
     build_deep_tree,
     build_tree,
 )
+from repro.hierarchy.checkpoint import load_topology_state
 from repro.utils.rng import derive_rng
 
 N_FEATURES = 16
@@ -88,6 +90,20 @@ def build_time_twin(controller, data, graft_under=None):
     twin = EdgeHDFederation(hierarchy, partition, N_CLASSES, fed.config)
     twin.fit_offline(x, y)
     return twin
+
+
+def feed(controller, data, rows):
+    """Journal one feedback event at the first end node per row of
+    ``rows``; returns that node."""
+    fed = controller.federation
+    leaf = fed.hierarchy.leaves()[0]
+    x, _ = data
+    encoded = fed.encode_at(leaf, x[list(rows)])
+    for i, hv in zip(rows, encoded):
+        controller.record_feedback(
+            leaf, hv.astype(np.float64), i % N_CLASSES, (i + 1) % N_CLASSES
+        )
+    return leaf
 
 
 def assert_models_equal(a: EdgeHDFederation, b: EdgeHDFederation) -> None:
@@ -388,6 +404,21 @@ class TestCheckpointRestore:
         restored.learner.propagate()
         assert_models_equal(controller.federation, restored.federation)
 
+    def test_restore_reproduces_fingerprint_after_feedback(
+        self, data, tmp_path
+    ):
+        """The restored journal starts at the file's mark. Started at 0,
+        the restored controller hashed a different journal position
+        than the live one at the same checkpoint."""
+        controller = make_controller(data)
+        feed(controller, data, range(1))
+        controller.learner.propagate()
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        restored = TopologyController.restore(path, *data)
+        assert restored.fingerprint() == controller.fingerprint()
+        assert restored.journal_seq == controller.journal_seq == 1
+
     def test_checkpoint_after_mutation_round_trips(self, data, tmp_path):
         controller = make_controller(data)
         controller.join(controller.federation.hierarchy.root_id)
@@ -531,6 +562,84 @@ class TestFailRespawn:
             controller.respawn(
                 controller.federation.hierarchy.leaves()[0], path
             )
+
+
+class TestJournal:
+    """The journal is a write-ahead log that ends at the latest
+    checkpoint: a completed save drops the events before its mark."""
+
+    def test_checkpoint_drops_the_covered_events(self, data, tmp_path):
+        controller = make_controller(data)
+        feed(controller, data, range(3))
+        assert len(controller.journal) == controller.journal_seq == 3
+        controller.checkpoint(tmp_path / "a.npz")
+        assert controller.journal == []
+        assert controller.journal_start == controller.journal_seq == 3
+        feed(controller, data, range(3, 5))
+        assert len(controller.journal) == 2 and controller.journal_seq == 5
+        controller.checkpoint(tmp_path / "b.npz")
+        ckpt = load_topology_state(tmp_path / "b.npz", reconstruct=False)
+        assert ckpt.journal_seq == controller.journal_seq == 5
+
+    def test_interrupted_save_keeps_the_journal(
+        self, data, tmp_path, monkeypatch
+    ):
+        """The previous file stays the recovery point, so the events
+        after its mark stay journaled."""
+        controller = make_controller(data)
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        victim = feed(controller, data, range(3))
+        journal = list(controller.journal)
+
+        def torn_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(control_module, "save_topology_state", torn_save)
+            with pytest.raises(OSError, match="disk full"):
+                controller.checkpoint(path)
+        assert len(controller.journal) == len(journal)
+        assert all(a is b for a, b in zip(controller.journal, journal))
+        assert controller.journal_start == 0 and controller.journal_seq == 3
+        controller.fail(victim)
+        assert controller.respawn(victim, path) == 3
+
+    def test_respawn_from_a_file_older_than_the_journal_raises(
+        self, data, tmp_path
+    ):
+        controller = make_controller(data)
+        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+        controller.checkpoint(old)
+        victim = feed(controller, data, range(2))
+        controller.checkpoint(new)
+        feed(controller, data, range(2, 3))
+        controller.fail(victim)
+        model = controller.federation.classifiers[victim].class_hypervectors
+        with pytest.raises(ValueError, match="mark 0 .* starts at mark 2"):
+            controller.respawn(victim, old)
+        assert controller.states[victim] is NodeState.CRASHED
+        classifier = controller.federation.classifiers[victim]
+        assert classifier.class_hypervectors is model
+        assert controller.respawn(victim, new) == 1
+
+    def test_journal_bytes_stay_within_one_round(self, data, tmp_path):
+        """k checkpointed rounds of feedback hold one round's events;
+        a journal kept since construction grew by a round each time."""
+        controller = make_controller(data)
+        path = tmp_path / "topo.npz"
+        per_round = 4
+        held = []
+        for k in range(5):
+            feed(controller, data, range(k * per_round, (k + 1) * per_round))
+            held.append(sum(e.query_hv.nbytes for e in controller.journal))
+            controller.learner.propagate()
+            controller.checkpoint(path)
+        dimension = controller.federation.hierarchy.nodes[
+            controller.federation.hierarchy.leaves()[0]
+        ].dimension
+        assert held == [per_round * 8 * dimension] * 5
+        assert controller.journal_seq == 5 * per_round
 
 
 class TestFingerprint:

@@ -308,6 +308,32 @@ class TestOfflineTraining:
             n * in_dimension + width * (in_dimension + dimension) + nnz
         ) + 2 ** 16, peak
 
+    def test_one_row_float_combine_converts_one_block(self, traced_peak):
+        """A one-row float64 combine at a D = 4,096 root holds its result
+        and one block of the int16 matrix's data as float64, beside the
+        row-sized concatenation and operand. scipy's whole-matrix
+        conversion peaked at 2.20 MB here, 8 bytes a non-zero."""
+        from repro.core.projection import _UPCAST_BLOCK_BYTES
+
+        fed = EdgeHDFederation(
+            build_tree(3), partition_features(30, 3), 4,
+            EdgeHDConfig(dimension=4096, seed=17),
+        )
+        children = fed.hierarchy.nodes[fed.root_id].children
+        rng = np.random.default_rng(1)
+        parts = [
+            rng.standard_normal((1, fed.hierarchy.nodes[c].dimension))
+            for c in children
+        ]
+        fed.combine_children(fed.root_id, parts)
+        out, peak = traced_peak(lambda: fed.combine_children(fed.root_id, parts))
+        in_dimension = sum(part.shape[1] for part in parts)
+        assert out.shape == (1, fed.hierarchy.nodes[fed.root_id].dimension)
+        assert 8 * fed.projections[fed.root_id].matrix.nnz > 2 * 10 ** 6
+        assert peak <= 2 * out.nbytes + 16 * in_dimension + (
+            _UPCAST_BLOCK_BYTES + 2 ** 16
+        ), peak
+
     def test_sample_label_mismatch(self, apri_small, small_config):
         part = partition_features(apri_small.n_features, 3)
         fed = EdgeHDFederation(build_tree(3), part, 2, small_config)

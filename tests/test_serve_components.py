@@ -18,6 +18,7 @@ from repro.serve import (
     BoundedQueue,
     MicroBatcher,
     ServeConfig,
+    ServeRequest,
     ServeResponse,
     ServeResult,
     ShedError,
@@ -266,6 +267,23 @@ class TestConfigAndResult:
         ):
             with pytest.raises(ValueError):
                 ServeConfig(**bad)
+
+    def test_per_query_types_have_no_instance_dict(self):
+        """The runtime builds one of each per query; a finished result
+        keeps the responses and their timings."""
+        timings = StageTimings()
+        for instance in (
+            timings,
+            ServeRequest(index=0, features=np.zeros(3), start_leaf=0),
+            ServeResponse(
+                index=0, start_leaf=0, label=1, confidence=0.5,
+                deciding_node=0, deciding_level=1, shed=False,
+                timings=timings,
+            ),
+        ):
+            assert not hasattr(instance, "__dict__"), type(instance)
+            with pytest.raises(AttributeError):
+                instance.undeclared = 1
 
     def _response(self, index, total_ms, shed=False, node=0):
         t = StageTimings(total_ms=total_ms, queue_wait_ms=total_ms / 2)
