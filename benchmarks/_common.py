@@ -40,7 +40,7 @@ SMOKE = ExperimentScale(
 )
 
 
-def bench_scale() -> ExperimentScale:
+def active_scale() -> ExperimentScale:
     """Active scale, controlled by EDGEHD_BENCH_SCALE."""
     if os.environ.get("EDGEHD_BENCH_SCALE", "").lower() in {"quick", "smoke"}:
         return SMOKE

@@ -5,7 +5,7 @@ size B, compression count m, encoder sparsity s, confidence threshold,
 and dimensionality D.
 """
 
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.ablation import (
     format_ablation,
@@ -20,7 +20,7 @@ from repro.experiments.ablation import (
 
 
 def bench_encoder_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_encoder_ablation(scale=scale))
     save_report("ablation_encoder", format_ablation(result))
     acc = dict(zip(result.column("Encoder"), result.column("Accuracy")))
@@ -29,7 +29,7 @@ def bench_encoder_ablation(benchmark):
 
 
 def bench_batch_size_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_batch_size_ablation(scale=scale))
     save_report("ablation_batch_size", format_ablation(result))
     kb = result.column("Training KB")
@@ -48,7 +48,7 @@ def bench_compression_ablation(benchmark):
 
 
 def bench_sparsity_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_sparsity_ablation(scale=scale))
     save_report("ablation_sparsity", format_ablation(result))
     cycles = result.column("Encode cycles/sample")
@@ -59,7 +59,7 @@ def bench_sparsity_ablation(benchmark):
 
 
 def bench_threshold_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_threshold_ablation(scale=scale))
     save_report("ablation_threshold", format_ablation(result))
     escalated = result.column("Escalated frac")
@@ -68,7 +68,7 @@ def bench_threshold_ablation(benchmark):
 
 
 def bench_quantization_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_quantization_ablation(scale=scale))
     save_report("ablation_quantization", format_ablation(result))
     acc = result.column("Accuracy")
@@ -79,7 +79,7 @@ def bench_quantization_ablation(benchmark):
 
 
 def bench_dimension_ablation(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_dimension_ablation(scale=scale))
     save_report("ablation_dimension", format_ablation(result))
     acc = result.column("Accuracy")

@@ -21,7 +21,7 @@ non-root node loses no requests), which is also what
 import math
 
 import numpy as np
-from _common import RESULTS_DIR, bench_scale, save_json, save_report
+from _common import RESULTS_DIR, active_scale, save_json, save_report
 
 import repro.obs as obs
 from repro.config import EdgeHDConfig
@@ -50,7 +50,7 @@ FAULT_SEED = 42
 
 def train_federation(scale=None):
     """One TREE federation on the benchmark dataset; reused per cell."""
-    scale = scale or bench_scale()
+    scale = scale or active_scale()
     spec = DATASETS[DATASET]
     data = load_dataset(
         DATASET, scale=scale.data_scale, max_train=scale.max_train,

@@ -6,13 +6,13 @@ ablation loses whole devices, and the DNN (losing raw features)
 collapses fastest.
 """
 
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.robustness import format_figure12, run_figure12
 
 
 def bench_figure12(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_figure12(scale=scale))
     save_report("fig12_robustness", format_figure12(result))
     worst = result.losses[-1]

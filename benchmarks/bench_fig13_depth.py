@@ -6,13 +6,13 @@ stays in the same band across depths, with a slight droop at the
 deepest configurations.
 """
 
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.depth import format_figure13, run_figure13
 
 
 def bench_figure13(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_figure13(scale=scale))
     save_report("fig13_depth", format_figure13(result))
     for medium in result.media:

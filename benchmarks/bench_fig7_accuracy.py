@@ -5,13 +5,13 @@ linear-encoding HD baseline by several accuracy points on average
 (paper: +4.7%).
 """
 
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.accuracy import format_figure7, run_figure7
 
 
 def bench_figure7(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(
         benchmark,
         lambda: run_figure7(

@@ -6,14 +6,14 @@ decision level, and the central node's confidence grows. Deviation
 weaker than the paper's 28.9% -> 0.3%.
 """
 
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.harness import ExperimentScale
 from repro.experiments.online import format_figure8, run_figure8
 
 
 def bench_figure8(benchmark):
-    base = bench_scale()
+    base = active_scale()
     # The online phase needs a substantial stream relative to the 52
     # houses; widen the sample budget beyond the default bench scale.
     scale = ExperimentScale(

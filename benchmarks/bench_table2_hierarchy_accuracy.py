@@ -5,13 +5,13 @@ to the central node, which approaches the centralized model.
 """
 
 import numpy as np
-from _common import bench_scale, run_once, save_report
+from _common import active_scale, run_once, save_report
 
 from repro.experiments.accuracy import format_table2, run_table2
 
 
 def bench_table2(benchmark):
-    scale = bench_scale()
+    scale = active_scale()
     result = run_once(benchmark, lambda: run_table2(scale=scale))
     save_report("table2_hierarchy_accuracy", format_table2(result))
     for name, levels in result.by_level.items():

@@ -88,6 +88,7 @@ from repro.hierarchy import (
     build_star,
     build_tree,
 )
+from repro.network.medium import MEDIA
 
 __all__ = ["main", "build_parser"]
 
@@ -705,6 +706,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="enable observability and write the span trace (JSONL)",
         )
 
+    def add_layout_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--topology", default="tree", choices=("star", "tree", "pecan"),
+            help="hierarchy layout to train",
+        )
+        p.add_argument("--batch-size", type=int, default=10)
+
     train = sub.add_parser("train", help="train a centralized EdgeHD model")
     add_data_args(train)
     _add_search_args(train)
@@ -717,14 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     federate = sub.add_parser("federate", help="federated hierarchical training")
     add_data_args(federate)
+    add_layout_args(federate)
     federate.add_argument(
-        "--topology", default="tree", choices=("star", "tree", "pecan")
-    )
-    federate.add_argument("--batch-size", type=int, default=10)
-    federate.add_argument(
-        "--medium", default="wifi-802.11ac",
-        choices=("wired-1gbps", "wired-500mbps", "wifi-802.11ac",
-                 "wifi-802.11n", "bluetooth-4.0"),
+        "--medium", default="wifi-802.11ac", choices=tuple(MEDIA),
         help="medium for the network replay summary",
     )
 
@@ -733,14 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve escalating inference live (micro-batching, backpressure)",
     )
     add_data_args(serve_bench)
+    add_layout_args(serve_bench)
     serve_bench.add_argument(
-        "--topology", default="tree", choices=("star", "tree", "pecan")
-    )
-    serve_bench.add_argument("--batch-size", type=int, default=10)
-    serve_bench.add_argument(
-        "--medium", default="wifi-802.11ac",
-        choices=("wired-1gbps", "wired-500mbps", "wifi-802.11ac",
-                 "wifi-802.11n", "bluetooth-4.0"),
+        "--medium", default="wifi-802.11ac", choices=tuple(MEDIA)
     )
     _add_search_args(serve_bench)
     serve_bench.add_argument(
@@ -856,11 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="topology checkpoint file (.npz, format v2)"
     )
     add_data_args(topology)
-    topology.add_argument(
-        "--topology", default="tree", choices=("star", "tree", "pecan"),
-        dest="topology", help="layout used by the checkpoint action",
-    )
-    topology.add_argument("--batch-size", type=int, default=10)
+    add_layout_args(topology)
     topology.add_argument(
         "--parent", type=int, default=None,
         help="join: gateway to graft under (default: the central node)",

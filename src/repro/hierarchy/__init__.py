@@ -10,7 +10,6 @@ from repro.hierarchy.control import (
     DrainResult,
     FeedbackEvent,
     JoinResult,
-    NodeLeaseMonitor,
     NodeState,
     ScenarioResult,
     ScenarioSpec,
@@ -43,7 +42,6 @@ __all__ = [
     "DrainResult",
     "FeedbackEvent",
     "JoinResult",
-    "NodeLeaseMonitor",
     "NodeState",
     "ScenarioResult",
     "ScenarioSpec",

@@ -26,6 +26,8 @@ a first-class, *reproducible* event:
   bit-identical to one that never crashed, and
   :meth:`TopologyController.fingerprint` witnesses the whole run.
 
+Every lifecycle event lands in :attr:`TopologyController.transitions`,
+which the fingerprint hashes, and every checkpoint in ``n_checkpoints``.
 Everything is driven by explicit virtual-clock timestamps, so the
 entire replacement loop is deterministic under a fixed seed.
 """
@@ -41,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-import repro.obs as obs
 from repro.core.online import ResidualAccumulator
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.checkpoint import (
@@ -62,7 +63,6 @@ __all__ = [
     "NodeState",
     "TransitionRecord",
     "FeedbackEvent",
-    "NodeLeaseMonitor",
     "JoinResult",
     "DrainResult",
     "TopologyController",
@@ -101,41 +101,6 @@ class FeedbackEvent:
     true_class: Optional[int]
 
 
-class NodeLeaseMonitor:
-    """Heartbeat leases for hierarchy nodes, on the PR 8 replica registry.
-
-    Every node holds a lease refreshed by :meth:`beat`; a node whose
-    lease lapses past ``lease_timeout_s`` is reported by
-    :meth:`expired` exactly once.
-    """
-
-    def __init__(self, lease_timeout_s: float = 1.0) -> None:
-        # Imported lazily: repro.serve imports repro.hierarchy, so a
-        # module-level import here would be circular at package init.
-        from repro.serve.registry import ReplicaRegistry
-
-        self.registry = ReplicaRegistry(heartbeat_timeout_s=lease_timeout_s)
-
-    def track(self, node_id: int, now: float) -> None:
-        self.registry.register(node_id, now)
-
-    def release(self, node_id: int) -> None:
-        self.registry.deregister(node_id)
-
-    def beat(self, node_id: int, now: float) -> bool:
-        """Refresh a node's lease; True when the beat resurrected it."""
-        return self.registry.beat(node_id, now)
-
-    def expired(self, now: float) -> List[int]:
-        """Node ids whose lease newly lapsed (each reported once)."""
-        return sorted(
-            info.replica_id for info in self.registry.evict_stale(now)
-        )
-
-    def lease_remaining(self, node_id: int, now: float) -> float:
-        return self.registry.lease_remaining(node_id, now)
-
-
 @dataclass
 class JoinResult:
     """Outcome of admitting a new end node."""
@@ -162,7 +127,7 @@ class TopologyController:
 
     Owns the training data (mutations retrain only the dirtied nodes
     against it), the per-node lifecycle states, the feedback journal
-    that crash recovery replays, and the lease monitor that detects
+    that crash recovery replays, and the heartbeat leases that detect
     silent nodes. All clocks are explicit ``now`` floats — virtual
     time — so every flow is deterministic and unit-testable.
     """
@@ -194,9 +159,15 @@ class TopologyController:
         #: how many events were dropped from the journal's head.
         self.journal_start = 0
         self.n_checkpoints = 0
-        self.monitor = NodeLeaseMonitor(lease_timeout_s=lease_timeout_s)
+        # Imported lazily: repro.serve imports repro.hierarchy, so a
+        # module-level import here would be circular at package init.
+        from repro.serve.registry import ReplicaRegistry
+
+        #: one heartbeat lease per node; a node whose lease lapses past
+        #: ``lease_timeout_s`` is evicted by one sweep, exactly once.
+        self.leases = ReplicaRegistry(heartbeat_timeout_s=lease_timeout_s)
         for nid in sorted(federation.hierarchy.nodes):
-            self.monitor.track(nid, now)
+            self.leases.register(nid, now)
         #: per-node forwarded batch hypervectors — the training artifact
         #: a parent needs to re-encode when a child changes. Pure
         #: function of (training data, structure), so it can always be
@@ -426,13 +397,12 @@ class TopologyController:
         dirty = self._dirty_nodes(*pre)
         report = self._refit(dirty, epochs)
         self._reset_residuals()
-        self.monitor.track(new_id, now)
+        self.leases.register(new_id, now)
         self.states[new_id] = NodeState.ACTIVE
         self._record(
             "join", new_id, parent=parent_id, columns=sorted(moved),
             donors=donors, refit=dirty,
         )
-        obs.incr("topology.join")
         return JoinResult(
             node_id=new_id,
             columns=tuple(sorted(moved)),
@@ -507,13 +477,12 @@ class TopologyController:
             fed.discard_node(rid)
             self._batch_hvs.pop(rid, None)
             self.states.pop(rid, None)
-            self.monitor.release(rid)
+            self.leases.deregister(rid)
         self._reset_residuals()
         self._record(
             "drain", leaf_id, removed=removed,
             recipients=recipients, refit=dirty,
         )
-        obs.incr("topology.drain")
         return DrainResult(
             removed_nodes=tuple(removed),
             recipients=tuple(recipients),
@@ -551,7 +520,6 @@ class TopologyController:
         self.journal.clear()
         self.journal_start = mark
         self.n_checkpoints += 1
-        obs.incr("topology.checkpoints")
 
     @classmethod
     def restore(
@@ -615,7 +583,6 @@ class TopologyController:
         )
         self.journal.append(event)
         if self.states.get(node_id) is NodeState.CRASHED:
-            obs.incr("topology.feedback.buffered")
             return False
         self.learner.record_feedback(
             node_id, event.query_hv, event.predicted_class, event.true_class
@@ -630,9 +597,10 @@ class TopologyController:
 
         Its model and residual accumulator are wiped (the encoder and
         projection regenerate from the seed — they are firmware, not
-        state) and it stops heartbeating, so the lease monitor will
-        report it. The root cannot crash: it is the escalation fallback
-        of last resort, exactly as in the serving runtime.
+        state) and it stops heartbeating, so its lease lapses and
+        :meth:`detect_failures` reports it. The root cannot crash: it is
+        the escalation fallback of last resort, exactly as in the
+        serving runtime.
         """
         hierarchy = self.federation.hierarchy
         if node_id not in hierarchy.nodes:
@@ -649,23 +617,23 @@ class TopologyController:
             )
         self.states[node_id] = NodeState.CRASHED
         self._record("fail", node_id, at=now)
-        obs.incr("topology.failures")
 
     def heartbeat_active(self, now: float) -> None:
         """Refresh leases of every non-crashed node (crashed stay silent)."""
         for nid in sorted(self.states):
             if self.states[nid] is not NodeState.CRASHED:
-                self.monitor.beat(nid, now)
+                self.leases.beat(nid, now)
 
     def detect_failures(self, now: float) -> List[int]:
         """Sweep leases; newly expired nodes transition to CRASHED."""
         detected = []
-        for nid in self.monitor.expired(now):
+        for nid in sorted(
+            info.replica_id for info in self.leases.evict_stale(now)
+        ):
             detected.append(nid)
             if self.states.get(nid) is not NodeState.CRASHED:
                 self.states[nid] = NodeState.CRASHED
             self._record("detect", nid, at=now)
-            obs.incr("topology.detections")
         return detected
 
     def respawn(
@@ -719,13 +687,12 @@ class TopologyController:
                         event.predicted_class, event.true_class,
                     )
                     replayed += 1
-        resurrected = self.monitor.beat(node_id, now)
+        resurrected = self.leases.beat(node_id, now)
         self.states[node_id] = NodeState.ACTIVE
         self._record(
             "respawn", node_id, at=now, replayed=replayed,
             resurrected=resurrected,
         )
-        obs.incr("topology.respawns")
         return replayed
 
     # ------------------------------------------------------------------

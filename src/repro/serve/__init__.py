@@ -49,7 +49,6 @@ from repro.serve.registry import ReplicaInfo, ReplicaRegistry
 from repro.serve.shard import NodeLayout, SharedModelStore
 from repro.serve.queueing import (
     BoundedQueue,
-    QueueStats,
     QueueTimeout,
     ShedError,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "FaultPlan",
     "MicroBatcher",
     "NodeLayout",
-    "QueueStats",
     "QueueTimeout",
     "ReplicaInfo",
     "ReplicaRegistry",

@@ -364,7 +364,6 @@ class ClusterRuntime:
         self.config = config or ServeConfig()
         self.cluster = cluster or ClusterConfig()
         self.cap = inference.effective_cap(self.config.max_level)
-        self.search: SearchSpec = self.config.search or inference.search
         if fault_plan is not None:
             fault_plan.validate_for_cluster(self.cluster.workers)
         #: crash-only plan (or None); inert plans normalize to None.
@@ -406,7 +405,7 @@ class ClusterRuntime:
             compression_count=self.inference.compression_count,
             min_level=self.inference.min_level,
             max_level=self.config.max_level,
-            search=self.search,
+            search=self.inference.search,
             manifest=self._manifest,
             replica_id=replica_id,
             heartbeat_interval_s=self.cluster.heartbeat_interval_s,

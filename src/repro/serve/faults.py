@@ -52,6 +52,19 @@ __all__ = ["FaultPlan"]
 #: a directed (child, parent) escalation edge.
 Edge = Tuple[int, int]
 
+#: total transmission attempts per hop before degrading.
+MAX_ATTEMPTS = 3
+#: simulated loss-detection (ack) timeout per failed attempt.
+TIMEOUT_S = 0.02
+#: bound on how long a sender may block on a full downstream inbox
+#: before answering in degraded mode (block policy only).
+HOP_TIMEOUT_S = 5.0
+
+
+def backoff_s(attempt: int) -> float:
+    """Backoff before retry number ``attempt`` (0-based): 5 ms doubling."""
+    return 0.005 * 2.0 ** attempt
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -80,16 +93,6 @@ class FaultPlan:
     crash_windows: Mapping[int, Tuple[float, float]] = field(
         default_factory=dict
     )
-    #: total transmission attempts per hop before degrading.
-    max_attempts: int = 3
-    #: simulated loss-detection (ack) timeout per failed attempt.
-    timeout_s: float = 0.02
-    #: exponential backoff: ``backoff_base_s * backoff_factor**attempt``.
-    backoff_base_s: float = 0.005
-    backoff_factor: float = 2.0
-    #: bound on how long a sender may block on a full downstream inbox
-    #: before answering in degraded mode (block policy only).
-    hop_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         check_probability("drop_probability", self.drop_probability)
@@ -100,18 +103,6 @@ class FaultPlan:
             raise ValueError(
                 f"block_size must be >= 1, got {self.block_size}"
             )
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        check_positive("timeout_s", self.timeout_s, allow_zero=True)
-        check_positive("backoff_base_s", self.backoff_base_s, allow_zero=True)
-        check_positive("backoff_factor", self.backoff_factor)
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        check_positive("hop_timeout_s", self.hop_timeout_s)
         windows: Dict[int, Tuple[float, float]] = {}
         for node_id, window in dict(self.crash_windows).items():
             start, end = float(window[0]), float(window[1])
@@ -206,10 +197,6 @@ class FaultPlan:
                 seed=derive_rng(self.seed, f"chaos-dim:{node_id}:{index}"),
             )
         return out
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        return self.backoff_base_s * self.backoff_factor ** attempt
 
     # ------------------------------------------------------------------
     def validate_for_cluster(self, n_replicas: int) -> None:

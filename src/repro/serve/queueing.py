@@ -12,16 +12,18 @@ excess is the *policy*:
 * ``"shed"`` — ``put`` fails immediately when full and the caller
   decides how to degrade (reject at admission, answer with the current
   low-confidence decision at escalation). Latency stays bounded at the
-  cost of lost work, counted in :class:`QueueStats`.
+  cost of lost work, which the caller counts.
+
+Each queue keeps one tally, :attr:`BoundedQueue.high_water`: the
+deepest occupancy it reached, the bounded-memory witness.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-__all__ = ["BoundedQueue", "QueueStats", "QueueTimeout", "ShedError", "POLICIES"]
+__all__ = ["BoundedQueue", "QueueTimeout", "ShedError", "POLICIES"]
 
 POLICIES = ("block", "shed")
 
@@ -35,18 +37,6 @@ class QueueTimeout(Exception):
     """Raised by :meth:`BoundedQueue.put` when a bounded blocking wait
     (``timeout_s``) expires with the queue still full. The item was
     *not* enqueued; the caller decides how to degrade."""
-
-
-@dataclass
-class QueueStats:
-    """Occupancy and loss counters for one queue."""
-
-    enqueued: int = 0
-    shed: int = 0
-    #: blocking puts abandoned after their ``timeout_s`` bound.
-    timeouts: int = 0
-    #: deepest occupancy ever observed (bounded-memory witness).
-    high_water: int = 0
 
 
 class _Landing(asyncio.Queue):
@@ -84,7 +74,8 @@ class BoundedQueue:
             )
         self.maxsize = int(maxsize)
         self.policy = policy
-        self.stats = QueueStats()
+        #: deepest occupancy ever observed (bounded-memory witness).
+        self.high_water = 0
         self._queue: asyncio.Queue = (
             asyncio.Queue(maxsize=self.maxsize)
             if on_put is None
@@ -97,33 +88,31 @@ class BoundedQueue:
     def try_put(self, item: Any) -> bool:
         """Enqueue without waiting while there is room.
 
-        When the queue is full, ``"shed"`` counts the shed and raises
-        :class:`ShedError`; ``"block"`` counts nothing and returns
-        False, and the caller awaits :meth:`put` for the room.
+        When the queue is full, ``"shed"`` raises :class:`ShedError`;
+        ``"block"`` returns False, and the caller awaits :meth:`put`
+        for the room.
         """
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
             if self.policy == "block":
                 return False
-            self.stats.shed += 1
             raise ShedError(
                 f"queue full ({self.maxsize}), item shed"
             ) from None
-        self._count()
+        self._mark_depth()
         return True
 
     async def put(self, item: Any, timeout_s: Optional[float] = None) -> None:
         """Enqueue under the configured policy.
 
         Returns without suspending while there is room. When full it
-        blocks under ``"block"`` and raises :class:`ShedError` (after
-        counting the shed) under ``"shed"``. ``timeout_s`` bounds the
-        blocking wait: when it expires with the queue still full,
-        :class:`QueueTimeout` is raised (and counted) and the item is
-        not enqueued — the fault-injected serving path uses this as its
-        per-hop timeout so a stalled or crashed consumer can never
-        wedge a producer forever.
+        blocks under ``"block"`` and raises :class:`ShedError` under
+        ``"shed"``. ``timeout_s`` bounds the blocking wait: when it
+        expires with the queue still full, :class:`QueueTimeout` is
+        raised and the item is not enqueued — the fault-injected
+        serving path uses this as its per-hop timeout so a stalled or
+        crashed consumer can never wedge a producer forever.
         """
         if self.try_put(item):
             return
@@ -133,17 +122,15 @@ class BoundedQueue:
             try:
                 await asyncio.wait_for(self._queue.put(item), timeout=timeout_s)
             except asyncio.TimeoutError:
-                self.stats.timeouts += 1
                 raise QueueTimeout(
                     f"queue full ({self.maxsize}) for {timeout_s} s"
                 ) from None
-        self._count()
+        self._mark_depth()
 
-    def _count(self) -> None:
-        self.stats.enqueued += 1
+    def _mark_depth(self) -> None:
         depth = self._queue.qsize()
-        if depth > self.stats.high_water:
-            self.stats.high_water = depth
+        if depth > self.high_water:
+            self.high_water = depth
 
     async def get(self) -> Any:
         return await self._queue.get()

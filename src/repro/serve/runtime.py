@@ -29,12 +29,14 @@ With a :class:`~repro.serve.faults.FaultPlan` the same tree serves
 through an unreliable network: escalation attempts drop and pay
 latency jitter, in-flight bundles lose dimensions/blocks, and non-root
 nodes crash for configured windows. Senders detect failures by
-timeout, retry with exponential backoff up to ``max_attempts``, and —
+timeout, retry with exponential backoff up to three attempts a hop
+(:data:`~repro.serve.faults.MAX_ATTEMPTS`), and —
 when the parent stays unreachable — answer in **degraded mode** from
 the best locally available decision (the node's own model if nothing
 decided yet), flagged on :class:`ServeResponse`. Every request always
 receives exactly one terminal response; with no plan (or an inert
-one) the behaviour is bit-for-bit the fault-free fast path.
+one) the same escalation loop delivers every send on its first
+attempt, bit-for-bit as a fault-free network would.
 """
 
 from __future__ import annotations
@@ -48,12 +50,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.core.search import SearchSpec
 from repro.hierarchy.inference import PREDICTION_BYTES, HierarchicalInference
 from repro.network.medium import Medium
 from repro.serve.batcher import MicroBatcher
 from repro.serve.clock import run_virtual
-from repro.serve.faults import FaultPlan
+from repro.serve.faults import (
+    HOP_TIMEOUT_S,
+    MAX_ATTEMPTS,
+    TIMEOUT_S,
+    FaultPlan,
+    backoff_s,
+)
 from repro.serve.queueing import POLICIES, BoundedQueue, QueueTimeout, ShedError
 from repro.serve.request import ServeRequest, ServeResponse, ServeResult
 from repro.serve.tracing import RequestTraceLog, TraceContext
@@ -88,11 +95,6 @@ class ServeConfig:
     #: flush adds it to every latency in the batch and occupies the
     #: node for it, but costs no wall time.
     service_time_base_s: float = 0.0
-    #: associative-search override for every node's classify call
-    #: (:class:`repro.core.search.SearchSpec`); ``None`` serves with
-    #: the inference object's own spec, which is what keeps served
-    #: answers bit-identical to the offline walk.
-    search: Optional[SearchSpec] = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -108,11 +110,6 @@ class ServeConfig:
         check_positive(
             "service_time_base_s", self.service_time_base_s, allow_zero=True
         )
-        if self.search is not None and not isinstance(self.search, SearchSpec):
-            raise TypeError(
-                f"search must be a SearchSpec or None, got "
-                f"{type(self.search).__name__}"
-            )
 
 
 class _NodeServer:
@@ -252,7 +249,7 @@ class _NodeServer:
                         obs.incr("serve.faults.corrupted")
         t1 = time.perf_counter()
         result = rt.federation.classifiers[self.node_id].predict(
-            encoded, search=rt.search
+            encoded, search=rt.inference.search
         )
         t2 = time.perf_counter()
         encode_ms = (t1 - t0) * 1e3
@@ -282,8 +279,8 @@ class _NodeServer:
         cohort: List[ServeRequest],
         parent: int,
         payload: int,
-        jitter_s: float = 0.0,
-        count_escalation: bool = True,
+        jitter_s: float,
+        count_escalation: bool,
     ) -> None:
         """Charge and simulate one uplink bundle transfer.
 
@@ -318,12 +315,13 @@ class _NodeServer:
     async def _escalate(self, cohort: List[ServeRequest]) -> None:
         """Ship the cohort upward as compressed m-query bundles.
 
-        Without a fault plan this is a single reliable transfer. Under
-        a plan each request's send is a per-attempt Bernoulli draw
-        (crashed parents fail the whole attempt); dropped requests wait
-        out the loss-detection timeout plus exponential backoff and are
-        retransmitted, up to ``max_attempts`` total tries, after which
-        they are answered in degraded mode instead of hanging.
+        Each request's send is a per-attempt Bernoulli draw of the
+        fault plan (crashed parents fail the whole attempt); without a
+        plan every send is delivered on attempt 1. Dropped requests
+        wait out the loss-detection timeout plus exponential backoff
+        and are retransmitted, up to ``MAX_ATTEMPTS`` total tries,
+        after which they are answered in degraded mode instead of
+        hanging.
         """
         rt = self.runtime
         parent = self.node.parent
@@ -331,18 +329,6 @@ class _NodeServer:
         plan = rt.plan
         edge = (self.node_id, parent)
         edge_tag = f"{self.node_id}->{parent}"
-        if plan is None:
-            for req in cohort:
-                if req.trace is not None:
-                    req.trace.attempts += 1
-                    req.trace.emit(
-                        "escalate", rt._now_ms(), node=self.node_id,
-                        edge=edge_tag, attempt=1,
-                    )
-            payload = rt.inference.uplink_bytes(parent, len(cohort))
-            await self._transmit(cohort, parent, payload)
-            await rt._forward(cohort, parent, via_edge=edge, origin=self)
-            return
         pending = cohort
         attempt = 0
         counted = False
@@ -357,7 +343,9 @@ class _NodeServer:
                     )
             delivered: List[ServeRequest] = []
             dropped: List[ServeRequest] = []
-            parent_dead = plan.crashed(parent, rt._elapsed())
+            parent_dead = plan is not None and plan.crashed(
+                parent, rt._elapsed()
+            )
             if parent_dead:
                 # Dead parent: the whole attempt fails; nothing reaches
                 # the radio on the other side, so no bytes are charged.
@@ -365,11 +353,14 @@ class _NodeServer:
             else:
                 payload = rt.inference.uplink_bytes(parent, len(pending))
                 for req in pending:
-                    failed = plan.message_dropped(
+                    failed = plan is not None and plan.message_dropped(
                         edge, req.index, attempt, payload
                     )
                     (dropped if failed else delivered).append(req)
-                jitter = plan.jitter_s(edge, pending[0].index, attempt)
+                jitter = (
+                    0.0 if plan is None
+                    else plan.jitter_s(edge, pending[0].index, attempt)
+                )
                 await self._transmit(
                     pending, parent, payload, jitter_s=jitter,
                     count_escalation=not counted,
@@ -394,10 +385,8 @@ class _NodeServer:
             rt.n_timeouts += 1
             if obs.enabled():
                 obs.incr("serve.timeouts")
-            exhausted = attempt >= plan.max_attempts
-            delay = plan.timeout_s + (
-                0.0 if exhausted else plan.backoff_s(attempt - 1)
-            )
+            exhausted = attempt >= MAX_ATTEMPTS
+            delay = TIMEOUT_S + (0.0 if exhausted else backoff_s(attempt - 1))
             fired_ms = rt._now_ms()
             for req in dropped:
                 if req.trace is not None:
@@ -440,8 +429,7 @@ class ServingRuntime:
     inference:
         The trained escalation pipeline; its threshold, compression
         count, ``min_level`` and :class:`SearchSpec` all apply
-        verbatim (``config.search`` may override the spec for this
-        runtime only).
+        verbatim.
     medium:
         Link model charged for every escalation / answer transfer.
     config:
@@ -469,8 +457,6 @@ class ServingRuntime:
         self.medium = medium
         self.config = config or ServeConfig()
         self.cap = inference.effective_cap(self.config.max_level)
-        #: resolved associative-search spec every node serves with.
-        self.search: SearchSpec = self.config.search or inference.search
         self.fault_plan = fault_plan
         if fault_plan is not None:
             unknown = set(fault_plan.crash_windows) - set(self.hierarchy.nodes)
@@ -484,8 +470,8 @@ class ServingRuntime:
                     "fallback of last resort"
                 )
         #: the plan the serving loops consult; an inert plan is
-        #: normalized to None so the fault-free fast path stays
-        #: bit-identical to running without one.
+        #: normalized to None, so it serves bit-identically to running
+        #: without one.
         self.plan: Optional[FaultPlan] = (
             fault_plan if fault_plan is not None and fault_plan.active else None
         )
@@ -656,7 +642,7 @@ class ServingRuntime:
             n_shed_admission=self.n_shed_admission,
             n_shed_escalation=self.n_shed_escalation,
             queue_high_water={
-                nid: server.queue.stats.high_water
+                nid: server.queue.high_water
                 for nid, server in self.nodes.items()
             },
             n_retries=self.n_retries,
@@ -763,14 +749,14 @@ class ServingRuntime:
         degrades to its last decision (the uplink was already spent —
         the parent dropped the bundle). Each put returns without
         suspending while the inbox has room. Under a fault plan a put
-        that must wait for room is bounded by ``hop_timeout_s``: when it
+        that must wait for room is bounded by ``HOP_TIMEOUT_S``: when it
         expires the request is answered in degraded mode at ``origin``
         (the sending node) instead of wedging the sender forever.
         """
         loop = asyncio.get_running_loop()
         queue = self.nodes[destination].queue
         plan = self.plan
-        timeout_s = plan.hop_timeout_s if plan is not None else None
+        timeout_s = HOP_TIMEOUT_S if plan is not None else None
         for req in cohort:
             req.enqueued_s = loop.time()
             # Charge the edge *before* the put: once the request is in

@@ -13,6 +13,11 @@ nothing names, which is what grows unnoticed.
 An unreached definition fails the test unless :data:`ALLOWED` names it
 with a reason. An allowlist entry that is reached, or no longer
 exists, fails it too, so the list cannot go stale.
+
+The same rule holds for settable values: every defaulted field of a
+``src/repro`` dataclass whose name ends in ``Config`` or ``Plan`` must
+be set by keyword somewhere in those files, or be named in
+:data:`UNSET_KNOBS` with a reason.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ ALLOWED: Dict[str, str] = {
     "repro.core.online.ResidualAccumulator.is_empty": _HELPER,
     "repro.hierarchy.topology.Hierarchy.internal_nodes": _HELPER,
     "repro.hierarchy.federation.LazyEncodings.n_materialized": _HELPER,
-    "repro.hierarchy.control.NodeLeaseMonitor.lease_remaining": _HELPER,
     "repro.serve.batcher.MicroBatcher.mean_batch_size": _HELPER,
+    "repro.serve.registry.ReplicaRegistry.lease_remaining": _HELPER,
     # Called by a library.
     "repro.serve.queueing._Landing._put": "asyncio.Queue calls it",
 }
@@ -177,3 +182,94 @@ def test_allowlist_is_not_stale():
     reached = sorted(set(ALLOWED) & defined - set(unreached))
     assert missing == [], f"ALLOWED names what no longer exists: {missing}"
     assert reached == [], f"ALLOWED names what something now runs: {reached}"
+
+
+_ITEM_1 = "ROADMAP item 1: removed with the cluster"
+_SEC_VI_A = "Sec. VI-A parameter, checkpointed in EdgeHDFederation.spec()"
+_DAMAGE = "ROADMAP items 3 and 6: the damage faults TestDamageReplayOracle uses"
+
+#: ``Class.field`` -> why the default stays although nothing sets it.
+UNSET_KNOBS: Dict[str, str] = {
+    "ClusterConfig.heartbeat_interval_s": _ITEM_1,
+    "ClusterConfig.heartbeat_timeout_s": _ITEM_1,
+    "ClusterConfig.ready_timeout_s": _ITEM_1,
+    "ClusterConfig.respawn": _ITEM_1,
+    "ServeConfig.max_level": "ROADMAP item 6: the oracle's caps",
+    "FaultPlan.block_loss": _DAMAGE,
+    "FaultPlan.block_size": _DAMAGE,
+    "EdgeHDConfig.compression_count": _SEC_VI_A,
+    "EdgeHDConfig.confidence_threshold": _SEC_VI_A,
+    "EdgeHDConfig.sparsity": _SEC_VI_A,
+    "EdgeHDConfig.retrain_learning_rate": _SEC_VI_A,
+    "EdgeHDConfig.encoder": _SEC_VI_A,
+    "EdgeHDConfig.projection_nonzeros": _SEC_VI_A,
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _knob_scan() -> Tuple[List[str], set]:
+    """(unset ``Class.field`` knobs, every knob defined)."""
+    knobs: List[Tuple[str, str]] = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Plan"))
+                and _is_dataclass(node)
+            ):
+                knobs.extend(
+                    (node.name, member.target.id)
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)
+                    and member.value is not None
+                )
+    set_by_class = set()
+    set_by_replace = set()
+    for root in SCANNED:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                # ``**spec`` has arg None: a forwarded dict sets nothing
+                # this scan can name.
+                fields = {kw.arg for kw in call.keywords if kw.arg}
+                if name == "replace":
+                    set_by_replace |= fields
+                else:
+                    set_by_class |= {(name, f) for f in fields}
+    unset = sorted(
+        f"{cls}.{field}" for cls, field in knobs
+        if (cls, field) not in set_by_class and field not in set_by_replace
+    )
+    return unset, {f"{cls}.{field}" for cls, field in knobs}
+
+
+def test_every_config_knob_is_set_or_allowed():
+    unset, _ = _knob_scan()
+    extra = [name for name in unset if name not in UNSET_KNOBS]
+    assert extra == [], (
+        "defaulted Config/Plan fields that no file in src/, benchmarks/ "
+        "or examples/ sets by keyword (make them constants, or add them "
+        "to UNSET_KNOBS with a reason):\n  " + "\n  ".join(extra)
+    )
+
+
+def test_unset_knobs_are_not_stale():
+    unset, defined = _knob_scan()
+    missing = sorted(set(UNSET_KNOBS) - defined)
+    now_set = sorted(set(UNSET_KNOBS) & defined - set(unset))
+    assert missing == [], f"UNSET_KNOBS names no defaulted field: {missing}"
+    assert now_set == [], f"UNSET_KNOBS names what some file now sets: {now_set}"

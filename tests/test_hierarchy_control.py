@@ -31,13 +31,13 @@ from repro.data.partition import FeaturePartition, partition_features
 from repro.hierarchy import (
     EdgeHDFederation,
     HierarchicalInference,
-    NodeLeaseMonitor,
     NodeState,
     OnlineLearner,
     TopologyController,
     build_deep_tree,
     build_tree,
 )
+from repro.serve.registry import ReplicaRegistry
 from repro.hierarchy.checkpoint import load_topology_state
 from repro.utils.rng import derive_rng
 
@@ -657,12 +657,17 @@ class TestFingerprint:
 
 class TestLeaseMonitor:
     def test_track_beat_expire_release(self):
-        monitor = NodeLeaseMonitor(lease_timeout_s=1.0)
-        monitor.track(3, now=0.0)
-        monitor.track(4, now=0.0)
-        monitor.beat(3, 0.8)
-        assert monitor.expired(1.5) == [4]
-        assert monitor.expired(1.5) == []  # reported once
-        assert monitor.lease_remaining(3, 1.0) == pytest.approx(0.8)
-        monitor.release(3)
-        assert monitor.expired(10.0) == []  # released: never reported
+        """The controller's lease table: register, beat, sweep, deregister."""
+        leases = ReplicaRegistry(heartbeat_timeout_s=1.0)
+
+        def expired(now):
+            return sorted(info.replica_id for info in leases.evict_stale(now))
+
+        leases.register(3, now=0.0)
+        leases.register(4, now=0.0)
+        leases.beat(3, 0.8)
+        assert expired(1.5) == [4]
+        assert expired(1.5) == []  # reported once
+        assert leases.lease_remaining(3, 1.0) == pytest.approx(0.8)
+        leases.deregister(3)
+        assert expired(10.0) == []  # released: never reported

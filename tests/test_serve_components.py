@@ -54,9 +54,7 @@ class TestBoundedQueue:
             return q
 
         q = run(scenario())
-        assert q.stats.enqueued == 2
-        assert q.stats.shed == 1
-        assert q.stats.high_water == 2
+        assert q.high_water == 2
         assert len(q) == 2
 
     def test_block_policy_waits_for_space(self):
@@ -77,8 +75,8 @@ class TestBoundedQueue:
             return q
 
         q = run(scenario())
-        assert q.stats.shed == 0
-        assert q.stats.enqueued == 2
+        assert len(q) == 0
+        assert q.high_water == 1
 
     def test_on_put_sees_the_item_land_not_the_blocked_put(self):
         landed = []
@@ -97,9 +95,9 @@ class TestBoundedQueue:
         run(scenario())
 
     def test_try_put_never_waits(self):
-        """The no-wait attempt: a full ``"block"`` queue counts nothing
+        """The no-wait attempt: a full ``"block"`` queue returns False
         (its caller awaits ``put`` next); a full ``"shed"`` queue
-        counts and raises, as ``put`` does."""
+        raises, as ``put`` does."""
 
         async def scenario():
             block = BoundedQueue(1, policy="block")
@@ -111,9 +109,8 @@ class TestBoundedQueue:
             return block, shed
 
         block, shed = run(scenario())
-        assert (block.stats.enqueued, block.stats.shed) == (1, 0)
-        assert (shed.stats.enqueued, shed.stats.shed) == (1, 1)
-        assert block.stats.high_water == shed.stats.high_water == 1
+        assert len(block) == len(shed) == 1
+        assert block.high_water == shed.high_water == 1
 
     def test_put_with_room_does_not_suspend(self):
         """``put`` into a queue with room completes on its first step:

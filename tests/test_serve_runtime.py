@@ -29,6 +29,7 @@ from repro.hierarchy.inference import PREDICTION_BYTES
 from repro.network.medium import get_medium
 from repro.serve import FaultPlan, ServeConfig, ServingRuntime, make_workload
 from repro.serve.clock import run_virtual
+from repro.serve.faults import MAX_ATTEMPTS
 from repro.serve.runtime import _NodeServer
 
 
@@ -363,10 +364,7 @@ class TestCountedCompletion:
         runtime = ServingRuntime(
             inference, get_medium("wired-1gbps"),
             ServeConfig(queue_depth=512),
-            fault_plan=FaultPlan(
-                seed=5, drop_probability=1.0, max_attempts=2,
-                timeout_s=0.002, backoff_base_s=0.001,
-            ),
+            fault_plan=FaultPlan(seed=5, drop_probability=1.0),
         )
         result = _bounded(
             lambda: runtime.serve_open_loop(workload, 3000.0, seed=1)
@@ -378,7 +376,7 @@ class TestCountedCompletion:
         assert escalated.any()
         degraded = np.array([r.degraded for r in result.responses])
         assert np.array_equal(degraded, escalated)
-        assert result.n_retries == result.n_degraded
+        assert result.n_retries == (MAX_ATTEMPTS - 1) * result.n_degraded
 
     @pytest.mark.parametrize("descended", [False, True])
     def test_double_finish_fails_the_run(
