@@ -13,15 +13,44 @@ information (the robustness experiment of Fig. 12 hinges on this).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import weakref
+from types import ModuleType
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix
 
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_matrix, check_probability
 
 __all__ = ["TernaryProjection", "concatenate_hypervectors"]
+
+
+def _load_sparsetools() -> ModuleType:
+    """scipy's compiled CSR kernels, loaded from their file. Importing
+    ``scipy.sparse`` for them would clone numpy's namespace (its
+    ``array_api_compat`` imports ``numpy.f2py``, ``numpy.testing``,
+    ``numpy.ma``, ...): 14 MiB resident and 0.2 s that no projection
+    uses. Neither ``scipy`` nor ``scipy.sparse`` is imported here; a
+    process that already imported them shares their module."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed", name=name)
+    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None or spec.loader is None:
+        raise ImportError(f"no {name} extension in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 #: Cells drawn per block of rows: bounds the construction's scratch (a
 #: float64 uniform, three masks, the non-zeros' positions, rows, columns
@@ -35,10 +64,10 @@ _DRAW_BLOCK_CELLS = 1 << 15
 #: (64 non-zeros a row), even for one row's product.
 _UPCAST_BLOCK_BYTES = 1 << 20
 
-#: scipy's CSR-times-dense kernel runs fastest when the operand's batch
-#: axis is a multiple of this SIMD width (4000 x 4000 root matrix,
-#: int16: 7 rows 1.18 ms, 8 rows 0.61 ms), so batches are padded with
-#: zero columns to one; a single row keeps the matrix-vector kernel.
+#: The CSR-times-dense kernel, ``csr_matvecs``, runs fastest when the
+#: operand's batch axis is a multiple of this SIMD width (4000 x 4000
+#: root matrix, int16: 7 rows 1.18 ms, 8 rows 0.61 ms), so batches are
+#: padded with zero columns to one; one row keeps ``csr_matvec``.
 PAD_WIDTH = 8
 
 
@@ -47,7 +76,7 @@ def _draw_ternary_csr(
     out_dimension: int,
     in_dimension: int,
     zero_fraction: float,
-) -> csr_matrix:
+) -> _TernaryCSR:
     """``rng.choice([-1, 0, 1], size=(out, in), p=...)``, drawn as CSR.
 
     ``Generator.choice`` with ``p`` draws one uniform ``u`` per cell, in
@@ -58,7 +87,9 @@ def _draw_ternary_csr(
     ``u >= cdf[1]``. Applying that map to consecutive blocks of rows of
     the same stream yields the identical matrix without ever holding a
     full-size temporary, and only the non-zeros are kept: int32 columns
-    and one bool sign each, returned as float64 ±1.0.
+    and one bool sign each, returned as float64 ±1.0. ``indptr`` is
+    int32 like the columns: the kernels convert every index array to
+    the widest index type given, on every call.
     """
     nonzero = (1.0 - zero_fraction) / 2.0
     cdf = np.array([nonzero, zero_fraction, nonzero], dtype=np.float64).cumsum()
@@ -76,43 +107,58 @@ def _draw_ternary_csr(
         indices.append((flat % in_dimension).astype(np.int32))
         signs.append(positive.ravel()[flat])
     return _TernaryCSR(
-        (np.where(np.concatenate(signs), 1.0, -1.0), np.concatenate(indices),
-         np.cumsum(np.concatenate(counts))),
-        shape=(out_dimension, in_dimension),
+        np.where(np.concatenate(signs), 1.0, -1.0), np.concatenate(indices),
+        np.cumsum(np.concatenate(counts), dtype=np.int32),
+        (out_dimension, in_dimension),
     )
 
 
-class _TernaryCSR(csr_matrix):
-    """The drawn CSR. A float64 operand meets int16 data one block of
-    rows at a time, where scipy's ``@`` converts all of it to float64
-    for the one call. Each block runs the kernel ``@`` runs,
-    ``csr_matvec`` for one column and ``csr_matvecs`` for more, on the
-    block's ``indptr``/``indices`` slices and its data as float64. The
-    kernels sum each output row over that row's own non-zeros in index
-    order, so the product is bit-equal to the whole matrix's. They are
-    called directly: on a 2-core x86 VM a CSR built per block cost about
-    35 us a block (an index scan and a copy of the column slice), one
-    row's product ×1.3, and scipy's row slicing costs more than that
-    product."""
+class _TernaryCSR:
+    """The drawn matrix in CSR form, ``out x in``: ±1 ``data``, int32
+    column ``indices`` and row pointers ``indptr``. ``@`` runs
+    sparsetools' ``csr_matvec`` for one column and ``csr_matvecs`` for
+    more, which sum each output row over that row's own non-zeros in
+    index order. An operand of the data's dtype is multiplied in one
+    call. A float64 operand meets int16 data one block of rows at a
+    time, on the block's ``indptr``/``indices`` slices and its data as
+    float64, so no float64 copy of the whole data forms and the product
+    is bit-equal to a float64 matrix's."""
 
-    def __matmul__(self, operand):
-        if not (
-            self.data.dtype == np.int16
-            and isinstance(operand, np.ndarray)
-            and operand.dtype == np.float64
-        ):
-            return super().__matmul__(operand)
+    def __init__(
+        self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+        shape: tuple[int, int],
+    ) -> None:
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    #: The number of stored values, as scipy counts a sparse matrix's.
+    size = nnz
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __matmul__(self, operand: np.ndarray) -> np.ndarray:
         rows, cols = self.shape
+        if operand.shape[0] != cols:  # the kernels index it unchecked
+            raise ValueError(f"operand has {operand.shape[0]} rows, not {cols}")
         width = operand.shape[1] if operand.ndim == 2 else 1
         kernel, vectors = (
             (_sparsetools.csr_matvec, ()) if width == 1
             else (_sparsetools.csr_matvecs, (width,))
         )
+        product = np.zeros((rows, *operand.shape[1:]), dtype=operand.dtype)
+        flat = np.ascontiguousarray(operand).ravel()
+        if operand.dtype == self.data.dtype:
+            kernel(rows, cols, *vectors, self.indptr, self.indices, self.data,
+                   flat, product.ravel())
+            return product
         step = max(
             1, _UPCAST_BLOCK_BYTES * rows // (8 * (self.nnz + rows * width))
         )
-        product = np.zeros((rows, *operand.shape[1:]), dtype=np.float64)
-        flat = np.ascontiguousarray(operand).ravel()
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
             start, end = self.indptr[lo], self.indptr[hi]

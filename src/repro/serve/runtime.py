@@ -20,10 +20,13 @@ accumulate in the result. Answers descend the escalation path as
 A request carries up what its last node forwarded (undamaged), and
 each node encodes only the sibling subtrees its cohort lacks, through
 the :class:`~repro.hierarchy.federation.LazyEncodings` the offline walk
-uses — each (query, node) pair once, deterministic row by row, so
-micro-batch composition cannot change any answer. Noisy bundles are
-never decoded; the offline walk charges wire bytes the same way, which
-is what keeps served and offline outcomes identical.
+uses — each (query, node) pair once, deterministic row by row. Dense
+similarities are not: their BLAS product rounds by row count, so a
+confidence can move by about 1e-13 with its micro-batch. No label or
+escalation decision has differed in any run or pin, but a confidence
+that close to the threshold could flip one (ROADMAP item 18). Noisy
+bundles are never decoded; the offline walk charges wire bytes the
+same way, which is what keeps served and offline outcomes identical.
 
 With a :class:`~repro.serve.faults.FaultPlan` the same tree serves
 through an unreliable network: escalation attempts drop and pay

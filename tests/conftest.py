@@ -14,8 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy
+from scipy.sparse import csr_matrix
 
 from repro.config import EdgeHDConfig
+from repro.core import projection
 from repro.data import load_dataset, make_classification, partition_features
 from repro.hierarchy import (
     EdgeHDFederation,
@@ -34,14 +36,15 @@ _THREAD_VARS = (
 
 def pytest_report_header(config):
     """Name the numeric stack in the log: CI installs numpy and scipy
-    unpinned, and the bit-exactness pins rest on their kernels (scipy's
-    int16 CSR product among them)."""
+    unpinned, and the bit-exactness pins rest on their kernels (the
+    sparsetools binary that runs the int16 CSR product among them)."""
     threads = " ".join(
         f"{name}={os.environ.get(name, '-')}" for name in _THREAD_VARS
     )
     return [
         f"numeric stack: python {platform.python_version()}, "
         f"numpy {np.__version__}, scipy {scipy.__version__}",
+        f"CSR kernels: {projection._sparsetools.__file__}",
         f"BLAS threads: {threads}",
     ]
 
@@ -51,6 +54,15 @@ def pytest_terminal_summary(terminalreporter, config):
     if config.get_verbosity() < 0:
         for line in pytest_report_header(config):
             terminalreporter.write_line(line)
+
+
+def csr_dense(matrix) -> np.ndarray:
+    """A projection's CSR matrix as a dense array, built by
+    ``scipy.sparse``: an oracle that shares nothing with the kernels'
+    caller under test."""
+    return csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    ).toarray()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from conftest import csr_dense
 import repro.core.projection as projection_module
 from repro.core.hypervector import cosine, random_bipolar, sign_binarize
 from repro.core.projection import (
@@ -99,7 +100,7 @@ class TestSparseDraw:
         )
         reference = _reference_matrix(in_dim, out_dim, zero_fraction, 21)
         assert proj.matrix.shape == reference.shape
-        assert np.array_equal(proj.matrix.toarray(), reference)
+        assert np.array_equal(csr_dense(proj.matrix), reference)
         assert proj.matrix.nnz == np.count_nonzero(reference)
 
     @pytest.mark.parametrize(
@@ -115,7 +116,7 @@ class TestSparseDraw:
         rng = derive_rng(31, "ternary-projection")
         matrix = _draw_ternary_csr(rng, 40, 13, 1.0 / 3.0)
         assert np.array_equal(
-            matrix.toarray(), _reference_matrix(13, 40, 1.0 / 3.0, 31)
+            csr_dense(matrix), _reference_matrix(13, 40, 1.0 / 3.0, 31)
         )
         whole = derive_rng(31, "ternary-projection")
         whole.random((40, 13))
@@ -137,7 +138,7 @@ class TestSparseDraw:
     def test_project_equals_dense_product(self, rows):
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=22)
-        dense_t = proj.matrix.toarray().T.astype(np.float64)
+        dense_t = csr_dense(proj.matrix).T.astype(np.float64)
         shape = (600,) if rows == "1d" else (rows, 600)
         bipolar = random_bipolar(600, count=int(np.prod(shape)) // 600, seed=23)
         bipolar = bipolar.reshape(shape)
@@ -155,7 +156,7 @@ class TestSparseDraw:
         projection, is the sign of the dense product."""
         proj = TernaryProjection(200, 150, seed=25)
         x = random_bipolar(200, count=8, seed=26)
-        dense = (x @ proj.matrix.toarray().T.astype(np.float64)) * proj._scale
+        dense = (x @ csr_dense(proj.matrix).T.astype(np.float64)) * proj._scale
         assert np.array_equal(
             sign_binarize(proj.project(x)), sign_binarize(dense)
         )
@@ -197,7 +198,7 @@ class TestPaddedWidth:
             600, 500, zero_fraction=1.0 - 64 / 600, seed=35
         )
         assert proj.matrix.dtype == np.int16
-        dense_t = proj.matrix.toarray().T.astype(np.float64)
+        dense_t = csr_dense(proj.matrix).T.astype(np.float64)
         x = random_bipolar(600, count=40, seed=36).astype(dtype)
         for width in range(1, 41):
             rows = x[:width]
@@ -248,7 +249,7 @@ class TestInt16Path:
         drives that row's sum to its extreme."""
         proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32)
         assert (proj.matrix.dtype == np.int16) is int_path
-        signs = proj.matrix.toarray().astype(np.int64)
+        signs = csr_dense(proj.matrix).astype(np.int64)
         x = np.concatenate([
             np.where(signs[:4] > 0, -128, 127), np.where(signs[4:] > 0, 127, -128),
         ]).astype(np.int8)
@@ -261,7 +262,7 @@ class TestInt16Path:
     def test_dense_rows_fall_back_and_agree(self):
         proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33)
         assert proj.matrix.dtype == np.float64
-        x = (127 * proj.matrix.toarray()[:6]).astype(np.int8)
+        x = (127 * csr_dense(proj.matrix)[:6]).astype(np.int8)
         got = proj.project(x)
         assert np.array_equal(got, proj.project(x.astype(np.float64)))
         assert np.array_equal(
@@ -270,9 +271,10 @@ class TestInt16Path:
 
     @pytest.mark.parametrize("rows", ["1d", 1, 7, 8, 126])
     def test_float_input_equals_float64_twin(self, rows):
-        """Float input multiplies the one int16 matrix through scipy's
-        upcast, byte for byte as a float64 copy of it; int8 input keeps
-        an int16 operand."""
+        """Float input multiplies the one int16 matrix, its data
+        converted to float64 a block of rows at a time, byte for byte as
+        scipy's ``csr_matrix`` holding a float64 copy of it; int8 input
+        keeps an int16 operand."""
         proj = TernaryProjection(
             4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48)
         assert proj.matrix.dtype == np.int16
@@ -307,6 +309,17 @@ class TestInt16Path:
         matrix = proj.matrix
         assert held <= 6 * matrix.nnz + matrix.indptr.nbytes + 2 ** 16
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_operand_rows_must_match_columns(self, dtype):
+        """The kernels read the operand at every column index unchecked:
+        a short operand is refused, not read past its end."""
+        proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600,
+                                 seed=51)
+        assert proj.matrix.dtype == np.int16
+        for shape in ((599, 8), (599,)):
+            with pytest.raises(ValueError, match="599 rows"):
+                proj.matrix @ np.zeros(shape, dtype=dtype)
+
     def test_int8_shape_checks(self):
         proj = TernaryProjection(10, 10, seed=34)
         with pytest.raises(ValueError, match="10 columns"):
@@ -336,7 +349,7 @@ class TestSharedDraw:
         a = TernaryProjection(**base)
         b = TernaryProjection(**changed)
         assert a.matrix is not b.matrix
-        assert np.array_equal(b.matrix.toarray(), _reference_matrix(
+        assert np.array_equal(csr_dense(b.matrix), _reference_matrix(
             changed["in_dimension"], changed["out_dimension"],
             changed["zero_fraction"], changed["seed"],
         ))
@@ -345,7 +358,7 @@ class TestSharedDraw:
         a = TernaryProjection(100, 80, seed=np.random.default_rng(43))
         b = TernaryProjection(100, 80, seed=np.random.default_rng(43))
         assert a.matrix is not b.matrix
-        assert np.array_equal(a.matrix.toarray(), b.matrix.toarray())
+        assert np.array_equal(csr_dense(a.matrix), csr_dense(b.matrix))
 
     def test_released_draw_leaves_the_memo_and_is_drawn_again(self):
         """Once no projection holds a draw the memo forgets it, so the
@@ -355,14 +368,14 @@ class TestSharedDraw:
         key = (44, 200, 300, 0.5)
         first = TernaryProjection(300, 200, zero_fraction=0.5, seed=44)
         assert set(_LIVE_DRAWS.keys()) == before | {key}
-        old = first.matrix.toarray()
+        old = csr_dense(first.matrix)
         del first
         gc.collect()
         assert set(_LIVE_DRAWS.keys()) == before
         again = TernaryProjection(300, 200, zero_fraction=0.5, seed=44)
-        assert np.array_equal(again.matrix.toarray(), old)
+        assert np.array_equal(csr_dense(again.matrix), old)
         assert np.array_equal(
-            again.matrix.toarray(), _reference_matrix(300, 200, 0.5, 44)
+            csr_dense(again.matrix), _reference_matrix(300, 200, 0.5, 44)
         )
 
     def test_shared_arrays_are_read_only(self):
@@ -379,12 +392,12 @@ class TestSharedDraw:
 class TestTernaryProjection:
     def test_matrix_values(self):
         proj = TernaryProjection(100, 80, seed=1)
-        assert set(np.unique(proj.matrix.toarray())) <= {-1, 0, 1}
+        assert set(np.unique(csr_dense(proj.matrix))) <= {-1, 0, 1}
         assert proj.matrix.shape == (80, 100)
 
     def test_zero_fraction_respected(self):
         proj = TernaryProjection(1000, 500, zero_fraction=0.5, seed=2)
-        zero_rate = np.mean(proj.matrix.toarray() == 0)
+        zero_rate = np.mean(csr_dense(proj.matrix) == 0)
         assert abs(zero_rate - 0.5) < 0.05
 
     def test_binarized_output(self):
@@ -406,7 +419,7 @@ class TestTernaryProjection:
             derive_rng(6, "ternary-projection"), 64, 64, 1.0 / 3.0
         )
         proj = TernaryProjection(64, 64, seed=6)
-        assert np.array_equal(proj.matrix.toarray(), direct.toarray())
+        assert np.array_equal(csr_dense(proj.matrix), csr_dense(direct))
 
     def test_variance_preserving(self):
         """Non-binarized projection keeps per-element variance ~input's."""
@@ -454,7 +467,7 @@ class TestTernaryProjection:
 
     def test_multiplies_counts_nonzeros(self):
         proj = TernaryProjection(100, 50, zero_fraction=0.4, seed=18)
-        assert proj.multiplies_per_vector() == np.count_nonzero(proj.matrix.toarray())
+        assert proj.multiplies_per_vector() == np.count_nonzero(csr_dense(proj.matrix))
 
     def test_wrong_input_dimension(self):
         proj = TernaryProjection(10, 10, seed=19)

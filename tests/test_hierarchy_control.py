@@ -23,6 +23,7 @@ import gc
 import numpy as np
 import pytest
 
+from conftest import csr_dense
 import repro.hierarchy.control as control_module
 from repro.config import EdgeHDConfig
 from repro.core.projection import _LIVE_DRAWS, _draw_ternary_csr
@@ -210,10 +211,10 @@ def _reference_draw(fed: EdgeHDFederation, node_id: int) -> np.ndarray:
     """A node's matrix drawn straight from its seed and shape. A second
     ``TernaryProjection`` would share the live draw, not redraw it."""
     live = fed.projections[node_id]
-    return _draw_ternary_csr(
+    return csr_dense(_draw_ternary_csr(
         derive_rng(fed.node_seed(node_id), "ternary-projection"),
         live.out_dimension, live.in_dimension, live.zero_fraction,
-    ).toarray()
+    ))
 
 
 def _draw_keys(fed: EdgeHDFederation) -> set:
@@ -245,7 +246,7 @@ class TestKeptProjection:
         controller.checkpoint(path)
         restored = TopologyController.restore(path, *data)
         assert restored.federation.projections[root].matrix is before.matrix
-        assert np.array_equal(before.matrix.toarray(), _reference_draw(fed, root))
+        assert np.array_equal(csr_dense(before.matrix), _reference_draw(fed, root))
 
     def test_gateway_with_new_input_dimension_draws_anew(self, data):
         controller = make_controller(data)
@@ -260,7 +261,7 @@ class TestKeptProjection:
         for nid in reshaped:
             assert fed.projections[nid].matrix is not before[nid].matrix
             assert np.array_equal(
-                fed.projections[nid].matrix.toarray(), _reference_draw(fed, nid)
+                csr_dense(fed.projections[nid].matrix), _reference_draw(fed, nid)
             )
 
     def test_restore_with_no_live_federation_draws_the_same(
@@ -290,7 +291,7 @@ class TestKeptProjection:
         for nid, model in models.items():
             assert np.array_equal(twin.classifiers[nid].class_hypervectors, model)
         for nid, reference in references.items():
-            assert np.array_equal(twin.projections[nid].matrix.toarray(), reference)
+            assert np.array_equal(csr_dense(twin.projections[nid].matrix), reference)
 
 
 class TestDrain:

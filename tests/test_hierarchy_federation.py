@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import csr_dense
 from repro.config import EdgeHDConfig
 from repro.core.hypervector import sign_binarize
 from repro.data import partition_features
@@ -89,7 +90,7 @@ class TestConstruction:
         assert twin.config == fed.config
         for nid, projection in fed.projections.items():
             assert np.array_equal(
-                twin.projections[nid].matrix.toarray(), projection.matrix.toarray()
+                csr_dense(twin.projections[nid].matrix), csr_dense(projection.matrix)
             )
         twin.fit_offline(data.train_x, data.train_y)
         for nid, clf in fed.classifiers.items():
@@ -280,8 +281,8 @@ class TestOfflineTraining:
 
     def test_float_combine_frees_the_operand_first(self, traced_peak):
         """A float64 combine at an internal node holds the concatenation,
-        the padded operand, the product and scipy's float64 upcast of the
-        matrix data while it multiplies; the operand goes before the
+        the padded operand, the product and one block of the matrix data
+        as float64 while it multiplies; the operand goes before the
         float64 result is formed, so the result does not add to that.
         Holding the operand to the end took one more result-sized array
         (4.5 MB here)."""
@@ -311,8 +312,9 @@ class TestOfflineTraining:
     def test_one_row_float_combine_converts_one_block(self, traced_peak):
         """A one-row float64 combine at a D = 4,096 root holds its result
         and one block of the int16 matrix's data as float64, beside the
-        row-sized concatenation and operand. scipy's whole-matrix
-        conversion peaked at 2.20 MB here, 8 bytes a non-zero."""
+        row-sized concatenation and operand. Converting the whole
+        matrix's data, as ``csr_matrix``'s ``@`` does, peaked at 2.20 MB
+        here, 8 bytes a non-zero."""
         from repro.core.projection import _UPCAST_BLOCK_BYTES
 
         fed = EdgeHDFederation(
