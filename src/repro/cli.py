@@ -37,7 +37,7 @@ Subcommands
     (:mod:`repro.analysis`) over source paths.
 ``topology``
     Elastic topology control plane: ``checkpoint`` trains a federation
-    and saves full topology state (format v2), ``restore`` loads and
+    and saves full topology state (format 4), ``restore`` loads and
     describes it, ``join`` / ``drain`` admit or remove an end node at
     runtime (retraining only the dirtied nodes) and re-checkpoint.
 
@@ -851,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
              "re-checkpoint",
     )
     topology.add_argument(
-        "path", help="topology checkpoint file (.npz, format v2)"
+        "path", help="topology checkpoint file (.npz, format 4)"
     )
     add_data_args(topology)
     add_layout_args(topology)

@@ -64,10 +64,11 @@ _DRAW_BLOCK_CELLS = 1 << 15
 #: (64 non-zeros a row), even for one row's product.
 _UPCAST_BLOCK_BYTES = 1 << 20
 
-#: The CSR-times-dense kernel, ``csr_matvecs``, runs fastest when the
-#: operand's batch axis is a multiple of this SIMD width (4000 x 4000
-#: root matrix, int16: 7 rows 1.18 ms, 8 rows 0.61 ms), so batches are
-#: padded with zero columns to one; one row keeps ``csr_matvec``.
+#: The CSR-times-dense kernel, ``csr_matvecs``, runs fastest on int16
+#: when the operand's batch axis is a multiple of this SIMD width (4000 x
+#: 4000 root matrix: 7 rows 1.18 ms, 8 rows 0.61 ms), so int16 batches
+#: are padded with zero columns to one; one row keeps ``csr_matvec``.
+#: float64 keeps its width (2 rows: 0.61 ms, padded to 8: 1.43 ms).
 PAD_WIDTH = 8
 
 
@@ -293,20 +294,20 @@ class TernaryProjection:
         int16 ±1 data converts to float64 one block of rows at a time
         (:class:`_TernaryCSR`), so no float64 copy of the matrix forms.
         Each output row is summed on its own, so the batch it arrives
-        in (and the :data:`PAD_WIDTH` padding) cannot change it. The
+        in (and the int16 :data:`PAD_WIDTH` padding) cannot change it. The
         operand is freed before the float64 result is formed.
         """
         arr = np.asarray(hypervectors)
         single = arr.ndim == 1
         # M @ X^T streams each output row's non-zeros once over a
-        # C-ordered (in, batch) operand, padded to PAD_WIDTH columns;
-        # the result goes back to the C-ordered (batch, out) layout the
-        # dense product had.
+        # C-ordered (in, batch) operand, an int16 one padded to PAD_WIDTH
+        # columns; the result goes back to the C-ordered (batch, out)
+        # layout the dense product had.
         mat = check_matrix("hypervectors", arr, cols=self.in_dimension, dtype=None)
         integral = mat.dtype == np.int8 and self.matrix.dtype == np.int16
         dtype = np.int16 if integral else np.float64
         n = mat.shape[0]
-        width = n if n <= 1 else -(-n // PAD_WIDTH) * PAD_WIDTH
+        width = -(-n // PAD_WIDTH) * PAD_WIDTH if integral and n > 1 else n
         operand = np.zeros((self.in_dimension, width), dtype=dtype)
         operand[:, :n] = mat.T
         product = np.asarray(self.matrix @ operand)[:, :n]

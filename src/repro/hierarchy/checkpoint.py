@@ -3,15 +3,16 @@
 :func:`save_topology_state` / :func:`load_topology_state` persist the
 *entire* control-plane state: hierarchy structure (with id gaps from
 drained nodes), feature partition, configuration, per-node lifecycle
-states, class hypervectors, and — when an online learner is passed —
-its residual stacks with their true per-class counts plus the
+states, class hypervectors, non-root forwarded batches (packed bits, with
+the training set's digest) and — when an online learner is passed — its
+non-empty residual stacks with their true per-class counts plus the
 propagation counter. The file is self-describing:
 :func:`load_topology_state` rebuilds the federation from the file
 alone, which is what lets a crashed node respawn and a whole deployment
 restore bit-exactly (the ``1/(1 + decay·t)`` learning-rate schedule
 depends on the propagation count, so residual replay only reproduces
 the uninterrupted run if that counter rides along). Saving without a
-learner is the models-only checkpoint; :func:`validate_topology_meta`
+learner or forwards is the models-only checkpoint; :func:`validate_topology_meta`
 checks a loaded file against a live federation.
 
 The loader raises :class:`CheckpointError` with the offending file
@@ -42,8 +43,9 @@ __all__ = [
     "CheckpointError",
 ]
 
-#: 3: the config block has no ``binarize`` key (every encoding is bipolar).
-TOPOLOGY_FORMAT_VERSION = 3
+#: 4: forwards and training digest added, empty residuals left out.
+TOPOLOGY_FORMAT_VERSION = 4
+_RESIDUAL_PREFIXES = ("resneg", "respos", "resnegc", "resposc")
 
 
 class CheckpointError(ValueError):
@@ -112,9 +114,19 @@ class TopologyCheckpoint:
     #: exact per-node accumulators (true per-class counts), not the
     #: lossy :meth:`~repro.core.online.ResidualAccumulator.load` form.
     residuals: Dict[int, ResidualAccumulator]
+    #: non-root node id -> ``np.packbits(forwards > 0, axis=1)``.
+    forwards: Dict[int, np.ndarray]
     #: reconstructed federation with models installed; None when the
     #: caller asked for metadata/arrays only (``reconstruct=False``).
     federation: Optional[EdgeHDFederation]
+
+    def unpack_forwards(self) -> Dict[int, np.ndarray]:
+        """:attr:`forwards` as the bipolar int8 rows that were saved."""
+        unpacked: Dict[int, np.ndarray] = {}
+        for nid, bits in self.forwards.items():
+            dim = int(self.meta["node_dimensions"][str(nid)])
+            unpacked[nid] = np.unpackbits(bits, axis=1, count=dim).view(np.int8) * 2 - 1
+        return unpacked
 
     def build_learner(self) -> Optional[OnlineLearner]:
         """Recreate the online learner exactly as checkpointed.
@@ -153,6 +165,7 @@ def _topology_metadata(
     node_states: Mapping[int, str],
     journal_seq: int,
     learner: Optional[OnlineLearner],
+    training_digest: Optional[str],
 ) -> dict:
     meta = {
         "format_version": TOPOLOGY_FORMAT_VERSION,
@@ -165,6 +178,7 @@ def _topology_metadata(
             for nid, node in federation.hierarchy.nodes.items()
         },
         "learner": None,
+        "training_digest": training_digest,
     }
     if learner is not None:
         meta["learner"] = {
@@ -189,13 +203,16 @@ def save_topology_state(
     learner: Optional[OnlineLearner] = None,
     node_states: Optional[Mapping[int, str]] = None,
     journal_seq: int = 0,
+    forwards: Optional[Mapping[int, np.ndarray]] = None,
+    training_digest: Optional[str] = None,
 ) -> None:
     """Persist the full control-plane state as a checkpoint.
 
     ``node_states`` maps node id to a lifecycle-state string (defaults
     to ``"active"`` for every node); ``journal_seq`` records how much of
     the control plane's feedback journal the checkpoint covers, so a
-    respawned node knows where residual replay must start.
+    respawned node knows where residual replay must start. ``forwards``
+    (bipolar, by node id) and ``training_digest`` spare restore an encode.
 
     The archive lands at exactly ``path`` (no suffix is appended) by
     rename from a sibling ``<name>.tmp``: a save that fails part-way
@@ -216,13 +233,18 @@ def save_topology_state(
                 f"node {node_id} is untrained; run fit_offline() first"
             )
         arrays[f"model_{node_id}"] = classifier.class_hypervectors
+    for node_id, rows in (forwards or {}).items():
+        if node_id != federation.hierarchy.root_id:
+            arrays[f"fwd_{node_id}"] = np.packbits(rows > 0, axis=1)
     if learner is not None:
         for node_id, acc in learner.residuals.items():
-            arrays[f"resneg_{node_id}"] = acc.negative
-            arrays[f"respos_{node_id}"] = acc.positive
-            arrays[f"resnegc_{node_id}"] = acc.negative_counts
-            arrays[f"resposc_{node_id}"] = acc.positive_counts
-    meta = _topology_metadata(federation, states, journal_seq, learner)
+            stacks = (acc.negative, acc.positive,
+                      acc.negative_counts, acc.positive_counts)
+            # Left out when bit-equal to the empty one the loader makes.
+            if acc.feedback_count or any(a.view(np.uint64).any() for a in stacks):
+                for prefix, array in zip(_RESIDUAL_PREFIXES, stacks):
+                    arrays[f"{prefix}_{node_id}"] = array
+    meta = _topology_metadata(federation, states, journal_seq, learner, training_digest)
     arrays["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
@@ -269,7 +291,7 @@ def load_topology_state(
                 f"{path}: unsupported topology checkpoint version: expected "
                 f"{TOPOLOGY_FORMAT_VERSION}, found {version!r}"
             )
-        for key in ("config", "hierarchy", "partition", "n_classes"):
+        for key in ("config", "hierarchy", "partition", "n_classes", "node_dimensions"):
             if key not in meta:
                 raise CheckpointError(
                     f"{path}: metadata missing required key {key!r} — "
@@ -287,6 +309,7 @@ def load_topology_state(
                 f"{path}: invalid topology description ({exc})"
             ) from exc
         node_ids = sorted(hierarchy.nodes)
+        dims = {n: int(meta["node_dimensions"].get(str(n), 0)) for n in node_ids}
         models: Dict[int, np.ndarray] = {}
         for node_id in node_ids:
             key = f"model_{node_id}"
@@ -299,21 +322,38 @@ def load_topology_state(
             models[node_id] = np.array(
                 _read_array(data, key, path), dtype=np.float64
             )
+        forwards: Dict[int, np.ndarray] = {}
+        for node_id in node_ids if meta.get("training_digest") else ():
+            if node_id == hierarchy.root_id:
+                continue
+            key, width = f"fwd_{node_id}", -(-dims[node_id] // 8)
+            bits = _read_array(data, key, path) if key in data else np.empty(0)
+            if bits.ndim != 2 or bits.shape[1] != width:
+                raise CheckpointError(
+                    f"{path}: forwards {key!r} have shape {bits.shape} (empty: "
+                    f"missing), expected (n_batches, {width}) packed bytes"
+                )
+            forwards[node_id] = bits
         learner_params = meta.get("learner")
         residuals: Dict[int, ResidualAccumulator] = {}
         if learner_params is not None:
             counts = learner_params.get("feedback_counts", {})
             for node_id in node_ids:
+                # An accumulator without feedback is saved as no arrays.
+                k, d = int(meta["n_classes"]), dims[node_id]
                 parts = {}
-                for prefix in ("resneg", "respos", "resnegc", "resposc"):
+                for prefix in _RESIDUAL_PREFIXES:
                     key = f"{prefix}_{node_id}"
-                    if key not in data:
+                    if key in data:
+                        parts[prefix] = np.array(_read_array(data, key, path))
+                    elif counts.get(str(node_id), 0):
                         raise CheckpointError(
                             f"{path}: checkpoint missing residual array "
                             f"{key!r} for node {node_id} — found entries "
                             f"{sorted(data.files)}"
                         )
-                    parts[prefix] = np.array(_read_array(data, key, path))
+                    else:
+                        parts[prefix] = np.zeros((k,) if prefix[-1] == "c" else (k, d))
                 shapes = {prefix: arr.shape for prefix, arr in parts.items()}
                 stack = shapes["resneg"]
                 if len(stack) != 2 or shapes != {
@@ -338,14 +378,13 @@ def load_topology_state(
         for nid, state in meta.get("node_states", {}).items()
     }
     if federation is not None:
-        saved_dims = meta.get("node_dimensions", {})
         for node_id in node_ids:
             node = hierarchy.nodes[node_id]
-            saved = saved_dims.get(str(node_id))
-            if saved is not None and int(saved) != node.dimension:
+            if dims[node_id] != node.dimension:
                 raise CheckpointError(
                     f"{path}: node {node_id} reconstructs with dimension "
-                    f"{node.dimension} but the checkpoint recorded {saved} — "
+                    f"{node.dimension} but the checkpoint recorded "
+                    f"{dims[node_id]} — "
                     "allocation drift; the file does not describe this build"
                 )
             model = models[node_id]
@@ -366,5 +405,6 @@ def load_topology_state(
             int(learner_params["propagations"]) if learner_params else 0
         ),
         residuals=residuals,
+        forwards=forwards,
         federation=federation,
     )

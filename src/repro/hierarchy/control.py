@@ -17,8 +17,8 @@ a first-class, *reproducible* event:
   sibling leaves, emptied gateways cascade away, and the dirtied
   ancestors re-encode. Node ids are never reused.
 * **checkpoint / restore** — full topology state (structure, partition,
-  config, models, residuals, propagation counter) round-trips through
-  the v2 format in :mod:`repro.hierarchy.checkpoint`.
+  config, models, residuals, propagation counter, forwarded batches)
+  round-trips through the format in :mod:`repro.hierarchy.checkpoint`.
 * **replacement** — crash → heartbeat detection over
   :class:`~repro.serve.registry.ReplicaRegistry` leases → respawn →
   catch-up from the last checkpoint plus replay of the feedback journal,
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.online import ResidualAccumulator
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.checkpoint import (
+    CheckpointError,
     load_topology_state,
     save_topology_state,
     validate_topology_meta,
@@ -146,6 +147,10 @@ class TopologyController:
         self._mat, self._y, self._groups = federation.training_inputs(
             train_x, train_y
         )
+        #: names the training set a checkpoint's forwards were encoded from.
+        digest = hashlib.sha256(np.ascontiguousarray(self._mat))
+        digest.update(self._y)
+        self._training_digest = digest.hexdigest()
         if learner is not None and learner.federation is not federation:
             raise ValueError("learner is attached to a different federation")
         self.learner = learner
@@ -170,8 +175,9 @@ class TopologyController:
             self.leases.register(nid, now)
         #: per-node forwarded batch hypervectors — the training artifact
         #: a parent needs to re-encode when a child changes. Pure
-        #: function of (training data, structure), so it can always be
-        #: recomputed; cached so mutations touch only dirty subtrees.
+        #: function of (training data, structure); cached so mutations
+        #: touch only dirty subtrees, and checkpointed so restore need
+        #: not recompute it. The root forwards nothing and is not kept.
         self._batch_hvs: Dict[int, np.ndarray] = {}
         self._trained = False
 
@@ -205,31 +211,12 @@ class TopologyController:
         current = {
             nid: clf.class_hypervectors for nid, clf in fed.classifiers.items()
         }
-        return fed.train_nodes(
+        report = fed.train_nodes(
             order, self._mat, self._y, self._groups, epochs,
             current, self._batch_hvs,
         )
-
-    def attach_trained(self) -> None:
-        """Adopt an already-trained federation (e.g. a restored one).
-
-        Its models were installed, not trained here, so the re-encode
-        artifacts are recomputed: the batch hypervectors the training
-        step would have forwarded, touching no model state.
-        """
-        fed = self.federation
-        for nid, clf in fed.classifiers.items():
-            if clf.class_hypervectors is None:
-                raise RuntimeError(
-                    f"node {nid} is untrained; call fit() instead"
-                )
-        self._batch_hvs.clear()
-        for nid in fed.hierarchy.postorder():
-            _, _, self._batch_hvs[nid] = fed.training_set(
-                nid, self._mat, self._y, self._groups,
-                [self._batch_hvs[c] for c in fed.hierarchy.nodes[nid].children],
-            )
-        self._trained = True
+        self._batch_hvs.pop(fed.hierarchy.root_id, None)
+        return report
 
     def _require_trained(self) -> None:
         if not self._trained:
@@ -499,7 +486,8 @@ class TopologyController:
         return self.journal_start + len(self.journal)
 
     def checkpoint(self, path: Union[str, Path]) -> None:
-        """Save the full topology state (v2) including the journal mark.
+        """Save the full topology state including the journal mark and
+        the forwarded batch hypervectors.
 
         The file is the new recovery point, so once it is written the
         journal drops every event before the mark. A save that raises
@@ -516,6 +504,8 @@ class TopologyController:
                 nid: state.value for nid, state in self.states.items()
             },
             journal_seq=mark,
+            forwards=self._batch_hvs,
+            training_digest=self._training_digest,
         )
         self.journal.clear()
         self.journal_start = mark
@@ -531,22 +521,29 @@ class TopologyController:
         lease_timeout_s: float = 1.0,
         now: float = 0.0,
     ) -> "TopologyController":
-        """Reconstruct a controller (federation + learner) from a v2 file.
+        """Reconstruct a controller (federation + learner) from a file.
 
-        Its journal starts empty at the file's mark, as the live
-        controller's did when it wrote the file.
+        The file's forwards are unpacked, not re-encoded: a file without
+        them, or from another training set, raises :class:`CheckpointError`.
+        Its journal starts empty at the file's mark, as the live one's did.
         """
         ckpt = load_topology_state(path)
         assert ckpt.federation is not None
-        learner = ckpt.build_learner()
         controller = cls(
-            ckpt.federation, train_x, train_y, learner=learner,
+            ckpt.federation, train_x, train_y, learner=ckpt.build_learner(),
             lease_timeout_s=lease_timeout_s, now=now,
         )
+        saved, given = ckpt.meta.get("training_digest"), controller._training_digest
+        if saved != given:
+            raise CheckpointError(
+                f"{path}: forwards of training set {saved} (None: saved "
+                f"without forwards), but restore was given training set {given}"
+            )
+        controller._batch_hvs.update(ckpt.unpack_forwards())
         for nid, state in ckpt.node_states.items():
             controller.states[nid] = NodeState(state)
         controller.journal_start = ckpt.journal_seq
-        controller.attach_trained()
+        controller._trained = True
         return controller
 
     # ------------------------------------------------------------------

@@ -329,7 +329,7 @@ class HierarchicalInference:
             pending = np.arange(n, dtype=np.int64)
             while pending.size:
                 advancing: list[np.ndarray] = []
-                for node_id in np.unique(current[pending]).tolist():
+                for node_id in np.flatnonzero(np.bincount(current[pending])).tolist():
                     visiting = pending[current[pending] == node_id]
                     width = _block_rows(hierarchy.nodes[node_id].dimension)
                     width = min(width, max_batch or width)
@@ -365,7 +365,7 @@ class HierarchicalInference:
             confidence = best_conf
             deciding_node = chosen
             deciding_level = np.empty(n, dtype=np.int64)
-            for node_id in np.unique(chosen):
+            for node_id in np.flatnonzero(np.bincount(chosen)):
                 rows = np.flatnonzero(chosen == node_id)
                 deciding_level[rows] = hierarchy.nodes[node_id].level
 

@@ -12,11 +12,12 @@ __all__ = ["savez_atomic"]
 
 
 def savez_atomic(path: Union[str, Path], **arrays: Any) -> None:
-    """``np.savez_compressed`` onto exactly ``path``, all or nothing.
+    """``np.savez`` onto exactly ``path``, all or nothing.
 
-    savez appends ``.npz`` to a file *name* but not to an open handle,
-    so the archive is written through a handle on a sibling
-    ``<name>.tmp`` and renamed over ``path``: a save that fails
+    Members are stored: deflate was 3/4 of a checkpoint's save time for
+    a 2x smaller file. savez appends ``.npz`` to a file *name* but not to
+    an open handle, so the archive is written through a handle on a
+    sibling ``<name>.tmp`` and renamed over ``path``: a save that fails
     part-way removes the temp file and leaves whatever was at ``path``
     before untouched.
     """
@@ -24,7 +25,7 @@ def savez_atomic(path: Union[str, Path], **arrays: Any) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -108,13 +108,13 @@ class TestEdgeHDModel:
         model.save_model(str(path))
         before = path.read_bytes()
 
-        write = np.savez_compressed
+        write = np.savez
 
         def torn_write(file, **arrays):
             write(file, class_hypervectors=arrays["class_hypervectors"])
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError, match="disk full"):
             model.save_model(str(path))
         assert path.read_bytes() == before

@@ -211,15 +211,35 @@ class TestPaddedWidth:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_operand_padded_to_simd_width(self, dtype):
+        """An int16 operand is padded to PAD_WIDTH columns; a float64
+        one keeps its width (padding only slows its kernel)."""
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=37)
         recorder = _WidthRecorder(proj.matrix)
         proj.matrix = recorder
         x = random_bipolar(600, count=17, seed=38).astype(dtype)
-        for width in (1, 2, 7, 8, 9, 16, 17):
+        widths = (1, 2, 7, 8, 9, 16, 17)
+        for width in widths:
             proj.project(x[:width])
         assert PAD_WIDTH == 8
-        assert recorder.widths == [1, 8, 8, 8, 16, 16, 24]
+        if dtype is np.int8:
+            assert recorder.widths == [1, 8, 8, 8, 16, 16, 24]
+        else:
+            assert recorder.widths == list(widths)
+
+    @pytest.mark.parametrize("rows", range(2, PAD_WIDTH))
+    def test_unpadded_float_equals_scipy(self, rows):
+        """The float operand's own width sums each element in the same
+        order as scipy's float64 CSR product, bit for bit."""
+        proj = TernaryProjection(
+            600, 500, zero_fraction=1.0 - 64 / 600, seed=39)
+        m = proj.matrix
+        reference = csr_matrix(
+            (m.data.astype(np.float64), m.indices, m.indptr), shape=m.shape
+        )
+        x = np.random.default_rng(40).standard_normal((rows, 600))
+        want = np.multiply((reference @ x.T).T, proj._scale, order="C")
+        assert proj.project(x).tobytes() == want.tobytes()
 
 
 class TestInt16Path:

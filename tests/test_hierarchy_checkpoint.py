@@ -86,14 +86,14 @@ class TestRoundtrip:
         save_topology_state(federation, path)
         before = path.read_bytes()
 
-        write = np.savez_compressed
+        write = np.savez
 
         def torn_write(file, **arrays):
             first = next(iter(arrays))
             write(file, **{first: arrays[first]})
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError, match="disk full"):
             save_topology_state(federation, path)
         assert path.read_bytes() == before
@@ -271,7 +271,7 @@ class TestErrorContext:
             load_checked(fresh(data, partition, config), target)
         msg = str(err.value)
         assert str(target) in msg
-        assert "expected 3" in msg
+        assert "expected 4" in msg
         assert "found 99" in msg
 
     def test_version_2_with_binarize_is_refused(self, trained, tmp_path):
@@ -281,7 +281,7 @@ class TestErrorContext:
 
         from repro.hierarchy.checkpoint import TOPOLOGY_FORMAT_VERSION
 
-        assert TOPOLOGY_FORMAT_VERSION == 3
+        assert TOPOLOGY_FORMAT_VERSION == 4
         data, partition, config, path = self._saved(trained, tmp_path)
         arrays = dict(np.load(path, allow_pickle=False))
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -303,7 +303,29 @@ class TestErrorContext:
             msg = str(err.value)
             assert str(target) in msg
             assert "version" in msg
-            assert "expected 3" in msg and "found 2" in msg
+            assert "expected 4" in msg and "found 2" in msg
+
+    def test_version_3_without_forwards_is_refused(self, trained, tmp_path):
+        """A file from before the forwards rode along names its version
+        instead of loading as a checkpoint restore cannot use."""
+        import json
+
+        data, partition, config, path = self._saved(trained, tmp_path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["format_version"] = 3
+        del meta["training_digest"]
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        target = tmp_path / "v3.npz"
+        np.savez_compressed(str(target), **arrays)
+        for reconstruct in (True, False):
+            with pytest.raises(CheckpointError) as err:
+                load_topology_state(target, reconstruct=reconstruct)
+            msg = str(err.value)
+            assert str(target) in msg
+            assert "expected 4" in msg and "found 3" in msg
 
     def test_missing_model_lists_expected_and_found(self, trained, tmp_path):
         data, partition, config, path = self._saved(trained, tmp_path)

@@ -19,6 +19,7 @@ Pins the control plane's core contracts:
 from __future__ import annotations
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -39,7 +40,11 @@ from repro.hierarchy import (
     build_tree,
 )
 from repro.serve.registry import ReplicaRegistry
-from repro.hierarchy.checkpoint import load_topology_state
+from repro.hierarchy.checkpoint import (
+    CheckpointError,
+    load_topology_state,
+    save_topology_state,
+)
 from repro.utils.rng import derive_rng
 
 N_FEATURES = 16
@@ -432,6 +437,114 @@ class TestCheckpointRestore:
             restored.federation.hierarchy.spec()
             == controller.federation.hierarchy.spec()
         )
+
+
+class TestRestoreFromForwards:
+    """Restore unpacks the checkpointed forwards instead of re-encoding
+    the training set, and refuses a file it cannot trust them from."""
+
+    def test_restore_encodes_nothing(self, data, tmp_path, monkeypatch):
+        controller = make_controller(data)
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("restore re-encoded the training set")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EdgeHDFederation, "encode_leaf", no_encoding)
+            patch.setattr(EdgeHDFederation, "combine_children", no_encoding)
+            restored = TopologyController.restore(path, *data)
+        root = controller.federation.hierarchy.root_id
+        assert root not in controller._batch_hvs
+        assert restored._batch_hvs.keys() == controller._batch_hvs.keys()
+        for nid, rows in controller._batch_hvs.items():
+            assert restored._batch_hvs[nid].dtype == rows.dtype == np.int8
+            assert np.array_equal(restored._batch_hvs[nid], rows)
+
+    def test_join_and_drain_after_restore_match_live(self, data, tmp_path):
+        live = make_controller(data)
+        path = tmp_path / "topo.npz"
+        live.checkpoint(path)
+        restored = TopologyController.restore(path, *data)
+        for controller in (live, restored):
+            joined = controller.join(controller.federation.hierarchy.root_id)
+            controller.drain(controller.federation.hierarchy.leaves()[0])
+            assert joined.node_id in controller.federation.hierarchy.nodes
+        assert_models_equal(live.federation, restored.federation)
+        assert restored._batch_hvs.keys() == live._batch_hvs.keys()
+        for nid, rows in live._batch_hvs.items():
+            assert np.array_equal(restored._batch_hvs[nid], rows)
+        assert restored.fingerprint() == live.fingerprint()
+
+    def test_other_training_set_names_both_digests(self, data, tmp_path):
+        controller = make_controller(data)
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        x, y = data
+        other = TopologyController(
+            controller.federation, x[::-1], y[::-1]
+        )
+        with pytest.raises(CheckpointError) as err:
+            TopologyController.restore(path, x[::-1], y[::-1])
+        msg = str(err.value)
+        assert str(path) in msg
+        assert controller._training_digest in msg
+        assert other._training_digest in msg
+
+    def test_models_only_file_is_refused(self, data, tmp_path):
+        controller = make_controller(data)
+        path = tmp_path / "models.npz"
+        save_topology_state(controller.federation, path)
+        with pytest.raises(CheckpointError, match="saved without forwards") as err:
+            TopologyController.restore(path, *data)
+        assert str(path) in str(err.value)
+
+    def test_format_3_file_is_refused(self, data, tmp_path):
+        controller = make_controller(data)
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["format_version"] = 3
+        del meta["training_digest"]
+        arrays = {k: v for k, v in arrays.items() if not k.startswith("fwd_")}
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        target = tmp_path / "v3.npz"
+        np.savez(str(target), **arrays)
+        with pytest.raises(CheckpointError) as err:
+            TopologyController.restore(target, *data)
+        msg = str(err.value)
+        assert str(target) in msg
+        assert "expected 4" in msg and "found 3" in msg
+
+    def test_no_pending_feedback_writes_no_residuals(self, data, tmp_path):
+        controller = make_controller(data)
+        feed(controller, data, range(2))
+        controller.learner.propagate()
+        path = tmp_path / "topo.npz"
+        controller.checkpoint(path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert not [k for k in archive.files if k.startswith("res")]
+            assert {k for k in archive.files if k.startswith("fwd_")} == {
+                f"fwd_{nid}" for nid in controller._batch_hvs
+            }
+        restored = TopologyController.restore(path, *data)
+        assert set(restored.learner.residuals) == set(
+            controller.learner.residuals
+        )
+        for nid, acc in controller.learner.residuals.items():
+            got = restored.learner.residuals[nid]
+            for name in (
+                "negative", "positive", "negative_counts", "positive_counts",
+            ):
+                want = getattr(acc, name)
+                assert getattr(got, name).dtype == want.dtype
+                assert getattr(got, name).tobytes() == want.tobytes()
+            assert got.feedback_count == acc.feedback_count == 0
+        assert restored.fingerprint() == controller.fingerprint()
 
 
 class TestFailRespawn:

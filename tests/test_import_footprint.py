@@ -48,6 +48,41 @@ def test_serving_imports_leave_scipy_sparse_out():
     assert loaded == []
 
 
+#: Fits a small federation, walks it offline and serves one burst;
+#: prints which of numpy's optional subpackages the process loaded.
+_FIT_WALK_SERVE = """
+import json, sys
+import numpy as np
+from repro.config import EdgeHDConfig
+from repro.data import make_classification, partition_features
+from repro.hierarchy import EdgeHDFederation, HierarchicalInference, build_tree
+from repro.network.medium import get_medium
+from repro.serve import ServeConfig, ServingRuntime, make_workload
+x, y = make_classification(
+    n_samples=120, n_features=12, n_classes=3, seed=4, name="footprint")
+federation = EdgeHDFederation(
+    build_tree(3), partition_features(12, 3), 3,
+    EdgeHDConfig(dimension=256, batch_size=10, retrain_epochs=1, seed=5))
+federation.fit_offline(x, y)
+inference = HierarchicalInference(federation)
+inference.run(x[:40], start_leaves=np.full(40, federation.hierarchy.leaves()[0]))
+runtime = ServingRuntime(
+    inference, get_medium("wired-1gbps"), ServeConfig(max_batch=8))
+result = runtime.serve_open_loop(make_workload(x[:40], inference, seed=6),
+                                 rate_rps=2000.0, seed=6)
+assert result.n_total == 40
+print(json.dumps([name for name in ('numpy.ma', 'scipy.sparse')
+                  if name in sys.modules]))
+"""
+
+
+def test_fit_walk_and_serve_leave_numpy_ma_out():
+    """Under numpy 2.4 a bare ``np.unique`` imports ``numpy.ma``
+    (1.25 MiB resident, 8 ms): fitting, the offline walk and serving
+    sort their ids with ``bincount`` instead."""
+    assert json.loads(_run(_FIT_WALK_SERVE)) == []
+
+
 #: Projects int8 and float64 rows and checks both against the dense
 #: product of scipy's own densified matrix; then checks that
 #: ``scipy.sparse``'s ``@`` still works beside the loaded kernels.
