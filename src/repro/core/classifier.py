@@ -130,13 +130,18 @@ def _add_product(
     model[touched] = totals
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1, keepdims=True)``'s reduction, unwrapped."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """``rows / np.linalg.norm(rows, axis=1, keepdims=True)`` in float64,
     zero rows left zero, with no full-size temporary but the result.
 
     Past one ``_PRODUCT_BLOCK_BYTES`` block, C-contiguous rows take
-    ``np.linalg.norm`` per block, which sums each row as the whole array
-    does (integer rows' squares exactly, in any order). One block, the
+    their norms per block, which sums each row as the whole array does
+    (integer rows' squares exactly, in any order). One block, the
     served batch, and strided arrays keep one call.
     """
     n, dimension = rows.shape
@@ -145,13 +150,12 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     unit = None if rows.dtype == np.float64 else rows.astype(np.float64)
     floats = rows if unit is None else unit
     if n <= step or not floats.flags.c_contiguous:
-        norms = np.linalg.norm(floats, axis=1, keepdims=True)
+        norms = _row_norms(floats)
     else:
         norms = np.empty((n, 1))
         for start in range(0, n, step):
-            block = floats[start:start + step]
-            norms[start:start + step] = np.linalg.norm(block, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
+            norms[start:start + step] = _row_norms(floats[start:start + step])
+    norms += norms == 0  # zero rows divide by 1.0
     return np.divide(floats, norms, out=unit)
 
 
@@ -182,11 +186,13 @@ def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     sims = np.atleast_2d(np.asarray(similarities, dtype=np.float64))
-    centered = sims - sims.mean(axis=1, keepdims=True)
-    scaled = centered / temperature
-    scaled -= scaled.max(axis=1, keepdims=True)
-    exp = np.exp(scaled)
-    return exp / exp.sum(axis=1, keepdims=True)
+    # np.mean's, .max's and .sum's ufunc reductions, unwrapped, in place
+    scaled = sims - np.add.reduce(sims, axis=1, keepdims=True) / sims.shape[1]
+    scaled /= temperature
+    scaled -= np.maximum.reduce(scaled, axis=1, keepdims=True)
+    exp = np.exp(scaled, out=scaled)
+    exp /= np.add.reduce(exp, axis=1, keepdims=True)
+    return exp
 
 
 @dataclass(eq=False)
@@ -467,7 +473,7 @@ class HDClassifier:
     ) -> PredictionResult:
         """Associative search + confidence for a batch of queries."""
         sims = self.similarities(encoded, search=search)
-        labels = np.argmax(sims, axis=1)
+        labels = sims.argmax(axis=1)
         conf = softmax_confidence(sims, temperature=self.confidence_temperature)
         return PredictionResult(labels=labels, similarities=sims, confidences=conf)
 

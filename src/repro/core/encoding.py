@@ -81,7 +81,7 @@ def _cos_signs(phase: np.ndarray, out: np.ndarray) -> None:
     np.abs(turns, out=turns)
     near_zero = turns > 0.5 - _ZERO_BAND
     np.take(_SIGN_OF_PARITY, nearest.astype(np.int32) & 1, out=out, mode="clip")
-    if near_zero.any():
+    if np.count_nonzero(near_zero):
         rows, cols = np.nonzero(near_zero)
         out[rows, cols] = np.where(np.cos(phase[rows, cols]) > 0, 1, -1)
 
@@ -124,11 +124,6 @@ class Encoder(abc.ABC):
         """Encode a single feature vector; returns a 1-D hypervector."""
         vec = check_vector("features", features, length=self.n_features)
         return self.encode(vec.reshape(1, -1))[0]
-
-    # --- cost accounting hooks used by repro.hardware -------------------
-    def multiplies_per_sample(self) -> int:
-        """Number of scalar multiplications needed to encode one sample."""
-        return self.n_features * self.dimension
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -203,7 +198,9 @@ class RBFEncoder(Encoder):
                 for first in range(0, features.shape[0], chunk)
             ])
         phase = self._phase(features)
-        if phase.size and not np.abs(phase).max() < _PARITY_LIMIT:
+        if phase.size and not (
+            np.maximum.reduce(np.abs(phase), axis=None) < _PARITY_LIMIT
+        ):
             # huge or non-finite phases (a nan fails the test)
             return super()._binarized(features)
         out = np.empty(phase.shape, dtype=np.int8)
@@ -212,9 +209,6 @@ class RBFEncoder(Encoder):
             block = slice(start, start + step)
             _cos_signs(phase[block], out[block])
         return out
-
-    def multiplies_per_sample(self) -> int:
-        return self.block_length * self.dimension
 
     def kernel_approximation(self, a: np.ndarray, b: np.ndarray) -> float:
         """Approximate ``exp(-gamma^2 ||a-b||^2 / 2)`` via inner product.
@@ -330,10 +324,6 @@ class IDLevelEncoder(Encoder):
         for j in range(self.n_features):
             out += self.id_vectors[j][None, :] * self.level_vectors[levels[:, j]]
         return out.astype(np.float64)
-
-    def multiplies_per_sample(self) -> int:
-        # Binding is elementwise multiply per feature.
-        return self.n_features * self.dimension
 
 
 def make_encoder(

@@ -25,6 +25,7 @@ The operations implemented here mirror Section II/III of the paper:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -122,11 +123,17 @@ def sign_binarize(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)  # repro-lint: disable=REPRO108
     # Not np.sign: casting its NaN to int8 is implementation-defined.
     out = (a > 0).view(np.int8) - (a < 0).view(np.int8)
-    idx = np.flatnonzero(out == 0)
-    if idx.size:
-        pos = idx % a.shape[-1] if a.ndim else idx
-        out.flat[idx] = np.where(pos % 2 == 0, 1, -1).astype(np.int8)
+    if a.ndim and np.count_nonzero(out) < out.size:  # a tie to break
+        np.copyto(out, _alternating(a.shape[-1]), where=out == 0)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _alternating(width: int) -> np.ndarray:
+    """``+1, -1, +1, ...`` as int8, ``width`` long: the tie-break row."""
+    row = (1 - 2 * (np.arange(width) & 1)).astype(np.int8)
+    row.flags.writeable = False
+    return row
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

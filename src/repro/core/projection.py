@@ -19,6 +19,7 @@ import os
 import sys
 import weakref
 from types import ModuleType
+from typing import Optional
 
 import numpy as np
 
@@ -64,12 +65,17 @@ _DRAW_BLOCK_CELLS = 1 << 15
 #: (64 non-zeros a row), even for one row's product.
 _UPCAST_BLOCK_BYTES = 1 << 20
 
-#: The CSR-times-dense kernel, ``csr_matvecs``, runs fastest on int16
-#: when the operand's batch axis is a multiple of this SIMD width (4000 x
-#: 4000 root matrix: 7 rows 1.18 ms, 8 rows 0.61 ms), so int16 batches
-#: are padded with zero columns to one; one row keeps ``csr_matvec``.
+#: The CSR-times-dense kernel, ``csr_matvecs``, costs about the same
+#: for 4 to 8 int16 columns (4000 x 4000 root matrix: 0.6 ms) and runs
+#: fastest past that when their number is a multiple of this SIMD width
+#: (7 columns 1.19 ms, 8 0.61 ms), so int16 operands of more than
+#: ``_MATVEC_COLUMNS`` columns are padded with zero columns to one.
 #: float64 keeps its width (2 rows: 0.61 ms, padded to 8: 1.43 ms).
 PAD_WIDTH = 8
+
+#: Up to this many int16 columns, one ``csr_matvec`` a column (root
+#: matrix: 0.17 ms) beats one ``csr_matvecs`` call.
+_MATVEC_COLUMNS = 3
 
 
 def _draw_ternary_csr(
@@ -88,7 +94,7 @@ def _draw_ternary_csr(
     ``u >= cdf[1]``. Applying that map to consecutive blocks of rows of
     the same stream yields the identical matrix without ever holding a
     full-size temporary, and only the non-zeros are kept: int32 columns
-    and one bool sign each, returned as float64 ±1.0. ``indptr`` is
+    and one bool sign each, returned as int16 ±1. ``indptr`` is
     int32 like the columns: the kernels convert every index array to
     the widest index type given, on every call.
     """
@@ -107,8 +113,10 @@ def _draw_ternary_csr(
         counts.append(np.bincount(flat // in_dimension, minlength=rows))
         indices.append((flat % in_dimension).astype(np.int32))
         signs.append(positive.ravel()[flat])
+    columns = np.concatenate(indices)
+    del indices
     return _TernaryCSR(
-        np.where(np.concatenate(signs), 1.0, -1.0), np.concatenate(indices),
+        np.where(np.concatenate(signs), np.int16(1), np.int16(-1)), columns,
         np.cumsum(np.concatenate(counts), dtype=np.int32),
         (out_dimension, in_dimension),
     )
@@ -117,9 +125,10 @@ def _draw_ternary_csr(
 class _TernaryCSR:
     """The drawn matrix in CSR form, ``out x in``: ±1 ``data``, int32
     column ``indices`` and row pointers ``indptr``. ``@`` runs
-    sparsetools' ``csr_matvec`` for one column and ``csr_matvecs`` for
-    more, which sum each output row over that row's own non-zeros in
-    index order. An operand of the data's dtype is multiplied in one
+    sparsetools' ``csr_matvec`` for one column (and for each of up to
+    ``_MATVEC_COLUMNS`` int16 columns) and ``csr_matvecs`` for more,
+    which sum each output row over that row's own non-zeros in index
+    order. An operand of the data's dtype is multiplied in one
     call. A float64 operand meets int16 data one block of rows at a
     time, on the block's ``indptr``/``indices`` slices and its data as
     float64, so no float64 copy of the whole data forms and the product
@@ -152,6 +161,10 @@ class _TernaryCSR:
             else (_sparsetools.csr_matvecs, (width,))
         )
         product = np.zeros((rows, *operand.shape[1:]), dtype=operand.dtype)
+        if 1 < width <= _MATVEC_COLUMNS and operand.dtype == self.data.dtype:
+            for k in range(width):
+                product[:, k] = self @ operand[:, k]
+            return product
         flat = np.ascontiguousarray(operand).ravel()
         if operand.dtype == self.data.dtype:
             kernel(rows, cols, *vectors, self.indptr, self.indices, self.data,
@@ -185,14 +198,18 @@ class _Draw:
             derive_rng(seed, "ternary-projection"),
             out_dimension, in_dimension, zero_fraction,
         )
-        # For int8 input an output element sums at most (max row nnz)
-        # terms of magnitude <= 128: exact in int16 when that product
-        # fits, as it does for the hierarchy's ~64-non-zero rows. Float
-        # input meets the same ±1.0, one block of rows at a time.
-        if int(np.diff(self.matrix.indptr).max()) * 128 <= np.iinfo(np.int16).max:
-            self.matrix.data = self.matrix.data.astype(np.int16)
         for array in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
             array.flags.writeable = False
+        counts = np.diff(self.matrix.indptr)
+        #: ``256 +`` each row's sum (:meth:`TernaryProjection.project`),
+        #: or None when a row has more than 127 positive or 127 negative
+        #: coefficients. A row of at most 254 non-zeros sums in int16.
+        self.lane_offset: Optional[np.ndarray] = None
+        if counts.max() <= 254:
+            sums = self.matrix @ np.ones(in_dimension, dtype=np.int16)
+            if (counts + np.abs(sums)).max() <= 254:
+                self.lane_offset = 256 + sums
+                self.lane_offset.flags.writeable = False
 
 
 #: The live draws by (int seed, out, in, zero fraction), held weakly:
@@ -268,10 +285,9 @@ class TernaryProjection:
         if key is not None:
             _LIVE_DRAWS[key] = self._draw
         #: The {-1, 0, +1} matrix as CSR, ``out x in``: only the
-        #: non-zeros are stored (what ships to the FPGA) and multiplied.
-        #: Its data is int16 unless int8 input could overflow int16
-        #: sums, then float64. Read-only: other projections may hold
-        #: the same arrays.
+        #: non-zeros are stored (what ships to the FPGA) and multiplied,
+        #: as int16. Read-only: other projections may hold the same
+        #: arrays.
         self.matrix = self._draw.matrix
         # Variance-preserving scale: each output element sums
         # ~in_dim * (1 - zero_fraction) random +/-1 contributions, so
@@ -288,36 +304,65 @@ class TernaryProjection:
         hypervector) sums exactly in any order, so its projection is
         bit-equal to a dense product; real-valued input may differ from
         one in the last bit.
-        int8 input (bipolar hypervectors) is multiplied in int16, whose
-        sums are the same integers, so the result is bit-identical.
-        Other input multiplies the one stored matrix in float64; its
-        int16 ±1 data converts to float64 one block of rows at a time
-        (:class:`_TernaryCSR`), so no float64 copy of the matrix forms.
-        Each output row is summed on its own, so the batch it arrives
-        in (and the int16 :data:`PAD_WIDTH` padding) cannot change it. The
-        operand is freed before the float64 result is formed.
+
+        Bipolar int8 rows travel two to an int16 word, one byte each
+        holding ``x > 0``; the kernel returns ``z_2k + 256 z_2k+1``, ``z``
+        a row's coefficients summed over its set bits, and ``y = 2z -
+        row sum`` is exact while ``_Draw.lane_offset`` is set. Unpaired
+        rows (an odd one out, or a batch of 7 or 8, where pairing saves
+        no kernel time) ride a word each as their int8 values. Other
+        int8 batches, real input and matrices past the lane bound
+        multiply in float64 (:class:`_TernaryCSR`); integer sums are
+        exact on both paths, so they give the same bytes. Each output
+        row is summed on its own, so neither its batch nor the
+        :data:`PAD_WIDTH` padding can change it.
         """
         arr = np.asarray(hypervectors)
         single = arr.ndim == 1
         # M @ X^T streams each output row's non-zeros once over a
-        # C-ordered (in, batch) operand, an int16 one padded to PAD_WIDTH
-        # columns; the result goes back to the C-ordered (batch, out)
-        # layout the dense product had.
+        # C-ordered (in, batch) operand; the result goes back to the
+        # C-ordered (batch, out) layout the dense product had.
         mat = check_matrix("hypervectors", arr, cols=self.in_dimension, dtype=None)
-        integral = mat.dtype == np.int8 and self.matrix.dtype == np.int16
-        dtype = np.int16 if integral else np.float64
+        offset = self._draw.lane_offset
         n = mat.shape[0]
-        width = -(-n // PAD_WIDTH) * PAD_WIDTH if integral and n > 1 else n
-        operand = np.zeros((self.in_dimension, width), dtype=dtype)
-        operand[:, :n] = mat.T
-        product = np.asarray(self.matrix @ operand)[:, :n]
-        del operand
-        projected = np.multiply(product.T, self._scale, order="C")
+        pairs = n // 2 if n > PAD_WIDTH or n - n // 2 <= _MATVEC_COLUMNS else 0
+        if offset is not None and mat.dtype == np.int8 and (
+            not pairs or not np.count_nonzero(np.abs(mat[:2 * pairs]) != 1)
+        ):
+            words = n - pairs
+            width = words if words <= _MATVEC_COLUMNS else -(-words // PAD_WIDTH) * PAD_WIDTH
+            operand = np.zeros((self.in_dimension, width), dtype=np.int16)
+            if pairs:
+                bits = np.greater(mat[:2 * pairs], 0).view(np.uint8)
+                packed = np.multiply(bits[1::2], 256, dtype=np.int16)
+                packed += bits[0::2]
+                operand[:, :pairs] = packed.T
+                del bits, packed
+            operand[:, pairs:words] = mat[2 * pairs:].T
+            product = self.matrix @ operand
+            del operand
+            projected = np.empty((n, self.out_dimension))
+            np.multiply(  # the unpaired rows, before the words are biased
+                product[:, pairs:words].T, self._scale, out=projected[2 * pairs:]
+            )
+            if pairs:
+                lanes = product.view(np.uint16)
+                lanes += 0x8080
+                # low byte first, whatever the host's order
+                biased = lanes.astype("<u2", copy=False).view(np.uint8)
+                exact = np.left_shift(  # 2(z + 128) - (256 + row sum)
+                    biased[:, :2 * pairs].T, 1, dtype=np.int16, order="C"
+                )
+                del product, lanes, biased
+                exact -= offset
+                projected[:2 * pairs] = exact
+                projected[:2 * pairs] *= self._scale
+        else:
+            operand = np.array(mat.T, dtype=np.float64, order="C")
+            product = self.matrix @ operand
+            del operand
+            projected = np.multiply(product.T, self._scale, order="C")
         return projected[0] if single else projected
-
-    def multiplies_per_vector(self) -> int:
-        """Non-zero multiply-accumulates per projected hypervector."""
-        return int(self.matrix.nnz)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

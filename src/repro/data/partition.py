@@ -10,6 +10,7 @@ layer and :mod:`repro.hierarchy`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,20 @@ class FeaturePartition:
     def n_nodes(self) -> int:
         return len(self.slices)
 
-    @property
+    @functools.cached_property
     def n_features(self) -> int:
         return sum(len(s) for s in self.slices)
+
+    @functools.cached_property
+    def _takes(self) -> tuple:
+        # what indexes each node's columns: a slice (a view) for a run
+        # of consecutive columns in order, else the column array
+        return tuple(
+            slice(s[0], s[0] + len(s))
+            if s and s == tuple(range(s[0], s[0] + len(s)))
+            else np.asarray(s, dtype=np.int64)
+            for s in self.slices
+        )
 
     def columns(self, node_index: int) -> np.ndarray:
         """Feature columns owned by end node ``node_index``."""
@@ -42,11 +54,11 @@ class FeaturePartition:
         return [len(s) for s in self.slices]
 
     def restrict(self, features: np.ndarray, node_index: int) -> np.ndarray:
-        """View of ``features`` keeping only this node's columns.
+        """``features`` keeping only this node's columns, in slice order.
 
-        Kept dtype-preserving and copy-free on purpose (the hot path
-        slices the same training matrix once per node), so validation
-        is structural only.
+        Dtype-preserving, and a view when the node's columns are one
+        run in order (the hot path slices the same training matrix once
+        per node), so validation is structural only.
         """
         mat = np.asarray(features)
         if mat.ndim not in (1, 2):
@@ -58,9 +70,9 @@ class FeaturePartition:
                 f"features must have {self.n_features} columns, got "
                 f"{mat.shape[-1]}"
             )
-        if mat.ndim == 1:
-            return mat[self.columns(node_index)]
-        return mat[:, self.columns(node_index)]
+        if not 0 <= node_index < self.n_nodes:
+            raise IndexError(f"node_index {node_index} out of range")
+        return mat[..., self._takes[node_index]]
 
     def validate(self) -> None:
         """Check the slices form a disjoint cover of [0, n_features)."""

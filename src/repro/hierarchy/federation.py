@@ -255,10 +255,9 @@ class EdgeHDFederation:
         node = self.hierarchy.nodes[leaf_id]
         if not node.is_leaf:
             raise ValueError(f"node {leaf_id} is not an end node")
-        local = self.partition.restrict(
-            check_matrix("features", features), node.leaf_index
+        return self.encoders[leaf_id].encode(
+            self.partition.restrict(features, node.leaf_index)
         )
-        return self.encoders[leaf_id].encode(local)
 
     def combine_children(
         self, node_id: int, child_encodings: list[np.ndarray]
@@ -601,8 +600,11 @@ class LazyEncodings:
     def forward_rows(self, node_id: int, rows: np.ndarray) -> np.ndarray:
         """:meth:`forward` for the batch rows ``rows`` (distinct indices)."""
         slot = self._slot.get(node_id)
-        missing = rows if slot is None else rows[slot[rows] < 0]
-        if missing.size or slot is None:
+        # a full buffer misses no row
+        if slot is None or self._filled[node_id] < slot.size and (
+            np.count_nonzero(slot[rows] < 0)
+        ):
+            missing = rows if slot is None else rows[slot[rows] < 0]
             node = self._node(node_id)
             if node.is_leaf:
                 self.carry(
@@ -613,7 +615,8 @@ class LazyEncodings:
                 self._keep(node_id, missing, self.own_rows(node_id, missing))
             else:  # below the root, own_rows keeps the forward itself
                 self.own_rows(node_id, missing)
-        return self._forward[node_id][self._slot[node_id][rows]]
+            slot = self._slot[node_id]
+        return self._forward[node_id][rows if slot is self._all else slot[rows]]
 
     def carry(
         self, node_id: int, rows: np.ndarray, forwarded: np.ndarray
@@ -629,7 +632,9 @@ class LazyEncodings:
         slot = self._slot.get(node_id)
         if slot is None:
             self._node(node_id)
-            if np.array_equal(rows, self._all):
+            if rows.size == self._all.size and not np.count_nonzero(
+                rows - self._all
+            ):
                 self._slot[node_id], self._forward[node_id] = self._all, forwarded
                 self._filled[node_id] = rows.size
                 return

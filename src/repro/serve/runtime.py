@@ -225,7 +225,7 @@ class _NodeServer:
                 at.append(i)
                 held.append(row)
         for node_id, (at, held) in carried.items():
-            lazy.carry(node_id, np.asarray(at), np.stack(held))
+            lazy.carry(node_id, np.asarray(at), np.array(held))
         everyone = np.arange(len(batch))
         encoded = lazy.own_rows(self.node_id, everyone)
         if self.node.parent is not None:

@@ -8,6 +8,7 @@ from repro.core.classifier import (
     _add_ordered,
     _block_rows,
     _exact_in_any_order,
+    _row_norms,
     _unit_rows,
     softmax_confidence,
 )
@@ -62,6 +63,64 @@ class TestSoftmaxConfidence:
         assert np.allclose(
             softmax_confidence(sims), softmax_confidence(shifted)
         )
+
+
+def _reference_softmax(similarities, temperature):
+    """softmax_confidence as numpy's mean, max and sum wrappers wrote it."""
+    sims = np.atleast_2d(np.asarray(similarities, dtype=np.float64))
+    centered = sims - sims.mean(axis=1, keepdims=True)
+    scaled = centered / temperature
+    scaled -= scaled.max(axis=1, keepdims=True)
+    exp = np.exp(scaled)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _reference_unit_rows(rows):
+    """_unit_rows as np.linalg.norm and a masked assignment wrote it."""
+    floats = rows.astype(np.float64)
+    norms = np.linalg.norm(floats, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return floats / norms
+
+
+class TestReductionRewrites:
+    """The ufunc reductions the search runs in place of numpy's wrappers
+    give the wrappers' bytes."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(60)
+        return [
+            rng.standard_normal((1, 4000)),
+            rng.standard_normal((32, 1600)) * 1e3,
+            rng.integers(-1, 2, (7, 800)).astype(np.float64),
+            np.zeros((2, 5)),
+            np.array([[np.inf, 1.0], [np.nan, 0.0], [1e-300, 0.0]]),
+        ]
+
+    def test_row_norms_equal_linalg_norm(self):
+        for rows in self._matrices():
+            want = np.linalg.norm(rows, axis=1, keepdims=True)
+            assert _row_norms(rows).tobytes() == want.tobytes()
+
+    def test_unit_rows_equal_the_masked_division(self):
+        bipolar = np.random.default_rng(61).choice(
+            np.array([-1, 1], dtype=np.int8), size=(3, 64)
+        )
+        for rows in [*self._matrices(), bipolar]:
+            with np.errstate(invalid="ignore"):
+                got, want = _unit_rows(rows), _reference_unit_rows(rows)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("temperature", [0.05, 1.0, 3.7])
+    def test_softmax_equals_the_wrapper_expressions(self, temperature):
+        rng = np.random.default_rng(62)
+        for sims in (
+            rng.uniform(-1, 1, (1, 5)), rng.uniform(-1, 1, (32, 12)),
+            rng.uniform(-1, 1, 7), np.zeros((2, 3)),
+        ):
+            got = softmax_confidence(sims, temperature)
+            assert got.tobytes() == _reference_softmax(sims, temperature).tobytes()
 
 
 class TestInitialTraining:

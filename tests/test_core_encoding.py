@@ -80,11 +80,6 @@ class TestRBFEncoder:
             actual = set(np.flatnonzero(row))
             assert actual <= expect
 
-    def test_sparse_multiplies_reduced(self):
-        dense = RBFEncoder(100, 200, sparsity=0.0, seed=7)
-        sparse = RBFEncoder(100, 200, sparsity=0.8, seed=7)
-        assert sparse.multiplies_per_sample() < dense.multiplies_per_sample()
-
     def test_sparse_encoder_still_learns_similarity(self):
         enc = RBFEncoder(16, 4000, gamma=0.3, sparsity=0.8, seed=8)
         base = np.zeros(16)

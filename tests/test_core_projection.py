@@ -211,19 +211,23 @@ class TestPaddedWidth:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_operand_padded_to_simd_width(self, dtype):
-        """An int16 operand is padded to PAD_WIDTH columns; a float64
-        one keeps its width (padding only slows its kernel)."""
+        """Bipolar int8 rows travel two to an int16 word, except that 7
+        or 8 rows ride a word each (four words cost the kernel what
+        eight do); more than three words are padded to a multiple of
+        PAD_WIDTH. A float64 operand keeps its width (padding only slows
+        its kernel)."""
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=37)
         recorder = _WidthRecorder(proj.matrix)
         proj.matrix = recorder
         x = random_bipolar(600, count=17, seed=38).astype(dtype)
-        widths = (1, 2, 7, 8, 9, 16, 17)
+        widths = (1, 2, 3, 5, 7, 8, 9, 16, 17)
         for width in widths:
             proj.project(x[:width])
         assert PAD_WIDTH == 8
         if dtype is np.int8:
-            assert recorder.widths == [1, 8, 8, 8, 16, 16, 24]
+            assert recorder.widths == [1, 1, 2, 3, 8, 8, 8, 8, 16]
+            assert set(recorder.operand_dtypes) == {np.dtype(np.int16)}
         else:
             assert recorder.widths == list(widths)
 
@@ -262,13 +266,17 @@ class TestInt16Path:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("in_dim, int_path", [(255, True), (256, False)])
+    @pytest.mark.parametrize("in_dim, int_path", [(127, True), (255, False)])
     def test_overflow_bound(self, in_dim, int_path):
-        """No zeros: every row has ``in_dim`` non-zeros. An input of -128
-        where a row is +1 and +127 where it is -1 (and the mirror image)
-        drives that row's sum to its extreme."""
+        """No zeros: every row has ``in_dim`` non-zeros, so 127 keeps
+        every row's positive and negative terms within a byte lane and
+        255 cannot. An input of -128 where a row is +1 and +127 where it
+        is -1 (and the mirror image) drives that row's sum to its
+        extreme, one row at a time (the int16 path's odd row out) and
+        as a batch (the float path: the rows are not bipolar)."""
         proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32)
-        assert (proj.matrix.dtype == np.int16) is int_path
+        assert proj.matrix.dtype == np.int16
+        assert (proj._draw.lane_offset is not None) is int_path
         signs = csr_dense(proj.matrix).astype(np.int64)
         x = np.concatenate([
             np.where(signs[:4] > 0, -128, 127), np.where(signs[4:] > 0, 127, -128),
@@ -278,10 +286,15 @@ class TestInt16Path:
         sums = np.diag(x.astype(np.int64) @ signs.T)
         assert np.all(np.abs(sums) >= 127 * in_dim)
         assert np.array_equal(np.diag(got), sums * proj._scale)
+        for i in range(8):
+            assert proj.project(x[i]).tobytes() == got[i].tobytes()
 
     def test_dense_rows_fall_back_and_agree(self):
+        """Rows of 300 non-zeros exceed a byte lane: int8 input takes
+        the float path, on the same int16 data."""
         proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33)
-        assert proj.matrix.dtype == np.float64
+        assert proj.matrix.dtype == np.int16
+        assert proj._draw.lane_offset is None
         x = (127 * csr_dense(proj.matrix)[:6]).astype(np.int8)
         got = proj.project(x)
         assert np.array_equal(got, proj.project(x.astype(np.float64)))
@@ -293,8 +306,8 @@ class TestInt16Path:
     def test_float_input_equals_float64_twin(self, rows):
         """Float input multiplies the one int16 matrix, its data
         converted to float64 a block of rows at a time, byte for byte as
-        scipy's ``csr_matrix`` holding a float64 copy of it; int8 input
-        keeps an int16 operand."""
+        scipy's ``csr_matrix`` holding a float64 copy of it; bipolar
+        int8 input keeps an int16 operand."""
         proj = TernaryProjection(
             4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48)
         assert proj.matrix.dtype == np.int16
@@ -308,7 +321,7 @@ class TestInt16Path:
         assert proj.project(x).tobytes() == twin.project(x).tobytes()
         recorder = _WidthRecorder(proj.matrix)
         proj.matrix = recorder
-        proj.project(x.astype(np.int8))
+        proj.project(np.where(x > 0, 1, -1).astype(np.int8))
         proj.project(x)
         assert recorder.operand_dtypes == [np.int16, np.float64]
 
@@ -346,6 +359,89 @@ class TestInt16Path:
             proj.project(np.ones((2, 11), dtype=np.int8))
         with pytest.raises(ValueError, match="2-D"):
             proj.project(np.ones((2, 2, 10), dtype=np.int8))
+
+
+class TestPackedWords:
+    """Bipolar int8 rows travel two to an int16 word through the int16
+    data; every other input takes the float path. Both give the bytes of
+    a float64 product."""
+
+    @pytest.mark.parametrize("dimension", [600, 1600, 4000])
+    def test_bipolar_sweep_equals_float64(self, dimension):
+        """Each output row is summed on its own, so the float64
+        projection of all 130 rows holds every width's answer."""
+        proj = TernaryProjection(
+            dimension, dimension, zero_fraction=1.0 - 64 / dimension, seed=52
+        )
+        assert proj._draw.lane_offset is not None
+        x = random_bipolar(dimension, count=130, seed=53)
+        want = proj.project(x.astype(np.float64))
+        for width in range(1, 131):
+            got = proj.project(x[:width])
+            assert got.tobytes() == want[:width].tobytes(), width
+        assert proj.project(x[0]).tobytes() == want[0].tobytes()
+
+    def test_row_past_the_lane_bound_takes_the_float_path(self):
+        """254 non-zeros a row pass the row-length check, but a row with
+        128 positive terms would carry out of its byte lane."""
+        proj = TernaryProjection(254, 8, zero_fraction=0.0, seed=54)
+        signs = csr_dense(proj.matrix)
+        assert (signs > 0).sum(axis=1).max() > 127
+        assert proj._draw.lane_offset is None
+        x = random_bipolar(254, count=9, seed=55)
+        want = (x @ signs.T.astype(np.float64)) * proj._scale
+        for width in (1, 2, 3, 9):
+            assert proj.project(x[:width]).tobytes() == want[:width].tobytes()
+
+    @pytest.mark.parametrize("extremes", [(-128, 127), (-127, 127)])
+    def test_int8_extremes_equal_float64(self, extremes):
+        """±127 and -128 rows: alone (the odd row out), as a batch (not
+        bipolar, so the float path), and as the odd row behind a pair of
+        bipolar rows (the packed path)."""
+        proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600, seed=56)
+        rng = np.random.default_rng(57)
+        wild = rng.choice(np.array(extremes, dtype=np.int8), size=(3, 600))
+        mixed = np.concatenate([random_bipolar(600, count=2, seed=58), wild[:1]])
+        for x in (wild[0], wild[:1], wild, mixed):
+            got = proj.project(x)
+            assert got.tobytes() == proj.project(x.astype(np.float64)).tobytes()
+
+
+class TestScipyKernelContract:
+    """The packed path needs scipy's int16 ``csr_matvec`` and
+    ``csr_matvecs`` to return ``z_a + 256 z_b`` exactly for two byte
+    lanes at their bound, +-127; a release that accumulates int16
+    differently fails here by name."""
+
+    def test_int16_kernels_return_the_two_lane_composite(self):
+        kernels = projection_module._sparsetools
+        half = np.arange(254) < 127
+        data = np.where(half, 1, -1).astype(np.int16)  # 127 +1s, 127 -1s
+        indices = np.arange(254, dtype=np.int32)
+        indptr = np.array([0, 254], dtype=np.int32)
+        # lane a picks the +1 terms and lane b the -1 terms, then the
+        # mirror image: (z_a, z_b) = (127, -127) and (-127, 127)
+        words = [
+            half.astype(np.int16) + 256 * (~half).astype(np.int16),
+            (~half).astype(np.int16) + 256 * half.astype(np.int16),
+        ]
+        want = [127 - 256 * 127, -127 + 256 * 127]
+        for word, expected in zip(words, want):
+            out = np.zeros(1, dtype=np.int16)
+            kernels.csr_matvec(1, 254, indptr, indices, data, word, out)
+            assert int(out[0]) == expected
+        for width in (2, 8):
+            operand = np.zeros((254, width), dtype=np.int16)
+            operand[:, 0], operand[:, 1] = words
+            out = np.zeros(width, dtype=np.int16)
+            kernels.csr_matvecs(
+                1, 254, width, indptr, indices, data, operand.ravel(), out
+            )
+            assert out[:2].tolist() == want
+        # and the decode reads the lanes back by arithmetic
+        lanes = (np.array(want) + 0x8080) % 2 ** 16
+        assert ((lanes % 256) - 128).tolist() == [127, -127]
+        assert ((lanes // 256) - 128).tolist() == [-127, 127]
 
 
 class TestSharedDraw:
@@ -484,10 +580,6 @@ class TestTernaryProjection:
     def test_rectangular_projection(self):
         proj = TernaryProjection(100, 30, seed=17)
         assert proj.project(np.ones(100)).shape == (30,)
-
-    def test_multiplies_counts_nonzeros(self):
-        proj = TernaryProjection(100, 50, zero_fraction=0.4, seed=18)
-        assert proj.multiplies_per_vector() == np.count_nonzero(csr_dense(proj.matrix))
 
     def test_wrong_input_dimension(self):
         proj = TernaryProjection(10, 10, seed=19)

@@ -4,7 +4,7 @@ don't reach."""
 import numpy as np
 
 from repro.cli import main as cli_main
-from repro.core.encoding import IDLevelEncoder, RBFEncoder
+from repro.core.encoding import RBFEncoder
 from repro.core.hypervector import bundle, permute, random_bipolar
 from repro.core.model import TrainingReport
 from repro.experiments.bandwidth import _level_frequency_for
@@ -16,10 +16,6 @@ class TestEncodingExtras:
         enc = RBFEncoder(6, 64, seed=4)
         out = enc.encode(np.ones(6))
         assert out.shape == (1, 64)
-
-    def test_id_level_multiplies(self):
-        enc = IDLevelEncoder(10, 128, seed=5)
-        assert enc.multiplies_per_sample() == 10 * 128
 
     def test_rbf_full_sparsity_keeps_one_weight(self):
         enc = RBFEncoder(50, 64, sparsity=0.999, seed=6)

@@ -71,12 +71,6 @@ ALLOWED: Dict[str, str] = {
     "repro.hardware.energy.CostBreakdown.speedup_over": _ITEM_4_5,
     "repro.hardware.energy.CostBreakdown.energy_efficiency_over": _ITEM_4_5,
     "repro.hardware.ops.OpCounts.total_ops": _ITEM_4_5,
-    "repro.core.projection.TernaryProjection.multiplies_per_vector":
-        "ROADMAP item 10",
-    "repro.core.encoding.Encoder.multiplies_per_sample": "ROADMAP item 10",
-    "repro.core.encoding.RBFEncoder.multiplies_per_sample": "ROADMAP item 10",
-    "repro.core.encoding.IDLevelEncoder.multiplies_per_sample":
-        "ROADMAP item 10",
     # Helpers that tests read.
     "repro.core.encoding.Encoder.encode_one": _HELPER,
     "repro.core.online.ResidualAccumulator.is_empty": _HELPER,

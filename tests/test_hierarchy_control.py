@@ -314,6 +314,28 @@ class TestDrain:
         outcome = HierarchicalInference(fed).run(x[:20])
         assert outcome.labels.shape == (20,)
 
+    def test_restrict_after_join_and_drain_equals_fancy_indexing(self, data):
+        """A join takes columns from its siblings and a drain hands the
+        victim's out, so a node's columns stop being one run in order;
+        each node still gets exactly ``features[:, columns]``."""
+        controller = make_controller(data)
+        fed = controller.federation
+        joined = controller.join(fed.hierarchy.root_id)
+        controller.drain(fed.hierarchy.leaves()[0])
+        partition = fed.partition
+        assert joined.node_id in fed.hierarchy.nodes
+        assert any(
+            list(s) != list(range(s[0], s[0] + len(s)))
+            for s in partition.slices
+        )
+        x, _ = data
+        for rows in (x[:5], x[3], x[:4].astype(np.float32)):
+            for index, columns in enumerate(partition.slices):
+                got = partition.restrict(rows, index)
+                want = rows[..., list(columns)]
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_drain_cascades_empty_gateways(self, data):
         controller = make_controller(data)
         fed = controller.federation
