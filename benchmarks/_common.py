@@ -6,9 +6,9 @@ artifacts survive the pytest run. Set ``EDGEHD_BENCH_SCALE=quick`` to
 shrink everything for smoke runs.
 
 With observability enabled (``REPRO_OBS=1``), :func:`save_report` also
-drops a per-benchmark span trace (``<name>.trace.jsonl``) and a metrics
-snapshot (``<name>.stats.json``) next to the text report, so every
-benchmark run can double as a profiling artifact.
+drops a metrics snapshot (``<name>.stats.json``, read by ``repro stats
+--input``) next to the text report, so every benchmark run can double
+as a profiling artifact.
 """
 
 from __future__ import annotations
@@ -50,20 +50,17 @@ def active_scale() -> ExperimentScale:
 def save_report(name: str, text: str) -> None:
     """Print the report and persist it under benchmarks/results/.
 
-    Under ``REPRO_OBS=1`` the spans and metrics recorded since the last
-    :func:`save_report` call are exported alongside the report, then
+    Under ``REPRO_OBS=1`` the metrics recorded since the last
+    :func:`save_report` call are dumped alongside the report, then
     cleared so consecutive benchmarks don't bleed into each other.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n[saved to benchmarks/results/{name}.txt]")
     if obs.enabled():
-        trace_path = RESULTS_DIR / f"{name}.trace.jsonl"
-        spans = obs.export_trace(trace_path)
         obs.dump_stats(RESULTS_DIR / f"{name}.stats.json")
         obs.reset()
-        print(f"[obs] {spans} spans -> {trace_path.name}, "
-              f"metrics -> {name}.stats.json]")
+        print(f"[obs] metrics -> {name}.stats.json")
 
 
 def provenance() -> dict:

@@ -152,10 +152,10 @@ def run_traced_example(federation, data) -> dict:
     """One fully traced chaos run: the observability artifact set.
 
     Serves one representative faulted cell with tracing on, then drops
-    the request trace (fault events included), the telemetry series
-    replayed from it and the rendered ``serve-report`` under
-    ``benchmarks/results/`` — the end-to-end evidence that a degraded
-    request's causal timeline is reconstructable offline.
+    the request trace (fault events included) and the rendered
+    ``serve-report`` under ``benchmarks/results/`` — the end-to-end
+    evidence that a degraded request's causal timeline is
+    reconstructable offline.
     """
     inference = HierarchicalInference(
         federation, confidence_threshold=THRESHOLD
@@ -188,11 +188,10 @@ def run_traced_example(federation, data) -> dict:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     trace_path = RESULTS_DIR / "BENCH_chaos_requests.trace.jsonl"
     n_events = result.traces.export_jsonl(trace_path)
-    result.telemetry.export_jsonl(RESULTS_DIR / "BENCH_chaos_telemetry.jsonl")
     report = render_report(result.traces.by_request(), slo_ms=50.0)
     (RESULTS_DIR / "BENCH_chaos_serve_report.txt").write_text(report + "\n")
-    print(f"[saved request trace ({n_events} events), telemetry and "
-          f"serve-report to benchmarks/results/]")
+    print(f"[saved request trace ({n_events} events) and serve-report "
+          f"to benchmarks/results/]")
     return {
         "trace_events": n_events,
         "traced_requests": result.traces.n_requests,

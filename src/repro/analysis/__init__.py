@@ -72,7 +72,6 @@ __all__ = [
     "ControlFlowGraph",
     "select_rules",
     "lint_paths",
-    "lint_source",
     "render_text",
     "render_json",
     "summarize",
@@ -130,8 +129,3 @@ def lint_paths(
     """Lint files/directories with the (filtered) default rule set."""
     engine = LintEngine(select_rules(select, ignore, flow=flow))
     return engine.lint_paths([str(p) for p in paths])
-
-
-def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Lint one source string with the full default rule set."""
-    return LintEngine(default_rules()).lint_source(source, path=path)

@@ -78,10 +78,6 @@ class Finding:
             text += f" (fix: {self.autofix_hint})"
         return text
 
-    def span(self) -> Tuple[int, int]:
-        """Inclusive ``(first, last)`` line range of the finding."""
-        return self.line, max(self.line, self.end_line)
-
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "path": self.path,

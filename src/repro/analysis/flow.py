@@ -137,9 +137,6 @@ class ControlFlowGraph:
     entry: int
     exit: int
 
-    def block(self, index: int) -> BasicBlock:
-        return self.blocks[index]
-
 
 def _shallow_walk(node: ast.AST) -> Iterator[ast.AST]:
     """``ast.walk`` that does not descend into nested defs/classes."""

@@ -274,7 +274,6 @@ class ObsLiteralNameRule(Rule):
     _OBS_HELPERS = {
         "incr",
         "observe",
-        "gauge_set",
         "gauge_add",
         "span",
         "traced",

@@ -21,8 +21,7 @@ __all__ = ["LinearHDClassifier"]
 class LinearHDClassifier(EdgeHDModel):
     """EdgeHD pipeline with the linear random-projection encoder.
 
-    Inherits the full :class:`~repro.core.predictor.Predictor` surface
-    (``predict`` / ``predict_labels`` / ``predict_proba``) and the
+    Inherits ``predict`` / ``accuracy`` and the
     :class:`~repro.core.search.SearchSpec` switch from
     :class:`EdgeHDModel`.
     """

@@ -12,8 +12,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.classifier import PredictionResult
-from repro.core.predictor import result_from_proba
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
@@ -152,10 +150,6 @@ class MLPClassifier:
         x = check_matrix("features", features, cols=self.n_features)
         logits, _ = self._forward(x)
         return self._softmax(logits)
-
-    def predict(self, features: np.ndarray) -> PredictionResult:
-        """Full inference output (:class:`~repro.core.predictor.Predictor`)."""
-        return result_from_proba(self.predict_proba(features))
 
     def predict_labels(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(features), axis=1)

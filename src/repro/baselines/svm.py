@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.classifier import PredictionResult
-from repro.core.predictor import result_from_scores
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
@@ -105,15 +103,8 @@ class KernelSVM:
         check_fitted(self, "weights")
         return self._lift(features) @ self.weights.T
 
-    def predict(self, features: np.ndarray) -> PredictionResult:
-        """Full inference output (:class:`~repro.core.predictor.Predictor`)."""
-        return result_from_scores(self.decision_function(features))
-
     def predict_labels(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_function(features), axis=1)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return self.predict(features).confidences
 
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
         y = check_labels("labels", labels, n_classes=self.n_classes)

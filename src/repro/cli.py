@@ -11,11 +11,10 @@ Subcommands
 ``serve-bench``
     Train a federation and serve its test set live through the asyncio
     runtime (:mod:`repro.serve`): micro-batching, bounded queues, and a
-    per-stage latency breakdown with p50/p95/p99. With observability
-    on, ``--trace`` writes the *request-level* trace (one event per
-    line, not spans — fault events included), and ``--telemetry`` /
-    ``--openmetrics`` export the telemetry time-series (a view over
-    that trace) and a Prometheus-scrapable exposition.
+    per-stage latency breakdown with p50/p95/p99. ``--trace`` writes
+    the *request-level* trace (one event per line, fault events
+    included), and ``--openmetrics`` a Prometheus-scrapable exposition
+    whose labeled gauges are replayed from that trace.
 ``serve-report``
     Offline analysis of a ``serve-bench --trace`` file: per-stage
     latency breakdown, critical-path attribution per percentile band,
@@ -43,14 +42,12 @@ Subcommands
 
 Observability
 -------------
-With ``REPRO_OBS=1`` (or a ``--trace`` flag, which implies it) the
-``train`` / ``federate`` / ``reproduce`` commands record metrics and
-spans (see :mod:`repro.obs`), dump the registry to
-``repro-obs-stats.json`` on exit, and — when ``--trace PATH`` is given
-— write the span trace as JSON lines to ``PATH``. For ``serve-bench``
-the same flag writes the request-level trace instead (the input of
-``serve-report``). ``repro stats`` pretty-prints the dump. ``-v`` /
-``-vv`` turn on INFO / DEBUG logging for the ``repro.*`` namespace.
+With ``REPRO_OBS=1`` the ``train`` / ``federate`` / ``serve-bench`` /
+``reproduce`` commands record metrics and spans (see :mod:`repro.obs`)
+and dump the registry to ``repro-obs-stats.json`` on exit; ``repro
+stats`` pretty-prints the dump. ``serve-bench --trace`` or
+``--openmetrics`` implies ``REPRO_OBS=1``. ``-v`` / ``-vv`` turn on
+INFO / DEBUG logging for the ``repro.*`` namespace.
 
 Examples
 --------
@@ -61,7 +58,7 @@ Examples
     python -m repro.cli -v federate --dataset PDP --topology tree
     REPRO_OBS=1 python -m repro.cli federate --dataset PDP
     python -m repro.cli stats
-    python -m repro.cli reproduce --figure table2 --quick --trace run.jsonl
+    python -m repro.cli reproduce --figure table2 --quick
     python -m repro.cli serve-bench --faults --trace t.jsonl
     python -m repro.cli serve-report t.jsonl --slo-ms 25
     python -m repro.cli stats --merge w0.json w1.json --format openmetrics
@@ -252,13 +249,37 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.workers > 1 and args.closed_loop:
         print("error: cluster serving is open-loop only", file=sys.stderr)
         return 2
-    if args.workers > 1 and (args.trace or args.telemetry):
+    if args.workers > 1 and args.trace:
         print(
             "error: request tracing stops at the cluster router "
-            "(single-process feature); drop --trace/--telemetry or "
-            "--workers", file=sys.stderr,
+            "(single-process feature); drop --trace or --workers",
+            file=sys.stderr,
         )
         return 2
+    fault_plan = None
+    if args.faults:
+        from repro.serve import FaultPlan
+
+        crashes = {
+            int(nid): (0.0, float("inf")) for nid in (args.fault_crash or [])
+        }
+        fault_plan = FaultPlan(
+            seed=args.seed if args.fault_seed is None else args.fault_seed,
+            drop_probability=args.fault_drop,
+            dimension_loss=args.fault_dim_loss,
+            latency_jitter_s=args.fault_jitter_ms * 1e-3,
+            crash_windows=crashes,
+        )
+        if args.workers > 1:
+            try:
+                fault_plan.validate_for_cluster(args.workers)
+            except ValueError as exc:
+                hint = (
+                    "; with --workers pass --fault-drop 0 (its default "
+                    "is 0.1)" if args.fault_drop else ""
+                )
+                print(f"error: {exc}{hint}", file=sys.stderr)
+                return 2
     data = load_dataset(
         args.dataset, scale=args.scale,
         max_train=args.max_train, max_test=args.max_test, seed=args.seed,
@@ -287,20 +308,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         policy=args.policy,
     )
-    fault_plan = None
-    if args.faults:
-        from repro.serve import FaultPlan
-
-        crashes = {
-            int(nid): (0.0, float("inf")) for nid in (args.fault_crash or [])
-        }
-        fault_plan = FaultPlan(
-            seed=args.seed if args.fault_seed is None else args.fault_seed,
-            drop_probability=args.fault_drop,
-            dimension_loss=args.fault_dim_loss,
-            latency_jitter_s=args.fault_jitter_ms * 1e-3,
-            crash_windows=crashes,
-        )
     print(
         f"{args.dataset} over {args.topology.upper()} "
         f"({len(federation.hierarchy.nodes)} nodes), "
@@ -373,10 +380,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             # the series' final values reach the stats dump and the
             # OpenMetrics exposition as labeled gauges
             telemetry.publish()
-            if args.telemetry:
-                written = telemetry.export_jsonl(args.telemetry)
-                print(f"[obs] {written} telemetry samples written to "
-                      f"{args.telemetry}")
         if args.openmetrics:
             out = Path(args.openmetrics)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -701,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dimension", type=int, default=4000)
         p.add_argument("--epochs", type=int, default=10)
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="enable observability and write the span trace (JSONL)",
-        )
 
     def add_layout_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -793,9 +792,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault stream seed (defaults to --seed)",
     )
     serve_bench.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="write the telemetry time-series, replayed from the request "
-        "trace, as JSONL (implies --trace obs)",
+        "--trace", default=None, metavar="PATH",
+        help="enable observability and write the request trace (JSONL), "
+        "the input of serve-report",
     )
     serve_bench.add_argument(
         "--openmetrics", default=None, metavar="PATH",
@@ -835,10 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("--quick", action="store_true")
     _add_search_args(reproduce)
-    reproduce.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="enable observability and write the span trace (JSONL)",
-    )
 
     topology = sub.add_parser(
         "topology",
@@ -945,28 +940,16 @@ _HANDLERS = {
 #: commands that record metrics and persist them on exit.
 _INSTRUMENTED = {"train", "federate", "serve-bench", "reproduce"}
 
-#: commands whose handler writes its own --trace file (request-level
-#: trace events); main() must not overwrite it with the span buffer.
-_OWN_TRACE_EXPORT = {"serve-bench"}
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.verbose)
-    trace_path = getattr(args, "trace", None)
-    wants_obs = trace_path or any(
-        getattr(args, flag, None)
-        for flag in ("telemetry", "openmetrics")
-    )
-    if wants_obs:
+    if getattr(args, "trace", None) or getattr(args, "openmetrics", None):
         obs.enable()
     code = _HANDLERS[args.command](args)
     if args.command in _INSTRUMENTED and obs.enabled():
         stats_path = obs.dump_stats()
         print(f"[obs] metrics written to {stats_path} (view: repro stats)")
-        if trace_path and args.command not in _OWN_TRACE_EXPORT:
-            written = obs.export_trace(trace_path)
-            print(f"[obs] {written} spans written to {trace_path}")
     return code
 
 

@@ -21,11 +21,6 @@ from repro.core.kernels import (
     unpack_bits,
     words_per_row,
 )
-from repro.core.predictor import (
-    Predictor,
-    result_from_proba,
-    result_from_scores,
-)
 from repro.core.search import (
     SearchSpec,
     get_default_search,
@@ -96,9 +91,6 @@ __all__ = [
     "popcount_u64",
     "unpack_bits",
     "words_per_row",
-    "Predictor",
-    "result_from_proba",
-    "result_from_scores",
     "compressed_bundle_bytes",
     "bits_for_cap",
     "pack_bipolar",

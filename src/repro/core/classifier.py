@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -197,11 +197,7 @@ def softmax_confidence(similarities: np.ndarray, temperature: float = 1.0) -> np
 
 @dataclass(eq=False)
 class PredictionResult:
-    """Inference output: labels, per-class similarity and confidence.
-
-    Every :class:`~repro.core.predictor.Predictor` in the library —
-    core HD models and every baseline — returns this from ``predict``.
-    """
+    """Inference output: labels, per-class similarity and confidence."""
 
     labels: np.ndarray
     similarities: np.ndarray
@@ -211,20 +207,6 @@ class PredictionResult:
     def top_confidence(self) -> np.ndarray:
         """Confidence of the predicted class for each query."""
         return self.confidences[np.arange(len(self.labels)), self.labels]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __eq__(self, other: object) -> Any:
-        if not isinstance(other, PredictionResult):
-            return NotImplemented
-        return (
-            np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.similarities, other.similarities)
-            and np.array_equal(self.confidences, other.confidences)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class HDClassifier:
@@ -495,14 +477,6 @@ class HDClassifier:
         obs.incr("core.similarity.queries", enc.shape[0])
         return _argmax_rows(enc, self._normalized)
 
-    def predict_proba(
-        self,
-        encoded: np.ndarray,
-        search: Optional[SearchSpec] = None,
-    ) -> np.ndarray:
-        """Per-class confidence matrix (softmax over similarities)."""
-        return self.predict(encoded, search=search).confidences
-
     def accuracy(
         self,
         encoded: np.ndarray,
@@ -534,25 +508,6 @@ class HDClassifier:
         self._refresh_normalized()
         return self
 
-    # ------------------------------------------------------------------
-    def copy(self) -> "HDClassifier":
-        """Deep copy (used when forking node models in the hierarchy)."""
-        clone = HDClassifier(
-            self.n_classes, self.dimension, self.confidence_temperature,
-            search=self.search,
-        )
-        if self.class_hypervectors is not None:
-            clone.class_hypervectors = self.class_hypervectors.copy()
-            clone._refresh_normalized()
-        return clone
-
     def _refresh_normalized(self) -> None:
         self._normalized = normalize_rows(self.class_hypervectors)
         self._packed_model = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fitted = self.class_hypervectors is not None
-        return (
-            f"HDClassifier(n_classes={self.n_classes}, dimension={self.dimension}, "
-            f"fitted={fitted})"
-        )

@@ -125,12 +125,6 @@ class Encoder(abc.ABC):
         vec = check_vector("features", features, length=self.n_features)
         return self.encode(vec.reshape(1, -1))[0]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(n_features={self.n_features}, "
-            f"dimension={self.dimension})"
-        )
-
 
 class RBFEncoder(Encoder):
     """Random-Fourier-feature encoder approximating the RBF kernel.

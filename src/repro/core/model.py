@@ -153,21 +153,6 @@ class EdgeHDModel:
         """
         return self.classifier.predict(self.encode(features), search=search)
 
-    def predict_labels(
-        self,
-        features: np.ndarray,
-        search: Optional[SearchSpec] = None,
-    ) -> np.ndarray:
-        return self.predict(features, search=search).labels
-
-    def predict_proba(
-        self,
-        features: np.ndarray,
-        search: Optional[SearchSpec] = None,
-    ) -> np.ndarray:
-        """Per-class confidence matrix for raw feature rows."""
-        return self.predict(features, search=search).confidences
-
     def accuracy(
         self,
         features: np.ndarray,
@@ -238,9 +223,3 @@ class EdgeHDModel:
                 )
             self.classifier.set_model(data["class_hypervectors"])
         return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EdgeHDModel(n_features={self.n_features}, n_classes={self.n_classes}, "
-            f"dimension={self.dimension}, encoder={type(self.encoder).__name__})"
-        )

@@ -147,10 +147,6 @@ class _TernaryCSR:
     #: The number of stored values, as scipy counts a sparse matrix's.
     size = nnz
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
     def __matmul__(self, operand: np.ndarray) -> np.ndarray:
         rows, cols = self.shape
         if operand.shape[0] != cols:  # the kernels index it unchecked
@@ -363,9 +359,3 @@ class TernaryProjection:
             del operand
             projected = np.multiply(product.T, self._scale, order="C")
         return projected[0] if single else projected
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TernaryProjection({self.in_dimension}->{self.out_dimension}, "
-            f"zero_fraction={self.zero_fraction:.2f})"
-        )

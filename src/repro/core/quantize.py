@@ -32,10 +32,6 @@ class QuantizedModel:
     def n_classes(self) -> int:
         return int(self.codes.shape[0])
 
-    @property
-    def dimension(self) -> int:
-        return int(self.codes.shape[1])
-
     def storage_bits(self) -> int:
         """On-chip bits: codes + one float32 scale per class."""
         return self.codes.size * self.n_bits + 32 * self.n_classes

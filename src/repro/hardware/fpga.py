@@ -191,9 +191,3 @@ class FPGADesign:
 
     def energy_j(self, cycles: int) -> float:
         return self.seconds(cycles) * self.power_w()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FPGADesign(n={self.n_features}, D={self.dimension}, "
-            f"K={self.n_classes}, s={self.sparsity}, dsp={self.n_dsp})"
-        )

@@ -93,12 +93,6 @@ class FederatedTrainingReport:
     def total_bytes(self) -> int:
         return sum(m.payload_bytes for m in self.messages)
 
-    def bytes_by_kind(self) -> Dict[MessageKind, int]:
-        out: Dict[MessageKind, int] = {}
-        for m in self.messages:
-            out[m.kind] = out.get(m.kind, 0) + m.payload_bytes
-        return out
-
 
 class EdgeHDFederation:
     """Per-node EdgeHD artifacts plus the distributed training logic.

@@ -317,12 +317,6 @@ class Hierarchy:
             if not node.is_leaf:
                 node.dimension = sum(self.nodes[c].dimension for c in node.children)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Hierarchy(nodes={len(self.nodes)}, depth={self.depth})"
-
 
 def build_star(n_end_nodes: int) -> Hierarchy:
     """STAR topology: all end nodes attach directly to the central node."""

@@ -14,27 +14,23 @@ reduces to a flag check — the overhead budget is enforced by
 
 Fast-path helpers
 -----------------
-:func:`incr`, :func:`gauge_set`, :func:`gauge_add`, :func:`observe`
+:func:`incr`, :func:`gauge_add`, :func:`observe`
 mutate named, unlabelled instruments and no-op when disabled; labelled
 series are written through the registry, as
 :class:`~repro.obs.telemetry.TelemetryLog` does. :func:`span` /
 :func:`traced` time regions; closed spans also feed a
-``span.<name>.ms`` histogram so timings show up in ``repro stats``
-without exporting the trace.
+``span.<name>.ms`` histogram so timings show up in ``repro stats``.
 
 Inspection
 ----------
 :func:`snapshot` / :func:`render_stats` read the registry;
 :func:`dump_stats` / :func:`load_stats` persist it across processes
-(how ``repro federate`` hands metrics to ``repro stats``);
-:func:`export_trace` writes the span buffer as JSON lines
-(:func:`repro.obs.ring.read_jsonl` reads it back).
+(how ``repro federate`` hands metrics to ``repro stats``).
 """
 
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.obs import runtime
@@ -68,7 +64,6 @@ __all__ = [
     "enabled",
     "reset",
     "incr",
-    "gauge_set",
     "gauge_add",
     "observe",
     "span",
@@ -80,7 +75,6 @@ __all__ = [
     "dump_stats",
     "load_stats",
     "default_stats_path",
-    "export_trace",
     "render_openmetrics",
     "parse_openmetrics",
     "format_series_key",
@@ -127,12 +121,6 @@ def incr(name: str, amount: Union[int, float] = 1) -> None:
         get_registry().counter(name).inc(amount)
 
 
-def gauge_set(name: str, value: Union[int, float]) -> None:
-    """Set gauge ``name`` (no-op when disabled)."""
-    if runtime.active:
-        get_registry().gauge(name).set(value)
-
-
 def gauge_add(name: str, amount: Union[int, float]) -> None:
     """Add to gauge ``name`` (no-op when disabled)."""
     if runtime.active:
@@ -150,10 +138,3 @@ def observe(
 def snapshot() -> dict:
     """JSON-safe dump of the global registry."""
     return get_registry().snapshot()
-
-
-def export_trace(path: Union[str, Path]) -> int:
-    """Write the global span buffer as JSONL; returns spans written."""
-    written = get_trace().export_jsonl(path)
-    _log.info("wrote %d spans to %s", written, path)
-    return written

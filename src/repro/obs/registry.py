@@ -268,18 +268,6 @@ class MetricsRegistry:
         return inst
 
     # -- introspection -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
-
     def items(self) -> Iterable[Tuple[str, Instrument]]:
         return sorted(self._instruments.items())
 

@@ -1,11 +1,12 @@
-"""The one bounded ring and the one JSONL reader of the obs streams.
+"""The one bounded ring of the obs streams, and the JSONL reader.
 
 Spans (:class:`~repro.obs.spans.TraceBuffer`), telemetry samples
 (:class:`~repro.obs.telemetry.TelemetryLog`) and request-trace events
 (:class:`~repro.serve.tracing.RequestTraceLog`) keep their own record
-types, but how a long run stays bounded in memory, how truncation is
-made visible, and how a stream is written to and read back from disk
-is decided here once.
+types, but how a long run stays bounded in memory and how truncation
+is made visible is decided here once. Only the request trace is
+written to disk (``serve-bench --trace``); :func:`read_jsonl` reads it
+back.
 """
 
 from __future__ import annotations
@@ -17,24 +18,17 @@ from typing import (
     Any,
     Callable,
     Deque,
-    Dict,
     Generic,
     Iterator,
     List,
     Optional,
-    Protocol,
     TypeVar,
     Union,
 )
 
 __all__ = ["Ring", "read_jsonl"]
 
-
-class _Record(Protocol):
-    def to_dict(self) -> Dict[str, Any]: ...
-
-
-T = TypeVar("T", bound=_Record)
+T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -69,15 +63,6 @@ class Ring(Generic[T]):
     def clear(self) -> None:
         self._items.clear()
         self.dropped = 0
-
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """Write one JSON object per line; returns records written."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w") as fh:
-            for item in self._items:
-                fh.write(json.dumps(item.to_dict()) + "\n")
-        return len(self._items)
 
 
 def read_jsonl(

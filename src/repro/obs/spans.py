@@ -1,12 +1,11 @@
-"""Span tracing: nested wall-time measurement with a JSONL trace log.
+"""Span tracing: nested wall-time measurement.
 
 A *span* is one timed region — ``with span("encode", n=512): ...`` —
 recorded with nanosecond wall time (``time.perf_counter_ns``), its
 nesting depth, its parent span, and arbitrary scalar attributes. Closed
-spans land in an in-memory :class:`~repro.obs.ring.Ring` (exportable as
-JSON lines, read back with :func:`~repro.obs.ring.read_jsonl`), and
-every span also feeds a ``span.<name>.ms`` histogram in the metrics
-registry so ``repro stats`` can summarise timings without the trace.
+spans land in an in-memory :class:`~repro.obs.ring.Ring`, and every
+span also feeds a ``span.<name>.ms`` histogram in the metrics registry,
+which is how ``repro stats`` summarises timings.
 
 When observability is disabled (:mod:`repro.obs.runtime`),
 :func:`span` returns a shared do-nothing context manager — the cost is
@@ -49,27 +48,6 @@ class SpanRecord:
     depth: int
     parent: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "duration_ns": self.duration_ns,
-            "depth": self.depth,
-            "parent": self.parent,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpanRecord":
-        return cls(
-            name=data["name"],
-            start_ns=int(data["start_ns"]),
-            duration_ns=int(data["duration_ns"]),
-            depth=int(data["depth"]),
-            parent=data.get("parent"),
-            attrs=dict(data.get("attrs") or {}),
-        )
 
 
 class TraceBuffer(Ring[SpanRecord]):

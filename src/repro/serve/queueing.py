@@ -82,9 +82,6 @@ class BoundedQueue:
             else _Landing(self.maxsize, on_put)
         )
 
-    def __len__(self) -> int:
-        return self._queue.qsize()
-
     def try_put(self, item: Any) -> bool:
         """Enqueue without waiting while there is room.
 
@@ -137,6 +134,3 @@ class BoundedQueue:
 
     def get_nowait(self) -> Any:
         return self._queue.get_nowait()
-
-    def empty(self) -> bool:
-        return self._queue.empty()

@@ -49,15 +49,6 @@ class StageTimings:
     escalation_rtt_ms: float = 0.0
     total_ms: float = 0.0
 
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "queue_wait_ms": self.queue_wait_ms,
-            "encode_ms": self.encode_ms,
-            "search_ms": self.search_ms,
-            "escalation_rtt_ms": self.escalation_rtt_ms,
-            "total_ms": self.total_ms,
-        }
-
 
 @dataclass(slots=True)
 class ServeRequest:
@@ -257,13 +248,6 @@ class ServeResult:
         if lat.size == 0:
             return {f"p{q:g}": 0.0 for q in qs}
         return {f"p{q:g}": float(np.percentile(lat, q)) for q in qs}
-
-    def stage_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """p50/p95/p99 for every pipeline stage plus the total."""
-        return {
-            stage: self.percentiles(stage)
-            for stage in STAGES + ("total_ms",)
-        }
 
     # ------------------------------------------------------------------
     def to_outcome(self) -> "InferenceOutcome":

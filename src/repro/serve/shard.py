@@ -320,10 +320,3 @@ class SharedModelStore:
         self.close()
         if self._owner:
             self.unlink()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedModelStore(name={self._shm.name!r}, "
-            f"nodes={len(self.layouts)}, nbytes={self.nbytes}, "
-            f"owner={self._owner})"
-        )

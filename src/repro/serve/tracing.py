@@ -51,6 +51,7 @@ them.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -214,9 +215,14 @@ class RequestTraceLog(Ring[TraceEvent]):
         if events:
             self.n_requests += 1
 
-    def clear(self) -> None:
-        super().clear()
-        self.n_requests = 0
+    def export_jsonl(self, path: Union[str, Path]) -> int:
+        """Write one event per JSON line; returns events written."""
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("w") as fh:
+            for event in self:
+                fh.write(json.dumps(event.to_dict()) + "\n")
+        return len(self)
 
     def by_request(self) -> Dict[int, List[TraceEvent]]:
         """Events grouped by request id, each list in seq order."""
@@ -309,9 +315,9 @@ def _event_or_none(data: Any) -> Optional[TraceEvent]:
 def load_request_trace(path: Union[str, Path]) -> Dict[int, List[TraceEvent]]:
     """Read an exported trace back as ``{request_id: [events]}``.
 
-    Tolerates (and skips) non-event lines — e.g. span records from
-    :meth:`repro.obs.TraceBuffer.export_jsonl` sharing the file — so a
-    mixed trace file still yields every request timeline it contains.
+    Tolerates (and skips) lines that are not event records, so a file
+    that mixes in other records still yields every request timeline it
+    contains.
     A torn line or an event record without its required fields is
     :func:`~repro.obs.ring.read_jsonl`'s ``path:line`` ``ValueError``.
     """

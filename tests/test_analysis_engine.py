@@ -12,7 +12,6 @@ from repro.analysis import (
     Finding,
     LintEngine,
     default_rules,
-    lint_source,
     render_json,
     render_text,
     select_rules,
@@ -21,7 +20,8 @@ from repro.analysis import (
 
 
 def findings_for(source, path="<string>"):
-    return lint_source(textwrap.dedent(source), path=path)
+    source = textwrap.dedent(source)
+    return LintEngine(default_rules()).lint_source(source, path=path)
 
 
 class TestSuppression:
@@ -96,7 +96,7 @@ class TestSuppression:
             """
         )
         (f,) = findings
-        assert f.span() == (3, 6)
+        assert (f.line, f.end_line) == (3, 6)
 
     def test_file_level_suppression_in_header(self):
         findings = findings_for(
@@ -132,7 +132,7 @@ class TestSuppression:
 
 class TestEngineBasics:
     def test_parse_error_becomes_finding(self):
-        findings = lint_source("def broken(:\n", path="bad.py")
+        findings = findings_for("def broken(:\n", path="bad.py")
         assert len(findings) == 1
         assert findings[0].rule_id == PARSE_ERROR_ID
         assert findings[0].severity == "error"

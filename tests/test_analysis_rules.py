@@ -12,12 +12,12 @@ from repro.analysis import (
     RULE_INDEX,
     LintEngine,
     default_rules,
-    lint_source,
 )
 
 
 def findings_for(source, path="<string>"):
-    return lint_source(textwrap.dedent(source), path=path)
+    source = textwrap.dedent(source)
+    return LintEngine(default_rules()).lint_source(source, path=path)
 
 
 def rule_ids(findings):

@@ -89,8 +89,8 @@ class TestClassifierEquivalence:
     def test_confidences_match(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
         assert np.allclose(
-            clf.predict_proba(enc, search=DENSE),
-            clf.predict_proba(enc, search=PACKED),
+            clf.predict(enc, search=DENSE).confidences,
+            clf.predict(enc, search=PACKED).confidences,
             atol=1e-9,
         )
 
@@ -104,8 +104,9 @@ class TestClassifierEquivalence:
 
     def test_default_backend_constructor(self, trained_binary_classifier):
         clf, enc, _ = trained_binary_classifier
-        packed_clf = clf.copy()
-        packed_clf.search = PACKED
+        packed_clf = HDClassifier(
+            clf.n_classes, clf.dimension, search=PACKED
+        ).set_model(clf.class_hypervectors)
         assert np.array_equal(
             packed_clf.predict_labels(enc),
             clf.predict_labels(enc, search=PACKED),

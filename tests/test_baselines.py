@@ -65,7 +65,7 @@ class TestMLP:
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            MLPClassifier(4, 2).predict(np.ones((1, 4)))
+            MLPClassifier(4, 2).predict_labels(np.ones((1, 4)))
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestKernelSVM:
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            KernelSVM(4, 2).predict(np.ones((1, 4)))
+            KernelSVM(4, 2).predict_labels(np.ones((1, 4)))
 
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestAdaBoost:
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            AdaBoostClassifier(4, 2).predict(np.ones((1, 4)))
+            AdaBoostClassifier(4, 2).predict_labels(np.ones((1, 4)))
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,28 @@ class TestParser:
             assert excinfo.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["train"], ["federate"], ["reproduce"], ["serve-bench"],
+         ["topology", "checkpoint", "t.npz"]],
+        ids=lambda command: command[0],
+    )
+    def test_trace_parses_only_on_serve_bench(self, command, capsys):
+        """The request trace is the one trace a flag writes; the span
+        trace and the telemetry replay have no flag."""
+        parser = build_parser()
+        if command == ["serve-bench"]:
+            assert parser.parse_args(command + ["--trace", "t"]).trace == "t"
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(command + ["--trace", "t"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(command + ["--telemetry", "t"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):
@@ -118,8 +140,9 @@ class TestObservability:
         trace = tmp_path / "trace.jsonl"
         code = main(
             [
-                "train", "--dataset", "PDP", "--dimension", "128",
-                "--scale", "0.02", "--epochs", "1", "--trace", str(trace),
+                "serve-bench", "--dataset", "APRI", "--dimension", "128",
+                "--scale", "0.02", "--max-train", "200", "--max-test", "40",
+                "--epochs", "1", "--rate", "2000", "--trace", str(trace),
             ]
         )
         assert code == 0
@@ -155,7 +178,7 @@ class TestObservability:
         obs.enable()
         obs.reset()
         obs.get_registry().counter("worker.requests", labels={"node": 0}).inc(n)
-        obs.gauge_set("worker.depth", n)
+        obs.get_registry().gauge("worker.depth").set(n)
         obs.dump_stats(path)
         obs.reset()
 
@@ -284,7 +307,6 @@ class TestServeBench:
         obs.reset()
         trace = tmp_path / "t.jsonl"
         exposition = tmp_path / "om.txt"
-        telemetry = tmp_path / "telemetry.jsonl"
         try:
             code = main(
                 [
@@ -294,7 +316,6 @@ class TestServeBench:
                     "--faults", "--fault-drop", "0.3", "--fault-crash", "1",
                     "--fault-seed", "42", "--trace", str(trace),
                     "--openmetrics", str(exposition),
-                    "--telemetry", str(telemetry),
                 ]
             )
         finally:
@@ -303,7 +324,7 @@ class TestServeBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "faults: degraded" in out
-        assert trace.exists() and telemetry.exists()
+        assert trace.exists()
         assert obs.parse_openmetrics(exposition.read_text())
         assert main(["serve-report", str(trace), "--slo-ms", "50"]) == 0
         report = capsys.readouterr().out
@@ -311,7 +332,7 @@ class TestServeBench:
         assert "critical-path attribution" in report
         assert "timeline" in report
 
-    @pytest.mark.parametrize("flag", ["--trace", "--telemetry"])
+    @pytest.mark.parametrize("flag", ["--trace"])
     def test_cluster_rejects_tracing_flags_before_training(
         self, flag, capsys, tmp_path, monkeypatch
     ):
@@ -334,8 +355,27 @@ class TestServeBench:
         assert code == 2
         err = capsys.readouterr().err
         assert "request tracing stops at the cluster router" in err
-        assert "drop --trace/--telemetry or --workers" in err
+        assert "drop --trace or --workers" in err
         assert not out.exists()
+
+    def test_cluster_rejects_drop_faults_before_training(
+        self, capsys, monkeypatch
+    ):
+        """--fault-drop defaults to 0.1, which the cluster cannot model:
+        reject the plan before the data is loaded and the model fit."""
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("rejected runs must not load or train")
+
+        monkeypatch.setattr("repro.cli.load_dataset", no_training)
+        code = main(
+            ["serve-bench", "--dataset", "APRI", "--workers", "2",
+             "--faults", "--fault-crash", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "crash-only fault plans" in err
+        assert "--fault-drop 0" in err
 
     def test_faults_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench", "--faults"])
@@ -370,8 +410,9 @@ class TestOutputPaths:
         trace = tmp_path / "deep" / "nested" / "trace.jsonl"
         code = main(
             [
-                "train", "--dataset", "PDP", "--dimension", "128",
-                "--scale", "0.02", "--epochs", "1", "--trace", str(trace),
+                "serve-bench", "--dataset", "APRI", "--dimension", "128",
+                "--scale", "0.02", "--max-train", "200", "--max-test", "40",
+                "--epochs", "1", "--rate", "2000", "--trace", str(trace),
             ]
         )
         obs.disable()

@@ -549,17 +549,6 @@ class TestModelManagement:
         model[0, 0] = 99.0
         assert clf.class_hypervectors[0, 0] == 1.0
 
-    def test_copy_is_independent(self, encoded_problem):
-        enc, y, dim = encoded_problem
-        clf = HDClassifier(3, dim).fit_initial(enc, y)
-        clone = clf.copy()
-        clone.class_hypervectors[0, 0] += 100.0
-        assert clf.class_hypervectors[0, 0] != clone.class_hypervectors[0, 0]
-
-    def test_copy_unfitted(self):
-        clone = HDClassifier(2, 8).copy()
-        assert clone.class_hypervectors is None
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             HDClassifier(1, 8)

@@ -63,7 +63,7 @@ class TestEdgeHDModel:
     def test_predict_from_raw_features(self, fitted):
         model, report, x, y = fitted
         assert model.accuracy(x, y) > 0.9
-        labels = model.predict_labels(x[:5])
+        labels = model.predict(x[:5]).labels
         assert labels.shape == (5,)
 
     def test_encode_shape(self, fitted):

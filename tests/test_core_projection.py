@@ -176,7 +176,7 @@ class _WidthRecorder:
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self.dtype = matrix.dtype
+        self.dtype = matrix.data.dtype
         self.widths = []
         self.operand_dtypes = []
 
@@ -197,7 +197,7 @@ class TestPaddedWidth:
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=35
         )
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         dense_t = csr_dense(proj.matrix).T.astype(np.float64)
         x = random_bipolar(600, count=40, seed=36).astype(dtype)
         for width in range(1, 41):
@@ -257,7 +257,7 @@ class TestInt16Path:
         proj = TernaryProjection(
             600, 500, zero_fraction=1.0 - 64 / 600, seed=30
         )
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         x = (magnitude * random_bipolar(600, count=9, seed=31)).astype(np.int8)
         for rows in (x, x[0]):
             got, want = proj.project(rows), proj.project(rows.astype(np.float64))
@@ -275,7 +275,7 @@ class TestInt16Path:
         extreme, one row at a time (the int16 path's odd row out) and
         as a batch (the float path: the rows are not bipolar)."""
         proj = TernaryProjection(in_dim, 8, zero_fraction=0.0, seed=32)
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         assert (proj._draw.lane_offset is not None) is int_path
         signs = csr_dense(proj.matrix).astype(np.int64)
         x = np.concatenate([
@@ -293,7 +293,7 @@ class TestInt16Path:
         """Rows of 300 non-zeros exceed a byte lane: int8 input takes
         the float path, on the same int16 data."""
         proj = TernaryProjection(300, 40, zero_fraction=0.0, seed=33)
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         assert proj._draw.lane_offset is None
         x = (127 * csr_dense(proj.matrix)[:6]).astype(np.int8)
         got = proj.project(x)
@@ -310,7 +310,7 @@ class TestInt16Path:
         int8 input keeps an int16 operand."""
         proj = TernaryProjection(
             4000, 4000, zero_fraction=1.0 - 64 / 4000, seed=48)
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         twin = copy.copy(proj)
         twin.matrix = csr_matrix(
             (proj.matrix.data.astype(np.float64), proj.matrix.indices,
@@ -348,7 +348,7 @@ class TestInt16Path:
         a short operand is refused, not read past its end."""
         proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600,
                                  seed=51)
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         for shape in ((599, 8), (599,)):
             with pytest.raises(ValueError, match="599 rows"):
                 proj.matrix @ np.zeros(shape, dtype=dtype)
@@ -452,7 +452,7 @@ class TestSharedDraw:
         a = TernaryProjection(300, 200, zero_fraction=0.5, seed=40)
         b = TernaryProjection(300, 200, zero_fraction=0.5, seed=np.int64(40))
         assert a is not b
-        assert a.matrix is b.matrix and a.matrix.dtype == np.int16
+        assert a.matrix is b.matrix and a.matrix.data.dtype == np.int16
 
     @pytest.mark.parametrize("other", [
         dict(seed=42), dict(in_dimension=301), dict(out_dimension=201),
@@ -497,7 +497,7 @@ class TestSharedDraw:
     def test_shared_arrays_are_read_only(self):
         proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600,
                                  seed=46)
-        assert proj.matrix.dtype == np.int16
+        assert proj.matrix.data.dtype == np.int16
         for array in (proj.matrix.data, proj.matrix.indices, proj.matrix.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

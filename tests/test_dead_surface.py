@@ -50,8 +50,6 @@ ALLOWED: Dict[str, str] = {
         "oracle: round-trips the OpenMetrics exposition",
     "repro.serve.tracing.semantic_timeline":
         "oracle: same-seed chaos comparisons",
-    "repro.core.predictor.Predictor":
-        "the protocol test_predictor_protocol.py checks every model against",
     # Open ROADMAP items.
     "repro.hierarchy.control.run_replacement_scenario":
         "ROADMAP items 1 and 6: the post-respawn leg",

@@ -214,4 +214,4 @@ class TestManualConstruction:
 
     def test_len(self):
         h = build_tree(4)
-        assert len(h) == 7  # 4 leaves + 2 gateways + root
+        assert len(h.nodes) == 7  # 4 leaves + 2 gateways + root

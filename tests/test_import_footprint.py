@@ -92,7 +92,7 @@ from repro.core.hypervector import random_bipolar
 from repro.core.projection import TernaryProjection
 proj = TernaryProjection(600, 500, zero_fraction=1.0 - 64 / 600, seed=22)
 m = proj.matrix
-assert m.dtype == np.int16
+assert m.data.dtype == np.int16
 csr = scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 dense_t = csr.toarray().T.astype(np.float64)
 x = random_bipolar(600, count=9, seed=23)

@@ -1,21 +1,14 @@
-"""One unified predict API: every model satisfies the Predictor protocol."""
+"""The HD models' predict surface: ``predict`` returns a
+:class:`PredictionResult` (labels, similarities, confidences), and
+``predict_labels`` -- what every model's ``accuracy()`` scores through --
+agrees with it."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    AdaBoostClassifier,
-    KernelSVM,
-    LinearHDClassifier,
-    MLPClassifier,
-)
+from repro.baselines import LinearHDClassifier
 from repro.core.classifier import HDClassifier, PredictionResult
 from repro.core.model import EdgeHDModel
-from repro.core.predictor import (
-    Predictor,
-    result_from_proba,
-    result_from_scores,
-)
 from repro.data import make_classification
 
 
@@ -28,26 +21,17 @@ def data():
 
 
 def _fitted_models(data):
-    """One fitted instance of every user-facing model type."""
+    """One fitted instance of every HD model type."""
     train_x, train_y, _, _ = data
     hd = EdgeHDModel(10, 3, dimension=256, seed=1)
     hd.fit(train_x, train_y, retrain_epochs=2)
     linear = LinearHDClassifier(10, 3, dimension=256, seed=2)
     linear.fit(train_x, train_y, retrain_epochs=2)
-    svm = KernelSVM(10, 3, n_components=64, epochs=2, seed=3)
-    svm.fit(train_x, train_y)
-    ada = AdaBoostClassifier(10, 3, n_estimators=5, seed=4)
-    ada.fit(train_x, train_y)
-    mlp = MLPClassifier(10, 3, hidden_sizes=(16,), epochs=2, seed=5)
-    mlp.fit(train_x, train_y)
     clf = HDClassifier(3, 256)
     clf.fit_initial(hd.encoder.encode(train_x), train_y)
     return {
         "EdgeHDModel": (hd, train_x),
         "LinearHDClassifier": (linear, train_x),
-        "KernelSVM": (svm, train_x),
-        "AdaBoostClassifier": (ada, train_x),
-        "MLPClassifier": (mlp, train_x),
         "HDClassifier": (clf, hd.encoder.encode(train_x)),
     }
 
@@ -58,10 +42,6 @@ def models(data):
 
 
 class TestProtocolConformance:
-    def test_every_model_is_a_predictor(self, models):
-        for name, (model, _) in models.items():
-            assert isinstance(model, Predictor), name
-
     def test_predict_returns_prediction_result(self, models):
         for name, (model, x) in models.items():
             result = model.predict(x[:16])
@@ -72,13 +52,15 @@ class TestProtocolConformance:
 
     def test_predict_labels_matches_predict(self, models):
         for name, (model, x) in models.items():
+            clf = model if isinstance(model, HDClassifier) else model.classifier
+            encoded = x if model is clf else model.encode(x)
             assert np.array_equal(
-                model.predict_labels(x[:16]), model.predict(x[:16]).labels
+                clf.predict_labels(encoded[:16]), model.predict(x[:16]).labels
             ), name
 
     def test_predict_proba_rows_sum_to_one(self, models):
         for name, (model, x) in models.items():
-            proba = model.predict_proba(x[:16])
+            proba = model.predict(x[:16]).confidences
             assert proba.shape == (16, 3), name
             assert np.allclose(proba.sum(axis=1), 1.0), name
             assert (proba >= 0).all(), name
@@ -92,32 +74,9 @@ class TestProtocolConformance:
 
 
 class TestResultHelpers:
-    def test_result_from_scores(self):
-        scores = np.array([[0.1, 0.9, 0.0], [2.0, -1.0, 0.5]])
-        result = result_from_scores(scores)
-        assert np.array_equal(result.labels, [1, 0])
-        assert result.similarities is scores or np.array_equal(
-            result.similarities, scores
-        )
-        assert np.allclose(result.confidences.sum(axis=1), 1.0)
-
-    def test_result_from_proba(self):
-        proba = np.array([[0.2, 0.8], [0.7, 0.3]])
-        result = result_from_proba(proba)
-        assert np.array_equal(result.labels, [1, 0])
-        assert np.array_equal(result.confidences, proba)
-
     def test_top_confidence(self):
-        result = result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]]))
+        proba = np.array([[0.2, 0.8], [0.7, 0.3]])
+        result = PredictionResult(
+            labels=np.array([1, 0]), similarities=proba, confidences=proba
+        )
         assert np.allclose(result.top_confidence, [0.8, 0.7])
-
-    def test_eq_between_results_is_exact(self):
-        probs = np.array([[0.2, 0.8], [0.7, 0.3]])
-        result = result_from_proba(probs)
-        assert result == result_from_proba(probs)
-        assert result != result_from_proba(probs[::-1])
-        assert len(result) == 2
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(result_from_proba(np.array([[0.2, 0.8], [0.7, 0.3]])))

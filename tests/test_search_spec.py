@@ -130,7 +130,3 @@ class TestObjectIntegration:
             model.search = "packed"  # type: ignore[assignment]
         model.search = SearchSpec(backend="packed")
         assert model.classifier.search.backend == "packed"
-
-    def test_copy_preserves_search(self):
-        clf = self._fitted(search=SearchSpec(backend="packed"))
-        assert clf.copy().search == clf.search

@@ -525,8 +525,8 @@ class TestTimingsAndObs:
             assert r.timings.queue_wait_ms >= 0
             assert r.timings.encode_ms > 0
             assert r.timings.search_ms > 0
-        pct = result.stage_breakdown()
-        assert pct["total_ms"]["p99"] >= pct["total_ms"]["p50"] > 0
+        pct = result.percentiles("total_ms")
+        assert pct["p99"] >= pct["p50"] > 0
         assert result.throughput_rps > 0
         assert "p99" in result.summary()
 
